@@ -471,19 +471,11 @@ func (a *Agent) Run(ctx context.Context) (err error) {
 	}
 	conn := wire.NewConn(raw)
 
-	// Watcher: a cancelled ctx must unblock a send parked on a dead pipe
-	// (e.g. a dial accepted into a crashed manager's queue, or a stalled
-	// manager reader) — closing the conn is the only lever that works
-	// mid-write.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-watchDone:
-		}
-	}()
+	// A cancelled ctx must unblock a send parked on a dead pipe (e.g. a
+	// dial accepted into a crashed manager's queue, or a stalled manager
+	// reader) — closing the conn is the only lever that works mid-write.
+	stopWatch := context.AfterFunc(ctx, func() { conn.Close() })
+	defer stopWatch()
 
 	// Sends come from two goroutines (samples below, acks in the reader),
 	// and wire.Conn requires external write serialisation.

@@ -150,4 +150,3 @@ func quarantinedIn(sh *shard, id node.ID) bool {
 	rec, ok := sh.health[id]
 	return ok && rec.state == healthQuarantined
 }
-

@@ -217,10 +217,11 @@ type LearnConfig struct {
 }
 
 // agentConn is one connected agent: the connection, the freshest reading,
-// and the outbox feeding the connection's sender goroutine (sender.go).
+// and the outbox its on-demand sender goroutine drains (sender.go).
 type agentConn struct {
 	id       node.ID
 	conn     *wire.Conn
+	accepted uint64 // accept-order stamp (see serveConn)
 	maxLevel int
 	binary   bool // negotiated onto the binary codec (set before registration)
 
@@ -237,12 +238,18 @@ type agentConn struct {
 	// obCmd is held by value with obHas as its presence flag: a command
 	// enqueue is a struct copy into memory the connection already owns,
 	// so the steady-state fan-out path allocates nothing per command.
-	obMu     sync.Mutex
-	obCmd    pendingCmd
-	obHas    bool
-	obPing   bool
-	obClosed bool
-	wake     chan struct{}
+	obMu      sync.Mutex
+	obCmd     pendingCmd
+	obHas     bool
+	obPing    bool
+	obClosed  bool
+	obSending bool // a sender goroutine is draining the outbox (sender.go)
+	// sender is runSender bound to this connection, built once and kept:
+	// `go f(args)` would allocate a closure per node per command burst.
+	sender func()
+	// armedUntil is the write deadline set on conn; owned by the running
+	// sender, handed from one to the next through obMu.
+	armedUntil time.Time
 }
 
 // cmdState tracks the lifecycle of the newest command issued to one node.
@@ -294,10 +301,12 @@ type Server struct {
 	started time.Time
 
 	// Protocol state (not telemetry): the cycle number stamps commands,
-	// seq numbers commands, extEpoch stamps external sense epochs.
+	// seq numbers commands, extEpoch stamps external sense epochs, accepts
+	// stamps inbound connections in accept order.
 	cycleN   atomic.Int64
 	seq      atomic.Uint64
 	extEpoch atomic.Uint64 // current external sense epoch (external.go)
+	accepts  atomic.Uint64
 
 	// reg is the daemon's instrument registry — the single source of
 	// truth behind StatusReply, /metrics and the simulator's Stats — and
@@ -624,7 +633,7 @@ func (s *Server) Start() error {
 		go s.fed.run()
 	}
 	s.wg.Add(1)
-	go s.acceptLoop()
+	go s.acceptLoopOn(s.ln)
 	if !s.cfg.ExternalControl {
 		s.wg.Add(1)
 		go s.controlLoop()
@@ -678,37 +687,33 @@ func (s *Server) Stop() {
 			s.replicaLn.Close()
 		}
 		s.pub.Close()
-		for _, sh := range s.nodes.shards {
-			sh.mu.Lock()
-			acs := make([]*agentConn, 0, len(sh.agents))
-			for _, ac := range sh.agents {
-				acs = append(acs, ac)
-			}
-			sh.mu.Unlock()
-			// Closing the conn unblocks both the reader (serveConn) and a
-			// sender mid-write; each path retires the outbox on its way out.
-			for _, ac := range acs {
-				ac.conn.Close()
-				s.retireOutbox(ac)
-			}
-		}
+		s.shedAgents()
 	})
 	s.wg.Wait()
 	s.writeJournal()
 	s.journal.Close()
 }
 
-// acceptLoop accepts agent and status connections until the server stops.
-// Transient Accept failures (accept queue hiccups, temporary resource
-// exhaustion, injected timeouts) are retried under capped exponential
-// backoff rather than busy-spinning or killing the daemon; only a stop or
-// the listener actually closing ends the loop.
-func (s *Server) acceptLoop() {
-	s.acceptLoopOn(s.ln)
+// shedAgents closes every registered agent connection, which unblocks its
+// reader (serveConn) and a sender mid-write, and retires its outbox so no
+// new sender can start (Stop and depose).
+func (s *Server) shedAgents() {
+	var acs []*agentConn
+	for _, sh := range s.nodes.shards {
+		acs = sh.conns(acs)
+		for _, ac := range acs {
+			ac.conn.Close()
+			s.retireOutbox(ac)
+		}
+	}
 }
 
-// acceptLoopOn runs the accept loop over one listener; the replica
-// endpoint (ReplicaAddr) gets its own instance serving identically.
+// acceptLoopOn accepts agent, follower and status connections on one
+// listener (the agent endpoint and the ReplicaAddr endpoint each run one,
+// serving identically) until the server stops. Transient Accept failures
+// (accept queue hiccups, temporary resource exhaustion, injected timeouts)
+// are retried under capped exponential backoff rather than busy-spinning
+// or killing the daemon; only a stop or the listener closing ends the loop.
 func (s *Server) acceptLoopOn(ln net.Listener) {
 	defer s.wg.Done()
 	const (
@@ -739,7 +744,7 @@ func (s *Server) acceptLoopOn(ln net.Listener) {
 		}
 		backoff = backoffMin
 		s.wg.Add(1)
-		go s.serveConn(wire.NewConn(raw))
+		go s.serveConn(wire.NewConn(raw), s.accepts.Add(1))
 	}
 }
 
@@ -752,12 +757,13 @@ func (s *Server) binaryWanted(first *wire.Envelope) bool {
 
 // serveConn handles one inbound connection: agents send hello then a
 // stream of samples and command acks; control clients send a status
-// request and get one reply.
-func (s *Server) serveConn(conn *wire.Conn) {
+// request and get one reply. accepted is the connection's accept-order
+// stamp: of two connections claiming one node, the higher is the newer.
+func (s *Server) serveConn(conn *wire.Conn, accepted uint64) {
 	defer s.wg.Done()
+	defer conn.Close()
 	first, err := conn.Recv()
 	if err != nil {
-		conn.Close()
 		return
 	}
 	switch first.Type {
@@ -775,7 +781,6 @@ func (s *Server) serveConn(conn *wire.Conn) {
 			}
 		}
 		_ = conn.Send(reply)
-		conn.Close()
 		return
 	case wire.KindJournalAck:
 		// A journal follower subscribing from its current sequence.
@@ -784,7 +789,6 @@ func (s *Server) serveConn(conn *wire.Conn) {
 	case wire.KindHello:
 		// fall through to the agent loop
 	default:
-		conn.Close()
 		return
 	}
 
@@ -793,15 +797,14 @@ func (s *Server) serveConn(conn *wire.Conn) {
 	if s.epoch > 0 && first.Epoch > s.epoch {
 		s.fencedHellos.Inc()
 		s.depose()
-		conn.Close()
 		return
 	}
 	// Codec negotiation rides the same hello reply as the epoch
 	// announcement: the reply is guaranteed to be the first manager→agent
-	// frame (the sender goroutine starts below), so the agent knows the
-	// chosen codec before any command arrives. The reply itself is always
-	// JSON — EnableBinary flips only frames after it — which keeps the
-	// negotiation readable by any peer.
+	// frame (nothing can enqueue to this connection until it is registered
+	// below), so the agent knows the chosen codec before any command
+	// arrives. The reply itself is always JSON — EnableBinary flips only
+	// frames after it — which keeps the negotiation readable by any peer.
 	wantBin := s.binaryWanted(&first)
 	if s.epoch > 0 || wantBin {
 		reply := wire.Envelope{Type: wire.KindHello, Epoch: s.epoch}
@@ -809,7 +812,6 @@ func (s *Server) serveConn(conn *wire.Conn) {
 			reply.Codec = wire.CodecBinary
 		}
 		if err := conn.Send(reply); err != nil {
-			conn.Close()
 			return
 		}
 		if wantBin {
@@ -818,7 +820,7 @@ func (s *Server) serveConn(conn *wire.Conn) {
 	}
 
 	id := node.ID(first.Node)
-	ac := &agentConn{id: id, conn: conn, maxLevel: first.MaxLevel, binary: wantBin, wake: make(chan struct{}, 1)}
+	ac := &agentConn{id: id, conn: conn, accepted: accepted, maxLevel: first.MaxLevel, binary: wantBin}
 	// Seed the record from the hello's self-reported level: a manager
 	// coming back from a crash learns every node's actual level before
 	// the first sample arrives, so reconciliation can start immediately.
@@ -835,7 +837,17 @@ func (s *Server) serveConn(conn *wire.Conn) {
 	ac.seen = true
 	sh := s.nodes.of(id)
 	sh.mu.Lock()
+	// Whichever connection wins below, the node connected once more.
+	noteConnect(sh, id, now, &s.cfg, s.quarantines)
 	old := sh.agents[id]
+	if old != nil && old.accepted > accepted {
+		// Hellos are handled on per-connection goroutines, so a bounced
+		// connection's hello can be processed after its successor's.
+		// Evicting the later-accepted, live connection for this dead one
+		// would leave the node with neither: refuse this one instead.
+		sh.mu.Unlock()
+		return
+	}
 	sh.agents[id] = ac
 	connTally(sh, ac, +1)
 	if old != nil {
@@ -843,17 +855,14 @@ func (s *Server) serveConn(conn *wire.Conn) {
 		// deregistered, so its tally is settled here.
 		connTally(sh, old, -1)
 	}
-	noteConnect(sh, id, now, &s.cfg, s.quarantines)
 	sh.mu.Unlock()
 	if old != nil {
-		// A redial replaced the connection: retire the old epoch so its
-		// sender exits and any failure it still surfaces is not charged to
-		// the node (see noteSendError).
+		// A redial replaced the connection: retire the old epoch so any
+		// failure it still surfaces is not charged to the node (see
+		// noteSendError).
 		old.conn.Close()
 		s.retireOutbox(old)
 	}
-	s.wg.Add(1)
-	go s.runSender(ac)
 
 	var env wire.Envelope
 	for {
@@ -903,7 +912,6 @@ func (s *Server) serveConn(conn *wire.Conn) {
 	}
 	sh.mu.Unlock()
 	s.retireOutbox(ac)
-	conn.Close()
 }
 
 // connTally adjusts the shard's per-codec connection counts for one
@@ -958,7 +966,7 @@ func (s *Server) dispatch(ac *agentConn, level int, seq uint64, fan *fanout) {
 	if fan != nil {
 		fan.add()
 	}
-	ok, superseded := ac.enqueueCommand(pendingCmd{level: level, seq: seq, fan: fan})
+	ok, superseded := s.enqueueCommand(ac, pendingCmd{level: level, seq: seq, fan: fan})
 	if !ok {
 		if fan != nil {
 			fan.complete()
@@ -988,30 +996,34 @@ func (s *Server) controlLoop() {
 // each HeartbeatEvery control cycles. The pings carry no payload; their
 // only job is to feed the agents' dead-man switches so a node behind a
 // live manager never self-degrades just because the fleet has been green
-// (no commands) for a long stretch. The senders fold a pending ping into
-// their next write, so a slow reader stalls only its own heartbeat.
+// (no commands) for a long stretch. Each ping is written by the node's
+// own sender (folded into a command write if one is pending), so a slow
+// reader stalls only its own heartbeat.
 func (s *Server) heartbeatLoop() {
 	defer s.wg.Done()
 	tick := time.NewTicker(time.Duration(s.cfg.HeartbeatEvery) * s.cfg.ControlEvery)
 	defer tick.Stop()
+	var scratch []*agentConn
 	for {
 		select {
 		case <-s.stopCh:
 			return
 		case <-tick.C:
-			for _, sh := range s.nodes.shards {
-				sh.mu.Lock()
-				acs := make([]*agentConn, 0, len(sh.agents))
-				for _, ac := range sh.agents {
-					acs = append(acs, ac)
-				}
-				sh.mu.Unlock()
-				for _, ac := range acs {
-					ac.enqueuePing()
-				}
-			}
+			scratch = s.pingAll(scratch)
 		}
 	}
+}
+
+// pingAll is one heartbeat tick. scratch is reused for every shard's
+// connection list and handed back for the next tick.
+func (s *Server) pingAll(scratch []*agentConn) []*agentConn {
+	for _, sh := range s.nodes.shards {
+		scratch = sh.conns(scratch)
+		for _, ac := range scratch {
+			s.enqueuePing(ac)
+		}
+	}
+	return scratch
 }
 
 // forEachShard sweeps every shard through fn on a bounded worker pool

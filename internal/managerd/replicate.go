@@ -25,13 +25,12 @@ import (
 // same self-fencing triggers when any peer (agent hello or follower
 // subscribe) reports a higher epoch than ours.
 
-// serveReplica owns one follower connection. Caller holds the serveConn
-// wg slot; first is the subscribe frame.
+// serveReplica serves one follower connection until it ends. Caller holds
+// the serveConn wg slot and closes conn; first is the subscribe frame.
 func (s *Server) serveReplica(conn *wire.Conn, first wire.Envelope) {
 	if s.epoch > 0 && first.Epoch > s.epoch {
 		s.fencedHellos.Inc()
 		s.depose()
-		conn.Close()
 		return
 	}
 	// Followers advertise codec support on their subscribe frame; a
@@ -101,18 +100,7 @@ func (s *Server) depose() {
 		s.replicaLn.Close()
 	}
 	s.pub.CloseSubs()
-	for _, sh := range s.nodes.shards {
-		sh.mu.Lock()
-		acs := make([]*agentConn, 0, len(sh.agents))
-		for _, ac := range sh.agents {
-			acs = append(acs, ac)
-		}
-		sh.mu.Unlock()
-		for _, ac := range acs {
-			ac.conn.Close()
-			s.retireOutbox(ac)
-		}
-	}
+	s.shedAgents()
 }
 
 // Deposed reports whether this server has fenced itself off after

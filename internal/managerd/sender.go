@@ -14,10 +14,17 @@ import (
 // its socket cost the cycle a full CommandTimeout, and N slow nodes cost
 // N timeouts back to back — head-of-line blocking exactly where
 // Algorithm 1's red-state reaction time matters most. Now every
-// connection owns a sender goroutine fed by a coalescing outbox: the
-// control loop enqueues (O(1), never blocks on the network) and the
-// senders write concurrently, so the cycle's actuation cost is bounded
+// connection has a coalescing outbox drained by a sender goroutine of its
+// own: the control loop enqueues (O(1), never blocks on the network) and
+// the senders write concurrently, so the cycle's actuation cost is bounded
 // by the slowest single node, not the sum of the slow ones.
+//
+// The sender exists only while there is something to write: the enqueue
+// that makes an idle outbox non-empty starts it, and it exits when it
+// finds the outbox empty, so an idle connection — most of a fleet, most
+// of the time — parks no goroutine and holds no stack. Shard-owned
+// writers would be fewer still, but one slow reader would stall every
+// node sharing its writer: the head-of-line blocking removed above.
 //
 // The outbox is deliberately one command deep: a newer command for a
 // node supersedes an unsent older one (the level to hold is a state, not
@@ -33,12 +40,12 @@ type pendingCmd struct {
 	fan   *fanout // fan-out tracker of the issuing cycle; nil outside cycles
 }
 
-// enqueueCommand queues pc, superseding any unsent older command. It
-// reports whether the outbox accepted it (false: connection mid-teardown)
-// and whether an older command was superseded. The superseded command's
-// fan-out slot is released here; its delivery is owed to the retry path,
-// not this write.
-func (ac *agentConn) enqueueCommand(pc pendingCmd) (ok, superseded bool) {
+// enqueueCommand queues pc on ac's outbox, superseding any unsent older
+// command. It reports whether the outbox accepted it (false: connection
+// mid-teardown) and whether an older command was superseded. The
+// superseded command's fan-out slot is released here; its delivery is
+// owed to the retry path, not this write.
+func (s *Server) enqueueCommand(ac *agentConn, pc pendingCmd) (ok, superseded bool) {
 	ac.obMu.Lock()
 	if ac.obClosed {
 		ac.obMu.Unlock()
@@ -46,99 +53,78 @@ func (ac *agentConn) enqueueCommand(pc pendingCmd) (ok, superseded bool) {
 	}
 	old, had := ac.obCmd, ac.obHas
 	ac.obCmd, ac.obHas = pc, true
+	s.ensureSender(ac)
 	ac.obMu.Unlock()
 	if had && old.fan != nil {
 		old.fan.complete()
 	}
-	ac.wakeSender()
 	return true, had
 }
 
 // enqueuePing raises the outbox's heartbeat flag; the sender folds it
 // into its next write.
-func (ac *agentConn) enqueuePing() {
+func (s *Server) enqueuePing(ac *agentConn) {
 	ac.obMu.Lock()
-	if ac.obClosed {
-		ac.obMu.Unlock()
+	if !ac.obClosed {
+		ac.obPing = true
+		s.ensureSender(ac)
+	}
+	ac.obMu.Unlock()
+}
+
+// ensureSender starts ac's sender unless one is already draining the
+// outbox. The caller holds ac.obMu and has seen the outbox open, which
+// keeps wg.Add ahead of Stop's wg.Wait: Stop closes every outbox first,
+// and a connection's reader, itself counted, closes it before exiting.
+func (s *Server) ensureSender(ac *agentConn) {
+	if ac.obSending {
 		return
 	}
-	ac.obPing = true
-	ac.obMu.Unlock()
-	ac.wakeSender()
-}
-
-// wakeSender nudges the sender goroutine; a token already in flight is
-// enough, so this never blocks.
-func (ac *agentConn) wakeSender() {
-	select {
-	case ac.wake <- struct{}{}:
-	default:
+	ac.obSending = true
+	s.wg.Add(1)
+	if ac.sender == nil {
+		ac.sender = func() { s.runSender(ac) }
 	}
+	go ac.sender()
 }
 
-// closeOutbox marks the outbox closed and returns the command it was
-// still holding, if any (had=false when empty or already closed). The
-// caller releases the dropped command's fan-out slot.
-func (ac *agentConn) closeOutbox() (pc pendingCmd, had bool) {
+// retireOutbox closes ac's outbox and releases the fan-out slot of the
+// command it still held, if any — the teardown half of the sender
+// lifecycle, called when the connection dies, is replaced by a redial, or
+// the server stops. Idempotent; a sender still running finds the outbox
+// empty on its next look and exits.
+func (s *Server) retireOutbox(ac *agentConn) {
 	ac.obMu.Lock()
-	if ac.obClosed {
-		ac.obMu.Unlock()
-		return pendingCmd{}, false
-	}
+	pc, had := ac.obCmd, ac.obHas
 	ac.obClosed = true
-	pc, had = ac.obCmd, ac.obHas
 	ac.obCmd, ac.obHas, ac.obPing = pendingCmd{}, false, false
 	ac.obMu.Unlock()
-	ac.wakeSender()
-	return pc, had
-}
-
-// retireOutbox closes ac's outbox and releases any queued command's
-// fan-out slot — the teardown half of the sender lifecycle, called when
-// the connection dies, is replaced by a redial, or the server stops.
-func (s *Server) retireOutbox(ac *agentConn) {
-	if pc, had := ac.closeOutbox(); had && pc.fan != nil {
+	if had && pc.fan != nil {
 		pc.fan.complete()
 	}
 }
 
-// runSender is one connection's sender goroutine: it drains the outbox,
+// runSender drains one connection's outbox and exits when it is empty,
 // writing whatever accumulated (newest command, pending ping) as a single
-// deadline-bounded batch write. A write failure retires the connection —
-// after a deadline the stream is mid-message and unrecoverable — and the
+// deadline-bounded write. A write failure retires the connection — after
+// a deadline the stream is mid-message and unrecoverable — and the
 // in-flight command stays recorded in cmds for the retry path.
 func (s *Server) runSender(ac *agentConn) {
 	defer s.wg.Done()
-	// envs is the sender's reusable scratch batch: the steady-state write
-	// path (drain outbox → encode → write) allocates nothing per command;
-	// the connection's codec buffer is likewise reused underneath.
-	envs := make([]wire.Envelope, 0, 2)
-	// armedUntil is the write deadline currently set on the connection;
-	// only this goroutine sets write deadlines, so no lock is needed.
-	var armedUntil time.Time
 	for {
 		ac.obMu.Lock()
-		pc, has, ping, closed := ac.obCmd, ac.obHas, ac.obPing, ac.obClosed
+		pc, has, ping := ac.obCmd, ac.obHas, ac.obPing
 		ac.obHas, ac.obPing = false, false
+		if !has && !ping {
+			// The emptiness check and clearing obSending are one critical
+			// section, so "outbox non-empty, no sender" is unreachable: an
+			// enqueue lands before this look or starts the next sender.
+			ac.obSending = false
+			ac.obMu.Unlock()
+			return
+		}
 		ac.obMu.Unlock()
 
-		if !has && !ping {
-			if closed {
-				return
-			}
-			<-ac.wake
-			continue
-		}
-
-		envs = envs[:0]
-		if has {
-			envs = append(envs, wire.Envelope{
-				Type: wire.KindCommand, Node: int(ac.id), Level: pc.level, Seq: pc.seq,
-			})
-		}
-		if ping {
-			envs = append(envs, wire.Envelope{Type: wire.KindPing})
-		}
 		// Keep the write deadline armed across batches instead of the
 		// arm/disarm pair per write: every SetWriteDeadline stops and
 		// re-creates a runtime timer, and at fleet scale those timer-heap
@@ -149,11 +135,20 @@ func (s *Server) runSender(ac *agentConn) {
 		// left armed between writes is harmless: SetWriteDeadline resets
 		// any expired state before the next write.
 		now := time.Now()
-		if armedUntil.Sub(now) < s.cfg.CommandTimeout/2 {
-			armedUntil = now.Add(s.cfg.CommandTimeout)
-			_ = ac.conn.SetWriteDeadline(armedUntil)
+		if ac.armedUntil.Sub(now) < s.cfg.CommandTimeout/2 {
+			ac.armedUntil = now.Add(s.cfg.CommandTimeout)
+			_ = ac.conn.SetWriteDeadline(ac.armedUntil)
 		}
-		err := ac.conn.SendBatch(envs)
+		cmd := wire.Envelope{Type: wire.KindCommand, Node: int(ac.id), Level: pc.level, Seq: pc.seq}
+		var err error
+		switch {
+		case has && ping:
+			err = ac.conn.SendBatch([]wire.Envelope{cmd, {Type: wire.KindPing}})
+		case has:
+			err = ac.conn.Send(cmd)
+		default:
+			err = ac.conn.Send(wire.Envelope{Type: wire.KindPing})
+		}
 		if err != nil {
 			// Account the failure before releasing the fan-out slot, so a
 			// caller unblocked by fan-out completion observes the error
@@ -165,8 +160,8 @@ func (s *Server) runSender(ac *agentConn) {
 			pc.fan.complete()
 		}
 		if err != nil {
+			// The next look finds the retired outbox empty and exits.
 			s.retireOutbox(ac)
-			return
 		}
 	}
 }

@@ -49,6 +49,18 @@ type shard struct {
 	nJSON int
 }
 
+// conns lists the shard's registered connections into buf's storage, so
+// the caller can ping or close them without holding the shard lock.
+func (sh *shard) conns(buf []*agentConn) []*agentConn {
+	buf = buf[:0]
+	sh.mu.Lock()
+	for _, ac := range sh.agents {
+		buf = append(buf, ac)
+	}
+	sh.mu.Unlock()
+	return buf
+}
+
 // store is the sharded node-state table.
 type store struct {
 	shards []*shard

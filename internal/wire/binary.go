@@ -475,10 +475,8 @@ func (c *Conn) sendBinary(e *Envelope) (handled bool, err error) {
 		}
 		return true, err
 	}
-	if _, err := c.w.Write(buf); err != nil {
-		return true, err
-	}
-	return true, c.w.Flush()
+	_, err = c.raw.Write(buf)
+	return true, err
 }
 
 // recvBinary reads one binary frame body (the magic byte is already

@@ -46,7 +46,7 @@ const (
 	KindAck     = "ack"
 	KindPing    = "ping"   // manager → agent: liveness heartbeat
 	KindStatus  = "status" // powctl → manager: report stats
-	KindBatch   = "batch"  // several messages in one frame (one flush, one fault roll)
+	KindBatch   = "batch"  // several messages in one frame (one write, one fault roll)
 
 	// Journal replication (manager high availability). A standby's
 	// follower opens a connection and sends KindJournalAck carrying the
@@ -114,9 +114,9 @@ type Envelope struct {
 
 	// batch: the nested messages of a KindBatch frame. The manager's
 	// per-node senders use it to coalesce a level command and a pending
-	// heartbeat into one write — one bufio flush, and over faultnet one
-	// fault roll instead of two. Receivers process the nested envelopes in
-	// order; batches do not nest (a Batch inside a Batch is ignored).
+	// heartbeat into one write — and over faultnet one fault roll instead
+	// of two. Receivers process the nested envelopes in order; batches do
+	// not nest (a Batch inside a Batch is ignored).
 	Batch []Envelope `json:"batch,omitempty"`
 
 	// Codec negotiation, riding the hello exchange. An agent (or journal
@@ -268,7 +268,6 @@ func (e Envelope) Reading() manager.AgentReading {
 // disjoint state); multiple concurrent writers must serialise externally.
 type Conn struct {
 	r   *bufio.Reader
-	w   *bufio.Writer
 	raw io.ReadWriteCloser
 
 	// binWrite selects the writer's codec (the reader always
@@ -289,9 +288,16 @@ type Conn struct {
 	decodeFails int
 }
 
-// NewConn wraps rw.
+// readBufSize fits the protocol's steady-state frames (a command is ~20
+// bytes, a sample under 50 in binary and ~150 as JSON) instead of bufio's
+// 4 KiB default, because a fleet holds one per connection end. Larger
+// frames spill into readBuf on demand.
+const readBufSize = 512
+
+// NewConn wraps rw. Only the read side is buffered: Send encodes a whole
+// frame and hands it to rw in one Write.
 func NewConn(rw io.ReadWriteCloser) *Conn {
-	return &Conn{r: bufio.NewReader(rw), w: bufio.NewWriter(rw), raw: rw}
+	return &Conn{r: bufio.NewReaderSize(rw, readBufSize), raw: rw}
 }
 
 // EnableBinary switches the write side to the binary codec. The remote
@@ -302,10 +308,10 @@ func (c *Conn) EnableBinary() { c.binWrite.Store(true) }
 // BinaryWrites reports whether the write side emits binary frames.
 func (c *Conn) BinaryWrites() bool { return c.binWrite.Load() }
 
-// Send encodes one message and flushes it: a binary frame once
+// Send encodes one message and writes it: a binary frame once
 // EnableBinary has been called (falling back to a JSON line per frame
 // for the rare envelope the binary codec cannot carry), a JSON line
-// otherwise. One message is one underlying write.
+// otherwise. One message is exactly one Write on the underlying stream.
 func (c *Conn) Send(e Envelope) error {
 	if c.binWrite.Load() {
 		if handled, err := c.sendBinary(&e); handled {
@@ -316,13 +322,11 @@ func (c *Conn) Send(e Envelope) error {
 	if err != nil {
 		return fmt.Errorf("wire: marshal: %w", err)
 	}
-	if _, err := c.w.Write(append(b, '\n')); err != nil {
-		return err
-	}
-	return c.w.Flush()
+	_, err = c.raw.Write(append(b, '\n'))
+	return err
 }
 
-// SendBatch encodes several messages as one wire frame and flushes once.
+// SendBatch encodes several messages as one wire frame, written once.
 // A single-element batch is sent as a plain envelope (no wrapping); an
 // empty batch is a no-op. This is the manager's batched encode path: the
 // per-node sender goroutines hand it whatever accumulated in the node's
@@ -411,7 +415,7 @@ func (c *Conn) Close() error { return c.raw.Close() }
 // supports write deadlines (net.Conn does); on plain byte streams it is a
 // no-op. The manager daemon uses this to stop a stalled agent connection
 // from blocking the control cycle. After a deadline error the stream's
-// write state is undefined (a message may be half-flushed) — the caller
+// write state is undefined (a message may be half-written) — the caller
 // must close the connection rather than keep sending on it.
 func (c *Conn) SetWriteDeadline(t time.Time) error {
 	if d, ok := c.raw.(interface{ SetWriteDeadline(time.Time) error }); ok {

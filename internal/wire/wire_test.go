@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -162,29 +164,176 @@ func TestSendBatch(t *testing.T) {
 	}
 }
 
-// TestSendBatchOneWrite pins the whole point of batching: a multi-message
-// batch reaches the underlying stream as exactly one Write (one faultnet
-// fault roll), not one per message.
-func TestSendBatchOneWrite(t *testing.T) {
-	cw := &countingWriter{}
-	c := NewConn(pipeConn{bytes.NewReader(nil), cw})
-	if err := c.SendBatch([]Envelope{
+// TestOneSendOneWrite pins what the write side guarantees now that it is
+// unbuffered: every Send or SendBatch, on either codec and for every frame
+// kind, reaches the underlying stream as exactly one Write holding exactly
+// that frame. For a batch that is the whole point of batching (one
+// faultnet fault roll, not one per message); for the rest it is the
+// property the bufio.Writer and its Flush used to provide.
+func TestOneSendOneWrite(t *testing.T) {
+	batch := []Envelope{
 		{Type: KindCommand, Node: 1, Level: 0, Seq: 1},
 		{Type: KindCommand, Node: 1, Level: 3, Seq: 2},
 		{Type: KindPing},
-	}); err != nil {
-		t.Fatal(err)
 	}
-	if cw.writes != 1 {
-		t.Errorf("batch of 3 took %d writes, want 1", cw.writes)
+	for _, binary := range []bool{false, true} {
+		cw := &countingWriter{}
+		c := NewConn(pipeConn{bytes.NewReader(nil), cw})
+		if binary {
+			c.EnableBinary()
+		}
+		sends := 0
+		for _, e := range kindExemplars() {
+			if err := c.Send(e); err != nil {
+				t.Fatalf("binary=%v %s: %v", binary, e.Type, err)
+			}
+			if sends++; cw.writes != sends {
+				t.Fatalf("binary=%v %s: %d writes after %d sends", binary, e.Type, cw.writes, sends)
+			}
+		}
+		if err := c.SendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if sends++; cw.writes != sends {
+			t.Errorf("binary=%v: batch of 3 took %d writes, want 1", binary, cw.writes-sends+1)
+		}
+		// Each write was one whole frame: the stream decodes back into
+		// exactly as many messages as were sent.
+		r := NewConn(pipeConn{bytes.NewReader(cw.buf.Bytes()), io.Discard})
+		for i := 0; i < sends; i++ {
+			if _, err := r.Recv(); err != nil {
+				t.Fatalf("binary=%v: message %d of %d: %v", binary, i, sends, err)
+			}
+		}
+		if _, err := r.Recv(); err != io.EOF {
+			t.Errorf("binary=%v: trailing bytes after %d messages: %v", binary, sends, err)
+		}
 	}
 }
 
-type countingWriter struct{ writes int }
+// countingWriter counts Writes and keeps what they wrote; the first
+// failNext of them fail without consuming anything.
+type countingWriter struct {
+	writes   int
+	failNext int
+	buf      bytes.Buffer
+}
 
 func (w *countingWriter) Write(p []byte) (int, error) {
 	w.writes++
-	return len(p), nil
+	if w.failNext > 0 {
+		w.failNext--
+		return 0, io.ErrClosedPipe
+	}
+	return w.buf.Write(p)
+}
+
+// TestWriteErrorLeavesNothingBuffered: a failed Send must not leave its
+// frame (or part of it) behind to be flushed in front of the next one.
+func TestWriteErrorLeavesNothingBuffered(t *testing.T) {
+	for _, binary := range []bool{false, true} {
+		cw := &countingWriter{failNext: 1}
+		c := NewConn(pipeConn{bytes.NewReader(nil), cw})
+		if binary {
+			c.EnableBinary()
+		}
+		if err := c.Send(Envelope{Type: KindCommand, Node: 1, Level: 2, Seq: 8}); err == nil {
+			t.Fatalf("binary=%v: write error swallowed", binary)
+		}
+		if err := c.Send(Envelope{Type: KindAck, Node: 1, Level: 2, Seq: 9}); err != nil {
+			t.Fatal(err)
+		}
+		if cw.writes != 2 {
+			t.Errorf("binary=%v: %d writes for one failed and one good send", binary, cw.writes)
+		}
+		r := NewConn(pipeConn{bytes.NewReader(cw.buf.Bytes()), io.Discard})
+		env, err := r.Recv()
+		if err != nil || env.Type != KindAck || env.Seq != 9 {
+			t.Errorf("binary=%v: stream after the failed send starts with %+v (%v), want the ack", binary, env, err)
+		}
+		if _, err := r.Recv(); err != io.EOF {
+			t.Errorf("binary=%v: leftover bytes from the failed send: %v", binary, err)
+		}
+	}
+}
+
+// TestFramesLargerThanReadBuffer: the read buffer is sized for commands
+// and samples; everything bigger — a full status reply, a multi-KiB
+// journal entry, a payload at the frame cap — spills into the
+// connection's read buffer and still decodes, on both codecs, and the
+// small frames behind it are not disturbed.
+func TestFramesLargerThanReadBuffer(t *testing.T) {
+	var full StatusReply
+	v := reflect.ValueOf(&full).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(1_000_000_007 * (i + 1)))
+		case reflect.Float64:
+			f.SetFloat(12345.678 * float64(i+1))
+		case reflect.Bool:
+			f.SetBool(true)
+		}
+	}
+	// The largest entry the binary codec carries: grow the filler until
+	// the frame's payload sits exactly on the cap.
+	capped := Envelope{Type: KindJournalAppend, Seq: 3, Epoch: 2}
+	filler := maxFramePayload - 64
+	for {
+		capped.Entry = json.RawMessage(`"` + strings.Repeat("x", filler) + `"`)
+		frame, err := AppendFrame(nil, &capped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := len(frame) - frameHeaderLen - 4
+		if payload == maxFramePayload {
+			break
+		}
+		filler += maxFramePayload - payload
+	}
+	over := capped
+	over.Entry = json.RawMessage(`"` + strings.Repeat("x", filler+1) + `"`)
+	if _, err := AppendFrame(nil, &over); err == nil {
+		t.Error("a payload one byte over the cap was encoded")
+	}
+
+	big := []Envelope{
+		{Type: KindStatus, Stats: &full},
+		{Type: KindJournalAppend, Seq: 1, Epoch: 2,
+			Entry: json.RawMessage(`{"seq":1,"pad":"` + strings.Repeat("j", 4<<10) + `"}`)},
+		capped,
+	}
+	small := Envelope{Type: KindCommand, Node: 4, Level: 3, Seq: 17}
+	for _, binary := range []bool{false, true} {
+		var buf bytes.Buffer
+		c := NewConn(pipeConn{&buf, &buf})
+		if binary {
+			c.EnableBinary()
+		}
+		for _, e := range big {
+			if err := c.Send(e); err != nil {
+				t.Fatalf("binary=%v %s: %v", binary, e.Type, err)
+			}
+			if err := c.Send(small); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if buf.Len() < 3*readBufSize {
+			t.Fatalf("test frames (%d bytes) do not exceed the read buffer", buf.Len())
+		}
+		for _, want := range big {
+			got, err := c.Recv()
+			if err != nil {
+				t.Fatalf("binary=%v %s: %v", binary, want.Type, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("binary=%v: %s frame of %d entry bytes mangled", binary, want.Type, len(want.Entry))
+			}
+			if got, err := c.Recv(); err != nil || !reflect.DeepEqual(got, small) {
+				t.Errorf("binary=%v: command behind the %s frame: %+v (%v)", binary, want.Type, got, err)
+			}
+		}
+	}
 }
 
 func TestRecvEOF(t *testing.T) {
