@@ -22,7 +22,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -32,9 +31,9 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/managerd"
 	"repro/internal/policy"
 	"repro/internal/power"
@@ -147,7 +146,7 @@ func spawnDaemon(sc scenario.Scenario, ctrlEvery time.Duration) (string, func(),
 	if err != nil {
 		return "", nil, err
 	}
-	srv, err := managerd.New(managerd.Config{
+	srv, err := daemon.Boot(managerd.New(managerd.Config{
 		Addr:           "127.0.0.1:0",
 		Model:          benchModel,
 		Policy:         pol,
@@ -156,11 +155,8 @@ func spawnDaemon(sc scenario.Scenario, ctrlEvery time.Duration) (string, func(),
 		Thresholds:     sc.Thresholds(benchModel),
 		CommandTimeout: 2 * time.Second,
 		FlapLimit:      -1, // reconnect herds are the point, not a fault
-	})
+	}))
 	if err != nil {
-		return "", nil, err
-	}
-	if err := srv.Start(); err != nil {
 		return "", nil, err
 	}
 	return srv.Addr(), srv.Stop, nil
@@ -197,12 +193,8 @@ func spawnFailoverDaemon(sc scenario.Scenario, ctrlEvery, sampleEvery time.Durat
 	pcfg.Addr = "127.0.0.1:0"
 	pcfg.Epoch = 1
 	pcfg.LeaseHolder = "primary"
-	primary, err := managerd.New(pcfg)
+	primary, err := daemon.Boot(managerd.New(pcfg))
 	if err != nil {
-		os.RemoveAll(dir)
-		return "", nil, err
-	}
-	if err := primary.Start(); err != nil {
 		os.RemoveAll(dir)
 		return "", nil, err
 	}
@@ -214,75 +206,52 @@ func spawnFailoverDaemon(sc scenario.Scenario, ctrlEvery, sampleEvery time.Durat
 		os.RemoveAll(dir)
 		return "", nil, err
 	}
-	var promoted struct {
-		mu  sync.Mutex
-		srv *managerd.Server
-	}
-	sb, err := replica.NewStandby(replica.StandbyConfig{
+	sb, err := daemon.StartStandby(replica.StandbyConfig{
 		Follower:   replica.FollowerConfig{Addr: addr, Store: store, Backoff: 10 * time.Millisecond},
 		Lease:      lease,
 		MissBudget: 5,
 		Holder:     "standby",
-		OnPromote: func(p replica.Promotion) error {
-			// The dead primary's port frees as its listener closes; retry
-			// the exact address so the fleet's redials need no new config.
-			var ln net.Listener
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				if ln, err = net.Listen("tcp", addr); err == nil {
-					break
-				}
-				if time.Now().After(deadline) {
-					return fmt.Errorf("rebind %s: %w", addr, err)
-				}
-				time.Sleep(5 * time.Millisecond)
+	}, func(p replica.Promotion) (*managerd.Server, error) {
+		// The dead primary's port frees as its listener closes; retry
+		// the exact address so the fleet's redials need no new config.
+		var ln net.Listener
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			var err error
+			if ln, err = net.Listen("tcp", addr); err == nil {
+				break
 			}
-			cfg := base
-			cfg.Listener = ln
-			cfg.Journal = p.Store
-			cfg.Epoch = p.Epoch
-			cfg.LeaseHolder = "standby"
-			cfg.TakeoverMicros = p.Leaderless.Microseconds()
-			srv, err := managerd.New(cfg)
-			if err != nil {
-				ln.Close()
-				return err
+			if time.Now().After(deadline) {
+				return nil, fmt.Errorf("rebind %s: %w", addr, err)
 			}
-			if err := srv.Start(); err != nil {
-				return err
-			}
-			promoted.mu.Lock()
-			promoted.srv = srv
-			promoted.mu.Unlock()
-			fmt.Printf("  ⇄ failover: standby promoted at epoch %d (leaderless %v)\n",
-				p.Epoch, p.Leaderless.Round(time.Millisecond))
-			return nil
-		},
+			time.Sleep(5 * time.Millisecond)
+		}
+		cfg := base
+		cfg.Listener = ln
+		cfg.Journal = p.Store
+		cfg.Epoch = p.Epoch
+		cfg.LeaseHolder = "standby"
+		cfg.TakeoverMicros = p.Leaderless.Microseconds()
+		srv, err := daemon.Boot(managerd.New(cfg))
+		if err != nil {
+			ln.Close()
+			return nil, err
+		}
+		fmt.Printf("  ⇄ failover: standby promoted at epoch %d (leaderless %v)\n",
+			p.Epoch, p.Leaderless.Round(time.Millisecond))
+		return srv, nil
 	})
 	if err != nil {
 		primary.Stop()
 		os.RemoveAll(dir)
 		return "", nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = sb.Run(ctx)
-	}()
 	killAfter := time.Duration(sc.FailoverFrac * float64(sc.Cycles) * float64(sampleEvery))
 	killer := time.AfterFunc(killAfter, primary.Stop)
 
 	stop := func() {
 		killer.Stop()
-		cancel()
-		<-done
-		promoted.mu.Lock()
-		srv := promoted.srv
-		promoted.mu.Unlock()
-		if srv != nil {
-			srv.Stop()
-		}
+		sb.Stop()
 		primary.Stop()
 		os.RemoveAll(dir)
 	}

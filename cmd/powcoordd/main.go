@@ -35,17 +35,16 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/budget"
+	"repro/internal/daemon"
 	"repro/internal/fedd"
 	"repro/internal/power"
 	"repro/internal/replica"
@@ -159,13 +158,7 @@ func main() {
 		cfg.LeaseHolder = "primary"
 	}
 
-	srv, err := fedd.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		log.Fatal(err)
-	}
+	srv := start(cfg)
 	fmt.Printf("powcoordd: listening on %s (budget %v, PH %v, division %s, period %v)\n",
 		srv.Addr(), bud, ph, div, *period)
 	if *parent != "" {
@@ -189,62 +182,43 @@ func runStandby(cfg fedd.Config, lease *replica.Lease, leader, journalPath strin
 	if err != nil {
 		log.Fatal(err)
 	}
-	var (
-		mu       sync.Mutex
-		promoted *fedd.Server
-	)
-	sb, err := replica.NewStandby(replica.StandbyConfig{
+	sb, err := daemon.StartStandby(replica.StandbyConfig{
 		Follower:   replica.FollowerConfig{Addr: leader, Store: store, Backoff: lease.Period()},
 		Lease:      lease,
 		MissBudget: missBudget,
 		Holder:     "standby",
-		OnPromote: func(p replica.Promotion) error {
-			cfg.JournalPath = ""
-			cfg.Journal = p.Store
-			cfg.Epoch = p.Epoch
-			cfg.Lease = lease
-			cfg.LeaseHolder = "standby"
-			cfg.TakeoverMicros = p.Leaderless.Microseconds()
-			srv, err := fedd.New(cfg)
-			if err != nil {
-				return err
-			}
-			if err := srv.Start(); err != nil {
-				return err
-			}
-			mu.Lock()
-			promoted = srv
-			mu.Unlock()
-			fmt.Printf("powcoordd: promoted at epoch %d after %v leaderless, listening on %s\n",
-				p.Epoch, p.Leaderless.Round(time.Millisecond), srv.Addr())
-			return nil
-		},
+	}, func(p replica.Promotion) (*fedd.Server, error) {
+		cfg.JournalPath = ""
+		cfg.Journal = p.Store
+		cfg.Epoch = p.Epoch
+		cfg.Lease = lease
+		cfg.LeaseHolder = "standby"
+		cfg.TakeoverMicros = p.Leaderless.Microseconds()
+		srv := start(cfg) // a standby that cannot take over must not linger as one
+		fmt.Printf("powcoordd: promoted at epoch %d after %v leaderless, listening on %s\n",
+			p.Epoch, p.Leaderless.Round(time.Millisecond), srv.Addr())
+		return srv, nil
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := sb.Run(ctx); err != nil {
-			log.Fatal(err)
-		}
-	}()
 	fmt.Printf("powcoordd: standby of %s (lease %s every %v, miss budget %d)\n",
 		leader, lease.Path, lease.Period(), missBudget)
 
 	awaitSignal()
 	fmt.Println("powcoordd: shutting down")
-	cancel()
-	<-done
-	mu.Lock()
-	srv := promoted
-	mu.Unlock()
-	if srv != nil {
-		srv.Stop()
+	if srv, promoted := sb.Stop(); promoted {
 		printSummary(srv)
 	}
+}
+
+// start boots the daemon cfg describes, or exits.
+func start(cfg fedd.Config) *fedd.Server {
+	srv, err := daemon.Boot(fedd.New(cfg))
+	if err != nil {
+		log.Fatal(err)
+	}
+	return srv
 }
 
 func awaitSignal() {

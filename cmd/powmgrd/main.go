@@ -18,16 +18,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/managerd"
 	"repro/internal/policy"
 	"repro/internal/power"
@@ -152,13 +151,7 @@ func main() {
 		cfg.Lease = lease
 		cfg.LeaseHolder = "primary"
 	}
-	srv, err := managerd.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		log.Fatal(err)
-	}
+	srv := start(cfg)
 	fmt.Printf("powmgrd: listening on %s (policy %s, PL %v, PH %v, τ %v)\n",
 		srv.Addr(), *polName, pl, ph, *period)
 	if ma := srv.MetricsAddr(); ma != "" {
@@ -179,62 +172,43 @@ func runStandby(cfg managerd.Config, lease *replica.Lease, leader, journalPath s
 	if err != nil {
 		log.Fatal(err)
 	}
-	var (
-		mu       sync.Mutex
-		promoted *managerd.Server
-	)
-	sb, err := replica.NewStandby(replica.StandbyConfig{
+	sb, err := daemon.StartStandby(replica.StandbyConfig{
 		Follower:   replica.FollowerConfig{Addr: leader, Store: store, Backoff: lease.Period()},
 		Lease:      lease,
 		MissBudget: missBudget,
 		Holder:     "standby",
-		OnPromote: func(p replica.Promotion) error {
-			cfg.JournalPath = ""
-			cfg.Journal = p.Store
-			cfg.Epoch = p.Epoch
-			cfg.Lease = lease
-			cfg.LeaseHolder = "standby"
-			cfg.TakeoverMicros = p.Leaderless.Microseconds()
-			srv, err := managerd.New(cfg)
-			if err != nil {
-				return err
-			}
-			if err := srv.Start(); err != nil {
-				return err
-			}
-			mu.Lock()
-			promoted = srv
-			mu.Unlock()
-			fmt.Printf("powmgrd: promoted at epoch %d after %v leaderless, listening on %s\n",
-				p.Epoch, p.Leaderless.Round(time.Millisecond), srv.Addr())
-			return nil
-		},
+	}, func(p replica.Promotion) (*managerd.Server, error) {
+		cfg.JournalPath = ""
+		cfg.Journal = p.Store
+		cfg.Epoch = p.Epoch
+		cfg.Lease = lease
+		cfg.LeaseHolder = "standby"
+		cfg.TakeoverMicros = p.Leaderless.Microseconds()
+		srv := start(cfg) // a standby that cannot take over must not linger as one
+		fmt.Printf("powmgrd: promoted at epoch %d after %v leaderless, listening on %s\n",
+			p.Epoch, p.Leaderless.Round(time.Millisecond), srv.Addr())
+		return srv, nil
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := sb.Run(ctx); err != nil {
-			log.Fatal(err)
-		}
-	}()
 	fmt.Printf("powmgrd: standby of %s (lease %s every %v, miss budget %d)\n",
 		leader, lease.Path, lease.Period(), missBudget)
 
 	awaitSignal()
 	fmt.Println("powmgrd: shutting down")
-	cancel()
-	<-done
-	mu.Lock()
-	srv := promoted
-	mu.Unlock()
-	if srv != nil {
-		srv.Stop()
+	if srv, promoted := sb.Stop(); promoted {
 		printSummary(srv)
 	}
+}
+
+// start boots the daemon cfg describes, or exits.
+func start(cfg managerd.Config) *managerd.Server {
+	srv, err := daemon.Boot(managerd.New(cfg))
+	if err != nil {
+		log.Fatal(err)
+	}
+	return srv
 }
 
 func awaitSignal() {

@@ -36,16 +36,13 @@
 package fedd
 
 import (
-	"errors"
 	"fmt"
 	"net"
-	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/budget"
-	"repro/internal/obs"
+	"repro/internal/daemon"
 	"repro/internal/power"
 	"repro/internal/replica"
 	"repro/internal/tier"
@@ -173,41 +170,18 @@ type CabinetStatus struct {
 	Epoch      uint64
 }
 
-// Server is a running coordinator.
+// Server is a running coordinator: the daemon chassis (listener,
+// routing, replication, leased leadership, lifecycle) around a grantor
+// and, in row mode, a governor.
 type Server struct {
+	*daemon.Chassis
 	cfg Config
-	ln  net.Listener
 
 	grantor *tier.Grantor
 	gov     *tier.Governor // nil unless row mode
 
-	reg   *obs.Registry
-	trace *obs.CycleRecorder
-
 	journal *replica.Store
-	pub     *replica.Publisher
-	epoch   uint64
-	deposed atomic.Bool
 	cycleN  atomic.Int64
-
-	journalAppendsC *obs.Counter
-	fencedHellosC   *obs.Counter
-	budgetGrantsC   *obs.Counter
-	budgetFloorsC   *obs.Counter
-	decodeErrsC     *obs.Counter
-	epochG          *obs.Gauge
-	leaderG         *obs.Gauge
-	replicaConnsG   *obs.Gauge
-	replicaLagG     *obs.Gauge
-	lastTakeoverG   *obs.Gauge
-	governedG       *obs.Gauge
-
-	metricsLn  net.Listener
-	metricsSrv *http.Server
-
-	stopOnce sync.Once
-	stopCh   chan struct{}
-	wg       sync.WaitGroup
 }
 
 // New validates the configuration and creates an unstarted coordinator.
@@ -255,42 +229,37 @@ func New(cfg Config) (*Server, error) {
 		cfg.CommandTimeout = cfg.ControlEvery
 	}
 
-	reg := obs.NewRegistry()
-	s := &Server{
-		cfg:    cfg,
-		reg:    reg,
-		trace:  obs.NewCycleRecorder(cfg.CycleHistory, reg),
-		stopCh: make(chan struct{}),
-
-		journalAppendsC: reg.Counter("journal_appends"),
-		fencedHellosC:   reg.Counter("fenced_hellos"),
-		budgetGrantsC:   reg.Counter("budget_grants"),
-		budgetFloorsC:   reg.Counter("budget_floors"),
-		decodeErrsC:     reg.Counter("decode_errors"),
-		epochG:          reg.Gauge("epoch"),
-		leaderG:         reg.Gauge("leader"),
-		replicaConnsG:   reg.Gauge("replica_conns"),
-		replicaLagG:     reg.Gauge("replica_lag_entries"),
-		lastTakeoverG:   reg.Gauge("last_takeover_micros"),
-		governedG:       reg.Gauge("governed"),
-	}
-	reg.Gauge("row").SetInt(int64(cfg.Row))
-
-	// The grant journal. Advisory like managerd's: a promoted standby
-	// hands over its replicated copy, a path-configured one persists, and
-	// everything else journals to a memory-only store (which still feeds
-	// live followers).
-	switch {
-	case cfg.Journal != nil:
-		s.journal = cfg.Journal
-	default:
-		j, err := replica.Open(cfg.JournalPath)
-		if err != nil {
+	// The grant journal: a promoted standby hands over its replicated
+	// copy, a path-configured one persists, and everything else journals
+	// to a memory-only store (which still feeds live followers).
+	journal := cfg.Journal
+	if journal == nil {
+		var err error
+		if journal, err = replica.Open(cfg.JournalPath); err != nil {
 			return nil, fmt.Errorf("fedd: journal: %w", err)
 		}
-		s.journal = j
 	}
-	s.pub = replica.NewPublisher(s.journal, cfg.CommandTimeout)
+	s := &Server{cfg: cfg, journal: journal}
+	s.Chassis = daemon.New(daemon.Options{
+		Listen:         []daemon.Endpoint{{Addr: cfg.Addr, Listener: cfg.Listener}},
+		MetricsAddr:    cfg.MetricsAddr,
+		CycleHistory:   cfg.CycleHistory,
+		WireCodec:      cfg.WireCodec,
+		ControlEvery:   cfg.ControlEvery,
+		Journal:        journal,
+		WriteTimeout:   cfg.CommandTimeout,
+		Epoch:          cfg.Epoch,
+		Lease:          cfg.Lease,
+		LeaseHolder:    cfg.LeaseHolder,
+		TakeoverMicros: cfg.TakeoverMicros,
+	}, daemon.Hooks{
+		Session: func(conn *wire.Conn, first *wire.Envelope, _ uint64) { s.grantor.Serve(conn, *first) },
+		Cycle:   s.cycle,
+		Status:  s.StatusEnvelope,
+		Shed:    func() { s.grantor.CloseAll() },
+	})
+	reg := s.Obs()
+	reg.Gauge("row").SetInt(int64(cfg.Row))
 
 	s.grantor = tier.NewGrantor(tier.GrantorConfig{
 		Division:   cfg.Division,
@@ -300,15 +269,15 @@ func New(cfg Config) (*Server, error) {
 		WireCodec:  cfg.WireCodec,
 		Band:       s.band,
 		Reg:        reg,
-		Trace:      s.trace,
+		Trace:      s.CycleTrace(),
 		OnGrant: func(child int, grantW, phW float64, seq uint64) {
 			s.journal.SetLevel(child, int(grantW+0.5))
 		},
 	})
-	s.reg.Gauge("budget_w").Set(float64(cfg.Budget))
+	reg.Gauge("budget_w").Set(float64(cfg.Budget))
 
 	if rowMode {
-		s.gov = tier.NewGovernor(tier.GovernorConfig{
+		s.gov = s.Govern(tier.GovernorConfig{
 			Parent:      cfg.ParentAddr,
 			Dial:        cfg.ParentDial,
 			Child:       cfg.Row,
@@ -316,41 +285,8 @@ func New(cfg Config) (*Server, error) {
 			Grace:       time.Duration(cfg.BudgetGrace) * cfg.ControlEvery,
 			Failsafe:    cfg.FailsafeBudget,
 			Initial:     thr,
-			WireCodec:   cfg.WireCodec,
 			Snapshot:    s.rowSnapshot,
-			OnGrant: func() {
-				s.budgetGrantsC.Inc()
-				s.governedG.Set(1)
-			},
-			OnFloor: func() {
-				s.budgetFloorsC.Inc()
-				s.governedG.Set(0)
-			},
-			OnDecodeError: func() { s.decodeErrsC.Inc() },
 		})
-	}
-
-	// Leadership epoch: explicit config wins; otherwise a lease implies
-	// HA, so claim the epoch after whatever the lease file last recorded.
-	// The journal's epoch (e.g. a handed-over replica copy) is a floor.
-	epoch := cfg.Epoch
-	if epoch == 0 && cfg.Lease != nil {
-		if st, err := cfg.Lease.Read(); err == nil {
-			epoch = st.Epoch + 1
-		} else {
-			epoch = 1
-		}
-	}
-	if je := s.journal.Epoch(); je > epoch {
-		epoch = je
-	}
-	s.epoch = epoch
-	s.journal.SetEpoch(epoch)
-	s.epochG.SetInt(int64(epoch))
-	s.leaderG.Set(1)
-	if cfg.TakeoverMicros > 0 {
-		s.lastTakeoverG.SetInt(cfg.TakeoverMicros)
-		reg.Histogram("takeover_micros").Observe(float64(cfg.TakeoverMicros))
 	}
 
 	// Seed the grantor from recovered journal state: each journalled
@@ -392,266 +328,21 @@ func (s *Server) rowSnapshot() tier.Snapshot {
 		AppliedPHW: float64(applied.PH),
 		Agents:     agg.Agents,
 		Healthy:    agg.Healthy,
-		Epoch:      s.epoch,
+		Epoch:      s.Epoch(),
 	}
 }
-
-// Start binds the listener and launches the accept and coordination
-// loops (plus lease renewal and the upward governor session, when
-// configured).
-func (s *Server) Start() error {
-	if s.cfg.MetricsAddr != "" {
-		mln, err := net.Listen("tcp", s.cfg.MetricsAddr)
-		if err != nil {
-			return fmt.Errorf("fedd: metrics listen: %w", err)
-		}
-		s.metricsLn = mln
-		s.metricsSrv = &http.Server{Handler: obs.NewMux(s.reg, s.trace, func() {})}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			_ = s.metricsSrv.Serve(mln)
-		}()
-	}
-	if s.cfg.Listener != nil {
-		s.ln = s.cfg.Listener
-	} else {
-		ln, err := net.Listen("tcp", s.cfg.Addr)
-		if err != nil {
-			if s.metricsSrv != nil {
-				s.metricsSrv.Close()
-			}
-			return fmt.Errorf("fedd: listen: %w", err)
-		}
-		s.ln = ln
-	}
-	if s.cfg.Lease != nil {
-		// Claim the lease synchronously so a standby started right after
-		// us immediately sees a live leader.
-		_ = s.cfg.Lease.Write(replica.LeaseState{
-			Epoch: s.epoch, Holder: s.cfg.LeaseHolder, RenewedAt: time.Now(),
-		})
-		s.wg.Add(1)
-		go s.renewLoop()
-	}
-	if s.gov != nil {
-		s.gov.Start()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.gov.Run(s.stopCh)
-		}()
-	}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	s.wg.Add(1)
-	go s.coordinateLoop()
-	return nil
-}
-
-// Addr returns the bound listen address (useful with port 0).
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return s.cfg.Addr
-	}
-	return s.ln.Addr().String()
-}
-
-// MetricsAddr returns the bound observability HTTP address; empty when
-// metrics serving is disabled.
-func (s *Server) MetricsAddr() string {
-	if s.metricsLn == nil {
-		return s.cfg.MetricsAddr
-	}
-	return s.metricsLn.Addr().String()
-}
-
-// Obs returns the coordinator's instrument registry.
-func (s *Server) Obs() *obs.Registry { return s.reg }
-
-// Epoch returns the coordinator's leadership epoch (0 = HA off).
-func (s *Server) Epoch() uint64 { return s.epoch }
-
-// Deposed reports whether this coordinator has fenced itself off after
-// discovering a newer leadership epoch.
-func (s *Server) Deposed() bool { return s.deposed.Load() }
 
 // Governed reports whether a row coordinator is currently dividing a
 // live parent grant (false at the root, before the first grant, and
 // while floored).
 func (s *Server) Governed() bool { return s.gov != nil && s.gov.Governed() }
 
-// Stop shuts the coordinator down and waits for its goroutines.
+// Stop shuts the coordinator down, waits for its goroutines and compacts
+// a persistent journal.
 func (s *Server) Stop() {
-	s.stopOnce.Do(func() {
-		close(s.stopCh)
-		if s.gov != nil {
-			s.gov.CloseConn()
-		}
-		if s.metricsSrv != nil {
-			s.metricsSrv.Close()
-		}
-		if s.ln != nil {
-			s.ln.Close()
-		}
-		s.pub.Close()
-		s.grantor.CloseAll()
-	})
-	s.wg.Wait()
-	if s.journal.Persistent() {
-		_, _ = s.journal.Compact()
-	}
+	s.Chassis.Stop()
+	_, _ = s.journal.Compact()
 	s.journal.Close()
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	const (
-		backoffMin = 5 * time.Millisecond
-		backoffMax = 500 * time.Millisecond
-	)
-	backoff := backoffMin
-	for {
-		raw, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.stopCh:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			select {
-			case <-s.stopCh:
-				return
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > backoffMax {
-				backoff = backoffMax
-			}
-			continue
-		}
-		backoff = backoffMin
-		s.wg.Add(1)
-		go s.serveConn(wire.NewConn(raw))
-	}
-}
-
-// binaryWanted reports whether the peer behind this subscribe/probe
-// frame should be switched onto the binary codec.
-func (s *Server) binaryWanted(first *wire.Envelope) bool {
-	return s.cfg.WireCodec != wire.CodecJSON && first.Advertises(wire.CodecBinary)
-}
-
-// serveConn routes one inbound connection by its first frame: child
-// subscriptions (cab_report) go to the grantor, journal followers
-// (journal_ack) to the publisher, and status probes get one reply.
-func (s *Server) serveConn(conn *wire.Conn) {
-	defer s.wg.Done()
-	first, err := conn.Recv()
-	if err != nil {
-		conn.Close()
-		return
-	}
-	switch first.Type {
-	case wire.KindStatus:
-		reply := s.StatusEnvelope()
-		// A probe advertising codecs (powctl -codec) is told which codec
-		// this daemon would negotiate with it — without switching the
-		// reply itself off JSON, so any probe can read the answer.
-		if len(first.Codecs) > 0 {
-			if s.binaryWanted(&first) {
-				reply.Codec = wire.CodecBinary
-			} else {
-				reply.Codec = wire.CodecJSON
-			}
-		}
-		_ = conn.Send(reply)
-		conn.Close()
-	case wire.KindJournalAck:
-		s.serveReplica(conn, first)
-	case wire.KindCabReport:
-		if first.Node < 0 {
-			conn.Close()
-			return
-		}
-		s.grantor.Serve(conn, first)
-	default:
-		conn.Close()
-	}
-}
-
-// serveReplica owns one journal-follower connection: fence by epoch,
-// negotiate the codec, then hand the stream to the publisher.
-func (s *Server) serveReplica(conn *wire.Conn, first wire.Envelope) {
-	if s.epoch > 0 && first.Epoch > s.epoch {
-		s.fencedHellosC.Inc()
-		s.depose()
-		conn.Close()
-		return
-	}
-	if s.binaryWanted(&first) {
-		conn.EnableBinary()
-	}
-	s.pub.Serve(conn, first.Seq)
-}
-
-// renewLoop keeps the leadership lease fresh, and self-fences when a
-// higher epoch appears in it.
-func (s *Server) renewLoop() {
-	defer s.wg.Done()
-	tick := time.NewTicker(s.cfg.Lease.Period())
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case <-tick.C:
-			if s.deposed.Load() {
-				return
-			}
-			if st, err := s.cfg.Lease.Read(); err == nil && st.Epoch > s.epoch {
-				s.depose()
-				return
-			}
-			_ = s.cfg.Lease.Write(replica.LeaseState{
-				Epoch: s.epoch, Holder: s.cfg.LeaseHolder, RenewedAt: time.Now(),
-			})
-		}
-	}
-}
-
-// depose self-fences a coordinator that has been superseded: leadership
-// gauge drops, lease renewal stops, the listener closes, followers and
-// children are shed so they redial the new leader.
-func (s *Server) depose() {
-	if !s.deposed.CompareAndSwap(false, true) {
-		return
-	}
-	s.leaderG.Set(0)
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	s.pub.CloseSubs()
-	s.grantor.CloseAll()
-	if s.gov != nil {
-		s.gov.CloseConn()
-	}
-}
-
-func (s *Server) coordinateLoop() {
-	defer s.wg.Done()
-	tick := time.NewTicker(s.cfg.ControlEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case <-tick.C:
-			s.cycle()
-		}
-	}
 }
 
 // cycle is one coordination round: the grantor divides the current band
@@ -659,23 +350,12 @@ func (s *Server) coordinateLoop() {
 // upward report, and the grant journal commits (and replicates) the
 // cycle's deltas.
 func (s *Server) cycle() {
-	if s.deposed.Load() {
-		return
-	}
 	s.grantor.Cycle()
 	if s.gov != nil {
 		agg := s.grantor.Aggregate()
 		s.gov.NoteSense(agg.PowerW, agg.DemandW)
 	}
-	n := s.cycleN.Add(1)
-	band := s.band(time.Now())
-	if e, ok := s.journal.CommitCycle(int(n), float64(band.PL), float64(band.PH), nil); ok {
-		s.journalAppendsC.Inc()
-		s.pub.Publish(e)
-	}
-	conns, lag := s.pub.Stats()
-	s.replicaConnsG.SetInt(int64(conns))
-	s.replicaLagG.SetInt(int64(lag))
+	s.Commit(int(s.cycleN.Add(1)), s.band(time.Now()), nil)
 }
 
 // StepCycle runs one coordination round synchronously — a test and

@@ -26,36 +26,33 @@ func (s *Server) StatusEnvelope() wire.Envelope {
 	children := s.grantor.States()
 	band := s.band(time.Now())
 
+	s.Refresh()
+	val := func(name string) float64 {
+		v, _ := s.Obs().Value(name)
+		return v
+	}
 	st := wire.StatusReply{
 		ThresholdPLW: float64(band.PL),
 		ThresholdPHW: float64(band.PH),
 
-		Epoch:              int(s.epoch),
-		Leader:             !s.deposed.Load(),
+		Epoch:              int(s.Epoch()),
+		Leader:             !s.Deposed(),
 		Cabinet:            s.cfg.Row,
 		Governed:           s.Governed(),
-		LastTakeoverMicros: s.lastTakeoverG.Int(),
-	}
-	conns, lag := s.pub.Stats()
-	st.ReplicaConns = conns
-	st.ReplicaLagEntries = int(lag)
-	st.JournalAppends = int(s.journalAppendsC.Value())
-	st.FencedHellos = int(s.fencedHellosC.Value())
-	st.BudgetGrants = int(s.budgetGrantsC.Value())
-	st.BudgetFloors = int(s.budgetFloorsC.Value())
-	st.DecodeErrors = int(s.decodeErrsC.Value())
+		LastTakeoverMicros: int64(val("last_takeover_micros")),
+		ReplicaConns:       int(val("replica_conns")),
+		ReplicaLagEntries:  int(val("replica_lag_entries")),
+		JournalAppends:     int(val("journal_appends")),
+		FencedHellos:       int(val("fenced_hellos")),
+		BudgetGrants:       int(val("budget_grants")),
+		BudgetFloors:       int(val("budget_floors")),
+		DecodeErrors:       int(val("decode_errors")),
 
-	if v, ok := s.reg.Value("cycles"); ok {
-		st.Cycles = int(v)
-	}
-	if v, ok := s.reg.Value("fleet_power_w"); ok {
-		st.LastPowerW = v
-	}
-	if v, ok := s.reg.Value("fleet_demand_w"); ok {
-		st.DemandW = v
-	}
-	if v, ok := s.reg.Value("last_cycle_micros"); ok {
-		st.LastCycleMicros = int64(v)
+		// The grantor's instruments; absent (zero) before its first cycle.
+		Cycles:          int(val("cycles")),
+		LastPowerW:      val("fleet_power_w"),
+		DemandW:         val("fleet_demand_w"),
+		LastCycleMicros: int64(val("last_cycle_micros")),
 	}
 
 	env := wire.Envelope{Type: wire.KindStatus, Node: CoordinatorNode, Stats: &st}

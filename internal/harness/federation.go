@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/budget"
+	"repro/internal/daemon"
 	"repro/internal/faultnet"
 	"repro/internal/fedd"
 	"repro/internal/power"
@@ -121,14 +122,10 @@ func StartFederation(t testing.TB, opt FedOptions) *Federation {
 	}
 	bootCfg := coordCfg
 	bootCfg.Listener = coordNet.Listener()
-	coord, err := fedd.New(bootCfg)
+	coord, err := daemon.Boot(fedd.New(bootCfg))
 	if err != nil {
 		coordNet.Close()
-		t.Fatalf("harness: fedd.New: %v", err)
-	}
-	if err := coord.Start(); err != nil {
-		coordNet.Close()
-		t.Fatalf("harness: fedd.Start: %v", err)
+		t.Fatalf("harness: fedd: %v", err)
 	}
 	f := &Federation{
 		Opt: opt, Coord: coord, CoordNet: coordNet,
@@ -138,7 +135,7 @@ func StartFederation(t testing.TB, opt FedOptions) *Federation {
 	}
 	t.Cleanup(func() {
 		for _, h := range f.standbys {
-			h.stop()
+			h.Stop()
 		}
 		f.Coord.Stop()
 		coordNet.Close()
@@ -237,30 +234,17 @@ func (f *Federation) RestartCoordinator() *fedd.Server {
 	f.t.Helper()
 	cfg := f.coordCfg
 	cfg.Listener = f.CoordNet.Listener()
-	coord, err := fedd.New(cfg)
+	coord, err := daemon.Boot(fedd.New(cfg))
 	if err != nil {
-		f.t.Fatalf("harness: restarted fedd.New: %v", err)
-	}
-	if err := coord.Start(); err != nil {
-		f.t.Fatalf("harness: restarted fedd.Start: %v", err)
+		f.t.Fatalf("harness: restarted fedd: %v", err)
 	}
 	f.Coord = coord
 	return coord
 }
 
-// CoordStandbyHandle tracks one warm coordinator standby.
-type CoordStandbyHandle struct {
-	// Standby exposes the replica.Standby (its Obs registry carries the
-	// follower and takeover instruments; Store is the journal copy).
-	Standby *replica.Standby
-
-	fed    *Federation
-	cancel context.CancelFunc
-	done   chan struct{}
-	srvCh  chan *fedd.Server
-	errCh  chan error
-	srv    *fedd.Server // promoted coordinator, once collected
-}
+// CoordStandbyHandle tracks one warm coordinator standby (see
+// StandbyHandle).
+type CoordStandbyHandle = daemon.WarmStandby[*fedd.Server]
 
 // StartCoordStandby boots a warm coordinator standby: a journal
 // follower over the coordinator fault network plus a lease watcher
@@ -275,62 +259,17 @@ func (f *Federation) StartCoordStandby(missBudget int) *CoordStandbyHandle {
 	if f.coordCfg.Lease == nil {
 		t.Fatal("harness: StartCoordStandby needs a coordinator Lease (set via CoordOpts)")
 	}
-	store, err := replica.Open("")
-	if err != nil {
-		t.Fatalf("harness: coord standby store: %v", err)
-	}
-	idx := len(f.standbys)
-	key := standbyKeyBase + uint64(idx)
-	ctx, cancel := context.WithCancel(context.Background())
-	h := &CoordStandbyHandle{
-		fed:    f,
-		cancel: cancel,
-		done:   make(chan struct{}),
-		srvCh:  make(chan *fedd.Server, 1),
-		errCh:  make(chan error, 1),
-	}
-	holder := fmt.Sprintf("coord-standby-%d", idx+1)
-	sb, err := replica.NewStandby(replica.StandbyConfig{
-		Follower: replica.FollowerConfig{
-			Store:   store,
-			Backoff: 10 * time.Millisecond,
-			Dial: func(dctx context.Context) (net.Conn, error) {
-				return f.CoordNet.Dial(dctx, key)
-			},
-		},
-		Lease:      f.coordCfg.Lease,
-		MissBudget: missBudget,
-		Holder:     holder,
-		OnPromote: func(p replica.Promotion) error {
-			cfg := f.coordCfg
-			cfg.Listener = f.CoordNet.Listener()
-			cfg.JournalPath = "" // the replicated store IS the journal
-			cfg.Journal = p.Store
-			cfg.Epoch = p.Epoch
-			cfg.LeaseHolder = holder
-			cfg.TakeoverMicros = p.Leaderless.Microseconds()
-			srv, err := fedd.New(cfg)
-			if err != nil {
-				return fmt.Errorf("harness: promoted fedd.New: %w", err)
-			}
-			if err := srv.Start(); err != nil {
-				return fmt.Errorf("harness: promoted fedd.Start: %w", err)
-			}
-			h.srvCh <- srv
-			return nil
-		},
+	holder := fmt.Sprintf("coord-standby-%d", len(f.standbys)+1)
+	h := startStandby(t, f.CoordNet, len(f.standbys), f.coordCfg.Lease, missBudget, holder, func(p replica.Promotion) (*fedd.Server, error) {
+		cfg := f.coordCfg
+		cfg.Listener = f.CoordNet.Listener()
+		cfg.JournalPath = "" // the replicated store IS the journal
+		cfg.Journal = p.Store
+		cfg.Epoch = p.Epoch
+		cfg.LeaseHolder = holder
+		cfg.TakeoverMicros = p.Leaderless.Microseconds()
+		return daemon.Boot(fedd.New(cfg))
 	})
-	if err != nil {
-		cancel()
-		t.Fatalf("harness: coord NewStandby: %v", err)
-	}
-	h.Standby = sb
-	go func() {
-		defer close(h.done)
-		if err := sb.Run(ctx); err != nil {
-			h.errCh <- err
-		}
-	}()
 	f.standbys = append(f.standbys, h)
 	return h
 }
@@ -342,31 +281,10 @@ func (f *Federation) StartCoordStandby(missBudget int) *CoordStandbyHandle {
 func (f *Federation) AwaitCoordTakeover(h *CoordStandbyHandle, timeout time.Duration) *fedd.Server {
 	t := f.t
 	t.Helper()
-	select {
-	case srv := <-h.srvCh:
-		h.srv = srv
-		f.Coord = srv
-		return srv
-	case err := <-h.errCh:
-		t.Fatalf("harness: coord standby promotion failed: %v", err)
-	case <-time.After(timeout):
-		t.Fatalf("harness: no coordinator takeover within %v", timeout)
+	srv, err := h.Await(timeout)
+	if err != nil {
+		t.Fatalf("harness: coordinator: %v", err)
 	}
-	return nil
-}
-
-// stop tears the standby down: cancel its watcher, wait it out, and
-// stop a promoted coordinator unless AwaitCoordTakeover already handed
-// it to the federation (the federation cleanup stops f.Coord itself).
-func (h *CoordStandbyHandle) stop() {
-	h.cancel()
-	<-h.done
-	select {
-	case srv := <-h.srvCh:
-		h.srv = srv
-	default:
-	}
-	if h.srv != nil && h.srv != h.fed.Coord {
-		h.srv.Stop()
-	}
+	f.Coord = srv
+	return srv
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/budget"
+	"repro/internal/daemon"
 	"repro/internal/faultnet"
 	"repro/internal/fedd"
 	"repro/internal/power"
@@ -118,7 +119,7 @@ func StartThreeTier(t testing.TB, opt TierOptions) *ThreeTier {
 	opt.fill()
 
 	facNet := faultnet.New(opt.Seed + 8888)
-	fac, err := fedd.New(fedd.Config{
+	fac, err := daemon.Boot(fedd.New(fedd.Config{
 		Listener:     facNet.Listener(),
 		Budget:       opt.Budget,
 		PH:           opt.PH,
@@ -127,14 +128,10 @@ func StartThreeTier(t testing.TB, opt TierOptions) *ThreeTier {
 		StaleAfter:   opt.StaleAfter,
 		Breaker:      opt.RowBreaker,
 		FloorW:       opt.RowFloorW,
-	})
+	}))
 	if err != nil {
 		facNet.Close()
-		t.Fatalf("harness: facility fedd.New: %v", err)
-	}
-	if err := fac.Start(); err != nil {
-		facNet.Close()
-		t.Fatalf("harness: facility fedd.Start: %v", err)
+		t.Fatalf("harness: facility fedd: %v", err)
 	}
 	tt := &ThreeTier{
 		Opt: opt, Facility: fac, FacNet: facNet,
@@ -151,7 +148,7 @@ func StartThreeTier(t testing.TB, opt TierOptions) *ThreeTier {
 		r := r
 		tt.recs[r] = make([][]scenario.CycleRecord, opt.CabinetsPerRow)
 		rowNet := faultnet.New(opt.Seed + 8800 + int64(r))
-		row, err := fedd.New(fedd.Config{
+		row, err := daemon.Boot(fedd.New(fedd.Config{
 			Listener: rowNet.Listener(),
 			// The static band is only the row's pre-grant and implicit
 			// failsafe default; the facility's grants replace it within a
@@ -169,12 +166,9 @@ func StartThreeTier(t testing.TB, opt TierOptions) *ThreeTier {
 			Row:            r,
 			BudgetGrace:    opt.RowBudgetGrace,
 			FailsafeBudget: opt.RowFailsafe,
-		})
+		}))
 		if err != nil {
-			t.Fatalf("harness: row %d fedd.New: %v", r, err)
-		}
-		if err := row.Start(); err != nil {
-			t.Fatalf("harness: row %d fedd.Start: %v", r, err)
+			t.Fatalf("harness: row %d fedd: %v", r, err)
 		}
 		tt.Rows = append(tt.Rows, row)
 		tt.RowNets = append(tt.RowNets, rowNet)

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/agentd"
+	"repro/internal/daemon"
 	"repro/internal/faultnet"
 	"repro/internal/managerd"
 	"repro/internal/node"
@@ -259,14 +260,10 @@ func New(opt Options) (*Cluster, error) {
 	n := faultnet.New(opt.Seed)
 	n.SetDefaultProfiles(opt.AgentProfile, opt.ManagerProfile)
 
-	srv, err := managerd.New(opt.serverConfig(n.Listener()))
+	srv, err := daemon.Boot(managerd.New(opt.serverConfig(n.Listener())))
 	if err != nil {
 		n.Close()
-		return nil, fmt.Errorf("harness: managerd.New: %w", err)
-	}
-	if err := srv.Start(); err != nil {
-		n.Close()
-		return nil, fmt.Errorf("harness: managerd.Start: %w", err)
+		return nil, fmt.Errorf("harness: managerd: %w", err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -340,7 +337,7 @@ func (c *Cluster) Stop() {
 		c.cancel()
 		c.wg.Wait()
 		for _, h := range c.standbys {
-			h.stop()
+			h.Stop()
 		}
 		c.Server.Stop()
 		c.Net.Close()
@@ -360,12 +357,9 @@ func (c *Cluster) StopManager() { c.Server.Stop() }
 func (c *Cluster) StartManager() {
 	t := c.tb()
 	t.Helper()
-	srv, err := managerd.New(c.Opt.serverConfig(c.Net.Listener()))
+	srv, err := daemon.Boot(managerd.New(c.Opt.serverConfig(c.Net.Listener())))
 	if err != nil {
-		t.Fatalf("harness: managerd.New (restart): %v", err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatalf("harness: managerd.Start (restart): %v", err)
+		t.Fatalf("harness: managerd (restart): %v", err)
 	}
 	c.Server = srv
 }

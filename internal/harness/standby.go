@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"testing"
 	"time"
 
+	"repro/internal/daemon"
+	"repro/internal/faultnet"
 	"repro/internal/managerd"
 	"repro/internal/replica"
 )
@@ -22,18 +25,37 @@ import (
 // collide with the fleet's.
 const standbyKeyBase uint64 = 1 << 30
 
-// StandbyHandle tracks one warm standby started with StartStandby.
-type StandbyHandle struct {
-	// Standby exposes the replica.Standby (its Obs registry carries the
-	// follower and takeover instruments; Store is the journal copy).
-	Standby *replica.Standby
+// StandbyHandle tracks one warm standby started with StartStandby. Its
+// Standby field exposes the replica.Standby (its Obs registry carries the
+// follower and takeover instruments; Store is the journal copy).
+type StandbyHandle = daemon.WarmStandby[*managerd.Server]
 
-	cluster *Cluster
-	cancel  context.CancelFunc
-	done    chan struct{}
-	srvCh   chan *managerd.Server
-	errCh   chan error
-	srv     *managerd.Server // promoted manager, once collected
+// startStandby is what the manager and coordinator standbys share: a
+// memory store, a follower dialling nw under the idx-th standby key, and
+// the promotion helper around boot.
+func startStandby[S interface{ Stop() }](t testing.TB, nw *faultnet.Network, idx int, lease *replica.Lease, missBudget int, holder string, boot func(replica.Promotion) (S, error)) *daemon.WarmStandby[S] {
+	t.Helper()
+	store, err := replica.Open("")
+	if err != nil {
+		t.Fatalf("harness: %s store: %v", holder, err)
+	}
+	key := standbyKeyBase + uint64(idx)
+	h, err := daemon.StartStandby(replica.StandbyConfig{
+		Follower: replica.FollowerConfig{
+			Store:   store,
+			Backoff: 10 * time.Millisecond,
+			Dial: func(dctx context.Context) (net.Conn, error) {
+				return nw.Dial(dctx, key)
+			},
+		},
+		Lease:      lease,
+		MissBudget: missBudget,
+		Holder:     holder,
+	}, boot)
+	if err != nil {
+		t.Fatalf("harness: %s: %v", holder, err)
+	}
+	return h
 }
 
 // StartStandby boots a warm standby: a journal follower over the fault
@@ -47,62 +69,18 @@ func (c *Cluster) StartStandby(missBudget int) *StandbyHandle {
 	if c.Opt.LeasePath == "" {
 		t.Fatal("harness: StartStandby needs Options.LeasePath")
 	}
-	store, err := replica.Open("")
-	if err != nil {
-		t.Fatalf("harness: standby store: %v", err)
-	}
-	idx := len(c.standbys)
-	key := standbyKeyBase + uint64(idx)
-	ctx, cancel := context.WithCancel(context.Background())
-	h := &StandbyHandle{
-		cluster: c,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-		srvCh:   make(chan *managerd.Server, 1),
-		errCh:   make(chan error, 1),
-	}
-	holder := fmt.Sprintf("standby-%d", idx+1)
-	sb, err := replica.NewStandby(replica.StandbyConfig{
-		Follower: replica.FollowerConfig{
-			Store:   store,
-			Backoff: 10 * time.Millisecond,
-			Dial: func(dctx context.Context) (net.Conn, error) {
-				return c.Net.Dial(dctx, key)
-			},
-		},
-		Lease:      &replica.Lease{Path: c.Opt.LeasePath, Every: c.Opt.LeaseEvery},
-		MissBudget: missBudget,
-		Holder:     holder,
-		OnPromote: func(p replica.Promotion) error {
-			cfg := c.Opt.serverConfig(c.Net.Listener())
-			cfg.JournalPath = "" // the replicated store IS the journal
-			cfg.JournalEvery = 0
-			cfg.Journal = p.Store
-			cfg.Epoch = p.Epoch
-			cfg.LeaseHolder = holder
-			cfg.TakeoverMicros = p.Leaderless.Microseconds()
-			srv, err := managerd.New(cfg)
-			if err != nil {
-				return fmt.Errorf("harness: promoted managerd.New: %w", err)
-			}
-			if err := srv.Start(); err != nil {
-				return fmt.Errorf("harness: promoted managerd.Start: %w", err)
-			}
-			h.srvCh <- srv
-			return nil
-		},
+	holder := fmt.Sprintf("standby-%d", len(c.standbys)+1)
+	lease := &replica.Lease{Path: c.Opt.LeasePath, Every: c.Opt.LeaseEvery}
+	h := startStandby(t, c.Net, len(c.standbys), lease, missBudget, holder, func(p replica.Promotion) (*managerd.Server, error) {
+		cfg := c.Opt.serverConfig(c.Net.Listener())
+		cfg.JournalPath = "" // the replicated store IS the journal
+		cfg.JournalEvery = 0
+		cfg.Journal = p.Store
+		cfg.Epoch = p.Epoch
+		cfg.LeaseHolder = holder
+		cfg.TakeoverMicros = p.Leaderless.Microseconds()
+		return daemon.Boot(managerd.New(cfg))
 	})
-	if err != nil {
-		cancel()
-		t.Fatalf("harness: NewStandby: %v", err)
-	}
-	h.Standby = sb
-	go func() {
-		defer close(h.done)
-		if err := sb.Run(ctx); err != nil {
-			h.errCh <- err
-		}
-	}()
 	c.standbys = append(c.standbys, h)
 	return h
 }
@@ -111,9 +89,7 @@ func (c *Cluster) StartStandby(missBudget int) *StandbyHandle {
 // the controlled-failover half of the chaos matrix (the old primary, if
 // alive, self-fences on the claimed lease or on the first agent hello
 // reporting the new epoch).
-func (c *Cluster) PromoteStandby(h *StandbyHandle) {
-	h.Standby.Promote()
-}
+func (c *Cluster) PromoteStandby(h *StandbyHandle) { h.Promote() }
 
 // AwaitTakeover blocks until h has promoted a replacement manager (or
 // fails the test after timeout), rebinds Cluster.Server to it so Status,
@@ -122,31 +98,10 @@ func (c *Cluster) PromoteStandby(h *StandbyHandle) {
 func (c *Cluster) AwaitTakeover(h *StandbyHandle, timeout time.Duration) *managerd.Server {
 	t := c.tb()
 	t.Helper()
-	select {
-	case srv := <-h.srvCh:
-		h.srv = srv
-		c.Server = srv
-		return srv
-	case err := <-h.errCh:
-		t.Fatalf("harness: standby promotion failed: %v", err)
-	case <-time.After(timeout):
-		t.Fatalf("harness: no takeover within %v (standby lease %s)", timeout, c.Opt.LeasePath)
+	srv, err := h.Await(timeout)
+	if err != nil {
+		t.Fatalf("harness: %v (standby lease %s)", err, c.Opt.LeasePath)
 	}
-	return nil
-}
-
-// stop tears the standby down: cancel its watcher, wait it out, and stop
-// a promoted manager unless AwaitTakeover already handed it to the
-// cluster (Cluster.Stop stops c.Server itself).
-func (h *StandbyHandle) stop() {
-	h.cancel()
-	<-h.done
-	select {
-	case srv := <-h.srvCh:
-		h.srv = srv
-	default:
-	}
-	if h.srv != nil && h.srv != h.cluster.Server {
-		h.srv.Stop()
-	}
+	c.Server = srv
+	return srv
 }

@@ -3,29 +3,22 @@ package managerd
 import (
 	"time"
 
-	"repro/internal/power"
 	"repro/internal/tier"
 )
 
-// fedClient is the cabinet side of the capping federation: a governed
-// managerd dials the coordinator, subscribes with a cab_report frame,
-// streams one report per ReportEvery and applies the power band from
-// each cab_budget grant to its own Algorithm 1 loop.
+// governorConfig binds the cabinet side of the capping federation onto
+// this server: a governed managerd dials the coordinator, subscribes with
+// a cab_report frame, streams one report per ReportEvery and applies the
+// power band from each cab_budget grant to its own Algorithm 1 loop.
 //
 // The session machinery — subscribe, grant adoption, dead-man floor
 // after BudgetGrace control periods of silence, capped redial backoff —
 // lives in tier.Governor, the reusable child half of the federation
-// seam (the same code governs a row coordinator under a facility). This
-// file is only the binding of that seam onto this server: its config,
-// its instruments, and its per-cycle aggregate snapshot.
-type fedClient struct {
-	s *Server
-	g *tier.Governor
-}
-
-func newFedClient(s *Server) *fedClient {
-	f := &fedClient{s: s}
-	f.g = tier.NewGovernor(tier.GovernorConfig{
+// seam (the same code governs a row coordinator under a facility), and
+// the chassis runs it while this server leads. This is only the server's
+// config and its per-cycle aggregate snapshot.
+func (s *Server) governorConfig() tier.GovernorConfig {
+	return tier.GovernorConfig{
 		Parent:      s.cfg.CoordinatorAddr,
 		Dial:        s.cfg.CoordinatorDial,
 		Child:       s.cfg.Cabinet,
@@ -33,7 +26,6 @@ func newFedClient(s *Server) *fedClient {
 		Grace:       time.Duration(s.cfg.BudgetGrace) * s.cfg.ControlEvery,
 		Failsafe:    s.cfg.FailsafeBudget,
 		Initial:     s.cfg.Thresholds,
-		WireCodec:   s.cfg.WireCodec,
 		Snapshot: func() tier.Snapshot {
 			s.refreshGauges()
 			s.stateMu.Lock()
@@ -44,43 +36,8 @@ func newFedClient(s *Server) *fedClient {
 				AppliedPHW: float64(thr.PH),
 				Agents:     int(s.agentsG.Value()),
 				Healthy:    int(s.healthyG.Value()),
-				Epoch:      s.epoch,
+				Epoch:      s.Epoch(),
 			}
 		},
-		OnGrant: func() {
-			s.budgetGrantsC.Inc()
-			s.governedG.Set(1)
-		},
-		OnFloor: func() {
-			s.budgetFloorsC.Inc()
-			s.governedG.Set(0)
-		},
-		OnDecodeError: func() { s.decodeErrs.Inc() },
-	})
-	return f
+	}
 }
-
-// start stamps the beginning of the grace window, so a daemon that never
-// reaches its coordinator still floors itself BudgetGrace periods in.
-func (f *fedClient) start() { f.g.Start() }
-
-// run is the federation loop; runs until Stop.
-func (f *fedClient) run() {
-	defer f.s.wg.Done()
-	f.g.Run(f.s.stopCh)
-}
-
-// thresholds returns the band the control cycle must enforce now: the
-// freshest grant while the coordinator is alive, FailsafeBudget once it
-// has been silent past the grace window, and the static configured band
-// before the first grant of a young connection.
-func (f *fedClient) thresholds(now time.Time) power.Thresholds {
-	return f.g.Thresholds(now)
-}
-
-// noteSense records the cycle's sensed power and demand for the next
-// report.
-func (f *fedClient) noteSense(p, demand float64) { f.g.NoteSense(p, demand) }
-
-// closeConn drops the current coordinator connection (Stop path).
-func (f *fedClient) closeConn() { f.g.CloseConn() }

@@ -10,7 +10,7 @@ import (
 // file plus an append-only log of incremental entries. Every control
 // cycle that changed something (commanded levels, thresholds, learner
 // state) commits one entry — which is also what streams to any connected
-// standby follower (replicate.go) — and every JournalEvery cycles (plus
+// standby follower (daemon.Chassis.Commit) — and every JournalEvery cycles (plus
 // once on clean shutdown) the log is compacted into the snapshot. A
 // restarted manager reloads snapshot + valid log prefix, resumes capping
 // immediately without a fresh training window, and reconciles
@@ -86,8 +86,5 @@ func (s *Server) commitJournalCycle(cycleN int, thr power.Thresholds) {
 		st := s.learner.State()
 		ls = &st
 	}
-	if e, ok := s.journal.CommitCycle(cycleN, float64(thr.PL), float64(thr.PH), ls); ok {
-		s.journalAppends.Inc()
-		s.publishEntry(e)
-	}
+	s.Commit(cycleN, thr, ls)
 }

@@ -30,12 +30,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/manager"
 	"repro/internal/node"
 	"repro/internal/obs"
@@ -43,6 +43,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/replica"
 	"repro/internal/scenario"
+	"repro/internal/tier"
 	"repro/internal/units"
 	"repro/internal/wire"
 )
@@ -131,7 +132,7 @@ type Config struct {
 	// virtual clock.
 	ExternalControl bool
 
-	// --- High availability (replicate.go, internal/replica) ---
+	// --- High availability (internal/daemon, internal/replica) ---
 
 	// Epoch is this server's leadership epoch. Zero disables fencing
 	// unless a Lease is set, in which case the epoch is derived from the
@@ -139,7 +140,7 @@ type Config struct {
 	Epoch uint64
 	// Lease, when non-nil, is the leadership lease: renewed every
 	// Lease.Every while the server runs, watched by standbys. A higher
-	// epoch appearing in it deposes this server (see Server.depose).
+	// epoch appearing in it deposes this server (see daemon.Chassis).
 	Lease *replica.Lease
 	// LeaseHolder names this instance in the lease file.
 	LeaseHolder string
@@ -266,10 +267,12 @@ type cmdState struct {
 	retries   int
 }
 
-// Server is a running manager daemon.
+// Server is a running manager daemon: the daemon chassis (listeners,
+// routing, replication, leased leadership, lifecycle) around the node
+// store, the senders and the control loop.
 type Server struct {
+	*daemon.Chassis
 	cfg Config
-	ln  net.Listener
 
 	// nodes is the sharded per-node state (connections, in-flight
 	// commands, health records); see store.go for the locking contract.
@@ -301,19 +304,16 @@ type Server struct {
 	started time.Time
 
 	// Protocol state (not telemetry): the cycle number stamps commands,
-	// seq numbers commands, extEpoch stamps external sense epochs, accepts
-	// stamps inbound connections in accept order.
+	// seq numbers commands, extEpoch stamps external sense epochs.
 	cycleN   atomic.Int64
 	seq      atomic.Uint64
 	extEpoch atomic.Uint64 // current external sense epoch (external.go)
-	accepts  atomic.Uint64
 
-	// reg is the daemon's instrument registry — the single source of
-	// truth behind StatusReply, /metrics and the simulator's Stats — and
-	// trace records each cycle's staged timeline for /debug/cycles. The
-	// instrument pointers below are cached at New; their names are the
+	// trace is the chassis's cycle recorder: each cycle's staged timeline
+	// for /debug/cycles. The instrument pointers below are cached at New
+	// from the chassis's registry — the single source of truth behind
+	// StatusReply, /metrics and the simulator's Stats; their names are the
 	// obs tags on wire.StatusReply.
-	reg   *obs.Registry
 	trace *obs.CycleRecorder
 
 	samplesRecv   *obs.Counter // samples accepted over the wire
@@ -348,38 +348,20 @@ type Server struct {
 	lostG             *obs.Gauge
 	quarNodesG        *obs.Gauge
 
-	metricsLn  net.Listener
-	metricsSrv *http.Server
+	// journal doubles as the crash-recovery store (journal.go) and the
+	// replication source the chassis publishes to followers.
+	journal *replica.Store
 
-	// High-availability state (replicate.go). journal doubles as the
-	// crash-recovery store and the replication source; epoch is fixed at
-	// New. pub owns the follower subscriptions (replica.Publisher).
-	journal   *replica.Store
-	epoch     uint64
-	deposed   atomic.Bool
-	replicaLn net.Listener
-	pub       *replica.Publisher
+	// gov is the upward federation session (federate.go); nil unless
+	// governed.
+	gov        *tier.Governor
+	demandWG   *obs.Gauge
+	binConnsG  *obs.Gauge
+	jsonConnsG *obs.Gauge
 
-	journalAppends *obs.Counter
-	fencedHellos   *obs.Counter
-	epochG         *obs.Gauge
-	leaderG        *obs.Gauge
-	replicaConnsG  *obs.Gauge
-	replicaLagG    *obs.Gauge
-	lastTakeoverG  *obs.Gauge
-
-	// Federation state (federate.go); nil unless governed.
-	fed           *fedClient
-	budgetGrantsC *obs.Counter
-	budgetFloorsC *obs.Counter
-	governedG     *obs.Gauge
-	demandWG      *obs.Gauge
-	binConnsG     *obs.Gauge
-	jsonConnsG    *obs.Gauge
-
-	stopOnce sync.Once
-	stopCh   chan struct{}
-	wg       sync.WaitGroup
+	// senders counts the running per-node senders (sender.go), which the
+	// chassis does not start and so cannot wait for.
+	senders sync.WaitGroup
 }
 
 // New validates the configuration and creates an unstarted server. When
@@ -456,122 +438,119 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("managerd: failsafe budget: %w", err)
 		}
 	}
-	reg := obs.NewRegistry()
-	trace := obs.NewCycleRecorder(cfg.CycleHistory, reg)
-	mgr, err := manager.New(manager.Config{Tg: cfg.Tg, Policy: cfg.Policy, Obs: reg, Trace: trace})
-	if err != nil {
-		return nil, err
-	}
-	srv := &Server{
-		cfg:     cfg,
-		nodes:   newStore(cfg.Shards),
-		builder: manager.NewBuilder(cfg.Model),
-		mgr:     mgr,
-		thr:     cfg.Thresholds,
-		stopCh:  make(chan struct{}),
-		reg:     reg,
-		trace:   trace,
-
-		samplesRecv:   reg.Counter("samples_received"),
-		stale:         reg.Counter("dropped_stale"),
-		cmdErrs:       reg.Counter("command_errors"),
-		staleConnErrs: reg.Counter("stale_conn_errors"),
-		cmdAcks:       reg.Counter("command_acks"),
-		cmdRetries:    reg.Counter("command_retries"),
-		reconciles:    reg.Counter("reconciles"),
-		quarantines:   reg.Counter("quarantines"),
-		journalWrites: reg.Counter("journal_writes"),
-		coalesced:     reg.Counter("coalesced_cmds"),
-		decodeErrs:    reg.Counter("decode_errors"),
-		cyclesC:       reg.Counter("cycles"),
-
-		journalAppends: reg.Counter("journal_appends"),
-		fencedHellos:   reg.Counter("fenced_hellos"),
-
-		busyMicros:        reg.Gauge("busy_micros"),
-		cpuUtilise:        reg.Gauge("cpu_utilisation"),
-		lastPowerW:        reg.Gauge("last_power_w"),
-		plW:               reg.Gauge("pl_w"),
-		phW:               reg.Gauge("ph_w"),
-		trainedG:          reg.Gauge("trained"),
-		lifetimePeakW:     reg.Gauge("lifetime_peak_w"),
-		lastCycleMicros:   reg.Gauge("last_cycle_micros"),
-		maxCycleMicros:    reg.Gauge("max_cycle_micros"),
-		lastFanoutMicros:  reg.Gauge("last_fanout_micros"),
-		maxFanoutMicros:   reg.Gauge("max_fanout_micros"),
-		lastCollectMicros: reg.Gauge("last_collect_micros"),
-		collectMicros:     reg.Gauge("collect_micros"),
-		agentsG:           reg.Gauge("agents"),
-		driftedG:          reg.Gauge("drifted"),
-		healthyG:          reg.Gauge("healthy_nodes"),
-		staleNodesG:       reg.Gauge("stale_nodes"),
-		lostG:             reg.Gauge("lost_nodes"),
-		quarNodesG:        reg.Gauge("quarantined_nodes"),
-
-		epochG:        reg.Gauge("epoch"),
-		leaderG:       reg.Gauge("leader"),
-		replicaConnsG: reg.Gauge("replica_conns"),
-		replicaLagG:   reg.Gauge("replica_lag_entries"),
-		lastTakeoverG: reg.Gauge("last_takeover_micros"),
-
-		budgetGrantsC: reg.Counter("budget_grants"),
-		budgetFloorsC: reg.Counter("budget_floors"),
-		governedG:     reg.Gauge("governed"),
-		demandWG:      reg.Gauge("demand_w"),
-		binConnsG:     reg.Gauge("binary_conns"),
-		jsonConnsG:    reg.Gauge("json_conns"),
-	}
-	reg.Gauge("shards").SetInt(int64(len(srv.nodes.shards)))
-	reg.Gauge("cabinet").SetInt(int64(cfg.Cabinet))
-	if governed {
-		srv.fed = newFedClient(srv)
-	}
-	srv.plW.Set(float64(cfg.Thresholds.PL))
-	srv.phW.Set(float64(cfg.Thresholds.PH))
-	srv.trainedG.Set(1) // fixed thresholds cap from the first cycle
 	adj := 60
+	var learner *power.Learner
 	if cfg.Learn != nil {
 		if cfg.Learn.AdjustEvery > 0 {
 			adj = cfg.Learn.AdjustEvery
 		}
-		learner, err := power.NewLearner(cfg.Learn.PMax, cfg.Learn.Training, adj)
-		if err != nil {
+		var err error
+		if learner, err = power.NewLearner(cfg.Learn.PMax, cfg.Learn.Training, adj); err != nil {
 			return nil, err
 		}
-		srv.learner = learner
+	}
+	if cfg.JournalEvery <= 0 {
+		cfg.JournalEvery = adj
+	}
+
+	srv := &Server{
+		cfg:     cfg,
+		nodes:   newStore(cfg.Shards),
+		builder: manager.NewBuilder(cfg.Model),
+		thr:     cfg.Thresholds,
+		learner: learner,
+		// The journal is advisory: any open or validation error (missing
+		// file included) just means a cold start on a memory-only store.
+		journal: openJournal(cfg),
+	}
+	listen := []daemon.Endpoint{{Addr: cfg.Addr, Listener: cfg.Listener}}
+	if cfg.ReplicaAddr != "" {
+		listen = append(listen, daemon.Endpoint{Addr: cfg.ReplicaAddr})
+	}
+	hooks := daemon.Hooks{
+		Session: srv.serveConn,
+		Status: func() wire.Envelope {
+			st := srv.Status()
+			return wire.Envelope{Type: wire.KindStatus, Stats: &st}
+		},
+		Shed:    srv.shed,
+		Refresh: srv.refreshGauges,
+	}
+	if !cfg.ExternalControl {
+		hooks.Cycle = func() { srv.cycle() }
+	}
+	srv.Chassis = daemon.New(daemon.Options{
+		Listen:         listen,
+		MetricsAddr:    cfg.MetricsAddr,
+		CycleHistory:   cfg.CycleHistory,
+		WireCodec:      cfg.WireCodec,
+		ControlEvery:   cfg.ControlEvery,
+		Journal:        srv.journal,
+		WriteTimeout:   cfg.CommandTimeout,
+		Epoch:          cfg.Epoch,
+		Lease:          cfg.Lease,
+		LeaseHolder:    cfg.LeaseHolder,
+		TakeoverMicros: cfg.TakeoverMicros,
+	}, hooks)
+	reg := srv.Obs()
+	srv.trace = srv.CycleTrace()
+	mgr, err := manager.New(manager.Config{Tg: cfg.Tg, Policy: cfg.Policy, Obs: reg, Trace: srv.trace})
+	if err != nil {
+		srv.journal.Close()
+		return nil, err
+	}
+	srv.mgr = mgr
+
+	srv.samplesRecv = reg.Counter("samples_received")
+	srv.stale = reg.Counter("dropped_stale")
+	srv.cmdErrs = reg.Counter("command_errors")
+	srv.staleConnErrs = reg.Counter("stale_conn_errors")
+	srv.cmdAcks = reg.Counter("command_acks")
+	srv.cmdRetries = reg.Counter("command_retries")
+	srv.reconciles = reg.Counter("reconciles")
+	srv.quarantines = reg.Counter("quarantines")
+	srv.journalWrites = reg.Counter("journal_writes")
+	srv.coalesced = reg.Counter("coalesced_cmds")
+	srv.decodeErrs = reg.Counter("decode_errors")
+	srv.cyclesC = reg.Counter("cycles")
+
+	srv.busyMicros = reg.Gauge("busy_micros")
+	srv.cpuUtilise = reg.Gauge("cpu_utilisation")
+	srv.lastPowerW = reg.Gauge("last_power_w")
+	srv.plW = reg.Gauge("pl_w")
+	srv.phW = reg.Gauge("ph_w")
+	srv.trainedG = reg.Gauge("trained")
+	srv.lifetimePeakW = reg.Gauge("lifetime_peak_w")
+	srv.lastCycleMicros = reg.Gauge("last_cycle_micros")
+	srv.maxCycleMicros = reg.Gauge("max_cycle_micros")
+	srv.lastFanoutMicros = reg.Gauge("last_fanout_micros")
+	srv.maxFanoutMicros = reg.Gauge("max_fanout_micros")
+	srv.lastCollectMicros = reg.Gauge("last_collect_micros")
+	srv.collectMicros = reg.Gauge("collect_micros")
+	srv.agentsG = reg.Gauge("agents")
+	srv.driftedG = reg.Gauge("drifted")
+	srv.healthyG = reg.Gauge("healthy_nodes")
+	srv.staleNodesG = reg.Gauge("stale_nodes")
+	srv.lostG = reg.Gauge("lost_nodes")
+	srv.quarNodesG = reg.Gauge("quarantined_nodes")
+
+	srv.demandWG = reg.Gauge("demand_w")
+	srv.binConnsG = reg.Gauge("binary_conns")
+	srv.jsonConnsG = reg.Gauge("json_conns")
+
+	reg.Gauge("shards").SetInt(int64(len(srv.nodes.shards)))
+	reg.Gauge("cabinet").SetInt(int64(cfg.Cabinet))
+	if governed {
+		srv.gov = srv.Govern(srv.governorConfig())
+	}
+	srv.plW.Set(float64(cfg.Thresholds.PL))
+	srv.phW.Set(float64(cfg.Thresholds.PH))
+	srv.trainedG.Set(1) // fixed thresholds cap from the first cycle
+	if learner != nil {
 		srv.trainedG.Set(b2f(learner.Trained()))
 	}
-	if srv.cfg.JournalEvery <= 0 {
-		srv.cfg.JournalEvery = adj
-	}
-	// The journal is advisory: any open or validation error (missing file
-	// included) just means a cold start on a memory-only store.
-	srv.journal = openJournal(srv.cfg)
-	srv.pub = replica.NewPublisher(srv.journal, cfg.CommandTimeout)
 	if !srv.journal.Empty() {
 		srv.restoreFromJournal(srv.journal.State())
-	}
-	// Leadership epoch: explicit config wins; otherwise a lease implies
-	// HA, so claim the epoch after whatever the lease file last recorded.
-	// The journal's epoch (e.g. a handed-over replica copy) is a floor.
-	epoch := cfg.Epoch
-	if epoch == 0 && cfg.Lease != nil {
-		if st, err := cfg.Lease.Read(); err == nil {
-			epoch = st.Epoch + 1
-		} else {
-			epoch = 1
-		}
-	}
-	if je := srv.journal.Epoch(); je > epoch {
-		epoch = je
-	}
-	srv.epoch = epoch
-	srv.journal.SetEpoch(epoch)
-	srv.epochG.SetInt(int64(epoch))
-	srv.leaderG.Set(1)
-	if cfg.TakeoverMicros > 0 {
-		srv.lastTakeoverG.SetInt(cfg.TakeoverMicros)
-		reg.Histogram("takeover_micros").Observe(float64(cfg.TakeoverMicros))
 	}
 	return srv, nil
 }
@@ -579,125 +558,40 @@ func New(cfg Config) (*Server, error) {
 // Start binds the listeners and launches the accept, control, heartbeat
 // and (when MetricsAddr is set) observability HTTP loops.
 func (s *Server) Start() error {
-	if s.cfg.MetricsAddr != "" {
-		mln, err := net.Listen("tcp", s.cfg.MetricsAddr)
-		if err != nil {
-			return fmt.Errorf("managerd: metrics listen: %w", err)
-		}
-		s.metricsLn = mln
-		s.metricsSrv = &http.Server{Handler: obs.NewMux(s.reg, s.trace, s.refreshGauges)}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			_ = s.metricsSrv.Serve(mln)
-		}()
-	}
-	if s.cfg.Listener != nil {
-		s.ln = s.cfg.Listener
-	} else {
-		ln, err := net.Listen("tcp", s.cfg.Addr)
-		if err != nil {
-			if s.metricsSrv != nil {
-				s.metricsSrv.Close()
-			}
-			return fmt.Errorf("managerd: listen: %w", err)
-		}
-		s.ln = ln
-	}
-	if s.cfg.ReplicaAddr != "" {
-		rln, err := net.Listen("tcp", s.cfg.ReplicaAddr)
-		if err != nil {
-			s.ln.Close()
-			if s.metricsSrv != nil {
-				s.metricsSrv.Close()
-			}
-			return fmt.Errorf("managerd: replica listen: %w", err)
-		}
-		s.replicaLn = rln
-		s.wg.Add(1)
-		go s.acceptLoopOn(rln)
-	}
-	if s.cfg.Lease != nil {
-		// Claim the lease synchronously so a standby started right after
-		// us immediately sees a live leader.
-		_ = s.cfg.Lease.Write(replica.LeaseState{
-			Epoch: s.epoch, Holder: s.cfg.LeaseHolder, RenewedAt: time.Now(),
-		})
-		s.wg.Add(1)
-		go s.renewLoop()
-	}
 	s.started = time.Now()
-	if s.fed != nil {
-		s.fed.start()
-		s.wg.Add(1)
-		go s.fed.run()
-	}
-	s.wg.Add(1)
-	go s.acceptLoopOn(s.ln)
-	if !s.cfg.ExternalControl {
-		s.wg.Add(1)
-		go s.controlLoop()
+	if err := s.Chassis.Start(); err != nil {
+		return err
 	}
 	if s.cfg.HeartbeatEvery > 0 {
-		s.wg.Add(1)
-		go s.heartbeatLoop()
+		// Heartbeats raise the ping flag on every connected agent's outbox
+		// each HeartbeatEvery control cycles. The pings carry no payload;
+		// their only job is to feed the agents' dead-man switches so a node
+		// behind a live manager never self-degrades just because the fleet
+		// has been green (no commands) for a long stretch. Each ping is
+		// written by the node's own sender (folded into a command write if
+		// one is pending), so a slow reader stalls only its own heartbeat.
+		var scratch []*agentConn
+		s.Every(time.Duration(s.cfg.HeartbeatEvery)*s.cfg.ControlEvery, func() { scratch = s.pingAll(scratch) })
 	}
 	return nil
 }
-
-// Addr returns the bound listen address (useful with port 0).
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return s.cfg.Addr
-	}
-	return s.ln.Addr().String()
-}
-
-// MetricsAddr returns the bound observability HTTP address (useful with
-// port 0); empty when metrics serving is disabled.
-func (s *Server) MetricsAddr() string {
-	if s.metricsLn == nil {
-		return s.cfg.MetricsAddr
-	}
-	return s.metricsLn.Addr().String()
-}
-
-// Obs returns the daemon's instrument registry.
-func (s *Server) Obs() *obs.Registry { return s.reg }
-
-// CycleTrace returns the daemon's staged cycle recorder.
-func (s *Server) CycleTrace() *obs.CycleRecorder { return s.trace }
 
 // Stop shuts the daemon down, waits for its goroutines, and writes a
 // final journal snapshot so a clean restart resumes exactly where this
 // instance left off.
 func (s *Server) Stop() {
-	s.stopOnce.Do(func() {
-		close(s.stopCh)
-		if s.fed != nil {
-			s.fed.closeConn()
-		}
-		if s.metricsSrv != nil {
-			s.metricsSrv.Close()
-		}
-		if s.ln != nil {
-			s.ln.Close()
-		}
-		if s.replicaLn != nil {
-			s.replicaLn.Close()
-		}
-		s.pub.Close()
-		s.shedAgents()
-	})
-	s.wg.Wait()
+	s.Chassis.Stop()
+	// Every reader has returned and every outbox is retired, so no sender
+	// can start any more.
+	s.senders.Wait()
 	s.writeJournal()
 	s.journal.Close()
 }
 
-// shedAgents closes every registered agent connection, which unblocks its
+// shed closes every registered agent connection, which unblocks its
 // reader (serveConn) and a sender mid-write, and retires its outbox so no
-// new sender can start (Stop and depose).
-func (s *Server) shedAgents() {
+// new sender can start (deposition and Stop).
+func (s *Server) shed() {
 	var acs []*agentConn
 	for _, sh := range s.nodes.shards {
 		acs = sh.conns(acs)
@@ -708,95 +602,18 @@ func (s *Server) shedAgents() {
 	}
 }
 
-// acceptLoopOn accepts agent, follower and status connections on one
-// listener (the agent endpoint and the ReplicaAddr endpoint each run one,
-// serving identically) until the server stops. Transient Accept failures
-// (accept queue hiccups, temporary resource exhaustion, injected timeouts)
-// are retried under capped exponential backoff rather than busy-spinning
-// or killing the daemon; only a stop or the listener closing ends the loop.
-func (s *Server) acceptLoopOn(ln net.Listener) {
-	defer s.wg.Done()
-	const (
-		backoffMin = 5 * time.Millisecond
-		backoffMax = 500 * time.Millisecond
-	)
-	backoff := backoffMin
-	for {
-		raw, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-s.stopCh:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			select {
-			case <-s.stopCh:
-				return
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > backoffMax {
-				backoff = backoffMax
-			}
-			continue
-		}
-		backoff = backoffMin
-		s.wg.Add(1)
-		go s.serveConn(wire.NewConn(raw), s.accepts.Add(1))
-	}
-}
-
-// binaryWanted reports whether the peer behind this hello/subscribe
-// frame should be switched onto the binary codec: it advertised support
-// and the configuration does not pin JSON.
-func (s *Server) binaryWanted(first *wire.Envelope) bool {
-	return s.cfg.WireCodec != wire.CodecJSON && first.Advertises(wire.CodecBinary)
-}
-
-// serveConn handles one inbound connection: agents send hello then a
-// stream of samples and command acks; control clients send a status
-// request and get one reply. accepted is the connection's accept-order
-// stamp: of two connections claiming one node, the higher is the newer.
-func (s *Server) serveConn(conn *wire.Conn, accepted uint64) {
-	defer s.wg.Done()
+// serveConn is the chassis's session handler: one agent connection, from
+// its hello (first, already read) through its stream of samples and
+// command acks. accepted is the connection's accept-order stamp: of two
+// connections claiming one node, the higher is the newer.
+func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint64) {
 	defer conn.Close()
-	first, err := conn.Recv()
-	if err != nil {
+	if first.Type != wire.KindHello {
 		return
 	}
-	switch first.Type {
-	case wire.KindStatus:
-		st := s.Status()
-		reply := wire.Envelope{Type: wire.KindStatus, Stats: &st}
-		// A probe advertising codecs (powctl -codec) is told which codec
-		// this daemon would negotiate with it — without switching the
-		// reply itself off JSON, so any probe can read the answer.
-		if len(first.Codecs) > 0 {
-			if s.binaryWanted(&first) {
-				reply.Codec = wire.CodecBinary
-			} else {
-				reply.Codec = wire.CodecJSON
-			}
-		}
-		_ = conn.Send(reply)
-		return
-	case wire.KindJournalAck:
-		// A journal follower subscribing from its current sequence.
-		s.serveReplica(conn, first)
-		return
-	case wire.KindHello:
-		// fall through to the agent loop
-	default:
-		return
-	}
-
 	// Epoch fencing. An agent that has seen a newer leader tells us in
 	// its hello: we are deposed and must not command it.
-	if s.epoch > 0 && first.Epoch > s.epoch {
-		s.fencedHellos.Inc()
-		s.depose()
+	if s.Fenced(first.Epoch) {
 		return
 	}
 	// Codec negotiation rides the same hello reply as the epoch
@@ -805,9 +622,9 @@ func (s *Server) serveConn(conn *wire.Conn, accepted uint64) {
 	// below), so the agent knows the chosen codec before any command
 	// arrives. The reply itself is always JSON — EnableBinary flips only
 	// frames after it — which keeps the negotiation readable by any peer.
-	wantBin := s.binaryWanted(&first)
-	if s.epoch > 0 || wantBin {
-		reply := wire.Envelope{Type: wire.KindHello, Epoch: s.epoch}
+	wantBin := s.BinaryWanted(first)
+	if s.Epoch() > 0 || wantBin {
+		reply := wire.Envelope{Type: wire.KindHello, Epoch: s.Epoch()}
 		if wantBin {
 			reply.Codec = wire.CodecBinary
 		}
@@ -978,42 +795,6 @@ func (s *Server) dispatch(ac *agentConn, level int, seq uint64, fan *fanout) {
 	}
 }
 
-func (s *Server) controlLoop() {
-	defer s.wg.Done()
-	tick := time.NewTicker(s.cfg.ControlEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case <-tick.C:
-			s.cycle()
-		}
-	}
-}
-
-// heartbeatLoop raises the ping flag on every connected agent's outbox
-// each HeartbeatEvery control cycles. The pings carry no payload; their
-// only job is to feed the agents' dead-man switches so a node behind a
-// live manager never self-degrades just because the fleet has been green
-// (no commands) for a long stretch. Each ping is written by the node's
-// own sender (folded into a command write if one is pending), so a slow
-// reader stalls only its own heartbeat.
-func (s *Server) heartbeatLoop() {
-	defer s.wg.Done()
-	tick := time.NewTicker(time.Duration(s.cfg.HeartbeatEvery) * s.cfg.ControlEvery)
-	defer tick.Stop()
-	var scratch []*agentConn
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case <-tick.C:
-			scratch = s.pingAll(scratch)
-		}
-	}
-}
-
 // pingAll is one heartbeat tick. scratch is reused for every shard's
 // connection list and handed back for the next tick.
 func (s *Server) pingAll(scratch []*agentConn) []*agentConn {
@@ -1096,7 +877,7 @@ func (s *Server) cycle() *fanout {
 		s.cycleParts = make([]cyclePart, len(s.nodes.shards))
 	}
 	parts := s.cycleParts
-	governed := s.fed != nil
+	governed := s.gov != nil
 	s.forEachShard(func(i int, sh *shard) {
 		g := &parts[i]
 		g.readings = g.readings[:0]
@@ -1170,8 +951,8 @@ func (s *Server) cycle() *fanout {
 		capping = s.learner.Trained()
 	}
 	if governed {
-		thr = s.fed.thresholds(t0)
-		s.fed.noteSense(float64(p), float64(demand))
+		thr = s.gov.Thresholds(t0)
+		s.gov.NoteSense(float64(p), float64(demand))
 		s.demandWG.Set(float64(demand))
 	}
 	s.stateMu.Lock()
@@ -1355,7 +1136,6 @@ func (s *Server) refreshGauges() {
 		nJSON += sh.nJSON
 		sh.mu.Unlock()
 	}
-	s.refreshReplicaGauges()
 	s.agentsG.SetInt(int64(agents))
 	s.driftedG.SetInt(int64(drifted))
 	s.healthyG.SetInt(int64(healthy))
@@ -1379,8 +1159,8 @@ func (s *Server) refreshGauges() {
 // statusFromRegistry — so a reply field without a live instrument behind
 // it cannot exist.
 func (s *Server) Status() wire.StatusReply {
-	s.refreshGauges()
-	rep, _ := statusFromRegistry(s.reg)
+	s.Refresh()
+	rep, _ := statusFromRegistry(s.Obs())
 	return rep
 }
 
@@ -1407,6 +1187,12 @@ func QueryStatus(addr string, timeout time.Duration) (wire.StatusReply, error) {
 // fedd.CoordinatorNode and attaches one Batch row per child), so a CLI
 // can render whichever daemon it happened to dial.
 func QueryStatusEnvelope(addr string, timeout time.Duration) (wire.Envelope, error) {
+	return probe(addr, timeout, nil)
+}
+
+// probe sends one status request, advertising codecs, and returns the
+// reply. The probe itself stays on JSON whatever it advertises.
+func probe(addr string, timeout time.Duration, codecs []string) (wire.Envelope, error) {
 	raw, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return wire.Envelope{}, err
@@ -1416,7 +1202,7 @@ func QueryStatusEnvelope(addr string, timeout time.Duration) (wire.Envelope, err
 	if err := raw.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return wire.Envelope{}, err
 	}
-	if err := conn.Send(wire.Envelope{Type: wire.KindStatus}); err != nil {
+	if err := conn.Send(wire.Envelope{Type: wire.KindStatus, Codecs: codecs}); err != nil {
 		return wire.Envelope{}, err
 	}
 	env, err := conn.Recv()
@@ -1432,30 +1218,11 @@ func QueryStatusEnvelope(addr string, timeout time.Duration) (wire.Envelope, err
 // QueryCodec connects to a manager daemon, advertises the full codec set
 // a real agent would, and reports which codec the daemon negotiates plus
 // its status (whose BinaryConns/JSONConns split shows what the live fleet
-// actually negotiated). The probe itself stays on JSON so the reply is
-// readable regardless of the outcome.
+// actually negotiated).
 func QueryCodec(addr string, timeout time.Duration) (string, wire.StatusReply, error) {
-	raw, err := net.DialTimeout("tcp", addr, timeout)
+	env, err := probe(addr, timeout, []string{wire.CodecBinary, wire.CodecJSON})
 	if err != nil {
 		return "", wire.StatusReply{}, err
-	}
-	conn := wire.NewConn(raw)
-	defer conn.Close()
-	if err := raw.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return "", wire.StatusReply{}, err
-	}
-	if err := conn.Send(wire.Envelope{
-		Type:   wire.KindStatus,
-		Codecs: []string{wire.CodecBinary, wire.CodecJSON},
-	}); err != nil {
-		return "", wire.StatusReply{}, err
-	}
-	env, err := conn.Recv()
-	if err != nil {
-		return "", wire.StatusReply{}, err
-	}
-	if env.Type != wire.KindStatus || env.Stats == nil {
-		return "", wire.StatusReply{}, fmt.Errorf("managerd: unexpected reply %q", env.Type)
 	}
 	codec := env.Codec
 	if codec == "" {

@@ -74,14 +74,15 @@ func (s *Server) enqueuePing(ac *agentConn) {
 
 // ensureSender starts ac's sender unless one is already draining the
 // outbox. The caller holds ac.obMu and has seen the outbox open, which
-// keeps wg.Add ahead of Stop's wg.Wait: Stop closes every outbox first,
-// and a connection's reader, itself counted, closes it before exiting.
+// keeps senders.Add ahead of Stop's senders.Wait: Stop closes every outbox
+// and waits for every connection's reader, which closes its own before
+// exiting, first.
 func (s *Server) ensureSender(ac *agentConn) {
 	if ac.obSending {
 		return
 	}
 	ac.obSending = true
-	s.wg.Add(1)
+	s.senders.Add(1)
 	if ac.sender == nil {
 		ac.sender = func() { s.runSender(ac) }
 	}
@@ -110,7 +111,7 @@ func (s *Server) retireOutbox(ac *agentConn) {
 // a deadline the stream is mid-message and unrecoverable — and the
 // in-flight command stays recorded in cmds for the retry path.
 func (s *Server) runSender(ac *agentConn) {
-	defer s.wg.Done()
+	defer s.senders.Done()
 	for {
 		ac.obMu.Lock()
 		pc, has, ping := ac.obCmd, ac.obHas, ac.obPing

@@ -279,19 +279,18 @@ func TestHeartbeatTickReturnsToBaseline(t *testing.T) {
 // to serveConn in exactly that reversed order.
 func TestLateHelloDoesNotEvictNewerConnection(t *testing.T) {
 	srv := idleServer(t)
+	// The chassis has read the hello by the time it calls the session
+	// handler, so the hello is handed over rather than sent.
 	serve := func(accepted uint64) (peer *wire.Conn, done chan struct{}) {
 		server, client := net.Pipe()
 		done = make(chan struct{})
-		srv.wg.Add(1)
 		go func() {
 			defer close(done)
-			srv.serveConn(wire.NewConn(server), accepted)
+			hello := wire.Envelope{Type: wire.KindHello, Node: 5, MaxLevel: 9, Level: 9}
+			srv.serveConn(wire.NewConn(server), &hello, accepted)
 		}()
 		peer = wire.NewConn(client)
 		t.Cleanup(func() { peer.Close() })
-		if err := peer.Send(wire.Envelope{Type: wire.KindHello, Node: 5, MaxLevel: 9, Level: 9}); err != nil {
-			t.Fatal(err)
-		}
 		return peer, done
 	}
 
