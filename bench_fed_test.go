@@ -1,168 +1,150 @@
-// Federated fan-out benchmark: the two-tier control plane at scale. A
-// fedd coordinator governs total/128 cabinet managers of 128 fake agents
-// each; every iteration steps one full federation round — a coordinator
-// cycle (classify cabinets, divide the budget, send every grant) plus
-// one complete Algorithm-1 cycle with full command fan-out inside every
-// cabinet. The point of the architecture is that per-agent cost stays at
-// the 128-agent sweet spot no matter how many cabinets are federated,
-// where a single flat manager degrades super-linearly past a few
-// thousand agents (see BenchmarkCycleFanout at 4096).
+// Federated fan-out benchmarks: the capping tree at scale, one
+// harness.StartTree per shape over the same leaves — cabinet managers of
+// 128 fake agents (benchFleet), held in sustained red by their grants: the
+// root's budget is 1 W per cabinet (equal-split into P_L 1 W / P_H 2 W
+// grants), far below any fleet's draw. No tier ticks (Every is an hour);
+// every iteration steps one full round — a coordination cycle in every
+// coordinator, root first (classify children, divide the band, send every
+// grant), then one complete Algorithm-1 cycle with full command fan-out
+// inside every cabinet.
 //
-// Results persist to BENCH_fanout.json as bench "CycleFanoutFed" keyed
-// by total agent count; CI guards the 16384-agent baseline.
+//	BenchmarkCycleFanoutFed  – coordinator over total/128 cabinets. The
+//	    point of the architecture is that per-agent cost stays at the
+//	    128-agent sweet spot however many cabinets are federated, where a
+//	    flat manager degrades super-linearly past a few thousand agents
+//	    (see BenchmarkCycleFanout at 4096).
+//	BenchmarkCycleFanoutFed3 – facility over 4 rows over 8 cabinets each
+//	    (4096 agents). The row tier is pure re-division and 8-way grant
+//	    fan-out, so the deep tree should price within noise of the
+//	    two-tier federation at the same agent count.
+//
+// Results persist to BENCH_fanout.json as "CycleFanoutFed" and
+// "CycleFanoutFed3" keyed by total agent count; CI guards the 16384-agent
+// and 4096-agent baselines.
 package repro_test
 
 import (
-	"context"
 	"net"
 	"testing"
 	"time"
 
 	"repro/internal/faultnet"
-	"repro/internal/fedd"
+	"repro/internal/harness"
 	"repro/internal/managerd"
 	"repro/internal/policy"
 	"repro/internal/power"
 	"repro/internal/units"
 )
 
-// fedSweep is the total-agent axis; every size is fedCabinetSize agents
-// per cabinet, so 16384 is a 128-cabinet federation.
+// fedSweep is the two-tier total-agent axis; every size is fedCabinetSize
+// agents per cabinet, so 16384 is a 128-cabinet federation.
 var fedSweep = []int{1024, 4096, 16384}
 
-const fedCabinetSize = 128
+const (
+	fedCabinetSize = 128
+	fed3Rows       = 4
+	fed3CabsPerRow = 8
+	fed3Agents     = fed3Rows * fed3CabsPerRow * fedCabinetSize
+)
 
-// fedBenchFleet is a coordinator plus cabinets, each a benchFleet held in
-// sustained red by its grant: the coordinator's budget is 1 W per cabinet
-// (equal-split grants P_L 1 W / P_H 2 W), far below any fleet's draw.
-type fedBenchFleet struct {
-	coord    *fedd.Server
-	coordNet *faultnet.Network
-	cabs     []*benchFleet
+// fedBenchTree is a stepped tree over benchFleet cabinets.
+type fedBenchTree struct {
+	tree *harness.Tree
+	cabs []*benchFleet
 }
 
-func startFedBenchFleet(b *testing.B, total int) *fedBenchFleet {
+// startFedBenchTree boots one coordinator tier per fanout over
+// Π fanouts cabinets and warms every cabinet into sustained red.
+func startFedBenchTree(b *testing.B, fanouts ...int) *fedBenchTree {
 	b.Helper()
-	cabinets := total / fedCabinetSize
-	coordNet := faultnet.New(9001)
-	coord, err := fedd.New(fedd.Config{
-		Listener:     coordNet.Listener(),
-		Budget:       units.Watts(cabinets),
-		PH:           units.Watts(2 * cabinets),
-		ControlEvery: time.Hour, // cycles driven explicitly via StepCycle
-		StaleAfter:   time.Hour,
-	})
-	if err != nil {
-		b.Fatal(err)
+	f := &fedBenchTree{}
+	cabinets := 1
+	tiers := make([]harness.Tier, len(fanouts))
+	for i, n := range fanouts {
+		tiers[i] = harness.Tier{Fanout: n, Every: time.Hour} // cycles driven explicitly via Step
+		cabinets *= n
 	}
-	if err := coord.Start(); err != nil {
-		b.Fatal(err)
-	}
-	f := &fedBenchFleet{coord: coord, coordNet: coordNet}
-	// Registered before the cabinets' cleanups, so LIFO order stops every
-	// cabinet (closing its federation conn) before the coordinator.
-	b.Cleanup(func() {
-		coord.Stop()
-		coordNet.Close()
-	})
-
-	for cab := 0; cab < cabinets; cab++ {
-		cab := cab
-		nw := faultnet.New(1 + int64(cab))
-		srv, err := managerd.New(managerd.Config{
-			Listener:     nw.Listener(),
-			Model:        power.TianheNode(),
-			Policy:       policy.MPCC{},
-			Tg:           3,
-			ControlEvery: time.Hour,
-			Thresholds:   power.Thresholds{PL: 1, PH: 2},
-			Cabinet:      cab,
-			CoordinatorDial: func() (net.Conn, error) {
-				return coordNet.Dial(context.Background(), uint64(cab))
-			},
-			ReportEvery:    time.Hour,
-			StaleAfter:     time.Hour,
-			CommandTimeout: 5 * time.Second,
-			HeartbeatEvery: -1,
-			Shards:         128,
-			FanoutWorkers:  4,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := srv.Start(); err != nil {
-			b.Fatal(err)
-		}
-		cf := &benchFleet{srv: srv, nw: nw}
-		b.Cleanup(func() {
-			srv.Stop()
-			nw.Close()
-		})
-		f.cabs = append(f.cabs, cf)
-		cf.wireAgents(b, fedCabinetSize)
-	}
-
-	// Every cabinet subscribed, one coordinator round grants them all,
-	// and each cabinet's control loop must be governed (running on its
-	// granted band) before timing starts.
-	deadline := time.Now().Add(60 * time.Second)
-	for len(f.coord.CabinetStates()) != cabinets {
-		if time.Now().After(deadline) {
-			b.Fatalf("only %d of %d cabinets subscribed", len(f.coord.CabinetStates()), cabinets)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	f.coord.StepCycle()
-	for _, cf := range f.cabs {
-		for !cf.srv.Status().Governed {
-			if time.Now().After(deadline) {
-				b.Fatalf("cabinet never governed: %+v", cf.srv.Status())
+	f.tree = harness.StartTree(b, harness.TreeOptions{
+		Tiers:  tiers,
+		Budget: units.Watts(cabinets),
+		PH:     units.Watts(2 * cabinets),
+		Leaf: func(path []int, dial func() (net.Conn, error)) (func(), func() bool, error) {
+			nw := faultnet.New(1 + int64(len(f.cabs)))
+			srv, err := managerd.New(managerd.Config{
+				Listener:        nw.Listener(),
+				Model:           power.TianheNode(),
+				Policy:          policy.MPCC{},
+				Tg:              3,
+				ControlEvery:    time.Hour,
+				Thresholds:      power.Thresholds{PL: 1, PH: 2},
+				Cabinet:         path[len(path)-1],
+				CoordinatorDial: dial,
+				ReportEvery:     time.Hour,
+				StaleAfter:      time.Hour,
+				CommandTimeout:  5 * time.Second,
+				HeartbeatEvery:  -1,
+				Shards:          128,
+				FanoutWorkers:   4,
+			})
+			if err == nil {
+				err = srv.Start()
 			}
-			time.Sleep(5 * time.Millisecond)
-		}
+			if err != nil {
+				nw.Close()
+				return nil, nil, err
+			}
+			cf := &benchFleet{srv: srv, nw: nw}
+			f.cabs = append(f.cabs, cf)
+			cf.wireAgents(b, fedCabinetSize)
+			return func() { srv.Stop(); nw.Close() }, func() bool { return srv.Status().Governed }, nil
+		},
+	})
+	for _, cf := range f.cabs {
 		cf.warmRed(b)
 	}
 	return f
 }
 
-// step runs one federation round: a coordinator cycle, then a full
-// control cycle in every cabinet. Returns the summed in-cabinet fan-out
-// time.
-func (f *fedBenchFleet) step() time.Duration {
-	f.coord.StepCycle()
-	var fanout time.Duration
-	for _, cf := range f.cabs {
-		fanout += cf.srv.StepCycle()
+// run times b.N full rounds and records them under bench.
+func (f *fedBenchTree) run(b *testing.B, bench string, agents int) {
+	b.ReportAllocs()
+	ms := newMemTrack()
+	b.ResetTimer()
+	var fanout time.Duration // summed in-cabinet fan-out time
+	for i := 0; i < b.N; i++ {
+		f.tree.Step()
+		for _, cf := range f.cabs {
+			fanout += cf.srv.StepCycle()
+		}
 	}
-	return fanout
+	b.StopTimer()
+	allocsOp, bytesOp := ms.perOp(b.N)
+	nsOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(nsOp/float64(agents), "ns/agent")
+	recordBench(benchEntry{
+		Bench: bench, Agents: agents,
+		NsPerOp:     nsOp,
+		AllocsPerOp: allocsOp,
+		BytesPerOp:  bytesOp,
+		FanoutUS:    fanout.Microseconds() / int64(b.N),
+	})
 }
 
-// BenchmarkCycleFanoutFed measures one federation round per iteration:
-// budget division plus grant fan-out at the coordinator tier and a full
-// Algorithm-1 cycle with N-node command fan-out across all cabinets.
+// BenchmarkCycleFanoutFed measures one two-tier federation round per
+// iteration across total/128 cabinets.
 func BenchmarkCycleFanoutFed(b *testing.B) {
 	for _, n := range fedSweep {
 		n := n
 		b.Run("n"+itoa(n), func(b *testing.B) {
-			f := startFedBenchFleet(b, n)
-			b.ReportAllocs()
-			ms := newMemTrack()
-			b.ResetTimer()
-			var fanout time.Duration
-			for i := 0; i < b.N; i++ {
-				fanout += f.step()
-			}
-			b.StopTimer()
-			allocsOp, bytesOp := ms.perOp(b.N)
-			nsOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			b.ReportMetric(nsOp/float64(n), "ns/agent")
-			recordBench(benchEntry{
-				Bench: "CycleFanoutFed", Agents: n,
-				NsPerOp:     nsOp,
-				AllocsPerOp: allocsOp,
-				BytesPerOp:  bytesOp,
-				FanoutUS:    fanout.Microseconds() / int64(b.N),
-			})
+			startFedBenchTree(b, n/fedCabinetSize).run(b, "CycleFanoutFed", n)
 		})
 	}
+}
+
+// BenchmarkCycleFanoutFed3 measures one three-tier round per iteration:
+// facility, 4 rows, then all 32 cabinets.
+func BenchmarkCycleFanoutFed3(b *testing.B) {
+	b.Run("n"+itoa(fed3Agents), func(b *testing.B) {
+		startFedBenchTree(b, fed3Rows, fed3CabsPerRow).run(b, "CycleFanoutFed3", fed3Agents)
+	})
 }

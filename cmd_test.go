@@ -17,6 +17,11 @@ import (
 	"repro/internal/wire"
 )
 
+// The daemons under test listen on fixed loopback ports below 32768, the
+// bottom of Linux's ephemeral range: go test ./... runs packages in
+// parallel, connect() hands out runs of consecutive even ephemeral ports,
+// and a port held by another package's live connection cannot be bound.
+
 // buildOnce compiles the command binaries used by the CLI tests into a
 // shared temporary directory.
 var buildOnce = struct {
@@ -202,7 +207,7 @@ func TestPowctlQueryFailureModes(t *testing.T) {
 
 	// Success path against a live powmgrd with no agents connected.
 	t.Run("live-powmgrd", func(t *testing.T) {
-		const addr = "127.0.0.1:39717"
+		const addr = "127.0.0.1:29717"
 		mgr := exec.Command(filepath.Join(bin, "powmgrd"),
 			"-addr", addr, "-pl", "400W", "-ph", "600W", "-period", "50ms")
 		if err := mgr.Start(); err != nil {
@@ -277,9 +282,9 @@ func TestMetricsEndpointsCLI(t *testing.T) {
 	}
 	bin := binaries(t)
 	const (
-		addr       = "127.0.0.1:39727"
-		mgrMetrics = "127.0.0.1:39728"
-		agtMetrics = "127.0.0.1:39729"
+		addr       = "127.0.0.1:29727"
+		mgrMetrics = "127.0.0.1:29728"
+		agtMetrics = "127.0.0.1:29729"
 	)
 	mgr := exec.Command(filepath.Join(bin, "powmgrd"),
 		"-addr", addr, "-pl", "400W", "-ph", "600W", "-period", "50ms",
@@ -369,7 +374,7 @@ func TestPowbenchCLI(t *testing.T) {
 		t.Skip("CLI end-to-end")
 	}
 	bin := binaries(t)
-	const addr = "127.0.0.1:39737"
+	const addr = "127.0.0.1:29737"
 	// Thresholds sized for the scaled 8-agent fleet (uncapped ≈2.1 kW).
 	mgr := exec.Command(filepath.Join(bin, "powmgrd"),
 		"-addr", addr, "-pl", "1300W", "-ph", "1600W", "-period", "25ms", "-tg", "3", "-policy", "mpc-c")
@@ -438,7 +443,7 @@ func TestPowctlCoordinatorStatus(t *testing.T) {
 		t.Skip("CLI end-to-end")
 	}
 	bin := binaries(t)
-	const coordAddr = "127.0.0.1:39747"
+	const coordAddr = "127.0.0.1:29747"
 	coord := exec.Command(filepath.Join(bin, "powcoordd"),
 		"-addr", coordAddr, "-budget", "900W", "-ph", "1100W", "-period", "100ms")
 	if err := coord.Start(); err != nil {
@@ -449,7 +454,7 @@ func TestPowctlCoordinatorStatus(t *testing.T) {
 		coord.Wait()
 	}()
 	mgr := exec.Command(filepath.Join(bin, "powmgrd"),
-		"-addr", "127.0.0.1:39748", "-pl", "400W", "-ph", "600W", "-period", "100ms",
+		"-addr", "127.0.0.1:29748", "-pl", "400W", "-ph", "600W", "-period", "100ms",
 		"-coordinator", coordAddr, "-cabinet", "2")
 	if err := mgr.Start(); err != nil {
 		t.Fatal(err)
@@ -459,43 +464,47 @@ func TestPowctlCoordinatorStatus(t *testing.T) {
 		mgr.Wait()
 	}()
 
+	// The child row exists from the cabinet's subscribe, one coordinator
+	// period before its first grant: poll -json (the full envelope, with the
+	// coordinator marker node and the child report row) until that row
+	// carries a grant, then assert both forms against the settled state.
 	powctl := filepath.Join(bin, "powctl")
-	var text string
+	var env wire.Envelope
+	var out []byte
+	var err error
 	for i := 0; i < 40; i++ {
-		out, err := exec.Command(powctl, "-addr", coordAddr, "-timeout", "2s").CombinedOutput()
-		text = string(out)
-		if err == nil && strings.Contains(text, "child 2") {
+		env = wire.Envelope{}
+		out, err = exec.Command(powctl, "-addr", coordAddr, "-timeout", "2s", "-json").CombinedOutput()
+		if err == nil && json.Unmarshal(out, &env) == nil &&
+			len(env.Batch) == 1 && env.Batch[0].BudgetW > 0 {
 			break
 		}
 		time.Sleep(250 * time.Millisecond)
 	}
-	for _, want := range []string{
-		"coordinator", "budget          PL 900.0 W, PH 1100.0 W",
-		"children        1 known", "child 2", "live", "grant",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("powctl coordinator output missing %q:\n%s", want, text)
-		}
-	}
-
-	// -json: the full envelope, with the coordinator marker node and the
-	// child report row carrying the grant.
-	out, err := exec.Command(powctl, "-addr", coordAddr, "-timeout", "2s", "-json").CombinedOutput()
 	if err != nil {
 		t.Fatalf("powctl -json: %v\n%s", err, out)
 	}
-	var env wire.Envelope
-	if err := json.Unmarshal(out, &env); err != nil {
-		t.Fatalf("powctl -json output not an envelope: %v\n%s", err, out)
-	}
 	if env.Node != -1 || env.Stats == nil {
-		t.Fatalf("not a coordinator envelope: node=%d stats=%v", env.Node, env.Stats != nil)
+		t.Fatalf("not a coordinator envelope: node=%d stats=%v\n%s", env.Node, env.Stats != nil, out)
 	}
 	if len(env.Batch) != 1 || env.Batch[0].Node != 2 || env.Batch[0].BudgetW <= 0 {
 		t.Errorf("child batch rows = %+v", env.Batch)
 	}
 	if env.Stats.ThresholdPLW != 900 {
 		t.Errorf("coordinator budget = %v, want 900", env.Stats.ThresholdPLW)
+	}
+
+	text, err := exec.Command(powctl, "-addr", coordAddr, "-timeout", "2s").CombinedOutput()
+	if err != nil {
+		t.Fatalf("powctl: %v\n%s", err, text)
+	}
+	for _, want := range []string{
+		"coordinator", "budget          PL 900.0 W, PH 1100.0 W",
+		"children        1 known", "child 2", "live", "grant",
+	} {
+		if !strings.Contains(string(text), want) {
+			t.Errorf("powctl coordinator output missing %q:\n%s", want, text)
+		}
 	}
 }
 
@@ -505,7 +514,7 @@ func TestDaemonCLIRoundTrip(t *testing.T) {
 	}
 	bin := binaries(t)
 	// Manager on an ephemeral-ish port (pick one unlikely to clash).
-	const addr = "127.0.0.1:39707"
+	const addr = "127.0.0.1:29707"
 	mgr := exec.Command(filepath.Join(bin, "powmgrd"),
 		"-addr", addr, "-pl", "400W", "-ph", "600W", "-period", "100ms")
 	if err := mgr.Start(); err != nil {

@@ -33,18 +33,16 @@ func TestFederationCoordinatorTakeoverNoFloors(t *testing.T) {
 		Path:  filepath.Join(t.TempDir(), "coord-lease.json"),
 		Every: 15 * time.Millisecond,
 	}
-	f := StartFederation(t, FedOptions{
-		Cabinets:         cabinets,
-		AgentsPerCabinet: agents,
-		Budget:           budget,
-		PH:               ph,
+	f := StartTree(t, TreeOptions{
 		// Liveness is report freshness: the promoted coordinator seeds the
 		// dead leader's grant state, so cabinets redialing within this
 		// window never lose their reserved share.
-		StaleAfter:     2 * time.Second,
-		BudgetGrace:    grace,
-		FailsafeBudget: power.Thresholds{PL: 100, PH: 120},
-		CoordOpts: func(cfg *fedd.Config) {
+		Tiers: []Tier{{Fanout: cabinets, StaleAfter: 2 * time.Second,
+			Grace: grace, Failsafe: power.Thresholds{PL: 100, PH: 120}}},
+		AgentsPerCabinet: agents,
+		Budget:           budget,
+		PH:               ph,
+		Coord: func(_ []int, cfg *fedd.Config) {
 			cfg.Lease = lease
 			cfg.LeaseHolder = "coord-1"
 			cfg.Epoch = 1
@@ -52,34 +50,34 @@ func TestFederationCoordinatorTakeoverNoFloors(t *testing.T) {
 		},
 	})
 	f.AwaitGoverned(20 * time.Second)
-	if got := f.Coord.Epoch(); got != 1 {
+	if got := f.Coord().Epoch(); got != 1 {
 		t.Fatalf("primary coordinator epoch = %d, want 1", got)
 	}
 
 	// Mid-spike with the standby fully caught up on the grant journal.
-	sb := f.StartCoordStandby(4)
+	sb := f.Coord().StartStandby(4)
 	_ = sb
 	WaitUntil(t, 20*time.Second, func() bool {
-		for _, c := range f.Cabinets {
+		for _, c := range f.Cabinets() {
 			if c.Status().DegradeOps < 1 {
 				return false
 			}
 		}
-		env := f.Coord.StatusEnvelope()
+		env := f.Coord().StatusEnvelope()
 		return env.Stats.ReplicaConns >= 1 && env.Stats.JournalAppends >= 1 &&
 			env.Stats.ReplicaLagEntries <= 1
 	}, "coordinator standby never caught up while the fleet capped")
 
 	preGrants := make([]int, cabinets)
-	for i, c := range f.Cabinets {
+	for i, c := range f.Cabinets() {
 		preGrants[i] = c.Status().BudgetGrants
 	}
 
 	// Kill the leader. The lease goes stale, the standby promotes over
 	// its replicated journal copy, and every cabinet redials the fresh
 	// listener under its capped backoff.
-	f.StopCoordinator()
-	takeover := f.AwaitCoordTakeover(sb, time.Duration(grace)*50*time.Millisecond)
+	f.Coord().Stop()
+	takeover := f.Coord().AwaitTakeover(sb, time.Duration(grace)*50*time.Millisecond)
 	if got := takeover.Epoch(); got < 2 {
 		t.Fatalf("promoted coordinator epoch = %d, want >= 2", got)
 	}
@@ -101,7 +99,7 @@ func TestFederationCoordinatorTakeoverNoFloors(t *testing.T) {
 	// Fresh grants flow from the new leader before any grace window runs
 	// out: every cabinet's grant counter advances past its pre-kill mark.
 	WaitUntil(t, time.Duration(grace)*50*time.Millisecond, func() bool {
-		for i, c := range f.Cabinets {
+		for i, c := range f.Cabinets() {
 			if c.Status().BudgetGrants <= preGrants[i] {
 				return false
 			}
@@ -112,7 +110,7 @@ func TestFederationCoordinatorTakeoverNoFloors(t *testing.T) {
 	// The acceptance bar: zero failsafe floors anywhere, read from each
 	// cabinet manager's own instrument registry — the takeover was
 	// invisible to the governed tier.
-	for i, c := range f.Cabinets {
+	for i, c := range f.Cabinets() {
 		if v, ok := c.Server.Obs().Value("budget_floors"); !ok || v != 0 {
 			t.Errorf("cabinet %d floored during the takeover (budget_floors=%v)", i, v)
 		}
@@ -125,7 +123,7 @@ func TestFederationCoordinatorTakeoverNoFloors(t *testing.T) {
 	// And the fleet still enforces a coherent division of the budget.
 	WaitUntil(t, 15*time.Second, func() bool {
 		sum := 0.0
-		for _, cs := range f.Coord.CabinetStates() {
+		for _, cs := range f.Coord().CabinetStates() {
 			if !cs.Live || cs.GrantW <= 0 {
 				return false
 			}
@@ -133,7 +131,7 @@ func TestFederationCoordinatorTakeoverNoFloors(t *testing.T) {
 		}
 		return sum <= budget*1.0001
 	}, "promoted coordinator never settled a full division: %+v",
-		f.Coord.CabinetStates())
+		f.Coord().CabinetStates())
 }
 
 // TestFederationCoordinatorColdRestart is the no-standby counterpart:
@@ -152,20 +150,18 @@ func TestFederationCoordinatorColdRestart(t *testing.T) {
 	)
 	failsafe := power.Thresholds{PL: 100, PH: 120}
 	journal := filepath.Join(t.TempDir(), "coord-journal.jsonl")
-	f := StartFederation(t, FedOptions{
-		Cabinets:         cabinets,
+	f := StartTree(t, TreeOptions{
+		Tiers:            []Tier{{Fanout: cabinets, Grace: 3, Failsafe: failsafe}},
 		AgentsPerCabinet: agents,
 		Budget:           budget,
 		PH:               ph,
-		BudgetGrace:      3,
-		FailsafeBudget:   failsafe,
-		CoordOpts: func(cfg *fedd.Config) {
+		Coord: func(_ []int, cfg *fedd.Config) {
 			cfg.JournalPath = journal
 		},
 	})
 	f.AwaitGoverned(20 * time.Second)
 	WaitUntil(t, 20*time.Second, func() bool {
-		for _, c := range f.Cabinets {
+		for _, c := range f.Cabinets() {
 			if c.Status().DegradeOps < 1 {
 				return false
 			}
@@ -175,9 +171,9 @@ func TestFederationCoordinatorColdRestart(t *testing.T) {
 
 	// Kill the coordinator. Grants stop fleet-wide; every cabinet's grace
 	// window (3 × 50ms) expires and the dead-man floors it.
-	f.StopCoordinator()
+	f.Coord().Stop()
 	WaitUntil(t, 15*time.Second, func() bool {
-		for _, c := range f.Cabinets {
+		for _, c := range f.Cabinets() {
 			st := c.Status()
 			if st.Governed || st.BudgetFloors < 1 ||
 				st.ThresholdPLW != float64(failsafe.PL) {
@@ -190,13 +186,13 @@ func TestFederationCoordinatorColdRestart(t *testing.T) {
 	// Restart over the same journal. The recovered coordinator seeds the
 	// pre-crash grant state, cabinets redial under their capped backoff,
 	// and each leaves its failsafe band for a fresh grant.
-	restarted := f.RestartCoordinator()
+	restarted := f.Coord().Restart()
 	if got := len(restarted.CabinetStates()); got != cabinets {
 		t.Errorf("restarted coordinator recovered %d cabinets from its journal, want %d",
 			got, cabinets)
 	}
 	WaitUntil(t, 20*time.Second, func() bool {
-		for _, c := range f.Cabinets {
+		for _, c := range f.Cabinets() {
 			st := c.Status()
 			if !st.Governed || st.ThresholdPLW <= float64(failsafe.PH) {
 				return false
@@ -207,7 +203,7 @@ func TestFederationCoordinatorColdRestart(t *testing.T) {
 
 	// Restore follows: with the granted band back, nodes leave the floor.
 	WaitUntil(t, 30*time.Second, func() bool {
-		for _, c := range f.Cabinets {
+		for _, c := range f.Cabinets() {
 			if c.MinLevel() < 1 {
 				return false
 			}
@@ -220,7 +216,7 @@ func TestFederationCoordinatorColdRestart(t *testing.T) {
 		if len(recs) == 0 {
 			t.Fatalf("cabinet %d recorded no cycles", cab)
 		}
-		if err := scenario.CheckAlgorithmOne(recs, f.Cabinets[cab].Opt.Tg); err != nil {
+		if err := scenario.CheckAlgorithmOne(recs, f.Cabinet(cab).Opt.Tg); err != nil {
 			t.Errorf("cabinet %d violated Algorithm 1: %v", cab, err)
 		}
 	}

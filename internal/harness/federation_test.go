@@ -25,8 +25,8 @@ import (
 // budget.
 func TestFederationDividesBudget(t *testing.T) {
 	const budget = 1e6
-	f := StartFederation(t, FedOptions{
-		Cabinets:         2,
+	f := StartTree(t, TreeOptions{
+		Tiers:            []Tier{{Fanout: 2}},
 		AgentsPerCabinet: 4,
 		Budget:           budget,
 	})
@@ -36,7 +36,7 @@ func TestFederationDividesBudget(t *testing.T) {
 	// Options band (which fill() would have left at the 1e6/2e6 default
 	// in PL only by coincidence here — so check the grant echo directly).
 	WaitUntil(t, 15*time.Second, func() bool {
-		states := f.Coord.CabinetStates()
+		states := f.Coord().CabinetStates()
 		if len(states) != 2 {
 			return false
 		}
@@ -51,7 +51,7 @@ func TestFederationDividesBudget(t *testing.T) {
 			t.Fatalf("grants exceed global budget: %.0f > %.0f", sum, budget)
 		}
 		for _, cs := range states {
-			st := f.Cabinets[cs.Cabinet].Status()
+			st := f.Cabinet(cs.Cabinet).Status()
 			if !st.Governed || st.BudgetGrants < 1 {
 				return false
 			}
@@ -63,7 +63,7 @@ func TestFederationDividesBudget(t *testing.T) {
 		}
 		return true
 	}, "cabinets never settled under matching coordinator grants: %+v",
-		f.Coord.CabinetStates())
+		f.Coord().CabinetStates())
 }
 
 // TestFederationCabinetPartitionMidSpike is the federation chaos gate:
@@ -86,22 +86,19 @@ func TestFederationCabinetPartitionMidSpike(t *testing.T) {
 		floorW   = 200
 	)
 	failsafe := power.Thresholds{PL: 100, PH: 120}
-	f := StartFederation(t, FedOptions{
-		Cabinets:         cabinets,
+	f := StartTree(t, TreeOptions{
+		Tiers: []Tier{{Fanout: cabinets, Breaker: breaker, FloorW: floorW,
+			Grace: 3, Failsafe: failsafe}},
 		AgentsPerCabinet: agents,
 		Budget:           budget,
 		PH:               ph,
-		Breaker:          breaker,
-		FloorW:           floorW,
-		BudgetGrace:      3,
-		FailsafeBudget:   failsafe,
 	})
 	f.AwaitGoverned(20 * time.Second)
 
 	// Mid-spike: every cabinet's grant is below its natural draw, so all
 	// three must be actively degrading before the fault lands.
 	WaitUntil(t, 20*time.Second, func() bool {
-		for _, c := range f.Cabinets {
+		for _, c := range f.Cabinets() {
 			if c.Status().DegradeOps < 1 {
 				return false
 			}
@@ -110,7 +107,7 @@ func TestFederationCabinetPartitionMidSpike(t *testing.T) {
 	}, "cabinets never started capping under their grants")
 
 	preGrant := func(cab int) float64 {
-		for _, cs := range f.Coord.CabinetStates() {
+		for _, cs := range f.Coord().CabinetStates() {
 			if cs.Cabinet == cab {
 				return cs.GrantW
 			}
@@ -120,27 +117,27 @@ func TestFederationCabinetPartitionMidSpike(t *testing.T) {
 
 	// Blackhole cabinet 1 ↔ coordinator, both directions: reports and
 	// grants go silent with no error on either side.
-	f.PartitionCabinet(1)
+	f.Partition(1)
 
 	// Cabinet side of the dead-man: grants stop, the grace window runs
 	// out, and the cabinet floors itself onto the failsafe band. The
 	// failsafe P_H sits below even the floored draw, so the band is
 	// permanently red and every node must be driven to level 0.
 	WaitUntil(t, 15*time.Second, func() bool {
-		st := f.Cabinets[1].Status()
+		st := f.Cabinet(1).Status()
 		return !st.Governed && st.BudgetFloors >= 1 &&
 			st.ThresholdPLW == float64(failsafe.PL)
 	}, "partitioned cabinet never floored to its failsafe band: %+v",
-		f.Cabinets[1].Status())
+		f.Cabinet(1).Status())
 	WaitUntil(t, 15*time.Second, func() bool {
-		for _, lv := range f.Cabinets[1].Levels() {
+		for _, lv := range f.Cabinet(1).Levels() {
 			if lv != 0 {
 				return false
 			}
 		}
 		return true
 	}, "partitioned cabinet never drove all nodes to the floor: %v",
-		f.Cabinets[1].Levels())
+		f.Cabinet(1).Levels())
 
 	// Coordinator side: cabinet 1 goes lost and its share (minus the
 	// reserved floor) is re-divided among the survivors, whose grants
@@ -148,7 +145,7 @@ func TestFederationCabinetPartitionMidSpike(t *testing.T) {
 	WaitUntil(t, 15*time.Second, func() bool {
 		var lost bool
 		var g0 float64
-		for _, cs := range f.Coord.CabinetStates() {
+		for _, cs := range f.Coord().CabinetStates() {
 			switch cs.Cabinet {
 			case 0:
 				g0 = cs.GrantW
@@ -158,10 +155,10 @@ func TestFederationCabinetPartitionMidSpike(t *testing.T) {
 		}
 		return lost && g0 >= 1500
 	}, "coordinator never re-divided the lost cabinet's share: %+v",
-		f.Coord.CabinetStates())
+		f.Coord().CabinetStates())
 	t.Logf("cabinet 0 grant before/after partition: %.0f W → %.0f W",
 		preGrant, func() float64 {
-			for _, cs := range f.Coord.CabinetStates() {
+			for _, cs := range f.Coord().CabinetStates() {
 				if cs.Cabinet == 0 {
 					return cs.GrantW
 				}
@@ -171,7 +168,7 @@ func TestFederationCabinetPartitionMidSpike(t *testing.T) {
 
 	// Survivors must stay governed throughout — no collateral flooring.
 	for _, cab := range []int{0, 2} {
-		if st := f.Cabinets[cab].Status(); !st.Governed {
+		if st := f.Cabinet(cab).Status(); !st.Governed {
 			t.Errorf("survivor cabinet %d lost governance during the partition: %+v", cab, st)
 		}
 	}
@@ -179,13 +176,13 @@ func TestFederationCabinetPartitionMidSpike(t *testing.T) {
 	// Heal. Reports resume on the same connection, the coordinator sees
 	// the cabinet live again, re-grants it, and the cabinet leaves its
 	// failsafe band for the granted one.
-	f.HealCabinet(1)
+	f.Heal(1)
 	WaitUntil(t, 20*time.Second, func() bool {
-		st := f.Cabinets[1].Status()
+		st := f.Cabinet(1).Status()
 		return st.Governed && st.ThresholdPLW > float64(failsafe.PH)
-	}, "healed cabinet never rejoined governed: %+v", f.Cabinets[1].Status())
+	}, "healed cabinet never rejoined governed: %+v", f.Cabinet(1).Status())
 	WaitUntil(t, 20*time.Second, func() bool {
-		for _, cs := range f.Coord.CabinetStates() {
+		for _, cs := range f.Coord().CabinetStates() {
 			if cs.Cabinet == 1 {
 				return cs.Live
 			}
@@ -196,14 +193,14 @@ func TestFederationCabinetPartitionMidSpike(t *testing.T) {
 	// Steady-green restore must resume off the failsafe floor once the
 	// granted band is back (floored draw sits well below the grant).
 	WaitUntil(t, 30*time.Second, func() bool {
-		return f.Cabinets[1].MinLevel() >= 1
-	}, "healed cabinet never restored off the floor: %v", f.Cabinets[1].Levels())
+		return f.Cabinet(1).MinLevel() >= 1
+	}, "healed cabinet never restored off the floor: %v", f.Cabinet(1).Levels())
 
 	// The whole federation settles inside the global band.
 	streak := 0
 	WaitUntil(t, 30*time.Second, func() bool {
 		total := 0.0
-		for _, c := range f.Cabinets {
+		for _, c := range f.Cabinets() {
 			st := c.Status()
 			if st.LastPowerW <= 0 {
 				streak = 0
@@ -226,7 +223,7 @@ func TestFederationCabinetPartitionMidSpike(t *testing.T) {
 		if len(recs) == 0 {
 			t.Fatalf("cabinet %d recorded no cycles", cab)
 		}
-		if err := scenario.CheckAlgorithmOne(recs, f.Cabinets[cab].Opt.Tg); err != nil {
+		if err := scenario.CheckAlgorithmOne(recs, f.Cabinet(cab).Opt.Tg); err != nil {
 			t.Errorf("cabinet %d violated Algorithm 1: %v", cab, err)
 		}
 	}
@@ -248,16 +245,15 @@ func TestFederationStandbyTakeoverInvisible(t *testing.T) {
 		ph       = 2000
 	)
 	lease := filepath.Join(t.TempDir(), "lease.json")
-	f := StartFederation(t, FedOptions{
-		Cabinets:         cabinets,
+	f := StartTree(t, TreeOptions{
+		// The takeover must complete well inside this window for the
+		// coordinator to stay blind to it.
+		Tiers:            []Tier{{Fanout: cabinets, StaleAfter: 2 * time.Second}},
 		AgentsPerCabinet: agents,
 		Budget:           budget,
 		PH:               ph,
-		// The takeover must complete well inside this window for the
-		// coordinator to stay blind to it.
-		StaleAfter: 2 * time.Second,
-		CabOpts: func(cab int, o *Options) {
-			if cab != 1 {
+		Cabinet: func(path []int, o *Options) {
+			if path[0] != 1 {
 				return
 			}
 			o.LeasePath = lease
@@ -271,7 +267,7 @@ func TestFederationStandbyTakeoverInvisible(t *testing.T) {
 	f.AwaitGoverned(20 * time.Second)
 
 	// Mid-spike on the HA cabinet, with the standby fully caught up.
-	c1 := f.Cabinets[1]
+	c1 := f.Cabinet(1)
 	sb := c1.StartStandby(4)
 	WaitUntil(t, 20*time.Second, func() bool {
 		st := c1.Status()
@@ -284,7 +280,7 @@ func TestFederationStandbyTakeoverInvisible(t *testing.T) {
 	// takeover is invisible at the federation tier.
 	c1.StopManager()
 	cab1Live := func() bool {
-		for _, cs := range f.Coord.CabinetStates() {
+		for _, cs := range f.Coord().CabinetStates() {
 			if cs.Cabinet == 1 {
 				return cs.Live
 			}
@@ -306,7 +302,7 @@ func TestFederationStandbyTakeoverInvisible(t *testing.T) {
 			case <-time.After(5 * time.Millisecond):
 				if !cab1Live() {
 					t.Errorf("coordinator saw cabinet 1 go lost during takeover: %+v",
-						f.Coord.CabinetStates())
+						f.Coord().CabinetStates())
 					return
 				}
 			}
@@ -323,13 +319,13 @@ func TestFederationStandbyTakeoverInvisible(t *testing.T) {
 	// The promoted manager reports at a fenced higher epoch, which the
 	// coordinator's cabinet view picks up from its reports.
 	WaitUntil(t, 15*time.Second, func() bool {
-		for _, cs := range f.Coord.CabinetStates() {
+		for _, cs := range f.Coord().CabinetStates() {
 			if cs.Cabinet == 1 {
 				return cs.Live && cs.Epoch >= 2
 			}
 		}
 		return false
-	}, "coordinator never saw the fenced epoch: %+v", f.Coord.CabinetStates())
+	}, "coordinator never saw the fenced epoch: %+v", f.Coord().CabinetStates())
 
 	// Continuity, not free-fall: no agent dead-man switch fired across
 	// the failover, and the cabinet still enforces a granted band.

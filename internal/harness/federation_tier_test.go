@@ -31,35 +31,30 @@ func TestThreeTierRowPartitionMidSpike(t *testing.T) {
 	// floored draw, so cabinets under the orphaned row keep a live,
 	// enforceable grant the whole way through.
 	rowFailsafe := power.Thresholds{PL: 2600, PH: 2700}
-	tt := StartThreeTier(t, TierOptions{
-		Rows:             rows,
-		CabinetsPerRow:   cabsPer,
+	tt := StartTree(t, TreeOptions{
+		Tiers: []Tier{
+			{Fanout: rows, Breaker: rowBrk, FloorW: rowFloorW, Grace: 3, Failsafe: rowFailsafe},
+			{Fanout: cabsPer, Grace: 3},
+		},
 		AgentsPerCabinet: agents,
 		Budget:           budget,
 		PH:               ph,
-		RowBreaker:       rowBrk,
-		RowFloorW:        rowFloorW,
-		RowBudgetGrace:   3,
-		RowFailsafe:      rowFailsafe,
-		BudgetGrace:      3,
 	})
 	tt.AwaitGoverned(30 * time.Second)
 
 	// Mid-spike: every cabinet's grant is below its natural draw, so all
 	// eight must be actively degrading before the fault lands.
 	WaitUntil(t, 20*time.Second, func() bool {
-		for _, cabs := range tt.Cabinets {
-			for _, c := range cabs {
-				if c.Status().DegradeOps < 1 {
-					return false
-				}
+		for _, c := range tt.Cabinets() {
+			if c.Status().DegradeOps < 1 {
+				return false
 			}
 		}
 		return true
 	}, "cabinets never started capping under their grants")
 
 	rowGrant := func(r int) float64 {
-		for _, cs := range tt.Facility.CabinetStates() {
+		for _, cs := range tt.Coord().CabinetStates() {
 			if cs.Cabinet == r {
 				return cs.GrantW
 			}
@@ -69,16 +64,16 @@ func TestThreeTierRowPartitionMidSpike(t *testing.T) {
 	preGrant := rowGrant(0)
 
 	// Blackhole row 1 ↔ facility, both directions.
-	tt.PartitionRow(1)
+	tt.Partition(1)
 
 	// Row side of the dead-man: facility grants stop, the grace window
 	// runs out, and row 1 floors itself onto its failsafe band — visible
 	// as a budget_floors strike in its registry and a Governed() drop.
 	WaitUntil(t, 15*time.Second, func() bool {
-		if tt.Rows[1].Governed() {
+		if tt.Coord(1).Governed() {
 			return false
 		}
-		v, ok := tt.Rows[1].Obs().Value("budget_floors")
+		v, ok := tt.Coord(1).Obs().Value("budget_floors")
 		return ok && v >= 1
 	}, "partitioned row never floored to its failsafe band")
 
@@ -86,7 +81,7 @@ func TestThreeTierRowPartitionMidSpike(t *testing.T) {
 	// slices of the failsafe budget but stay live grants — no cabinet
 	// under row 1 ever fires its own dead-man switch.
 	WaitUntil(t, 15*time.Second, func() bool {
-		for _, c := range tt.Cabinets[1] {
+		for _, c := range tt.Cabinets(1) {
 			st := c.Status()
 			if !st.Governed || st.ThresholdPLW > 700 {
 				return false
@@ -94,8 +89,8 @@ func TestThreeTierRowPartitionMidSpike(t *testing.T) {
 		}
 		return true
 	}, "row 1 cabinets never settled on failsafe-band slices: %+v",
-		tt.Rows[1].CabinetStates())
-	for cab, c := range tt.Cabinets[1] {
+		tt.Coord(1).CabinetStates())
+	for cab, c := range tt.Cabinets(1) {
 		if st := c.Status(); st.BudgetFloors != 0 {
 			t.Errorf("row 1 cabinet %d fired its own dead-man (%d floors) despite row grants",
 				cab, st.BudgetFloors)
@@ -107,37 +102,37 @@ func TestThreeTierRowPartitionMidSpike(t *testing.T) {
 	// breaker.
 	WaitUntil(t, 15*time.Second, func() bool {
 		var lost bool
-		for _, cs := range tt.Facility.CabinetStates() {
+		for _, cs := range tt.Coord().CabinetStates() {
 			if cs.Cabinet == 1 {
 				lost = !cs.Live
 			}
 		}
 		return lost && rowGrant(0) >= 4000
 	}, "facility never re-divided the lost row's share: %+v",
-		tt.Facility.CabinetStates())
+		tt.Coord().CabinetStates())
 	t.Logf("row 0 grant before/after partition: %.0f W → %.0f W", preGrant, rowGrant(0))
 
 	// The raise propagates down: row 0's cabinets see their grants rise
 	// toward their natural draw.
 	WaitUntil(t, 15*time.Second, func() bool {
-		for _, c := range tt.Cabinets[0] {
+		for _, c := range tt.Cabinets(0) {
 			if c.Status().ThresholdPLW < 950 {
 				return false
 			}
 		}
 		return true
 	}, "row 0 cabinets never received the re-divided budget: %+v",
-		tt.Rows[0].CabinetStates())
+		tt.Coord(0).CabinetStates())
 
 	// Heal. The row's next report or redial resubscribes it; the facility
 	// re-grants and the row leaves its failsafe band, which propagates to
 	// its cabinets.
-	tt.HealRow(1)
+	tt.Heal(1)
 	WaitUntil(t, 20*time.Second, func() bool {
-		return tt.Rows[1].Governed()
+		return tt.Coord(1).Governed()
 	}, "healed row never rejoined governed")
 	WaitUntil(t, 20*time.Second, func() bool {
-		for _, cs := range tt.Facility.CabinetStates() {
+		for _, cs := range tt.Coord().CabinetStates() {
 			if cs.Cabinet == 1 {
 				return cs.Live
 			}
@@ -145,14 +140,14 @@ func TestThreeTierRowPartitionMidSpike(t *testing.T) {
 		return false
 	}, "facility never saw the healed row live again")
 	WaitUntil(t, 20*time.Second, func() bool {
-		for _, c := range tt.Cabinets[1] {
+		for _, c := range tt.Cabinets(1) {
 			if c.Status().ThresholdPLW <= 700 {
 				return false
 			}
 		}
 		return true
 	}, "row 1 cabinets never left their failsafe-band slices: %+v",
-		tt.Rows[1].CabinetStates())
+		tt.Coord(1).CabinetStates())
 
 	// Algorithm 1 must have held inside every cabinet across the entire
 	// run — spike, row floor, re-division, heal and restore included.
@@ -162,7 +157,7 @@ func TestThreeTierRowPartitionMidSpike(t *testing.T) {
 			if len(recs) == 0 {
 				t.Fatalf("row %d cabinet %d recorded no cycles", r, cab)
 			}
-			if err := scenario.CheckAlgorithmOne(recs, tt.Cabinets[r][cab].Opt.Tg); err != nil {
+			if err := scenario.CheckAlgorithmOne(recs, tt.Cabinet(r, cab).Opt.Tg); err != nil {
 				t.Errorf("row %d cabinet %d violated Algorithm 1: %v", r, cab, err)
 			}
 		}

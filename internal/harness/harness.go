@@ -140,7 +140,7 @@ type Options struct {
 	// relays for the simulated plant's nodes.
 	AgentSetup func(i int, cfg *agentd.Config)
 
-	// --- Capping federation (federation.go) ---
+	// --- Capping federation (tree.go) ---
 	// These pass through to managerd's governed mode. Because
 	// serverConfig carries them, a manager restarted with StartManager
 	// and a standby promoted with PromoteStandby both redial the
