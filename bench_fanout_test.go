@@ -89,9 +89,9 @@ func (f *benchFleet) wireAgents(b *testing.B, agents int) {
 		}
 		c := wire.NewConn(raw)
 		// Drain the read side before writing anything: the hello below
-		// makes the manager answer with a codec-negotiation reply, and
-		// faultnet pipes are unbuffered — an unread reply would deadlock
-		// both sides mid-handshake. Real agents read concurrently too.
+		// makes the manager answer with a codec-negotiation reply, and a
+		// faultnet link buffers 512 B — replies nobody reads would soon
+		// block the manager's writes. Real agents read concurrently too.
 		go func() { // drain replies/commands/pings so writes never block
 			var e wire.Envelope // reused like a real agent's hot read loop
 			for {

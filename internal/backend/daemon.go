@@ -3,6 +3,7 @@ package backend
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"repro/internal/agentd"
@@ -144,7 +145,12 @@ func (d *Daemon) controlEvent(now time.Duration, control func(now time.Duration)
 				d.hc.Server.SamplesReceived()-base, len(readings), d.ackTimeout)
 			return
 		}
-		time.Sleep(50 * time.Microsecond)
+		// Yield, do not sleep: the link buffers, so the pushes above
+		// return before the manager's readers have run, and those
+		// readers are runnable now. A sub-millisecond sleep in an
+		// otherwise idle process lasts a full timer tick (≈ 1 ms here),
+		// once per control period.
+		runtime.Gosched()
 	}
 
 	cyc := d.hc.Server.StartExternalCycle()

@@ -7,23 +7,35 @@
 //     jitter, probabilistic message drops, mid-write connection kills, byte
 //     corruption and truncation, directional blackholes (for asymmetric
 //     partitions) and slow-reader throttling (backpressure).
-//   - Network: an in-memory listener/dialer pair built on net.Pipe, so an
-//     entire managerd+agentd cluster runs in one process with no sockets,
-//     every connection routed through fault-injecting wrappers.
+//   - Network: an in-memory listener/dialer pair, so an entire
+//     managerd+agentd cluster runs in one process with no sockets, every
+//     connection routed through fault-injecting Conns.
 //
-// Every random decision is drawn from a *rand.Rand derived deterministically
+// A link is two bounded byte rings, one per direction (pipe.go). A Write
+// copies into the peer's ring and returns, as a send into a kernel socket
+// buffer does, and blocks only while the ring is full; nothing is handed
+// over goroutine to goroutine. The exception is derived, not configured: a
+// direction whose reader is throttled (Profile.ReadBytesPerSec > 0) is a
+// rendezvous — the write returns only once the slow reader has drained it —
+// so a wedged host looks like one whose socket buffer is already full, and
+// the writer's deadline is what bounds the stall. Deadlines are the link's
+// own: they apply to calls already blocked and fail them with
+// os.ErrDeadlineExceeded.
+//
+// Every random decision is drawn from a PCG stream seeded deterministically
 // from (network seed, connection key, dial attempt), so a failure sequence
 // replays exactly for a given seed regardless of wall-clock timing: the k-th
 // write on the j-th connection of agent i sees the same fault on every run.
 //
-// The wire protocol is newline-delimited JSON where one message is one
-// bufio flush, i.e. one Write call on the wrapped conn — so per-Write fault
-// rolls are per-message fault rolls.
+// The wire protocol (newline-delimited JSON for the handshake, length-
+// prefixed binary frames after it) sends one message — or one coalesced
+// batch — per Write call, so per-Write fault rolls are per-message fault
+// rolls.
 package faultnet
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -45,7 +57,9 @@ type Profile struct {
 
 	// KillProb is the probability a write delivers only a prefix of its
 	// payload and then kills the connection (both directions), modelling a
-	// connection reset mid-message.
+	// connection reset mid-message: the peer still reads the prefix, then
+	// io.EOF; whatever the peer had sent and the killer had not yet read
+	// is discarded.
 	KillProb float64
 
 	// CorruptProb is the probability one random byte of a write is
@@ -58,9 +72,9 @@ type Profile struct {
 	TruncateProb float64
 
 	// ReadBytesPerSec throttles this side's reads to roughly the given
-	// sustained rate (0 = unlimited). Because the underlying pipe is
-	// synchronous, a slow reader exerts real backpressure: the peer's
-	// writes block until the throttled reader drains them.
+	// sustained rate (0 = unlimited). A throttled reader has no buffer to
+	// hide behind: the peer's writes block until it has drained them, so
+	// a slow reader exerts real backpressure.
 	ReadBytesPerSec int
 
 	// FirstWriteClean exempts the connection's first write from drop,
@@ -97,14 +111,13 @@ func (s *Stats) add(o Stats) {
 	s.Blackhole += o.Blackhole
 }
 
-// Conn wraps a net.Conn with fault injection. It implements net.Conn;
-// deadlines pass through to the underlying conn (net.Pipe supports them).
-// One Conn wraps one side of a link: its Write faults model that side's
-// outbound path, its read throttle models that side's inbound drain rate.
+// Conn is one end of an in-memory link with fault injection. It implements
+// net.Conn. Its Write faults model that side's outbound path, its read
+// throttle models that side's inbound drain rate.
 type Conn struct {
-	inner net.Conn
+	rd, wr *half // inbound and outbound direction; the peer holds them swapped
 
-	mu    sync.Mutex // guards rng, prof, stats
+	mu    sync.Mutex // guards rng, prof, stats, wrote
 	rng   *rand.Rand
 	prof  Profile
 	stats Stats
@@ -114,10 +127,15 @@ type Conn struct {
 	killed    atomic.Bool
 }
 
-// Wrap builds a fault-injecting wrapper around inner. The rng must be
-// dedicated to this conn; Conn serialises access to it internally.
-func Wrap(inner net.Conn, prof Profile, rng *rand.Rand) *Conn {
-	return &Conn{inner: inner, prof: prof, rng: rng}
+// newLink builds the two ends of one link. The fault streams of the two
+// ends are independent PCG sequences of the one seed.
+func newLink(client, server Profile, seed uint64) (c, s *Conn) {
+	up, down := newHalf(), newHalf()
+	c = &Conn{rd: down, wr: up, rng: rand.New(rand.NewPCG(seed, 0))}
+	s = &Conn{rd: up, wr: down, rng: rand.New(rand.NewPCG(splitmix64(seed), 0))}
+	c.SetProfile(client)
+	s.SetProfile(server)
+	return c, s
 }
 
 // Stats returns a snapshot of the faults injected so far.
@@ -133,6 +151,7 @@ func (c *Conn) SetProfile(p Profile) {
 	c.mu.Lock()
 	c.prof = p
 	c.mu.Unlock()
+	c.rd.setRate(p.ReadBytesPerSec)
 }
 
 // SetBlackhole silently discards (true) or delivers (false) this side's
@@ -157,17 +176,17 @@ func (c *Conn) Write(p []byte) (int, error) {
 	if prof.Latency > 0 || prof.Jitter > 0 {
 		delay = prof.Latency
 		if prof.Jitter > 0 {
-			delay += time.Duration(c.rng.Int63n(int64(prof.Jitter)))
+			delay += time.Duration(c.rng.Int64N(int64(prof.Jitter)))
 		}
 	}
 	roll := c.rng.Float64()
 	cut := 0
 	if len(p) > 1 {
-		cut = 1 + c.rng.Intn(len(p)-1)
+		cut = 1 + c.rng.IntN(len(p)-1)
 	}
 	flip := 0
 	if len(p) > 0 {
-		flip = c.rng.Intn(len(p))
+		flip = c.rng.IntN(len(p))
 	}
 	if c.blackhole.Load() {
 		c.stats.Blackhole++
@@ -207,10 +226,10 @@ func (c *Conn) Write(p []byte) (int, error) {
 		return len(p), nil
 	case "kill":
 		if cut > 0 {
-			_, _ = c.inner.Write(p[:cut])
+			_, _ = c.wr.write(p[:cut])
 		}
 		c.killed.Store(true)
-		c.inner.Close()
+		c.Close()
 		return cut, fmt.Errorf("faultnet: connection killed mid-write")
 	case "corrupt":
 		q := make([]byte, len(p))
@@ -221,7 +240,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		p = q
 	case "truncate":
 		if cut > 0 {
-			n, err := c.inner.Write(p[:cut])
+			n, err := c.wr.write(p[:cut])
 			if err != nil {
 				return n, err
 			}
@@ -230,47 +249,52 @@ func (c *Conn) Write(p []byte) (int, error) {
 		// as with bytes parked in a kernel buffer at connection loss.
 		return len(p), nil
 	}
-	return c.inner.Write(p)
+	return c.wr.write(p)
 }
 
-// Read delivers inbound bytes, throttled to the profile's read rate.
+// Read delivers inbound bytes. A throttled reader takes them in small sips
+// and sleeps in proportion, and the peer's write stays blocked until the
+// last sip.
 func (c *Conn) Read(p []byte) (int, error) {
-	c.mu.Lock()
-	rate := c.prof.ReadBytesPerSec
-	c.mu.Unlock()
-	if rate <= 0 {
-		return c.inner.Read(p)
-	}
-	// Read in small sips and sleep proportionally, so the synchronous
-	// pipe makes the peer's writes stall — genuine backpressure.
-	max := rate / 10
-	if max < 1 {
-		max = 1
-	}
-	if len(p) > max {
-		p = p[:max]
-	}
-	n, err := c.inner.Read(p)
-	if n > 0 {
+	n, rate, err := c.rd.read(p)
+	if rate > 0 && n > 0 {
 		time.Sleep(time.Duration(n) * time.Second / time.Duration(rate))
 	}
 	return n, err
 }
 
-// Close closes the underlying conn.
-func (c *Conn) Close() error { return c.inner.Close() }
+// Close closes this end: its blocked and future calls fail with
+// io.ErrClosedPipe, the peer reads what this end had written and then
+// io.EOF, and the peer's writes fail.
+func (c *Conn) Close() error {
+	c.rd.closeRead()
+	c.wr.closeWrite()
+	return nil
+}
 
-// LocalAddr returns the underlying local address.
-func (c *Conn) LocalAddr() net.Addr { return c.inner.LocalAddr() }
+// LocalAddr returns the in-memory network's address.
+func (c *Conn) LocalAddr() net.Addr { return Addr{Name: "faultnet"} }
 
-// RemoteAddr returns the underlying remote address.
-func (c *Conn) RemoteAddr() net.Addr { return c.inner.RemoteAddr() }
+// RemoteAddr returns the in-memory network's address.
+func (c *Conn) RemoteAddr() net.Addr { return Addr{Name: "faultnet"} }
 
-// SetDeadline passes through to the underlying conn.
-func (c *Conn) SetDeadline(t time.Time) error { return c.inner.SetDeadline(t) }
+// SetDeadline sets the read and the write deadline.
+func (c *Conn) SetDeadline(t time.Time) error {
+	c.rd.setReadDeadline(t)
+	c.wr.setWriteDeadline(t)
+	return nil
+}
 
-// SetReadDeadline passes through to the underlying conn.
-func (c *Conn) SetReadDeadline(t time.Time) error { return c.inner.SetReadDeadline(t) }
+// SetReadDeadline bounds Reads, including one already blocked; the zero
+// time removes the bound.
+func (c *Conn) SetReadDeadline(t time.Time) error {
+	c.rd.setReadDeadline(t)
+	return nil
+}
 
-// SetWriteDeadline passes through to the underlying conn.
-func (c *Conn) SetWriteDeadline(t time.Time) error { return c.inner.SetWriteDeadline(t) }
+// SetWriteDeadline bounds Writes, including one already blocked; the zero
+// time removes the bound.
+func (c *Conn) SetWriteDeadline(t time.Time) error {
+	c.wr.setWriteDeadline(t)
+	return nil
+}

@@ -328,13 +328,22 @@ func TestNetworkKillBreaksBothEnds(t *testing.T) {
 	lines := startEcho(t, n.Listener())
 	c := dial(t, n, 6)
 	fmt.Fprint(c, "pre\n")
+	// Kill is a reset: it discards what is still in the link's buffer, so
+	// let "pre" arrive first.
+	var got []string
+	select {
+	case l := <-lines:
+		got = append(got, l)
+	case <-time.After(2 * time.Second):
+		t.Fatal("pre never arrived")
+	}
 	if !n.Kill(6) {
 		t.Fatal("no live link to kill")
 	}
 	if _, err := fmt.Fprint(c, "post\n"); err == nil {
 		t.Error("write on killed link succeeded")
 	}
-	got := collect(lines, time.Second)
+	got = append(got, collect(lines, time.Second)...)
 	if len(got) != 1 || got[0] != "pre" {
 		t.Errorf("got %v", got)
 	}

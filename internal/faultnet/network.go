@@ -3,7 +3,6 @@ package faultnet
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 )
@@ -89,7 +88,7 @@ func (n *Network) SetClientProfile(key uint64, p Profile) {
 }
 
 // splitmix64 scrambles the (seed, key, attempt) triple into an independent
-// per-connection RNG seed (same finaliser as sim's RNG streams).
+// per-link RNG seed (same finaliser as sim's RNG streams).
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -121,10 +120,8 @@ func (n *Network) Dial(ctx context.Context, key uint64) (net.Conn, error) {
 	part := n.parts[key]
 	n.mu.Unlock()
 
-	p1, p2 := net.Pipe()
-	base := splitmix64(uint64(n.seed) ^ splitmix64(key) ^ splitmix64(attempt<<32))
-	client := Wrap(p1, cprof, rand.New(rand.NewSource(int64(base))))
-	server := Wrap(p2, sprof, rand.New(rand.NewSource(int64(splitmix64(base)))))
+	client, server := newLink(cprof, sprof,
+		splitmix64(uint64(n.seed)^splitmix64(key)^splitmix64(attempt<<32)))
 	client.SetBlackhole(part.toServer)
 	server.SetBlackhole(part.fromServer)
 	l := &link{key: key, attempt: attempt, client: client, server: server}
@@ -132,8 +129,6 @@ func (n *Network) Dial(ctx context.Context, key uint64) (net.Conn, error) {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		p1.Close()
-		p2.Close()
 		return nil, fmt.Errorf("faultnet: network closed")
 	}
 	if old, ok := n.links[key]; ok {
@@ -147,12 +142,10 @@ func (n *Network) Dial(ctx context.Context, key uint64) (net.Conn, error) {
 	case n.accept <- server:
 		return client, nil
 	case <-n.done:
-		p1.Close()
-		p2.Close()
+		client.Close()
 		return nil, fmt.Errorf("faultnet: network closed")
 	case <-ctx.Done():
-		p1.Close()
-		p2.Close()
+		client.Close()
 		return nil, ctx.Err()
 	}
 }
@@ -169,8 +162,10 @@ func (n *Network) Link(key uint64) (client, server *Conn) {
 }
 
 // Kill force-closes the current connection of key (both directions),
-// driving the dialer through its reconnect path. It reports whether a
-// live link existed.
+// driving the dialer through its reconnect path. It is a reset, not a
+// shutdown: bytes written but not yet read are discarded, as a TCP RST
+// discards what sits in the socket buffers. It reports whether a live link
+// existed.
 func (n *Network) Kill(key uint64) bool {
 	n.mu.Lock()
 	l, ok := n.links[key]

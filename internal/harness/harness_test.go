@@ -130,7 +130,8 @@ func TestSlowReaderDoesNotStallControlCycle(t *testing.T) {
 		"capping never started")
 
 	// ~8 B/s: a ~50-byte command needs seconds to drain — far beyond
-	// CommandTimeout — and the synchronous pipe blocks the writer.
+	// CommandTimeout — and toward a throttled reader the link is a
+	// rendezvous, so the writer blocks until the drain or its deadline.
 	c.Net.SetClientProfile(3, faultnet.Profile{ReadBytesPerSec: 8})
 	st0 := c.Status()
 	start := time.Now()

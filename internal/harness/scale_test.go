@@ -194,12 +194,13 @@ func TestIdleFootprint(t *testing.T) {
 	const (
 		agents = 1024
 		never  = time.Hour
-		// Measured 44.3 KiB per agent on go1.24 linux/amd64 run alone (less
+		// Measured 35 KiB per agent on go1.24 linux/amd64 run alone (less
 		// after other tests, whose freed spans inflate the baseline): three
-		// 8 KiB stacks, ~13 KiB of test rig (faultnet's two RNGs per link,
-		// net.Pipe) and ~6 KiB of product heap. The ceiling is 25 % above;
-		// the parent of this commit measured 65 KiB and 5 goroutines.
-		maxBytesPerAgent = 56 << 10
+		// 8 KiB stacks (24–28 KiB in use, by run), ~2 KiB of test rig
+		// (faultnet's link: two 512 B rings, two ends and their
+		// bookkeeping) and ~7 KiB of product heap. The ceiling is 25 %
+		// above.
+		maxBytesPerAgent = 44 << 10
 	)
 	g0, h0, s0 := inUse()
 	c := Start(t, Options{

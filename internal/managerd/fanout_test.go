@@ -16,10 +16,15 @@ import (
 
 // Tests for the concurrent actuation path: per-node sender goroutines,
 // outbox coalescing, fan-out latency, and the attribution of send errors
-// across connection epochs. They run over faultnet (net.Pipe underneath):
-// a peer that stops reading blocks the manager's write immediately, with
-// no kernel socket buffer to hide behind, so slow-reader scenarios are
-// deterministic.
+// across connection epochs. They run over faultnet, whose links buffer a
+// few frames like a socket does — except toward a throttled reader, where
+// a write returns only once the peer has drained it. The agents that
+// "never read" below therefore dial under neverReads: the manager's write
+// to them blocks at once, with no buffer to hide behind, so slow-reader
+// scenarios are deterministic.
+
+// neverReads is the client profile of a wedged agent.
+var neverReads = faultnet.Profile{ReadBytesPerSec: 1}
 
 // fanoutConfig is the shared daemon shape for these tests: the control
 // loop is parked on an hour-long period so the test drives cycles
@@ -95,6 +100,7 @@ func TestSendErrorAttributionAcrossReconnect(t *testing.T) {
 	t.Cleanup(srv.Stop)
 
 	// First epoch: connect and never read, so any write to it stalls.
+	nw.SetClientProfile(7, neverReads)
 	dialFaultAgent(t, nw, 7, 9, 9)
 	waitFor(t, 5*time.Second, "agent registered", func() bool {
 		return currentConn(srv, 7) != nil
@@ -170,6 +176,7 @@ func TestJournalNeverPersistsSupersededLevel(t *testing.T) {
 	// The agent never reads: the first dispatched command wedges its
 	// sender for the full (long) CommandTimeout, and every later command
 	// coalesces in the outbox behind it.
+	nw.SetClientProfile(9, neverReads)
 	dialFaultAgent(t, nw, 9, 9, 9)
 	waitFor(t, 5*time.Second, "agent registered", func() bool {
 		return currentConn(srv, 9) != nil
@@ -253,6 +260,9 @@ func TestRedFloorFanoutNotSerialized(t *testing.T) {
 	t.Cleanup(srv.Stop)
 
 	for i := 0; i < agents; i++ {
+		if i >= agents-wedged {
+			nw.SetClientProfile(uint64(i), neverReads)
+		}
 		c := dialFaultAgent(t, nw, uint64(i), 9, 9)
 		if err := c.Send(busySample(i, 9)); err != nil {
 			t.Fatal(err)
