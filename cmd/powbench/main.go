@@ -186,7 +186,7 @@ func spawnFailoverDaemon(sc scenario.Scenario, ctrlEvery, sampleEvery time.Durat
 		Thresholds:     sc.Thresholds(benchModel),
 		CommandTimeout: 2 * time.Second,
 		FlapLimit:      -1,
-		Lease:          lease,
+		HA:             daemon.HA{Lease: lease},
 	}
 
 	pcfg := base
@@ -228,10 +228,7 @@ func spawnFailoverDaemon(sc scenario.Scenario, ctrlEvery, sampleEvery time.Durat
 		}
 		cfg := base
 		cfg.Listener = ln
-		cfg.Journal = p.Store
-		cfg.Epoch = p.Epoch
-		cfg.LeaseHolder = "standby"
-		cfg.TakeoverMicros = p.Leaderless.Microseconds()
+		cfg.HA = cfg.HA.Promoted(p, lease, "standby")
 		srv, err := daemon.Boot(managerd.New(cfg))
 		if err != nil {
 			ln.Close()

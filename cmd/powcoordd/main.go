@@ -139,7 +139,7 @@ func main() {
 		BudgetGrace:    *budgetGrace,
 		FailsafeBudget: failsafe,
 
-		JournalPath: *journalPath,
+		HA: daemon.HA{JournalPath: *journalPath},
 	}
 
 	var lease *replica.Lease
@@ -188,12 +188,7 @@ func runStandby(cfg fedd.Config, lease *replica.Lease, leader, journalPath strin
 		MissBudget: missBudget,
 		Holder:     "standby",
 	}, func(p replica.Promotion) (*fedd.Server, error) {
-		cfg.JournalPath = ""
-		cfg.Journal = p.Store
-		cfg.Epoch = p.Epoch
-		cfg.Lease = lease
-		cfg.LeaseHolder = "standby"
-		cfg.TakeoverMicros = p.Leaderless.Microseconds()
+		cfg.HA = cfg.HA.Promoted(p, lease, "standby")
 		srv := start(cfg) // a standby that cannot take over must not linger as one
 		fmt.Printf("powcoordd: promoted at epoch %d after %v leaderless, listening on %s\n",
 			p.Epoch, p.Leaderless.Round(time.Millisecond), srv.Addr())

@@ -98,7 +98,7 @@ func main() {
 		Tg:             *tg,
 		ControlEvery:   *period,
 		Thresholds:     power.Thresholds{PL: pl, PH: ph},
-		JournalPath:    *journal,
+		HA:             daemon.HA{JournalPath: *journal},
 		JournalEvery:   *journalEvery,
 		HeartbeatEvery: *heartbeat,
 		LostAfter:      *lostAfter,
@@ -178,12 +178,7 @@ func runStandby(cfg managerd.Config, lease *replica.Lease, leader, journalPath s
 		MissBudget: missBudget,
 		Holder:     "standby",
 	}, func(p replica.Promotion) (*managerd.Server, error) {
-		cfg.JournalPath = ""
-		cfg.Journal = p.Store
-		cfg.Epoch = p.Epoch
-		cfg.Lease = lease
-		cfg.LeaseHolder = "standby"
-		cfg.TakeoverMicros = p.Leaderless.Microseconds()
+		cfg.HA = cfg.HA.Promoted(p, lease, "standby")
 		srv := start(cfg) // a standby that cannot take over must not linger as one
 		fmt.Printf("powmgrd: promoted at epoch %d after %v leaderless, listening on %s\n",
 			p.Epoch, p.Leaderless.Round(time.Millisecond), srv.Addr())

@@ -56,23 +56,53 @@ type Options struct {
 	// ControlEvery is the period of the ticker driving Hooks.Cycle.
 	ControlEvery time.Duration
 
-	// Journal is the daemon's resolved journal store: the chassis stamps it
-	// with the leadership epoch and publishes its entries to followers.
-	// Opening and closing it stays with the daemon.
-	Journal *replica.Store
+	// HA arrives with Journal resolved: the chassis stamps that store with
+	// the leadership epoch and publishes its entries to followers. Opening
+	// and closing it stays with the daemon.
+	HA
 	// WriteTimeout arms each frame written to a follower.
 	WriteTimeout time.Duration
+}
+
+// HA is a daemon's high-availability configuration — its journal and its
+// leased leadership — embedded in managerd.Config, fedd.Config and Options.
+type HA struct {
+	// JournalPath, when non-empty, persists the journal (snapshot + append
+	// log) there, so a restart or a promoted standby resumes knowing what
+	// it inherited. Ignored when Journal is set.
+	JournalPath string
+	// Journal, when non-nil, is an already-open store adopted in place of
+	// opening JournalPath — a promoted standby hands its replicated copy
+	// over this way.
+	Journal *replica.Store
 	// Epoch fixes the leadership epoch. Zero with a Lease claims the epoch
 	// after whatever the lease file last recorded; the journal's epoch is a
 	// floor either way. Zero without a Lease leaves fencing off.
 	Epoch uint64
-	// Lease, when non-nil, is claimed at Start and renewed every lease
-	// period; a higher epoch appearing in it deposes the daemon.
-	Lease       *replica.Lease
+	// Lease, when non-nil, is the leadership lease: claimed at Start,
+	// renewed every Lease.Every while the daemon runs, watched by
+	// standbys. A higher epoch appearing in it deposes the daemon.
+	Lease *replica.Lease
+	// LeaseHolder names this instance in the lease file.
 	LeaseHolder string
 	// TakeoverMicros, when positive, is the leaderless time a promoted
-	// standby absorbed, surfaced as last_takeover_micros.
+	// standby absorbed before this daemon took over (surfaced as
+	// last_takeover_micros and observed into the takeover_micros
+	// histogram).
 	TakeoverMicros int64
+}
+
+// Promoted is the HA of the daemon a standby boots on promotion p: the
+// replicated store is the journal, at p's fenced-off epoch, holding lease
+// as holder.
+func (HA) Promoted(p replica.Promotion, lease *replica.Lease, holder string) HA {
+	return HA{
+		Journal:        p.Store,
+		Epoch:          p.Epoch,
+		Lease:          lease,
+		LeaseHolder:    holder,
+		TakeoverMicros: p.Leaderless.Microseconds(),
+	}
 }
 
 // Hooks is what a daemon supplies. Session, Status and Shed are required.

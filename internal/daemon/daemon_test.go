@@ -72,7 +72,7 @@ func newChassis(t *testing.T, s *stub, fill func(*daemon.Options)) *daemon.Chass
 	opt := daemon.Options{
 		Listen:       []daemon.Endpoint{{Addr: "127.0.0.1:0"}},
 		ControlEvery: time.Hour,
-		Journal:      journal,
+		HA:           daemon.HA{Journal: journal},
 		WriteTimeout: time.Second,
 	}
 	if fill != nil {

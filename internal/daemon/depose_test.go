@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/budget"
+	"repro/internal/daemon"
 	"repro/internal/faultnet"
 	"repro/internal/fedd"
 	"repro/internal/managerd"
@@ -94,8 +95,7 @@ func TestDeposedDaemonStopsTalkingUpward(t *testing.T) {
 				Thresholds:      power.Thresholds{PL: 1e6, PH: 2e6},
 				CoordinatorDial: p.dial,
 				ReportEvery:     reportEvery,
-				Lease:           lease,
-				LeaseHolder:     "primary",
+				HA:              daemon.HA{Lease: lease, LeaseHolder: "primary"},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -111,8 +111,7 @@ func TestDeposedDaemonStopsTalkingUpward(t *testing.T) {
 				ControlEvery: 5 * time.Millisecond,
 				ParentDial:   p.dial,
 				ReportEvery:  reportEvery,
-				Lease:        lease,
-				LeaseHolder:  "primary",
+				HA:           daemon.HA{Lease: lease, LeaseHolder: "primary"},
 			})
 			if err != nil {
 				t.Fatal(err)

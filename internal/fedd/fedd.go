@@ -123,32 +123,11 @@ type Config struct {
 	// loses its facility falls back to its static budget.
 	FailsafeBudget power.Thresholds
 
-	// --- high availability (lease + replicated grant journal) ---
-
-	// JournalPath, when non-empty, persists the grant journal (snapshot
-	// + append log) so a restart or a promoted standby resumes knowing
-	// the fleet it inherited. Ignored when Journal is set.
-	JournalPath string
-	// Journal, when non-nil, is an already-open store handed over by a
-	// promoted standby (its replicated copy becomes the new leader's
-	// journal).
-	Journal *replica.Store
-	// Lease, when non-nil, carries coordinator leadership: the server
-	// renews it every lease period and self-deposes when a higher epoch
-	// appears in it.
-	Lease *replica.Lease
-	// LeaseHolder names this server in the lease file.
-	LeaseHolder string
-	// Epoch fixes the leadership epoch. Zero with a Lease set claims the
-	// epoch after whatever the lease file last recorded; the journal's
-	// epoch is a floor either way. Zero without a Lease leaves HA off.
-	Epoch uint64
+	// HA is the replicated grant journal and the leadership lease.
+	daemon.HA
 	// CommandTimeout arms follower stream writes; zero defaults to
 	// ControlEvery.
 	CommandTimeout time.Duration
-	// TakeoverMicros, set by a promoting standby, records how much
-	// leaderless time the takeover absorbed (observability only).
-	TakeoverMicros int64
 }
 
 // CabinetStatus is a point-in-time external view of one child, for
@@ -232,26 +211,21 @@ func New(cfg Config) (*Server, error) {
 	// The grant journal: a promoted standby hands over its replicated
 	// copy, a path-configured one persists, and everything else journals
 	// to a memory-only store (which still feeds live followers).
-	journal := cfg.Journal
-	if journal == nil {
+	if cfg.Journal == nil {
 		var err error
-		if journal, err = replica.Open(cfg.JournalPath); err != nil {
+		if cfg.Journal, err = replica.Open(cfg.JournalPath); err != nil {
 			return nil, fmt.Errorf("fedd: journal: %w", err)
 		}
 	}
-	s := &Server{cfg: cfg, journal: journal}
+	s := &Server{cfg: cfg, journal: cfg.Journal}
 	s.Chassis = daemon.New(daemon.Options{
-		Listen:         []daemon.Endpoint{{Addr: cfg.Addr, Listener: cfg.Listener}},
-		MetricsAddr:    cfg.MetricsAddr,
-		CycleHistory:   cfg.CycleHistory,
-		WireCodec:      cfg.WireCodec,
-		ControlEvery:   cfg.ControlEvery,
-		Journal:        journal,
-		WriteTimeout:   cfg.CommandTimeout,
-		Epoch:          cfg.Epoch,
-		Lease:          cfg.Lease,
-		LeaseHolder:    cfg.LeaseHolder,
-		TakeoverMicros: cfg.TakeoverMicros,
+		Listen:       []daemon.Endpoint{{Addr: cfg.Addr, Listener: cfg.Listener}},
+		MetricsAddr:  cfg.MetricsAddr,
+		CycleHistory: cfg.CycleHistory,
+		WireCodec:    cfg.WireCodec,
+		ControlEvery: cfg.ControlEvery,
+		HA:           cfg.HA,
+		WriteTimeout: cfg.CommandTimeout,
 	}, daemon.Hooks{
 		Session: func(conn *wire.Conn, first *wire.Envelope, _ uint64) { s.grantor.Serve(conn, *first) },
 		Cycle:   s.cycle,

@@ -174,14 +174,13 @@ func (o Options) serverConfig(ln net.Listener) managerd.Config {
 		FlapLimit:       o.FlapLimit,
 		Quarantine:      o.Quarantine,
 		HeartbeatEvery:  o.HeartbeatEvery,
-		JournalPath:     o.JournalPath,
+		HA:              daemon.HA{JournalPath: o.JournalPath, Epoch: o.Epoch},
 		JournalEvery:    o.JournalEvery,
 		Shards:          o.Shards,
 		FanoutWorkers:   o.FanoutWorkers,
 		Learn:           o.Learn,
 		MetricsAddr:     o.MetricsAddr,
 		ExternalControl: o.External,
-		Epoch:           o.Epoch,
 		WireCodec:       o.WireCodec,
 		Cabinet:         o.Cabinet,
 		CoordinatorDial: o.CoordinatorDial,

@@ -73,12 +73,8 @@ func (c *Cluster) StartStandby(missBudget int) *StandbyHandle {
 	lease := &replica.Lease{Path: c.Opt.LeasePath, Every: c.Opt.LeaseEvery}
 	h := startStandby(t, c.Net, len(c.standbys), lease, missBudget, holder, func(p replica.Promotion) (*managerd.Server, error) {
 		cfg := c.Opt.serverConfig(c.Net.Listener())
-		cfg.JournalPath = "" // the replicated store IS the journal
 		cfg.JournalEvery = 0
-		cfg.Journal = p.Store
-		cfg.Epoch = p.Epoch
-		cfg.LeaseHolder = holder
-		cfg.TakeoverMicros = p.Leaderless.Microseconds()
+		cfg.HA = cfg.HA.Promoted(p, cfg.Lease, holder)
 		return daemon.Boot(managerd.New(cfg))
 	})
 	c.standbys = append(c.standbys, h)

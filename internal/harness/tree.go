@@ -356,11 +356,7 @@ func (n *TreeNode) StartStandby(missBudget int) *daemon.WarmStandby[*fedd.Server
 	holder := fmt.Sprintf("coord-standby-%d", n.standbys)
 	h := startStandby(t, n.Net, n.standbys-1, n.cfg.Lease, missBudget, holder, func(p replica.Promotion) (*fedd.Server, error) {
 		cfg := n.cfg
-		cfg.JournalPath = "" // the replicated store IS the journal
-		cfg.Journal = p.Store
-		cfg.Epoch = p.Epoch
-		cfg.LeaseHolder = holder
-		cfg.TakeoverMicros = p.Leaderless.Microseconds()
+		cfg.HA = cfg.HA.Promoted(p, cfg.Lease, holder)
 		return n.boot(cfg)
 	})
 	t.Cleanup(func() { h.Stop() }) // before the node's own: the shutdown is no leader death

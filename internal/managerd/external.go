@@ -13,10 +13,11 @@ import (
 )
 
 // External control mode (Config.ExternalControl): the daemon keeps its
-// whole transport stack — accept loop, per-connection readers, sharded
-// node store, per-node sender goroutines, command seq/ack/retry — but
-// runs no control law of its own. An external driver (the daemon backend
-// in internal/backend) owns the clock and the algorithm:
+// whole transport stack — accept loop, per-connection readers, node table,
+// per-node sender goroutines, the cycle's sweep (health, sensing, command
+// retry/reconcile/adoption) — but runs no control law of its own. An
+// external driver (the daemon backend in internal/backend) owns the clock
+// and the algorithm:
 //
 //	driver: BeginSenseEpoch → agents push one sample each
 //	driver: wait until SamplesReceived caught up
@@ -29,7 +30,7 @@ import (
 // almost no wall time passes, so StaleAfter cannot distinguish a node
 // that reported this cycle from one that dropped out of the candidate
 // set three cycles ago. Each sample is stamped with the sense epoch it
-// arrived in, and Readings returns only the current epoch's.
+// arrived in, and the sweep takes only the current epoch's.
 
 // BeginSenseEpoch opens a new sense epoch and returns its number.
 // Samples arriving from now on are stamped with it.
@@ -51,82 +52,29 @@ type ExternalCycle struct {
 	readings []manager.AgentReading
 }
 
-// StartExternalCycle runs the per-cycle transport upkeep — health
-// classification, retry of unacked commands, reconciliation of drifted
-// levels — and snapshots the current sense epoch's readings. It must not
-// overlap another external cycle or the internal control loop.
+// StartExternalCycle runs the control loop's own sweep and upkeep with
+// epoch freshness, and snapshots the current sense epoch's candidates. It
+// must not overlap another external cycle or the internal control loop
+// (cycleMu is held only while the shared sweep scratch is in use, not
+// until Finish).
 func (s *Server) StartExternalCycle() *ExternalCycle {
+	s.cycleMu.Lock()
+	defer s.cycleMu.Unlock()
 	t0 := time.Now()
 	cycleN := int(s.cycleN.Add(1))
 	span := s.trace.Begin()
 	cyc := &ExternalCycle{s: s, fan: s.newFanout(t0, span), span: span, t0: t0}
 	epoch := s.extEpoch.Load()
 
-	type resend struct {
-		ac    *agentConn
-		level int
-		seq   uint64
-	}
-	type part struct {
-		readings []manager.AgentReading
-		resends  []resend
-	}
-	parts := make([]part, len(s.nodes.shards))
-	s.forEachShard(func(i int, sh *shard) {
-		g := &parts[i]
-		drift := 0
-		sh.mu.Lock()
-		updateHealth(sh, t0, &s.cfg)
-		for id, ac := range sh.agents {
-			if ac.seen && ac.lastEpoch == epoch && !quarantinedIn(sh, id) {
-				g.readings = append(g.readings, ac.last)
-			}
-			cs := sh.cmds[id]
-			if ac.seen && cs != nil && ac.last.Level != cs.level {
-				drift++
-			}
-			if cs == nil || !ac.seen || quarantinedIn(sh, id) {
-				continue
-			}
-			switch {
-			case !cs.acked && cycleN > cs.sentCycle:
-				cs.retries++
-				cs.sentCycle = cycleN
-				s.cmdRetries.Add(1)
-				g.resends = append(g.resends, resend{ac, cs.level, cs.seq})
-			case cs.acked && ac.last.Level != cs.level && cycleN >= cs.sentCycle+2:
-				cs.seq = s.seq.Add(1)
-				cs.acked = false
-				cs.sentCycle = cycleN
-				s.reconciles.Add(1)
-				g.resends = append(g.resends, resend{ac, cs.level, cs.seq})
-			}
-		}
-		sh.drifted = drift
-		sh.mu.Unlock()
-	})
-
+	parts := s.sweep(cycleN, t0, func(ac *agentConn) bool { return ac.lastEpoch == epoch })
+	// The control-law stages (classify/select/actuate) are recorded by the
+	// external driver's own recorder.
 	var p units.Watts
-	for i := range parts {
-		cyc.readings = append(cyc.readings, parts[i].readings...)
-		for _, r := range parts[i].readings {
-			p += s.cfg.Model.Estimate(r.Delta, r.Level)
-		}
-		for _, r := range parts[i].resends {
-			s.dispatch(r.ac, r.level, r.seq, cyc.fan)
-		}
-	}
+	p, _, cyc.readings, _ = s.sensed(parts, nil, span, t0)
 	// Map iteration scattered the readings; the control law's contract is
 	// node-ID order (deterministic policy tie-breaks).
 	sort.Slice(cyc.readings, func(a, b int) bool { return cyc.readings[a].ID < cyc.readings[b].ID })
-	// The transport's sensing stage: upkeep sweep plus this epoch's
-	// reading snapshot. The control-law stages (classify/select/actuate)
-	// are recorded by the external driver's own recorder.
-	collect := time.Since(t0)
-	span.Stage(obs.StageSense, collect, fmt.Sprintf("readings=%d", len(cyc.readings)))
-	cus := collect.Microseconds()
-	s.lastCollectMicros.SetInt(cus)
-	s.collectMicros.Add(float64(cus))
+	s.upkeep(parts, cyc.fan)
 	s.lastPowerW.Set(float64(p))
 	if s.learner == nil {
 		s.lifetimePeakW.Max(float64(p))
@@ -134,8 +82,9 @@ func (s *Server) StartExternalCycle() *ExternalCycle {
 	return cyc
 }
 
-// Readings returns the cycle's sensed candidate readings in node-ID
-// order: exactly the samples the agents pushed this sense epoch.
+// Readings returns the cycle's candidates in node-ID order: the samples
+// the agents pushed this sense epoch, less any from quarantined nodes
+// (those still count in last_power_w).
 func (c *ExternalCycle) Readings() []manager.AgentReading { return c.readings }
 
 // SetNodeLevel implements manager.Actuator over the wire, tagged with
@@ -151,6 +100,7 @@ func (c *ExternalCycle) SetNodeLevel(id node.ID, level int) error {
 // matching the simulation backend's synchronous actuation semantics.
 func (c *ExternalCycle) Finish(timeout time.Duration) error {
 	s := c.s
+	defer s.endCycle(c.span, c.t0)
 	c.fan.finishEnqueue()
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
@@ -169,12 +119,6 @@ func (c *ExternalCycle) Finish(timeout time.Duration) error {
 		// full timer tick.
 		runtime.Gosched()
 	}
-	c.span.End()
-	busy := time.Since(c.t0)
-	us := busy.Microseconds()
-	s.lastCycleMicros.SetInt(us)
-	s.maxCycleMicros.Max(float64(us))
-	s.busyMicros.Add(float64(busy) / float64(time.Microsecond))
 	return nil
 }
 
@@ -184,8 +128,8 @@ func (s *Server) UnackedCommands() int {
 	n := 0
 	for _, sh := range s.nodes.shards {
 		sh.mu.Lock()
-		for _, cs := range sh.cmds {
-			if !cs.acked {
+		for _, rec := range sh.nodes {
+			if rec.cmd.issued && !rec.cmd.acked {
 				n++
 			}
 		}

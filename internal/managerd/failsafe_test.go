@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/policy"
 	"repro/internal/power"
 	"repro/internal/replica"
@@ -317,7 +318,7 @@ func TestRestartFromJournalResumesAndReconciles(t *testing.T) {
 			ControlEvery: 20 * time.Millisecond,
 			Thresholds:   power.Thresholds{PL: units.MW(1), PH: units.MW(2)},
 			Learn:        &LearnConfig{PMax: units.KW(5), Training: training, AdjustEvery: 5},
-			JournalPath:  jp,
+			HA:           daemon.HA{JournalPath: jp},
 			JournalEvery: 2,
 		}
 	}
@@ -393,7 +394,7 @@ func TestCorruptJournalColdStarts(t *testing.T) {
 		ControlEvery: 20 * time.Millisecond,
 		Thresholds:   power.Thresholds{PL: units.MW(1), PH: units.MW(2)},
 		Learn:        &LearnConfig{PMax: units.KW(5), Training: time.Hour},
-		JournalPath:  jp,
+		HA:           daemon.HA{JournalPath: jp},
 	})
 	if err != nil {
 		t.Fatalf("corrupt journal must cold-start, not fail construction: %v", err)

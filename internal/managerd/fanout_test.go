@@ -61,12 +61,15 @@ func dialFaultAgent(t *testing.T, nw *faultnet.Network, key uint64, level, maxLe
 }
 
 // currentConn returns the server's registered connection for id (nil if
-// none), via the shard table.
+// none), via the node's record.
 func currentConn(s *Server, id node.ID) *agentConn {
 	sh := s.nodes.of(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.agents[id]
+	if rec := sh.nodes[id]; rec != nil {
+		return rec.ac
+	}
+	return nil
 }
 
 // commandedLevel returns the recorded in-flight command level for id, or
@@ -75,8 +78,8 @@ func commandedLevel(s *Server, id node.ID) int {
 	sh := s.nodes.of(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if cs := sh.cmds[id]; cs != nil {
-		return cs.level
+	if rec := sh.nodes[id]; rec != nil && rec.cmd.issued {
+		return rec.cmd.level
 	}
 	return -1
 }
@@ -282,8 +285,8 @@ func TestRedFloorFanoutNotSerialized(t *testing.T) {
 		n := 0
 		for _, sh := range srv.nodes.shards {
 			sh.mu.Lock()
-			for _, ac := range sh.agents {
-				if ac.seen && ac.last.Delta.CPUUtil > 0 {
+			for _, rec := range sh.nodes {
+				if ac := rec.ac; ac != nil && ac.seen && ac.last.Delta.CPUUtil > 0 {
 					n++
 				}
 			}

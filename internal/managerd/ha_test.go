@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/policy"
 	"repro/internal/power"
 	"repro/internal/replica"
@@ -31,7 +32,7 @@ func TestHelloEpochWelcomeAndFencing(t *testing.T) {
 		Tg:           3,
 		ControlEvery: 20 * time.Millisecond,
 		Thresholds:   power.Thresholds{PL: units.MW(1), PH: units.MW(2)},
-		Epoch:        5,
+		HA:           daemon.HA{Epoch: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +94,7 @@ func TestReplicationStreamAndResume(t *testing.T) {
 		CommandTimeout: 2 * time.Second,
 		Thresholds:     power.Thresholds{PL: 1, PH: 2}, // any live fleet is red
 		HeartbeatEvery: -1,
-		Epoch:          1,
+		HA:             daemon.HA{Epoch: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -47,12 +47,8 @@ func (s healthState) String() string {
 	}
 }
 
-// healthRec is one node's health record. It outlives the node's
-// connection: a disconnected node stays in the table as lost, and its
-// reconnect history survives redials — that is what makes flap detection
-// possible. All access is under the owning shard's mutex; a node's health
-// record lives in the same shard as its connection and command state, so
-// one lock covers all three.
+// healthRec is one node's health: the part of its nodeRec (store.go) that
+// the classification below owns.
 type healthRec struct {
 	state         healthState
 	connects      []time.Time // connect times within the flap window
@@ -70,23 +66,25 @@ func (h *healthRec) pruneConnects(now time.Time, window time.Duration) {
 	h.connects = h.connects[i:]
 }
 
-// noteConnect records a (re)connect for id and quarantines the node when
-// the connect rate crosses the flap limit. Caller holds sh.mu; id must
-// belong to sh. quarantines is the server-wide entry counter.
-func noteConnect(sh *shard, id node.ID, now time.Time, cfg *Config, quarantines *obs.Counter) {
-	rec := sh.health[id]
+// noteConnect records a (re)connect for id, making the node's record on
+// its first, and quarantines the node when the connect rate crosses the
+// flap limit. Caller holds sh.mu; id must belong to sh. quarantines is the
+// server-wide entry counter.
+func noteConnect(sh *shard, id node.ID, now time.Time, cfg *Config, quarantines *obs.Counter) *nodeRec {
+	rec := sh.nodes[id]
 	if rec == nil {
-		rec = &healthRec{state: healthHealthy}
-		sh.health[id] = rec
+		rec = &nodeRec{}
+		sh.nodes[id] = rec
 		sh.nHealthy++
 	}
-	rec.connects = append(rec.connects, now)
-	rec.pruneConnects(now, cfg.FlapWindow)
-	if cfg.FlapLimit > 0 && len(rec.connects) >= cfg.FlapLimit && rec.state != healthQuarantined {
+	h := &rec.health
+	h.connects = append(h.connects, now)
+	h.pruneConnects(now, cfg.FlapWindow)
+	if cfg.FlapLimit > 0 && len(h.connects) >= cfg.FlapLimit && h.state != healthQuarantined {
 		// Keep the cached shard tallies exact across the transition: the
-		// next updateHealth sweep would fix them anyway, but Status may
-		// read them first.
-		switch rec.state {
+		// next sweep would fix them anyway, but Status may read them
+		// first.
+		switch h.state {
 		case healthHealthy:
 			sh.nHealthy--
 		case healthStale:
@@ -95,58 +93,36 @@ func noteConnect(sh *shard, id node.ID, now time.Time, cfg *Config, quarantines 
 			sh.nLost--
 		}
 		sh.nQuar++
-		rec.state = healthQuarantined
-		rec.quarantinedAt = now
+		h.state = healthQuarantined
+		h.quarantinedAt = now
 		quarantines.Inc()
 	}
+	return rec
 }
 
-// updateHealth re-evaluates the state of every node in sh. Caller holds
-// sh.mu; the per-shard sweeps run concurrently on the cycle's worker
-// pool, which is safe because a node's whole record lives in one shard.
-// The sweep doubles as the tally refresh: it already visits every
-// record, so recomputing the shard's cached health counts here is free
-// and keeps refreshGauges O(shards).
-func updateHealth(sh *shard, now time.Time, cfg *Config) {
-	var healthy, stale, lost, quar int
-	for id, rec := range sh.health {
-		if rec.state == healthQuarantined {
-			if now.Sub(rec.quarantinedAt) < cfg.Quarantine {
-				quar++
-				continue
-			}
-			rec.pruneConnects(now, cfg.FlapWindow)
-			if cfg.FlapLimit > 0 && len(rec.connects) >= cfg.FlapLimit {
-				// Still flapping: extend the quarantine (hysteresis).
-				rec.quarantinedAt = now
-				quar++
-				continue
-			}
-			// Quarantine served and the link has settled; fall through to
-			// the freshness-based classification.
+// classify re-evaluates the node's state at now, given its connection (nil
+// while away), and returns it. Caller holds the owning shard's mutex.
+func (h *healthRec) classify(ac *agentConn, now time.Time, cfg *Config) healthState {
+	if h.state == healthQuarantined {
+		if now.Sub(h.quarantinedAt) < cfg.Quarantine {
+			return healthQuarantined
 		}
-		ac, connected := sh.agents[id]
-		switch {
-		case !connected:
-			rec.state = healthLost
-			lost++
-		case now.Sub(ac.lastAt) > cfg.LostAfter:
-			rec.state = healthLost
-			lost++
-		case now.Sub(ac.lastAt) > cfg.StaleAfter:
-			rec.state = healthStale
-			stale++
-		default:
-			rec.state = healthHealthy
-			healthy++
+		h.pruneConnects(now, cfg.FlapWindow)
+		if cfg.FlapLimit > 0 && len(h.connects) >= cfg.FlapLimit {
+			// Still flapping: extend the quarantine (hysteresis).
+			h.quarantinedAt = now
+			return healthQuarantined
 		}
+		// Quarantine served and the link has settled; fall through to
+		// the freshness-based classification.
 	}
-	sh.nHealthy, sh.nStale, sh.nLost, sh.nQuar = healthy, stale, lost, quar
-}
-
-// quarantinedIn reports whether id (a node of sh) is currently
-// quarantined. Caller holds sh.mu.
-func quarantinedIn(sh *shard, id node.ID) bool {
-	rec, ok := sh.health[id]
-	return ok && rec.state == healthQuarantined
+	switch {
+	case ac == nil || now.Sub(ac.lastAt) > cfg.LostAfter:
+		h.state = healthLost
+	case now.Sub(ac.lastAt) > cfg.StaleAfter:
+		h.state = healthStale
+	default:
+		h.state = healthHealthy
+	}
+	return h.state
 }

@@ -58,16 +58,18 @@ func (s *Server) restoreFromJournal(snap replica.Snapshot) {
 		// Journaled commands count as acked at sentCycle zero: as soon as
 		// the node reconnects and reports a different level, the
 		// reconciliation path reissues the journaled one.
-		sh.cmds[id] = &cmdState{level: l.Level, acked: true}
-		sh.health[id] = &healthRec{state: healthLost}
+		sh.nodes[id] = &nodeRec{
+			cmd:    cmdState{issued: true, level: l.Level, acked: true},
+			health: healthRec{state: healthLost},
+		}
 		sh.nLost++
 	}
 }
 
 // writeJournal compacts the journal (snapshot rewritten from the level
 // mirror, log truncated). Safe to race the sender goroutines and the
-// ack path: SetNodeLevel records a command in both cmds and the journal
-// mirror before enqueueing the write, and the store serialises appends
+// ack path: SetNodeLevel records a command on the node's record and in the
+// journal mirror before enqueueing the write, and the store serialises appends
 // against compaction, so a snapshot can neither persist a superseded
 // level nor drop an acked entry committed mid-compaction.
 func (s *Server) writeJournal() {

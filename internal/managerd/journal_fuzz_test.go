@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/policy"
 	"repro/internal/power"
 	"repro/internal/replica"
@@ -93,7 +94,7 @@ func runJournalLoadBody(t *testing.T, snap, log []byte) {
 		Tg:           3,
 		ControlEvery: time.Minute,
 		Thresholds:   power.Thresholds{PL: 1e6, PH: 2e6},
-		JournalPath:  path,
+		HA:           daemon.HA{JournalPath: path},
 	})
 	if err != nil {
 		t.Fatalf("journal contents failed daemon construction: %v", err)

@@ -19,8 +19,8 @@
 // manager resume capping without a fresh training window.
 //
 // The actuation path is concurrent: node state is sharded (store.go) so
-// sample readers, the health scanner and the control loop stop contending
-// on one mutex, per-cycle shard sweeps run on a bounded worker pool, and
+// sample readers and the control loop stop contending on one mutex, the
+// cycle's one sweep of the shards runs on a bounded worker pool, and
 // commands are enqueued to per-connection sender goroutines (sender.go)
 // rather than written synchronously — the cycle's fan-out cost is bounded
 // by the slowest single node, not the sum of the slow ones.
@@ -95,20 +95,19 @@ type Config struct {
 	// long green stretches with no commands. Zero defaults to 1; negative
 	// disables heartbeats.
 	HeartbeatEvery int
-	// JournalPath, when non-empty, enables the crash-recovery journal:
-	// learner state and last-commanded levels are snapshotted there every
-	// JournalEvery cycles (and on clean Stop), and reloaded by New.
-	JournalPath string
-	// JournalEvery is the journal snapshot period in control cycles; zero
-	// defaults to the learner's adjustment period (or 60 without a
-	// learner).
+	// HA is the crash-recovery journal (learner state and last-commanded
+	// levels, reloaded by New) and the leadership lease.
+	daemon.HA
+	// JournalEvery is the journal snapshot period in control cycles (a
+	// snapshot is also written on clean Stop); zero defaults to the
+	// learner's adjustment period (or 60 without a learner).
 	JournalEvery int
 	// Shards is the number of node-state shards, rounded up to a power of
-	// two. More shards cut contention between agent readers, the health
-	// scanner and the control loop at large fleets; zero defaults to 32.
+	// two. More shards cut contention between agent readers and the
+	// control loop at large fleets; zero defaults to 32.
 	Shards int
 	// FanoutWorkers bounds the worker pool sweeping the shards each
-	// control cycle (health scan, sample collection, command upkeep).
+	// control cycle (health, sample collection, command upkeep).
 	// Zero defaults to GOMAXPROCS.
 	FanoutWorkers int
 	// Learn, when non-nil, enables §III.A threshold learning: the daemon
@@ -132,27 +131,6 @@ type Config struct {
 	// virtual clock.
 	ExternalControl bool
 
-	// --- High availability (internal/daemon, internal/replica) ---
-
-	// Epoch is this server's leadership epoch. Zero disables fencing
-	// unless a Lease is set, in which case the epoch is derived from the
-	// lease file (its epoch + 1, or 1 when no lease exists yet).
-	Epoch uint64
-	// Lease, when non-nil, is the leadership lease: renewed every
-	// Lease.Every while the server runs, watched by standbys. A higher
-	// epoch appearing in it deposes this server (see daemon.Chassis).
-	Lease *replica.Lease
-	// LeaseHolder names this instance in the lease file.
-	LeaseHolder string
-	// Journal, when non-nil, is adopted as the crash-recovery journal in
-	// place of opening JournalPath — the promoted-standby path hands its
-	// replicated copy over this way.
-	Journal *replica.Store
-	// TakeoverMicros, when positive, records how long the fleet was
-	// leaderless before this server took over (a promoted standby passes
-	// its measured outage; surfaced as last_takeover_micros and observed
-	// into the takeover_micros histogram).
-	TakeoverMicros int64
 	// ReplicaAddr, when non-empty, binds a second listener served
 	// identically to Addr — a dedicated endpoint for journal followers
 	// and status probes that keeps replication off the agent accept path.
@@ -253,13 +231,15 @@ type agentConn struct {
 	armedUntil time.Time
 }
 
-// cmdState tracks the lifecycle of the newest command issued to one node.
-// A command stays in flight (acked=false) until the agent echoes its
-// sequence number; unacked commands are retried each cycle, and an acked
-// level that later disagrees with the agent's reported level triggers
-// reconciliation under a fresh sequence number. All access under the
-// owning shard's mutex.
+// cmdState tracks the lifecycle of the newest command issued to one node;
+// the zero value (issued=false) is a node never commanded. A command stays
+// in flight (acked=false) until the agent echoes its sequence number;
+// unacked commands are retried each cycle, and an acked level that later
+// disagrees with the agent's reported level triggers reconciliation under
+// a fresh sequence number (see sweep). All access under the owning shard's
+// mutex.
 type cmdState struct {
+	issued    bool
 	level     int
 	seq       uint64
 	sentCycle int
@@ -274,8 +254,8 @@ type Server struct {
 	*daemon.Chassis
 	cfg Config
 
-	// nodes is the sharded per-node state (connections, in-flight
-	// commands, health records); see store.go for the locking contract.
+	// nodes is the sharded table of per-node records; see store.go for the
+	// locking contract.
 	nodes *store
 
 	// builder is touched only by the control-loop goroutine.
@@ -453,15 +433,16 @@ func New(cfg Config) (*Server, error) {
 		cfg.JournalEvery = adj
 	}
 
+	// The journal is advisory: any open or validation error (missing file
+	// included) just means a cold start on a memory-only store.
+	cfg.Journal = openJournal(cfg)
 	srv := &Server{
 		cfg:     cfg,
 		nodes:   newStore(cfg.Shards),
 		builder: manager.NewBuilder(cfg.Model),
 		thr:     cfg.Thresholds,
 		learner: learner,
-		// The journal is advisory: any open or validation error (missing
-		// file included) just means a cold start on a memory-only store.
-		journal: openJournal(cfg),
+		journal: cfg.Journal,
 	}
 	listen := []daemon.Endpoint{{Addr: cfg.Addr, Listener: cfg.Listener}}
 	if cfg.ReplicaAddr != "" {
@@ -480,17 +461,13 @@ func New(cfg Config) (*Server, error) {
 		hooks.Cycle = func() { srv.cycle() }
 	}
 	srv.Chassis = daemon.New(daemon.Options{
-		Listen:         listen,
-		MetricsAddr:    cfg.MetricsAddr,
-		CycleHistory:   cfg.CycleHistory,
-		WireCodec:      cfg.WireCodec,
-		ControlEvery:   cfg.ControlEvery,
-		Journal:        srv.journal,
-		WriteTimeout:   cfg.CommandTimeout,
-		Epoch:          cfg.Epoch,
-		Lease:          cfg.Lease,
-		LeaseHolder:    cfg.LeaseHolder,
-		TakeoverMicros: cfg.TakeoverMicros,
+		Listen:       listen,
+		MetricsAddr:  cfg.MetricsAddr,
+		CycleHistory: cfg.CycleHistory,
+		WireCodec:    cfg.WireCodec,
+		ControlEvery: cfg.ControlEvery,
+		HA:           cfg.HA,
+		WriteTimeout: cfg.CommandTimeout,
 	}, hooks)
 	reg := srv.Obs()
 	srv.trace = srv.CycleTrace()
@@ -655,8 +632,8 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 	sh := s.nodes.of(id)
 	sh.mu.Lock()
 	// Whichever connection wins below, the node connected once more.
-	noteConnect(sh, id, now, &s.cfg, s.quarantines)
-	old := sh.agents[id]
+	rec := noteConnect(sh, id, now, &s.cfg, s.quarantines)
+	old := rec.ac
 	if old != nil && old.accepted > accepted {
 		// Hellos are handled on per-connection goroutines, so a bounced
 		// connection's hello can be processed after its successor's.
@@ -665,7 +642,7 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 		sh.mu.Unlock()
 		return
 	}
-	sh.agents[id] = ac
+	rec.ac = ac
 	connTally(sh, ac, +1)
 	if old != nil {
 		// The replaced connection's own teardown will see itself already
@@ -710,7 +687,7 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 			s.samplesRecv.Inc()
 		case wire.KindAck:
 			sh.mu.Lock()
-			if cs := sh.cmds[id]; cs != nil && env.Seq != 0 && cs.seq == env.Seq {
+			if cs := &rec.cmd; cs.issued && env.Seq != 0 && cs.seq == env.Seq {
 				if !cs.acked {
 					s.cmdAcks.Inc()
 				}
@@ -723,8 +700,8 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 		}
 	}
 	sh.mu.Lock()
-	if sh.agents[id] == ac {
-		delete(sh.agents, id)
+	if rec.ac == ac {
+		rec.ac = nil
 		connTally(sh, ac, -1)
 	}
 	sh.mu.Unlock()
@@ -750,25 +727,26 @@ type actuator struct {
 
 // SetNodeLevel implements manager.Actuator: assign a sequence number,
 // record the command in flight, and enqueue it to the node's sender.
-// Recording happens before the enqueue, so the journal (which reads cmds
-// under the shard locks) always sees the newest commanded level — a
+// Recording happens before the enqueue, so the journal mirror (written
+// under the shard lock) always sees the newest commanded level — a
 // snapshot taken mid-fan-out can never persist a superseded one. Unacked
-// commands are retried by maintainCommands on subsequent cycles.
+// commands are retried by the next cycles' sweep.
 func (a actuator) SetNodeLevel(id node.ID, level int) error {
 	s := a.s
 	sh := s.nodes.of(id)
 	sh.mu.Lock()
-	ac, ok := sh.agents[id]
-	if !ok {
+	rec := sh.nodes[id]
+	if rec == nil || rec.ac == nil {
 		sh.mu.Unlock()
 		s.cmdErrs.Inc()
 		return fmt.Errorf("managerd: no agent for node %d", id)
 	}
+	ac := rec.ac
 	seq := s.seq.Add(1)
-	sh.cmds[id] = &cmdState{level: level, seq: seq, sentCycle: int(s.cycleN.Load())}
+	rec.cmd = cmdState{issued: true, level: level, seq: seq, sentCycle: int(s.cycleN.Load())}
 	// Mirror into the journal under the same shard lock, so the mirror
-	// orders level updates exactly as cmds does (the store's own mutex is
-	// a leaf below the shard mutexes).
+	// orders level updates exactly as the record does (the store's own
+	// mutex is a leaf below the shard mutexes).
 	s.journal.SetLevel(int(id), level)
 	sh.mu.Unlock()
 	s.dispatch(ac, level, seq, a.fan)
@@ -777,8 +755,8 @@ func (a actuator) SetNodeLevel(id node.ID, level int) error {
 
 // dispatch hands one command to a node's sender, claiming a fan-out slot
 // for it. An outbox closed mid-teardown just drops the write — the
-// command stays recorded in cmds and the retry path re-sends it once the
-// node redials.
+// command stays on the node's record and the retry path re-sends it once
+// the node redials.
 func (s *Server) dispatch(ac *agentConn, level int, seq uint64, fan *fanout) {
 	if fan != nil {
 		fan.add()
@@ -841,38 +819,54 @@ func (s *Server) forEachShard(fn func(i int, sh *shard)) {
 	wg.Wait()
 }
 
-// cyclePart is one shard's sensing accumulator, reused across cycles
-// (slices keep their capacity; see Server.cycleParts).
+// resend is one command the sweep decided to write again.
+type resend struct {
+	ac    *agentConn
+	level int
+	seq   uint64
+}
+
+// cyclePart is one shard's share of a sweep, reused across cycles (slices
+// keep their capacity; see Server.cycleParts).
 type cyclePart struct {
-	readings   []manager.AgentReading
-	candidates []manager.AgentReading
+	readings   []manager.AgentReading // fresh, quarantined included: the power estimate
+	candidates []manager.AgentReading // fresh and not quarantined: the policy snapshot
+	resends    []resend
+	adopts     []node.ID
 	p          units.Watts
 	demand     units.Watts
 	stale      int
 }
 
-// cycle runs one control cycle: gather fresh readings, estimate system
-// power, classify, select and command. The daemon has no facility meter,
-// so system power is the sum of per-node estimates — the documented
-// substitution for deployments without a meter (the Observability
-// assumption allows estimation "to a sufficient accuracy").
+// sweep is a cycle's one pass over the node table: every shard on the
+// worker pool, every record visited once under its shard's lock. Per node
+// it classifies health (health.go; the shard's cached tallies are
+// rewritten from the pass), tallies drift, takes the reading if fresh(ac)
+// says so — by wall-clock age for the control loop, by sense epoch for an
+// external driver, the only thing the two callers differ in — and runs the
+// command lifecycle:
+//
+//   - commands unacked since a previous cycle are retried under the same
+//     sequence number (the command is idempotent, the ack will match);
+//   - acked commands whose level disagrees with the node's reported level
+//     are reconciled — reissued at the commanded level under a fresh
+//     sequence number (with a two-cycle grace so an ack in flight is not
+//     mistaken for drift);
+//   - every node commanded below its top level is (re)adopted into
+//     A_degraded. For nodes this manager instance degraded itself that is
+//     a no-op; for nodes inherited from the journal or found self-degraded
+//     by their dead-man switch (including the no-drift case where the
+//     journaled and reported levels agree at the floor) it is what makes
+//     the steady-green restore path lift them instead of orphaning them.
 //
 // Quarantined nodes contribute to the power estimate but are excluded
-// from the policy snapshot: per §II.A they are treated as
-// A_uncontrollable — their consumption is real, but commands down a
+// from the policy snapshot and the lifecycle: per §II.A they are treated
+// as A_uncontrollable — their consumption is real, but commands down a
 // flapping link are wasted.
 //
-// The returned fan-out tracker completes once every command the cycle
-// issued has been written or abandoned; the cycle itself does not wait
-// for it (the senders run concurrently).
-func (s *Server) cycle() *fanout {
-	s.cycleMu.Lock()
-	defer s.cycleMu.Unlock()
-	t0 := time.Now()
-	cycleN := int(s.cycleN.Add(1))
-	span := s.trace.Begin()
-	fan := s.newFanout(t0, span)
-
+// The re-sends and adoptions are only decided here; upkeep acts on them.
+// Caller holds cycleMu (the parts are the shared scratch).
+func (s *Server) sweep(cycleN int, t0 time.Time, fresh func(*agentConn) bool) []cyclePart {
 	if len(s.cycleParts) != len(s.nodes.shards) {
 		s.cycleParts = make([]cyclePart, len(s.nodes.shards))
 	}
@@ -880,31 +874,59 @@ func (s *Server) cycle() *fanout {
 	governed := s.gov != nil
 	s.forEachShard(func(i int, sh *shard) {
 		g := &parts[i]
-		g.readings = g.readings[:0]
-		g.candidates = g.candidates[:0]
+		g.readings, g.candidates = g.readings[:0], g.candidates[:0]
+		g.resends, g.adopts = g.resends[:0], g.adopts[:0]
 		g.p, g.demand, g.stale = 0, 0, 0
+		var tally [healthQuarantined + 1]int
 		drift := 0
 		sh.mu.Lock()
-		updateHealth(sh, t0, &s.cfg)
-		for id, ac := range sh.agents {
-			if !ac.seen {
+		for id, rec := range sh.nodes {
+			ac, cs := rec.ac, &rec.cmd
+			state := rec.health.classify(ac, t0, &s.cfg)
+			tally[state]++
+			if ac == nil || !ac.seen {
 				continue
 			}
-			// Drift is tallied here (before the staleness cut — a stale
-			// node can still disagree with its commanded level) so the
-			// drifted gauge is a cached per-shard integer for Status.
-			if cs := sh.cmds[id]; cs != nil && ac.last.Level != cs.level {
+			// Drift is tallied before the freshness cut: a stale node can
+			// still disagree with its commanded level.
+			if cs.issued && ac.last.Level != cs.level {
 				drift++
 			}
-			if t0.Sub(ac.lastAt) > s.cfg.StaleAfter {
+			if fresh(ac) {
+				g.readings = append(g.readings, ac.last)
+				if state != healthQuarantined {
+					g.candidates = append(g.candidates, ac.last)
+				}
+			} else {
 				g.stale++
+			}
+			if state == healthQuarantined {
 				continue
 			}
-			g.readings = append(g.readings, ac.last)
-			if !quarantinedIn(sh, id) {
-				g.candidates = append(g.candidates, ac.last)
+			switch {
+			case !cs.issued:
+				if ac.last.Level < ac.maxLevel {
+					*cs = cmdState{issued: true, level: ac.last.Level, acked: true, sentCycle: cycleN}
+					s.journal.SetLevel(int(id), cs.level)
+				}
+			case !cs.acked && cycleN > cs.sentCycle:
+				cs.retries++
+				cs.sentCycle = cycleN
+				s.cmdRetries.Inc()
+				g.resends = append(g.resends, resend{ac, cs.level, cs.seq})
+			case cs.acked && ac.last.Level != cs.level && cycleN >= cs.sentCycle+2:
+				cs.seq = s.seq.Add(1)
+				cs.acked = false
+				cs.sentCycle = cycleN
+				s.reconciles.Inc()
+				g.resends = append(g.resends, resend{ac, cs.level, cs.seq})
+			}
+			if cs.issued && cs.level < ac.maxLevel {
+				g.adopts = append(g.adopts, id)
 			}
 		}
+		sh.nHealthy, sh.nStale = tally[healthHealthy], tally[healthStale]
+		sh.nLost, sh.nQuar = tally[healthLost], tally[healthQuarantined]
 		sh.drifted = drift
 		sh.mu.Unlock()
 		// Model evaluation outside the shard lock: it is the cycle's CPU
@@ -919,30 +941,80 @@ func (s *Server) cycle() *fanout {
 			}
 		}
 	})
-	var p, demand units.Watts
-	nCand, nStale := 0, 0
+	return parts
+}
+
+// sensed closes a cycle's sensing stage — the sweep, whose cost is what
+// Figure 5's collection-time curve measures: it totals the parts, gathers
+// the candidates into buf and records the stage.
+func (s *Server) sensed(parts []cyclePart, buf []manager.AgentReading, span *obs.CycleHandle, t0 time.Time) (p, demand units.Watts, candidates []manager.AgentReading, stale int) {
+	candidates = buf
 	for i := range parts {
 		p += parts[i].p
 		demand += parts[i].demand
-		nCand += len(parts[i].candidates)
-		nStale += parts[i].stale
-	}
-	if nStale > 0 {
-		s.stale.Add(int64(nStale))
-	}
-	candidates := s.candScratch[:0]
-	for i := range parts {
+		stale += parts[i].stale
 		candidates = append(candidates, parts[i].candidates...)
 	}
-	s.candScratch = candidates
-	// The sweep above is the cycle's sensing stage: collect fresh
-	// readings and evaluate the power model. Its cost is what Figure 5's
-	// collection-time curve measures.
 	collect := time.Since(t0)
-	span.Stage(obs.StageSense, collect, fmt.Sprintf("readings=%d stale=%d", nCand, nStale))
+	span.Stage(obs.StageSense, collect, fmt.Sprintf("readings=%d stale=%d", len(candidates), stale))
 	cus := collect.Microseconds()
 	s.lastCollectMicros.SetInt(cus)
 	s.collectMicros.Add(float64(cus))
+	return p, demand, candidates, stale
+}
+
+// upkeep acts on the sweep's lifecycle decisions: adopted nodes join
+// A_degraded and the re-sends go to their senders. It runs before
+// Algorithm 1, so retries and reconciles reflect last cycle's state, not
+// commands issued moments ago.
+func (s *Server) upkeep(parts []cyclePart, fan *fanout) {
+	s.mgrMu.Lock()
+	for i := range parts {
+		for _, id := range parts[i].adopts {
+			s.mgr.Adopt(id)
+		}
+	}
+	s.mgrMu.Unlock()
+	for i := range parts {
+		for _, r := range parts[i].resends {
+			s.dispatch(r.ac, r.level, r.seq, fan)
+		}
+	}
+}
+
+// endCycle closes a cycle's span and accounts its busy time.
+func (s *Server) endCycle(span *obs.CycleHandle, t0 time.Time) {
+	span.End()
+	busy := time.Since(t0)
+	us := busy.Microseconds()
+	s.lastCycleMicros.SetInt(us)
+	s.maxCycleMicros.Max(float64(us))
+	s.busyMicros.Add(float64(busy) / float64(time.Microsecond))
+}
+
+// cycle runs one control cycle: gather fresh readings, estimate system
+// power, classify, select and command. The daemon has no facility meter,
+// so system power is the sum of per-node estimates — the documented
+// substitution for deployments without a meter (the Observability
+// assumption allows estimation "to a sufficient accuracy").
+//
+// The returned fan-out tracker completes once every command the cycle
+// issued has been written or abandoned; the cycle itself does not wait
+// for it (the senders run concurrently).
+func (s *Server) cycle() *fanout {
+	s.cycleMu.Lock()
+	defer s.cycleMu.Unlock()
+	t0 := time.Now()
+	cycleN := int(s.cycleN.Add(1))
+	span := s.trace.Begin()
+	fan := s.newFanout(t0, span)
+
+	parts := s.sweep(cycleN, t0, func(ac *agentConn) bool { return t0.Sub(ac.lastAt) <= s.cfg.StaleAfter })
+	p, demand, candidates, nStale := s.sensed(parts, s.candScratch[:0], span, t0)
+	s.candScratch = candidates
+	if nStale > 0 {
+		s.stale.Add(int64(nStale))
+	}
 
 	thr := s.cfg.Thresholds
 	capping := true
@@ -950,7 +1022,7 @@ func (s *Server) cycle() *fanout {
 		thr = s.learner.Observe(time.Since(s.started), p)
 		capping = s.learner.Trained()
 	}
-	if governed {
+	if s.gov != nil {
 		thr = s.gov.Thresholds(t0)
 		s.gov.NoteSense(float64(p), float64(demand))
 		s.demandWG.Set(float64(demand))
@@ -967,9 +1039,7 @@ func (s *Server) cycle() *fanout {
 		s.lifetimePeakW.Max(float64(p))
 	}
 
-	// Command upkeep runs before Algorithm 1 so retries and reconciles
-	// reflect last cycle's state, not commands issued moments ago.
-	s.maintainCommands(cycleN, fan)
+	s.upkeep(parts, fan)
 
 	snap := s.builder.Build(p, thr.PL, candidates)
 	if capping {
@@ -990,12 +1060,7 @@ func (s *Server) cycle() *fanout {
 		s.writeJournal()
 	}
 
-	span.End()
-	busy := time.Since(t0)
-	us := busy.Microseconds()
-	s.lastCycleMicros.SetInt(us)
-	s.maxCycleMicros.Max(float64(us))
-	s.busyMicros.Add(float64(busy) / float64(time.Microsecond))
+	s.endCycle(span, t0)
 	s.lastPowerW.Set(float64(p))
 	return fan
 }
@@ -1034,99 +1099,16 @@ func (s *Server) StepCycle() time.Duration {
 	return fan.dur
 }
 
-// maintainCommands is the per-cycle command lifecycle sweep (run across
-// the shards on the worker pool):
-//
-//   - commands unacked since a previous cycle are retried under the same
-//     sequence number (the command is idempotent, the ack will match);
-//   - acked commands whose level disagrees with the node's reported level
-//     are reconciled — reissued at the commanded level under a fresh
-//     sequence number (with a two-cycle grace so an ack in flight is not
-//     mistaken for drift);
-//   - every node commanded below its top level is (re)adopted into
-//     A_degraded. For nodes this manager instance degraded itself that is
-//     a no-op; for nodes inherited from the journal or found self-degraded
-//     by their dead-man switch (including the no-drift case where the
-//     journaled and reported levels agree at the floor) it is what makes
-//     the steady-green restore path lift them instead of orphaning them.
-func (s *Server) maintainCommands(cycleN int, fan *fanout) {
-	type resend struct {
-		ac    *agentConn
-		level int
-		seq   uint64
-	}
-	nsh := len(s.nodes.shards)
-	resendParts := make([][]resend, nsh)
-	adoptParts := make([][]node.ID, nsh)
-	s.forEachShard(func(i int, sh *shard) {
-		var resends []resend
-		var adopts []node.ID
-		sh.mu.Lock()
-		for id, ac := range sh.agents {
-			if !ac.seen || quarantinedIn(sh, id) {
-				continue
-			}
-			cs := sh.cmds[id]
-			if cs == nil {
-				if ac.last.Level < ac.maxLevel {
-					sh.cmds[id] = &cmdState{level: ac.last.Level, acked: true, sentCycle: cycleN}
-					s.journal.SetLevel(int(id), ac.last.Level)
-					adopts = append(adopts, id)
-				}
-				continue
-			}
-			switch {
-			case !cs.acked && cycleN > cs.sentCycle:
-				cs.retries++
-				cs.sentCycle = cycleN
-				s.cmdRetries.Inc()
-				resends = append(resends, resend{ac, cs.level, cs.seq})
-			case cs.acked && ac.last.Level != cs.level && cycleN >= cs.sentCycle+2:
-				cs.seq = s.seq.Add(1)
-				cs.acked = false
-				cs.sentCycle = cycleN
-				s.reconciles.Inc()
-				resends = append(resends, resend{ac, cs.level, cs.seq})
-			}
-			if cs.level < ac.maxLevel {
-				adopts = append(adopts, id)
-			}
-		}
-		sh.mu.Unlock()
-		resendParts[i], adoptParts[i] = resends, adopts
-	})
-
-	var adopts []node.ID
-	for _, a := range adoptParts {
-		adopts = append(adopts, a...)
-	}
-	if len(adopts) > 0 {
-		s.mgrMu.Lock()
-		for _, id := range adopts {
-			s.mgr.Adopt(id)
-		}
-		s.mgrMu.Unlock()
-	}
-	for _, rs := range resendParts {
-		for _, r := range rs {
-			s.dispatch(r.ac, r.level, r.seq, fan)
-		}
-	}
-}
-
 // refreshGauges publishes the registry gauges that are derived from
 // swept state rather than bumped inline: connected agents, drift, node
 // health tallies and the management-cost ratio. It runs before every
-// Status reply and /metrics render. The per-node walks live in the
-// sweeps that already visit every record (updateHealth, the collect
-// pass); this reads the cached per-shard tallies, so a status probe
-// costs O(shards) regardless of fleet size.
+// Status reply and /metrics render. The per-node walk lives in the sweep
+// that already visits every record; this reads the cached per-shard
+// tallies, so a status probe costs O(shards) regardless of fleet size.
 func (s *Server) refreshGauges() {
-	agents, drifted := 0, 0
-	var healthy, staleN, lost, quar, nBin, nJSON int
+	var drifted, healthy, staleN, lost, quar, nBin, nJSON int
 	for _, sh := range s.nodes.shards {
 		sh.mu.Lock()
-		agents += len(sh.agents)
 		drifted += sh.drifted
 		healthy += sh.nHealthy
 		staleN += sh.nStale
@@ -1136,7 +1118,7 @@ func (s *Server) refreshGauges() {
 		nJSON += sh.nJSON
 		sh.mu.Unlock()
 	}
-	s.agentsG.SetInt(int64(agents))
+	s.agentsG.SetInt(int64(nBin + nJSON))
 	s.driftedG.SetInt(int64(drifted))
 	s.healthyG.SetInt(int64(healthy))
 	s.staleNodesG.SetInt(int64(staleN))

@@ -109,7 +109,7 @@ func (s *Server) retireOutbox(ac *agentConn) {
 // writing whatever accumulated (newest command, pending ping) as a single
 // deadline-bounded write. A write failure retires the connection — after
 // a deadline the stream is mid-message and unrecoverable — and the
-// in-flight command stays recorded in cmds for the retry path.
+// in-flight command stays on the node's record for the retry path.
 func (s *Server) runSender(ac *agentConn) {
 	defer s.senders.Done()
 	for {
@@ -177,11 +177,10 @@ func (s *Server) runSender(ac *agentConn) {
 func (s *Server) noteSendError(ac *agentConn) {
 	sh := s.nodes.of(ac.id)
 	sh.mu.Lock()
-	current := sh.agents[ac.id] == ac
+	rec := sh.nodes[ac.id]
+	current := rec != nil && rec.ac == ac
 	if current {
-		if rec := sh.health[ac.id]; rec != nil {
-			rec.sendErrs++
-		}
+		rec.health.sendErrs++
 	}
 	sh.mu.Unlock()
 	if current {

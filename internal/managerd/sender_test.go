@@ -319,7 +319,7 @@ func TestLateHelloDoesNotEvictNewerConnection(t *testing.T) {
 	waitFor(t, 5*time.Second, "sample on the live connection", func() bool { return srv.SamplesReceived() == 1 })
 	sh := srv.nodes.of(5)
 	sh.mu.Lock()
-	connects := len(sh.health[5].connects)
+	connects := len(sh.nodes[5].health.connects)
 	sh.mu.Unlock()
 	if st := srv.Status(); st.Agents != 1 || connects != 2 {
 		t.Errorf("agents = %d, counted connects = %d; want 1 and 2 (a refused hello is still a flap)", st.Agents, connects)
@@ -331,4 +331,7 @@ func TestLateHelloDoesNotEvictNewerConnection(t *testing.T) {
 		cur := currentConn(srv, 5)
 		return cur != nil && cur != registered
 	})
+	if n := recordCount(srv); n != 1 {
+		t.Errorf("%d records after three hellos for one node, want 1", n)
+	}
 }

@@ -7,14 +7,13 @@ import (
 )
 
 // Sharded node state. Before this existed, one Server.mu serialised every
-// toucher of the per-node maps: each agent's sample-reader goroutine, the
-// ack path, the health scanner, the control loop's collect pass and the
-// status endpoint. At 128 nodes that mutex is invisible; at 1024+ it is
-// the control plane's hottest lock. The store splits the three per-node
-// maps (connection, in-flight command, health record) into power-of-two
-// shards keyed by a mixed node ID, so the id→shard mapping is stable and
-// all state for one node — connection, command, health — lives behind one
-// shard mutex and can be updated atomically together.
+// toucher of the per-node state: each agent's sample-reader goroutine, the
+// ack path, the control loop's sweep and the status endpoint. At 128 nodes
+// that mutex is invisible; at 1024+ it is the control plane's hottest
+// lock. The store splits the node records into power-of-two shards keyed
+// by a mixed node ID, so the id→shard mapping is stable and everything
+// about one node — connection, newest command, health — is one nodeRec
+// behind one shard mutex, updated atomically together.
 //
 // Lock ordering: a shard mutex may be taken while holding no other lock,
 // or under Server.mgrMu (the control loop). An agentConn's outbox mutex
@@ -22,20 +21,32 @@ import (
 // lock must never touch a shard. Shards are never locked pairwise, so
 // shard order does not matter.
 
-// shard is one slice of the node-state tables, with everything about its
-// nodes guarded by its own mutex.
-type shard struct {
-	mu     sync.Mutex
-	agents map[node.ID]*agentConn
-	cmds   map[node.ID]*cmdState
-	health map[node.ID]*healthRec
+// nodeRec is everything the manager knows about one node: the paper's
+// per-node state, i.e. its set membership (§II.A, health) and the newest
+// level Algorithm 1 commanded (§III.B, cmd). It is made by the node's
+// first hello (noteConnect) or by the journal restore and never deleted —
+// a disconnected node stays in the table as lost, and its reconnect
+// history survives redials, which is what makes flap detection possible —
+// so the table holds one record per distinct node ID ever seen or
+// journalled. All access under the owning shard's mutex.
+type nodeRec struct {
+	ac     *agentConn // nil while the node is away
+	cmd    cmdState
+	health healthRec
+}
 
-	// Cached tallies, guarded by mu. The health counts are recomputed by
-	// every updateHealth sweep and adjusted incrementally by noteConnect
-	// and the journal restore; drifted is recomputed by each control
-	// cycle's collect sweep. They exist so refreshGauges — and therefore
-	// Status and every /metrics scrape — reads O(shards) cached integers
-	// instead of re-walking every node record per call.
+// shard is one slice of the node table, with everything about its nodes
+// guarded by its own mutex.
+type shard struct {
+	mu    sync.Mutex
+	nodes map[node.ID]*nodeRec
+
+	// Cached tallies, guarded by mu. The health counts and drifted are
+	// recomputed by every cycle's sweep; noteConnect and the journal
+	// restore adjust the health counts incrementally in between. They
+	// exist so refreshGauges — and therefore Status and every /metrics
+	// scrape — reads O(shards) cached integers instead of re-walking
+	// every node record per call.
 	nHealthy int
 	nStale   int
 	nLost    int
@@ -43,8 +54,9 @@ type shard struct {
 	drifted  int
 
 	// Connected-agent codec tallies, adjusted at connection register,
-	// replace and teardown in serveConn — the same O(shards) cache idea
-	// as the health counts, feeding the binary_conns/json_conns gauges.
+	// replace and teardown in serveConn — the same O(shards) cache idea,
+	// feeding the binary_conns/json_conns gauges; their sum is the agents
+	// gauge.
 	nBin  int
 	nJSON int
 }
@@ -54,8 +66,10 @@ type shard struct {
 func (sh *shard) conns(buf []*agentConn) []*agentConn {
 	buf = buf[:0]
 	sh.mu.Lock()
-	for _, ac := range sh.agents {
-		buf = append(buf, ac)
+	for _, rec := range sh.nodes {
+		if rec.ac != nil {
+			buf = append(buf, rec.ac)
+		}
 	}
 	sh.mu.Unlock()
 	return buf
@@ -75,11 +89,7 @@ func newStore(n int) *store {
 	}
 	st := &store{shards: make([]*shard, size), mask: uint64(size - 1)}
 	for i := range st.shards {
-		st.shards[i] = &shard{
-			agents: make(map[node.ID]*agentConn),
-			cmds:   make(map[node.ID]*cmdState),
-			health: make(map[node.ID]*healthRec),
-		}
+		st.shards[i] = &shard{nodes: make(map[node.ID]*nodeRec)}
 	}
 	return st
 }

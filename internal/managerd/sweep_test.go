@@ -1,0 +1,345 @@
+package managerd
+
+import (
+	"math"
+	"net"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/faultnet"
+	"repro/internal/manager"
+	"repro/internal/node"
+	"repro/internal/policy"
+	"repro/internal/power"
+	"repro/internal/wire"
+)
+
+// Tests for the node record (store.go) and the cycle's one sweep over it.
+
+// recordCount is how many node records the table holds.
+func recordCount(s *Server) int {
+	n := 0
+	for _, sh := range s.nodes.shards {
+		sh.mu.Lock()
+		n += len(sh.nodes)
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// journalLevel is the journal mirror's level for id, or -1.
+func journalLevel(s *Server, id node.ID) int {
+	for _, l := range s.journal.State().Levels {
+		if l.Node == int(id) {
+			return l.Level
+		}
+	}
+	return -1
+}
+
+func ids(rs []manager.AgentReading) []node.ID {
+	out := []node.ID{}
+	for _, r := range rs {
+		out = append(out, r.ID)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	return out
+}
+
+// TestSweepOneShard builds one shard by hand, one record per case the
+// sweep distinguishes, and runs the sweep under the control loop's
+// wall-clock freshness and the external driver's epoch freshness. The two
+// must differ in readings, candidates and stale, and in nothing else.
+func TestSweepOneShard(t *testing.T) {
+	const (
+		cycleN = 10
+		epoch  = 7
+		top    = 9
+	)
+	type outcome struct {
+		readings, candidates, adopts []node.ID
+		stale                        int
+		resends                      map[node.ID]resend
+		tallies                      [4]int
+		drifted                      int
+	}
+	run := func(t *testing.T, epochFresh bool) (*Server, outcome, uint64) {
+		srv, err := New(Config{
+			Model:        power.TianheNode(),
+			Policy:       policy.MPCC{},
+			Tg:           3,
+			ControlEvery: time.Hour,
+			Thresholds:   power.Thresholds{PL: 1e6, PH: 2e6},
+			StaleAfter:   100 * time.Millisecond,
+			LostAfter:    time.Second,
+			Shards:       1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Stop)
+		t0 := time.Now()
+		sh := srv.nodes.shards[0]
+		put := func(id node.ID, level int, age time.Duration, ep uint64, cmd cmdState, state healthState) {
+			server, client := net.Pipe()
+			t.Cleanup(func() { client.Close() })
+			sh.nodes[id] = &nodeRec{
+				ac: &agentConn{
+					id: id, conn: wire.NewConn(server), maxLevel: top, seen: true,
+					last:   manager.AgentReading{ID: id, Level: level, MaxLevel: top},
+					lastAt: t0.Add(-age), lastEpoch: ep,
+				},
+				cmd:    cmd,
+				health: healthRec{state: state, quarantinedAt: t0},
+			}
+		}
+		inFlight := cmdState{issued: true, level: 5, seq: 41, sentCycle: cycleN - 1}
+		acked := func(seq uint64, sent int) cmdState {
+			return cmdState{issued: true, level: 4, seq: seq, acked: true, sentCycle: sent}
+		}
+		// 1 fresh; 2 stale by the wall clock only; 3 disconnected, with a
+		// command; 4 quarantined and fresh, a command in flight; 5 hello
+		// only, so in no epoch; 6 below top, never commanded; 7 unacked from
+		// last cycle; 8 acked, then drifted; 9 drifted inside the grace, and
+		// sampled last epoch only.
+		put(1, top, 0, epoch, cmdState{}, healthHealthy)
+		put(2, top, 200*time.Millisecond, epoch, cmdState{}, healthHealthy)
+		sh.nodes[3] = &nodeRec{cmd: acked(40, 0), health: healthRec{state: healthLost}}
+		put(4, top, 0, epoch, inFlight, healthQuarantined)
+		put(5, top, 0, 0, cmdState{}, healthHealthy)
+		put(6, 3, 0, epoch, cmdState{}, healthHealthy)
+		put(7, top, 0, epoch, inFlight, healthHealthy)
+		put(8, top, 0, epoch, acked(42, cycleN-2), healthHealthy)
+		put(9, top, 0, epoch-1, acked(43, cycleN-1), healthHealthy)
+		srv.seq.Store(100)
+
+		fresh := func(ac *agentConn) bool { return t0.Sub(ac.lastAt) <= srv.cfg.StaleAfter }
+		if epochFresh {
+			fresh = func(ac *agentConn) bool { return ac.lastEpoch == epoch }
+		}
+		parts := srv.sweep(cycleN, t0, fresh)
+		if len(parts) != 1 {
+			t.Fatalf("%d parts for one shard", len(parts))
+		}
+		g := parts[0]
+		out := outcome{
+			readings: ids(g.readings), candidates: ids(g.candidates), stale: g.stale,
+			adopts:  append([]node.ID{}, g.adopts...),
+			resends: map[node.ID]resend{},
+			tallies: [4]int{sh.nHealthy, sh.nStale, sh.nLost, sh.nQuar},
+			drifted: sh.drifted,
+		}
+		sort.Slice(out.adopts, func(a, b int) bool { return out.adopts[a] < out.adopts[b] })
+		for _, r := range g.resends {
+			out.resends[r.ac.id] = r
+		}
+		return srv, out, srv.seq.Load()
+	}
+
+	wallSrv, wall, wallSeq := run(t, false)
+	_, ext, extSeq := run(t, true)
+
+	// What the freshness predicate decides.
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"wall readings", wall.readings, []node.ID{1, 4, 5, 6, 7, 8, 9}},
+		{"wall candidates", wall.candidates, []node.ID{1, 5, 6, 7, 8, 9}},
+		{"wall stale", wall.stale, 1},
+		{"epoch readings", ext.readings, []node.ID{1, 2, 4, 6, 7, 8}},
+		{"epoch candidates", ext.candidates, []node.ID{1, 2, 6, 7, 8}},
+		{"epoch stale", ext.stale, 2},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+
+	// What it must not: lifecycle, health and drift.
+	for name, o := range map[string]outcome{"wall": wall, "epoch": ext} {
+		if want := []node.ID{6, 7, 8, 9}; !reflect.DeepEqual(o.adopts, want) {
+			t.Errorf("%s adopts = %v, want %v", name, o.adopts, want)
+		}
+		if want := [4]int{6, 1, 1, 1}; o.tallies != want {
+			t.Errorf("%s healthy/stale/lost/quarantined = %v, want %v", name, o.tallies, want)
+		}
+		if o.drifted != 4 {
+			t.Errorf("%s drifted = %d, want 4 (nodes 4, 7, 8, 9)", name, o.drifted)
+		}
+		if len(o.resends) != 2 {
+			t.Errorf("%s re-sends = %v, want nodes 7 and 8 only (4 is quarantined, 9 inside the grace)", name, o.resends)
+		}
+		if r := o.resends[7]; r.level != 5 || r.seq != 41 {
+			t.Errorf("%s retry = level %d seq %d, want level 5 under the same seq 41", name, r.level, r.seq)
+		}
+		if r := o.resends[8]; r.level != 4 || r.seq != 101 {
+			t.Errorf("%s reconcile = level %d seq %d, want level 4 under the fresh seq 101", name, r.level, r.seq)
+		}
+	}
+	if wallSeq != 101 || extSeq != 101 {
+		t.Errorf("seq after sweep = %d / %d, want one fresh seq each", wallSeq, extSeq)
+	}
+	if got, want := commandedLevel(wallSrv, 6), 3; got != want || journalLevel(wallSrv, 6) != want {
+		t.Errorf("adopted node 6: command %d, journal %d, want %d in both", got, journalLevel(wallSrv, 6), want)
+	}
+	if st := wallSrv.Status(); st.CommandRetries != 1 || st.Reconciles != 1 {
+		t.Errorf("retries = %d, reconciles = %d, want 1 and 1", st.CommandRetries, st.Reconciles)
+	}
+}
+
+// TestExternalCycleRunsTheLoopsSweep pins the two consequences of the
+// external driver running the control loop's own sweep: a node that
+// hellos below its top level is adopted, and a quarantined node's sample
+// is absent from Readings yet counted in last_power_w.
+func TestExternalCycleRunsTheLoopsSweep(t *testing.T) {
+	srv := startExternalServer(t)
+	low := dialFakeAgent(t, srv.Addr(), 1, 3, 9)
+	// Bounce node 2 up to the default flap limit; the last connect sticks.
+	var flapper *wire.Conn
+	for i := 0; i < 6; i++ {
+		if flapper != nil {
+			flapper.Close()
+		}
+		flapper = dialFakeAgent(t, srv.Addr(), 2, 9, 9)
+	}
+	waitFor(t, 5*time.Second, "node 2 quarantined and connected", func() bool {
+		st := srv.Status()
+		return st.QuarantinedNodes == 1 && st.Agents == 2 && currentConn(srv, 2) != nil
+	})
+
+	srv.BeginSenseEpoch()
+	for _, s := range []struct {
+		c   *wire.Conn
+		env wire.Envelope
+	}{{low, busySample(1, 3)}, {flapper, busySample(2, 9)}} {
+		if err := s.c.Send(s.env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A sample sent on one of node 2's superseded connections cannot
+	// count: only the registered one is fed above.
+	waitFor(t, 5*time.Second, "both samples accepted", func() bool { return srv.SamplesReceived() == 2 })
+
+	cyc := srv.StartExternalCycle()
+	if rs := cyc.Readings(); len(rs) != 1 || rs[0].ID != 1 || rs[0].Level != 3 {
+		t.Errorf("readings = %+v, want node 1 at level 3 alone (node 2 is quarantined)", rs)
+	}
+	if got := commandedLevel(srv, 1); got != 3 || journalLevel(srv, 1) != 3 {
+		t.Errorf("node 1 hello'd at 3 of 9: command %d, journal %d, want adopted at 3 in both", got, journalLevel(srv, 1))
+	}
+	if got := commandedLevel(srv, 2); got != -1 {
+		t.Errorf("quarantined node 2 has command %d, want none", got)
+	}
+	model := power.TianheNode()
+	s1, s2 := busySample(1, 3), busySample(2, 9)
+	want := float64(model.Estimate(s1.Reading().Delta, 3) + model.Estimate(s2.Reading().Delta, 9))
+	if got := srv.Status().LastPowerW; math.Abs(got-want) > 1e-6 {
+		t.Errorf("last_power_w = %.3f, want %.3f (both nodes: a quarantined node's draw is real)", got, want)
+	}
+	if err := cyc.Finish(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecordOutlivesConnection: the command and the connect history stay
+// on the node's record across a disconnect, and however often the node
+// redials there is one record.
+func TestRecordOutlivesConnection(t *testing.T) {
+	nw := faultnet.New(1)
+	cfg := fanoutConfig(nw, 2*time.Second, power.Thresholds{PL: 1e6, PH: 2e6})
+	cfg.Tg = 1 << 20   // no steady-green restore: the only commands are the ones below
+	cfg.FlapLimit = -1 // the redials below are not a flap under test
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Stop)
+
+	// serve acks every command at its level and reports them.
+	serve := func(c *wire.Conn) <-chan wire.Envelope {
+		cmds := make(chan wire.Envelope, 4) // at most the one command and its one re-send
+		go func() {
+			for {
+				env, err := c.Recv()
+				if err != nil {
+					return
+				}
+				if env.Type == wire.KindCommand {
+					_ = c.Send(wire.Envelope{Type: wire.KindAck, Node: 7, Seq: env.Seq, Level: env.Level})
+					cmds <- env
+				}
+			}
+		}()
+		return cmds
+	}
+	recvCmd := func(cmds <-chan wire.Envelope, what string) wire.Envelope {
+		t.Helper()
+		select {
+		case env := <-cmds:
+			return env
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no %s", what)
+			return wire.Envelope{}
+		}
+	}
+
+	c := dialFaultAgent(t, nw, 7, 9, 9)
+	cmds := serve(c)
+	waitFor(t, 5*time.Second, "agent registered", func() bool { return srv.Status().Agents == 1 })
+	if err := (actuator{srv, nil}).SetNodeLevel(7, 4); err != nil {
+		t.Fatal(err)
+	}
+	first := recvCmd(cmds, "command")
+	waitFor(t, 5*time.Second, "command acked", func() bool { return srv.UnackedCommands() == 0 })
+
+	c.Close()
+	waitFor(t, 5*time.Second, "connection torn down", func() bool { return currentConn(srv, 7) == nil })
+	srv.StepCycle()
+	if st := srv.Status(); st.LostNodes != 1 || st.Agents != 0 {
+		t.Fatalf("after the drop: lost %d, agents %d, want 1 and 0", st.LostNodes, st.Agents)
+	}
+	if got := commandedLevel(srv, 7); got != 4 {
+		t.Fatalf("command level %d after the drop, want 4 kept on the record", got)
+	}
+
+	// The node comes back at its top level (a reboot): the recorded
+	// command is reconciled, two cycles after it was sent.
+	cmds = serve(dialFaultAgent(t, nw, 7, 9, 9))
+	waitFor(t, 5*time.Second, "redial registered", func() bool { return currentConn(srv, 7) != nil })
+	srv.StepCycle()
+	again := recvCmd(cmds, "reconcile re-send")
+	if again.Level != 4 || again.Seq == first.Seq {
+		t.Errorf("re-send = level %d seq %d, want level 4 under a seq other than %d", again.Level, again.Seq, first.Seq)
+	}
+	if st := srv.Status(); st.Reconciles != 1 || st.LostNodes != 0 {
+		t.Errorf("reconciles %d, lost %d, want 1 and 0", st.Reconciles, st.LostNodes)
+	}
+	sh := srv.nodes.of(7)
+	sh.mu.Lock()
+	connects := len(sh.nodes[7].health.connects)
+	sh.mu.Unlock()
+	if connects != 2 {
+		t.Errorf("connect history = %d, want 2", connects)
+	}
+
+	for i := 0; i < 100; i++ {
+		dialFaultAgent(t, nw, 7, 4, 9)
+	}
+	waitFor(t, 10*time.Second, "redials handled", func() bool {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return len(sh.nodes[7].health.connects) == 102
+	})
+	if n := recordCount(srv); n != 1 {
+		t.Errorf("%d records after 100 redials of one node, want 1", n)
+	}
+	if st := srv.Status(); st.Agents != 1 {
+		t.Errorf("agents = %d after the redials, want 1", st.Agents)
+	}
+}

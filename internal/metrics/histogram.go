@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"repro/internal/units"
 )
 
-// Histogram summarises the distribution of a power series: time-weighted
-// quantiles and fixed-width bins. Facility planners read p99/p999 of the
+// Histogram summarises the distribution of a power series as exact
+// time-weighted quantiles. Facility planners read p99/p999 of the
 // power signal when sizing feeds and breakers, which is exactly the
 // provisioning question the paper opens with.
 type Histogram struct {
@@ -87,49 +86,6 @@ func (h *Histogram) Quantiles(qs ...float64) []units.Watts {
 		out[i] = h.Quantile(q)
 	}
 	return out
-}
-
-// Bin is one row of a rendered histogram.
-type Bin struct {
-	Lo, Hi units.Watts
-	Time   time.Duration
-	Frac   float64
-}
-
-// Bins splits the observed power range into n equal-width bins and
-// returns the time spent in each. Returns nil on an empty histogram or
-// n ≤ 0.
-func (h *Histogram) Bins(n int) []Bin {
-	if h.Empty() || n <= 0 {
-		return nil
-	}
-	h.sort()
-	lo := h.weights[0].p
-	hi := h.weights[len(h.weights)-1].p
-	if hi == lo {
-		hi = lo + 1
-	}
-	width := (hi - lo) / float64(n)
-	bins := make([]Bin, n)
-	total := 0.0
-	for i := range bins {
-		bins[i].Lo = units.Watts(lo + float64(i)*width)
-		bins[i].Hi = units.Watts(lo + float64(i+1)*width)
-	}
-	for _, w := range h.weights {
-		idx := int((w.p - lo) / width)
-		if idx >= n {
-			idx = n - 1
-		}
-		bins[idx].Time += time.Duration(w.w * float64(time.Second))
-		total += w.w
-	}
-	if total > 0 {
-		for i := range bins {
-			bins[i].Frac = bins[i].Time.Seconds() / total
-		}
-	}
-	return bins
 }
 
 // String renders the headline quantiles.

@@ -18,9 +18,6 @@ func TestHistogramEmpty(t *testing.T) {
 	if !math.IsNaN(float64(h.Quantile(0.5))) {
 		t.Error("empty quantile not NaN")
 	}
-	if h.Bins(4) != nil {
-		t.Error("empty bins not nil")
-	}
 	if !strings.Contains(h.String(), "empty") {
 		t.Error("empty String")
 	}
@@ -59,42 +56,6 @@ func TestHistogramQuantilesTimeWeighted(t *testing.T) {
 	// Out-of-range q clamps.
 	if h.Quantile(-1) != h.Quantile(0) || h.Quantile(2) != h.Quantile(1) {
 		t.Error("quantile clamping broken")
-	}
-}
-
-func TestHistogramBins(t *testing.T) {
-	// Segment midpoints: 100, 100, 100, 200 → three seconds in the low
-	// half of the range, one in the high half.
-	s := series(t, 100, 100, 100, 100, 300)
-	h := NewHistogram(s)
-	bins := h.Bins(2)
-	if len(bins) != 2 {
-		t.Fatalf("bins = %d", len(bins))
-	}
-	fracSum := bins[0].Frac + bins[1].Frac
-	if math.Abs(fracSum-1) > 1e-9 {
-		t.Errorf("fractions sum to %v", fracSum)
-	}
-	if bins[0].Time != 3*time.Second || bins[1].Time != time.Second {
-		t.Errorf("bins = %v / %v, want 3s / 1s", bins[0].Time, bins[1].Time)
-	}
-	if h.Bins(0) != nil {
-		t.Error("n=0 bins")
-	}
-}
-
-func TestHistogramDegenerateRange(t *testing.T) {
-	s := series(t, 50, 50)
-	bins := NewHistogram(s).Bins(3)
-	if bins == nil {
-		t.Fatal("constant series produced no bins")
-	}
-	total := time.Duration(0)
-	for _, b := range bins {
-		total += b.Time
-	}
-	if total != time.Second {
-		t.Errorf("binned time = %v, want 1 s", total)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -93,23 +92,11 @@ func (f *Follower) runOnce(ctx context.Context) {
 		return
 	}
 	conn := wire.NewConn(raw)
-	var once sync.Once
-	closeConn := func() { once.Do(func() { conn.Close() }) }
-	done := make(chan struct{})
-	watcherDone := make(chan struct{})
-	go func() {
-		defer close(watcherDone)
-		select {
-		case <-ctx.Done():
-			closeConn()
-		case <-done:
-		}
-	}()
-	defer func() {
-		close(done)
-		closeConn()
-		<-watcherDone
-	}()
+	defer conn.Close()
+	// A cancelled ctx must unblock a Recv parked on a silent leader;
+	// closing the conn is the only lever that works mid-read.
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	defer stop()
 	// The subscribe frame advertises codec support: a binary-capable
 	// leader streams journal appends on the fast codec (the reader below
 	// auto-detects per frame, so no confirmation round-trip is needed).
@@ -126,6 +113,9 @@ func (f *Follower) runOnce(ctx context.Context) {
 	for {
 		env, err := conn.Recv()
 		if err != nil {
+			// Recoverable decode errors included: entries are sequenced, so
+			// a skipped journal_append is a gap, and resubscribing from our
+			// head is the right answer to a gap.
 			return
 		}
 		if env.Type != wire.KindJournalAppend || len(env.Entry) == 0 {
