@@ -4,17 +4,17 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/agentd"
 	"repro/internal/manager"
 	"repro/internal/managerd"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/scenario"
-	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 // engineConfig parametrises one open-loop scenario run against a live
@@ -84,36 +84,33 @@ type scenarioEntry struct {
 	MinLevel     int     `json:"min_level"`
 }
 
-// benchAgent is one synthetic agent: a wire connection, the level the
-// manager last commanded (applied instantly, acked back — the agent is a
-// perfect actuator), and a write lock serialising its two writers (the
-// worker's samples, the reader's acks).
-type benchAgent struct {
-	id       int
-	maxLevel int
-
-	mu   sync.Mutex
-	conn *wire.Conn
-
-	level    atomic.Int64
-	minLevel atomic.Int64
-
+// benchNode is one scripted node: a passive agentd.Agent (the production
+// agent: codec negotiation, decode tolerance, epoch fencing) that applies
+// commands instantly, and the session it currently runs. Only its worker
+// touches it; minLevel is also written by the session's reader, in Apply.
+type benchNode struct {
+	id  int
 	eng *engine
+
+	agent    *agentd.Agent
+	hangUp   context.CancelFunc // ends the session; nil while offline
+	ended    chan struct{}      // closed when the session has returned
+	minLevel atomic.Int64
 }
 
 // engine drives one scenario run.
 type engine struct {
-	cfg    engineConfig
-	script [][]scenario.Load
-	agents []*benchAgent
+	cfg      engineConfig
+	script   [][]scenario.Load
+	maxLevel int
+	nodes    []*benchNode
 
+	// reg is shared by every agent, so its samples_pushed, commands_applied
+	// and acks_sent counters are fleet totals.
 	reg     *obs.Registry
 	sendLag *obs.Histogram // µs: send completion vs open-loop schedule
 	statRTT *obs.Histogram // µs: status probe round trips
 
-	samples    atomic.Int64
-	commands   atomic.Int64
-	acks       atomic.Int64
 	reconnects atomic.Int64
 	sendErrs   atomic.Int64
 
@@ -122,86 +119,57 @@ type engine struct {
 	maxPower float64
 }
 
-// dial connects the agent and announces it with a hello carrying its
-// current level, then starts the command reader.
-func (a *benchAgent) dial() error {
-	raw, err := net.DialTimeout("tcp", a.eng.cfg.Addr, 5*time.Second)
-	if err != nil {
-		return err
-	}
-	c := wire.NewConn(raw)
-	if err := c.Send(wire.Envelope{
-		Type: wire.KindHello, Node: a.id,
-		MaxLevel: a.maxLevel, Level: int(a.level.Load()),
-	}); err != nil {
-		raw.Close()
-		return err
-	}
-	a.mu.Lock()
-	a.conn = c
-	a.mu.Unlock()
-	go a.read(c)
-	return nil
-}
-
-// read drains the manager→agent stream, applying commands and acking
-// them. Batches (a coalesced command+ping) are unwrapped one level, like
-// the real agent.
-func (a *benchAgent) read(c *wire.Conn) {
-	for {
-		env, err := c.Recv()
-		if err != nil {
-			return
-		}
-		if env.Type == wire.KindBatch {
-			for _, nested := range env.Batch {
-				a.handle(nested)
+// boot gives the node a fresh agent at the hardware default level, with no
+// memory of any manager: the initial state, and a scripted reboot.
+func (n *benchNode) boot() (err error) {
+	eng := n.eng
+	n.agent, err = agentd.New(agentd.Config{
+		NodeID: node.ID(n.id), ManagerAddr: eng.cfg.Addr,
+		SampleEvery: eng.cfg.SampleEvery, TickEvery: eng.cfg.SampleEvery,
+		Passive: true, MaxLevel: eng.maxLevel, InitialLevel: eng.maxLevel,
+		Apply: func(level int) (int, error) {
+			if int64(level) < n.minLevel.Load() {
+				n.minLevel.Store(int64(level))
 			}
-			continue
+			return level, nil
+		},
+		Obs: eng.reg,
+	})
+	return err
+}
+
+// dial starts one session of the node's agent; connected says how it went.
+func (n *benchNode) dial() {
+	ctx, cancel := context.WithCancel(context.Background())
+	n.hangUp, n.ended = cancel, make(chan struct{})
+	go func(a *agentd.Agent, ended chan struct{}) {
+		defer close(ended)
+		_ = a.Run(ctx)
+	}(n.agent, n.ended)
+}
+
+// connected reports whether the node holds a live session, waiting out one
+// that is still dialling and retiring one that has ended — refused, or
+// dropped by the daemon (failover).
+func (n *benchNode) connected() bool {
+	for n.hangUp != nil && !n.agent.Connected() {
+		select {
+		case <-n.ended:
+			n.close()
+		default:
+			time.Sleep(50 * time.Microsecond)
 		}
-		a.handle(env)
 	}
+	return n.hangUp != nil
 }
 
-func (a *benchAgent) handle(env wire.Envelope) {
-	if env.Type != wire.KindCommand {
-		return // pings keep the dead-man switch quiet; nothing to do here
+// close cancels the node's session, if any, and waits for it to end.
+func (n *benchNode) close() {
+	if n.hangUp != nil {
+		n.hangUp()
+		<-n.ended
+		n.hangUp = nil
 	}
-	a.eng.commands.Add(1)
-	a.level.Store(int64(env.Level))
-	if int64(env.Level) < a.minLevel.Load() {
-		a.minLevel.Store(int64(env.Level))
-	}
-	if err := a.send(wire.Envelope{Type: wire.KindAck, Node: a.id, Seq: env.Seq, Level: env.Level}); err == nil {
-		a.eng.acks.Add(1)
-	}
-}
-
-// send writes one envelope on the current connection, whichever that is —
-// an ack raced against a reconnect lands on the new connection, which the
-// manager accepts (acks match by node+seq, not by conn).
-func (a *benchAgent) send(env wire.Envelope) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.conn == nil {
-		return fmt.Errorf("agent %d offline", a.id)
-	}
-	return a.conn.Send(env)
-}
-
-func (a *benchAgent) close() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.conn != nil {
-		a.conn.Close()
-		a.conn = nil
-	}
-}
-
-func (a *benchAgent) connected() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.conn != nil
 }
 
 // runScenario replays the scenario's deterministic script open-loop
@@ -212,9 +180,10 @@ func runScenario(cfg engineConfig) (scenarioEntry, error) {
 		return scenarioEntry{}, err
 	}
 	eng := &engine{
-		cfg:    cfg,
-		script: cfg.SC.Script(cfg.Seed),
-		reg:    obs.NewRegistry(),
+		cfg:      cfg,
+		script:   cfg.SC.Script(cfg.Seed),
+		maxLevel: benchModel.Levels() - 1,
+		reg:      obs.NewRegistry(),
 	}
 	eng.sendLag = eng.reg.Histogram("bench_send_lag_us")
 	eng.statRTT = eng.reg.Histogram("bench_status_rtt_us")
@@ -229,44 +198,31 @@ func runScenario(cfg engineConfig) (scenarioEntry, error) {
 		}
 	}
 
-	maxLevel := benchModel.Levels() - 1
-	eng.agents = make([]*benchAgent, cfg.SC.Agents)
-	for i := range eng.agents {
-		a := &benchAgent{id: i, maxLevel: maxLevel, eng: eng}
-		a.level.Store(int64(maxLevel))
-		a.minLevel.Store(int64(maxLevel))
-		eng.agents[i] = a
-	}
-
-	// Connect the initial fleet (bounded concurrency, herd-style).
-	var dialWG sync.WaitGroup
-	dialErr := make(chan error, len(eng.agents))
-	sem := make(chan struct{}, 64)
-	for _, a := range eng.agents {
-		if !eng.script[0][a.id].Online {
-			continue
-		}
-		dialWG.Add(1)
-		sem <- struct{}{}
-		go func(a *benchAgent) {
-			defer dialWG.Done()
-			defer func() { <-sem }()
-			if err := a.dial(); err != nil {
-				dialErr <- fmt.Errorf("agent %d: %w", a.id, err)
-			}
-		}(a)
-	}
-	dialWG.Wait()
-	select {
-	case err := <-dialErr:
-		return scenarioEntry{}, err
-	default:
-	}
+	eng.nodes = make([]*benchNode, cfg.SC.Agents)
 	defer func() {
-		for _, a := range eng.agents {
-			a.close()
+		for _, n := range eng.nodes {
+			if n != nil {
+				n.close()
+			}
 		}
 	}()
+	for i := range eng.nodes {
+		n := &benchNode{id: i, eng: eng}
+		n.minLevel.Store(int64(eng.maxLevel))
+		if err := n.boot(); err != nil {
+			return scenarioEntry{}, err
+		}
+		eng.nodes[i] = n
+		// The initial fleet dials at once, herd-style.
+		if eng.script[0][i].Online {
+			n.dial()
+		}
+	}
+	for i, n := range eng.nodes {
+		if eng.script[0][i].Online && !n.connected() {
+			return scenarioEntry{}, fmt.Errorf("agent %d: no session with %s", n.id, cfg.Addr)
+		}
+	}
 
 	// Status prober: a separate control connection measuring what the
 	// paper's operator sees — status RTT under load.
@@ -325,20 +281,18 @@ func runScenario(cfg engineConfig) (scenarioEntry, error) {
 		maxPower = st.LastPowerW
 	}
 
-	minLevel := maxLevel
-	for _, a := range eng.agents {
-		if lv := int(a.minLevel.Load()); lv < minLevel {
-			minLevel = lv
-		}
+	minLevel := eng.maxLevel
+	for _, n := range eng.nodes {
+		minLevel = min(minLevel, int(n.minLevel.Load()))
 	}
 	entry := scenarioEntry{
 		Scenario:     cfg.SC.Name,
 		Agents:       cfg.SC.Agents,
 		Cycles:       cycles,
 		Seed:         cfg.Seed,
-		SamplesSent:  eng.samples.Load(),
-		CommandsSeen: eng.commands.Load(),
-		AcksSent:     eng.acks.Load(),
+		SamplesSent:  eng.reg.Counter("samples_pushed").Value(),
+		CommandsSeen: eng.reg.Counter("commands_applied").Value(),
+		AcksSent:     eng.reg.Counter("acks_sent").Value(),
 		Reconnects:   eng.reconnects.Load(),
 		SendErrors:   eng.sendErrs.Load(),
 		SendLagP50US: round1(eng.sendLag.Quantile(0.5)),
@@ -370,12 +324,12 @@ func (eng *engine) worker(w, cycles int, start time.Time) {
 		if d := time.Until(due); d > 0 {
 			time.Sleep(d)
 		}
-		for _, a := range eng.agents {
-			if a.id%cfg.Workers != w {
+		for _, n := range eng.nodes {
+			if n.id%cfg.Workers != w {
 				continue
 			}
 			for pc := c; pc <= burstEnd; pc++ {
-				eng.stepAgent(a, pc, start)
+				eng.stepAgent(n, pc, start)
 			}
 		}
 	}
@@ -384,40 +338,39 @@ func (eng *engine) worker(w, cycles int, start time.Time) {
 // stepAgent advances one agent through one scripted cycle: offline/online
 // transitions (real disconnects and redials against the live daemon),
 // upgrade resets, and the cycle's sample.
-func (eng *engine) stepAgent(a *benchAgent, c int, start time.Time) {
-	ld := eng.script[c][a.id]
+func (eng *engine) stepAgent(n *benchNode, c int, start time.Time) {
+	ld := eng.script[c][n.id]
 	if !ld.Online {
-		if a.connected() {
-			a.close() // partition/upgrade: the daemon sees a dead conn
-		}
+		n.close() // partition/upgrade: the daemon sees a dead conn
 		return
 	}
 	if ld.Reset {
-		// Rebooted node: back at the hardware default level.
-		a.level.Store(int64(a.maxLevel))
+		// Rebooted node: a fresh agent on a fresh session.
+		n.close()
+		if err := n.boot(); err != nil {
+			eng.sendErrs.Add(1)
+			return
+		}
 	}
-	if !a.connected() {
-		if err := a.dial(); err != nil {
+	if !n.connected() {
+		if n.dial(); !n.connected() {
 			eng.sendErrs.Add(1)
 			return
 		}
 		eng.reconnects.Add(1)
 	}
-	r := manager.AgentReading{
-		ID:       node.ID(a.id),
-		Level:    int(a.level.Load()),
-		MaxLevel: a.maxLevel,
+	err := n.agent.PushReading(manager.AgentReading{
+		ID:       node.ID(n.id),
+		Level:    n.agent.Level(),
+		MaxLevel: eng.maxLevel,
 		Delta:    ld.Delta(benchModel),
-		Job:      0,
-	}
-	env := wire.SampleEnvelope(r)
-	env.Job = ld.Job
-	if err := a.send(env); err != nil {
+		Job:      workload.JobID(ld.Job),
+	})
+	if err != nil {
 		eng.sendErrs.Add(1)
-		a.close()
+		n.close()
 		return
 	}
-	eng.samples.Add(1)
 	due := start.Add(time.Duration(c) * eng.cfg.SampleEvery)
 	lag := time.Since(due)
 	if lag < 0 {

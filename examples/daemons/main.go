@@ -1,11 +1,11 @@
 // Daemons: the architecture of Figure 1 as real processes — a global
-// manager daemon and a fleet of per-node profiling agents talking
-// newline-JSON over loopback TCP. The agents drive simulated Tianhe nodes
-// in real time; the manager runs Algorithm 1 every 100 ms with thresholds
-// chosen inside the fleet's power band, so degrade/restore commands
-// actually flow. After a few seconds the example prints the manager's
-// status — including its own measured CPU cost, the quantity Figure 5
-// plots.
+// manager daemon and a fleet of per-node profiling agents talking the wire
+// protocol over loopback TCP (binary frames, negotiated at hello; JSON is
+// the fallback). The agents drive simulated Tianhe nodes in real time; the
+// manager runs Algorithm 1 every 100 ms with thresholds chosen inside the
+// fleet's power band, so degrade/restore commands actually flow. After a
+// few seconds the example prints the manager's status — including its own
+// measured CPU cost, the quantity Figure 5 plots.
 package main
 
 import (

@@ -12,7 +12,6 @@ package agentd
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -91,11 +90,10 @@ type Config struct {
 	// passes one shared with its -metrics-addr endpoint.
 	Obs *obs.Registry
 
-	// Codec selects the wire codecs advertised in the hello: "binary"
-	// (also the "" default) offers the length-prefixed checksummed codec
-	// and switches onto it when the manager confirms; "json" advertises
-	// nothing and keeps the newline-JSON reference codec. The read side
-	// always accepts both regardless.
+	// Codec is the agent's side of the handshake (wire.Conn.Offer): "binary"
+	// (also the "" default) offers the binary codec in the hello and
+	// switches onto it when the manager confirms; "json" offers nothing and
+	// stays on the JSON reference codec. The read side accepts both.
 	Codec string
 }
 
@@ -151,6 +149,9 @@ func New(cfg Config) (*Agent, error) {
 		return nil, fmt.Errorf("agentd: need positive intervals")
 	}
 	a := &Agent{cfg: cfg, lastContact: time.Now()}
+	if cfg.Dial == nil {
+		a.cfg.Dial = func(ctx context.Context) (net.Conn, error) { return wire.DialTCP(ctx, a.dialAddr()) }
+	}
 	switch cfg.Codec {
 	case "", wire.CodecBinary, wire.CodecJSON:
 	default:
@@ -236,8 +237,8 @@ func (a *Agent) dialAddr() string {
 	return a.cfg.ManagerAddrs[a.addrIdx%len(a.cfg.ManagerAddrs)]
 }
 
-// advanceAddr moves the rotation cursor after a failed session, so the
-// next Run tries the following manager endpoint.
+// advanceAddr moves the rotation cursor, so the next session tries the
+// following manager endpoint.
 func (a *Agent) advanceAddr() {
 	if len(a.cfg.ManagerAddrs) < 2 {
 		return
@@ -386,6 +387,14 @@ func (a *Agent) PushReading(r manager.AgentReading) error {
 	return nil
 }
 
+// Connected reports whether a passive agent holds a live session, that is
+// whether PushReading has somewhere to send.
+func (a *Agent) Connected() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.send != nil
+}
+
 // RunWithReconnect runs the agent, redialling the manager with capped
 // exponential backoff whenever the connection drops. It returns only when
 // ctx is cancelled. The node keeps its power level across reconnects —
@@ -402,16 +411,12 @@ func (a *Agent) RunWithReconnect(ctx context.Context, initialBackoff, maxBackoff
 	// dial backoff with no connection (and therefore no tick loop).
 	if a.cfg.FailsafeAfter > 0 {
 		a.touchContact() // grace counts from run start, not agent creation
-		wdone := make(chan struct{})
-		defer close(wdone)
 		go func() {
 			t := time.NewTicker(a.cfg.SampleEvery)
 			defer t.Stop()
 			for {
 				select {
-				case <-ctx.Done():
-					return
-				case <-wdone:
+				case <-ctx.Done(): // which is also when the link below returns
 					return
 				case <-t.C:
 					a.failsafeCheck()
@@ -419,64 +424,31 @@ func (a *Agent) RunWithReconnect(ctx context.Context, initialBackoff, maxBackoff
 			}
 		}()
 	}
-	backoff := initialBackoff
-	first := true
-	for ctx.Err() == nil {
-		if !first {
-			a.reconnects.Inc()
-		}
-		first = false
-		err := a.Run(ctx)
-		if ctx.Err() != nil {
-			return
-		}
-		if err == nil {
-			backoff = initialBackoff
-			continue
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-		if backoff > maxBackoff {
-			backoff = maxBackoff
-		}
-	}
+	wire.Link{
+		Dial:    a.cfg.Dial,
+		Backoff: wire.Backoff{Min: initialBackoff, Max: maxBackoff},
+		// A redial follows a failed session (refused, dropped, or fenced as
+		// stale), so each one tries the next address in the list.
+		Redial: func() { a.reconnects.Inc(); a.advanceAddr() },
+	}.Run(ctx, func(conn *wire.Conn) { _ = a.session(ctx, conn) })
 }
 
 // Run connects to the manager and serves until ctx is cancelled or the
 // connection drops. It returns the first terminal error (nil on clean
 // shutdown via ctx). On return the connection is closed and the reader
 // goroutine has exited — reconnect churn never accumulates goroutines.
-func (a *Agent) Run(ctx context.Context) (err error) {
-	// A failed session advances the endpoint rotation: dial refused,
-	// connection dropped, or a fenced (stale-epoch) manager all mean the
-	// next attempt should try the following address in the list.
-	defer func() {
-		if err != nil {
-			a.advanceAddr()
-		}
-	}()
-	var raw net.Conn
-	if a.cfg.Dial != nil {
-		raw, err = a.cfg.Dial(ctx)
-	} else {
-		var d net.Dialer
-		raw, err = d.DialContext(ctx, "tcp", a.dialAddr())
-	}
+func (a *Agent) Run(ctx context.Context) error {
+	conn, err := wire.Open(ctx, a.cfg.Dial)
 	if err != nil {
 		return fmt.Errorf("agentd: dial manager: %w", err)
 	}
-	conn := wire.NewConn(raw)
+	return a.session(ctx, conn)
+}
 
-	// A cancelled ctx must unblock a send parked on a dead pipe (e.g. a
-	// dial accepted into a crashed manager's queue, or a stalled manager
-	// reader) — closing the conn is the only lever that works mid-write.
-	stopWatch := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stopWatch()
-
+// session serves one open connection (wire.Open: a cancelled ctx closes
+// it, which is what unblocks a send parked on a dead pipe) until ctx is
+// cancelled or it drops, and closes it.
+func (a *Agent) session(ctx context.Context, conn *wire.Conn) error {
 	// Sends come from two goroutines (samples below, acks in the reader),
 	// and wire.Conn requires external write serialisation.
 	var sendMu sync.Mutex
@@ -486,10 +458,10 @@ func (a *Agent) Run(ctx context.Context) (err error) {
 		return conn.Send(e)
 	}
 
-	// Reader: apply commands as they arrive. Closing the conn is what
-	// unblocks a reader parked in Recv, so the join below must close
-	// first, then wait.
-	readErr := make(chan error, 1)
+	// Reader: apply commands as they arrive; readErr is why it stopped,
+	// set before readDone closes. Closing the conn is what unblocks a
+	// reader parked in Recv, so the join below must close first, then wait.
+	var readErr error
 	readDone := make(chan struct{})
 	defer func() {
 		conn.Close()
@@ -511,14 +483,7 @@ func (a *Agent) Run(ctx context.Context) (err error) {
 		Level:    a.Level(),
 		Epoch:    a.MaxEpoch(),
 	}
-	if a.cfg.Codec != wire.CodecJSON {
-		// Advertise binary support; the manager's hello reply names the
-		// chosen codec. Until (and unless) that confirmation arrives,
-		// every frame we send stays JSON — old managers simply never
-		// confirm, and nothing changes.
-		hello.Codecs = []string{wire.CodecBinary}
-	}
-	if err := send(hello); err != nil {
+	if err := conn.Offer(hello, a.cfg.Codec); err != nil {
 		close(readDone)
 		return err
 	}
@@ -536,17 +501,12 @@ func (a *Agent) Run(ctx context.Context) (err error) {
 		}
 		switch env.Type {
 		case wire.KindHello:
-			// Codec confirmation rides the manager's first reply frame:
-			// from here on our writes use the negotiated codec. This must
-			// happen before the epoch check — a non-HA manager replies
-			// with epoch zero when it only wants to pick a codec.
-			if env.Codec == wire.CodecBinary && a.cfg.Codec != wire.CodecJSON {
-				conn.EnableBinary()
-			}
-			// The manager's epoch announcement (HA mode only). An epoch
-			// below one we have already seen is a deposed leader still
-			// talking: refuse the session so its commands can never undo
-			// the live leader's.
+			// The codec confirmation riding this frame is already acted
+			// on (wire.Conn.Next) — before the epoch check, because a
+			// non-HA manager replies with epoch zero just to pick a codec.
+			// An epoch below one already seen is a deposed leader still
+			// talking: refuse the session, so that its commands can never
+			// undo the live leader's.
 			if env.Epoch == 0 {
 				return
 			}
@@ -584,18 +544,8 @@ func (a *Agent) Run(ctx context.Context) (err error) {
 	go func() {
 		defer close(readDone)
 		var env wire.Envelope
-		for {
-			if err := conn.RecvInto(&env); err != nil {
-				// A corrupt frame (checksum mismatch, undecodable line)
-				// is counted and skipped — the framing layer has already
-				// resynchronised past it. Only fatal decode errors and
-				// I/O errors end the session.
-				var de *wire.DecodeError
-				if errors.As(err, &de) && de.Recoverable() {
-					a.decodeErrs.Inc()
-					continue
-				}
-				readErr <- err
+		for skipped := a.decodeErrs.Inc; ; {
+			if readErr = conn.Next(&env, skipped); readErr != nil {
 				return
 			}
 			// Any manager traffic (command, ping, batch) re-arms the
@@ -627,8 +577,8 @@ func (a *Agent) Run(ctx context.Context) (err error) {
 			select {
 			case <-ctx.Done():
 				return nil
-			case err := <-readErr:
-				return err
+			case <-readDone:
+				return readErr
 			case <-watchdog:
 				a.failsafeCheck()
 			}
@@ -644,8 +594,8 @@ func (a *Agent) Run(ctx context.Context) (err error) {
 		select {
 		case <-ctx.Done():
 			return nil
-		case err := <-readErr:
-			return err
+		case <-readDone:
+			return readErr
 		case <-tick.C:
 			a.mu.Lock()
 			a.step()

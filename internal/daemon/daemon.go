@@ -15,6 +15,7 @@
 package daemon
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -152,13 +153,13 @@ type Chassis struct {
 	accepts    atomic.Uint64
 
 	deposed atomic.Bool
-	// leading closes when the daemon stops acting as leader: on depose or
-	// on Stop, whichever is first. Everything that acts as leader — lease
-	// renewal, the control ticker, the upward governor — runs on it.
-	leading  chan struct{}
-	leadOnce sync.Once
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	// leading ends (endLeading) when the daemon stops acting as leader, on
+	// depose or Stop. Everything that acts as leader runs on it: lease
+	// renewal, the control ticker, the governor's session under our parent.
+	leading    context.Context
+	endLeading context.CancelFunc
+	stopOnce   sync.Once
+	wg         sync.WaitGroup
 }
 
 // New builds an unstarted chassis and resolves the leadership epoch.
@@ -176,9 +177,8 @@ func New(opt Options, hooks Hooks) *Chassis {
 		leaderG:        reg.Gauge("leader"),
 		replicaConnsG:  reg.Gauge("replica_conns"),
 		replicaLagG:    reg.Gauge("replica_lag_entries"),
-
-		leading: make(chan struct{}),
 	}
+	c.leading, c.endLeading = context.WithCancel(context.Background())
 	// Explicit configuration wins; otherwise a lease implies HA, so claim
 	// the epoch after whatever the lease file last recorded. The journal's
 	// epoch (a handed-over replica copy, say) is a floor.
@@ -288,7 +288,7 @@ func (c *Chassis) Every(period time.Duration, fn func()) {
 		defer tick.Stop()
 		for {
 			select {
-			case <-c.leading:
+			case <-c.leading.Done():
 				return
 			case <-tick.C:
 				fn()
@@ -308,15 +308,6 @@ func (c *Chassis) Stop() {
 		c.hooks.Shed()
 	})
 	c.wg.Wait()
-}
-
-// endLeading closes leading and drops the parent session, so parent and
-// children alike turn to the successor.
-func (c *Chassis) endLeading() {
-	c.leadOnce.Do(func() { close(c.leading) })
-	if c.gov != nil {
-		c.gov.CloseConn()
-	}
 }
 
 func (c *Chassis) closeListeners() {
@@ -404,13 +395,6 @@ func (c *Chassis) Commit(cycle int, thr power.Thresholds, learner *power.Learner
 	}
 }
 
-// BinaryWanted reports whether the peer behind this hello, subscribe or
-// probe frame should be switched onto the binary codec: it advertised
-// support and the configuration does not pin JSON.
-func (c *Chassis) BinaryWanted(first *wire.Envelope) bool {
-	return c.opt.WireCodec != wire.CodecJSON && first.Advertises(wire.CodecBinary)
-}
-
 // Fenced checks the epoch a peer reports against ours. A higher one means
 // the peer has met our successor: the hello is counted, the daemon deposes
 // itself, and the caller must refuse the peer.
@@ -446,28 +430,19 @@ func (c *Chassis) depose() {
 // exhaustion, injected timeouts) are retried under capped exponential
 // backoff rather than busy-spinning or killing the daemon.
 func (c *Chassis) acceptLoop(ln net.Listener) {
-	const (
-		backoffMin = 5 * time.Millisecond
-		backoffMax = 500 * time.Millisecond
-	)
-	backoff := backoffMin
+	retry := wire.Backoff{Min: 5 * time.Millisecond, Max: 500 * time.Millisecond}
 	for {
 		raw, err := ln.Accept()
+		if errors.Is(err, net.ErrClosed) {
+			return
+		}
 		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
+			if !retry.Wait(c.leading) {
 				return
-			}
-			select {
-			case <-c.leading:
-				return
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > backoffMax {
-				backoff = backoffMax
 			}
 			continue
 		}
-		backoff = backoffMin
+		retry.Reset()
 		c.wg.Add(1)
 		go c.route(wire.NewConn(raw), c.accepts.Add(1))
 	}
@@ -490,25 +465,19 @@ func (c *Chassis) route(conn *wire.Conn, accepted uint64) {
 		// this daemon would negotiate with it — without switching the
 		// reply itself off JSON, so any probe can read the answer.
 		if len(first.Codecs) > 0 {
-			reply.Codec = wire.CodecJSON
-			if c.BinaryWanted(&first) {
-				reply.Codec = wire.CodecBinary
-			}
+			reply.Codec = wire.Choose(&first, c.opt.WireCodec)
 		}
 		_ = conn.Send(reply)
 		conn.Close()
 	case wire.KindJournalAck:
 		// A standby's follower subscribing from the sequence number its
 		// copy has reached. It advertises codecs on the same frame; the
-		// read side auto-detects per frame, so enabling the writer is the
-		// whole negotiation.
+		// read side auto-detects per frame, so the handshake needs no reply.
 		if c.Fenced(first.Epoch) {
 			conn.Close()
 			return
 		}
-		if c.BinaryWanted(&first) {
-			conn.EnableBinary()
-		}
+		_ = conn.Confirm(wire.Choose(&first, c.opt.WireCodec), nil) // no reply, so nothing to fail
 		c.pub.Serve(conn, first.Seq)
 	default:
 		c.hooks.Session(conn, &first, accepted)

@@ -27,7 +27,7 @@
 package managerd
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"net"
 	"runtime"
@@ -593,28 +593,21 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 	if s.Fenced(first.Epoch) {
 		return
 	}
-	// Codec negotiation rides the same hello reply as the epoch
-	// announcement: the reply is guaranteed to be the first manager→agent
-	// frame (nothing can enqueue to this connection until it is registered
-	// below), so the agent knows the chosen codec before any command
-	// arrives. The reply itself is always JSON — EnableBinary flips only
-	// frames after it — which keeps the negotiation readable by any peer.
-	wantBin := s.BinaryWanted(first)
-	if s.Epoch() > 0 || wantBin {
-		reply := wire.Envelope{Type: wire.KindHello, Epoch: s.Epoch()}
-		if wantBin {
-			reply.Codec = wire.CodecBinary
-		}
-		if err := conn.Send(reply); err != nil {
-			return
-		}
-		if wantBin {
-			conn.EnableBinary()
-		}
+	// The hello reply announces the epoch and the codec choice, and is the
+	// first manager→agent frame (nothing can enqueue to this connection
+	// until it is registered below), so the agent knows both before any
+	// command arrives. A manager with neither to announce sends none.
+	codec := wire.Choose(first, s.cfg.WireCodec)
+	var reply *wire.Envelope
+	if s.Epoch() > 0 || codec == wire.CodecBinary {
+		reply = &wire.Envelope{Type: wire.KindHello, Epoch: s.Epoch()}
+	}
+	if conn.Confirm(codec, reply) != nil {
+		return
 	}
 
 	id := node.ID(first.Node)
-	ac := &agentConn{id: id, conn: conn, accepted: accepted, maxLevel: first.MaxLevel, binary: wantBin}
+	ac := &agentConn{id: id, conn: conn, accepted: accepted, maxLevel: first.MaxLevel, binary: conn.BinaryWrites()}
 	// Seed the record from the hello's self-reported level: a manager
 	// coming back from a crash learns every node's actual level before
 	// the first sample arrives, so reconciliation can start immediately.
@@ -659,21 +652,9 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 	}
 
 	var env wire.Envelope
-	for {
-		if err := conn.RecvInto(&env); err != nil {
-			// Corrupt frames (checksum mismatch, undecodable JSON line)
-			// are counted and skipped — the framing layer has already
-			// resynchronised past them — so line noise degrades telemetry
-			// freshness instead of killing the connection. Fatal decode
-			// errors (desynchronised stream, oversized frame) and I/O
-			// errors still drop the connection; the agent redials.
-			var de *wire.DecodeError
-			if errors.As(err, &de) && de.Recoverable() {
-				s.decodeErrs.Inc()
-				continue
-			}
-			break
-		}
+	// The tolerant receive: corrupt frames are counted and skipped, fatal
+	// decode errors and I/O errors drop the connection; the agent redials.
+	for skipped := s.decodeErrs.Inc; conn.Next(&env, skipped) == nil; {
 		switch env.Type {
 		case wire.KindSample:
 			r := env.Reading()
@@ -1175,20 +1156,22 @@ func QueryStatusEnvelope(addr string, timeout time.Duration) (wire.Envelope, err
 // probe sends one status request, advertising codecs, and returns the
 // reply. The probe itself stays on JSON whatever it advertises.
 func probe(addr string, timeout time.Duration, codecs []string) (wire.Envelope, error) {
-	raw, err := net.DialTimeout("tcp", addr, timeout)
+	// ctx's deadline bounds the dial and, by closing the connection, the rest.
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	conn, err := wire.Open(ctx, func(ctx context.Context) (net.Conn, error) { return wire.DialTCP(ctx, addr) })
 	if err != nil {
 		return wire.Envelope{}, err
 	}
-	conn := wire.NewConn(raw)
 	defer conn.Close()
-	if err := raw.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return wire.Envelope{}, err
-	}
 	if err := conn.Send(wire.Envelope{Type: wire.KindStatus, Codecs: codecs}); err != nil {
 		return wire.Envelope{}, err
 	}
 	env, err := conn.Recv()
 	if err != nil {
+		if ctx.Err() != nil {
+			err = fmt.Errorf("managerd: no status from %s within %v", addr, timeout)
+		}
 		return wire.Envelope{}, err
 	}
 	if env.Type != wire.KindStatus || env.Stats == nil {

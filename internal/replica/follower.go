@@ -49,6 +49,9 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Addr == "" && cfg.Dial == nil {
 		return nil, errors.New("replica: follower needs an address or dialer")
 	}
+	if cfg.Dial == nil {
+		cfg.Dial = func(ctx context.Context) (net.Conn, error) { return wire.DialTCP(ctx, cfg.Addr) }
+	}
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 50 * time.Millisecond
 	}
@@ -69,43 +72,24 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 // Obs returns the follower's instrument registry.
 func (f *Follower) Obs() *obs.Registry { return f.reg }
 
-// Run replicates until ctx is cancelled, redialling with a fixed backoff
-// after every disconnect, gap or protocol error.
+// Run replicates until ctx is cancelled, redialling at the fixed Backoff
+// period after every disconnect, gap or protocol error.
 func (f *Follower) Run(ctx context.Context) error {
-	for {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		f.runOnce(ctx)
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(f.cfg.Backoff):
-			f.redials.Inc()
-		}
-	}
+	wire.Link{
+		Dial:    f.cfg.Dial,
+		Backoff: wire.Backoff{Min: f.cfg.Backoff, Max: f.cfg.Backoff},
+		Redial:  f.redials.Inc,
+	}.Run(ctx, f.session)
+	return ctx.Err()
 }
 
-func (f *Follower) runOnce(ctx context.Context) {
-	raw, err := f.dial(ctx)
-	if err != nil {
-		return
-	}
-	conn := wire.NewConn(raw)
-	defer conn.Close()
-	// A cancelled ctx must unblock a Recv parked on a silent leader;
-	// closing the conn is the only lever that works mid-read.
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
-	// The subscribe frame advertises codec support: a binary-capable
-	// leader streams journal appends on the fast codec (the reader below
-	// auto-detects per frame, so no confirmation round-trip is needed).
-	// Our own acks stay JSON — they are one small frame per entry.
-	sub := wire.Envelope{
-		Type: wire.KindJournalAck, Seq: f.cfg.Store.Seq(), Epoch: f.cfg.Store.Epoch(),
-		Codecs: []string{wire.CodecBinary},
-	}
-	if err := conn.Send(sub); err != nil {
+// session is one subscription: resubscribe from the store's head, apply
+// and acknowledge entries until anything at all goes wrong.
+func (f *Follower) session(conn *wire.Conn) {
+	// The subscribe frame carries the codec offer; the leader answers with
+	// the stream itself, so our acks — one small frame per entry — stay JSON.
+	sub := wire.Envelope{Type: wire.KindJournalAck, Seq: f.cfg.Store.Seq(), Epoch: f.cfg.Store.Epoch()}
+	if conn.Offer(sub, "") != nil {
 		return
 	}
 	f.connectedG.Set(1)
@@ -113,9 +97,9 @@ func (f *Follower) runOnce(ctx context.Context) {
 	for {
 		env, err := conn.Recv()
 		if err != nil {
-			// Recoverable decode errors included: entries are sequenced, so
-			// a skipped journal_append is a gap, and resubscribing from our
-			// head is the right answer to a gap.
+			// Recv, not the tolerant Next, on purpose: entries are
+			// sequenced, so a skipped journal_append is a gap, and
+			// resubscribing from our head is the right answer to a gap.
 			return
 		}
 		if env.Type != wire.KindJournalAppend || len(env.Entry) == 0 {
@@ -138,12 +122,4 @@ func (f *Follower) runOnce(ctx context.Context) {
 			return
 		}
 	}
-}
-
-func (f *Follower) dial(ctx context.Context) (net.Conn, error) {
-	if f.cfg.Dial != nil {
-		return f.cfg.Dial(ctx)
-	}
-	d := net.Dialer{Timeout: 2 * time.Second}
-	return d.DialContext(ctx, "tcp", f.cfg.Addr)
 }

@@ -1,9 +1,10 @@
 package tier
 
 import (
-	"errors"
+	"context"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/power"
@@ -51,14 +52,15 @@ type GovernorConfig struct {
 }
 
 // Governor is the child half: dial parent, report up, adopt grants,
-// floor on silence. One Governor serves one parent edge; Run owns the
-// session/redial loop and Thresholds answers the control loop's
+// floor on silence. One Governor serves one parent edge; Run is its
+// redialling session and Thresholds answers the control loop's
 // per-cycle question "which band do I enforce right now?".
 type Governor struct {
 	cfg GovernorConfig
 
+	conn atomic.Pointer[wire.Conn] // newest parent connection (CloseConn)
+
 	mu        sync.Mutex
-	conn      *wire.Conn // current parent connection, nil between dials
 	thr       power.Thresholds
 	haveGrant bool
 	grantSeq  uint64
@@ -122,103 +124,44 @@ func (g *Governor) NoteSense(p, demand float64) {
 	g.mu.Unlock()
 }
 
-// CloseConn drops the current parent connection (Stop, and the redial
-// path after an error).
+// CloseConn drops the current parent connection; Run redials.
 func (g *Governor) CloseConn() {
-	g.mu.Lock()
-	c := g.conn
-	g.conn = nil
-	g.mu.Unlock()
-	if c != nil {
+	if c := g.conn.Load(); c != nil {
 		c.Close()
 	}
 }
 
-// dial opens one parent connection.
-func (g *Governor) dial() (net.Conn, error) {
-	if g.cfg.Dial != nil {
-		return g.cfg.Dial()
-	}
-	return net.DialTimeout("tcp", g.cfg.Parent, 5*time.Second)
-}
-
-// Run is the federation loop: dial, subscribe, report until the
-// connection dies, redial under capped backoff. Runs until stop closes.
-func (g *Governor) Run(stop <-chan struct{}) {
-	const (
-		backoffMin = 10 * time.Millisecond
-		backoffMax = 2 * time.Second
-	)
-	backoff := backoffMin
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		raw, err := g.dial()
-		if err == nil {
-			conn := wire.NewConn(raw)
-			g.mu.Lock()
-			g.conn = conn
-			g.mu.Unlock()
-			err = g.session(conn, stop)
-			g.CloseConn()
-			if err == nil {
-				backoff = backoffMin
+// Run is the federation loop: one wire.Link session after another —
+// subscribe, report, adopt grants — until ctx ends (for a daemon: until it
+// stops leading), which interrupts a dial and closes a live session alike.
+func (g *Governor) Run(ctx context.Context) {
+	wire.Link{
+		Dial: func(ctx context.Context) (net.Conn, error) {
+			if g.cfg.Dial != nil {
+				return g.cfg.Dial()
 			}
-		}
-		select {
-		case <-stop:
-			return
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > backoffMax {
-			backoff = backoffMax
-		}
-	}
+			return wire.DialTCP(ctx, g.cfg.Parent)
+		},
+		Backoff: wire.Backoff{Min: 10 * time.Millisecond, Max: 2 * time.Second},
+	}.Run(ctx, g.session)
 }
 
 // session runs one subscribed connection: send the subscribe report,
-// spawn a reader for hellos and grants, and keep reporting every
-// ReportEvery until either side fails. Returns nil if at least one grant
-// arrived (a healthy session resets the redial backoff).
-func (g *Governor) session(conn *wire.Conn, stop <-chan struct{}) error {
-	sub := g.reportEnvelope()
-	if g.cfg.WireCodec != wire.CodecJSON {
-		sub.Codecs = []string{wire.CodecBinary, wire.CodecJSON}
-	}
-	if err := conn.Send(sub); err != nil {
-		return err
+// spawn a reader for grants, and keep reporting every ReportEvery until
+// either side fails — a closed connection is how the link ends it.
+func (g *Governor) session(conn *wire.Conn) {
+	g.conn.Store(conn)
+	if conn.Offer(g.reportEnvelope(), g.cfg.WireCodec) != nil {
+		return
 	}
 
-	sawGrant := false
-	readerDone := make(chan error, 1)
+	readerDone := make(chan struct{})
 	go func() {
+		defer close(readerDone)
 		var env wire.Envelope
-		for {
-			if err := conn.RecvInto(&env); err != nil {
-				var de *wire.DecodeError
-				if errors.As(err, &de) && de.Recoverable() {
-					if g.cfg.OnDecodeError != nil {
-						g.cfg.OnDecodeError()
-					}
-					continue
-				}
-				readerDone <- err
-				return
-			}
-			switch env.Type {
-			case wire.KindHello:
-				// The parent's subscribe reply; switching our writes to the
-				// chosen codec mirrors agentd's negotiation.
-				if env.Codec == wire.CodecBinary {
-					conn.EnableBinary()
-				}
-			case wire.KindCabBudget:
-				if g.applyGrant(&env) {
-					sawGrant = true
-				}
+		for conn.Next(&env, g.cfg.OnDecodeError) == nil {
+			if env.Type == wire.KindCabBudget {
+				g.applyGrant(&env)
 			}
 		}
 	}()
@@ -227,23 +170,11 @@ func (g *Governor) session(conn *wire.Conn, stop <-chan struct{}) error {
 	defer tick.Stop()
 	for {
 		select {
-		case <-stop:
-			return nil
-		case err := <-readerDone:
-			if sawGrant {
-				return nil
-			}
-			return err
+		case <-readerDone:
+			return
 		case <-tick.C:
-			if err := conn.Send(g.reportEnvelope()); err != nil {
-				// The reader will fail too; drain it so the goroutine exits
-				// before we redial.
-				conn.Close()
-				<-readerDone
-				if sawGrant {
-					return nil
-				}
-				return err
+			if conn.Send(g.reportEnvelope()) != nil {
+				conn.Close() // fails the reader too, and its exit is ours
 			}
 		}
 	}
@@ -271,10 +202,10 @@ func (g *Governor) reportEnvelope() wire.Envelope {
 // applyGrant installs a cab_budget band as the governed thresholds.
 // Invalid bands (PL ≤ 0 or PH < PL — a parent bug or a torn frame) are
 // ignored; the dead-man floor covers a parent that sends only garbage.
-func (g *Governor) applyGrant(env *wire.Envelope) bool {
+func (g *Governor) applyGrant(env *wire.Envelope) {
 	thr := power.Thresholds{PL: units.Watts(env.BudgetW), PH: units.Watts(env.PHW)}
 	if err := thr.Validate(); err != nil {
-		return false
+		return
 	}
 	g.mu.Lock()
 	g.thr = thr
@@ -286,5 +217,4 @@ func (g *Governor) applyGrant(env *wire.Envelope) bool {
 	if g.cfg.OnGrant != nil {
 		g.cfg.OnGrant()
 	}
-	return true
 }

@@ -1,7 +1,6 @@
 package tier
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -165,28 +164,17 @@ func NewGrantor(cfg GrantorConfig) *Grantor {
 }
 
 // Serve owns one child subscription: first is the already-received
-// subscribe cab_report (which doubles as the hello, with the codec
-// advertisement); the reply names the chosen codec, after which the
-// connection is registered and the cycle loop owns its write side. The
-// rest of the stream is reports. Blocks until the connection dies.
+// subscribe cab_report, which doubles as the hello. Once the handshake is
+// answered the connection is registered and the cycle loop owns its write
+// side; the rest of the stream is reports. Blocks until the connection dies.
 func (g *Grantor) Serve(conn *wire.Conn, first wire.Envelope) {
+	defer conn.Close()
 	if first.Type != wire.KindCabReport || first.Node < 0 {
-		conn.Close()
 		return
 	}
-	wantBin := g.cfg.WireCodec != wire.CodecJSON && first.Advertises(wire.CodecBinary)
-	reply := wire.Envelope{Type: wire.KindHello}
-	codec := wire.CodecJSON
-	if wantBin {
-		reply.Codec = wire.CodecBinary
-		codec = wire.CodecBinary
-	}
-	if err := conn.Send(reply); err != nil {
-		conn.Close()
+	codec := wire.Choose(&first, g.cfg.WireCodec)
+	if conn.Confirm(codec, &wire.Envelope{Type: wire.KindHello}) != nil {
 		return
-	}
-	if wantBin {
-		conn.EnableBinary()
 	}
 
 	child := first.Node
@@ -205,15 +193,7 @@ func (g *Grantor) Serve(conn *wire.Conn, first wire.Envelope) {
 	}
 
 	var env wire.Envelope
-	for {
-		if err := conn.RecvInto(&env); err != nil {
-			var de *wire.DecodeError
-			if errors.As(err, &de) && de.Recoverable() {
-				g.decodeErrsC.Inc()
-				continue
-			}
-			break
-		}
+	for skipped := g.decodeErrsC.Inc; conn.Next(&env, skipped) == nil; {
 		if env.Type != wire.KindCabReport {
 			continue
 		}
@@ -228,7 +208,6 @@ func (g *Grantor) Serve(conn *wire.Conn, first wire.Envelope) {
 		cs.conn = nil
 	}
 	g.mu.Unlock()
-	conn.Close()
 }
 
 // childLocked finds or creates the state (and per-child gauges) for one

@@ -107,7 +107,7 @@ func TestGovernorGrantorSession(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		gov.Run(stop)
+		gov.Run(untilClosed(stop))
 	}()
 	defer func() {
 		close(stop)

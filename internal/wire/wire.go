@@ -15,12 +15,9 @@
 // the power profile model runs centrally, so model updates never require
 // touching the fleet of agents.
 //
-// Codec negotiation: an agent's hello advertises the codecs it can read
-// and write (Codecs); the manager's hello reply names the one it chose
-// (Codec), after which both writers may switch. The read side always
-// auto-detects per frame — the first byte distinguishes a JSON line from
-// a binary frame — so every old/new peer combination degrades safely to
-// JSON, which remains the canonical fallback and the fuzz reference.
+// Codecs govern writes only and are negotiated on the first exchange
+// (link.go); the read side auto-detects per frame, so every old/new peer
+// combination degrades safely to JSON, the fallback and fuzz reference.
 package wire
 
 import (
@@ -119,11 +116,9 @@ type Envelope struct {
 	// not nest (a Batch inside a Batch is ignored).
 	Batch []Envelope `json:"batch,omitempty"`
 
-	// Codec negotiation, riding the hello exchange. An agent (or journal
-	// follower) advertises every codec it supports in Codecs; the
-	// manager's hello reply carries the chosen one in Codec. Absent
-	// fields mean JSON, so peers predating the negotiation never see a
-	// binary frame.
+	// Codec negotiation (link.go): Codecs is the client's offer on its
+	// first frame, Codec the server's choice in its hello reply. Absent
+	// means JSON, so a peer predating it never sees a binary frame.
 	Codecs []string `json:"codecs,omitempty"`
 	Codec  string   `json:"codec,omitempty"`
 
@@ -286,6 +281,11 @@ type Conn struct {
 	// decodeFails counts consecutive recoverable decode errors, for the
 	// fatal escalation described on maxDecodeFails.
 	decodeFails int
+
+	// Session state (link.go). heard is reader-owned: a frame has arrived.
+	heard   bool
+	offered bool        // Offer advertised binary; the peer's hello may confirm it
+	unhook  func() bool // Open's ctx hook, released by Close
 }
 
 // readBufSize fits the protocol's steady-state frames (a command is ~20
@@ -300,9 +300,9 @@ func NewConn(rw io.ReadWriteCloser) *Conn {
 	return &Conn{r: bufio.NewReaderSize(rw, readBufSize), raw: rw}
 }
 
-// EnableBinary switches the write side to the binary codec. The remote
-// reader needs no warning: frames self-identify. Callers flip this only
-// after the Hello negotiation confirms the peer advertised support.
+// EnableBinary switches the write side to the binary codec, once the
+// handshake (link.go) has settled on it. The remote reader needs no
+// warning: frames self-identify.
 func (c *Conn) EnableBinary() { c.binWrite.Store(true) }
 
 // BinaryWrites reports whether the write side emits binary frames.
@@ -379,6 +379,7 @@ func (c *Conn) RecvInto(e *Envelope) error {
 		}
 	} else if err == nil {
 		c.decodeFails = 0
+		c.heard = true
 	}
 	return err
 }
@@ -409,7 +410,12 @@ func (c *Conn) recvJSON(e *Envelope) error {
 }
 
 // Close closes the underlying stream.
-func (c *Conn) Close() error { return c.raw.Close() }
+func (c *Conn) Close() error {
+	if c.unhook != nil {
+		c.unhook()
+	}
+	return c.raw.Close()
+}
 
 // SetWriteDeadline bounds subsequent Sends when the underlying stream
 // supports write deadlines (net.Conn does); on plain byte streams it is a
