@@ -480,7 +480,13 @@ func (c *Chassis) route(conn *wire.Conn, accepted uint64) {
 		_ = conn.Confirm(wire.Choose(&first, c.opt.WireCodec), nil) // no reply, so nothing to fail
 		c.pub.Serve(conn, first.Seq)
 	default:
-		c.hooks.Session(conn, &first, accepted)
+		// Decoding the JSON hello grew this stack, and stacks shrink only at
+		// a collection: the session's long life runs on a fresh one.
+		c.wg.Add(1)
+		go func() {
+			defer c.wg.Done()
+			c.hooks.Session(conn, &first, accepted)
+		}()
 	}
 }
 

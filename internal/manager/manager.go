@@ -210,6 +210,9 @@ func (m *Manager) Cycle(p units.Watts, thr power.Thresholds, snap *policy.Snapsh
 		m.yellowCycles.Inc()
 		m.timeg = 0
 		t0 := time.Now()
+		if snap.Jobs == nil {
+			snap.Jobs = AggregateJobs(snap.Nodes)
+		}
 		targets := m.cfg.Policy.Select(snap)
 		dSel := time.Since(t0)
 		m.selectMicros.Add(float64(dSel) / float64(time.Microsecond))

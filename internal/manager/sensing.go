@@ -1,7 +1,9 @@
 package manager
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -46,15 +48,15 @@ type Builder struct {
 	model   power.Model
 	perNode map[node.ID]power.Model
 	prevEst map[node.ID]units.Watts
-	// spareEst is last cycle's retired prevEst map, cleared and reused as
-	// the next cycle's estimate table so steady state allocates no maps.
+	// spareEst is the cycle before's prevEst map, cleared and refilled as
+	// this cycle's estimate table so steady state allocates no maps.
 	spareEst map[node.ID]units.Watts
 }
 
 // NewBuilder creates a snapshot builder whose default power profile model
 // is used for every node without a specific registration.
 func NewBuilder(model power.Model) *Builder {
-	return &Builder{model: model, prevEst: make(map[node.ID]units.Watts)}
+	return &Builder{model: model, prevEst: make(map[node.ID]units.Watts), spareEst: make(map[node.ID]units.Watts)}
 }
 
 // SetNodeModel registers a node-specific profile model (heterogeneous
@@ -66,83 +68,80 @@ func (b *Builder) SetNodeModel(id node.ID, m power.Model) {
 	b.perNode[id] = m
 }
 
-// modelFor returns the profile model for a node.
-func (b *Builder) modelFor(id node.ID) power.Model {
-	if m, ok := b.perNode[id]; ok {
-		return m
+// Eval is the per-node sensing formula: one reading becomes the node's
+// policy state — formula (1) at its level and one level down, and the idle
+// test. prevEst is the node's estimate from the previous cycle, 0 if it had
+// none. Concurrent calls are safe (managerd's sweep workers) once every
+// SetNodeModel has returned.
+func (b *Builder) Eval(r AgentReading, prevEst units.Watts) policy.NodeState {
+	model, ok := b.perNode[r.ID]
+	if !ok {
+		model = b.model
 	}
-	return b.model
+	est := model.Estimate(r.Delta, r.Level)
+	estLower := est
+	if r.Level > 0 {
+		estLower = model.EstimateAtLevel(r.Delta, r.Level-1)
+	}
+	var nicFrac float64
+	if sec := r.Delta.Interval.Seconds(); sec > 0 {
+		nicFrac = float64(r.Delta.NICBytes) / (sec * float64(model.NIC.Bandwidth))
+	}
+	return policy.NodeState{
+		ID:       r.ID,
+		Level:    r.Level,
+		MaxLevel: r.MaxLevel,
+		AtLowest: r.Level == 0,
+		Idle:     r.Delta.CPUUtil < idleCPUUtil && nicFrac < idleNICFrac,
+		Est:      est,
+		EstLower: estLower,
+		PrevEst:  prevEst,
+		CPUUtil:  r.Delta.CPUUtil,
+		Job:      r.Job,
+	}
+}
+
+// AggregateJobs groups the non-idle candidates by job: members and sums in
+// snapshot order, jobs by ascending ID (deterministic policy tie-breaks).
+// Only yellow selection reads them; Manager.Cycle fills them in there.
+func AggregateJobs(nodes []policy.NodeState) []policy.JobState {
+	var jobs []policy.JobState
+	at := make(map[workload.JobID]int)
+	for i := range nodes {
+		n := &nodes[i]
+		if n.Job == 0 || n.Idle {
+			continue
+		}
+		j, ok := at[n.Job]
+		if !ok {
+			j = len(jobs)
+			at[n.Job] = j
+			jobs = append(jobs, policy.JobState{ID: n.Job})
+		}
+		js := &jobs[j]
+		js.Nodes = append(js.Nodes, n.ID)
+		js.Power += n.Est
+		js.PrevPower += n.PrevEst
+		js.Saving += n.Est - n.EstLower
+		// Running mean of member utilisation.
+		js.Util += (n.CPUUtil - js.Util) / float64(len(js.Nodes))
+	}
+	slices.SortFunc(jobs, func(a, b policy.JobState) int { return cmp.Compare(a.ID, b.ID) })
+	return jobs
 }
 
 // Build assembles the snapshot for one cycle. p is the system power meter
 // reading and pl the lower threshold in force.
 func (b *Builder) Build(p, pl units.Watts, readings []AgentReading) *policy.Snapshot {
 	snap := &policy.Snapshot{P: p, PL: pl, Nodes: make([]policy.NodeState, 0, len(readings))}
-	jobs := make(map[workload.JobID]*policy.JobState)
-	nextEst := b.spareEst
-	if nextEst == nil {
-		nextEst = make(map[node.ID]units.Watts, len(readings))
-	} else {
-		clear(nextEst)
-	}
-	b.spareEst = nil
-
+	clear(b.spareEst)
 	for _, r := range readings {
-		model := b.modelFor(r.ID)
-		est := model.Estimate(r.Delta, r.Level)
-		estLower := est
-		if r.Level > 0 {
-			estLower = model.EstimateAtLevel(r.Delta, r.Level-1)
-		}
-		var nicFrac float64
-		if sec := r.Delta.Interval.Seconds(); sec > 0 {
-			nicFrac = float64(r.Delta.NICBytes) / (sec * float64(model.NIC.Bandwidth))
-		}
-		idle := r.Delta.CPUUtil < idleCPUUtil && nicFrac < idleNICFrac
-		ns := policy.NodeState{
-			ID:       r.ID,
-			Level:    r.Level,
-			MaxLevel: r.MaxLevel,
-			AtLowest: r.Level == 0,
-			Idle:     idle,
-			Est:      est,
-			EstLower: estLower,
-			PrevEst:  b.prevEst[r.ID],
-			CPUUtil:  r.Delta.CPUUtil,
-			Job:      r.Job,
-		}
+		ns := b.Eval(r, b.prevEst[r.ID])
 		snap.Nodes = append(snap.Nodes, ns)
-		nextEst[r.ID] = est
-
-		if r.Job != 0 && !idle {
-			js, ok := jobs[r.Job]
-			if !ok {
-				js = &policy.JobState{ID: r.Job}
-				jobs[r.Job] = js
-			}
-			js.Nodes = append(js.Nodes, r.ID)
-			js.Power += est
-			js.PrevPower += b.prevEst[r.ID]
-			js.Saving += est - estLower
-			// Running mean of member utilisation.
-			js.Util += (r.Delta.CPUUtil - js.Util) / float64(len(js.Nodes))
-		}
+		b.spareEst[r.ID] = ns.Est
 	}
-	// Ascending job ID keeps policy tie-breaks deterministic.
-	ids := make([]workload.JobID, 0, len(jobs))
-	for id := range jobs {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	for _, id := range ids {
-		snap.Jobs = append(snap.Jobs, *jobs[id])
-	}
-	b.spareEst = b.prevEst
-	b.prevEst = nextEst
+	snap.Jobs = AggregateJobs(snap.Nodes)
+	b.prevEst, b.spareEst = b.spareEst, b.prevEst
 	return snap
 }
 

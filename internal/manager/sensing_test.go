@@ -2,11 +2,14 @@ package manager
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/node"
+	"repro/internal/policy"
 	"repro/internal/power"
 	"repro/internal/procfs"
 	"repro/internal/scheduler"
@@ -119,6 +122,101 @@ func TestBuilderJobOrderDeterministic(t *testing.T) {
 	if len(snap.Jobs) != 3 || snap.Jobs[0].ID != 3 || snap.Jobs[1].ID != 5 || snap.Jobs[2].ID != 7 {
 		t.Errorf("job order = %+v", snap.Jobs)
 	}
+}
+
+// referenceJobs is job aggregation as Build first did it — a map of job
+// records filled in reading order, emitted by ascending ID — kept as the
+// reference AggregateJobs is compared against.
+func referenceJobs(nodes []policy.NodeState) []policy.JobState {
+	jobs := map[workload.JobID]*policy.JobState{}
+	var ids []workload.JobID
+	for _, n := range nodes {
+		if n.Job == 0 || n.Idle {
+			continue
+		}
+		js := jobs[n.Job]
+		if js == nil {
+			js = &policy.JobState{ID: n.Job}
+			jobs[n.Job] = js
+			ids = append(ids, n.Job)
+		}
+		js.Nodes = append(js.Nodes, n.ID)
+		js.Power += n.Est
+		js.PrevPower += n.PrevEst
+		js.Saving += n.Est - n.EstLower
+		js.Util += (n.CPUUtil - js.Util) / float64(len(js.Nodes))
+	}
+	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	var out []policy.JobState
+	for _, id := range ids {
+		out = append(out, *jobs[id])
+	}
+	return out
+}
+
+// TestBuildIsEvalPlusAggregate: over random fleets and consecutive cycles
+// (a third of the nodes sit each cycle out), Build is Eval per reading,
+// fed the previous cycle's estimate, plus AggregateJobs — and a snapshot
+// that reaches a yellow Cycle without jobs gets the same ones there.
+func TestBuildIsEvalPlusAggregate(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	b := NewBuilder(power.TianheNode())
+	b.SetNodeModel(3, smallNode())
+	prev := map[node.ID]units.Watts{}
+	for cycle := 0; cycle < 4; cycle++ {
+		var readings []AgentReading
+		for id := 0; id < 200; id++ {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			r := reading(id, rng.Intn(10), rng.Float64(), workload.JobID(rng.Intn(9)))
+			if rng.Intn(4) == 0 {
+				r.Delta.CPUUtil = 0.01 // idle
+			}
+			r.Delta.NICBytes = uint64(rng.Intn(1 << 28))
+			readings = append(readings, r)
+		}
+		rng.Shuffle(len(readings), func(i, j int) { readings[i], readings[j] = readings[j], readings[i] })
+		snap := b.Build(units.KW(32), units.KW(31), readings)
+
+		var want []policy.NodeState
+		next := map[node.ID]units.Watts{}
+		for _, r := range readings {
+			ns := b.Eval(r, prev[r.ID])
+			want = append(want, ns)
+			next[r.ID] = ns.Est
+		}
+		prev = next
+		if !reflect.DeepEqual(snap.Nodes, want) {
+			t.Fatalf("cycle %d: Build's nodes differ from Eval per reading", cycle)
+		}
+		ref := referenceJobs(want)
+		if len(ref) == 0 || !reflect.DeepEqual(snap.Jobs, ref) {
+			t.Fatalf("cycle %d: Build's jobs = %+v, reference %+v", cycle, snap.Jobs, ref)
+		}
+
+		spy := &spyPolicy{}
+		m, err := New(Config{Tg: 2, Policy: spy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bare := &policy.Snapshot{P: snap.P, PL: snap.PL, Nodes: snap.Nodes}
+		if _, _, err := m.Cycle(snap.P, thr(), bare, newFake()); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(spy.jobs, ref) {
+			t.Fatalf("cycle %d: yellow Cycle selected over %+v, want %+v", cycle, spy.jobs, ref)
+		}
+	}
+}
+
+// spyPolicy records the jobs it is asked to select from and selects none.
+type spyPolicy struct{ jobs []policy.JobState }
+
+func (*spyPolicy) Name() string { return "spy" }
+func (p *spyPolicy) Select(s *policy.Snapshot) []node.ID {
+	p.jobs = s.Jobs
+	return nil
 }
 
 func TestCollectorEndToEnd(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/manager"
 	"repro/internal/node"
 	"repro/internal/obs"
-	"repro/internal/units"
 )
 
 // External control mode (Config.ExternalControl): the daemon keeps its
@@ -69,8 +68,14 @@ func (s *Server) StartExternalCycle() *ExternalCycle {
 	parts := s.sweep(cycleN, t0, func(ac *agentConn) bool { return ac.lastEpoch == epoch })
 	// The control-law stages (classify/select/actuate) are recorded by the
 	// external driver's own recorder.
-	var p units.Watts
-	p, _, cyc.readings, _ = s.sensed(parts, nil, span, t0)
+	p, _, _ := s.sensed(parts, span, t0)
+	for i := range parts {
+		for _, f := range parts[i].fresh {
+			if f.rec != nil {
+				cyc.readings = append(cyc.readings, f.r)
+			}
+		}
+	}
 	// Map iteration scattered the readings; the control law's contract is
 	// node-ID order (deterministic policy tie-breaks).
 	sort.Slice(cyc.readings, func(a, b int) bool { return cyc.readings[a].ID < cyc.readings[b].ID })

@@ -258,17 +258,17 @@ type Server struct {
 	// locking contract.
 	nodes *store
 
-	// builder is touched only by the control-loop goroutine.
+	// builder is the per-node sensing formula the sweep's workers evaluate.
 	builder *manager.Builder
 
 	// Cycle scratch, reused so steady-state sensing allocates nothing per
-	// cycle. cycleMu serializes cycles outright (the ticker loop and an
-	// explicit StepCycle could otherwise interleave) and makes the
-	// scratch single-owner; it is taken before, and never while holding,
-	// any other lock.
-	cycleMu     sync.Mutex
-	cycleParts  []cyclePart
-	candScratch []manager.AgentReading
+	// cycle (nothing a cycle calls retains snap). cycleMu serializes cycles
+	// outright (the ticker loop and an explicit StepCycle could otherwise
+	// interleave) and makes the scratch single-owner; it is taken before,
+	// and never while holding, any other lock.
+	cycleMu    sync.Mutex
+	cycleParts []cyclePart
+	snap       policy.Snapshot
 
 	// mgrMu guards mgr (the control loop cycles it while Status reads its
 	// counters). It may be held while taking a shard mutex (the actuator
@@ -810,13 +810,19 @@ type resend struct {
 // cyclePart is one shard's share of a sweep, reused across cycles (slices
 // keep their capacity; see Server.cycleParts).
 type cyclePart struct {
-	readings   []manager.AgentReading // fresh, quarantined included: the power estimate
-	candidates []manager.AgentReading // fresh and not quarantined: the policy snapshot
-	resends    []resend
-	adopts     []node.ID
-	p          units.Watts
-	demand     units.Watts
-	stale      int
+	fresh   []freshNode        // every fresh reading, quarantined included: the power estimate
+	states  []policy.NodeState // the candidates among them, evaluated: the policy snapshot
+	resends []resend
+	adopts  []node.ID
+	p       units.Watts
+	demand  units.Watts
+	stale   int
+}
+
+// freshNode is a fresh reading and its record; nil if quarantined.
+type freshNode struct {
+	r   manager.AgentReading
+	rec *nodeRec
 }
 
 // sweep is a cycle's one pass over the node table: every shard on the
@@ -824,8 +830,9 @@ type cyclePart struct {
 // it classifies health (health.go; the shard's cached tallies are
 // rewritten from the pass), tallies drift, takes the reading if fresh(ac)
 // says so — by wall-clock age for the control loop, by sense epoch for an
-// external driver, the only thing the two callers differ in — and runs the
-// command lifecycle:
+// external driver, the only thing the two callers differ in — runs the
+// command lifecycle and then, outside the lock, evaluates each reading it
+// took, the cycle's one evaluation per node. The command lifecycle:
 //
 //   - commands unacked since a previous cycle are retried under the same
 //     sequence number (the command is idempotent, the ack will match);
@@ -855,7 +862,7 @@ func (s *Server) sweep(cycleN int, t0 time.Time, fresh func(*agentConn) bool) []
 	governed := s.gov != nil
 	s.forEachShard(func(i int, sh *shard) {
 		g := &parts[i]
-		g.readings, g.candidates = g.readings[:0], g.candidates[:0]
+		g.fresh, g.states = g.fresh[:0], g.states[:0]
 		g.resends, g.adopts = g.resends[:0], g.adopts[:0]
 		g.p, g.demand, g.stale = 0, 0, 0
 		var tally [healthQuarantined + 1]int
@@ -873,13 +880,12 @@ func (s *Server) sweep(cycleN int, t0 time.Time, fresh func(*agentConn) bool) []
 			if cs.issued && ac.last.Level != cs.level {
 				drift++
 			}
-			if fresh(ac) {
-				g.readings = append(g.readings, ac.last)
-				if state != healthQuarantined {
-					g.candidates = append(g.candidates, ac.last)
-				}
-			} else {
+			if !fresh(ac) {
 				g.stale++
+			} else if state == healthQuarantined {
+				g.fresh = append(g.fresh, freshNode{r: ac.last})
+			} else {
+				g.fresh = append(g.fresh, freshNode{ac.last, rec})
 			}
 			if state == healthQuarantined {
 				continue
@@ -911,12 +917,25 @@ func (s *Server) sweep(cycleN int, t0 time.Time, fresh func(*agentConn) bool) []
 		sh.drifted = drift
 		sh.mu.Unlock()
 		// Model evaluation outside the shard lock: it is the cycle's CPU
-		// bulk and needs nothing but the copied readings. Governed
+		// bulk and needs only the copied readings and the records' estimates
+		// (PrevEst is last cycle's; a cycle sat out leaves 0). Governed
 		// cabinets also estimate each node at its top level — the sum is
 		// the cabinet's uncapped demand, which the coordinator weighs
 		// when dividing the global budget.
-		for _, r := range g.readings {
-			g.p += s.cfg.Model.Estimate(r.Delta, r.Level)
+		for k := range g.fresh {
+			r, rec := &g.fresh[k].r, g.fresh[k].rec
+			if rec == nil {
+				g.p += s.cfg.Model.Estimate(r.Delta, r.Level)
+			} else {
+				var prev units.Watts
+				if rec.estCycle == cycleN-1 {
+					prev = rec.est
+				}
+				ns := s.builder.Eval(*r, prev)
+				rec.est, rec.estCycle = ns.Est, cycleN
+				g.states = append(g.states, ns)
+				g.p += ns.Est
+			}
 			if governed {
 				g.demand += s.cfg.Model.EstimateAtLevel(r.Delta, r.MaxLevel)
 			}
@@ -927,21 +946,21 @@ func (s *Server) sweep(cycleN int, t0 time.Time, fresh func(*agentConn) bool) []
 
 // sensed closes a cycle's sensing stage — the sweep, whose cost is what
 // Figure 5's collection-time curve measures: it totals the parts, gathers
-// the candidates into buf and records the stage.
-func (s *Server) sensed(parts []cyclePart, buf []manager.AgentReading, span *obs.CycleHandle, t0 time.Time) (p, demand units.Watts, candidates []manager.AgentReading, stale int) {
-	candidates = buf
+// their node states into s.snap and records the stage.
+func (s *Server) sensed(parts []cyclePart, span *obs.CycleHandle, t0 time.Time) (p, demand units.Watts, stale int) {
+	s.snap = policy.Snapshot{Nodes: s.snap.Nodes[:0]}
 	for i := range parts {
 		p += parts[i].p
 		demand += parts[i].demand
 		stale += parts[i].stale
-		candidates = append(candidates, parts[i].candidates...)
+		s.snap.Nodes = append(s.snap.Nodes, parts[i].states...)
 	}
 	collect := time.Since(t0)
-	span.Stage(obs.StageSense, collect, fmt.Sprintf("readings=%d stale=%d", len(candidates), stale))
+	span.Stage(obs.StageSense, collect, fmt.Sprintf("readings=%d stale=%d", len(s.snap.Nodes), stale))
 	cus := collect.Microseconds()
 	s.lastCollectMicros.SetInt(cus)
 	s.collectMicros.Add(float64(cus))
-	return p, demand, candidates, stale
+	return p, demand, stale
 }
 
 // upkeep acts on the sweep's lifecycle decisions: adopted nodes join
@@ -991,8 +1010,7 @@ func (s *Server) cycle() *fanout {
 	fan := s.newFanout(t0, span)
 
 	parts := s.sweep(cycleN, t0, func(ac *agentConn) bool { return t0.Sub(ac.lastAt) <= s.cfg.StaleAfter })
-	p, demand, candidates, nStale := s.sensed(parts, s.candScratch[:0], span, t0)
-	s.candScratch = candidates
+	p, demand, nStale := s.sensed(parts, span, t0)
 	if nStale > 0 {
 		s.stale.Add(int64(nStale))
 	}
@@ -1022,13 +1040,13 @@ func (s *Server) cycle() *fanout {
 
 	s.upkeep(parts, fan)
 
-	snap := s.builder.Build(p, thr.PL, candidates)
+	s.snap.P, s.snap.PL = p, thr.PL
 	if capping {
 		s.mgrMu.Lock()
-		st, actions, _ := s.mgr.Cycle(p, thr, snap, actuator{s, fan})
+		st, actions, _ := s.mgr.Cycle(p, thr, &s.snap, actuator{s, fan})
 		s.mgrMu.Unlock()
 		if s.cfg.RecordCycle != nil {
-			s.cfg.RecordCycle(cycleRecord(cycleN, p, thr, st, snap, actions))
+			s.cfg.RecordCycle(cycleRecord(cycleN, p, thr, st, &s.snap, actions))
 		}
 	}
 	fan.finishEnqueue()

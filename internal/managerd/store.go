@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/node"
+	"repro/internal/units"
 )
 
 // Sharded node state. Before this existed, one Server.mu serialised every
@@ -28,11 +29,16 @@ import (
 // a disconnected node stays in the table as lost, and its reconnect
 // history survives redials, which is what makes flap detection possible —
 // so the table holds one record per distinct node ID ever seen or
-// journalled. All access under the owning shard's mutex.
+// journalled. All access under the owning shard's mutex, except est and
+// estCycle: those belong to the cycle (its sweep workers, under cycleMu).
 type nodeRec struct {
 	ac     *agentConn // nil while the node is away
 	cmd    cmdState
 	health healthRec
+	// est is the estimate from estCycle, the last cycle the node was a
+	// candidate in: PrevEst for the cycle after it and for no other.
+	est      units.Watts
+	estCycle int
 }
 
 // shard is one slice of the node table, with everything about its nodes

@@ -39,10 +39,14 @@ func journalLevel(s *Server, id node.ID) int {
 	return -1
 }
 
-func ids(rs []manager.AgentReading) []node.ID {
+// ids lists the nodes of a part's fresh readings — all of them (the ones
+// that count in p) or the candidates only.
+func ids(fs []freshNode, candidatesOnly bool) []node.ID {
 	out := []node.ID{}
-	for _, r := range rs {
-		out = append(out, r.ID)
+	for _, f := range fs {
+		if f.rec != nil || !candidatesOnly {
+			out = append(out, f.r.ID)
+		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
@@ -125,7 +129,7 @@ func TestSweepOneShard(t *testing.T) {
 		}
 		g := parts[0]
 		out := outcome{
-			readings: ids(g.readings), candidates: ids(g.candidates), stale: g.stale,
+			readings: ids(g.fresh, false), candidates: ids(g.fresh, true), stale: g.stale,
 			adopts:  append([]node.ID{}, g.adopts...),
 			resends: map[node.ID]resend{},
 			tallies: [4]int{sh.nHealthy, sh.nStale, sh.nLost, sh.nQuar},

@@ -482,7 +482,7 @@ func (c *Conn) sendBinary(e *Envelope) (handled bool, err error) {
 // recvBinary reads one binary frame body (the magic byte is already
 // consumed) into e, reusing the connection's read buffer.
 func (c *Conn) recvBinary(e *Envelope) error {
-	var hdr [frameHeaderLen - 1]byte
+	hdr := &c.hdr
 	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
 		return err
 	}

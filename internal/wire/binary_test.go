@@ -316,6 +316,48 @@ func TestRecvIntoReusesEnvelope(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go: the detector's instrumentation
+// allocates, so allocation counts mean nothing under it.
+var raceEnabled bool
+
+// TestRecvIntoAllocatesNothing holds RecvInto to its doc comment on the
+// frames a steady fleet exchanges: a binary sample, command and ack decode
+// into a reused envelope without a heap allocation.
+func TestRecvIntoAllocatesNothing(t *testing.T) {
+	const runs = 100
+	frames := []Envelope{
+		{Type: KindSample, Node: 12, Level: 5, MaxLevel: 9, CPUUtil: 0.625,
+			MemUsed: 1 << 33, MemTotal: 48 << 30, NICBytes: 123456789, IntervalMS: 1500, Job: 11},
+		{Type: KindCommand, Node: 4, Level: 3, Seq: 17},
+		{Type: KindAck, Node: 4, Level: 3, Seq: 17},
+	}
+	var buf bytes.Buffer
+	w := NewConn(pipeConn{&buf, &buf})
+	w.EnableBinary()
+	for i := 0; i < runs+1; i++ { // AllocsPerRun warms up with one extra call
+		for _, e := range frames {
+			if err := w.Send(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	r := NewConn(pipeConn{&buf, &buf})
+	var env Envelope
+	allocs := testing.AllocsPerRun(runs, func() {
+		for _, want := range frames {
+			if err := r.RecvInto(&env); err != nil || env.Type != want.Type || env.Seq != want.Seq {
+				t.Fatalf("RecvInto = %+v, %v; want a %s", env, err, want.Type)
+			}
+		}
+	})
+	if raceEnabled {
+		t.Skipf("%.1f allocs per three frames under -race: not counted", allocs)
+	}
+	if allocs != 0 {
+		t.Errorf("%.1f allocs per sample+command+ack, want 0", allocs)
+	}
+}
+
 // TestAdvertises covers the negotiation helper.
 func TestAdvertises(t *testing.T) {
 	e := Envelope{Codecs: []string{CodecBinary, CodecJSON}}

@@ -277,6 +277,7 @@ type Conn struct {
 	// (reader-owned). Steady-state traffic allocates nothing here.
 	encBuf  []byte
 	readBuf []byte
+	hdr     [frameHeaderLen - 1]byte // binary frame header (reader-owned; a local would escape)
 
 	// decodeFails counts consecutive recoverable decode errors, for the
 	// fatal escalation described on maxDecodeFails.
@@ -371,15 +372,16 @@ func (c *Conn) RecvInto(e *Envelope) error {
 		_ = c.r.UnreadByte()
 		err = c.recvJSON(e)
 	}
-	var de *DecodeError
+	if err == nil {
+		c.decodeFails, c.heard = 0, true
+		return nil
+	}
+	var de *DecodeError // escapes through errors.As: declared on the error path only
 	if errors.As(err, &de) {
 		c.decodeFails++
 		if c.decodeFails >= maxDecodeFails {
 			de.Fatal = true
 		}
-	} else if err == nil {
-		c.decodeFails = 0
-		c.heard = true
 	}
 	return err
 }
