@@ -322,6 +322,41 @@ func TestLeaseEpochBumpSelfDeposes(t *testing.T) {
 	}
 }
 
+// The profiler rides the metrics address: a chassis started with one serves
+// /debug/pprof/ beside /metrics, and one started without listens on nothing.
+func TestPprofRidesTheMetricsAddress(t *testing.T) {
+	var s stub
+	c := newChassis(t, &s, func(o *daemon.Options) { o.MetricsAddr = "127.0.0.1:0" })
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/debug/pprof/cmdline", "/debug/pprof/goroutine?debug=1"} {
+		resp, err := http.Get("http://" + c.MetricsAddr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || len(body) == 0 {
+			t.Errorf("GET %s: status %d, %d bytes, want 200 with a body", path, resp.StatusCode, len(body))
+		}
+	}
+
+	var q stub
+	quiet := newChassis(t, &q, nil)
+	if err := quiet.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if addr := quiet.MetricsAddr(); addr != "" {
+		t.Errorf("a chassis without a metrics address reports one: %q", addr)
+	}
+	// Its one listener is the wire endpoint, which does not speak HTTP.
+	if resp, err := (&http.Client{Timeout: 2 * time.Second}).Get("http://" + quiet.Addr() + "/debug/pprof/cmdline"); err == nil {
+		resp.Body.Close()
+		t.Errorf("the wire endpoint answered an HTTP GET with status %d", resp.StatusCode)
+	}
+}
+
 // Stop before Start, Stop twice, and a Start that fails half-way leave no
 // listener bound and no goroutine behind.
 func TestLifecycleLeavesNothingBehind(t *testing.T) {

@@ -45,8 +45,8 @@ const (
 // models registered with SetNodeModel, with the default model covering
 // everything else.
 type Builder struct {
-	model   power.Model
-	perNode map[node.ID]power.Model
+	curve   power.Curve
+	perNode map[node.ID]power.Curve
 	prevEst map[node.ID]units.Watts
 	// spareEst is the cycle before's prevEst map, cleared and refilled as
 	// this cycle's estimate table so steady state allocates no maps.
@@ -56,47 +56,49 @@ type Builder struct {
 // NewBuilder creates a snapshot builder whose default power profile model
 // is used for every node without a specific registration.
 func NewBuilder(model power.Model) *Builder {
-	return &Builder{model: model, prevEst: make(map[node.ID]units.Watts), spareEst: make(map[node.ID]units.Watts)}
+	return &Builder{curve: model.Compile(), prevEst: make(map[node.ID]units.Watts), spareEst: make(map[node.ID]units.Watts)}
 }
 
 // SetNodeModel registers a node-specific profile model (heterogeneous
 // clusters).
 func (b *Builder) SetNodeModel(id node.ID, m power.Model) {
 	if b.perNode == nil {
-		b.perNode = make(map[node.ID]power.Model)
+		b.perNode = make(map[node.ID]power.Curve)
 	}
-	b.perNode[id] = m
+	b.perNode[id] = m.Compile()
 }
 
-// Eval is the per-node sensing formula: one reading becomes the node's
-// policy state — formula (1) at its level and one level down, and the idle
-// test. prevEst is the node's estimate from the previous cycle, 0 if it had
-// none. Concurrent calls are safe (managerd's sweep workers) once every
-// SetNodeModel has returned.
+// Eval is the per-node sensing formula under the node's own model, Sense on
+// the reading's fractions. Concurrent calls are safe once every SetNodeModel
+// has returned.
 func (b *Builder) Eval(r AgentReading, prevEst units.Watts) policy.NodeState {
-	model, ok := b.perNode[r.ID]
+	c, ok := b.perNode[r.ID]
 	if !ok {
-		model = b.model
+		c = b.curve
 	}
-	est := model.Estimate(r.Delta, r.Level)
+	return Sense(c, c.Load(r.Delta), r, prevEst)
+}
+
+// Sense turns one reading into the node's policy state: formula (1) at its
+// level and one level down, and the idle test, all from f = c.Load(r.Delta)
+// derived once (managerd's sweep shares it with its other estimates).
+// prevEst is the node's estimate from the previous cycle, 0 if it had none.
+func Sense(c power.Curve, f power.Load, r AgentReading, prevEst units.Watts) policy.NodeState {
+	est := c.At(f, r.Level)
 	estLower := est
 	if r.Level > 0 {
-		estLower = model.EstimateAtLevel(r.Delta, r.Level-1)
-	}
-	var nicFrac float64
-	if sec := r.Delta.Interval.Seconds(); sec > 0 {
-		nicFrac = float64(r.Delta.NICBytes) / (sec * float64(model.NIC.Bandwidth))
+		estLower = c.At(f, r.Level-1)
 	}
 	return policy.NodeState{
 		ID:       r.ID,
 		Level:    r.Level,
 		MaxLevel: r.MaxLevel,
 		AtLowest: r.Level == 0,
-		Idle:     r.Delta.CPUUtil < idleCPUUtil && nicFrac < idleNICFrac,
+		Idle:     f.CPU < idleCPUUtil && f.NIC < idleNICFrac,
 		Est:      est,
 		EstLower: estLower,
 		PrevEst:  prevEst,
-		CPUUtil:  r.Delta.CPUUtil,
+		CPUUtil:  f.CPU,
 		Job:      r.Job,
 	}
 }

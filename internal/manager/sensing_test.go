@@ -284,3 +284,30 @@ func TestClusterActuator(t *testing.T) {
 		t.Error("unknown node accepted")
 	}
 }
+
+// TestEvalReadsTheTable: Eval allocates nothing, under the default model
+// and a registered one, and what it reads from the compiled table is
+// Model.Estimate bit for bit — at levels a remote agent could report outside
+// the table too.
+func TestEvalReadsTheTable(t *testing.T) {
+	big, small := power.TianheNode(), smallNode()
+	b := NewBuilder(big)
+	b.SetNodeModel(3, small)
+	var sink policy.NodeState
+	for id, m := range map[int]power.Model{0: big, 3: small} {
+		for level := -1; level <= m.Levels(); level++ {
+			r := reading(id, level, 0.7, 1)
+			r.Delta.NICBytes = 1 << 27
+			if n := testing.AllocsPerRun(100, func() { sink = b.Eval(r, 250) }); n != 0 {
+				t.Errorf("node %d level %d: Eval allocates %v times per call, want 0", id, level, n)
+			}
+			wantLower := m.Estimate(r.Delta, level)
+			if level > 0 {
+				wantLower = m.Estimate(r.Delta, level-1)
+			}
+			if want := m.Estimate(r.Delta, level); sink.Est != want || sink.EstLower != wantLower || sink.PrevEst != 250 {
+				t.Errorf("node %d level %d: Est %v, EstLower %v, want exactly %v and %v", id, level, sink.Est, sink.EstLower, want, wantLower)
+			}
+		}
+	}
+}

@@ -156,3 +156,63 @@ func TestSweepEvaluationEqualsBuild(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepOtherEstimatesEqualModel: the sweep's other two evaluations — a
+// quarantined node's estimate at its reported level and, on a governed
+// cabinet, every fresh node's demand at its top level — read the compiled
+// curve and equal Model.Estimate, the uncompiled definition, bit for bit.
+func TestSweepOtherEstimatesEqualModel(t *testing.T) {
+	const (
+		fleet       = 200
+		quarantined = node.ID(42)
+	)
+	model := power.TianheNode()
+	rng := rand.New(rand.NewSource(5))
+	srv, err := New(Config{
+		Model: model, Policy: policy.MPCC{}, Tg: 3,
+		ControlEvery: time.Hour, StaleAfter: time.Minute,
+		Thresholds:      power.Thresholds{PL: 1e6, PH: 2e6},
+		Shards:          1, // one part, so the sums below add in the sweep's own order
+		CoordinatorDial: func() (net.Conn, error) { return nil, net.ErrClosed },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Stop)
+	now := time.Now()
+	for id := node.ID(0); id < fleet; id++ {
+		server, client := net.Pipe()
+		t.Cleanup(func() { client.Close() })
+		top := 4 + rng.Intn(6) // mixed top levels: demand is at each node's own
+		rec := &nodeRec{ac: &agentConn{id: id, conn: wire.NewConn(server), maxLevel: top, seen: true, lastAt: now,
+			last: manager.AgentReading{ID: id, Level: rng.Intn(top + 1), MaxLevel: top, Delta: procfs.Delta{
+				Interval: time.Second, CPUUtil: rng.Float64(),
+				MemUsed: uint64(rng.Intn(48 << 30)), MemTotal: 48 << 30, NICBytes: uint64(rng.Intn(1 << 28)),
+			}}}}
+		if id == quarantined {
+			rec.health = healthRec{state: healthQuarantined, quarantinedAt: now}
+		}
+		srv.nodes.shards[0].nodes[id] = rec
+	}
+
+	parts := srv.sweep(1, now, func(*agentConn) bool { return true })
+	if len(parts) != 1 || len(parts[0].fresh) != fleet || len(parts[0].states) != fleet-1 {
+		t.Fatalf("%d parts, %d fresh, %d states; want 1, %d and %d", len(parts), len(parts[0].fresh), len(parts[0].states), fleet, fleet-1)
+	}
+	var p, demand units.Watts
+	sawQuarantined := false
+	for _, f := range parts[0].fresh {
+		p += model.Estimate(f.r.Delta, f.r.Level)
+		demand += model.Estimate(f.r.Delta, f.r.MaxLevel)
+		sawQuarantined = sawQuarantined || (f.rec == nil && f.r.ID == quarantined)
+	}
+	if !sawQuarantined {
+		t.Error("the quarantined node is not among the fresh readings without a record")
+	}
+	if parts[0].p != p {
+		t.Errorf("p = %v, want exactly %v (Σ Model.Estimate at the reported level, the quarantined node's included)", parts[0].p, p)
+	}
+	if parts[0].demand != demand || demand <= p {
+		t.Errorf("demand = %v, want exactly %v (Σ Model.Estimate at MaxLevel) and above p = %v", parts[0].demand, demand, p)
+	}
+}

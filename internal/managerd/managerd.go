@@ -258,8 +258,8 @@ type Server struct {
 	// locking contract.
 	nodes *store
 
-	// builder is the per-node sensing formula the sweep's workers evaluate.
-	builder *manager.Builder
+	// curve is cfg.Model compiled; every estimate the sweep makes reads it.
+	curve power.Curve
 
 	// Cycle scratch, reused so steady-state sensing allocates nothing per
 	// cycle (nothing a cycle calls retains snap). cycleMu serializes cycles
@@ -439,7 +439,7 @@ func New(cfg Config) (*Server, error) {
 	srv := &Server{
 		cfg:     cfg,
 		nodes:   newStore(cfg.Shards),
-		builder: manager.NewBuilder(cfg.Model),
+		curve:   cfg.Model.Compile(),
 		thr:     cfg.Thresholds,
 		learner: learner,
 		journal: cfg.Journal,
@@ -607,19 +607,12 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 	}
 
 	id := node.ID(first.Node)
-	ac := &agentConn{id: id, conn: conn, accepted: accepted, maxLevel: first.MaxLevel, binary: conn.BinaryWrites()}
+	ac := &agentConn{id: id, conn: conn, accepted: accepted, maxLevel: max(first.MaxLevel, 0), binary: conn.BinaryWrites()}
 	// Seed the record from the hello's self-reported level: a manager
 	// coming back from a crash learns every node's actual level before
 	// the first sample arrives, so reconciliation can start immediately.
-	lvl := first.Level
-	if lvl < 0 {
-		lvl = 0
-	}
-	if lvl > ac.maxLevel {
-		lvl = ac.maxLevel
-	}
 	now := time.Now()
-	ac.last = manager.AgentReading{ID: id, Level: lvl, MaxLevel: ac.maxLevel}
+	ac.last = manager.AgentReading{ID: id, Level: ac.clampLevel(first.Level), MaxLevel: ac.maxLevel}
 	ac.lastAt = now
 	ac.seen = true
 	sh := s.nodes.of(id)
@@ -659,7 +652,7 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 		case wire.KindSample:
 			r := env.Reading()
 			r.ID = id // trust the connection identity, not the payload
-			r.MaxLevel = ac.maxLevel
+			r.Level, r.MaxLevel = ac.clampLevel(r.Level), ac.maxLevel
 			epoch := s.extEpoch.Load()
 			sh.mu.Lock()
 			ac.last, ac.lastAt, ac.seen = r, time.Now(), true
@@ -673,9 +666,9 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 					s.cmdAcks.Inc()
 				}
 				cs.acked = true
-				cs.level = env.Level
-				ac.last.Level = env.Level
-				s.journal.SetLevel(int(id), env.Level)
+				cs.level = ac.clampLevel(env.Level)
+				ac.last.Level = cs.level
+				s.journal.SetLevel(int(id), cs.level)
 			}
 			sh.mu.Unlock()
 		}
@@ -688,6 +681,10 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 	sh.mu.Unlock()
 	s.retireOutbox(ac)
 }
+
+// clampLevel bounds a level a remote agent reported — in a hello, a sample
+// or an ack — to the range its node can be in.
+func (ac *agentConn) clampLevel(l int) int { return max(0, min(l, ac.maxLevel)) }
 
 // connTally adjusts the shard's per-codec connection counts for one
 // registered agent connection. Caller holds sh.mu.
@@ -924,20 +921,21 @@ func (s *Server) sweep(cycleN int, t0 time.Time, fresh func(*agentConn) bool) []
 		// when dividing the global budget.
 		for k := range g.fresh {
 			r, rec := &g.fresh[k].r, g.fresh[k].rec
+			load := s.curve.Load(r.Delta)
 			if rec == nil {
-				g.p += s.cfg.Model.Estimate(r.Delta, r.Level)
+				g.p += s.curve.At(load, r.Level)
 			} else {
 				var prev units.Watts
 				if rec.estCycle == cycleN-1 {
 					prev = rec.est
 				}
-				ns := s.builder.Eval(*r, prev)
+				ns := manager.Sense(s.curve, load, *r, prev)
 				rec.est, rec.estCycle = ns.Est, cycleN
 				g.states = append(g.states, ns)
 				g.p += ns.Est
 			}
 			if governed {
-				g.demand += s.cfg.Model.EstimateAtLevel(r.Delta, r.MaxLevel)
+				g.demand += s.curve.At(load, r.MaxLevel)
 			}
 		}
 	})

@@ -347,3 +347,103 @@ func TestRecordOutlivesConnection(t *testing.T) {
 		t.Errorf("agents = %d after the redials, want 1", st.Agents)
 	}
 }
+
+// degradeAll selects every degradable candidate and keeps the snapshots.
+type degradeAll struct{ snapSpy }
+
+func (p *degradeAll) Select(s *policy.Snapshot) []node.ID {
+	p.snapSpy.Select(s)
+	var out []node.ID
+	for _, n := range s.Nodes {
+		if !n.AtLowest && !n.Idle {
+			out = append(out, n.ID)
+		}
+	}
+	return out
+}
+
+// TestRemoteLevelsAreClamped: a level a remote agent reports — in its
+// hello, a sample or an ack, here over the JSON codec — is bounded to
+// [0, maxLevel] before anything reads it, so the snapshot, the command and
+// the journal never hold a level no node can be in. Unclamped, node 1's
+// sample at -3 reads as degradable and the yellow cycle commands it to -4.
+func TestRemoteLevelsAreClamped(t *testing.T) {
+	const top = 9
+	nw := faultnet.New(1)
+	pol := &degradeAll{}
+	cfg := fanoutConfig(nw, 2*time.Second, power.Thresholds{PL: 1, PH: 1e9}) // every cycle yellow
+	cfg.Policy, cfg.Tg = pol, 1<<20
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Stop)
+
+	inRange := func(what string, id node.ID, level int) {
+		t.Helper()
+		if level < 0 || level > top {
+			t.Errorf("node %d: %s holds level %d, outside [0,%d]", id, what, level, top)
+		}
+	}
+	held := func(when string) {
+		t.Helper()
+		for id := node.ID(1); id <= 3; id++ {
+			if l := commandedLevel(srv, id); l != -1 {
+				inRange(when+": command", id, l)
+			}
+			for _, jl := range srv.journal.State().Levels {
+				if jl.Node == int(id) {
+					inRange(when+": journal", id, jl.Level)
+				}
+			}
+			sh := srv.nodes.of(id)
+			sh.mu.Lock()
+			inRange(when+": last reading", id, sh.nodes[id].ac.last.Level)
+			sh.mu.Unlock()
+		}
+	}
+
+	// Hellos below, above and inside the range; then samples likewise.
+	conns := map[node.ID]*wire.Conn{1: dialFaultAgent(t, nw, 1, -2, top), 2: dialFaultAgent(t, nw, 2, 40, top), 3: dialFaultAgent(t, nw, 3, top, top)}
+	waitFor(t, 5*time.Second, "agents registered", func() bool { return srv.Status().Agents == 3 })
+	held("after the hellos")
+	for id, level := range map[node.ID]int{1: -3, 2: 40, 3: top} {
+		if err := conns[id].Send(busySample(int(id), level)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 5*time.Second, "samples accepted", func() bool { return srv.SamplesReceived() == 3 })
+	srv.StepCycle()
+	held("after the yellow cycle")
+	if len(pol.got) != 1 || len(pol.got[0].Nodes) != 3 {
+		t.Fatalf("the policy saw %d snapshots, want one of three nodes", len(pol.got))
+	}
+	for _, n := range pol.got[0].Nodes {
+		inRange("snapshot", n.ID, n.Level)
+		if want := map[node.ID]int{1: 0, 2: top, 3: top}[n.ID]; n.Level != want || n.AtLowest != (want == 0) {
+			t.Errorf("node %d sensed at level %d (at lowest %v), want %d", n.ID, n.Level, n.AtLowest, want)
+		}
+	}
+	if got := commandedLevel(srv, 1); got != 0 {
+		t.Errorf("node 1 (reported -3, so at its floor) has command %d, want adopted at 0 and never degraded", got)
+	}
+
+	// Nodes 2 and 3 were degraded one level; they ack at levels out of range.
+	for id, level := range map[node.ID]int{2: -7, 3: 40} {
+		cmd, err := conns[id].Recv()
+		if err != nil || cmd.Type != wire.KindCommand || cmd.Level != top-1 {
+			t.Fatalf("node %d: received %+v (%v), want a command to level %d", id, cmd, err, top-1)
+		}
+		if err := conns[id].Send(wire.Envelope{Type: wire.KindAck, Node: int(id), Seq: cmd.Seq, Level: level}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 5*time.Second, "acks recorded", func() bool { return srv.UnackedCommands() == 0 })
+	held("after the acks")
+	if l2, l3 := commandedLevel(srv, 2), commandedLevel(srv, 3); l2 != 0 || l3 != top {
+		t.Errorf("acks at -7 and 40 recorded as levels %d and %d, want 0 and %d", l2, l3, top)
+	}
+}

@@ -25,21 +25,14 @@ const (
 	numStages
 )
 
+var stageNames = [numStages]string{"sense", "classify", "select", "actuate", "settle"}
+
 // String returns the stage's canonical lowercase name.
 func (s Stage) String() string {
-	switch s {
-	case StageSense:
-		return "sense"
-	case StageClassify:
-		return "classify"
-	case StageSelect:
-		return "select"
-	case StageActuate:
-		return "actuate"
-	case StageSettle:
-		return "settle"
+	if s < 0 || s >= numStages {
+		return "unknown"
 	}
-	return "unknown"
+	return stageNames[s]
 }
 
 // Stages lists all stages in execution order.
@@ -72,6 +65,8 @@ type CycleSpan struct {
 type span struct {
 	CycleSpan
 	t0 time.Time
+	// buf backs Stages for a cycle that records each stage once.
+	buf [numStages]StageSpan
 }
 
 // CycleRecorder keeps the staged timelines of the last N cycles in a
@@ -90,6 +85,25 @@ type CycleRecorder struct {
 	n    int64
 	ring []*span
 	cur  *span
+	// hist caches the registry's histograms, one per stage and the total's
+	// last, each resolved on first use: an idle recorder registers no names.
+	hist [numStages + 1]*Histogram
+}
+
+// histFor returns slot i's histogram (a Stage, or numStages for the cycle
+// total), nil without a registry. Caller holds r.mu.
+func (r *CycleRecorder) histFor(i Stage) *Histogram {
+	switch {
+	case r.reg == nil:
+		return nil
+	case i < 0 || i > numStages:
+		return r.reg.Histogram("cycle_stage_unknown_micros")
+	case r.hist[i] == nil && i == numStages:
+		r.hist[i] = r.reg.Histogram("cycle_total_micros")
+	case r.hist[i] == nil:
+		r.hist[i] = r.reg.Histogram("cycle_stage_" + i.String() + "_micros")
+	}
+	return r.hist[i]
 }
 
 // DefaultCycleHistory is the ring capacity used when none is given.
@@ -120,6 +134,7 @@ func (r *CycleRecorder) Begin() *CycleHandle {
 	defer r.mu.Unlock()
 	r.n++
 	sp := &span{CycleSpan: CycleSpan{Cycle: r.n}, t0: time.Now()}
+	sp.Stages = sp.buf[:0]
 	if len(r.ring) < r.capn {
 		r.ring = append(r.ring, sp)
 	} else {
@@ -153,10 +168,10 @@ func (h *CycleHandle) Stage(st Stage, d time.Duration, outcome string) {
 	us := d.Microseconds()
 	h.r.mu.Lock()
 	h.sp.Stages = append(h.sp.Stages, StageSpan{Stage: st.String(), Micros: us, Outcome: outcome})
-	reg := h.r.reg
+	hist := h.r.histFor(st)
 	h.r.mu.Unlock()
-	if reg != nil {
-		reg.Histogram("cycle_stage_" + st.String() + "_micros").Observe(float64(us))
+	if hist != nil {
+		hist.Observe(float64(us))
 	}
 }
 
@@ -169,10 +184,10 @@ func (h *CycleHandle) End() {
 	h.r.mu.Lock()
 	us := time.Since(h.sp.t0).Microseconds()
 	h.sp.TotalMicros = us
-	reg := h.r.reg
+	hist := h.r.histFor(numStages)
 	h.r.mu.Unlock()
-	if reg != nil {
-		reg.Histogram("cycle_total_micros").Observe(float64(us))
+	if hist != nil {
+		hist.Observe(float64(us))
 	}
 }
 

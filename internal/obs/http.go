@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 )
 
@@ -97,12 +98,18 @@ func CyclesHandler(rec *CycleRecorder) http.Handler {
 	})
 }
 
-// NewMux builds the standard observability mux: /metrics and
-// /debug/cycles. Either argument may be nil; the corresponding endpoint
-// then serves empty output rather than 404 so probes stay simple.
+// NewMux builds the standard observability mux: /metrics, /debug/cycles
+// and the runtime profiler under /debug/pprof/. Either argument may be nil;
+// the corresponding endpoint then serves empty output rather than 404 so
+// probes stay simple.
 func NewMux(r *Registry, rec *CycleRecorder, refresh func()) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", MetricsHandler(r, refresh))
 	mux.Handle("/debug/cycles", CyclesHandler(rec))
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }

@@ -49,14 +49,8 @@ func NewCalibrator(levels int, nicBandwidth units.Bytes) (*Calibrator, error) {
 
 // features extracts the regression vector (1, util, memfrac, nicfrac).
 func (c *Calibrator) features(d procfs.Delta) [4]float64 {
-	var memFrac, nicFrac float64
-	if d.MemTotal > 0 {
-		memFrac = float64(d.MemUsed) / float64(d.MemTotal)
-	}
-	if sec := d.Interval.Seconds(); sec > 0 {
-		nicFrac = float64(d.NICBytes) / (sec * float64(c.bw))
-	}
-	return [4]float64{1, units.Clamp(d.CPUUtil, 0, 1), units.Clamp(memFrac, 0, 1), units.Clamp(nicFrac, 0, 1)}
+	f := LoadOf(d, c.bw).clamped()
+	return [4]float64{1, f.CPU, f.Mem, f.NIC}
 }
 
 // Add accumulates one metered sample: the node's interval counters at a
@@ -155,22 +149,8 @@ func solve4(m [4][4]float64, b [4]float64) ([4]float64, error) {
 // Estimate evaluates the fitted model for one interval delta at a level
 // (clamped into the fitted range).
 func (cal *Calibrated) Estimate(d procfs.Delta, level int) units.Watts {
-	if level < 0 {
-		level = 0
-	}
-	if level >= len(cal.coef) {
-		level = len(cal.coef) - 1
-	}
-	var memFrac, nicFrac float64
-	if d.MemTotal > 0 {
-		memFrac = float64(d.MemUsed) / float64(d.MemTotal)
-	}
-	if sec := d.Interval.Seconds(); sec > 0 {
-		nicFrac = float64(d.NICBytes) / (sec * float64(cal.bw))
-	}
-	co := cal.coef[level]
-	p := co[0] + co[1]*units.Clamp(d.CPUUtil, 0, 1) +
-		co[2]*units.Clamp(memFrac, 0, 1) + co[3]*units.Clamp(nicFrac, 0, 1)
+	f, co := LoadOf(d, cal.bw).clamped(), cal.coef[max(0, min(level, len(cal.coef)-1))]
+	p := co[0] + co[1]*f.CPU + co[2]*f.Mem + co[3]*f.NIC
 	if p < 0 {
 		p = 0
 	}

@@ -52,41 +52,88 @@ func (m Model) Validate() error {
 // Levels returns the number of discrete power levels of the modelled node.
 func (m Model) Levels() int { return m.CPU.Levels() }
 
+// row is formula (1)'s four coefficients at one level.
+type row struct{ idle, cpu, mem, nic units.Watts }
+
+// row derives level's coefficients from the device models — the definition
+// every tabulated row is filled from.
+func (m Model) row(level int) row {
+	return row{m.Idle.At(level, m.CPU.Levels()), m.CPU.DynMax(level), m.Mem.DynMax, m.NIC.DynMax}
+}
+
+// Load is a sampled interval's three operating fractions: Uti_CPU,
+// Mem_used/Mem_total and Data_NIC/(τ·BW_NIC), as derived, not yet clamped.
+type Load struct{ CPU, Mem, NIC float64 }
+
+// LoadOf derives the fractions from a procfs interval delta, exactly as
+// the profiling agent does on a live node: CPU utilisation from jiffy
+// deltas, memory occupancy from meminfo, NIC fraction from byte counters
+// over the sampling interval τ against the link bandwidth bw.
+func LoadOf(d procfs.Delta, bw units.Bytes) Load {
+	f := Load{CPU: d.CPUUtil}
+	if d.MemTotal > 0 {
+		f.Mem = float64(d.MemUsed) / float64(d.MemTotal)
+	}
+	if sec := d.Interval.Seconds(); sec > 0 {
+		f.NIC = float64(d.NICBytes) / (sec * float64(bw))
+	}
+	return f
+}
+
+// clamped bounds each fraction to [0,1].
+func (f Load) clamped() Load {
+	return Load{units.Clamp(f.CPU, 0, 1), units.Clamp(f.Mem, 0, 1), units.Clamp(f.NIC, 0, 1)}
+}
+
+// terms is formula (1), term by term; its Total is the estimate.
+func (r row) terms(f Load) Breakdown {
+	f = f.clamped()
+	return Breakdown{
+		Idle: r.idle,
+		CPU:  units.Watts(f.CPU * float64(r.cpu)),
+		Mem:  units.Watts(f.Mem * float64(r.mem)),
+		NIC:  units.Watts(f.NIC * float64(r.nic)),
+	}
+}
+
 // Instant evaluates formula (1) from instantaneous operating fractions:
 // cpuUtil is Uti_CPU ∈ [0,1], memFrac is Mem_used/Mem_total ∈ [0,1] and
 // nicFrac is Data_NIC/(τ·BW_NIC) ∈ [0,1].
 func (m Model) Instant(cpuUtil, memFrac, nicFrac float64, level int) units.Watts {
-	cpuUtil = units.Clamp(cpuUtil, 0, 1)
-	memFrac = units.Clamp(memFrac, 0, 1)
-	nicFrac = units.Clamp(nicFrac, 0, 1)
-	p := m.Idle.At(level, m.CPU.Levels())
-	p += units.Watts(cpuUtil * float64(m.CPU.DynMax(level)))
-	p += units.Watts(memFrac * float64(m.Mem.DynMax))
-	p += units.Watts(nicFrac * float64(m.NIC.DynMax))
-	return p
+	return m.row(level).terms(Load{cpuUtil, memFrac, nicFrac}).Total()
 }
 
-// Estimate evaluates formula (1) from a procfs interval delta, exactly as
-// the profiling agent does on a live node: CPU utilisation from jiffy
-// deltas, memory occupancy from meminfo, NIC fraction from byte counters
-// over the sampling interval τ against the link bandwidth.
+// Estimate evaluates formula (1) from a procfs interval delta.
 func (m Model) Estimate(d procfs.Delta, level int) units.Watts {
-	var memFrac float64
-	if d.MemTotal > 0 {
-		memFrac = float64(d.MemUsed) / float64(d.MemTotal)
-	}
-	var nicFrac float64
-	if sec := d.Interval.Seconds(); sec > 0 {
-		nicFrac = float64(d.NICBytes) / (sec * float64(m.NIC.Bandwidth))
-	}
-	return m.Instant(d.CPUUtil, memFrac, nicFrac, level)
+	return m.EstimateBreakdown(d, level).Total()
 }
 
-// EstimateAtLevel is Estimate evaluated as if the node were moved to the
-// given level with its workload fractions unchanged. MPC-C (Algorithm 2)
-// uses it to compute P'(x), the predicted power after a one-level degrade.
-func (m Model) EstimateAtLevel(d procfs.Delta, level int) units.Watts {
-	return m.Estimate(d, level)
+// Curve is a finished Model compiled for the sensing hot path: formula (1)
+// is linear in the Load with coefficients that depend only on the level, so
+// they are tabulated once, one row per level. It is a separate immutable
+// value, not a cache inside Model, because Model is a plain struct callers
+// edit after construction.
+type Curve struct {
+	rows []row
+	bw   units.Bytes
+}
+
+// Compile tabulates the model.
+func (m Model) Compile() Curve {
+	c := Curve{rows: make([]row, m.Levels()), bw: m.NIC.Bandwidth}
+	for l := range c.rows {
+		c.rows[l] = m.row(l)
+	}
+	return c
+}
+
+// Load derives d's fractions against the compiled NIC bandwidth.
+func (c Curve) Load(d procfs.Delta) Load { return LoadOf(d, c.bw) }
+
+// At is Model.Instant read from the table, bit for bit; level is clamped
+// into the table as the device models clamp it.
+func (c Curve) At(f Load, level int) units.Watts {
+	return c.rows[max(0, min(level, len(c.rows)-1))].terms(f).Total()
 }
 
 // Breakdown is formula (1) split into its four terms — the per-device
@@ -99,7 +146,7 @@ type Breakdown struct {
 	NIC  units.Watts // NICFrac · P_NIC(l)
 }
 
-// Total sums the components.
+// Total sums the components in formula (1)'s order.
 func (b Breakdown) Total() units.Watts { return b.Idle + b.CPU + b.Mem + b.NIC }
 
 // String renders the attribution compactly.
@@ -111,20 +158,7 @@ func (b Breakdown) String() string {
 // EstimateBreakdown evaluates formula (1) term by term from an interval
 // delta.
 func (m Model) EstimateBreakdown(d procfs.Delta, level int) Breakdown {
-	var memFrac float64
-	if d.MemTotal > 0 {
-		memFrac = float64(d.MemUsed) / float64(d.MemTotal)
-	}
-	var nicFrac float64
-	if sec := d.Interval.Seconds(); sec > 0 {
-		nicFrac = float64(d.NICBytes) / (sec * float64(m.NIC.Bandwidth))
-	}
-	return Breakdown{
-		Idle: m.Idle.At(level, m.CPU.Levels()),
-		CPU:  units.Watts(units.Clamp(d.CPUUtil, 0, 1) * float64(m.CPU.DynMax(level))),
-		Mem:  units.Watts(units.Clamp(memFrac, 0, 1) * float64(m.Mem.DynMax)),
-		NIC:  units.Watts(units.Clamp(nicFrac, 0, 1) * float64(m.NIC.DynMax)),
-	}
+	return m.row(level).terms(LoadOf(d, m.NIC.Bandwidth))
 }
 
 // MaxPower returns P_i, the node's theoretical maximal consumption: top

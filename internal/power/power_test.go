@@ -109,7 +109,7 @@ func TestEstimateAtLevelPrediction(t *testing.T) {
 	d := procfs.Delta{Interval: time.Second, CPUUtil: 0.9,
 		MemUsed: m.Mem.TotalBytes / 2, MemTotal: m.Mem.TotalBytes}
 	cur := m.Estimate(d, 7)
-	pred := m.EstimateAtLevel(d, 6)
+	pred := m.Estimate(d, 6)
 	if pred >= cur {
 		t.Errorf("P'(x)=%v not below P(x)=%v", pred, cur)
 	}
