@@ -15,7 +15,6 @@ import (
 	"repro/internal/power"
 	"repro/internal/procfs"
 	"repro/internal/units"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -32,6 +31,15 @@ func (p *snapSpy) Select(s *policy.Snapshot) []node.ID {
 	}
 	p.got = append(p.got, c)
 	return nil
+}
+
+// randomDelta is one second's counters of a node with 48 GiB of memory:
+// random utilisation, footprint and traffic.
+func randomDelta(rng *rand.Rand) procfs.Delta {
+	return procfs.Delta{
+		Interval: time.Second, CPUUtil: rng.Float64(),
+		MemUsed: uint64(rng.Intn(48 << 30)), MemTotal: 48 << 30, NICBytes: uint64(rng.Intn(1 << 28)),
+	}
 }
 
 // TestSweepEvaluationEqualsBuild: the cycle's one evaluation per node, done
@@ -66,14 +74,11 @@ func TestSweepEvaluationEqualsBuild(t *testing.T) {
 		// One hand-made record per node: fixed level and job, mixed across
 		// the fleet (no command is ever due, so the connections stay quiet).
 		for id := node.ID(0); id < fleet; id++ {
-			server, client := net.Pipe()
-			t.Cleanup(func() { client.Close() })
-			rec := &nodeRec{ac: &agentConn{id: id, conn: wire.NewConn(server), maxLevel: top, seen: true,
-				last: manager.AgentReading{ID: id, Level: rng.Intn(top + 1), MaxLevel: top, Job: workload.JobID(rng.Intn(8))}}}
+			rec := putRec(t, srv.nodes.of(id), manager.AgentReading{
+				ID: id, Level: rng.Intn(top + 1), MaxLevel: top, Job: workload.JobID(rng.Intn(8))}, time.Time{})
 			if id == quarantined {
 				rec.health = healthRec{state: healthQuarantined, quarantinedAt: time.Now()}
 			}
-			srv.nodes.of(id).nodes[id] = rec
 		}
 
 		ref := manager.NewBuilder(model)
@@ -85,19 +90,15 @@ func TestSweepEvaluationEqualsBuild(t *testing.T) {
 			for _, sh := range srv.nodes.shards {
 				sh.mu.Lock()
 				for id, rec := range sh.nodes {
-					ac := rec.ac
-					ac.last.Delta = procfs.Delta{
-						Interval: time.Second, CPUUtil: rng.Float64(),
-						MemUsed: uint64(rng.Intn(48 << 30)), MemTotal: 48 << 30, NICBytes: uint64(rng.Intn(1 << 28)),
-					}
+					rec.last.Delta = randomDelta(rng)
 					if rng.Intn(5) == 0 {
-						ac.last.Delta.CPUUtil, ac.last.Delta.NICBytes = 0.01, 0
+						rec.last.Delta.CPUUtil, rec.last.Delta.NICBytes = 0.01, 0
 					}
-					ac.lastAt = now
+					rec.lastAt = now
 					if id == absent && c == 1 {
-						ac.lastAt = now.Add(-time.Hour)
+						rec.lastAt = now.Add(-time.Hour)
 					}
-					sent[id] = ac.last
+					sent[id] = rec.last
 				}
 				sh.mu.Unlock()
 			}
@@ -108,7 +109,8 @@ func TestSweepEvaluationEqualsBuild(t *testing.T) {
 			got := spy.got[c]
 
 			// Build on the same candidates, in the snapshot's order (the
-			// sweep's is map order; the running means follow it).
+			// sweep's is registration order by shard; the running means
+			// follow it).
 			var readings []manager.AgentReading
 			var gotIDs, wantIDs []node.ID
 			for _, n := range got.Nodes {
@@ -181,21 +183,14 @@ func TestSweepOtherEstimatesEqualModel(t *testing.T) {
 	t.Cleanup(srv.Stop)
 	now := time.Now()
 	for id := node.ID(0); id < fleet; id++ {
-		server, client := net.Pipe()
-		t.Cleanup(func() { client.Close() })
 		top := 4 + rng.Intn(6) // mixed top levels: demand is at each node's own
-		rec := &nodeRec{ac: &agentConn{id: id, conn: wire.NewConn(server), maxLevel: top, seen: true, lastAt: now,
-			last: manager.AgentReading{ID: id, Level: rng.Intn(top + 1), MaxLevel: top, Delta: procfs.Delta{
-				Interval: time.Second, CPUUtil: rng.Float64(),
-				MemUsed: uint64(rng.Intn(48 << 30)), MemTotal: 48 << 30, NICBytes: uint64(rng.Intn(1 << 28)),
-			}}}}
+		rec := putRec(t, srv.nodes.shards[0], manager.AgentReading{ID: id, Level: rng.Intn(top + 1), MaxLevel: top, Delta: randomDelta(rng)}, now)
 		if id == quarantined {
 			rec.health = healthRec{state: healthQuarantined, quarantinedAt: now}
 		}
-		srv.nodes.shards[0].nodes[id] = rec
 	}
 
-	parts := srv.sweep(1, now, func(*agentConn) bool { return true })
+	parts := srv.sweep(1, now, func(*nodeRec) bool { return true })
 	if len(parts) != 1 || len(parts[0].fresh) != fleet || len(parts[0].states) != fleet-1 {
 		t.Fatalf("%d parts, %d fresh, %d states; want 1, %d and %d", len(parts), len(parts[0].fresh), len(parts[0].states), fleet, fleet-1)
 	}

@@ -1,9 +1,10 @@
 package managerd
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/manager"
@@ -65,7 +66,7 @@ func (s *Server) StartExternalCycle() *ExternalCycle {
 	cyc := &ExternalCycle{s: s, fan: s.newFanout(t0, span), span: span, t0: t0}
 	epoch := s.extEpoch.Load()
 
-	parts := s.sweep(cycleN, t0, func(ac *agentConn) bool { return ac.lastEpoch == epoch })
+	parts := s.sweep(cycleN, t0, func(rec *nodeRec) bool { return rec.lastEpoch == epoch })
 	// The control-law stages (classify/select/actuate) are recorded by the
 	// external driver's own recorder.
 	p, _, _ := s.sensed(parts, span, t0)
@@ -76,9 +77,9 @@ func (s *Server) StartExternalCycle() *ExternalCycle {
 			}
 		}
 	}
-	// Map iteration scattered the readings; the control law's contract is
-	// node-ID order (deterministic policy tie-breaks).
-	sort.Slice(cyc.readings, func(a, b int) bool { return cyc.readings[a].ID < cyc.readings[b].ID })
+	// The sweep yields registration order, shard by shard; the control law's
+	// contract is node-ID order (deterministic policy tie-breaks).
+	slices.SortFunc(cyc.readings, func(a, b manager.AgentReading) int { return cmp.Compare(a.ID, b.ID) })
 	s.upkeep(parts, cyc.fan)
 	s.lastPowerW.Set(float64(p))
 	if s.learner == nil {
@@ -133,9 +134,11 @@ func (s *Server) UnackedCommands() int {
 	n := 0
 	for _, sh := range s.nodes.shards {
 		sh.mu.Lock()
-		for _, rec := range sh.nodes {
-			if rec.cmd.issued && !rec.cmd.acked {
-				n++
+		for _, chunk := range sh.chunks {
+			for k := range chunk {
+				if cs := &chunk[k].cmd; cs.issued && !cs.acked {
+					n++
+				}
 			}
 		}
 		sh.mu.Unlock()

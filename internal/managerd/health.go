@@ -73,8 +73,7 @@ func (h *healthRec) pruneConnects(now time.Time, window time.Duration) {
 func noteConnect(sh *shard, id node.ID, now time.Time, cfg *Config, quarantines *obs.Counter) *nodeRec {
 	rec := sh.nodes[id]
 	if rec == nil {
-		rec = &nodeRec{}
-		sh.nodes[id] = rec
+		rec = sh.add(id)
 		sh.nHealthy++
 	}
 	h := &rec.health
@@ -100,9 +99,10 @@ func noteConnect(sh *shard, id node.ID, now time.Time, cfg *Config, quarantines 
 	return rec
 }
 
-// classify re-evaluates the node's state at now, given its connection (nil
-// while away), and returns it. Caller holds the owning shard's mutex.
-func (h *healthRec) classify(ac *agentConn, now time.Time, cfg *Config) healthState {
+// classify re-evaluates the node's state at now, given whether it is away
+// (no connection) and when it last reported, and returns it. Caller holds
+// the owning shard's mutex.
+func (h *healthRec) classify(away bool, lastAt, now time.Time, cfg *Config) healthState {
 	if h.state == healthQuarantined {
 		if now.Sub(h.quarantinedAt) < cfg.Quarantine {
 			return healthQuarantined
@@ -117,9 +117,9 @@ func (h *healthRec) classify(ac *agentConn, now time.Time, cfg *Config) healthSt
 		// the freshness-based classification.
 	}
 	switch {
-	case ac == nil || now.Sub(ac.lastAt) > cfg.LostAfter:
+	case away || now.Sub(lastAt) > cfg.LostAfter:
 		h.state = healthLost
-	case now.Sub(ac.lastAt) > cfg.StaleAfter:
+	case now.Sub(lastAt) > cfg.StaleAfter:
 		h.state = healthStale
 	default:
 		h.state = healthHealthy

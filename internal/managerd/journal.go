@@ -58,10 +58,9 @@ func (s *Server) restoreFromJournal(snap replica.Snapshot) {
 		// Journaled commands count as acked at sentCycle zero: as soon as
 		// the node reconnects and reports a different level, the
 		// reconciliation path reissues the journaled one.
-		sh.nodes[id] = &nodeRec{
-			cmd:    cmdState{issued: true, level: l.Level, acked: true},
-			health: healthRec{state: healthLost},
-		}
+		rec := sh.add(id)
+		rec.cmd = cmdState{issued: true, level: l.Level, acked: true}
+		rec.health.state = healthLost
 		sh.nLost++
 	}
 }

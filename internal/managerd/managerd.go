@@ -195,23 +195,15 @@ type LearnConfig struct {
 	AdjustEvery int
 }
 
-// agentConn is one connected agent: the connection, the freshest reading,
-// and the outbox its on-demand sender goroutine drains (sender.go).
+// agentConn is one connected agent: the connection and the outbox its
+// on-demand sender goroutine drains (sender.go). What the agent last
+// reported is its node's (nodeRec), not the connection's.
 type agentConn struct {
 	id       node.ID
 	conn     *wire.Conn
 	accepted uint64 // accept-order stamp (see serveConn)
 	maxLevel int
 	binary   bool // negotiated onto the binary codec (set before registration)
-
-	// Freshest reading; guarded by the owning shard's mutex. lastEpoch
-	// stamps which external sense epoch the reading arrived in (zero for
-	// readings outside any epoch, e.g. the hello seed); the external
-	// cycle's collect filters on it instead of wall-clock staleness.
-	last      manager.AgentReading
-	lastAt    time.Time
-	seen      bool
-	lastEpoch uint64
 
 	// Outbox; guarded by obMu (ordered strictly below shard mutexes).
 	// obCmd is held by value with obHas as its presence flag: a command
@@ -322,6 +314,7 @@ type Server struct {
 	lastCollectMicros *obs.Gauge
 	collectMicros     *obs.Gauge
 	agentsG           *obs.Gauge
+	recordsG          *obs.Gauge // node records in the table, connected or not: never shrinks
 	driftedG          *obs.Gauge
 	healthyG          *obs.Gauge
 	staleNodesG       *obs.Gauge
@@ -505,6 +498,7 @@ func New(cfg Config) (*Server, error) {
 	srv.lastCollectMicros = reg.Gauge("last_collect_micros")
 	srv.collectMicros = reg.Gauge("collect_micros")
 	srv.agentsG = reg.Gauge("agents")
+	srv.recordsG = reg.Gauge("node_records")
 	srv.driftedG = reg.Gauge("drifted")
 	srv.healthyG = reg.Gauge("healthy_nodes")
 	srv.staleNodesG = reg.Gauge("stale_nodes")
@@ -608,13 +602,7 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 
 	id := node.ID(first.Node)
 	ac := &agentConn{id: id, conn: conn, accepted: accepted, maxLevel: max(first.MaxLevel, 0), binary: conn.BinaryWrites()}
-	// Seed the record from the hello's self-reported level: a manager
-	// coming back from a crash learns every node's actual level before
-	// the first sample arrives, so reconciliation can start immediately.
 	now := time.Now()
-	ac.last = manager.AgentReading{ID: id, Level: ac.clampLevel(first.Level), MaxLevel: ac.maxLevel}
-	ac.lastAt = now
-	ac.seen = true
 	sh := s.nodes.of(id)
 	sh.mu.Lock()
 	// Whichever connection wins below, the node connected once more.
@@ -629,6 +617,11 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 		return
 	}
 	rec.ac = ac
+	// Seed the reading from the hello's self-reported level: a manager
+	// coming back from a crash learns every node's actual level before
+	// the first sample arrives, so reconciliation can start immediately.
+	rec.last = manager.AgentReading{ID: id, Level: ac.clampLevel(first.Level), MaxLevel: ac.maxLevel}
+	rec.lastAt, rec.lastEpoch = now, 0
 	connTally(sh, ac, +1)
 	if old != nil {
 		// The replaced connection's own teardown will see itself already
@@ -647,6 +640,9 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 	var env wire.Envelope
 	// The tolerant receive: corrupt frames are counted and skipped, fatal
 	// decode errors and I/O errors drop the connection; the agent redials.
+	// The reading is the node's: once a redial has replaced this connection
+	// (rec.ac != ac), what it still delivers must not overwrite the
+	// successor's.
 	for skipped := s.decodeErrs.Inc; conn.Next(&env, skipped) == nil; {
 		switch env.Type {
 		case wire.KindSample:
@@ -655,8 +651,9 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 			r.Level, r.MaxLevel = ac.clampLevel(r.Level), ac.maxLevel
 			epoch := s.extEpoch.Load()
 			sh.mu.Lock()
-			ac.last, ac.lastAt, ac.seen = r, time.Now(), true
-			ac.lastEpoch = epoch
+			if rec.ac == ac {
+				rec.last, rec.lastAt, rec.lastEpoch = r, time.Now(), epoch
+			}
 			sh.mu.Unlock()
 			s.samplesRecv.Inc()
 		case wire.KindAck:
@@ -667,7 +664,9 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 				}
 				cs.acked = true
 				cs.level = ac.clampLevel(env.Level)
-				ac.last.Level = cs.level
+				if rec.ac == ac {
+					rec.last.Level = cs.level
+				}
 				s.journal.SetLevel(int(id), cs.level)
 			}
 			sh.mu.Unlock()
@@ -823,13 +822,14 @@ type freshNode struct {
 }
 
 // sweep is a cycle's one pass over the node table: every shard on the
-// worker pool, every record visited once under its shard's lock. Per node
-// it classifies health (health.go; the shard's cached tallies are
-// rewritten from the pass), tallies drift, takes the reading if fresh(ac)
-// says so — by wall-clock age for the control loop, by sense epoch for an
-// external driver, the only thing the two callers differ in — runs the
-// command lifecycle and then, outside the lock, evaluates each reading it
-// took, the cycle's one evaluation per node. The command lifecycle:
+// worker pool, every record visited once, in registration order, under its
+// shard's lock. Per node it classifies health (health.go; the shard's
+// cached tallies are rewritten from the pass), tallies drift, takes the
+// reading if fresh(rec) says so — by wall-clock age for the control loop,
+// by sense epoch for an external driver, the only thing the two callers
+// differ in — runs the command lifecycle and then, outside the lock,
+// evaluates each reading it took, the cycle's one evaluation per node. The
+// command lifecycle:
 //
 //   - commands unacked since a previous cycle are retried under the same
 //     sequence number (the command is idempotent, the ack will match);
@@ -851,7 +851,7 @@ type freshNode struct {
 //
 // The re-sends and adoptions are only decided here; upkeep acts on them.
 // Caller holds cycleMu (the parts are the shared scratch).
-func (s *Server) sweep(cycleN int, t0 time.Time, fresh func(*agentConn) bool) []cyclePart {
+func (s *Server) sweep(cycleN int, t0 time.Time, fresh func(*nodeRec) bool) []cyclePart {
 	if len(s.cycleParts) != len(s.nodes.shards) {
 		s.cycleParts = make([]cyclePart, len(s.nodes.shards))
 	}
@@ -865,48 +865,53 @@ func (s *Server) sweep(cycleN int, t0 time.Time, fresh func(*agentConn) bool) []
 		var tally [healthQuarantined + 1]int
 		drift := 0
 		sh.mu.Lock()
-		for id, rec := range sh.nodes {
-			ac, cs := rec.ac, &rec.cmd
-			state := rec.health.classify(ac, t0, &s.cfg)
-			tally[state]++
-			if ac == nil || !ac.seen {
-				continue
-			}
-			// Drift is tallied before the freshness cut: a stale node can
-			// still disagree with its commanded level.
-			if cs.issued && ac.last.Level != cs.level {
-				drift++
-			}
-			if !fresh(ac) {
-				g.stale++
-			} else if state == healthQuarantined {
-				g.fresh = append(g.fresh, freshNode{r: ac.last})
-			} else {
-				g.fresh = append(g.fresh, freshNode{ac.last, rec})
-			}
-			if state == healthQuarantined {
-				continue
-			}
-			switch {
-			case !cs.issued:
-				if ac.last.Level < ac.maxLevel {
-					*cs = cmdState{issued: true, level: ac.last.Level, acked: true, sentCycle: cycleN}
-					s.journal.SetLevel(int(id), cs.level)
+		for _, chunk := range sh.chunks {
+			for k := range chunk {
+				// rec.ac is compared and handed on, never dereferenced: a
+				// node is read from its record alone.
+				rec := &chunk[k]
+				cs, last := &rec.cmd, &rec.last
+				state := rec.health.classify(rec.ac == nil, rec.lastAt, t0, &s.cfg)
+				tally[state]++
+				if rec.ac == nil {
+					continue
 				}
-			case !cs.acked && cycleN > cs.sentCycle:
-				cs.retries++
-				cs.sentCycle = cycleN
-				s.cmdRetries.Inc()
-				g.resends = append(g.resends, resend{ac, cs.level, cs.seq})
-			case cs.acked && ac.last.Level != cs.level && cycleN >= cs.sentCycle+2:
-				cs.seq = s.seq.Add(1)
-				cs.acked = false
-				cs.sentCycle = cycleN
-				s.reconciles.Inc()
-				g.resends = append(g.resends, resend{ac, cs.level, cs.seq})
-			}
-			if cs.issued && cs.level < ac.maxLevel {
-				g.adopts = append(g.adopts, id)
+				// Drift is tallied before the freshness cut: a stale node can
+				// still disagree with its commanded level.
+				if cs.issued && last.Level != cs.level {
+					drift++
+				}
+				if !fresh(rec) {
+					g.stale++
+				} else if state == healthQuarantined {
+					g.fresh = append(g.fresh, freshNode{r: *last})
+				} else {
+					g.fresh = append(g.fresh, freshNode{*last, rec})
+				}
+				if state == healthQuarantined {
+					continue
+				}
+				switch {
+				case !cs.issued:
+					if last.Level < last.MaxLevel {
+						*cs = cmdState{issued: true, level: last.Level, acked: true, sentCycle: cycleN}
+						s.journal.SetLevel(int(rec.id), cs.level)
+					}
+				case !cs.acked && cycleN > cs.sentCycle:
+					cs.retries++
+					cs.sentCycle = cycleN
+					s.cmdRetries.Inc()
+					g.resends = append(g.resends, resend{rec.ac, cs.level, cs.seq})
+				case cs.acked && last.Level != cs.level && cycleN >= cs.sentCycle+2:
+					cs.seq = s.seq.Add(1)
+					cs.acked = false
+					cs.sentCycle = cycleN
+					s.reconciles.Inc()
+					g.resends = append(g.resends, resend{rec.ac, cs.level, cs.seq})
+				}
+				if cs.issued && cs.level < last.MaxLevel {
+					g.adopts = append(g.adopts, rec.id)
+				}
 			}
 		}
 		sh.nHealthy, sh.nStale = tally[healthHealthy], tally[healthStale]
@@ -1007,7 +1012,7 @@ func (s *Server) cycle() *fanout {
 	span := s.trace.Begin()
 	fan := s.newFanout(t0, span)
 
-	parts := s.sweep(cycleN, t0, func(ac *agentConn) bool { return t0.Sub(ac.lastAt) <= s.cfg.StaleAfter })
+	parts := s.sweep(cycleN, t0, func(rec *nodeRec) bool { return t0.Sub(rec.lastAt) <= s.cfg.StaleAfter })
 	p, demand, nStale := s.sensed(parts, span, t0)
 	if nStale > 0 {
 		s.stale.Add(int64(nStale))
@@ -1116,6 +1121,7 @@ func (s *Server) refreshGauges() {
 		sh.mu.Unlock()
 	}
 	s.agentsG.SetInt(int64(nBin + nJSON))
+	s.recordsG.SetInt(int64(healthy + staleN + lost + quar)) // every record is in exactly one state
 	s.driftedG.SetInt(int64(drifted))
 	s.healthyG.SetInt(int64(healthy))
 	s.staleNodesG.SetInt(int64(staleN))

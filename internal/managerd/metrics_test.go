@@ -217,6 +217,35 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 	}
 }
 
+// TestNodeRecordsGauge: the table never forgets a node, and /metrics says
+// how many it holds — three nodes hello and leave, three records stay.
+func TestNodeRecordsGauge(t *testing.T) {
+	nw := faultnet.New(1)
+	t.Cleanup(nw.Close)
+	cfg := fanoutConfig(nw, 250*time.Millisecond, power.Thresholds{PL: 1e6, PH: 2e6})
+	cfg.MetricsAddr = "127.0.0.1:0"
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Stop)
+	var conns []*wire.Conn
+	for id := uint64(0); id < 3; id++ {
+		conns = append(conns, dialFaultAgent(t, nw, id, 9, 9))
+	}
+	waitFor(t, 5*time.Second, "agents registered", func() bool { return srv.Status().Agents == 3 })
+	for _, c := range conns {
+		c.Close()
+	}
+	waitFor(t, 5*time.Second, "agents gone", func() bool { return srv.Status().Agents == 0 })
+	if m := scrapeMetrics(t, srv.MetricsAddr()); m["node_records"] != 3 || m["agents"] != 0 {
+		t.Errorf("/metrics node_records = %v, agents = %v; want 3 and 0", m["node_records"], m["agents"])
+	}
+}
+
 // TestMetricsUnderCycleChurn hammers /metrics, /debug/cycles and the wire
 // status path while the control loop churns, under the race detector: the
 // read side must never block or torn-read the control loop.

@@ -1,6 +1,8 @@
 package managerd
 
 import (
+	"encoding/json"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/faultnet"
+	"repro/internal/manager"
 	"repro/internal/node"
 	"repro/internal/policy"
 	"repro/internal/power"
@@ -281,12 +284,12 @@ func TestLateHelloDoesNotEvictNewerConnection(t *testing.T) {
 	srv := idleServer(t)
 	// The chassis has read the hello by the time it calls the session
 	// handler, so the hello is handed over rather than sent.
-	serve := func(accepted uint64) (peer *wire.Conn, done chan struct{}) {
+	serve := func(accepted uint64, level int) (peer *wire.Conn, done chan struct{}) {
 		server, client := net.Pipe()
 		done = make(chan struct{})
 		go func() {
 			defer close(done)
-			hello := wire.Envelope{Type: wire.KindHello, Node: 5, MaxLevel: 9, Level: 9}
+			hello := wire.Envelope{Type: wire.KindHello, Node: 5, MaxLevel: 9, Level: level}
 			srv.serveConn(wire.NewConn(server), &hello, accepted)
 		}()
 		peer = wire.NewConn(client)
@@ -296,13 +299,14 @@ func TestLateHelloDoesNotEvictNewerConnection(t *testing.T) {
 
 	// The live connection was accepted second but its hello is handled
 	// first.
-	live, _ := serve(2)
+	live, _ := serve(2, 9)
 	waitFor(t, 5*time.Second, "live connection registered", func() bool { return currentConn(srv, 5) != nil })
 	registered := currentConn(srv, 5)
+	seeded := readingOf(srv, 5)
 
 	// The bounced connection: accepted first, hello handled late, and
 	// closed by its client straight after.
-	bounced, done := serve(1)
+	bounced, done := serve(1, 3)
 	bounced.Close()
 	select {
 	case <-done:
@@ -312,6 +316,9 @@ func TestLateHelloDoesNotEvictNewerConnection(t *testing.T) {
 
 	if cur := currentConn(srv, 5); cur != registered {
 		t.Fatalf("late hello replaced the newer connection (registered %p, now %p)", registered, cur)
+	}
+	if got := readingOf(srv, 5); got != seeded {
+		t.Errorf("the refused hello wrote to the record: reading %+v, want the live hello's %+v", got, seeded)
 	}
 	if err := live.Send(busySample(5, 9)); err != nil {
 		t.Fatalf("live connection was closed: %v", err)
@@ -326,12 +333,107 @@ func TestLateHelloDoesNotEvictNewerConnection(t *testing.T) {
 	}
 
 	// A genuinely newer connection still replaces the registered one.
-	serve(3)
+	serve(3, 9)
 	waitFor(t, 5*time.Second, "redial replaced the connection", func() bool {
 		cur := currentConn(srv, 5)
 		return cur != nil && cur != registered
 	})
 	if n := recordCount(srv); n != 1 {
 		t.Errorf("%d records after three hellos for one node, want 1", n)
+	}
+}
+
+// reading is the part of a node's record that its connection's frames write.
+type reading struct {
+	last      manager.AgentReading
+	lastAt    time.Time
+	lastEpoch uint64
+}
+
+func readingOf(s *Server, id node.ID) reading {
+	sh := s.nodes.of(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	rec := sh.nodes[id]
+	return reading{rec.last, rec.lastAt, rec.lastEpoch}
+}
+
+// heldConn is the manager's end of a connection whose inbound bytes came
+// off the wire before it was closed but are handled only once release is:
+// what a reader goroutine descheduled between its Read and the shard lock
+// holds.
+type heldConn struct {
+	release chan struct{}
+	read    []byte
+}
+
+func (c *heldConn) Read(p []byte) (int, error) {
+	<-c.release
+	if len(c.read) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.read)
+	c.read = c.read[n:]
+	return n, nil
+}
+func (c *heldConn) Write(p []byte) (int, error) { return len(p), nil }
+func (c *heldConn) Close() error                { return nil }
+
+// TestLateSampleFromReplacedConnIsDropped: the reading is the node's, so a
+// sample and an ack's level echo that a replaced connection still delivers
+// must not overwrite what its successor wrote. The ack itself still settles
+// the command (that is the record's too, and the agent did apply it), and
+// the sample still counts as received.
+func TestLateSampleFromReplacedConnIsDropped(t *testing.T) {
+	srv := idleServer(t)
+	hello := func(level int) *wire.Envelope {
+		return &wire.Envelope{Type: wire.KindHello, Node: 5, MaxLevel: 9, Level: level}
+	}
+
+	var late []byte
+	for _, env := range []wire.Envelope{busySample(5, 2), {Type: wire.KindAck, Node: 5, Seq: 77, Level: 4}} {
+		b, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		late = append(append(late, b...), '\n')
+	}
+	a := &heldConn{release: make(chan struct{}), read: late}
+	aDone := make(chan struct{})
+	go func() {
+		defer close(aDone)
+		srv.serveConn(wire.NewConn(a), hello(9), 1)
+	}()
+	waitFor(t, 5*time.Second, "connection A registered", func() bool { return currentConn(srv, 5) != nil })
+	connA := currentConn(srv, 5)
+	sh := srv.nodes.of(5)
+	sh.mu.Lock()
+	sh.nodes[5].cmd = cmdState{issued: true, level: 4, seq: 77}
+	sh.mu.Unlock()
+
+	server, client := net.Pipe()
+	t.Cleanup(func() { client.Close() })
+	go srv.serveConn(wire.NewConn(server), hello(7), 2)
+	waitFor(t, 5*time.Second, "connection B replaced A", func() bool { return currentConn(srv, 5) != connA })
+	connB, seeded := currentConn(srv, 5), readingOf(srv, 5)
+	if seeded.last.Level != 7 || seeded.lastEpoch != 0 {
+		t.Fatalf("after B's hello the record reads %+v, want B's level 7 outside any epoch", seeded)
+	}
+
+	srv.BeginSenseEpoch() // a sample handled from here on would be stamped 1
+	close(a.release)
+	select {
+	case <-aDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("connection A's serveConn never returned")
+	}
+	if got := readingOf(srv, 5); got != seeded {
+		t.Errorf("A's late frames wrote to the record: reading %+v, want B's %+v", got, seeded)
+	}
+	if cur := currentConn(srv, 5); cur != connB {
+		t.Errorf("A's teardown deregistered its successor (now %p, want %p)", cur, connB)
+	}
+	if n, unacked := srv.SamplesReceived(), srv.UnackedCommands(); n != 1 || unacked != 0 {
+		t.Errorf("samples received = %d, unacked commands = %d; want 1 and 0 (both frames were handled)", n, unacked)
 	}
 }

@@ -2,7 +2,9 @@ package managerd
 
 import (
 	"sync"
+	"time"
 
+	"repro/internal/manager"
 	"repro/internal/node"
 	"repro/internal/units"
 )
@@ -25,14 +27,27 @@ import (
 // nodeRec is everything the manager knows about one node: the paper's
 // per-node state, i.e. its set membership (§II.A, health) and the newest
 // level Algorithm 1 commanded (§III.B, cmd). It is made by the node's
-// first hello (noteConnect) or by the journal restore and never deleted —
-// a disconnected node stays in the table as lost, and its reconnect
-// history survives redials, which is what makes flap detection possible —
-// so the table holds one record per distinct node ID ever seen or
-// journalled. All access under the owning shard's mutex, except est and
-// estCycle: those belong to the cycle (its sweep workers, under cycleMu).
+// first hello (noteConnect) or by the journal restore — both through
+// shard.add — and never deleted or moved: a disconnected node stays in the
+// table as lost, and its reconnect history survives redials, which is what
+// makes flap detection possible — so the table holds one record per
+// distinct node ID ever seen or journalled. All access under the owning
+// shard's mutex, except est and estCycle: those belong to the cycle (its
+// sweep workers, under cycleMu).
 type nodeRec struct {
-	ac     *agentConn // nil while the node is away
+	id node.ID
+	ac *agentConn // nil while the node is away
+
+	// The freshest reading of the current connection, seeded by its hello:
+	// meaningful while ac != nil. It lives here and not on the agentConn so
+	// the sweep reads a node in one place. lastEpoch stamps which external
+	// sense epoch the reading arrived in (zero outside any epoch, e.g. the
+	// hello seed); the external cycle's sweep filters on it instead of
+	// wall-clock staleness.
+	last      manager.AgentReading
+	lastAt    time.Time
+	lastEpoch uint64
+
 	cmd    cmdState
 	health healthRec
 	// est is the estimate from estCycle, the last cycle the node was a
@@ -44,8 +59,13 @@ type nodeRec struct {
 // shard is one slice of the node table, with everything about its nodes
 // guarded by its own mutex.
 type shard struct {
-	mu    sync.Mutex
-	nodes map[node.ID]*nodeRec
+	mu sync.Mutex
+	// chunks is the storage, in registration order: append-only, so a
+	// *nodeRec stays valid for good, and dense, so a walk streams through
+	// memory instead of chasing one pointer per node. nodes is the id →
+	// record index over it, for lookups only; every walk ranges chunks.
+	chunks [][]nodeRec
+	nodes  map[node.ID]*nodeRec
 
 	// Cached tallies, guarded by mu. The health counts and drifted are
 	// recomputed by every cycle's sweep; noteConnect and the journal
@@ -72,13 +92,39 @@ type shard struct {
 func (sh *shard) conns(buf []*agentConn) []*agentConn {
 	buf = buf[:0]
 	sh.mu.Lock()
-	for _, rec := range sh.nodes {
-		if rec.ac != nil {
-			buf = append(buf, rec.ac)
+	for _, chunk := range sh.chunks {
+		for k := range chunk {
+			if ac := chunk[k].ac; ac != nil {
+				buf = append(buf, ac)
+			}
 		}
 	}
 	sh.mu.Unlock()
 	return buf
+}
+
+// maxChunk caps a chunk at 256 records (≈ 62 KiB).
+const maxChunk = 256
+
+// add makes id's record, the only place one is made, and indexes it. A
+// full last chunk is never grown (that would move its records): a new one
+// is started, of 4 records and doubling up to maxChunk, so a shard of a
+// few nodes does not pay for a large one's chunk. Caller holds sh.mu (or
+// is New) and has checked id has no record.
+func (sh *shard) add(id node.ID) *nodeRec {
+	last := len(sh.chunks) - 1
+	if last < 0 || len(sh.chunks[last]) == cap(sh.chunks[last]) {
+		size := 4
+		if last >= 0 {
+			size = min(2*cap(sh.chunks[last]), maxChunk)
+		}
+		sh.chunks = append(sh.chunks, make([]nodeRec, 0, size))
+		last++
+	}
+	sh.chunks[last] = append(sh.chunks[last], nodeRec{id: id})
+	rec := &sh.chunks[last][len(sh.chunks[last])-1]
+	sh.nodes[id] = rec
+	return rec
 }
 
 // store is the sharded node-state table.

@@ -2,6 +2,7 @@ package managerd
 
 import (
 	"math"
+	"math/rand"
 	"net"
 	"reflect"
 	"sort"
@@ -13,20 +14,34 @@ import (
 	"repro/internal/node"
 	"repro/internal/policy"
 	"repro/internal/power"
+	"repro/internal/units"
 	"repro/internal/wire"
 )
 
 // Tests for the node record (store.go) and the cycle's one sweep over it.
 
-// recordCount is how many node records the table holds.
+// recordCount is how many node records the table stores.
 func recordCount(s *Server) int {
 	n := 0
 	for _, sh := range s.nodes.shards {
 		sh.mu.Lock()
-		n += len(sh.nodes)
+		for _, chunk := range sh.chunks {
+			n += len(chunk)
+		}
 		sh.mu.Unlock()
 	}
 	return n
+}
+
+// putRec makes r.ID's record in sh through the one constructor, connected
+// over a pipe nothing reads, with r as its reading as of at.
+func putRec(t *testing.T, sh *shard, r manager.AgentReading, at time.Time) *nodeRec {
+	server, client := net.Pipe()
+	t.Cleanup(func() { client.Close() })
+	rec := sh.add(r.ID)
+	rec.ac = &agentConn{id: r.ID, conn: wire.NewConn(server), maxLevel: r.MaxLevel}
+	rec.last, rec.lastAt = r, at
+	return rec
 }
 
 // journalLevel is the journal mirror's level for id, or -1.
@@ -87,17 +102,9 @@ func TestSweepOneShard(t *testing.T) {
 		t0 := time.Now()
 		sh := srv.nodes.shards[0]
 		put := func(id node.ID, level int, age time.Duration, ep uint64, cmd cmdState, state healthState) {
-			server, client := net.Pipe()
-			t.Cleanup(func() { client.Close() })
-			sh.nodes[id] = &nodeRec{
-				ac: &agentConn{
-					id: id, conn: wire.NewConn(server), maxLevel: top, seen: true,
-					last:   manager.AgentReading{ID: id, Level: level, MaxLevel: top},
-					lastAt: t0.Add(-age), lastEpoch: ep,
-				},
-				cmd:    cmd,
-				health: healthRec{state: state, quarantinedAt: t0},
-			}
+			rec := putRec(t, sh, manager.AgentReading{ID: id, Level: level, MaxLevel: top}, t0.Add(-age))
+			rec.lastEpoch, rec.cmd = ep, cmd
+			rec.health = healthRec{state: state, quarantinedAt: t0}
 		}
 		inFlight := cmdState{issued: true, level: 5, seq: 41, sentCycle: cycleN - 1}
 		acked := func(seq uint64, sent int) cmdState {
@@ -110,7 +117,8 @@ func TestSweepOneShard(t *testing.T) {
 		// sampled last epoch only.
 		put(1, top, 0, epoch, cmdState{}, healthHealthy)
 		put(2, top, 200*time.Millisecond, epoch, cmdState{}, healthHealthy)
-		sh.nodes[3] = &nodeRec{cmd: acked(40, 0), health: healthRec{state: healthLost}}
+		away := sh.add(3)
+		away.cmd, away.health.state = acked(40, 0), healthLost
 		put(4, top, 0, epoch, inFlight, healthQuarantined)
 		put(5, top, 0, 0, cmdState{}, healthHealthy)
 		put(6, 3, 0, epoch, cmdState{}, healthHealthy)
@@ -119,9 +127,9 @@ func TestSweepOneShard(t *testing.T) {
 		put(9, top, 0, epoch-1, acked(43, cycleN-1), healthHealthy)
 		srv.seq.Store(100)
 
-		fresh := func(ac *agentConn) bool { return t0.Sub(ac.lastAt) <= srv.cfg.StaleAfter }
+		fresh := func(rec *nodeRec) bool { return t0.Sub(rec.lastAt) <= srv.cfg.StaleAfter }
 		if epochFresh {
-			fresh = func(ac *agentConn) bool { return ac.lastEpoch == epoch }
+			fresh = func(rec *nodeRec) bool { return rec.lastEpoch == epoch }
 		}
 		parts := srv.sweep(cycleN, t0, fresh)
 		if len(parts) != 1 {
@@ -401,7 +409,7 @@ func TestRemoteLevelsAreClamped(t *testing.T) {
 			}
 			sh := srv.nodes.of(id)
 			sh.mu.Lock()
-			inRange(when+": last reading", id, sh.nodes[id].ac.last.Level)
+			inRange(when+": last reading", id, sh.nodes[id].last.Level)
 			sh.mu.Unlock()
 		}
 	}
@@ -445,5 +453,127 @@ func TestRemoteLevelsAreClamped(t *testing.T) {
 	held("after the acks")
 	if l2, l3 := commandedLevel(srv, 2), commandedLevel(srv, 3); l2 != 0 || l3 != top {
 		t.Errorf("acks at -7 and 40 recorded as levels %d and %d, want 0 and %d", l2, l3, top)
+	}
+}
+
+// TestSweepIsRepeatable: a sweep walks the storage in registration order,
+// so two sweeps of an unchanged table visit the nodes in one order and sum
+// their estimates in it — p and demand come out bit-identical. Ranging the
+// index did neither (Go randomises where a map walk starts).
+func TestSweepIsRepeatable(t *testing.T) {
+	const fleet = 200
+	rng := rand.New(rand.NewSource(9))
+	srv, err := New(Config{
+		Model: power.TianheNode(), Policy: policy.MPCC{}, Tg: 3,
+		ControlEvery: time.Hour, Thresholds: power.Thresholds{PL: 1e6, PH: 2e6},
+		Shards:          1,
+		CoordinatorDial: func() (net.Conn, error) { return nil, net.ErrClosed }, // governed: demand is summed too
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Stop)
+	now := time.Now()
+	for _, id := range rng.Perm(fleet) { // registration order is not ID order
+		putRec(t, srv.nodes.shards[0], manager.AgentReading{ID: node.ID(id), Level: rng.Intn(10), MaxLevel: 9, Delta: randomDelta(rng)}, now)
+	}
+
+	type pass struct {
+		p, demand units.Watts
+		order     []node.ID
+	}
+	sweep := func(cycleN int) pass {
+		g := srv.sweep(cycleN, now, func(*nodeRec) bool { return true })[0]
+		out := pass{p: g.p, demand: g.demand}
+		for _, ns := range g.states {
+			out.order = append(out.order, ns.ID)
+		}
+		return out
+	}
+	first := sweep(1)
+	if len(first.order) != fleet || first.p <= 0 || first.demand < first.p {
+		t.Fatalf("first sweep: %d states, p = %v, demand = %v", len(first.order), first.p, first.demand)
+	}
+	for c := 2; c <= 6; c++ {
+		if again := sweep(c); !reflect.DeepEqual(again, first) {
+			t.Fatalf("sweep %d differs from the first over an unchanged table:\n p %v vs %v\n demand %v vs %v\n same order: %v",
+				c, again.p, first.p, again.demand, first.demand, reflect.DeepEqual(again.order, first.order))
+		}
+	}
+}
+
+// TestRecordsNeverMove: a session, the actuator and a sender each hold a
+// *nodeRec across the shard lock, so the table's growth must leave every
+// record where it was made — and must not charge a shard of a few nodes
+// for the chunks of a large one.
+func TestRecordsNeverMove(t *testing.T) {
+	srv, err := New(Config{
+		Model: power.TianheNode(), Policy: policy.MPCC{}, Tg: 3,
+		ControlEvery: time.Hour, Thresholds: power.Thresholds{PL: 1e6, PH: 2e6},
+		CommandTimeout: 5 * time.Second, Shards: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Stop)
+	sh := srv.nodes.shards[0]
+
+	// Node 0 registers over a live session; 9 999 more records follow it.
+	server, client := net.Pipe()
+	peer := wire.NewConn(client)
+	t.Cleanup(func() { peer.Close() })
+	go srv.serveConn(wire.NewConn(server), &wire.Envelope{Type: wire.KindHello, Node: 0, MaxLevel: 9, Level: 9}, 1)
+	waitFor(t, 5*time.Second, "node 0 registered", func() bool { return currentConn(srv, 0) != nil })
+	sh.mu.Lock()
+	first := sh.nodes[0]
+	for id := node.ID(1); id < 10000; id++ {
+		noteConnect(sh, id, time.Now(), &srv.cfg, srv.quarantines)
+	}
+	if sh.nodes[0] != first || &sh.chunks[0][0] != first {
+		t.Errorf("node 0's record moved: made at %p, indexed at %p, stored at %p", first, sh.nodes[0], &sh.chunks[0][0])
+	}
+	stored := 0
+	for i, chunk := range sh.chunks {
+		if want := min(4<<i, maxChunk); cap(chunk) != want {
+			t.Errorf("chunk %d holds %d records, want %d (4, doubling, capped at %d)", i, cap(chunk), want, maxChunk)
+		}
+		for k := range chunk {
+			if rec := &chunk[k]; sh.nodes[rec.id] == rec {
+				stored++
+			}
+		}
+	}
+	sh.mu.Unlock()
+	if stored != 10000 || recordCount(srv) != 10000 {
+		t.Errorf("%d stored records are the ones the index holds, %d counted, want 10000", stored, recordCount(srv))
+	}
+
+	// The session registered before the growth still owns the record the
+	// index finds: a command recorded through the index is acked through
+	// the session's pointer.
+	if err := (actuator{srv, nil}).SetNodeLevel(0, 4); err != nil {
+		t.Fatal(err)
+	}
+	cmd, err := peer.Recv()
+	if err != nil || cmd.Type != wire.KindCommand {
+		t.Fatalf("received %+v (%v), want the command", cmd, err)
+	}
+	if err := peer.Send(wire.Envelope{Type: wire.KindAck, Node: 0, Seq: cmd.Seq, Level: cmd.Level}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "the ack to reach node 0's record", func() bool { return srv.UnackedCommands() == 0 })
+
+	// The cabinet shape of the tree workloads: 128 nodes over the default
+	// 32 shards, four to a shard or so.
+	cabinet := idleServer(t)
+	for id := node.ID(0); id < 128; id++ {
+		noteConnect(cabinet.nodes.of(id), id, time.Now(), &cabinet.cfg, cabinet.quarantines)
+	}
+	for i, sh := range cabinet.nodes.shards {
+		for _, chunk := range sh.chunks {
+			if cap(chunk) > 8 {
+				t.Errorf("shard %d of a 128-node cabinet (%d nodes) has a chunk of %d records, want none above 8", i, len(sh.nodes), cap(chunk))
+			}
+		}
 	}
 }
