@@ -11,11 +11,14 @@
 package agentd
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/manager"
@@ -57,8 +60,8 @@ type Config struct {
 	// periods without any manager traffic (disconnected, partitioned, or
 	// a silent manager), the agent self-degrades to FailsafeLevel so the
 	// cluster cap holds with zero managers alive. Zero disables the
-	// switch. The watchdog runs under RunWithReconnect and inside Run's
-	// tick loop, so a connected-but-silent manager trips it too.
+	// switch. The watchdog runs on wall time for as long as Run or
+	// RunWithReconnect does, so a connected-but-silent manager trips it too.
 	FailsafeAfter int
 	// FailsafeLevel is the floor level the dead-man switch degrades to
 	// (default 0, the lowest power state). The switch only ever lowers
@@ -136,10 +139,10 @@ type Agent struct {
 	clock     time.Duration
 
 	// passive-mode state: the cached level of the external node (kept in
-	// sync by Apply returns and pushed readings) and the live connection's
-	// serialised send function for PushReading (nil when disconnected).
+	// sync by Apply returns and pushed readings; guarded by mu) and the live
+	// session PushReading sends on (nil when disconnected).
 	curLevel int
-	send     func(wire.Envelope) error
+	live     atomic.Pointer[session]
 }
 
 // New constructs an agent: with a freshly simulated node at full power,
@@ -371,16 +374,15 @@ func (a *Agent) apply(level int) error {
 // sampling clock. The reading's level refreshes the cached level so
 // hello-after-reconnect and ack replies stay truthful.
 func (a *Agent) PushReading(r manager.AgentReading) error {
-	a.mu.Lock()
-	send := a.send
-	if send != nil {
-		a.curLevel = r.Level
-	}
-	a.mu.Unlock()
-	if send == nil {
+	live := a.live.Load()
+	if live == nil {
 		return fmt.Errorf("agentd: node %d not connected", a.cfg.NodeID)
 	}
-	if err := send(wire.SampleEnvelope(r)); err != nil {
+	a.mu.Lock()
+	a.curLevel = r.Level
+	a.mu.Unlock()
+	sample := wire.SampleEnvelope(r)
+	if err := live.send(&sample); err != nil {
 		return err
 	}
 	a.samplesPushed.Inc()
@@ -389,11 +391,7 @@ func (a *Agent) PushReading(r manager.AgentReading) error {
 
 // Connected reports whether a passive agent holds a live session, that is
 // whether PushReading has somewhere to send.
-func (a *Agent) Connected() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.send != nil
-}
+func (a *Agent) Connected() bool { return a.live.Load() != nil }
 
 // RunWithReconnect runs the agent, redialling the manager with capped
 // exponential backoff whenever the connection drops. It returns only when
@@ -406,24 +404,7 @@ func (a *Agent) RunWithReconnect(ctx context.Context, initialBackoff, maxBackoff
 	if maxBackoff < initialBackoff {
 		maxBackoff = 10 * initialBackoff
 	}
-	// Dead-man watchdog: ticks once per sample period for the whole
-	// reconnect loop, so the switch fires even while the agent sits in
-	// dial backoff with no connection (and therefore no tick loop).
-	if a.cfg.FailsafeAfter > 0 {
-		a.touchContact() // grace counts from run start, not agent creation
-		go func() {
-			t := time.NewTicker(a.cfg.SampleEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done(): // which is also when the link below returns
-					return
-				case <-t.C:
-					a.failsafeCheck()
-				}
-			}
-		}()
-	}
+	defer a.deadMan()()
 	wire.Link{
 		Dial:    a.cfg.Dial,
 		Backoff: wire.Backoff{Min: initialBackoff, Max: maxBackoff},
@@ -435,9 +416,10 @@ func (a *Agent) RunWithReconnect(ctx context.Context, initialBackoff, maxBackoff
 
 // Run connects to the manager and serves until ctx is cancelled or the
 // connection drops. It returns the first terminal error (nil on clean
-// shutdown via ctx). On return the connection is closed and the reader
-// goroutine has exited — reconnect churn never accumulates goroutines.
+// shutdown via ctx). On return the connection is closed and every goroutine
+// it started has exited — reconnect churn never accumulates goroutines.
 func (a *Agent) Run(ctx context.Context) error {
+	defer a.deadMan()()
 	conn, err := wire.Open(ctx, a.cfg.Dial)
 	if err != nil {
 		return fmt.Errorf("agentd: dial manager: %w", err)
@@ -445,173 +427,174 @@ func (a *Agent) Run(ctx context.Context) error {
 	return a.session(ctx, conn)
 }
 
-// session serves one open connection (wire.Open: a cancelled ctx closes
-// it, which is what unblocks a send parked on a dead pipe) until ctx is
-// cancelled or it drops, and closes it.
-func (a *Agent) session(ctx context.Context, conn *wire.Conn) error {
-	// Sends come from two goroutines (samples below, acks in the reader),
-	// and wire.Conn requires external write serialisation.
-	var sendMu sync.Mutex
-	send := func(e wire.Envelope) error {
-		sendMu.Lock()
-		defer sendMu.Unlock()
-		return conn.Send(e)
+// deadMan starts the dead-man watchdog, the agent's one ticker for it: once
+// per sample period for as long as the agent runs, so the switch fires in
+// dial backoff with no connection and under a connected but silent manager
+// (wedged control loop, asymmetric partition on the command path) alike.
+func (a *Agent) deadMan() (stop func()) {
+	if a.cfg.FailsafeAfter <= 0 {
+		return func() {}
 	}
+	a.touchContact() // grace counts from run start, not agent creation
+	return every(a.cfg.SampleEvery, a.failsafeCheck)
+}
 
-	// Reader: apply commands as they arrive; readErr is why it stopped,
-	// set before readDone closes. Closing the conn is what unblocks a
-	// reader parked in Recv, so the join below must close first, then wait.
-	var readErr error
-	readDone := make(chan struct{})
-	defer func() {
-		conn.Close()
-		<-readDone
+// every calls fn once per period on a goroutine of its own, the only kind an
+// agent starts; the returned func stops it and waits for it.
+func every(period time.Duration, fn func()) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(period)
+		defer t.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
+				fn()
+			}
+		}
 	}()
+	return func() { close(quit); <-done }
+}
 
-	// Hello carries the node's current level: a reconnecting throttled
-	// agent must not look full-power to the manager until its first
-	// sample arrives. It also reports the highest leadership epoch this
-	// agent has seen, so a deposed leader we reconnect to learns about
-	// its successor and fences itself.
+// session is one connection's life. The goroutine that opened it sends the
+// hello and is then its reader; a passive agent starts nothing else, an
+// active one its sampling writer (tick). Acks from the reader and samples
+// from the writer or PushReading's caller are serialised by sendMu.
+type session struct {
+	a      *Agent
+	conn   *wire.Conn
+	sendMu sync.Mutex
+
+	// Writer-owned, the reader's once the writer is joined.
+	nextSample time.Duration
+	werr       error // the send that failed, which is why the read then did
+}
+
+var errStaleManager = errors.New("agentd: manager announced a superseded epoch")
+
+// session serves one open connection (wire.Open: a cancelled ctx closes
+// it, which is what unblocks a read, or a send parked on a dead pipe) until
+// ctx is cancelled or it drops, and closes it.
+func (a *Agent) session(ctx context.Context, conn *wire.Conn) error {
+	s := &session{a: a, conn: conn, nextSample: a.cfg.SampleEvery}
+	defer conn.Close()
+	if err := s.hello(); err != nil {
+		return err
+	}
+	join := func() {}
+	if a.cfg.Passive {
+		// No node to tick, no clock of our own: PushReading's caller sends.
+		a.live.Store(s)
+		defer a.live.Store(nil)
+	} else {
+		join = every(a.cfg.TickEvery, s.tick)
+	}
+	// The reader: until the connection ends (closing it is what unparks us)
+	// or is fenced. Any traffic at all re-arms the dead-man switch.
+	var env wire.Envelope
+	var err error
+	for skipped := a.decodeErrs.Inc; err == nil; {
+		if err = conn.Next(&env, skipped); err == nil {
+			a.touchContact()
+			err = s.handle(&env, 0)
+		}
+	}
+	conn.Close() // before the join: the writer may be parked in a send
+	join()
+	if ctx.Err() != nil {
+		return nil
+	}
+	return cmp.Or(s.werr, err)
+}
+
+func (s *session) send(e *wire.Envelope) error {
+	s.sendMu.Lock()
+	defer s.sendMu.Unlock()
+	return s.conn.Send(*e)
+}
+
+// hello opens the session. It carries the node's current level: a
+// reconnecting throttled agent must not look full-power to the manager until
+// its first sample arrives. It also reports the highest leadership epoch this
+// agent has seen, so a deposed leader we reconnect to learns about its
+// successor and fences itself.
+func (s *session) hello() error {
+	a := s.a
 	maxLevel := a.cfg.MaxLevel
 	if !a.cfg.Passive {
 		maxLevel = a.node.Levels() - 1
 	}
-	hello := wire.Envelope{
+	return s.conn.Offer(wire.Envelope{
 		Type: wire.KindHello, Node: int(a.cfg.NodeID),
 		MaxLevel: maxLevel,
 		Level:    a.Level(),
 		Epoch:    a.MaxEpoch(),
-	}
-	if err := conn.Offer(hello, a.cfg.Codec); err != nil {
-		close(readDone)
-		return err
-	}
+	}, a.cfg.Codec)
+}
 
-	// handle processes one manager message; batch frames (the manager's
-	// coalesced command+heartbeat writes) unwrap one level deep — batches
-	// do not nest, so a Batch inside a Batch is dropped. fenced is owned
-	// by the reader goroutine: once the session's manager proves stale,
-	// every further frame on it is ignored and the connection torn down.
-	fenced := false
-	var handle func(env wire.Envelope, depth int)
-	handle = func(env wire.Envelope, depth int) {
-		if fenced {
-			return
-		}
-		switch env.Type {
-		case wire.KindHello:
-			// The codec confirmation riding this frame is already acted
-			// on (wire.Conn.Next) — before the epoch check, because a
-			// non-HA manager replies with epoch zero just to pick a codec.
-			// An epoch below one already seen is a deposed leader still
-			// talking: refuse the session, so that its commands can never
-			// undo the live leader's.
-			if env.Epoch == 0 {
-				return
-			}
-			a.mu.Lock()
-			if env.Epoch < a.maxEpoch {
-				a.mu.Unlock()
-				fenced = true
-				a.staleRejects.Inc()
-				conn.Close()
-				return
-			}
-			a.maxEpoch = env.Epoch
-			a.mu.Unlock()
-		case wire.KindBatch:
-			if depth > 0 {
-				return
-			}
-			for _, inner := range env.Batch {
-				handle(inner, depth+1)
-			}
-		case wire.KindCommand:
-			_ = a.apply(env.Level)
-			// Ack with the level actually in force: on an invalid
-			// command the manager learns the real level instead of
-			// assuming the command took.
-			if send(wire.Envelope{
-				Type: wire.KindAck, Node: int(a.cfg.NodeID),
-				Seq: env.Seq, Level: a.Level(),
-			}) == nil {
-				a.acksSent.Inc()
-			}
-		}
-	}
-
-	go func() {
-		defer close(readDone)
-		var env wire.Envelope
-		for skipped := a.decodeErrs.Inc; ; {
-			if readErr = conn.Next(&env, skipped); readErr != nil {
-				return
-			}
-			// Any manager traffic (command, ping, batch) re-arms the
-			// dead-man switch.
-			a.touchContact()
-			handle(env, 0)
-		}
-	}()
-
-	// Passive mode: no synthetic node to tick and no sampling clock of
-	// our own — expose the send path for PushReading and wait for the
-	// connection to end. The dead-man switch still runs on wall time.
-	if a.cfg.Passive {
+// handle processes one manager message; batch frames (the manager's
+// coalesced command+heartbeat writes) unwrap one level deep — batches do
+// not nest, so a Batch inside a Batch is dropped. An error ends the session.
+func (s *session) handle(env *wire.Envelope, depth int) error {
+	a := s.a
+	switch env.Type {
+	case wire.KindHello:
+		// The codec confirmation riding this frame is already acted on
+		// (wire.Conn.Next) — before the epoch check, because a non-HA
+		// manager replies with epoch zero just to pick a codec. An epoch
+		// below one already seen is a deposed leader still talking: refuse
+		// the session, and every frame behind this one, so that its
+		// commands can never undo the live leader's.
 		a.mu.Lock()
-		a.send = send
+		stale := env.Epoch != 0 && env.Epoch < a.maxEpoch
+		a.maxEpoch = max(a.maxEpoch, env.Epoch)
 		a.mu.Unlock()
-		defer func() {
-			a.mu.Lock()
-			a.send = nil
-			a.mu.Unlock()
-		}()
-		var watchdog <-chan time.Time
-		if a.cfg.FailsafeAfter > 0 {
-			t := time.NewTicker(a.cfg.SampleEvery)
-			defer t.Stop()
-			watchdog = t.C
+		if stale {
+			a.staleRejects.Inc()
+			return errStaleManager
 		}
-		for {
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-readDone:
-				return readErr
-			case <-watchdog:
-				a.failsafeCheck()
+	case wire.KindBatch:
+		for i := 0; depth == 0 && i < len(env.Batch); i++ {
+			if err := s.handle(&env.Batch[i], 1); err != nil {
+				return err
 			}
 		}
+	case wire.KindCommand:
+		_ = a.apply(env.Level)
+		// Ack with the level actually in force: on an invalid command the
+		// manager learns the real level instead of assuming the command
+		// took.
+		ack := wire.Envelope{
+			Type: wire.KindAck, Node: int(a.cfg.NodeID),
+			Seq: env.Seq, Level: a.Level(),
+		}
+		if s.send(&ack) == nil {
+			a.acksSent.Inc()
+		}
 	}
+	return nil
+}
 
-	// Writer: tick the node and push samples. Sends are serialised on
-	// this goroutine only.
-	tick := time.NewTicker(a.cfg.TickEvery)
-	defer tick.Stop()
-	nextSample := a.cfg.SampleEvery
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-readDone:
-			return readErr
-		case <-tick.C:
-			a.mu.Lock()
-			a.step()
-			clock := a.clock
-			a.mu.Unlock()
-			// A connected-but-silent manager (e.g. wedged control loop,
-			// asymmetric partition on the command path) must trip the
-			// switch too, not just a broken connection.
-			a.failsafeCheck()
-			if clock >= nextSample {
-				nextSample += a.cfg.SampleEvery
-				if err := send(wire.SampleEnvelope(a.sample())); err != nil {
-					return err
-				}
-				a.samplesPushed.Inc()
-			}
-		}
+// tick is the active agent's writer, on the session's second goroutine: it
+// advances the node and pushes a sample each period. A failed send ends the
+// session, by closing the connection under the reader.
+func (s *session) tick() {
+	a := s.a
+	a.mu.Lock()
+	a.step()
+	clock := a.clock
+	a.mu.Unlock()
+	if clock < s.nextSample || s.werr != nil {
+		return
 	}
+	s.nextSample += a.cfg.SampleEvery
+	sample := wire.SampleEnvelope(a.sample())
+	if s.werr = s.send(&sample); s.werr != nil {
+		s.conn.Close()
+		return
+	}
+	a.samplesPushed.Inc()
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,13 +109,13 @@ func (HA) Promoted(p replica.Promotion, lease *replica.Lease, holder string) HA 
 
 // Hooks is what a daemon supplies. Session, Status and Shed are required.
 type Hooks struct {
-	// Session serves one inbound connection whose first frame was neither
-	// a status probe nor a follower subscription, on the connection's own
-	// goroutine, until it ends. It owns conn and must close it. first is
-	// the frame already read; accepted is the connection's accept-order
-	// stamp (of two connections claiming one identity, the higher is the
-	// newer).
-	Session func(conn *wire.Conn, first *wire.Envelope, accepted uint64)
+	// Session opens one inbound connection whose first frame was neither a
+	// status probe nor a follower subscription: it does the daemon's half of
+	// the handshake and returns the loop that serves the session until it
+	// ends and closes conn, or nil to refuse it (the chassis closes conn).
+	// first is the frame already read; accepted is the accept-order stamp
+	// (of two connections claiming one identity, the higher is the newer).
+	Session func(conn *wire.Conn, first *wire.Envelope, accepted uint64) (serve func())
 	// Cycle runs one control cycle. The ticker calls it every ControlEvery
 	// while the daemon leads; nil means no ticker (an external driver
 	// cycles the daemon).
@@ -141,9 +142,14 @@ type Chassis struct {
 
 	journalAppends *obs.Counter
 	fencedHellos   *obs.Counter
+	ticksDropped   *obs.Counter
 	leaderG        *obs.Gauge
 	replicaConnsG  *obs.Gauge
 	replicaLagG    *obs.Gauge
+
+	rtMu      sync.Mutex // the runtime's numbers (runtimeGauges), sampled by scrape only
+	rtSamples [len(runtimeGauges)]metrics.Sample
+	rtGauges  [len(runtimeGauges)]*obs.Gauge
 
 	gov *tier.Governor // the session under our own parent; nil at a root
 
@@ -174,9 +180,13 @@ func New(opt Options, hooks Hooks) *Chassis {
 
 		journalAppends: reg.Counter("journal_appends"),
 		fencedHellos:   reg.Counter("fenced_hellos"),
+		ticksDropped:   reg.Counter("ticks_dropped"),
 		leaderG:        reg.Gauge("leader"),
 		replicaConnsG:  reg.Gauge("replica_conns"),
 		replicaLagG:    reg.Gauge("replica_lag_entries"),
+	}
+	for i, rg := range runtimeGauges {
+		c.rtSamples[i].Name, c.rtGauges[i] = rg.metric, reg.Gauge(rg.gauge)
 	}
 	c.leading, c.endLeading = context.WithCancel(context.Background())
 	// Explicit configuration wins; otherwise a lease implies HA, so claim
@@ -246,7 +256,7 @@ func (c *Chassis) Start() (err error) {
 		if err != nil {
 			return fmt.Errorf("daemon: metrics: %w", err)
 		}
-		c.metricsSrv = &http.Server{Handler: obs.NewMux(c.reg, c.trace, c.Refresh)}
+		c.metricsSrv = &http.Server{Handler: obs.NewMux(c.reg, c.trace, c.scrape)}
 		c.run(func() { _ = c.metricsSrv.Serve(c.metricsLn) })
 	}
 	if c.opt.Lease != nil {
@@ -281,7 +291,8 @@ func (c *Chassis) run(fn func()) {
 }
 
 // Every calls fn once per period, on a goroutine Stop waits for, until the
-// daemon stops leading — is deposed or stopped.
+// daemon stops leading — is deposed or stopped. A ticker keeps one tick for a
+// late receiver and drops the rest: ticks_dropped counts those.
 func (c *Chassis) Every(period time.Duration, fn func()) {
 	c.run(func() {
 		tick := time.NewTicker(period)
@@ -291,7 +302,9 @@ func (c *Chassis) Every(period time.Duration, fn func()) {
 			case <-c.leading.Done():
 				return
 			case <-tick.C:
+				t0 := time.Now()
 				fn()
+				c.ticksDropped.Add(max(0, int64(time.Since(t0)/period)-1))
 			}
 		}
 	})
@@ -371,6 +384,46 @@ func (c *Chassis) Govern(cfg tier.GovernorConfig) *tier.Governor {
 	cfg.OnDecodeError = decodeErrs.Inc
 	c.gov = tier.NewGovernor(cfg)
 	return c.gov
+}
+
+// runtimeGauges are the Go runtime's own numbers behind the footprint, and
+// the gauges a scrape publishes them as (a histogram as its p99 in µs).
+var runtimeGauges = [...]struct{ metric, gauge string }{
+	{"/sched/goroutines:goroutines", "goroutines"},
+	{"/memory/classes/heap/stacks:bytes", "stack_bytes"},
+	{"/memory/classes/heap/objects:bytes", "heap_objects_bytes"},
+	{"/sched/pauses/total/gc:seconds", "gc_pause_p99_micros"},
+	{"/sched/latencies:seconds", "sched_latency_p99_micros"},
+}
+
+// p99 is the lower edge of the bucket holding h's 99th percentile; 0 if empty.
+func p99(h *metrics.Float64Histogram) float64 {
+	var total, seen uint64
+	for _, n := range h.Counts {
+		total += n
+	}
+	for i, n := range h.Counts {
+		if seen += n; n > 0 && seen*100 >= total*99 {
+			return h.Buckets[i]
+		}
+	}
+	return 0
+}
+
+// scrape runs before every /metrics render: Refresh, and the runtime's
+// numbers, which cost a status probe 3–4 µs it has no field to show for.
+func (c *Chassis) scrape() {
+	c.Refresh()
+	c.rtMu.Lock()
+	metrics.Read(c.rtSamples[:])
+	for i, g := range c.rtGauges {
+		if v := c.rtSamples[i].Value; v.Kind() == metrics.KindFloat64Histogram {
+			g.Set(1e6 * p99(v.Float64Histogram()))
+		} else if v.Kind() == metrics.KindUint64 {
+			g.SetInt(int64(v.Uint64()))
+		}
+	}
+	c.rtMu.Unlock()
 }
 
 // Refresh brings the gauges that are computed rather than bumped up to
@@ -481,12 +534,13 @@ func (c *Chassis) route(conn *wire.Conn, accepted uint64) {
 		c.pub.Serve(conn, first.Seq)
 	default:
 		// Decoding the JSON hello grew this stack, and stacks shrink only at
-		// a collection: the session's long life runs on a fresh one.
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			c.hooks.Session(conn, &first, accepted)
-		}()
+		// a collection: the handshake, JSON too, runs here, on a stack about
+		// to be thrown away, and the session's long life on a fresh one.
+		if serve := c.hooks.Session(conn, &first, accepted); serve != nil {
+			c.run(serve)
+		} else {
+			conn.Close()
+		}
 	}
 }
 

@@ -27,6 +27,8 @@ type stub struct {
 	sessions atomic.Int64
 	cycles   atomic.Int64
 	sheds    atomic.Int64
+	refuse   atomic.Bool   // refuse every session at the handshake
+	onCycle  func(n int64) // when non-nil, runs inside the nth cycle
 
 	mu    sync.Mutex
 	conns []*wire.Conn
@@ -34,19 +36,28 @@ type stub struct {
 
 func (s *stub) hooks() daemon.Hooks {
 	return daemon.Hooks{
-		Session: func(conn *wire.Conn, first *wire.Envelope, accepted uint64) {
+		Session: func(conn *wire.Conn, first *wire.Envelope, accepted uint64) func() {
+			if s.refuse.Load() {
+				return nil
+			}
 			s.mu.Lock()
 			s.conns = append(s.conns, conn)
 			s.mu.Unlock()
 			s.sessions.Add(1)
-			for {
-				if _, err := conn.Recv(); err != nil {
-					conn.Close()
-					return
+			return func() {
+				for {
+					if _, err := conn.Recv(); err != nil {
+						conn.Close()
+						return
+					}
 				}
 			}
 		},
-		Cycle: func() { s.cycles.Add(1) },
+		Cycle: func() {
+			if n := s.cycles.Add(1); s.onCycle != nil {
+				s.onCycle(n)
+			}
+		},
 		Status: func() wire.Envelope {
 			return wire.Envelope{Type: wire.KindStatus, Stats: &wire.StatusReply{Cycles: int(s.cycles.Load())}}
 		},
@@ -92,6 +103,7 @@ func dial(t *testing.T, addr string) *wire.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_ = raw.SetReadDeadline(time.Now().Add(30 * time.Second)) // a test's read fails rather than hangs
 	conn := wire.NewConn(raw)
 	t.Cleanup(func() { conn.Close() })
 	return conn
@@ -423,6 +435,82 @@ func TestLifecycleLeavesNothingBehind(t *testing.T) {
 		t.Error("session survived Stop")
 	}
 	leak.Check(t, 5*time.Second)
+}
+
+// A session the daemon refuses at the handshake is the chassis's to close,
+// and costs no goroutine: the handshake ran on the one that routed it.
+func TestRefusedSessionIsClosedAndLeavesNothing(t *testing.T) {
+	var s stub
+	s.refuse.Store(true)
+	c := newChassis(t, &s, nil)
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	leak := harness.StartLeakCheck()
+	for i := 0; i < 8; i++ {
+		conn := dial(t, c.Addr())
+		if err := conn.Send(wire.Envelope{Type: wire.KindHello, Node: i}); err != nil {
+			t.Fatal(err)
+		}
+		if env, err := conn.Recv(); !errors.Is(err, io.EOF) {
+			t.Fatalf("refused session %d read %+v, %v; want the connection closed", i, env, err)
+		}
+	}
+	leak.Check(t, 5*time.Second)
+	if got := s.sessions.Load(); got != 0 {
+		t.Errorf("%d sessions served by a daemon that refuses them all", got)
+	}
+}
+
+// A call that overruns its period swallows ticks; the chassis counts them.
+func TestDroppedTicksAreCounted(t *testing.T) {
+	const period = 2 * time.Millisecond
+	dropped := func(s *stub) float64 {
+		c := newChassis(t, s, func(o *daemon.Options) { o.ControlEvery = period })
+		if err := c.Start(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "five cycles", func() bool { return s.cycles.Load() >= 5 })
+		v, _ := c.Obs().Value("ticks_dropped")
+		return v
+	}
+	if got := dropped(&stub{}); got != 0 {
+		t.Errorf("ticks_dropped = %v under a hook that returns at once, want 0", got)
+	}
+	slow := &stub{onCycle: func(n int64) {
+		if n == 1 {
+			time.Sleep(11 * time.Millisecond)
+		}
+	}}
+	if got := dropped(slow); got < 4 {
+		t.Errorf("ticks_dropped = %v after one 11 ms call on a %v period, want >= 4", got, period)
+	}
+}
+
+// The runtime's own numbers — what the footprint is made of — are on a
+// scrape, read when it is made.
+func TestScrapeCarriesTheRuntime(t *testing.T) {
+	var s stub
+	c := newChassis(t, &s, func(o *daemon.Options) { o.MetricsAddr = "127.0.0.1:0" })
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + c.MetricsAddr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, name := range []string{"goroutines", "stack_bytes", "heap_objects_bytes", "gc_pause_p99_micros", "sched_latency_p99_micros"} {
+		if !strings.Contains("\n"+string(body), "\n"+name+" ") {
+			t.Errorf("/metrics lacks %s", name)
+		}
+	}
+	for _, name := range []string{"goroutines", "stack_bytes", "heap_objects_bytes"} {
+		if v, ok := c.Obs().Value(name); !ok || v < 1 {
+			t.Errorf("%s = %v after a scrape, want >= 1", name, v)
+		}
+	}
 }
 
 // fakeDaemon is what Boot and the promotion helper boot in these tests.

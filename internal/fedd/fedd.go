@@ -227,10 +227,12 @@ func New(cfg Config) (*Server, error) {
 		HA:           cfg.HA,
 		WriteTimeout: cfg.CommandTimeout,
 	}, daemon.Hooks{
-		Session: func(conn *wire.Conn, first *wire.Envelope, _ uint64) { s.grantor.Serve(conn, *first) },
-		Cycle:   s.cycle,
-		Status:  s.StatusEnvelope,
-		Shed:    func() { s.grantor.CloseAll() },
+		Session: func(conn *wire.Conn, first *wire.Envelope, _ uint64) func() {
+			return func() { s.grantor.Serve(conn, *first) }
+		},
+		Cycle:  s.cycle,
+		Status: s.StatusEnvelope,
+		Shed:   func() { s.grantor.CloseAll() },
 	})
 	reg := s.Obs()
 	reg.Gauge("row").SetInt(int64(cfg.Row))

@@ -560,7 +560,7 @@ func (s *Server) Stop() {
 }
 
 // shed closes every registered agent connection, which unblocks its
-// reader (serveConn) and a sender mid-write, and retires its outbox so no
+// reader (receive) and a sender mid-write, and retires its outbox so no
 // new sender can start (deposition and Stop).
 func (s *Server) shed() {
 	var acs []*agentConn
@@ -573,19 +573,19 @@ func (s *Server) shed() {
 	}
 }
 
-// serveConn is the chassis's session handler: one agent connection, from
-// its hello (first, already read) through its stream of samples and
-// command acks. accepted is the connection's accept-order stamp: of two
-// connections claiming one node, the higher is the newer.
-func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint64) {
-	defer conn.Close()
+// serveConn is the chassis's session handler: one agent connection's
+// handshake, from its hello (first, already read) to its registration, on
+// the goroutine that decoded the hello. It returns the connection's life
+// after that (receive) or nil to refuse it. accepted is its accept-order
+// stamp: of two connections claiming one node, the higher is the newer.
+func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint64) func() {
 	if first.Type != wire.KindHello {
-		return
+		return nil
 	}
 	// Epoch fencing. An agent that has seen a newer leader tells us in
 	// its hello: we are deposed and must not command it.
 	if s.Fenced(first.Epoch) {
-		return
+		return nil
 	}
 	// The hello reply announces the epoch and the codec choice, and is the
 	// first manager→agent frame (nothing can enqueue to this connection
@@ -597,7 +597,7 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 		reply = &wire.Envelope{Type: wire.KindHello, Epoch: s.Epoch()}
 	}
 	if conn.Confirm(codec, reply) != nil {
-		return
+		return nil
 	}
 
 	id := node.ID(first.Node)
@@ -614,7 +614,7 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 		// Evicting the later-accepted, live connection for this dead one
 		// would leave the node with neither: refuse this one instead.
 		sh.mu.Unlock()
-		return
+		return nil
 	}
 	rec.ac = ac
 	// Seed the reading from the hello's self-reported level: a manager
@@ -636,7 +636,14 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 		old.conn.Close()
 		s.retireOutbox(old)
 	}
+	return func() { s.receive(sh, rec, ac) }
+}
 
+// receive is a registered connection's reader: its stream of samples and
+// command acks until it ends, then its teardown.
+func (s *Server) receive(sh *shard, rec *nodeRec, ac *agentConn) {
+	conn, id := ac.conn, ac.id
+	defer conn.Close()
 	var env wire.Envelope
 	// The tolerant receive: corrupt frames are counted and skipped, fatal
 	// decode errors and I/O errors drop the connection; the agent redials.

@@ -290,7 +290,7 @@ func TestLateHelloDoesNotEvictNewerConnection(t *testing.T) {
 		go func() {
 			defer close(done)
 			hello := wire.Envelope{Type: wire.KindHello, Node: 5, MaxLevel: 9, Level: level}
-			srv.serveConn(wire.NewConn(server), &hello, accepted)
+			runSession(srv, wire.NewConn(server), &hello, accepted)
 		}()
 		peer = wire.NewConn(client)
 		t.Cleanup(func() { peer.Close() })
@@ -340,6 +340,17 @@ func TestLateHelloDoesNotEvictNewerConnection(t *testing.T) {
 	})
 	if n := recordCount(srv); n != 1 {
 		t.Errorf("%d records after three hellos for one node, want 1", n)
+	}
+}
+
+// runSession is what the chassis does with an agent connection whose hello
+// it has read: serveConn's handshake, then the loop it returns; a refused
+// connection is closed.
+func runSession(srv *Server, conn *wire.Conn, first *wire.Envelope, accepted uint64) {
+	if serve := srv.serveConn(conn, first, accepted); serve != nil {
+		serve()
+	} else {
+		conn.Close()
 	}
 }
 
@@ -402,7 +413,7 @@ func TestLateSampleFromReplacedConnIsDropped(t *testing.T) {
 	aDone := make(chan struct{})
 	go func() {
 		defer close(aDone)
-		srv.serveConn(wire.NewConn(a), hello(9), 1)
+		runSession(srv, wire.NewConn(a), hello(9), 1)
 	}()
 	waitFor(t, 5*time.Second, "connection A registered", func() bool { return currentConn(srv, 5) != nil })
 	connA := currentConn(srv, 5)
@@ -413,7 +424,7 @@ func TestLateSampleFromReplacedConnIsDropped(t *testing.T) {
 
 	server, client := net.Pipe()
 	t.Cleanup(func() { client.Close() })
-	go srv.serveConn(wire.NewConn(server), hello(7), 2)
+	go runSession(srv, wire.NewConn(server), hello(7), 2)
 	waitFor(t, 5*time.Second, "connection B replaced A", func() bool { return currentConn(srv, 5) != connA })
 	connB, seeded := currentConn(srv, 5), readingOf(srv, 5)
 	if seeded.last.Level != 7 || seeded.lastEpoch != 0 {

@@ -522,7 +522,7 @@ func TestRecordsNeverMove(t *testing.T) {
 	server, client := net.Pipe()
 	peer := wire.NewConn(client)
 	t.Cleanup(func() { peer.Close() })
-	go srv.serveConn(wire.NewConn(server), &wire.Envelope{Type: wire.KindHello, Node: 0, MaxLevel: 9, Level: 9}, 1)
+	go runSession(srv, wire.NewConn(server), &wire.Envelope{Type: wire.KindHello, Node: 0, MaxLevel: 9, Level: 9}, 1)
 	waitFor(t, 5*time.Second, "node 0 registered", func() bool { return currentConn(srv, 0) != nil })
 	sh.mu.Lock()
 	first := sh.nodes[0]

@@ -1,7 +1,9 @@
 package tier
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -280,9 +282,10 @@ func (g *Grantor) Cycle() {
 	g.budgetG.Set(float64(band.PL))
 
 	type target struct {
-		child int
-		cs    *childState
-		conn  *wire.Conn
+		child       int
+		cs          *childState
+		conn        *wire.Conn
+		prev, grant float64 // the grant in force, and this division's
 	}
 	var (
 		targets         []target
@@ -316,7 +319,7 @@ func (g *Grantor) Cycle() {
 			// full cycle.
 			want = cs.powerW
 		}
-		targets = append(targets, target{child: child, cs: cs, conn: cs.conn})
+		targets = append(targets, target{child: child, cs: cs, conn: cs.conn, prev: cs.grantW})
 		demands = append(demands, budget.Demand{
 			ID:    child,
 			Want:  want,
@@ -334,12 +337,22 @@ func (g *Grantor) Cycle() {
 	shares := budget.Divide(total, g.cfg.Division, demands)
 	span.Stage(obs.StageSelect, time.Since(tDiv), g.cfg.Division.String())
 
+	// Grants shrink before they grow: told in ascending order of change, the
+	// grants in force between any two sends sum to no more than the larger
+	// of the old and the new total — never a grown share on an unshrunk one.
+	for i := range targets {
+		targets[i].grant = shares[i]
+	}
+	slices.SortFunc(targets, func(a, b target) int {
+		return cmp.Or(cmp.Compare(a.grant-a.prev, b.grant-b.prev), cmp.Compare(a.child, b.child))
+	})
+
 	tAct := time.Now()
 	phRatio := float64(band.PH) / float64(band.PL)
 	granted := 0.0
 	sent := 0
-	for i, tg := range targets {
-		grant := shares[i]
+	for _, tg := range targets {
+		grant := tg.grant
 		if grant <= 0 || tg.conn == nil {
 			// A nil conn is a live child between connections (takeover in
 			// flight): its share stays reserved, the grant frame waits for

@@ -327,3 +327,51 @@ func TestGrantorSeedReservesShares(t *testing.T) {
 		t.Errorf("post-seed grant seq = %d, want > 11", env.Seq)
 	}
 }
+
+// TestGrantsShrinkBeforeTheyGrow: a division is sent one child at a time,
+// so the order decides what is in force between two sends. Two children
+// swap demands cycle after cycle; replaying the sends (OnGrant fires after
+// each), the grants in force must never sum above the band — which they do
+// whenever the grown share is told before its sibling's shrunk one.
+func TestGrantsShrinkBeforeTheyGrow(t *testing.T) {
+	const band = 100.0
+	inForce := map[int]float64{}
+	g := NewGrantor(GrantorConfig{
+		Division:   budget.Proportional,
+		StaleAfter: time.Hour,
+		Band:       func(time.Time) power.Thresholds { return power.Thresholds{PL: band, PH: 110} },
+		Reg:        obs.NewRegistry(),
+		OnGrant: func(child int, grantW, _ float64, _ uint64) {
+			inForce[child] = grantW
+			if sum := inForce[0] + inForce[1]; sum > band+1e-9 {
+				t.Errorf("after child %d's grant of %.0f W the grants in force sum to %.0f W, band %.0f W", child, grantW, sum, band)
+			}
+		},
+	})
+	conns := []*wire.Conn{subscribeChild(t, g, 0, 300), subscribeChild(t, g, 1, 100)}
+	for _, c := range conns {
+		c := c
+		go func() { // a pipe write parks until it is read
+			var env wire.Envelope
+			for c.RecvInto(&env) == nil {
+			}
+		}()
+	}
+	demands := []float64{300, 100}
+	for round := 0; round < 8; round++ {
+		g.Cycle()
+		if inForce[0]+inForce[1] != band || inForce[0] != demands[0]/4 {
+			t.Fatalf("round %d: grants in force %v, want %v divided 3:1 by demand %v", round, inForce, band, demands)
+		}
+		demands[0], demands[1] = demands[1], demands[0]
+		for child, c := range conns {
+			if err := c.Send(wire.Envelope{Type: wire.KindCabReport, Node: child, PowerW: demands[child], DemandW: demands[child]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, 5*time.Second, func() bool {
+			st := g.States()
+			return st[0].DemandW == demands[0] && st[1].DemandW == demands[1]
+		}, "swapped demands never reported")
+	}
+}
