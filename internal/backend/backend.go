@@ -41,8 +41,8 @@ import (
 
 // Config describes the managed plant both backends build: the node
 // population, the workload, the facility meter, and the physical-model
-// extensions. It is the plant half of core.Config; the control half
-// (policy, thresholds, Tg, training) stays in core.
+// extensions. core.Config embeds it and adds the control half (policy,
+// thresholds, Tg, training).
 type Config struct {
 	// Seed drives every named random stream of the plant. Streams are
 	// derived by name (sim.Streams), so the control side drawing its own
@@ -51,13 +51,15 @@ type Config struct {
 
 	// Nodes is |A_total|; Privileged nodes are permanently
 	// uncontrollable; CandidateCount (when ≥ 0) restricts A_candidate to
-	// that many evenly spaced nodes.
+	// that many evenly spaced nodes, and a negative count keeps every
+	// non-privileged node (Figure 6 sweeps it).
 	Nodes          int
 	Privileged     int
 	CandidateCount int
 
 	// Model is the per-node device/power model; ModelFor optionally
-	// overrides it per node index (heterogeneous clusters).
+	// overrides it per node index (heterogeneous clusters, which
+	// Algorithm 1 supports by §III.B property 1).
 	Model    power.Model
 	ModelFor func(i int) power.Model
 
@@ -65,7 +67,9 @@ type Config struct {
 	ModelError  float64
 	PowerJitter float64
 
-	// Class, Benchmarks and ProcsPerNode select the NPB workload.
+	// Class (D = paper, C = 16× shorter), Benchmarks (a subset of the
+	// suite by name) and ProcsPerNode (MPI placement density; zero is one
+	// process per core) select the NPB workload.
 	Class        workload.Class
 	Benchmarks   []string
 	ProcsPerNode int
@@ -74,8 +78,9 @@ type Config struct {
 	// high-priority (their nodes pin out of A_candidate while running).
 	PrivilegedJobFraction float64
 
-	// WorkloadTrace replays a recorded trace; RecordTrace captures the
-	// generated one (returned in Info.Trace).
+	// WorkloadTrace replays a recorded trace, falling back to the seeded
+	// generator once it is exhausted; RecordTrace captures the generated
+	// one (returned in Info.Trace).
 	WorkloadTrace *replay.Trace
 	RecordTrace   bool
 
@@ -85,9 +90,12 @@ type Config struct {
 	JobJitter float64
 	IdleLoad  node.Load
 
-	// Placement, Cabinets and CabinetBreaker configure the
-	// power-distribution model; PMax is used only to derive a default
-	// breaker rating when CabinetBreaker is zero.
+	// Placement ("firstfit", the default, or "spread" round-robin across
+	// cabinets), Cabinets and CabinetBreaker configure the
+	// power-distribution model. PMax is the provision capability (§II.D);
+	// the plant uses it only to derive a default breaker rating (15%
+	// over an even split) when CabinetBreaker is zero, and the control
+	// side scores ΔP×T against it and seeds the learner's P_peak with it.
 	Placement      string
 	Cabinets       int
 	CabinetBreaker units.Watts
@@ -97,7 +105,8 @@ type Config struct {
 	MeterOverhead float64
 	MeterNoise    float64
 
-	// ThermalEnabled/Thermal configure the §I.A thermal model.
+	// ThermalEnabled/Thermal configure the §I.A thermal model; a zero
+	// Thermal selects the Tianhe defaults.
 	ThermalEnabled bool
 	Thermal        thermal.Params
 
@@ -106,6 +115,32 @@ type Config struct {
 	// the control callback at shared instants.
 	ControlPeriod time.Duration
 	TickPeriod    time.Duration
+}
+
+// Validate reports whether the plant can be built and ticked: both
+// backends call it before constructing anything.
+func (c Config) Validate() error {
+	if c.Nodes <= 0 {
+		return fmt.Errorf("backend: Nodes must be positive")
+	}
+	if c.ControlPeriod <= 0 || c.TickPeriod <= 0 {
+		return fmt.Errorf("backend: ControlPeriod and TickPeriod must be positive")
+	}
+	if c.PrivilegedJobFraction < 0 || c.PrivilegedJobFraction > 1 {
+		return fmt.Errorf("backend: PrivilegedJobFraction %v outside [0,1]", c.PrivilegedJobFraction)
+	}
+	switch c.Placement {
+	case "", "firstfit", "spread":
+	default:
+		return fmt.Errorf("backend: unknown placement %q (want firstfit or spread)", c.Placement)
+	}
+	if c.Cabinets < 0 || (c.Cabinets > 0 && c.Nodes%c.Cabinets != 0) {
+		return fmt.Errorf("backend: %d nodes do not divide into %d cabinets", c.Nodes, c.Cabinets)
+	}
+	if c.Placement == "spread" && c.Cabinets == 0 {
+		return fmt.Errorf("backend: spread placement requires Cabinets > 0")
+	}
+	return c.Model.Validate()
 }
 
 // Traits are the static aggregate properties of the constructed plant

@@ -58,6 +58,26 @@ func TestNewSelectsByName(t *testing.T) {
 	b.Close()
 }
 
+// TestPlantRejectsWhatItCannotBuild: a plant whose cabinet layout cannot
+// hold its nodes is refused by both constructors, before a daemon is
+// booted, instead of panicking at construction or on the first tick.
+func TestPlantRejectsWhatItCannotBuild(t *testing.T) {
+	for name, mutate := range map[string]func(*Config){
+		"spread without cabinets": func(c *Config) { c.Placement, c.Cabinets = "spread", 0 },
+		"10 nodes in 3 cabinets":  func(c *Config) { c.Nodes, c.Cabinets = 10, 3 },
+	} {
+		cfg := testConfig(1)
+		mutate(&cfg)
+		if _, err := NewSim(cfg); err == nil {
+			t.Errorf("%s: NewSim accepted the plant", name)
+		}
+		if d, err := NewDaemon(cfg); err == nil {
+			d.Close()
+			t.Errorf("%s: NewDaemon accepted the plant", name)
+		}
+	}
+}
+
 func TestStartTwiceRejected(t *testing.T) {
 	b, err := NewSim(testConfig(1))
 	if err != nil {

@@ -46,11 +46,8 @@ type plant struct {
 // newPlant builds the plant. The construction order and stream names
 // mirror the pre-seam core.New exactly.
 func newPlant(cfg Config) (*plant, error) {
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("backend: need at least one node")
-	}
-	if cfg.ControlPeriod <= 0 || cfg.TickPeriod <= 0 {
-		return nil, fmt.Errorf("backend: ControlPeriod and TickPeriod must be positive")
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	streams := sim.NewStreams(cfg.Seed)
 
@@ -216,18 +213,11 @@ func (p *plant) traits() Traits {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	t := Traits{
-		Nodes:           p.cluster.Size(),
-		Candidates:      len(p.cluster.Candidates()),
-		TheoreticalPeak: p.cluster.TheoreticalPeak(),
-		FloorPower:      p.cluster.FloorPower(),
-	}
-	for _, n := range p.cluster.Nodes() {
-		m := n.Model()
-		if n.Controllable() {
-			t.FlooredWorstCase += m.Instant(1, 1, 1, 0)
-		} else {
-			t.FlooredWorstCase += m.MaxPower()
-		}
+		Nodes:            p.cluster.Size(),
+		Candidates:       len(p.cluster.Candidates()),
+		TheoreticalPeak:  p.cluster.TheoreticalPeak(),
+		FloorPower:       p.cluster.FloorPower(),
+		FlooredWorstCase: p.cluster.FlooredWorstCase(),
 	}
 	if nodes := p.cluster.Nodes(); len(nodes) > 0 {
 		t.NodeModel = nodes[0].Model()

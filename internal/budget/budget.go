@@ -1,6 +1,6 @@
 // Package budget is the tier-agnostic power budget division library: one
 // parent budget split across N children, where a child is a node (the
-// nodemgr two-level baseline divides a cluster budget over nodes) or a
+// core's two-level baseline divides a cluster budget over nodes) or a
 // whole cabinet (the federation coordinator divides the global budget
 // over cabinet managers). Both tiers run this one implementation, so the
 // division invariants are proved once:
@@ -258,7 +258,7 @@ func divideFairShare(total float64, ds []Demand, shares []float64) {
 		order[i] = child{i, effWant(ds[i])}
 	}
 	// Insertion sort by want: child counts are small (cabinets) or the
-	// call is off the hot path (nodemgr baseline experiments).
+	// call is off the hot path (the two-level baseline's experiments).
 	for a := 1; a < len(order); a++ {
 		for b := a; b > 0 && order[b].want < order[b-1].want; b-- {
 			order[b], order[b-1] = order[b-1], order[b]

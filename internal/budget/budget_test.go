@@ -35,7 +35,7 @@ func TestUniformRespectsCaps(t *testing.T) {
 }
 
 func TestProportionalMatchesOnePassFormula(t *testing.T) {
-	// Uncapped proportional must reproduce the original nodemgr formula:
+	// Uncapped proportional must reproduce the two-level baseline's original formula:
 	// share_i = total * max(want_i, floor) / Σ max(want_j, floor).
 	ds := []Demand{
 		{Want: 100, Floor: 50},

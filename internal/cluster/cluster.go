@@ -120,16 +120,6 @@ func (c *Cluster) Candidates() []*node.Node {
 	return out
 }
 
-// CandidateIDs returns the IDs in A_candidate.
-func (c *Cluster) CandidateIDs() []node.ID {
-	cand := c.Candidates()
-	out := make([]node.ID, len(cand))
-	for i, n := range cand {
-		out[i] = n.ID()
-	}
-	return out
-}
-
 // SetCandidateCount reconfigures A_candidate to contain exactly k evenly
 // spaced nodes (the remainder become uncontrollable). Figure 6 sweeps this.
 // Nodes leaving the candidate set are restored to full performance first —
@@ -171,12 +161,29 @@ func (c *Cluster) TheoreticalPeak() units.Watts {
 }
 
 // FloorPower returns the aggregate draw with every node at its lowest
-// level and idle — the bound the Controllability assumption compares
-// against the provision capability.
+// level and idle — the floor the Operability assumption (§II.D) adds a
+// job's worth of headroom to.
 func (c *Cluster) FloorPower() units.Watts {
 	var sum units.Watts
 	for _, n := range c.nodes {
 		sum += n.Model().MinPower()
+	}
+	return sum
+}
+
+// FlooredWorstCase returns the aggregate draw with every candidate at its
+// lowest level under full load and every other node at its worst case —
+// what the Controllability assumption (§II.D) requires to fit under the
+// provision capability.
+func (c *Cluster) FlooredWorstCase() units.Watts {
+	var sum units.Watts
+	for _, n := range c.nodes {
+		m := n.Model()
+		if n.Controllable() {
+			sum += m.Instant(1, 1, 1, 0)
+		} else {
+			sum += m.MaxPower()
+		}
 	}
 	return sum
 }
@@ -186,25 +193,4 @@ func (c *Cluster) Tick(dt time.Duration) {
 	for _, n := range c.nodes {
 		n.Tick(dt)
 	}
-}
-
-// CheckControllability verifies the Controllability assumption (§II.D):
-// with all candidate nodes at their lowest level (and everything else at
-// worst case), the system fits under the provision capability pMax. It
-// returns an error naming the shortfall when the assumption fails.
-func (c *Cluster) CheckControllability(pMax units.Watts) error {
-	var worst units.Watts
-	for _, n := range c.nodes {
-		m := n.Model()
-		if n.Controllable() {
-			// Candidate floored: lowest level, full load.
-			worst += m.Instant(1, 1, 1, 0)
-		} else {
-			worst += m.MaxPower()
-		}
-	}
-	if worst > pMax {
-		return fmt.Errorf("cluster: controllability violated: floored worst case %v exceeds provision %v", worst, pMax)
-	}
-	return nil
 }

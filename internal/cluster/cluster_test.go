@@ -133,7 +133,10 @@ func TestCandidateIDsEvenlySpread(t *testing.T) {
 	if err := c.SetCandidateCount(4); err != nil {
 		t.Fatal(err)
 	}
-	ids := c.CandidateIDs()
+	var ids []node.ID
+	for _, n := range c.Candidates() {
+		ids = append(ids, n.ID())
+	}
 	if len(ids) != 4 {
 		t.Fatalf("ids = %v", ids)
 	}
@@ -174,19 +177,22 @@ func TestTickAdvancesCounters(t *testing.T) {
 	}
 }
 
+// TestCheckControllability: the floored worst case is what §II.D's
+// Controllability assumption compares against the provision.
 func TestCheckControllability(t *testing.T) {
 	c := mkCluster(t, 8, 0)
 	// All candidates floored at full load ≈ 8 × 208 W ≈ 1.7 kW.
-	if err := c.CheckControllability(units.KW(2)); err != nil {
-		t.Errorf("2 kW provision should satisfy controllability: %v", err)
+	w := c.FlooredWorstCase()
+	if w > units.KW(2) {
+		t.Errorf("floored worst case %v: a 2 kW provision should satisfy controllability", w)
 	}
-	if err := c.CheckControllability(units.KW(1)); err == nil {
-		t.Error("1 kW provision should violate controllability")
+	if w <= units.KW(1) {
+		t.Errorf("floored worst case %v: a 1 kW provision should violate controllability", w)
 	}
 	// Privileged nodes count at their full peak.
 	cp := mkCluster(t, 8, 8)
-	if err := cp.CheckControllability(units.KW(2)); err == nil {
-		t.Error("all-privileged cluster cannot be controlled to 2 kW")
+	if w := cp.FlooredWorstCase(); w <= units.KW(2) {
+		t.Errorf("floored worst case %v: an all-privileged cluster cannot be controlled to 2 kW", w)
 	}
 }
 

@@ -20,11 +20,11 @@ import (
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/budget"
 	"repro/internal/feedback"
 	"repro/internal/manager"
 	"repro/internal/metrics"
 	"repro/internal/node"
-	"repro/internal/nodemgr"
 	"repro/internal/obs"
 	"repro/internal/pdist"
 	"repro/internal/policy"
@@ -39,9 +39,13 @@ import (
 // Config describes one complete experiment setup. DefaultConfig returns
 // the paper's environment; tests and ablations override fields.
 type Config struct {
-	// Seed drives every random stream in the run (workload draws, phase
-	// offsets, meter noise, node model error). Same seed, same run.
-	Seed uint64
+	// Config is the plant: nodes, models, workload, meter, cabinets,
+	// thermal model and the schedule. Its fields promote, so cfg.Seed and
+	// cfg.Nodes are the plant's own; the Seed also derives the control
+	// side's "policy" and "faults" streams. With ModelFor set, the
+	// sensing path registers each node's model so formula (1) is
+	// evaluated with the right coefficients.
+	backend.Config
 
 	// Backend selects the cluster transport: "" or "sim" runs the
 	// in-process simulation path; "daemon" runs the same simulated plant
@@ -49,29 +53,6 @@ type Config struct {
 	// over the wire (see internal/backend). The control law is identical
 	// on both — one control law, two transports.
 	Backend string
-
-	// Nodes is |A_total|; Privileged nodes are permanently uncontrollable.
-	Nodes      int
-	Privileged int
-	// CandidateCount limits |A_candidate| to this many evenly spaced
-	// nodes; negative means "all non-privileged nodes" (Figure 6 sweeps
-	// this).
-	CandidateCount int
-	// Model is the per-node device/power model.
-	Model power.Model
-	// ModelFor, when non-nil, overrides Model per node index, building a
-	// heterogeneous cluster (Algorithm 1 explicitly supports them,
-	// §III.B property 1). The sensing path registers each node's model
-	// so formula (1) is evaluated with the right coefficients.
-	ModelFor func(i int) power.Model
-
-	// Class selects the NPB problem class (D = paper, C = 16× shorter
-	// for tests); Benchmarks optionally restricts the suite by name.
-	Class      workload.Class
-	Benchmarks []string
-	// ProcsPerNode is the MPI placement density (testbed: 2 for class D,
-	// so NPROCS=256 fills all 128 nodes). Zero = one process per core.
-	ProcsPerNode int
 
 	// PolicyName selects the target set selection policy (§IV); see
 	// policy.Names. "none" disables capping (the baseline run).
@@ -88,16 +69,6 @@ type Config struct {
 	// controller: "uniform" (default) or "proportional".
 	TwoLevelDivision string
 
-	// PMax is the power provision capability (§II.D, Necessity): the
-	// threshold ΔP×T is evaluated against and the learner's initial
-	// P_peak.
-	PMax units.Watts
-
-	// ControlPeriod is the manager cycle τ; TickPeriod is the workload
-	// advancement step.
-	ControlPeriod time.Duration
-	TickPeriod    time.Duration
-
 	// Tg is the steady-green patience in cycles; AdjustEvery is t_p, the
 	// threshold re-adjustment period in cycles; Training is the initial
 	// uncapped threshold-learning period.
@@ -108,54 +79,9 @@ type Config struct {
 	// 16%/7% per Fan et al.).
 	MarginL, MarginH float64
 
-	// MeterOverhead/MeterNoise configure the facility meter; ModelError
-	// and PowerJitter the per-node truth-vs-model gap.
-	MeterOverhead float64
-	MeterNoise    float64
-	ModelError    float64
-	PowerJitter   float64
-
-	// JobRampUp/JobJitter shape job power behaviour; IdleLoad is the
-	// background load of free nodes.
-	JobRampUp time.Duration
-	JobJitter float64
-	IdleLoad  node.Load
-
 	// AgentDropRate injects sensing faults: the probability that a
 	// node's reading is lost in a given cycle.
 	AgentDropRate float64
-
-	// PrivilegedJobFraction marks this fraction of generated jobs as
-	// high-priority: their nodes are pinned out of A_candidate for the
-	// job's lifetime (§II.A dynamic candidate membership).
-	PrivilegedJobFraction float64
-
-	// Cabinets enables the power-distribution model: nodes are laid out
-	// in this many equal cabinets, each with a PDU breaker rating of
-	// CabinetBreaker (0 derives a rating with 15% headroom over an even
-	// split of PMax). Result.Cabinets reports per-cabinet outcomes.
-	Cabinets       int
-	CabinetBreaker units.Watts
-	// Placement selects job placement: "firstfit" (default) packs jobs
-	// into contiguous node ranges; "spread" deals each job's nodes
-	// round-robin across cabinets.
-	Placement string
-
-	// WorkloadTrace, when non-nil, replays the given recorded trace
-	// instead of random generation (the seed-driven generator becomes
-	// the fallback once the trace is exhausted).
-	WorkloadTrace *replay.Trace
-	// RecordTrace captures the run's generated requests; the trace is
-	// returned in Result.Trace.
-	RecordTrace bool
-
-	// ThermalEnabled turns on the §I.A thermal model: per-node RC
-	// temperatures, the temperature→power leakage feedback, and the
-	// failure/cooling accounting reported in Result.Thermal.
-	ThermalEnabled bool
-	// Thermal overrides the thermal parameters; the zero value selects
-	// the Tianhe defaults.
-	Thermal thermal.Params
 
 	// CycleHistory is how many staged cycle timelines the run retains
 	// (Result.CycleSpans); zero selects obs.DefaultCycleHistory.
@@ -167,42 +93,40 @@ type Config struct {
 // Tg = 10 cycles, thresholds learned per §III.A.
 func DefaultConfig() Config {
 	return Config{
-		Seed:           1,
-		Nodes:          128,
-		Privileged:     0,
-		CandidateCount: -1,
-		Model:          power.TianheNode(),
-		Class:          workload.ClassD,
-		ProcsPerNode:   2,
-		PolicyName:     "mpc",
-		PMax:           units.KW(31),
-		ControlPeriod:  time.Second,
-		TickPeriod:     time.Second,
-		Tg:             10,
-		AdjustEvery:    300,
-		Training:       0, // Run handles training when set
-		MarginL:        power.DefaultMarginL,
-		MarginH:        power.DefaultMarginH,
-		MeterOverhead:  0.0,
-		MeterNoise:     0.003,
-		ModelError:     0.02,
-		PowerJitter:    0.005,
-		JobRampUp:      45 * time.Second,
-		JobJitter:      0.03,
-		IdleLoad:       node.Load{CPUUtil: 0.02},
+		Config: backend.Config{
+			Seed:           1,
+			Nodes:          128,
+			CandidateCount: -1,
+			Model:          power.TianheNode(),
+			Class:          workload.ClassD,
+			ProcsPerNode:   2, // NPROCS=256 fills all 128 nodes, as on the testbed
+			PMax:           units.KW(31),
+			ControlPeriod:  time.Second,
+			TickPeriod:     time.Second,
+			MeterNoise:     0.003,
+			ModelError:     0.02,
+			PowerJitter:    0.005,
+			JobRampUp:      45 * time.Second,
+			JobJitter:      0.03,
+			IdleLoad:       node.Load{CPUUtil: 0.02},
+		},
+		PolicyName:  "mpc",
+		Tg:          10,
+		AdjustEvery: 300,
+		MarginL:     power.DefaultMarginL,
+		MarginH:     power.DefaultMarginH,
 	}
 }
 
-// Validate checks the configuration for consistency.
+// Validate checks the configuration for consistency: the plant's own
+// checks, then the control half's. The backend name is checked where the
+// backend is chosen (backend.New).
 func (c Config) Validate() error {
-	if c.Nodes <= 0 {
-		return fmt.Errorf("core: Nodes must be positive")
+	if err := c.Config.Validate(); err != nil {
+		return err
 	}
 	if c.PMax <= 0 {
 		return fmt.Errorf("core: PMax must be positive")
-	}
-	if c.ControlPeriod <= 0 || c.TickPeriod <= 0 {
-		return fmt.Errorf("core: ControlPeriod and TickPeriod must be positive")
 	}
 	if c.Tg <= 0 {
 		return fmt.Errorf("core: Tg must be positive")
@@ -213,14 +137,6 @@ func (c Config) Validate() error {
 	if c.AgentDropRate < 0 || c.AgentDropRate >= 1 {
 		return fmt.Errorf("core: AgentDropRate %v outside [0,1)", c.AgentDropRate)
 	}
-	if c.PrivilegedJobFraction < 0 || c.PrivilegedJobFraction > 1 {
-		return fmt.Errorf("core: PrivilegedJobFraction %v outside [0,1]", c.PrivilegedJobFraction)
-	}
-	switch c.Backend {
-	case "", "sim", "daemon":
-	default:
-		return fmt.Errorf("core: unknown backend %q (want sim or daemon)", c.Backend)
-	}
 	switch c.Controller {
 	case "", "capping", "feedback", "twolevel":
 	default:
@@ -230,20 +146,6 @@ func (c Config) Validate() error {
 	case "", "uniform", "proportional":
 	default:
 		return fmt.Errorf("core: unknown two-level division %q", c.TwoLevelDivision)
-	}
-	switch c.Placement {
-	case "", "firstfit", "spread":
-	default:
-		return fmt.Errorf("core: unknown placement %q (want firstfit or spread)", c.Placement)
-	}
-	if c.Cabinets < 0 || (c.Cabinets > 0 && c.Nodes%c.Cabinets != 0) {
-		return fmt.Errorf("core: %d nodes do not divide into %d cabinets", c.Nodes, c.Cabinets)
-	}
-	if c.Placement == "spread" && c.Cabinets == 0 {
-		return fmt.Errorf("core: spread placement requires Cabinets > 0")
-	}
-	if err := c.Model.Validate(); err != nil {
-		return err
 	}
 	return nil
 }
@@ -272,40 +174,7 @@ type System struct {
 	dropped   int
 
 	fb       *feedback.Controller // non-nil when Controller == "feedback"
-	twolevel *nodemgr.Controller  // non-nil when Controller == "twolevel"
-}
-
-// backendConfig extracts the plant half of the configuration.
-func (c Config) backendConfig() backend.Config {
-	return backend.Config{
-		Seed:                  c.Seed,
-		Nodes:                 c.Nodes,
-		Privileged:            c.Privileged,
-		CandidateCount:        c.CandidateCount,
-		Model:                 c.Model,
-		ModelFor:              c.ModelFor,
-		ModelError:            c.ModelError,
-		PowerJitter:           c.PowerJitter,
-		Class:                 c.Class,
-		Benchmarks:            c.Benchmarks,
-		ProcsPerNode:          c.ProcsPerNode,
-		PrivilegedJobFraction: c.PrivilegedJobFraction,
-		WorkloadTrace:         c.WorkloadTrace,
-		RecordTrace:           c.RecordTrace,
-		JobRampUp:             c.JobRampUp,
-		JobJitter:             c.JobJitter,
-		IdleLoad:              c.IdleLoad,
-		Placement:             c.Placement,
-		Cabinets:              c.Cabinets,
-		CabinetBreaker:        c.CabinetBreaker,
-		PMax:                  c.PMax,
-		MeterOverhead:         c.MeterOverhead,
-		MeterNoise:            c.MeterNoise,
-		ThermalEnabled:        c.ThermalEnabled,
-		Thermal:               c.Thermal,
-		ControlPeriod:         c.ControlPeriod,
-		TickPeriod:            c.TickPeriod,
-	}
+	twolevel *twoLevel            // non-nil when Controller == "twolevel"
 }
 
 // New constructs a System over the configured backend.
@@ -313,7 +182,7 @@ func New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	b, err := backend.New(cfg.Backend, cfg.backendConfig())
+	b, err := backend.New(cfg.Backend, cfg.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -366,15 +235,11 @@ func New(cfg Config) (*System, error) {
 		s.fb = fb
 	}
 	if cfg.Controller == "twolevel" {
-		div := nodemgr.Uniform
+		div := budget.Uniform
 		if cfg.TwoLevelDivision == "proportional" {
-			div = nodemgr.Proportional
+			div = budget.Proportional
 		}
-		tl, err := nodemgr.New(nodemgr.Config{Budget: cfg.PMax, Division: div, Model: cfg.Model})
-		if err != nil {
-			return fail(err)
-		}
-		s.twolevel = tl
+		s.twolevel = &twoLevel{total: cfg.PMax, division: div, model: cfg.Model}
 	}
 
 	if err := b.Start(s.control); err != nil {
@@ -447,8 +312,8 @@ func (s *System) control(now time.Duration) {
 	if s.twolevel != nil {
 		// The two-level baseline divides the same P_L into per-node
 		// budgets enforced locally.
-		s.twolevel.SetBudget(thr.PL)
-		s.twolevel.Cycle(readings, s.backend)
+		s.twolevel.setBudget(thr.PL)
+		s.twolevel.cycle(readings, s.backend)
 		return
 	}
 	// The "none" policy is the fully uncapped baseline — Algorithm 1's
@@ -494,7 +359,7 @@ type Result struct {
 	FeedbackStats *feedback.Stats
 	// TwoLevelStats are the two-level baseline's counters; nil unless
 	// Controller == "twolevel".
-	TwoLevelStats *nodemgr.Stats
+	TwoLevelStats *TwoLevelStats
 	// Trace is the recorded workload trace; nil unless RecordTrace.
 	Trace *replay.Trace
 	// Cabinets is the power-distribution outcome; nil unless Cabinets
@@ -570,11 +435,11 @@ func feedbackStats(fb *feedback.Controller) *feedback.Stats {
 	return &st
 }
 
-func twoLevelStats(tl *nodemgr.Controller) *nodemgr.Stats {
+func twoLevelStats(tl *twoLevel) *TwoLevelStats {
 	if tl == nil {
 		return nil
 	}
-	st := tl.Stats()
+	st := tl.stats
 	return &st
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -52,6 +53,24 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{}); err == nil {
 		t.Error("zero config accepted")
+	}
+}
+
+// TestConfigSaysEachFieldOnce: core.Config adds only the control half to
+// the plant's config it embeds. A field re-declared here would shadow the
+// plant's, and setting it (cfg.Seed = 5) would silently stop reaching
+// the plant.
+func TestConfigSaysEachFieldOnce(t *testing.T) {
+	plant := reflect.TypeOf(backend.Config{})
+	cfg := reflect.TypeOf(Config{})
+	for i := 0; i < cfg.NumField(); i++ {
+		f := cfg.Field(i)
+		if f.Anonymous {
+			continue
+		}
+		if _, shadows := plant.FieldByName(f.Name); shadows {
+			t.Errorf("core.Config.%s shadows backend.Config.%s", f.Name, f.Name)
+		}
 	}
 }
 
@@ -377,33 +396,47 @@ func TestThermalPath(t *testing.T) {
 }
 
 func TestRecordReplayThroughCore(t *testing.T) {
+	run := func(cfg Config) *Result {
+		t.Helper()
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run(time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 	rec := quickCfg("none", 5)
 	rec.RecordTrace = true
-	sys, err := New(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := sys.Run(time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := run(rec)
 	if r1.Trace == nil || r1.Trace.Len() == 0 {
 		t.Fatal("no trace recorded")
 	}
 
-	// Replay under a different seed: workload must be identical, so the
-	// uncapped power series peak matches exactly (seed only drives noise
-	// streams, which stay seed-5-independent... so compare job mix).
-	rep := quickCfg("none", 5)
-	rep.WorkloadTrace = r1.Trace
-	sys2, err := New(rep)
-	if err != nil {
-		t.Fatal(err)
+	// Replay under a different seed and a capping policy — the A/B case:
+	// every request the replayed run draws is the recorded one, in order,
+	// whatever the seed and the policy do to noise and job timing.
+	ab := quickCfg("mpc", 6)
+	ab.WorkloadTrace = r1.Trace
+	ab.RecordTrace = true
+	rAB := run(ab)
+	n := min(r1.Trace.Len(), rAB.Trace.Len())
+	if n < 1 {
+		t.Fatalf("no common requests: recorded %d, replayed %d", r1.Trace.Len(), rAB.Trace.Len())
 	}
-	r2, err := sys2.Run(time.Hour)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < n; i++ {
+		if r1.Trace.Records[i] != rAB.Trace.Records[i] {
+			t.Errorf("request %d: recorded %+v, replayed %+v", i, r1.Trace.Records[i], rAB.Trace.Records[i])
+		}
 	}
+
+	// Replay under the recording's own seed and policy: the run finishes
+	// the same jobs in the same order.
+	same := quickCfg("none", 5)
+	same.WorkloadTrace = r1.Trace
+	r2 := run(same)
 	if len(r1.Jobs) != len(r2.Jobs) {
 		t.Fatalf("job counts differ: %d vs %d", len(r1.Jobs), len(r2.Jobs))
 	}

@@ -1,11 +1,14 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -83,6 +86,76 @@ func TestCyclesEndpoint(t *testing.T) {
 	}
 	if got := get(srv.URL + "/debug/cycles?n=-3"); len(got.Spans) != 5 {
 		t.Fatalf("?n=-3 reply = %+v", got)
+	}
+}
+
+// fixtureSpans is a deterministic two-cycle staged timeline, shaped like a
+// real sense→classify→select→actuate→settle recording.
+func fixtureSpans() []CycleSpan {
+	return []CycleSpan{
+		{
+			Cycle:       1,
+			TotalMicros: 1510,
+			Stages: []StageSpan{
+				{Stage: "sense", Micros: 120, Outcome: "readings=16"},
+				{Stage: "classify", Micros: 4, Outcome: "yellow"},
+				{Stage: "select", Micros: 890, Outcome: "targets=5"},
+				{Stage: "actuate", Micros: 310, Outcome: "degrade=5"},
+				{Stage: "settle", Micros: 186},
+			},
+		},
+		{
+			Cycle:       2,
+			TotalMicros: 240,
+			Stages: []StageSpan{
+				{Stage: "sense", Micros: 110, Outcome: "readings=16"},
+				{Stage: "classify", Micros: 3, Outcome: "green"},
+				{Stage: "select", Micros: 0},
+				{Stage: "actuate", Micros: 55, Outcome: "restore=2"},
+				{Stage: "settle", Micros: 72},
+			},
+		},
+	}
+}
+
+// TestGoldenCycleSpansJSONL pins the JSON shape of one span, the element
+// /debug/cycles serves under "spans", so a scraper written against it
+// keeps working.
+func TestGoldenCycleSpansJSONL(t *testing.T) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, sp := range fixtureSpans() {
+		if err := enc.Encode(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "cycle_spans.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("cycle span shape drifted from testdata/cycle_spans.jsonl:\n--- got ---\n%s--- want ---\n%s", buf.Bytes(), want)
+	}
+
+	// Round-trip: every line decodes back to the source span.
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("lines = %d", len(lines))
+	}
+	for i, line := range lines {
+		var sp CycleSpan
+		if err := json.Unmarshal([]byte(line), &sp); err != nil {
+			t.Fatal(err)
+		}
+		want := fixtureSpans()[i]
+		if sp.Cycle != want.Cycle || sp.TotalMicros != want.TotalMicros || len(sp.Stages) != len(want.Stages) {
+			t.Errorf("span %d = %+v, want %+v", i, sp, want)
+		}
+		for j, st := range sp.Stages {
+			if st != want.Stages[j] {
+				t.Errorf("span %d stage %d = %+v, want %+v", i, j, st, want.Stages[j])
+			}
+		}
 	}
 }
 

@@ -3,6 +3,10 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/power"
@@ -21,6 +25,53 @@ func marshalTrace(t *testing.T, recs []CycleRecord) []byte {
 		}
 	}
 	return buf.Bytes()
+}
+
+// -update rewrites testdata/ from the current run:
+//
+//	go test ./internal/scenario -run Golden -update
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestGoldenFlashCrowdTrace pins Algorithm 1's decisions over a scaled
+// flash crowd, cycle by cycle, across commits: the trace is deterministic
+// in (scenario, seed), so any drift in classification, selection or
+// actuation shows up here as a byte difference.
+func TestGoldenFlashCrowdTrace(t *testing.T) {
+	res, err := Run(FlashCrowd().Scaled(6, 40), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := res.Records
+	got := marshalTrace(t, recs)
+	path := filepath.Join("testdata", "scenario_flash_crowd.jsonl")
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("flash-crowd trace drifted from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+
+	// Round-trip: every line decodes back to the source record.
+	lines := strings.Split(strings.TrimSpace(string(got)), "\n")
+	if len(lines) != len(recs) {
+		t.Fatalf("lines = %d, want %d", len(lines), len(recs))
+	}
+	for i, line := range lines {
+		var r CycleRecord
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Cycle != recs[i].Cycle || r.State != recs[i].State ||
+			len(r.Nodes) != len(recs[i].Nodes) || len(r.Actions) != len(recs[i].Actions) {
+			t.Errorf("record %d = %+v, want %+v", i, r, recs[i])
+		}
+	}
 }
 
 // TestScenarioDeterminism: every scenario generator yields a

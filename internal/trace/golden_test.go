@@ -3,17 +3,13 @@ package trace
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/obs"
-	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
@@ -46,87 +42,6 @@ func golden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// fixtureSpans builds a deterministic two-cycle staged timeline, shaped
-// like a real sense→classify→select→actuate→settle recording.
-func fixtureSpans() []obs.CycleSpan {
-	return []obs.CycleSpan{
-		{
-			Cycle:       1,
-			TotalMicros: 1510,
-			Stages: []obs.StageSpan{
-				{Stage: "sense", Micros: 120, Outcome: "readings=16"},
-				{Stage: "classify", Micros: 4, Outcome: "yellow"},
-				{Stage: "select", Micros: 890, Outcome: "targets=5"},
-				{Stage: "actuate", Micros: 310, Outcome: "degrade=5"},
-				{Stage: "settle", Micros: 186},
-			},
-		},
-		{
-			Cycle:       2,
-			TotalMicros: 240,
-			Stages: []obs.StageSpan{
-				{Stage: "sense", Micros: 110, Outcome: "readings=16"},
-				{Stage: "classify", Micros: 3, Outcome: "green"},
-				{Stage: "select", Micros: 0},
-				{Stage: "actuate", Micros: 55, Outcome: "restore=2"},
-				{Stage: "settle", Micros: 72},
-			},
-		},
-	}
-}
-
-func TestGoldenCycleSpansJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCycleSpansJSONL(&buf, fixtureSpans()); err != nil {
-		t.Fatal(err)
-	}
-	golden(t, "cycle_spans.jsonl", buf.Bytes())
-
-	// Round-trip: every line decodes back to the source span.
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	for i, line := range lines {
-		var sp obs.CycleSpan
-		if err := json.Unmarshal([]byte(line), &sp); err != nil {
-			t.Fatal(err)
-		}
-		want := fixtureSpans()[i]
-		if sp.Cycle != want.Cycle || sp.TotalMicros != want.TotalMicros || len(sp.Stages) != len(want.Stages) {
-			t.Errorf("span %d = %+v, want %+v", i, sp, want)
-		}
-		for j, st := range sp.Stages {
-			if st != want.Stages[j] {
-				t.Errorf("span %d stage %d = %+v, want %+v", i, j, st, want.Stages[j])
-			}
-		}
-	}
-}
-
-func TestGoldenCycleSpansCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCycleSpansCSV(&buf, fixtureSpans()); err != nil {
-		t.Fatal(err)
-	}
-	golden(t, "cycle_spans.csv", buf.Bytes())
-
-	recs, err := csv.NewReader(bytes.NewReader(buf.Bytes())).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 11 { // header + 2 cycles × 5 stages
-		t.Fatalf("rows = %d", len(recs))
-	}
-	if recs[0][0] != "cycle" || recs[0][4] != "total_micros" {
-		t.Errorf("header = %v", recs[0])
-	}
-	// Spot-check one interior row: cycle 1's select stage.
-	if row := recs[3]; row[0] != "1" || row[1] != "select" || row[2] != "890" || row[3] != "targets=5" || row[4] != "1510" {
-		t.Errorf("select row = %v", row)
-	}
-}
-
 func TestGoldenSeriesCSV(t *testing.T) {
 	s := &metrics.Series{}
 	s.Add(0, 29750.5)
@@ -139,14 +54,8 @@ func TestGoldenSeriesCSV(t *testing.T) {
 	golden(t, "series.csv", buf.Bytes())
 }
 
-func TestGoldenJobsJSONLAndCSV(t *testing.T) {
+func TestGoldenJobsCSV(t *testing.T) {
 	jobs := []*workload.Job{doneJob(t)}
-
-	var jl bytes.Buffer
-	if err := WriteJobsJSONL(&jl, jobs, 0.001); err != nil {
-		t.Fatal(err)
-	}
-	golden(t, "jobs.jsonl", jl.Bytes())
 
 	var cs bytes.Buffer
 	if err := WriteJobsCSV(&cs, jobs, 0.001); err != nil {
@@ -154,17 +63,14 @@ func TestGoldenJobsJSONLAndCSV(t *testing.T) {
 	}
 	golden(t, "jobs.csv", cs.Bytes())
 
-	// The two exports describe the same record.
-	var rec JobRecord
-	if err := json.Unmarshal(jl.Bytes(), &rec); err != nil {
-		t.Fatal(err)
-	}
+	// The export describes the job's record.
+	rec := NewJobRecord(jobs[0], 0.001)
 	recs, err := csv.NewReader(bytes.NewReader(cs.Bytes())).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 2 || recs[1][1] != rec.Benchmark {
-		t.Errorf("CSV %v vs JSONL %+v", recs, rec)
+		t.Errorf("CSV %v vs record %+v", recs, rec)
 	}
 }
 
@@ -178,81 +84,4 @@ func TestGoldenEventsJSONL(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden(t, "events.jsonl", buf.Bytes())
-}
-
-// scenarioFixture is a small deterministic scenario run: the flash-crowd
-// generator scaled down, fixed seed. Determinism of (scenario, seed) →
-// trace is what makes this golden-testable at all.
-func scenarioFixture(t *testing.T) []scenario.CycleRecord {
-	t.Helper()
-	res, err := scenario.Run(scenario.FlashCrowd().Scaled(6, 40), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Records
-}
-
-func TestGoldenScenarioCyclesJSONL(t *testing.T) {
-	recs := scenarioFixture(t)
-	var buf bytes.Buffer
-	if err := WriteScenarioCyclesJSONL(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	golden(t, "scenario_flash_crowd.jsonl", buf.Bytes())
-
-	// Round-trip: every line decodes back to the source record.
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(recs) {
-		t.Fatalf("lines = %d, want %d", len(lines), len(recs))
-	}
-	for i, line := range lines {
-		var r scenario.CycleRecord
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			t.Fatal(err)
-		}
-		if r.Cycle != recs[i].Cycle || r.State != recs[i].State ||
-			len(r.Nodes) != len(recs[i].Nodes) || len(r.Actions) != len(recs[i].Actions) {
-			t.Errorf("record %d = %+v, want %+v", i, r, recs[i])
-		}
-	}
-}
-
-func TestGoldenScenarioCyclesCSV(t *testing.T) {
-	recs := scenarioFixture(t)
-	var buf bytes.Buffer
-	if err := WriteScenarioCyclesCSV(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	golden(t, "scenario_flash_crowd.csv", buf.Bytes())
-
-	rows, err := csv.NewReader(bytes.NewReader(buf.Bytes())).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(recs)+1 {
-		t.Fatalf("rows = %d, want %d", len(rows), len(recs)+1)
-	}
-	if rows[0][0] != "cycle" || rows[0][4] != "state" {
-		t.Errorf("header = %v", rows[0])
-	}
-}
-
-func TestScenarioWriteErrorsPropagate(t *testing.T) {
-	recs := scenarioFixture(t)
-	if err := WriteScenarioCyclesJSONL(&failAfter{n: 5}, recs); err == nil {
-		t.Error("scenario JSONL write error swallowed")
-	}
-	if err := WriteScenarioCyclesCSV(&failAfter{n: 5}, recs); err == nil {
-		t.Error("scenario CSV write error swallowed")
-	}
-}
-
-func TestCycleSpanWriteErrorsPropagate(t *testing.T) {
-	spans := fixtureSpans()
-	if err := WriteCycleSpansJSONL(&failAfter{n: 5}, spans); err == nil {
-		t.Error("cycle spans JSONL write error swallowed")
-	}
-	if err := WriteCycleSpansCSV(&failAfter{n: 5}, spans); err == nil {
-		t.Error("cycle spans CSV write error swallowed")
-	}
 }

@@ -1,15 +1,13 @@
-// Package trace exports run artefacts — power time-series, job completion
-// records, control-cycle events — as CSV or JSON lines for offline
-// plotting and inspection.
+// Package trace writes run artefacts — power time-series and job
+// completion records as CSV, control-loop events as JSON lines — and
+// renders series as terminal sparklines.
 package trace
 
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/workload"
@@ -62,20 +60,6 @@ func NewJobRecord(j *workload.Job, tol float64) JobRecord {
 		ActualSec: j.ActualDuration().Seconds(),
 		Lossless:  j.Lossless(tol),
 	}
-}
-
-// WriteJobsJSONL writes one JSON object per finished job.
-func WriteJobsJSONL(w io.Writer, jobs []*workload.Job, tol float64) error {
-	enc := json.NewEncoder(w)
-	for _, j := range jobs {
-		if !j.Done() {
-			continue
-		}
-		if err := enc.Encode(NewJobRecord(j, tol)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WriteJobsCSV writes finished jobs as CSV.
@@ -140,20 +124,4 @@ func (l *EventLog) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// FormatDuration renders a virtual duration compactly for tables
-// (e.g. "12h00m", "90s").
-func FormatDuration(d time.Duration) string {
-	if d >= time.Hour {
-		h := d / time.Hour
-		m := (d % time.Hour) / time.Minute
-		return fmt.Sprintf("%dh%02dm", h, m)
-	}
-	if d >= time.Minute {
-		m := d / time.Minute
-		s := (d % time.Minute) / time.Second
-		return fmt.Sprintf("%dm%02ds", m, s)
-	}
-	return fmt.Sprintf("%.0fs", d.Seconds())
 }

@@ -71,21 +71,6 @@ func TestJobRecord(t *testing.T) {
 	}
 }
 
-func TestWriteJobsJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	jobs := []*workload.Job{doneJob(t)}
-	if err := WriteJobsJSONL(&buf, jobs, 0.001); err != nil {
-		t.Fatal(err)
-	}
-	var rec JobRecord
-	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Benchmark != "CG" {
-		t.Errorf("decoded = %+v", rec)
-	}
-}
-
 func TestWriteJobsCSVSkipsUnfinished(t *testing.T) {
 	spec, _ := workload.SpecByName(workload.NPB(workload.ClassC), "CG")
 	unfinished, _ := workload.NewJob(9, workload.Request{Spec: spec, NProcs: 8},
@@ -127,24 +112,6 @@ func TestEventLog(t *testing.T) {
 	}
 	if len(l.Events()) != 2 {
 		t.Error("Events accessor")
-	}
-}
-
-func TestFormatDuration(t *testing.T) {
-	cases := []struct {
-		d    time.Duration
-		want string
-	}{
-		{12 * time.Hour, "12h00m"},
-		{90 * time.Minute, "1h30m"},
-		{5 * time.Minute, "5m00s"},
-		{330 * time.Second, "5m30s"},
-		{45 * time.Second, "45s"},
-	}
-	for _, c := range cases {
-		if got := FormatDuration(c.d); got != c.want {
-			t.Errorf("FormatDuration(%v) = %q, want %q", c.d, got, c.want)
-		}
 	}
 }
 
@@ -216,9 +183,6 @@ func TestWriteErrorsPropagate(t *testing.T) {
 		t.Error("series CSV write error swallowed")
 	}
 	jobs := []*workload.Job{doneJob(t)}
-	if err := WriteJobsJSONL(&failAfter{n: 5}, jobs, 0.001); err == nil {
-		t.Error("jobs JSONL write error swallowed")
-	}
 	if err := WriteJobsCSV(&failAfter{n: 5}, jobs, 0.001); err == nil {
 		t.Error("jobs CSV write error swallowed")
 	}
