@@ -670,11 +670,15 @@ func (s *Server) receive(sh *shard, rec *nodeRec, ac *agentConn) {
 					s.cmdAcks.Inc()
 				}
 				cs.acked = true
-				cs.level = ac.clampLevel(env.Level)
+				if l := ac.clampLevel(env.Level); l != cs.level {
+					// SetNodeLevel mirrored the commanded level; only a
+					// different acked one needs the store's lock.
+					cs.level = l
+					s.journal.SetLevel(int(id), l)
+				}
 				if rec.ac == ac {
 					rec.last.Level = cs.level
 				}
-				s.journal.SetLevel(int(id), cs.level)
 			}
 			sh.mu.Unlock()
 		}

@@ -454,6 +454,15 @@ func TestRemoteLevelsAreClamped(t *testing.T) {
 	if l2, l3 := commandedLevel(srv, 2), commandedLevel(srv, 3); l2 != 0 || l3 != top {
 		t.Errorf("acks at -7 and 40 recorded as levels %d and %d, want 0 and %d", l2, l3, top)
 	}
+	// Each ack differs from the commanded level, so the journal must mirror
+	// the acked one, not keep the command's.
+	journal := map[int]int{}
+	for _, jl := range srv.journal.State().Levels {
+		journal[jl.Node] = jl.Level
+	}
+	if journal[2] != 0 || journal[3] != top {
+		t.Errorf("journal holds levels %d and %d for nodes 2 and 3 after the acks, want 0 and %d", journal[2], journal[3], top)
+	}
 }
 
 // TestSweepIsRepeatable: a sweep walks the storage in registration order,

@@ -109,6 +109,7 @@ func (f *Follower) session(conn *wire.Conn) {
 		if json.Unmarshal(env.Entry, &e) != nil {
 			return
 		}
+		e.raw = env.Entry // a log line writes the leader's bytes, not a re-encoding
 		if err := f.cfg.Store.ApplyRemote(e); err != nil {
 			// Gap or invalid entry: resubscribe from our current head.
 			return

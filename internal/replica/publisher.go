@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,10 +22,11 @@ import (
 // stalls past its buffer is dropped rather than waited on — it redials
 // and resumes from its own sequence number.
 
-// pubSubBuf sizes each subscriber's outbound buffer. It must cover a
-// full catch-up burst (the store ring) plus headroom for live entries
-// committed while the writer drains it.
-const pubSubBuf = 1024
+// pubSubBuf sizes each subscriber's outbound buffer. Serve enqueues the
+// whole catch-up — at most ringMax ring entries, or one Reset — before the
+// writer starts, so the buffer must hold it without blocking; the second
+// ringMax is headroom for live entries committed while the writer drains.
+const pubSubBuf = 2 * ringMax
 
 type pubSub struct {
 	conn   *wire.Conn
@@ -131,8 +131,15 @@ func (p *Publisher) runWriter(sub *pubSub) {
 
 // Publish fans one committed journal entry out to every subscriber. A
 // subscriber whose buffer is full is dropped rather than waited on — it
-// will redial and resume.
+// will redial and resume. With no subscriber nothing is encoded: one that
+// arrives later catches up from the store, which already holds e.
 func (p *Publisher) Publish(e Entry) {
+	p.mu.Lock()
+	idle := len(p.subs) == 0
+	p.mu.Unlock()
+	if idle {
+		return
+	}
 	env, err := appendEnvelope(e)
 	if err != nil {
 		return
@@ -211,7 +218,7 @@ func (p *Publisher) Close() {
 
 // appendEnvelope frames one journal entry for the wire.
 func appendEnvelope(e Entry) (wire.Envelope, error) {
-	raw, err := json.Marshal(e)
+	raw, err := e.encode()
 	if err != nil {
 		return wire.Envelope{}, err
 	}

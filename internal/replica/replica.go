@@ -19,19 +19,20 @@ package replica
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/power"
 )
 
-// ringMax bounds the in-memory tail of recent entries kept for follower
-// resume: a follower reconnecting within ringMax entries of the head
-// catches up incrementally, an older one gets a full snapshot instead.
+// ringMax caps the count of recent entries kept for follower resume. The
+// ring is bounded first by the levels it carries (see ringPushLocked), so
+// the cap only binds on level-free entries — thresholds or learner state.
 const ringMax = 512
 
 // ErrGap reports an entry whose sequence number is not the next expected
@@ -72,6 +73,8 @@ type Entry struct {
 	ThrPHW  float64             `json:"ph_w,omitempty"`
 	Learner *power.LearnerState `json:"learner,omitempty"`
 	Reset   *Snapshot           `json:"reset,omitempty"`
+
+	raw []byte // the entry's JSON once a log line encoded it; never in the ring
 }
 
 // Store is the journal: a level mirror plus thresholds/learner state,
@@ -93,6 +96,7 @@ type Store struct {
 	levels  map[int]int
 	dirty   map[int]bool // levels changed since the last committed entry
 	ring    []Entry      // contiguous recent entries ending at seq
+	ringLvl int          // levels carried by the ring's entries
 }
 
 // Open loads (or creates) a store at path; "" builds a memory-only store
@@ -206,8 +210,8 @@ func (s *Store) CommitCycle(cycle int, plW, phW float64, learner *power.LearnerS
 		for n := range s.dirty {
 			e.Levels = append(e.Levels, Level{Node: n, Level: s.levels[n]})
 		}
-		sort.Slice(e.Levels, func(a, b int) bool { return e.Levels[a].Node < e.Levels[b].Node })
-		s.dirty = map[int]bool{}
+		slices.SortFunc(e.Levels, byNode)
+		clear(s.dirty)
 		changed = true
 	}
 	if plW > 0 && (plW != s.plW || phW != s.phW) {
@@ -226,7 +230,7 @@ func (s *Store) CommitCycle(cycle int, plW, phW float64, learner *power.LearnerS
 	}
 	s.seq++
 	e.Seq, e.Epoch, e.Cycle = s.seq, s.epoch, cycle
-	s.appendLineLocked(e)
+	s.appendLineLocked(&e)
 	s.ringPushLocked(e)
 	return e, true
 }
@@ -249,7 +253,6 @@ func (s *Store) ApplyRemote(e Entry) error {
 		if e.Epoch > s.epoch {
 			s.epoch = e.Epoch
 		}
-		s.ring = nil
 		if s.path != "" {
 			return s.compactLocked()
 		}
@@ -265,7 +268,7 @@ func (s *Store) ApplyRemote(e Entry) error {
 		return err
 	}
 	s.applyEntryLocked(e)
-	s.appendLineLocked(e)
+	s.appendLineLocked(&e)
 	s.ringPushLocked(e)
 	return nil
 }
@@ -336,7 +339,7 @@ func (s *Store) snapshotLocked() Snapshot {
 	for n, l := range s.levels {
 		levels = append(levels, Level{Node: n, Level: l})
 	}
-	sort.Slice(levels, func(a, b int) bool { return levels[a].Node < levels[b].Node })
+	slices.SortFunc(levels, byNode)
 	var learner *power.LearnerState
 	if s.learner != nil {
 		c := *s.learner
@@ -354,6 +357,7 @@ func (s *Store) adoptSnapshotLocked(snap Snapshot) {
 		s.levels[l.Node] = l.Level
 	}
 	s.dirty = map[int]bool{}
+	s.ring, s.ringLvl = nil, 0 // history before a snapshot is not replayable onto it
 	s.seq = snap.LastSeq
 	if snap.Epoch > s.epoch {
 		s.epoch = snap.Epoch
@@ -388,26 +392,48 @@ func (s *Store) applyEntryLocked(e Entry) {
 	}
 }
 
-// appendLineLocked writes one entry to the log. Write errors are dropped:
+// appendLineLocked writes one entry to the log and keeps the line's bytes
+// on e, so publishing it encodes nothing again. Write errors are dropped:
 // the journal is advisory, and a torn line only truncates the replayable
 // prefix at the next load.
-func (s *Store) appendLineLocked(e Entry) {
+func (s *Store) appendLineLocked(e *Entry) {
 	if s.logF == nil {
 		return
 	}
-	b, err := json.Marshal(e)
+	b, err := e.encode()
 	if err != nil {
 		return
 	}
+	e.raw = b
 	_, _ = s.logF.Write(append(b, '\n'))
 }
 
+// ringPushLocked appends e, then drops the oldest entries while the ring
+// carries more levels than the mirror holds — past that, the Reset a
+// follower gets instead carries each level once and is no larger than the
+// replay — or more than ringMax entries. The newest entry always stays.
 func (s *Store) ringPushLocked(e Entry) {
+	e.raw = nil
 	s.ring = append(s.ring, e)
-	if len(s.ring) > ringMax {
-		s.ring = s.ring[len(s.ring)-ringMax:]
+	s.ringLvl += len(e.Levels)
+	drop := 0
+	for n := len(s.ring); n-drop > 1 && (s.ringLvl > len(s.levels) || n-drop > ringMax); drop++ {
+		s.ringLvl -= len(s.ring[drop].Levels)
 	}
+	// Shift in place: the array keeps its capacity, so a steady ring
+	// allocates nothing, and Delete zeroes the vacated tail.
+	s.ring = slices.Delete(s.ring, 0, drop)
 }
+
+// encode returns the entry's JSON, marshalling only if no log line has.
+func (e Entry) encode() ([]byte, error) {
+	if e.raw != nil {
+		return e.raw, nil
+	}
+	return json.Marshal(e)
+}
+
+func byNode(a, b Level) int { return cmp.Compare(a.Node, b.Node) }
 
 // compactLocked writes the mirror as the snapshot (atomic tmp+rename) and
 // restarts the log empty.

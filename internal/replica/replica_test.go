@@ -169,32 +169,202 @@ func TestApplyRemoteDuplicateGapAndReset(t *testing.T) {
 	}
 }
 
+// TestEntriesSinceAndResetEntry: the ring serves a follower that is
+// within one mirror's worth of levels of the head, and a follower further
+// behind gets a Reset stamped with the head sequence. Either answer brings
+// a follower's store to the leader's state.
 func TestEntriesSinceAndResetEntry(t *testing.T) {
 	st, err := Open("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	learner := &power.LearnerState{LifetimePeakW: 500, Trained: true, PLW: 400, PHW: 450}
-	for i := 1; i <= 5; i++ {
-		st.SetLevel(1, i)
+	// Entry 1 carries all four levels; entries 2..5 change one each, so
+	// entry 2 pushes the ring past the mirror's four levels and drops 1.
+	for n := 0; n < 4; n++ {
+		st.SetLevel(n, 9)
+	}
+	first, ok := st.CommitCycle(1, 400, 450, learner)
+	if !ok || len(first.Levels) != 4 {
+		t.Fatalf("first commit: %+v ok=%v", first, ok)
+	}
+	for i := 2; i <= 5; i++ {
+		st.SetLevel(i%4, i)
 		st.CommitCycle(i, 400, 450, learner)
 	}
 	if es, ok := st.EntriesSince(5); !ok || len(es) != 0 {
 		t.Fatalf("caught-up follower: %v %v", es, ok)
 	}
-	es, ok := st.EntriesSince(2)
-	if !ok || len(es) != 3 || es[0].Seq != 3 || es[2].Seq != 5 {
-		t.Fatalf("resume entries: %+v ok=%v", es, ok)
+	es, ok := st.EntriesSince(1)
+	if !ok || len(es) != 4 || es[0].Seq != 2 || es[3].Seq != 5 {
+		t.Fatalf("follower one mirror behind: %+v ok=%v", es, ok)
 	}
-	// A follower older than the ring history gets a reset.
-	if _, ok := st.EntriesSince(0); ok {
-		// Ring still covers everything here (only 5 entries) — force the
-		// miss by asking below a truncated ring.
-		t.Skip("ring covers full history at this size")
+	if es, ok := st.EntriesSince(0); ok {
+		t.Fatalf("follower beyond the ring got entries %+v, want a Reset", es)
 	}
 	re := st.ResetEntry()
-	if re.Reset == nil || re.Seq != 5 || re.Reset.LastSeq != 5 || re.Reset.Learner == nil {
+	if re.Reset == nil || re.Seq != 5 || re.Reset.LastSeq != 5 || re.Reset.Learner == nil || len(re.Reset.Levels) != 4 {
 		t.Fatalf("reset entry: %+v", re)
+	}
+
+	want := st.State()
+	near, _ := Open("")
+	far, _ := Open("")
+	for _, e := range append([]Entry{first}, es...) {
+		if err := near.ApplyRemote(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := far.ApplyRemote(re); err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]*Store{"replayed": near, "reset": far} {
+		if got := f.State(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s follower:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+}
+
+// TestRingHoldsOneMirrorOfLevels is the ring's bound: a store whose every
+// level changes on every commit keeps at most one mirror's worth of levels
+// for catch-up — on the leader and on a follower applying the same stream
+// — and a Reset empties the ring with its count.
+func TestRingHoldsOneMirrorOfLevels(t *testing.T) {
+	const nodes, commits = 1024, 600
+	leader, _ := Open("")
+	follower, _ := Open("")
+	check := func(who string, s *Store, commit int) {
+		t.Helper()
+		held := 0
+		for _, e := range s.ring {
+			held += len(e.Levels)
+		}
+		if held != s.ringLvl || held > nodes || len(s.ring) == 0 {
+			t.Fatalf("%s after commit %d: ring of %d entries holds %d levels (counted %d), want 1..%d entries within %d",
+				who, commit, len(s.ring), held, s.ringLvl, ringMax, nodes)
+		}
+	}
+	for c := 1; c <= commits; c++ {
+		for n := 0; n < nodes; n++ {
+			leader.SetLevel(n, (c+n)%10)
+		}
+		e, ok := leader.CommitCycle(c, 0, 0, nil)
+		if !ok || len(e.Levels) != nodes {
+			t.Fatalf("commit %d: %d levels ok=%v", c, len(e.Levels), ok)
+		}
+		if err := follower.ApplyRemote(e); err != nil {
+			t.Fatal(err)
+		}
+		check("leader", leader, c)
+		check("follower", follower, c)
+	}
+	if err := follower.ApplyRemote(leader.ResetEntry()); err != nil {
+		t.Fatal(err)
+	}
+	if len(follower.ring) != 0 || follower.ringLvl != 0 {
+		t.Fatalf("after a Reset the ring holds %d entries, %d levels", len(follower.ring), follower.ringLvl)
+	}
+	if !reflect.DeepEqual(follower.State(), leader.State()) {
+		t.Fatal("follower diverged from the leader")
+	}
+}
+
+// TestLevelFreeCatchUpReachesHead: level-free entries are bounded by
+// ringMax alone, and a follower a full ringMax of them behind is caught up
+// through the publisher in one burst that fits its buffer.
+func TestLevelFreeCatchUpReachesHead(t *testing.T) {
+	leader, _ := Open("")
+	copyStore, _ := Open("")
+	const behind = 7
+	for c := 1; c <= behind+ringMax; c++ {
+		e, ok := leader.CommitCycle(c, float64(1000+c), 2000, nil)
+		if !ok {
+			t.Fatalf("commit %d saw no change", c)
+		}
+		if c <= behind {
+			copyStore.ApplyRemote(e)
+		}
+	}
+	if es, ok := leader.EntriesSince(behind); !ok || len(es) != ringMax {
+		t.Fatalf("ring serves %d entries ok=%v, want %d", len(es), ok, ringMax)
+	}
+	if _, ok := leader.EntriesSince(behind - 1); ok {
+		t.Fatal("ring kept more than ringMax level-free entries")
+	}
+
+	pub := NewPublisher(leader, 5*time.Second)
+	var served sync.WaitGroup
+	f, err := NewFollower(FollowerConfig{Store: copyStore, Dial: func(ctx context.Context) (net.Conn, error) {
+		s, c := net.Pipe()
+		served.Add(1)
+		go func() {
+			defer served.Done()
+			conn := wire.NewConn(s)
+			if sub, err := conn.Recv(); err == nil {
+				pub.Serve(conn, sub.Seq)
+			}
+		}()
+		return c, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); f.Run(ctx) }()
+	defer func() { cancel(); pub.Close(); <-done; served.Wait() }()
+
+	head := leader.Seq()
+	for deadline := time.Now().Add(5 * time.Second); copyStore.Seq() < head; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower stuck at %d of %d", copyStore.Seq(), head)
+		}
+	}
+	if !reflect.DeepEqual(copyStore.State(), leader.State()) {
+		t.Fatal("follower diverged from the leader")
+	}
+	if n := f.Obs().Counter("replica_resets").Value(); n != 0 {
+		t.Fatalf("catch-up took %d resets, want replay only", n)
+	}
+}
+
+// TestCommitEncodesOnceForAReader: a memory-only store with no subscriber
+// never encodes an entry, and with a log file and a subscriber the log
+// line and the published frame are the one json.Marshal's bytes.
+func TestCommitEncodesOnceForAReader(t *testing.T) {
+	mem, _ := Open("")
+	pub := NewPublisher(mem, time.Second)
+	level := 0
+	var e Entry
+	allocs := testing.AllocsPerRun(200, func() {
+		level ^= 1
+		mem.SetLevel(3, level)
+		e, _ = mem.CommitCycle(level+1, 0, 0, nil)
+		pub.Publish(e)
+	})
+	if allocs > 1 || e.raw != nil {
+		t.Fatalf("commit+publish without a reader: %.0f allocs, raw %q; want only the entry's levels slice", allocs, e.raw)
+	}
+
+	path := filepath.Join(t.TempDir(), "journal.json")
+	st, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	pub = NewPublisher(st, time.Second)
+	sub := &pubSub{ch: make(chan wire.Envelope, 1), closed: make(chan struct{})}
+	pub.subs[sub] = struct{}{}
+	st.SetLevel(3, 4)
+	e, _ = st.CommitCycle(1, 900, 1000, nil)
+	pub.Publish(e)
+	env := <-sub.ch
+	line, err := os.ReadFile(path + ".log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(line) != string(env.Entry)+"\n" || len(e.raw) == 0 || &env.Entry[0] != &e.raw[0] {
+		t.Fatalf("log line %q and published entry %q are not one encoding", line, env.Entry)
 	}
 }
 
