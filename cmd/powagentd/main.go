@@ -43,8 +43,6 @@ func main() {
 		maxBackoff     = flag.Duration("max-backoff", 10*time.Second, "reconnect backoff ceiling")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve GET /metrics on this address (empty = disabled)")
-
-		codec = flag.String("codec", "binary", "wire codec advertised to the manager: binary or json")
 	)
 	flag.Parse()
 	if *seed == 0 {
@@ -71,7 +69,6 @@ func main() {
 		Seed:          *seed,
 		FailsafeAfter: *failsafeAfter,
 		FailsafeLevel: *failsafeLevel,
-		Codec:         *codec,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -79,7 +79,6 @@ func main() {
 		missBudget  = flag.Int("lease-miss-budget", 4, "stale lease renewals a standby tolerates before declaring the leader dead")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve GET /metrics and GET /debug/cycles on this address (empty = disabled)")
-		codec       = flag.String("codec", "binary", "preferred wire codec negotiated with children: binary or json")
 	)
 	flag.Parse()
 
@@ -130,7 +129,6 @@ func main() {
 		StaleAfter:   *staleAfter,
 		Breaker:      breaker,
 		FloorW:       floor,
-		WireCodec:    *codec,
 		MetricsAddr:  *metricsAddr,
 
 		ParentAddr:     *parent,

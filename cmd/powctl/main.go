@@ -9,15 +9,13 @@
 //	powctl -addr 127.0.0.1:7070          # a coordinator answers too
 //	powctl -addr 127.0.0.1:7077 -json | jq .command_acks
 //	powctl -addr 127.0.0.1:7077 -watch 1s -samples 60
-//	powctl -addr 127.0.0.1:7077 -codec
 //
 // -watch polls the manager every interval and renders the recent history
 // of the cycle-stage latencies (collection, selection, fan-out, whole
 // cycle) and the estimated fleet power as terminal sparklines.
 //
-// -codec probes wire-codec negotiation: it advertises the full codec set
-// a real agent would and reports which codec the daemon picks, plus the
-// binary/JSON split across the live fleet's connections.
+// The status probe and its reply are JSON, the one exchange that never
+// moves onto the binary codec, so any client can read the answer.
 package main
 
 import (
@@ -46,20 +44,8 @@ func main() {
 		asJSON  = flag.Bool("json", false, "print the full status reply as one JSON object")
 		watch   = flag.Duration("watch", 0, "poll every interval and render latency sparklines (0 = one-shot)")
 		samples = flag.Int("samples", 60, "polls per -watch render window; also how many polls before exiting")
-		codec   = flag.Bool("codec", false, "probe wire-codec negotiation and report the fleet's binary/JSON split")
 	)
 	flag.Parse()
-
-	if *codec {
-		negotiated, st, err := managerd.QueryCodec(*addr, *timeout)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("negotiated      %s\n", negotiated)
-		fmt.Printf("agent conns     %d binary, %d json (%d agents)\n",
-			st.BinaryConns, st.JSONConns, st.Agents)
-		return
-	}
 
 	if *watch > 0 {
 		if err := watchLoop(*addr, *timeout, *watch, *samples); err != nil {
@@ -140,8 +126,7 @@ func printCoordinator(env wire.Envelope) {
 	fmt.Printf("fleet           power %.1f W, demand %.1f W, agents %d (healthy %d)\n",
 		st.LastPowerW, st.DemandW, st.Agents, st.HealthyNodes)
 	fmt.Printf("cycles          %d (last %d µs)\n", st.Cycles, st.LastCycleMicros)
-	fmt.Printf("children        %d known, %d lost (%d binary, %d json)\n",
-		len(env.Batch), st.LostNodes, st.BinaryConns, st.JSONConns)
+	fmt.Printf("children        %d known, %d lost\n", len(env.Batch), st.LostNodes)
 	fmt.Printf("federation      grants received %d, floors %d, decode errors %d\n",
 		st.BudgetGrants, st.BudgetFloors, st.DecodeErrors)
 	if st.Epoch > 0 {

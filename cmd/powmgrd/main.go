@@ -68,8 +68,6 @@ func main() {
 		missBudget    = flag.Int("lease-miss-budget", 4, "stale lease renewals a standby tolerates before declaring the leader dead")
 		replicaListen = flag.String("replica-listen", "", "dedicated listener for journal followers and status probes (empty = share -addr)")
 
-		codec = flag.String("codec", "binary", "preferred wire codec negotiated with agents and followers: binary or json")
-
 		coordinator = flag.String("coordinator", "", "run governed: dial this federation coordinator (powcoordd) and cap under its budget grants")
 		cabinet     = flag.Int("cabinet", 0, "cabinet index reported to the coordinator (with -coordinator)")
 		reportEvery = flag.Duration("report-every", 0, "cabinet report period (0 = control period)")
@@ -110,7 +108,6 @@ func main() {
 		MetricsAddr:    *metricsAddr,
 		CycleHistory:   *cycleHistory,
 		ReplicaAddr:    *replicaListen,
-		WireCodec:      *codec,
 	}
 	if *coordinator != "" {
 		cfg.CoordinatorAddr = *coordinator

@@ -92,12 +92,6 @@ type Config struct {
 	// reconnects). Nil gets a private registry; the powagentd command
 	// passes one shared with its -metrics-addr endpoint.
 	Obs *obs.Registry
-
-	// Codec is the agent's side of the handshake (wire.Conn.Offer): "binary"
-	// (also the "" default) offers the binary codec in the hello and
-	// switches onto it when the manager confirms; "json" offers nothing and
-	// stays on the JSON reference codec. The read side accepts both.
-	Codec string
 }
 
 // Agent is a running profiling agent.
@@ -154,11 +148,6 @@ func New(cfg Config) (*Agent, error) {
 	a := &Agent{cfg: cfg, lastContact: time.Now()}
 	if cfg.Dial == nil {
 		a.cfg.Dial = func(ctx context.Context) (net.Conn, error) { return wire.DialTCP(ctx, a.dialAddr()) }
-	}
-	switch cfg.Codec {
-	case "", wire.CodecBinary, wire.CodecJSON:
-	default:
-		return nil, fmt.Errorf("agentd: unknown wire codec %q", cfg.Codec)
 	}
 	if cfg.Passive {
 		if cfg.Apply == nil {
@@ -532,7 +521,7 @@ func (s *session) hello() error {
 		MaxLevel: maxLevel,
 		Level:    a.Level(),
 		Epoch:    a.MaxEpoch(),
-	}, a.cfg.Codec)
+	})
 }
 
 // handle processes one manager message; batch frames (the manager's

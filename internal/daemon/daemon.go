@@ -52,9 +52,6 @@ type Options struct {
 	MetricsAddr string
 	// CycleHistory sizes the cycle recorder; zero takes the obs default.
 	CycleHistory int
-	// WireCodec "json" pins followers to JSON and is what a codec probe is
-	// told; anything else negotiates binary with peers that advertise it.
-	WireCodec string
 	// ControlEvery is the period of the ticker driving Hooks.Cycle.
 	ControlEvery time.Duration
 
@@ -367,12 +364,11 @@ func (c *Chassis) Deposed() bool { return c.deposed.Load() }
 // tier.Governor, which answers "which band now?"). Ending the session with
 // leadership is what keeps a superseded leader from reporting to, or
 // redialling, its parent and fighting its successor over the child slot.
-// The chassis binds the codec and the grant, floor and decode-error hooks
-// to the registry; call before Start.
+// The chassis binds the grant, floor and decode-error hooks to the
+// registry; call before Start.
 func (c *Chassis) Govern(cfg tier.GovernorConfig) *tier.Governor {
 	grants, floors := c.reg.Counter("budget_grants"), c.reg.Counter("budget_floors")
 	governed, decodeErrs := c.reg.Gauge("governed"), c.reg.Counter("decode_errors")
-	cfg.WireCodec = c.opt.WireCodec
 	cfg.OnGrant = func() {
 		grants.Inc()
 		governed.Set(1)
@@ -513,24 +509,18 @@ func (c *Chassis) route(conn *wire.Conn, accepted uint64) {
 	}
 	switch first.Type {
 	case wire.KindStatus:
-		reply := c.hooks.Status()
-		// A probe advertising codecs (powctl -codec) is told which codec
-		// this daemon would negotiate with it — without switching the
-		// reply itself off JSON, so any probe can read the answer.
-		if len(first.Codecs) > 0 {
-			reply.Codec = wire.Choose(&first, c.opt.WireCodec)
-		}
-		_ = conn.Send(reply)
+		_ = conn.Send(c.hooks.Status())
 		conn.Close()
 	case wire.KindJournalAck:
 		// A standby's follower subscribing from the sequence number its
-		// copy has reached. It advertises codecs on the same frame; the
-		// read side auto-detects per frame, so the handshake needs no reply.
-		if c.Fenced(first.Epoch) {
+		// copy has reached. One that offers binary on that frame gets the
+		// JSON hello naming it, so its acks follow the stream onto binary;
+		// one that offers nothing gets no reply and stays on JSON.
+		if c.Fenced(first.Epoch) || first.Advertises(wire.CodecBinary) &&
+			conn.Confirm(wire.CodecBinary, &wire.Envelope{Type: wire.KindHello}) != nil {
 			conn.Close()
 			return
 		}
-		_ = conn.Confirm(wire.Choose(&first, c.opt.WireCodec), nil) // no reply, so nothing to fail
 		c.pub.Serve(conn, first.Seq)
 	default:
 		// Decoding the JSON hello grew this stack, and stacks shrink only at

@@ -1,9 +1,9 @@
 package daemon_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -17,6 +17,7 @@ import (
 	"repro/internal/daemon"
 	"repro/internal/faultnet"
 	"repro/internal/harness"
+	"repro/internal/power"
 	"repro/internal/replica"
 	"repro/internal/wire"
 )
@@ -163,46 +164,121 @@ func TestAcceptRetriesTransientErrorsAndEndsOnClose(t *testing.T) {
 	}
 }
 
-// A status probe is answered with the daemon's envelope, plus the codec the
-// daemon would negotiate when the probe advertises any.
-func TestStatusProbeCodecAnswer(t *testing.T) {
-	both := []string{wire.CodecBinary, wire.CodecJSON}
-	for _, tc := range []struct {
-		pin       string
-		advertise []string
-		want      string
-	}{
-		{"", both, wire.CodecBinary},
-		{wire.CodecBinary, both, wire.CodecBinary},
-		{wire.CodecJSON, both, wire.CodecJSON},
-		{"", []string{wire.CodecJSON}, wire.CodecJSON},
-		{"", nil, ""},
-	} {
-		t.Run(fmt.Sprintf("pin=%q,advertise=%v", tc.pin, tc.advertise), func(t *testing.T) {
-			var s stub
-			s.cycles.Store(7)
-			c := newChassis(t, &s, func(o *daemon.Options) { o.WireCodec = tc.pin })
-			if err := c.Start(); err != nil {
-				t.Fatal(err)
-			}
-			conn := dial(t, c.Addr())
-			if err := conn.Send(wire.Envelope{Type: wire.KindStatus, Codecs: tc.advertise}); err != nil {
-				t.Fatal(err)
-			}
-			reply, err := conn.Recv()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if reply.Type != wire.KindStatus || reply.Stats == nil || reply.Stats.Cycles != 7 {
-				t.Fatalf("reply is not the daemon's status envelope: %+v", reply)
-			}
-			if reply.Codec != tc.want {
-				t.Fatalf("codec answer %q, want %q", reply.Codec, tc.want)
-			}
-			if _, err := conn.Recv(); err == nil {
-				t.Fatal("probe connection left open after the reply")
-			}
-		})
+// A status probe is answered with the daemon's envelope, on JSON and
+// naming no codec even when the probe advertises binary, and the
+// connection is closed after the reply.
+func TestStatusProbeGetsTheEnvelope(t *testing.T) {
+	var s stub
+	s.cycles.Store(7)
+	c := newChassis(t, &s, nil)
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	conn := dial(t, c.Addr())
+	if err := conn.Send(wire.Envelope{Type: wire.KindStatus, Codecs: []string{wire.CodecBinary}}); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Type != wire.KindStatus || reply.Stats == nil || reply.Stats.Cycles != 7 || reply.Codec != "" {
+		t.Fatalf("reply is not the daemon's status envelope: %+v", reply)
+	}
+	if _, err := conn.Recv(); err == nil {
+		t.Fatal("probe connection left open after the reply")
+	}
+}
+
+// readTap records what the leader reads from each accepted connection.
+type readTap struct {
+	net.Listener
+	mu  sync.Mutex
+	got []byte
+}
+
+func (l *readTap) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &tappedConn{Conn: c, tap: l}, nil
+}
+
+func (l *readTap) bytes() []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]byte(nil), l.got...)
+}
+
+type tappedConn struct {
+	net.Conn
+	tap *readTap
+}
+
+func (c *tappedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.tap.mu.Lock()
+	c.tap.got = append(c.tap.got, p[:n]...)
+	c.tap.mu.Unlock()
+	return n, err
+}
+
+// A follower's subscribe offers binary, the chassis answers with the JSON
+// hello, and from the first append on the follower's acks are binary
+// frames the leader decodes: after the subscribe line, the leader reads a
+// frame that opens with the binary magic, and the lag it reports drains.
+func TestFollowerAcksGoBinary(t *testing.T) {
+	nw := faultnet.New(1)
+	defer nw.Close()
+	ln := &readTap{Listener: nw.Listener()}
+	var s stub
+	c := newChassis(t, &s, func(o *daemon.Options) {
+		o.Listen = []daemon.Endpoint{{Listener: ln}}
+	})
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	store, err := replica.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	f, err := replica.NewFollower(replica.FollowerConfig{
+		Store: store,
+		Dial:  func(ctx context.Context) (net.Conn, error) { return nw.Dial(ctx, 0) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = f.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	gauge := func(name string) float64 {
+		c.Refresh()
+		v, _ := c.Obs().Value(name)
+		return v
+	}
+	waitFor(t, "follower subscribed", func() bool { return gauge("replica_conns") == 1 })
+
+	c.Commit(1, power.Thresholds{PL: 100, PH: 200}, nil)
+	waitFor(t, "entry applied", func() bool { return store.Seq() == 1 })
+	waitFor(t, "ack decoded by the leader", func() bool { return gauge("replica_lag_entries") == 0 })
+
+	got := ln.bytes()
+	nl := bytes.IndexByte(got, '\n')
+	if nl < 0 || got[0] != '{' {
+		t.Fatalf("subscribe is not a JSON line: %q", got)
+	}
+	if len(got) == nl+1 || got[nl+1] != 0xBC {
+		t.Fatalf("ack after the subscribe is not a binary frame: %q", got[nl+1:])
 	}
 }
 

@@ -90,9 +90,6 @@ type Config struct {
 	// what it draws while floored on its local failsafe. Zero disables
 	// both.
 	FloorW units.Watts
-	// WireCodec mirrors managerd's: "binary" (and "") negotiates the
-	// binary codec with children that advertise it; "json" pins JSON.
-	WireCodec string
 	// MetricsAddr, when non-empty, serves GET /metrics and GET
 	// /debug/cycles for the coordinator registry on this address.
 	MetricsAddr string
@@ -181,11 +178,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.StaleAfter <= 0 {
 		cfg.StaleAfter = 3 * cfg.ControlEvery
 	}
-	switch cfg.WireCodec {
-	case "", wire.CodecBinary, wire.CodecJSON:
-	default:
-		return nil, fmt.Errorf("fedd: unknown wire codec %q", cfg.WireCodec)
-	}
 	rowMode := cfg.ParentAddr != "" || cfg.ParentDial != nil
 	if rowMode {
 		if cfg.Row < 0 {
@@ -222,7 +214,6 @@ func New(cfg Config) (*Server, error) {
 		Listen:       []daemon.Endpoint{{Addr: cfg.Addr, Listener: cfg.Listener}},
 		MetricsAddr:  cfg.MetricsAddr,
 		CycleHistory: cfg.CycleHistory,
-		WireCodec:    cfg.WireCodec,
 		ControlEvery: cfg.ControlEvery,
 		HA:           cfg.HA,
 		WriteTimeout: cfg.CommandTimeout,
@@ -242,7 +233,6 @@ func New(cfg Config) (*Server, error) {
 		StaleAfter: cfg.StaleAfter,
 		Breaker:    cfg.Breaker,
 		Floor:      cfg.FloorW,
-		WireCodec:  cfg.WireCodec,
 		Band:       s.band,
 		Reg:        reg,
 		Trace:      s.CycleTrace(),

@@ -35,7 +35,6 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 		{"unknown division", func(c *Config) { c.Division = budget.Division(99) }, "unknown division"},
 		{"negative breaker", func(c *Config) { c.Breaker = -1 }, "negative breaker or floor"},
 		{"negative floor", func(c *Config) { c.FloorW = -1 }, "negative breaker or floor"},
-		{"unknown codec", func(c *Config) { c.WireCodec = "morse" }, "unknown wire codec"},
 		{"negative row", func(c *Config) { c.ParentAddr, c.Row = "127.0.0.1:1", -2 }, "negative row index"},
 		{"inverted failsafe", func(c *Config) {
 			c.ParentAddr = "127.0.0.1:1"
@@ -99,7 +98,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // A status probe against a coordinator, through the real chassis: the
 // reply is marked CoordinatorNode, carries the aggregate and one Batch
-// row per child, and answers the codec advertisement.
+// row per child, and names no codec, since the probe stays on JSON.
 func TestStatusEnvelopeOverTheWire(t *testing.T) {
 	srv := startServer(t, func(c *Config) { c.Epoch = 4 })
 
@@ -128,14 +127,14 @@ func TestStatusEnvelopeOverTheWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Type != wire.KindStatus || env.Node != CoordinatorNode || env.Stats == nil || env.Codec != wire.CodecBinary {
+	if env.Type != wire.KindStatus || env.Node != CoordinatorNode || env.Stats == nil || env.Codec != "" {
 		t.Fatalf("not a coordinator status envelope: %+v", env)
 	}
 	st := env.Stats
 	if st.Epoch != 4 || !st.Leader || st.Governed || st.Cycles != 1 || st.ThresholdPLW != 900 || st.ThresholdPHW != 1000 {
 		t.Errorf("aggregate: %+v", st)
 	}
-	if st.Agents != 8 || st.HealthyNodes != 7 || st.LostNodes != 0 || st.BinaryConns != 1 || st.LastPowerW != 300 || st.DemandW != 400 {
+	if st.Agents != 8 || st.HealthyNodes != 7 || st.LostNodes != 0 || st.LastPowerW != 300 || st.DemandW != 400 {
 		t.Errorf("fleet roll-up: %+v", st)
 	}
 	if len(env.Batch) != 1 {

@@ -57,7 +57,6 @@ func (s *Server) StatusEnvelope() wire.Envelope {
 
 	env := wire.Envelope{Type: wire.KindStatus, Node: CoordinatorNode, Stats: &st}
 	env.Batch = make([]wire.Envelope, 0, len(children))
-	var binConns, jsonConns int
 	for _, c := range children {
 		st.Agents += c.Agents
 		st.HealthyNodes += c.Healthy
@@ -67,12 +66,6 @@ func (s *Server) StatusEnvelope() wire.Envelope {
 		live := 0
 		if c.Live {
 			live = 1
-		}
-		switch c.Codec {
-		case wire.CodecBinary:
-			binConns++
-		case wire.CodecJSON:
-			jsonConns++
 		}
 		env.Batch = append(env.Batch, wire.Envelope{
 			Type: wire.KindCabReport, Node: c.Child,
@@ -88,7 +81,5 @@ func (s *Server) StatusEnvelope() wire.Envelope {
 			Healthy: c.Healthy,
 		})
 	}
-	st.BinaryConns = binConns
-	st.JSONConns = jsonConns
 	return env
 }

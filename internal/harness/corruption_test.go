@@ -4,20 +4,17 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/agentd"
 	"repro/internal/faultnet"
 	"repro/internal/power"
-	"repro/internal/wire"
 )
 
-// TestMixedCodecFleetUnderCorruption is the mixed-fleet regression soak:
-// half the agents negotiate the binary codec, half stay pinned to JSON,
-// and every agent's sample stream runs under 20% byte corruption. The
-// capping invariant must hold, the fleet must stay (or come back)
-// connected, and the corruption must surface as decode_errors — detected
-// and skipped frames — never as a silent misparse feeding the control
-// loop garbage. Runs under -race in CI.
-func TestMixedCodecFleetUnderCorruption(t *testing.T) {
+// TestFleetUnderCorruption is the corruption soak: every agent negotiates
+// the binary codec, and every agent's sample stream runs under 20% byte
+// corruption. The capping invariant must hold, the fleet must stay (or
+// come back) connected, and the corruption must surface as decode_errors
+// — detected and skipped frames — never as a silent misparse feeding the
+// control loop garbage. Runs under -race in CI.
+func TestFleetUnderCorruption(t *testing.T) {
 	const agents = 32
 	// Scaled from chaosThresholds: a 32-agent fleet draws ~8.4 kW
 	// uncapped and ~5 kW floored, so this band forces real throttling.
@@ -28,14 +25,6 @@ func TestMixedCodecFleetUnderCorruption(t *testing.T) {
 		Thresholds:     thr,
 		CommandTimeout: 100 * time.Millisecond,
 		AgentProfile:   faultnet.Profile{CorruptProb: 0.2, FirstWriteClean: true},
-		// Odd agents pin JSON; even agents keep the default and
-		// negotiate binary. Both codecs share every connection's read
-		// path, so the manager serves the mix with no configuration.
-		AgentSetup: func(i int, cfg *agentd.Config) {
-			if i%2 == 1 {
-				cfg.Codec = wire.CodecJSON
-			}
-		},
 	})
 	c.AwaitAgents(agents, 20*time.Second)
 
@@ -69,5 +58,5 @@ func TestMixedCodecFleetUnderCorruption(t *testing.T) {
 	if st.SamplesReceived == 0 {
 		t.Errorf("no samples survived the corruption soak: %+v", st)
 	}
-	t.Logf("mixed-codec soak: corrupted=%d decode_errors=%d status %+v", ns.Corrupted, st.DecodeErrors, st)
+	t.Logf("corruption soak: corrupted=%d decode_errors=%d status %+v", ns.Corrupted, st.DecodeErrors, st)
 }

@@ -128,13 +128,6 @@ type Options struct {
 	// daemon cluster backend, where core's manager owns the control law.
 	External bool
 
-	// WireCodec and AgentCodec pass through to managerd.Config.WireCodec
-	// and agentd.Config.Codec: "json" pins the newline-JSON reference
-	// codec, "" or "binary" negotiates the binary codec. Override a
-	// single agent with AgentSetup to build mixed-codec fleets.
-	WireCodec  string
-	AgentCodec string
-
 	// AgentSetup, when non-nil, mutates each agent's config just before
 	// agentd.New — the daemon backend uses it to make agents passive
 	// relays for the simulated plant's nodes.
@@ -181,7 +174,6 @@ func (o Options) serverConfig(ln net.Listener) managerd.Config {
 		Learn:           o.Learn,
 		MetricsAddr:     o.MetricsAddr,
 		ExternalControl: o.External,
-		WireCodec:       o.WireCodec,
 		Cabinet:         o.Cabinet,
 		CoordinatorDial: o.CoordinatorDial,
 		ReportEvery:     o.ReportEvery,
@@ -277,7 +269,6 @@ func New(opt Options) (*Cluster, error) {
 			Seed:          opt.Seed + int64(i) + 1,
 			FailsafeAfter: opt.FailsafeAfter,
 			FailsafeLevel: opt.FailsafeLevel,
-			Codec:         opt.AgentCodec,
 			Dial: func(ctx context.Context) (net.Conn, error) {
 				return n.Dial(ctx, key)
 			},

@@ -136,14 +136,6 @@ type Config struct {
 	// and status probes that keeps replication off the agent accept path.
 	ReplicaAddr string
 
-	// WireCodec selects the preferred wire codec negotiated with agents
-	// and journal followers at hello: "binary" (also the "" default)
-	// switches peers that advertise binary support onto the
-	// length-prefixed checksummed codec; "json" pins every connection to
-	// the newline-JSON reference codec. The read side always accepts
-	// both, so mixed fleets and rolling upgrades need no coordination.
-	WireCodec string
-
 	// --- Capping federation (federate.go) ---
 
 	// CoordinatorAddr, when non-empty, puts the daemon in governed mode:
@@ -203,7 +195,6 @@ type agentConn struct {
 	conn     *wire.Conn
 	accepted uint64 // accept-order stamp (see serveConn)
 	maxLevel int
-	binary   bool // negotiated onto the binary codec (set before registration)
 
 	// Outbox; guarded by obMu (ordered strictly below shard mutexes).
 	// obCmd is held by value with obHas as its presence flag: a command
@@ -327,10 +318,8 @@ type Server struct {
 
 	// gov is the upward federation session (federate.go); nil unless
 	// governed.
-	gov        *tier.Governor
-	demandWG   *obs.Gauge
-	binConnsG  *obs.Gauge
-	jsonConnsG *obs.Gauge
+	gov      *tier.Governor
+	demandWG *obs.Gauge
 
 	// senders counts the running per-node senders (sender.go), which the
 	// chassis does not start and so cannot wait for.
@@ -384,11 +373,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.FanoutWorkers == 0 {
 		cfg.FanoutWorkers = runtime.GOMAXPROCS(0)
-	}
-	switch cfg.WireCodec {
-	case "", wire.CodecBinary, wire.CodecJSON:
-	default:
-		return nil, fmt.Errorf("managerd: unknown wire codec %q", cfg.WireCodec)
 	}
 	governed := cfg.CoordinatorAddr != "" || cfg.CoordinatorDial != nil
 	if governed {
@@ -457,7 +441,6 @@ func New(cfg Config) (*Server, error) {
 		Listen:       listen,
 		MetricsAddr:  cfg.MetricsAddr,
 		CycleHistory: cfg.CycleHistory,
-		WireCodec:    cfg.WireCodec,
 		ControlEvery: cfg.ControlEvery,
 		HA:           cfg.HA,
 		WriteTimeout: cfg.CommandTimeout,
@@ -506,8 +489,6 @@ func New(cfg Config) (*Server, error) {
 	srv.quarNodesG = reg.Gauge("quarantined_nodes")
 
 	srv.demandWG = reg.Gauge("demand_w")
-	srv.binConnsG = reg.Gauge("binary_conns")
-	srv.jsonConnsG = reg.Gauge("json_conns")
 
 	reg.Gauge("shards").SetInt(int64(len(srv.nodes.shards)))
 	reg.Gauge("cabinet").SetInt(int64(cfg.Cabinet))
@@ -591,7 +572,7 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 	// first manager→agent frame (nothing can enqueue to this connection
 	// until it is registered below), so the agent knows both before any
 	// command arrives. A manager with neither to announce sends none.
-	codec := wire.Choose(first, s.cfg.WireCodec)
+	codec := wire.Choose(first)
 	var reply *wire.Envelope
 	if s.Epoch() > 0 || codec == wire.CodecBinary {
 		reply = &wire.Envelope{Type: wire.KindHello, Epoch: s.Epoch()}
@@ -601,7 +582,7 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 	}
 
 	id := node.ID(first.Node)
-	ac := &agentConn{id: id, conn: conn, accepted: accepted, maxLevel: max(first.MaxLevel, 0), binary: conn.BinaryWrites()}
+	ac := &agentConn{id: id, conn: conn, accepted: accepted, maxLevel: max(first.MaxLevel, 0)}
 	now := time.Now()
 	sh := s.nodes.of(id)
 	sh.mu.Lock()
@@ -622,11 +603,10 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 	// the first sample arrives, so reconciliation can start immediately.
 	rec.last = manager.AgentReading{ID: id, Level: ac.clampLevel(first.Level), MaxLevel: ac.maxLevel}
 	rec.lastAt, rec.lastEpoch = now, 0
-	connTally(sh, ac, +1)
-	if old != nil {
-		// The replaced connection's own teardown will see itself already
-		// deregistered, so its tally is settled here.
-		connTally(sh, old, -1)
+	if old == nil {
+		// A replaced connection's own teardown sees itself already
+		// deregistered, so the count moves only for a new one.
+		sh.nConns++
 	}
 	sh.mu.Unlock()
 	if old != nil {
@@ -635,6 +615,12 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 		// noteSendError).
 		old.conn.Close()
 		s.retireOutbox(old)
+	}
+	if s.Deposed() {
+		// Deposed between the fence check and the registration: the shed
+		// may have run before this connection was there to close. receive
+		// tears it down.
+		conn.Close()
 	}
 	return func() { s.receive(sh, rec, ac) }
 }
@@ -686,7 +672,7 @@ func (s *Server) receive(sh *shard, rec *nodeRec, ac *agentConn) {
 	sh.mu.Lock()
 	if rec.ac == ac {
 		rec.ac = nil
-		connTally(sh, ac, -1)
+		sh.nConns--
 	}
 	sh.mu.Unlock()
 	s.retireOutbox(ac)
@@ -695,16 +681,6 @@ func (s *Server) receive(sh *shard, rec *nodeRec, ac *agentConn) {
 // clampLevel bounds a level a remote agent reported — in a hello, a sample
 // or an ack — to the range its node can be in.
 func (ac *agentConn) clampLevel(l int) int { return max(0, min(l, ac.maxLevel)) }
-
-// connTally adjusts the shard's per-codec connection counts for one
-// registered agent connection. Caller holds sh.mu.
-func connTally(sh *shard, ac *agentConn, d int) {
-	if ac.binary {
-		sh.nBin += d
-	} else {
-		sh.nJSON += d
-	}
-}
 
 // actuator routes manager commands to agent connections, tagging each
 // dispatch with the issuing cycle's fan-out tracker.
@@ -1119,7 +1095,7 @@ func (s *Server) StepCycle() time.Duration {
 // that already visits every record; this reads the cached per-shard
 // tallies, so a status probe costs O(shards) regardless of fleet size.
 func (s *Server) refreshGauges() {
-	var drifted, healthy, staleN, lost, quar, nBin, nJSON int
+	var drifted, healthy, staleN, lost, quar, conns int
 	for _, sh := range s.nodes.shards {
 		sh.mu.Lock()
 		drifted += sh.drifted
@@ -1127,19 +1103,16 @@ func (s *Server) refreshGauges() {
 		staleN += sh.nStale
 		lost += sh.nLost
 		quar += sh.nQuar
-		nBin += sh.nBin
-		nJSON += sh.nJSON
+		conns += sh.nConns
 		sh.mu.Unlock()
 	}
-	s.agentsG.SetInt(int64(nBin + nJSON))
+	s.agentsG.SetInt(int64(conns))
 	s.recordsG.SetInt(int64(healthy + staleN + lost + quar)) // every record is in exactly one state
 	s.driftedG.SetInt(int64(drifted))
 	s.healthyG.SetInt(int64(healthy))
 	s.staleNodesG.SetInt(int64(staleN))
 	s.lostG.SetInt(int64(lost))
 	s.quarNodesG.SetInt(int64(quar))
-	s.binConnsG.SetInt(int64(nBin))
-	s.jsonConnsG.SetInt(int64(nJSON))
 	// Management cost: busy time over elapsed control time (Fig. 5's
 	// utilisation curve). The cycles counter is the manager's.
 	if cycles := s.cyclesC.Value(); cycles > 0 {
@@ -1181,14 +1154,9 @@ func QueryStatus(addr string, timeout time.Duration) (wire.StatusReply, error) {
 // coordinator daemon — both answer the same KindStatus probe. The
 // envelope's Node distinguishes them (a coordinator stamps
 // fedd.CoordinatorNode and attaches one Batch row per child), so a CLI
-// can render whichever daemon it happened to dial.
+// can render whichever daemon it happened to dial. The probe and its
+// reply are JSON.
 func QueryStatusEnvelope(addr string, timeout time.Duration) (wire.Envelope, error) {
-	return probe(addr, timeout, nil)
-}
-
-// probe sends one status request, advertising codecs, and returns the
-// reply. The probe itself stays on JSON whatever it advertises.
-func probe(addr string, timeout time.Duration, codecs []string) (wire.Envelope, error) {
 	// ctx's deadline bounds the dial and, by closing the connection, the rest.
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -1197,7 +1165,7 @@ func probe(addr string, timeout time.Duration, codecs []string) (wire.Envelope, 
 		return wire.Envelope{}, err
 	}
 	defer conn.Close()
-	if err := conn.Send(wire.Envelope{Type: wire.KindStatus, Codecs: codecs}); err != nil {
+	if err := conn.Send(wire.Envelope{Type: wire.KindStatus}); err != nil {
 		return wire.Envelope{}, err
 	}
 	env, err := conn.Recv()
@@ -1211,22 +1179,4 @@ func probe(addr string, timeout time.Duration, codecs []string) (wire.Envelope, 
 		return wire.Envelope{}, fmt.Errorf("managerd: unexpected reply %q", env.Type)
 	}
 	return env, nil
-}
-
-// QueryCodec connects to a manager daemon, advertises the full codec set
-// a real agent would, and reports which codec the daemon negotiates plus
-// its status (whose BinaryConns/JSONConns split shows what the live fleet
-// actually negotiated).
-func QueryCodec(addr string, timeout time.Duration) (string, wire.StatusReply, error) {
-	env, err := probe(addr, timeout, []string{wire.CodecBinary, wire.CodecJSON})
-	if err != nil {
-		return "", wire.StatusReply{}, err
-	}
-	codec := env.Codec
-	if codec == "" {
-		// A pre-negotiation daemon ignores the advertisement; that fact is
-		// the answer.
-		codec = wire.CodecJSON
-	}
-	return codec, *env.Stats, nil
 }

@@ -79,12 +79,9 @@ type shard struct {
 	nQuar    int
 	drifted  int
 
-	// Connected-agent codec tallies, adjusted at connection register,
-	// replace and teardown in serveConn — the same O(shards) cache idea,
-	// feeding the binary_conns/json_conns gauges; their sum is the agents
-	// gauge.
-	nBin  int
-	nJSON int
+	// Registered agent connections, counted at register and teardown —
+	// the same O(shards) cache idea, feeding the agents gauge.
+	nConns int
 }
 
 // conns lists the shard's registered connections into buf's storage, so

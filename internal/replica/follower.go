@@ -86,10 +86,11 @@ func (f *Follower) Run(ctx context.Context) error {
 // session is one subscription: resubscribe from the store's head, apply
 // and acknowledge entries until anything at all goes wrong.
 func (f *Follower) session(conn *wire.Conn) {
-	// The subscribe frame carries the codec offer; the leader answers with
-	// the stream itself, so our acks — one small frame per entry — stay JSON.
+	// The subscribe frame carries the codec offer. The leader's hello reply
+	// confirms it as it is read, switching our acks onto binary, and is then
+	// skipped like any frame that is not an append.
 	sub := wire.Envelope{Type: wire.KindJournalAck, Seq: f.cfg.Store.Seq(), Epoch: f.cfg.Store.Epoch()}
-	if conn.Offer(sub, "") != nil {
+	if conn.Offer(sub) != nil {
 		return
 	}
 	f.connectedG.Set(1)

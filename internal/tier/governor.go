@@ -34,9 +34,6 @@ type GovernorConfig struct {
 	// Initial is the band enforced before the first grant of a young
 	// connection (inside the grace window).
 	Initial power.Thresholds
-	// WireCodec mirrors managerd's: "binary" (and "") advertises the
-	// binary codec on the subscribe frame; "json" pins JSON.
-	WireCodec string
 	// Snapshot supplies the aggregate state for each upward report; it
 	// may have side effects (managerd refreshes its gauges here). Must be
 	// non-nil.
@@ -151,7 +148,7 @@ func (g *Governor) Run(ctx context.Context) {
 // either side fails — a closed connection is how the link ends it.
 func (g *Governor) session(conn *wire.Conn) {
 	g.conn.Store(conn)
-	if conn.Offer(g.reportEnvelope(), g.cfg.WireCodec) != nil {
+	if conn.Offer(g.reportEnvelope()) != nil {
 		return
 	}
 

@@ -34,9 +34,6 @@ type GrantorConfig struct {
 	// what it draws while floored on its local failsafe). Zero disables
 	// both.
 	Floor units.Watts
-	// WireCodec mirrors managerd's: "binary" (and "") negotiates the
-	// binary codec with children that advertise it; "json" pins JSON.
-	WireCodec string
 	// Band returns the budget band to divide this cycle. At the facility
 	// root it is static configuration; at a mid-tier coordinator it is
 	// the embedded Governor's Thresholds(now) — which is exactly how a
@@ -174,7 +171,7 @@ func (g *Grantor) Serve(conn *wire.Conn, first wire.Envelope) {
 	if first.Type != wire.KindCabReport || first.Node < 0 {
 		return
 	}
-	codec := wire.Choose(&first, g.cfg.WireCodec)
+	codec := wire.Choose(&first)
 	if conn.Confirm(codec, &wire.Envelope{Type: wire.KindHello}) != nil {
 		return
 	}

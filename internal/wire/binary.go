@@ -11,7 +11,7 @@ import (
 	"math"
 )
 
-// Binary codec: the negotiated fast path beside the JSON line protocol.
+// Binary codec: what every session writes once its hello has settled it.
 //
 // A binary frame is
 //
@@ -96,10 +96,6 @@ const (
 	wireFixed64 = 1
 	wireBytes   = 2
 )
-
-// errNoBinary marks an envelope kind the binary codec cannot carry; Send
-// falls back to the JSON line for that one frame.
-var errNoBinary = errors.New("wire: kind has no binary encoding")
 
 // DecodeError reports a frame that failed to decode. When Recoverable,
 // the stream is still synchronised past the bad frame — the caller may
@@ -195,17 +191,16 @@ func appendBytesField(buf []byte, tag uint64, b []byte) []byte {
 	return append(buf, b...)
 }
 
-// appendPayload encodes e (kind byte + fields) onto buf. It returns
-// errNoBinary for kinds outside the table — the caller falls back to
-// JSON for the whole frame — and a real error for payloads the JSON
-// codec would also refuse (an Entry that is not valid JSON).
+// appendPayload encodes e (kind byte + fields) onto buf. It refuses kinds
+// outside the table and payloads the JSON codec would also refuse (an
+// Entry that is not valid JSON).
 func appendPayload(buf []byte, e *Envelope, depth int) ([]byte, error) {
 	if depth > maxBatchDepth {
 		return buf, errors.New("wire: batch nesting too deep to encode")
 	}
 	kb, ok := kindByte(e.Type)
 	if !ok {
-		return buf, errNoBinary
+		return buf, fmt.Errorf("wire: kind %q has no binary encoding", e.Type)
 	}
 	buf = append(buf, kb)
 	if e.Node != 0 {
@@ -309,8 +304,7 @@ func appendPayload(buf []byte, e *Envelope, depth int) ([]byte, error) {
 }
 
 // AppendFrame encodes e as one complete binary frame (header, payload,
-// checksum) onto buf. The error is errNoBinary (possibly wrapped) when
-// the kind has no binary form.
+// checksum) onto buf.
 func AppendFrame(buf []byte, e *Envelope) ([]byte, error) {
 	base := len(buf)
 	buf = append(buf, frameMagic, frameVersion, 0, 0, 0, 0)
@@ -464,19 +458,15 @@ func decodePayload(p []byte, e *Envelope, depth int) error {
 }
 
 // sendBinary encodes and writes e as one binary frame, reusing the
-// connection's encode buffer. handled=false (with a nil error) means the
-// kind has no binary form and the caller should emit the JSON line.
-func (c *Conn) sendBinary(e *Envelope) (handled bool, err error) {
+// connection's encode buffer. A frame that fails to encode writes nothing.
+func (c *Conn) sendBinary(e *Envelope) error {
 	buf, err := AppendFrame(c.encBuf[:0], e)
 	c.encBuf = buf[:0]
 	if err != nil {
-		if errors.Is(err, errNoBinary) {
-			return false, nil
-		}
-		return true, err
+		return err
 	}
 	_, err = c.raw.Write(buf)
-	return true, err
+	return err
 }
 
 // recvBinary reads one binary frame body (the magic byte is already

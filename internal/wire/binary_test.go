@@ -105,7 +105,7 @@ func TestBinaryEntryCompaction(t *testing.T) {
 func TestBinaryNegotiatedOnWire(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(pipeConn{&buf, &buf})
-	if c.BinaryWrites() {
+	if c.binWrite.Load() {
 		t.Fatal("binary writes on before negotiation")
 	}
 	c.EnableBinary()
@@ -125,25 +125,18 @@ func TestBinaryNegotiatedOnWire(t *testing.T) {
 	}
 }
 
-// TestBinaryUnknownKindFallsBackToJSON: a kind outside the binary table
-// goes out as a JSON line even on a binary-enabled connection, so future
-// frame kinds need no codec coordination.
-func TestBinaryUnknownKindFallsBackToJSON(t *testing.T) {
+// TestBinaryUnknownKindIsASendError: a kind outside the binary table is
+// refused on a binary connection, and nothing reaches the stream — the
+// table covers every kind, so an unknown one is a bug, not a JSON line.
+func TestBinaryUnknownKindIsASendError(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(pipeConn{&buf, &buf})
 	c.EnableBinary()
-	if err := c.Send(Envelope{Type: "future_kind", Node: 1}); err != nil {
-		t.Fatal(err)
+	if err := c.Send(Envelope{Type: "future_kind", Node: 1}); err == nil {
+		t.Fatal("unknown kind sent on a binary connection")
 	}
-	if buf.Bytes()[0] != '{' {
-		t.Fatalf("first byte %#x, want '{' (JSON fallback)", buf.Bytes()[0])
-	}
-	got, err := c.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Type != "future_kind" || got.Node != 1 {
-		t.Fatalf("got %+v", got)
+	if buf.Len() != 0 {
+		t.Fatalf("failed send wrote %d bytes: %q", buf.Len(), buf.Bytes())
 	}
 }
 

@@ -88,21 +88,19 @@ func (l Link) Run(ctx context.Context, serve func(*Conn)) {
 }
 
 // Offer is the client half of the handshake: it sends the session's first
-// frame, advertising the binary codec unless prefer pins JSON. Writes stay
-// JSON until Next sees the peer's hello name binary — a peer that predates
-// the negotiation never confirms, and nothing changes.
-func (c *Conn) Offer(first Envelope, prefer string) error {
-	if prefer != CodecJSON {
-		first.Codecs = []string{CodecBinary}
-		c.offered = true
-	}
+// frame, advertising the binary codec. Writes stay JSON until a read sees
+// the peer's hello name binary — a peer that predates the negotiation
+// never confirms, and nothing changes.
+func (c *Conn) Offer(first Envelope) error {
+	first.Codecs = []string{CodecBinary}
+	c.offered = true
 	return c.Send(first)
 }
 
 // Choose is the server's decision: binary when the peer's first frame
-// advertises it and the daemon's preference does not pin JSON.
-func Choose(first *Envelope, prefer string) string {
-	if prefer != CodecJSON && first.Advertises(CodecBinary) {
+// advertises it, JSON for a peer that does not.
+func Choose(first *Envelope) string {
+	if first.Advertises(CodecBinary) {
 		return CodecBinary
 	}
 	return CodecJSON
@@ -131,15 +129,11 @@ func (c *Conn) Confirm(codec string, reply *Envelope) error {
 // framing layer has already resynchronised past is reported to skipped
 // (bound once per connection by the caller; nil to ignore) and skipped, so
 // line noise costs freshness, not the session. I/O errors and fatal decode
-// errors, RecvInto's escalation included, end it. A peer's hello confirming
-// an Offer takes effect here, before the caller sees the frame.
+// errors, RecvInto's escalation included, end it.
 func (c *Conn) Next(e *Envelope, skipped func()) error {
 	for {
 		err := c.RecvInto(e)
 		if err == nil {
-			if c.offered && e.Type == KindHello && e.Codec == CodecBinary {
-				c.EnableBinary()
-			}
 			return nil
 		}
 		var de *DecodeError

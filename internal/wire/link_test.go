@@ -90,7 +90,7 @@ func TestLinkRedialPacing(t *testing.T) {
 	}
 	l.Run(ctx, func(c *Conn) {
 		var env Envelope
-		if c.Offer(Envelope{Type: KindHello}, "") == nil {
+		if c.Offer(Envelope{Type: KindHello}) == nil {
 			for c.Next(&env, nil) == nil {
 			}
 		}
@@ -114,24 +114,24 @@ func TestLinkRedialPacing(t *testing.T) {
 	}
 }
 
-// TestHandshakeMatrix crosses what the client offers with what the server
-// prefers, over a faultnet link, and checks the codec each side ends up
-// writing — then that both directions still decode.
+// TestHandshakeMatrix crosses what the client offers with whether the
+// server, which always prefers binary, replies, over a faultnet link, and
+// checks the codec each side ends up writing — then that both directions
+// still decode.
 func TestHandshakeMatrix(t *testing.T) {
 	cases := []struct {
 		name                 string
-		clientPref, servPref string
+		offer                bool // the client's first frame goes out through Offer
 		reply                bool // the server sends a hello reply
 		clientBin, serverBin bool
 	}{
-		{"binary offered, binary preferred", "", "", true, true, true},
-		{"binary offered, json pinned", CodecBinary, CodecJSON, true, false, false},
-		{"nothing offered, binary preferred", CodecJSON, "", true, false, false},
-		{"nothing offered, json pinned", CodecJSON, CodecJSON, true, false, false},
-		// A follower's leader: switches its own writes, never replies, so
-		// the client stays on JSON — as it does against a peer that
-		// predates the negotiation.
-		{"binary offered, server never replies", "", "", false, false, true},
+		{"binary offered, binary preferred", true, true, true, true},
+		// A peer that predates the negotiation: its plain first frame
+		// advertises nothing, and both directions stay on JSON.
+		{"nothing offered, binary preferred", false, true, false, false},
+		// A server that switches its own writes but never replies leaves
+		// the client on JSON, as a peer that predates the negotiation does.
+		{"binary offered, server never replies", true, false, false, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -150,21 +150,26 @@ func TestHandshakeMatrix(t *testing.T) {
 			server := NewConn(raw)
 			defer server.Close()
 
-			if err := client.Offer(Envelope{Type: KindHello, Node: 7}, tc.clientPref); err != nil {
+			hello := Envelope{Type: KindHello, Node: 7}
+			send := client.Send
+			if tc.offer {
+				send = client.Offer
+			}
+			if err := send(hello); err != nil {
 				t.Fatal(err)
 			}
 			first, err := server.Recv()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := first.Advertises(CodecBinary); got != (tc.clientPref != CodecJSON) {
+			if got := first.Advertises(CodecBinary); got != tc.offer {
 				t.Errorf("first frame advertises binary = %v", got)
 			}
 			var reply *Envelope
 			if tc.reply {
 				reply = &Envelope{Type: KindHello, Epoch: 3}
 			}
-			if err := server.Confirm(Choose(&first, tc.servPref), reply); err != nil {
+			if err := server.Confirm(Choose(&first), reply); err != nil {
 				t.Fatal(err)
 			}
 			// One frame each way; the client's read is what completes its
@@ -181,9 +186,9 @@ func TestHandshakeMatrix(t *testing.T) {
 			if err := client.Next(&env, nil); err != nil || env.Type != KindCommand || env.Seq != 9 {
 				t.Fatalf("command = %+v, %v", env, err)
 			}
-			if client.BinaryWrites() != tc.clientBin || server.BinaryWrites() != tc.serverBin {
+			if client.binWrite.Load() != tc.clientBin || server.binWrite.Load() != tc.serverBin {
 				t.Errorf("binary writes client/server = %v/%v, want %v/%v",
-					client.BinaryWrites(), server.BinaryWrites(), tc.clientBin, tc.serverBin)
+					client.binWrite.Load(), server.binWrite.Load(), tc.clientBin, tc.serverBin)
 			}
 			if err := client.Send(Envelope{Type: KindAck, Seq: 9, Level: 2}); err != nil {
 				t.Fatal(err)
@@ -304,7 +309,7 @@ func TestCancelReleasesTheLink(t *testing.T) {
 				defer close(done)
 				tc.link.Run(ctx, func(c *Conn) {
 					var env Envelope
-					if c.Offer(Envelope{Type: KindHello}, "") == nil {
+					if c.Offer(Envelope{Type: KindHello}) == nil {
 						parked <- struct{}{}
 						_ = c.Next(&env, nil)
 					}

@@ -1,8 +1,7 @@
 // Package wire defines the protocol between per-node profiling agents
-// and the global power manager daemon: newline-delimited JSON messages
-// over TCP, with an optional length-prefixed binary codec (binary.go)
-// negotiated at Hello for the hot paths. One connection per agent,
-// established agent→manager:
+// and the global power manager daemon: length-prefixed binary frames
+// (binary.go) over TCP, after a newline-delimited JSON hello. One
+// connection per agent, established agent→manager:
 //
 //	agent → manager: hello   (node identity, level table size, current level)
 //	agent → manager: sample  (interval counters + current level, every τ)
@@ -15,9 +14,11 @@
 // the power profile model runs centrally, so model updates never require
 // touching the fleet of agents.
 //
-// Codecs govern writes only and are negotiated on the first exchange
-// (link.go); the read side auto-detects per frame, so every old/new peer
-// combination degrades safely to JSON, the fallback and fuzz reference.
+// A session settles on one codec, binary, on its first exchange (link.go).
+// JSON is the hello and its reply, the status probe and its reply, what a
+// peer that does not advertise binary keeps getting, and the fuzz
+// reference. The read side auto-detects per frame, so a peer that
+// predates the negotiation still reads and is read.
 package wire
 
 import (
@@ -218,11 +219,6 @@ type StatusReply struct {
 	BudgetGrants int     `json:"budget_grants" obs:"budget_grants"` // cab_budget grants applied
 	BudgetFloors int     `json:"budget_floors" obs:"budget_floors"` // failsafe floors on coordinator silence
 	DemandW      float64 `json:"demand_w" obs:"demand_w"`           // last cycle's uncapped full-level demand estimate
-
-	// Wire codec tallies: connected agents by negotiated codec (the
-	// powctl -codec probe reads these to audit a live fleet).
-	BinaryConns int `json:"binary_conns" obs:"binary_conns"` // agent conns on the binary codec
-	JSONConns   int `json:"json_conns" obs:"json_conns"`     // agent conns on the JSON codec
 }
 
 // SampleEnvelope builds a sample message from an agent reading.
@@ -273,7 +269,7 @@ type Conn struct {
 	binWrite atomic.Bool
 
 	// Reused scratch: encBuf backs binary encoding (writer-owned),
-	// readBuf backs binary payloads and overlong JSON lines
+	// readBuf backs binary payloads and overlong JSON lines, both capped
 	// (reader-owned). Steady-state traffic allocates nothing here.
 	encBuf  []byte
 	readBuf []byte
@@ -285,7 +281,7 @@ type Conn struct {
 
 	// Session state (link.go). heard is reader-owned: a frame has arrived.
 	heard   bool
-	offered bool        // Offer advertised binary; the peer's hello may confirm it
+	offered bool        // Offer advertised binary; the peer's hello confirms it in RecvInto
 	unhook  func() bool // Open's ctx hook, released by Close
 }
 
@@ -306,18 +302,13 @@ func NewConn(rw io.ReadWriteCloser) *Conn {
 // warning: frames self-identify.
 func (c *Conn) EnableBinary() { c.binWrite.Store(true) }
 
-// BinaryWrites reports whether the write side emits binary frames.
-func (c *Conn) BinaryWrites() bool { return c.binWrite.Load() }
-
 // Send encodes one message and writes it: a binary frame once
-// EnableBinary has been called (falling back to a JSON line per frame
-// for the rare envelope the binary codec cannot carry), a JSON line
-// otherwise. One message is exactly one Write on the underlying stream.
+// EnableBinary has been called, a JSON line before. A kind the binary
+// codec does not know is an error there, and nothing is written. One
+// message is exactly one Write on the underlying stream.
 func (c *Conn) Send(e Envelope) error {
 	if c.binWrite.Load() {
-		if handled, err := c.sendBinary(&e); handled {
-			return err
-		}
+		return c.sendBinary(&e)
 	}
 	b, err := json.Marshal(e)
 	if err != nil {
@@ -360,6 +351,9 @@ func (c *Conn) Recv() (Envelope, error) {
 // maxDecodeFails consecutive failures the error turns fatal, bounding
 // how long a desynchronised stream can masquerade as a noisy one. Any
 // other error (including a fatal DecodeError) ends the connection.
+//
+// A peer's hello confirming an Offer takes effect here, before the caller
+// sees the frame: from then on this end writes binary.
 func (c *Conn) RecvInto(e *Envelope) error {
 	*e = Envelope{}
 	b, err := c.r.ReadByte()
@@ -374,6 +368,9 @@ func (c *Conn) RecvInto(e *Envelope) error {
 	}
 	if err == nil {
 		c.decodeFails, c.heard = 0, true
+		if c.offered && e.Type == KindHello && e.Codec == CodecBinary {
+			c.EnableBinary()
+		}
 		return nil
 	}
 	var de *DecodeError // escapes through errors.As: declared on the error path only
@@ -386,17 +383,33 @@ func (c *Conn) RecvInto(e *Envelope) error {
 	return err
 }
 
+// maxLineLen bounds a JSON line as maxFramePayload bounds a binary frame,
+// with room for the field names JSON spells out, so the JSON form of any
+// frame the binary codec carries still fits.
+const maxLineLen = maxFramePayload + 4<<10
+
 // recvJSON reads one newline-delimited JSON envelope. Lines longer than
-// the bufio buffer spill into the connection's reused read buffer.
+// the bufio buffer spill into the connection's reused read buffer, up to
+// maxLineLen: a longer line has lost its framing, and the error is fatal.
 func (c *Conn) recvJSON(e *Envelope) error {
 	line, err := c.r.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
-		buf := append(c.readBuf[:0], line...)
-		for err == bufio.ErrBufferFull {
-			line, err = c.r.ReadSlice('\n')
+		buf := c.readBuf[:0]
+		for {
+			n := len(buf) + len(line)
+			if n > maxLineLen {
+				return &DecodeError{Codec: CodecJSON, Fatal: true, Err: fmt.Errorf("line exceeds %d-byte cap", maxLineLen)}
+			}
+			if n > cap(buf) { // grown here, not by append, so the cap bounds the buffer too
+				buf = append(make([]byte, 0, min(max(2*cap(buf), n), maxLineLen)), buf...)
+				c.readBuf = buf
+			}
 			buf = append(buf, line...)
+			if err != bufio.ErrBufferFull {
+				break
+			}
+			line, err = c.r.ReadSlice('\n')
 		}
-		c.readBuf = buf
 		line = buf
 	}
 	if err != nil {

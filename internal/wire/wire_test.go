@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"reflect"
@@ -333,6 +334,21 @@ func TestFramesLargerThanReadBuffer(t *testing.T) {
 				t.Errorf("binary=%v: command behind the %s frame: %+v (%v)", binary, want.Type, got, err)
 			}
 		}
+	}
+}
+
+// TestJSONLineIsCapped: a line with no newline in sight is cut off at
+// maxLineLen with a fatal error, because framing is lost, and the read
+// buffer never grows past the cap on the way.
+func TestJSONLineIsCapped(t *testing.T) {
+	c := NewConn(pipeConn{strings.NewReader(strings.Repeat("x", maxLineLen+1)), io.Discard})
+	_, err := c.Recv()
+	var de *DecodeError
+	if !errors.As(err, &de) || de.Recoverable() || de.Codec != CodecJSON {
+		t.Fatalf("want fatal json DecodeError, got %v", err)
+	}
+	if cap(c.readBuf) > maxLineLen {
+		t.Fatalf("read buffer grew to %d bytes past the %d-byte cap", cap(c.readBuf), maxLineLen)
 	}
 }
 
