@@ -256,7 +256,6 @@ func BenchmarkFormula1Estimate(b *testing.B) {
 func snapshot128() *policy.Snapshot {
 	rng := rand.New(rand.NewSource(1))
 	s := &policy.Snapshot{P: units.KW(34), PL: units.KW(33)}
-	jobs := map[workload.JobID]*policy.JobState{}
 	for i := 0; i < 128; i++ {
 		jid := workload.JobID(1 + i/32)
 		est := units.Watts(250 + rng.Float64()*60)
@@ -267,18 +266,14 @@ func snapshot128() *policy.Snapshot {
 			Job:     jid,
 		}
 		s.Nodes = append(s.Nodes, ns)
-		js, ok := jobs[jid]
-		if !ok {
-			js = &policy.JobState{ID: jid}
-			jobs[jid] = js
+		if len(s.Jobs) == 0 || s.Jobs[len(s.Jobs)-1].ID != jid {
+			s.Jobs = append(s.Jobs, policy.JobState{ID: jid}) // IDs ascend with i
 		}
-		js.Nodes = append(js.Nodes, ns.ID)
+		js := &s.Jobs[len(s.Jobs)-1]
+		js.Nodes = append(js.Nodes, i)
 		js.Power += ns.Est
 		js.PrevPower += ns.PrevEst
 		js.Saving += 15
-	}
-	for _, js := range jobs {
-		s.Jobs = append(s.Jobs, *js)
 	}
 	return s
 }

@@ -17,8 +17,9 @@
 package manager
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/node"
@@ -181,19 +182,6 @@ func (m *Manager) Cycle(p units.Watts, thr power.Thresholds, snap *policy.Snapsh
 	}
 	m.lastSt, m.started = st, true
 
-	// The by-ID index is built lazily: only the yellow selection filter
-	// and the green restore sweep look nodes up by ID. The red path — the
-	// hot path at fleet scale, and the one whose reaction time the paper
-	// bounds — walks the snapshot directly, so it skips the map (and its
-	// per-cycle allocation) entirely.
-	buildIdx := func() map[node.ID]policy.NodeState {
-		idx := make(map[node.ID]policy.NodeState, len(snap.Nodes))
-		for _, n := range snap.Nodes {
-			idx[n.ID] = n
-		}
-		return idx
-	}
-
 	var actions []Action
 	switch st {
 	case power.Green:
@@ -202,7 +190,7 @@ func (m *Manager) Cycle(p units.Watts, thr power.Thresholds, snap *policy.Snapsh
 		m.cfg.Trace.Stage(obs.StageSelect, 0, "")
 		ta := time.Now()
 		if m.timeg >= m.cfg.Tg && len(m.degraded) > 0 {
-			actions = m.restore(buildIdx(), act)
+			actions = m.restore(snap.Nodes, act)
 		}
 		m.cfg.Trace.Stage(obs.StageActuate, time.Since(ta), fmt.Sprintf("actions=%d", len(actions)))
 
@@ -218,20 +206,20 @@ func (m *Manager) Cycle(p units.Watts, thr power.Thresholds, snap *policy.Snapsh
 		m.selectMicros.Add(float64(dSel) / float64(time.Microsecond))
 		m.cfg.Trace.Stage(obs.StageSelect, dSel, fmt.Sprintf("targets=%d", len(targets)))
 		ta := time.Now()
-		idx := buildIdx()
-		for _, id := range targets {
-			n, ok := idx[id]
-			if !ok || n.Idle || n.AtLowest {
+		actions = make([]Action, 0, len(targets))
+		for _, pos := range targets {
+			n := &snap.Nodes[pos]
+			if n.Idle || n.AtLowest {
 				// Defensive: Algorithm 1 requires valid policies not
 				// to select idle or floor-level nodes; filter anyway.
 				continue
 			}
-			if err := act.SetNodeLevel(id, n.Level-1); err != nil {
+			if err := act.SetNodeLevel(n.ID, n.Level-1); err != nil {
 				continue
 			}
-			m.degraded[id] = true
+			m.degraded[n.ID] = true
 			m.degradeOps.Inc()
-			actions = append(actions, Action{Node: id, Level: n.Level - 1})
+			actions = append(actions, Action{Node: n.ID, Level: n.Level - 1})
 		}
 		m.cfg.Trace.Stage(obs.StageActuate, time.Since(ta), fmt.Sprintf("actions=%d", len(actions)))
 
@@ -257,36 +245,35 @@ func (m *Manager) Cycle(p units.Watts, thr power.Thresholds, snap *policy.Snapsh
 	return st, actions, nil
 }
 
-// restore raises every degraded node by one level (steady green). Nodes
-// reaching their top level leave A_degraded. Nodes absent from this
-// cycle's snapshot — a lost agent sample, or a node that left the
-// candidate set — are skipped but retained: forgetting them would orphan
-// a degraded node at a low level forever after a single dropped reading.
-func (m *Manager) restore(idx map[node.ID]policy.NodeState, act Actuator) []Action {
-	ids := make([]node.ID, 0, len(m.degraded))
-	for id := range m.degraded {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-
-	var actions []Action
-	for _, id := range ids {
-		n, ok := idx[id]
-		if !ok {
-			continue
+// restore raises every degraded node by one level (steady green), in ID
+// order. Nodes reaching their top level leave A_degraded. Nodes absent from
+// this cycle's snapshot — a lost agent sample, or a node that left the
+// candidate set — are skipped but retained: forgetting them would orphan a
+// degraded node at a low level forever after a single dropped reading.
+func (m *Manager) restore(nodes []policy.NodeState, act Actuator) []Action {
+	pos := make([]int, 0, len(m.degraded))
+	for p := range nodes {
+		if m.degraded[nodes[p].ID] {
+			pos = append(pos, p)
 		}
+	}
+	slices.SortFunc(pos, func(a, b int) int { return cmp.Compare(nodes[a].ID, nodes[b].ID) })
+
+	actions := make([]Action, 0, len(pos))
+	for _, p := range pos {
+		n := &nodes[p]
 		next := n.Level + 1
 		if next > n.MaxLevel {
-			delete(m.degraded, id)
+			delete(m.degraded, n.ID)
 			continue
 		}
-		if err := act.SetNodeLevel(id, next); err != nil {
+		if err := act.SetNodeLevel(n.ID, next); err != nil {
 			continue
 		}
 		m.restoreOps.Inc()
-		actions = append(actions, Action{Node: id, Level: next})
+		actions = append(actions, Action{Node: n.ID, Level: next})
 		if next == n.MaxLevel {
-			delete(m.degraded, id)
+			delete(m.degraded, n.ID)
 		}
 	}
 	return actions

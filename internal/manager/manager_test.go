@@ -40,7 +40,7 @@ func mkSnap(n, level int) *policy.Snapshot {
 			Est:      300, EstLower: 285, PrevEst: 295, Job: 1,
 		}
 		s.Nodes = append(s.Nodes, ns)
-		js.Nodes = append(js.Nodes, ns.ID)
+		js.Nodes = append(js.Nodes, i)
 		js.Power += ns.Est
 		js.PrevPower += ns.PrevEst
 		js.Saving += 15
@@ -321,7 +321,7 @@ func TestConvergenceToGreenUnderConstantLoad(t *testing.T) {
 				ns.EstLower = ns.Est
 			}
 			snap.Nodes = append(snap.Nodes, ns)
-			js.Nodes = append(js.Nodes, ns.ID)
+			js.Nodes = append(js.Nodes, i)
 			js.Power += ns.Est
 		}
 		snap.Jobs = []policy.JobState{js}

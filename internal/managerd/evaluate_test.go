@@ -23,10 +23,10 @@ import (
 type snapSpy struct{ got []policy.Snapshot }
 
 func (*snapSpy) Name() string { return "spy" }
-func (p *snapSpy) Select(s *policy.Snapshot) []node.ID {
+func (p *snapSpy) Select(s *policy.Snapshot) []int {
 	c := policy.Snapshot{P: s.P, PL: s.PL, Nodes: append([]policy.NodeState{}, s.Nodes...)}
 	for _, j := range s.Jobs {
-		j.Nodes = append([]node.ID{}, j.Nodes...)
+		j.Nodes = append([]int{}, j.Nodes...)
 		c.Jobs = append(c.Jobs, j)
 	}
 	p.got = append(p.got, c)

@@ -359,12 +359,12 @@ func TestRecordOutlivesConnection(t *testing.T) {
 // degradeAll selects every degradable candidate and keeps the snapshots.
 type degradeAll struct{ snapSpy }
 
-func (p *degradeAll) Select(s *policy.Snapshot) []node.ID {
+func (p *degradeAll) Select(s *policy.Snapshot) []int {
 	p.snapSpy.Select(s)
-	var out []node.ID
-	for _, n := range s.Nodes {
+	var out []int
+	for pos, n := range s.Nodes {
 		if !n.AtLowest && !n.Idle {
-			out = append(out, n.ID)
+			out = append(out, pos)
 		}
 	}
 	return out

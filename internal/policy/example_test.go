@@ -26,14 +26,15 @@ func snapshotOfTwoJobs() *policy.Snapshot {
 	add(2, 320, 1)
 	add(3, 250, 2)
 	s.Jobs = []policy.JobState{
-		{ID: 1, Nodes: []node.ID{0, 1, 2}, Power: 960, PrevPower: 960, Saving: 45},
-		{ID: 2, Nodes: []node.ID{3}, Power: 250, PrevPower: 250, Saving: 15},
+		{ID: 1, Nodes: []int{0, 1, 2}, Power: 960, PrevPower: 960, Saving: 45},
+		{ID: 2, Nodes: []int{3}, Power: 250, PrevPower: 250, Saving: 15},
 	}
 	return s
 }
 
 func ExampleMPC_Select() {
-	// MPC targets the nodes of the most power consuming job (§IV.A).
+	// MPC targets the nodes of the most power consuming job (§IV.A),
+	// named by their positions in the snapshot.
 	targets := policy.MPC{}.Select(snapshotOfTwoJobs())
 	fmt.Println(targets)
 	// Output: [0 1 2]

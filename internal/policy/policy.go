@@ -5,6 +5,10 @@
 // candidate nodes (A_target) whose power budget the capping algorithm will
 // cut by one level.
 //
+// Nodes are named by position, not by ID: JobState.Nodes and the result of
+// Select index Snapshot.Nodes, so a selection reads each node's state where
+// it lies and builds no ID-keyed lookup of the snapshot.
+//
 // State-based policies (MPC, MPC-C, LPC, LPC-C, BFP) select by the current
 // power consumption of jobs; change-based policies (HRI, HRI-C) select by
 // the rate of increase in job power. None/All/Random baselines support the
@@ -12,10 +16,11 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/node"
 	"repro/internal/units"
@@ -49,8 +54,9 @@ type NodeState struct {
 // JobState aggregates the candidate nodes of one job.
 type JobState struct {
 	ID workload.JobID
-	// Nodes is the paper's Nodes(J): non-idle candidate nodes running J.
-	Nodes []node.ID
+	// Nodes is the paper's Nodes(J): the positions in Snapshot.Nodes of the
+	// non-idle candidate nodes running J.
+	Nodes []int
 	// Power is P(J) = Σ P(x) over Nodes.
 	Power units.Watts
 	// PrevPower is P^{t−1}(J) over the same node set; zero if unknown.
@@ -94,65 +100,65 @@ type Snapshot struct {
 // level (§III.B property 4).
 type Policy interface {
 	Name() string
-	Select(s *Snapshot) []node.ID
+	// Select returns A_target as positions in s.Nodes.
+	Select(s *Snapshot) []int
 }
 
 // degradable reports whether a node may be selected.
-func degradable(n NodeState) bool { return !n.Idle && !n.AtLowest }
+func degradable(n *NodeState) bool { return !n.Idle && !n.AtLowest }
 
-// nodeIndex builds an ID → state lookup.
-func nodeIndex(s *Snapshot) map[node.ID]NodeState {
-	idx := make(map[node.ID]NodeState, len(s.Nodes))
-	for _, n := range s.Nodes {
-		idx[n.ID] = n
-	}
-	return idx
+// hasDegradable reports whether any of j's nodes may be selected.
+func hasDegradable(s *Snapshot, j *JobState) bool {
+	return slices.ContainsFunc(j.Nodes, func(p int) bool { return degradable(&s.Nodes[p]) })
 }
 
-// degradableNodesOf filters a job's node list to the degradable ones.
-func degradableNodesOf(j JobState, idx map[node.ID]NodeState) []node.ID {
-	out := make([]node.ID, 0, len(j.Nodes))
-	for _, id := range j.Nodes {
-		if n, ok := idx[id]; ok && degradable(n) {
-			out = append(out, id)
+// degradableOf returns the positions of the degradable nodes of s.Jobs[i];
+// nil when i < 0.
+func degradableOf(s *Snapshot, i int) []int {
+	if i < 0 {
+		return nil
+	}
+	var out []int
+	for _, p := range s.Jobs[i].Nodes {
+		if degradable(&s.Nodes[p]) {
+			out = append(out, p)
 		}
 	}
 	return out
 }
 
-// jobsByPowerDesc returns jobs sorted by P(J) descending (ties by ID for
-// determinism).
-func jobsByPowerDesc(s *Snapshot) []JobState {
-	jobs := append([]JobState(nil), s.Jobs...)
-	sort.Slice(jobs, func(a, b int) bool {
-		if jobs[a].Power != jobs[b].Power {
-			return jobs[a].Power > jobs[b].Power
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
-	return jobs
+// jobOrder returns the indices of s.Jobs sorted by c.
+func jobOrder(s *Snapshot, c func(a, b *JobState) int) []int {
+	order := make([]int, len(s.Jobs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return c(&s.Jobs[a], &s.Jobs[b]) })
+	return order
+}
+
+// powerDesc orders jobs by P(J) descending (ties by ID for determinism).
+func powerDesc(a, b *JobState) int {
+	return cmp.Or(cmp.Compare(b.Power, a.Power), cmp.Compare(a.ID, b.ID))
 }
 
 // selectSingleJob returns the degradable nodes of the job maximising key
 // (with strict preference; ties by lower job ID). Jobs with no degradable
 // nodes are skipped so the policy always returns an actionable set when
 // one exists.
-func selectSingleJob(s *Snapshot, key func(JobState) float64) []node.ID {
-	idx := nodeIndex(s)
-	best := -math.MaxFloat64
-	var bestNodes []node.ID
-	var bestID workload.JobID
-	for _, j := range s.Jobs {
-		nodes := degradableNodesOf(j, idx)
-		if len(nodes) == 0 {
+func selectSingleJob(s *Snapshot, key func(*JobState) float64) []int {
+	best, bestK := -1, -math.MaxFloat64
+	for i := range s.Jobs {
+		j := &s.Jobs[i]
+		if !hasDegradable(s, j) {
 			continue
 		}
 		k := key(j)
-		if k > best || (k == best && (bestNodes == nil || j.ID < bestID)) {
-			best, bestNodes, bestID = k, nodes, j.ID
+		if k > bestK || (k == bestK && (best < 0 || j.ID < s.Jobs[best].ID)) {
+			best, bestK = i, k
 		}
 	}
-	return bestNodes
+	return degradableOf(s, best)
 }
 
 // MPC is the "most power consuming job" policy: target the nodes of the
@@ -163,8 +169,8 @@ type MPC struct{}
 func (MPC) Name() string { return "mpc" }
 
 // Select implements Policy.
-func (MPC) Select(s *Snapshot) []node.ID {
-	return selectSingleJob(s, func(j JobState) float64 { return float64(j.Power) })
+func (MPC) Select(s *Snapshot) []int {
+	return selectSingleJob(s, func(j *JobState) float64 { return float64(j.Power) })
 }
 
 // LPC is the "least power consuming job" policy — slowest effect on power,
@@ -175,8 +181,8 @@ type LPC struct{}
 func (LPC) Name() string { return "lpc" }
 
 // Select implements Policy.
-func (LPC) Select(s *Snapshot) []node.ID {
-	return selectSingleJob(s, func(j JobState) float64 { return -float64(j.Power) })
+func (LPC) Select(s *Snapshot) []int {
+	return selectSingleJob(s, func(j *JobState) float64 { return -float64(j.Power) })
 }
 
 // HRI is the "highest rate of increase" change-based policy: target the
@@ -187,28 +193,28 @@ type HRI struct{}
 func (HRI) Name() string { return "hri" }
 
 // Select implements Policy.
-func (HRI) Select(s *Snapshot) []node.ID {
-	return selectSingleJob(s, func(j JobState) float64 { return j.RateOfIncrease() })
+func (HRI) Select(s *Snapshot) []int {
+	return selectSingleJob(s, func(j *JobState) float64 { return j.RateOfIncrease() })
 }
 
-// collect accumulates jobs in the given order until the predicted saving
-// covers P − PL, per Algorithm 2's loop. It returns the union of the
-// accumulated jobs' degradable nodes.
-func collect(s *Snapshot, jobs []JobState) []node.ID {
-	idx := nodeIndex(s)
+// collect accumulates the jobs at the given indices, in order, until the
+// predicted saving covers P − PL, per Algorithm 2's loop. It returns the
+// union of the accumulated jobs' degradable nodes.
+func collect(s *Snapshot, order []int) []int {
 	needed := float64(s.P - s.PL)
 	saved := 0.0
-	inSet := make(map[node.ID]bool)
-	var out []node.ID
-	for _, j := range jobs {
+	taken := make([]bool, len(s.Nodes))
+	var out []int
+	for _, i := range order {
 		added := false
-		for _, id := range degradableNodesOf(j, idx) {
-			if inSet[id] {
+		for _, p := range s.Jobs[i].Nodes {
+			n := &s.Nodes[p]
+			if !degradable(n) || taken[p] {
 				continue
 			}
-			inSet[id] = true
-			out = append(out, id)
-			saved += float64(idx[id].Est - idx[id].EstLower)
+			taken[p] = true
+			out = append(out, p)
+			saved += float64(n.Est - n.EstLower)
 			added = true
 		}
 		if added && saved >= needed {
@@ -227,8 +233,8 @@ type MPCC struct{}
 func (MPCC) Name() string { return "mpc-c" }
 
 // Select implements Policy.
-func (MPCC) Select(s *Snapshot) []node.ID {
-	return collect(s, jobsByPowerDesc(s))
+func (MPCC) Select(s *Snapshot) []int {
+	return collect(s, jobOrder(s, powerDesc))
 }
 
 // LPCC is the least-power counterpart of MPCC: accumulate jobs in
@@ -239,12 +245,10 @@ type LPCC struct{}
 func (LPCC) Name() string { return "lpc-c" }
 
 // Select implements Policy.
-func (LPCC) Select(s *Snapshot) []node.ID {
-	jobs := jobsByPowerDesc(s)
-	for i, j := 0, len(jobs)-1; i < j; i, j = i+1, j-1 {
-		jobs[i], jobs[j] = jobs[j], jobs[i]
-	}
-	return collect(s, jobs)
+func (LPCC) Select(s *Snapshot) []int {
+	order := jobOrder(s, powerDesc)
+	slices.Reverse(order)
+	return collect(s, order)
 }
 
 // HRIC accumulates jobs by descending rate of increase until the saving
@@ -255,16 +259,10 @@ type HRIC struct{}
 func (HRIC) Name() string { return "hri-c" }
 
 // Select implements Policy.
-func (HRIC) Select(s *Snapshot) []node.ID {
-	jobs := append([]JobState(nil), s.Jobs...)
-	sort.Slice(jobs, func(a, b int) bool {
-		ra, rb := jobs[a].RateOfIncrease(), jobs[b].RateOfIncrease()
-		if ra != rb {
-			return ra > rb
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
-	return collect(s, jobs)
+func (HRIC) Select(s *Snapshot) []int {
+	return collect(s, jobOrder(s, func(a, b *JobState) int {
+		return cmp.Or(cmp.Compare(b.RateOfIncrease(), a.RateOfIncrease()), cmp.Compare(a.ID, b.ID))
+	}))
 }
 
 // MinCost is a sensitivity-aware extension beyond the paper's §IV family,
@@ -284,8 +282,8 @@ type MinCost struct{}
 func (MinCost) Name() string { return "mincost" }
 
 // Select implements Policy.
-func (MinCost) Select(s *Snapshot) []node.ID {
-	return selectSingleJob(s, func(j JobState) float64 {
+func (MinCost) Select(s *Snapshot) []int {
+	return selectSingleJob(s, func(j *JobState) float64 {
 		return float64(j.Saving) / (0.1 + j.Util)
 	})
 }
@@ -300,33 +298,32 @@ type BFP struct{}
 func (BFP) Name() string { return "bfp" }
 
 // Select implements Policy.
-func (BFP) Select(s *Snapshot) []node.ID {
-	idx := nodeIndex(s)
+func (BFP) Select(s *Snapshot) []int {
 	needed := float64(s.P - s.PL)
-	bestFit := math.MaxFloat64
-	var fitNodes []node.ID
-	largest := -1.0
-	var largestNodes []node.ID
-	for _, j := range s.Jobs {
-		nodes := degradableNodesOf(j, idx)
-		if len(nodes) == 0 {
+	fit, bestFit := -1, math.MaxFloat64
+	largest, most := -1, -1.0
+	for i := range s.Jobs {
+		saving, some := 0.0, false
+		for _, p := range s.Jobs[i].Nodes {
+			if n := &s.Nodes[p]; degradable(n) {
+				saving += float64(n.Est - n.EstLower)
+				some = true
+			}
+		}
+		if !some {
 			continue
 		}
-		saving := 0.0
-		for _, id := range nodes {
-			saving += float64(idx[id].Est - idx[id].EstLower)
-		}
 		if saving >= needed && saving < bestFit {
-			bestFit, fitNodes = saving, nodes
+			fit, bestFit = i, saving
 		}
-		if saving > largest {
-			largest, largestNodes = saving, nodes
+		if saving > most {
+			largest, most = i, saving
 		}
 	}
-	if fitNodes != nil {
-		return fitNodes
+	if fit < 0 {
+		fit = largest
 	}
-	return largestNodes
+	return degradableOf(s, fit)
 }
 
 // None never selects anything: the uncapped baseline.
@@ -336,7 +333,7 @@ type None struct{}
 func (None) Name() string { return "none" }
 
 // Select implements Policy.
-func (None) Select(*Snapshot) []node.ID { return nil }
+func (None) Select(*Snapshot) []int { return nil }
 
 // All selects every degradable candidate — the indiscriminate throttling
 // the related-work systems apply, used as an upper bound on power cut and
@@ -347,11 +344,11 @@ type All struct{}
 func (All) Name() string { return "all" }
 
 // Select implements Policy.
-func (All) Select(s *Snapshot) []node.ID {
-	var out []node.ID
-	for _, n := range s.Nodes {
-		if degradable(n) {
-			out = append(out, n.ID)
+func (All) Select(s *Snapshot) []int {
+	var out []int
+	for p := range s.Nodes {
+		if degradable(&s.Nodes[p]) {
+			out = append(out, p)
 		}
 	}
 	return out
@@ -365,21 +362,20 @@ type Random struct{ Rng *rand.Rand }
 func (Random) Name() string { return "random" }
 
 // Select implements Policy.
-func (r Random) Select(s *Snapshot) []node.ID {
-	idx := nodeIndex(s)
-	var eligible [][]node.ID
-	for _, j := range s.Jobs {
-		if nodes := degradableNodesOf(j, idx); len(nodes) > 0 {
-			eligible = append(eligible, nodes)
+func (r Random) Select(s *Snapshot) []int {
+	var eligible []int
+	for i := range s.Jobs {
+		if hasDegradable(s, &s.Jobs[i]) {
+			eligible = append(eligible, i)
 		}
 	}
 	if len(eligible) == 0 {
 		return nil
 	}
 	if r.Rng == nil {
-		return eligible[0]
+		return degradableOf(s, eligible[0])
 	}
-	return eligible[r.Rng.Intn(len(eligible))]
+	return degradableOf(s, eligible[r.Rng.Intn(len(eligible))])
 }
 
 // New constructs a policy by name. Random receives the given rng.

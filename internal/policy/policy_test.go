@@ -48,7 +48,7 @@ func snap() *Snapshot {
 		js := JobState{ID: jid}
 		for _, nid := range jobs[jid] {
 			n := s.Nodes[nid]
-			js.Nodes = append(js.Nodes, n.ID)
+			js.Nodes = append(js.Nodes, nid)
 			js.Power += n.Est
 			js.PrevPower += n.PrevEst
 			js.Saving += n.Est - n.EstLower
@@ -58,24 +58,25 @@ func snap() *Snapshot {
 	return s
 }
 
-func ids(ns []node.ID) []int {
-	out := make([]int, len(ns))
-	for i, id := range ns {
-		out[i] = int(id)
+// selectIDs runs p on s and returns the selected nodes' IDs, ascending.
+func selectIDs(p Policy, s *Snapshot) []int {
+	var out []int
+	for _, pos := range p.Select(s) {
+		out = append(out, int(s.Nodes[pos].ID))
 	}
 	sort.Ints(out)
 	return out
 }
 
 func TestMPCSelectsMostPowerConsumingJob(t *testing.T) {
-	got := ids(MPC{}.Select(snap()))
+	got := selectIDs(MPC{}, snap())
 	if !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
 		t.Errorf("MPC selected %v, want job 1's nodes", got)
 	}
 }
 
 func TestLPCSelectsLeastPowerConsumingJob(t *testing.T) {
-	got := ids(LPC{}.Select(snap()))
+	got := selectIDs(LPC{}, snap())
 	// Job 3 is least power; its floor-level node 8 must be excluded.
 	if !reflect.DeepEqual(got, []int{6}) {
 		t.Errorf("LPC selected %v, want [6]", got)
@@ -83,7 +84,7 @@ func TestLPCSelectsLeastPowerConsumingJob(t *testing.T) {
 }
 
 func TestHRISelectsFastestRisingJob(t *testing.T) {
-	got := ids(HRI{}.Select(snap()))
+	got := selectIDs(HRI{}, snap())
 	if !reflect.DeepEqual(got, []int{4, 5}) {
 		t.Errorf("HRI selected %v, want job 2's nodes", got)
 	}
@@ -107,13 +108,13 @@ func TestMPCCStopsWhenSavingCovers(t *testing.T) {
 	s := snap()
 	// Need P − PL = 1 kW; job 1 saves 4×15 = 60 W, job 2 30 W, job 3
 	// 15 W: all jobs accumulate (total 105 < 1000).
-	got := ids(MPCC{}.Select(s))
+	got := selectIDs(MPCC{}, s)
 	if !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4, 5, 6}) {
 		t.Errorf("MPC-C = %v, want all degradable nodes", got)
 	}
 	// With a tiny deficit, only the most power consuming job is taken.
 	s.P, s.PL = units.KW(34.05), units.KW(34)
-	got = ids(MPCC{}.Select(s))
+	got = selectIDs(MPCC{}, s)
 	if !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
 		t.Errorf("MPC-C with 50 W deficit = %v, want job 1 only", got)
 	}
@@ -122,7 +123,7 @@ func TestMPCCStopsWhenSavingCovers(t *testing.T) {
 func TestLPCCStartsFromLeastPower(t *testing.T) {
 	s := snap()
 	s.P, s.PL = units.KW(34.01), units.KW(34)
-	got := ids(LPCC{}.Select(s))
+	got := selectIDs(LPCC{}, s)
 	if !reflect.DeepEqual(got, []int{6}) {
 		t.Errorf("LPC-C with 10 W deficit = %v, want tiny job only", got)
 	}
@@ -132,7 +133,7 @@ func TestHRICOrdering(t *testing.T) {
 	s := snap()
 	s.P, s.PL = units.KW(34.02), units.KW(34)
 	// 20 W deficit; fastest riser (job 2) saves 30 W ≥ 20: stop there.
-	got := ids(HRIC{}.Select(s))
+	got := selectIDs(HRIC{}, s)
 	if !reflect.DeepEqual(got, []int{4, 5}) {
 		t.Errorf("HRI-C = %v, want job 2's nodes", got)
 	}
@@ -143,13 +144,13 @@ func TestBFPPicksBestFit(t *testing.T) {
 	// Deficit 25 W: job 2 saves 30 (fits, excess 5), job 1 saves 60
 	// (fits, excess 35), job 3 saves 15 (doesn't fit) → job 2.
 	s.P, s.PL = units.KW(34.025), units.KW(34)
-	got := ids(BFP{}.Select(s))
+	got := selectIDs(BFP{}, s)
 	if !reflect.DeepEqual(got, []int{4, 5}) {
 		t.Errorf("BFP = %v, want job 2 (best fit)", got)
 	}
 	// Deficit larger than any single job's saving → largest saving.
 	s.P, s.PL = units.KW(35), units.KW(34)
-	got = ids(BFP{}.Select(s))
+	got = selectIDs(BFP{}, s)
 	if !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
 		t.Errorf("BFP fallback = %v, want job 1 (largest saving)", got)
 	}
@@ -162,7 +163,7 @@ func TestNoneSelectsNothing(t *testing.T) {
 }
 
 func TestAllSelectsEveryDegradableCandidate(t *testing.T) {
-	got := ids(All{}.Select(snap()))
+	got := selectIDs(All{}, snap())
 	// Everything except idle node 7 and floor node 8.
 	if !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4, 5, 6}) {
 		t.Errorf("All = %v", got)
@@ -173,7 +174,7 @@ func TestRandomSelectsOneJob(t *testing.T) {
 	r := Random{Rng: rand.New(rand.NewSource(1))}
 	jobSets := map[string]bool{}
 	for i := 0; i < 100; i++ {
-		got := ids(r.Select(snap()))
+		got := selectIDs(r, snap())
 		if len(got) == 0 {
 			t.Fatal("Random selected nothing")
 		}
@@ -187,7 +188,7 @@ func TestRandomSelectsOneJob(t *testing.T) {
 		t.Error("Random always picked the same job over 100 draws")
 	}
 	// nil rng degrades to deterministic first job.
-	if got := ids(Random{}.Select(snap())); len(got) == 0 {
+	if got := selectIDs(Random{}, snap()); len(got) == 0 {
 		t.Error("nil-rng Random selected nothing")
 	}
 }
@@ -236,7 +237,7 @@ func TestNoPolicySelectsUndegradableProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nNodes%40) + 1
 		s := &Snapshot{P: units.Watts(30000 + float64(deficit)), PL: 30000}
-		jobs := map[workload.JobID]*JobState{}
+		jobs := make([]JobState, 5) // by job ID; 0 = no job
 		for i := 0; i < n; i++ {
 			level := rng.Intn(10)
 			est := 120 + rng.Float64()*200
@@ -254,25 +255,22 @@ func TestNoPolicySelectsUndegradableProperty(t *testing.T) {
 			}
 			s.Nodes = append(s.Nodes, ns)
 			if jid != 0 && !ns.Idle {
-				js, ok := jobs[jid]
-				if !ok {
-					js = &JobState{ID: jid}
-					jobs[jid] = js
-				}
-				js.Nodes = append(js.Nodes, ns.ID)
+				js := &jobs[jid]
+				js.ID = jid
+				js.Nodes = append(js.Nodes, i)
 				js.Power += ns.Est
 				js.PrevPower += ns.PrevEst
 				js.Saving += ns.Est - ns.EstLower
 			}
 		}
 		for _, js := range jobs {
-			s.Jobs = append(s.Jobs, *js)
+			if js.ID != 0 {
+				s.Jobs = append(s.Jobs, js)
+			}
 		}
-		idx := nodeIndex(s)
 		for _, p := range policies {
-			for _, id := range p.Select(s) {
-				st, ok := idx[id]
-				if !ok || st.Idle || st.AtLowest {
+			for _, pos := range p.Select(s) {
+				if st := s.Nodes[pos]; st.Idle || st.AtLowest {
 					return false
 				}
 			}
@@ -291,8 +289,8 @@ func TestCollectionMonotoneInDeficit(t *testing.T) {
 	s1, s2 := snap(), snap()
 	s1.P, s1.PL = units.KW(34.02), units.KW(34)
 	s2.P, s2.PL = units.KW(34.08), units.KW(34)
-	small := ids(MPCC{}.Select(s1))
-	large := ids(MPCC{}.Select(s2))
+	small := selectIDs(MPCC{}, s1)
+	large := selectIDs(MPCC{}, s2)
 	if len(large) < len(small) {
 		t.Errorf("larger deficit selected fewer nodes: %v vs %v", large, small)
 	}
@@ -324,17 +322,17 @@ func TestMinCostPrefersInsensitiveJobs(t *testing.T) {
 	add(2, 0.40, 2)
 	add(3, 0.40, 2)
 	s.Jobs = []JobState{
-		{ID: 1, Nodes: []node.ID{0, 1}, Power: 600, Saving: 30, Util: 0.95},
-		{ID: 2, Nodes: []node.ID{2, 3}, Power: 600, Saving: 30, Util: 0.40},
+		{ID: 1, Nodes: []int{0, 1}, Power: 600, Saving: 30, Util: 0.95},
+		{ID: 2, Nodes: []int{2, 3}, Power: 600, Saving: 30, Util: 0.40},
 	}
-	got := ids(MinCost{}.Select(s))
+	got := selectIDs(MinCost{}, s)
 	if !reflect.DeepEqual(got, []int{2, 3}) {
 		t.Errorf("mincost selected %v, want the comm-bound job's nodes [2 3]", got)
 	}
 	// With equal utilisation, the bigger saving wins.
 	s.Jobs[0].Util = 0.40
 	s.Jobs[0].Saving = 60
-	got = ids(MinCost{}.Select(s))
+	got = selectIDs(MinCost{}, s)
 	if !reflect.DeepEqual(got, []int{0, 1}) {
 		t.Errorf("mincost with equal util selected %v, want bigger saving [0 1]", got)
 	}
