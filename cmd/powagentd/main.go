@@ -61,7 +61,6 @@ func main() {
 
 	a, err := agentd.New(agentd.Config{
 		NodeID:        node.ID(*id),
-		ManagerAddr:   addrs[0],
 		ManagerAddrs:  addrs,
 		SampleEvery:   *sample,
 		TickEvery:     *tick,

@@ -124,7 +124,7 @@ type engine struct {
 func (n *benchNode) boot() (err error) {
 	eng := n.eng
 	n.agent, err = agentd.New(agentd.Config{
-		NodeID: node.ID(n.id), ManagerAddr: eng.cfg.Addr,
+		NodeID: node.ID(n.id), ManagerAddrs: []string{eng.cfg.Addr},
 		SampleEvery: eng.cfg.SampleEvery, TickEvery: eng.cfg.SampleEvery,
 		Passive: true, MaxLevel: eng.maxLevel, InitialLevel: eng.maxLevel,
 		Apply: func(level int) (int, error) {

@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"io"
 	"net"
@@ -548,4 +549,141 @@ func TestDaemonCLIRoundTrip(t *testing.T) {
 		exec.Command("sleep", "0.25").Run()
 	}
 	t.Fatal("powctl never saw the connected agent")
+}
+
+// syncBuffer collects a running daemon's output for polling.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// startDaemon starts one of the built daemons with its output captured and
+// kills it when the test ends.
+func startDaemon(t *testing.T, bin, name string, args ...string) (*exec.Cmd, *syncBuffer) {
+	t.Helper()
+	out := &syncBuffer{}
+	cmd := exec.Command(filepath.Join(bin, name), args...)
+	cmd.Stdout, cmd.Stderr = out, out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
+	return cmd, out
+}
+
+// awaitOutput waits up to 10 s for a daemon's output to hold want.
+func awaitOutput(t *testing.T, out *syncBuffer, want string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(out.String(), want); time.Sleep(50 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("output never showed %q:\n%s", want, out)
+		}
+	}
+}
+
+// pollPowctl runs powctl against addr until its output holds want, or
+// fails the test after 10 s.
+func pollPowctl(t *testing.T, bin, addr, want string) {
+	t.Helper()
+	var out []byte
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Millisecond) {
+		out, _ = exec.Command(filepath.Join(bin, "powctl"), "-addr", addr, "-timeout", "1s").CombinedOutput()
+		if strings.Contains(string(out), want) {
+			return
+		}
+	}
+	t.Fatalf("powctl -addr %s never showed %q; last output:\n%s", addr, want, out)
+}
+
+// TestDaemonCLIFailsafeFlags holds both daemons to the one failsafe rule:
+// -failsafe-pl alone names a band whose P_H scales from the daemon's own,
+// and -failsafe-ph alone is refused with its reason.
+func TestDaemonCLIFailsafeFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI end-to-end")
+	}
+	bin := binaries(t)
+	const nobody = "127.0.0.1:29758" // a parent that never answers
+
+	t.Run("powmgrd-pl-alone", func(t *testing.T) {
+		const addr = "127.0.0.1:29757"
+		startDaemon(t, bin, "powmgrd", "-addr", addr, "-pl", "400W", "-ph", "600W",
+			"-period", "50ms", "-coordinator", nobody, "-failsafe-pl", "300W")
+		pollPowctl(t, bin, addr, "thresholds")
+	})
+	for _, tc := range []struct{ name, addr, parentFlag string }{
+		{"powmgrd", "127.0.0.1:29759", "-coordinator"},
+		{"powcoordd", "127.0.0.1:29760", "-parent"},
+	} {
+		t.Run(tc.name+"-ph-alone", func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			out, err := exec.CommandContext(ctx, filepath.Join(bin, tc.name), "-addr", tc.addr,
+				"-period", "50ms", tc.parentFlag, nobody, "-failsafe-ph", "500W").CombinedOutput()
+			if err == nil || !strings.Contains(string(out), "-failsafe-ph needs -failsafe-pl") {
+				t.Fatalf("%s with -failsafe-ph alone: %v, want it refused with its reason:\n%s", tc.name, err, out)
+			}
+		})
+	}
+}
+
+// TestDaemonCLIStandbyTakeover runs -standby-of through each daemon binary:
+// a leased primary and its warm standby share a lease file, the primary is
+// killed, and the standby must promote itself at epoch 2 and answer powctl
+// as the leader, then stop cleanly on SIGINT.
+func TestDaemonCLIStandbyTakeover(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI end-to-end")
+	}
+	bin := binaries(t)
+	for _, tc := range []struct {
+		name             string
+		primary, standby string
+		role             []string
+	}{
+		{"powmgrd", "127.0.0.1:29761", "127.0.0.1:29762", []string{"-pl", "400W", "-ph", "600W"}},
+		{"powcoordd", "127.0.0.1:29763", "127.0.0.1:29764", []string{"-budget", "900W"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ha := func(addr, journal string) []string {
+				return append([]string{"-addr", addr, "-period", "50ms",
+					"-lease", filepath.Join(dir, "lease.json"), "-lease-every", "50ms",
+					"-journal", filepath.Join(dir, journal)}, tc.role...)
+			}
+			primary, _ := startDaemon(t, bin, tc.name, ha(tc.primary, "primary.journal")...)
+			pollPowctl(t, bin, tc.primary, "epoch 1, leader true")
+			standby, out := startDaemon(t, bin, tc.name,
+				append(ha(tc.standby, "standby.journal"), "-standby-of", tc.primary)...)
+			awaitOutput(t, out, "standby of "+tc.primary)
+
+			primary.Process.Kill()
+			primary.Wait()
+			awaitOutput(t, out, "promoted at epoch 2")
+			pollPowctl(t, bin, tc.standby, "epoch 2, leader true")
+
+			standby.Process.Signal(os.Interrupt)
+			if err := standby.Wait(); err != nil {
+				t.Fatalf("promoted standby did not stop cleanly: %v\n%s", err, out)
+			}
+			if !strings.Contains(out.String(), tc.name+": shutting down") {
+				t.Errorf("no shutdown line:\n%s", out)
+			}
+		})
+	}
 }

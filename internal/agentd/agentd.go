@@ -34,15 +34,13 @@ import (
 type Config struct {
 	// NodeID is this node's identity within the cluster.
 	NodeID node.ID
-	// ManagerAddr is the TCP address of the global manager daemon.
-	ManagerAddr string
-	// ManagerAddrs, when non-empty, takes precedence over ManagerAddr:
-	// an ordered list of manager endpoints (primary first, then warm
-	// standbys). Each failed session advances to the next address, so an
-	// agent orphaned by a dead primary finds the promoted standby within
-	// one redial sweep instead of hammering the dead address forever.
+	// ManagerAddrs is the ordered list of manager endpoints: the global
+	// manager daemon, then any warm standbys. Each failed session advances
+	// to the next address, so an agent orphaned by a dead primary finds the
+	// promoted standby within one redial sweep instead of hammering the
+	// dead address forever.
 	ManagerAddrs []string
-	// Dial, when non-nil, replaces the TCP dial of ManagerAddr — the
+	// Dial, when non-nil, replaces the TCP dial of ManagerAddrs — the
 	// in-process harness routes agents through fault-injecting pipes
 	// this way. Each Run invocation calls it once.
 	Dial func(ctx context.Context) (net.Conn, error)
@@ -218,11 +216,10 @@ func (a *Agent) MaxEpoch() uint64 {
 // because they announced an epoch older than one it had already seen.
 func (a *Agent) StaleEpochRejects() int { return int(a.staleRejects.Value()) }
 
-// dialAddr picks the current endpoint from the rotation list (or the
-// single ManagerAddr when no list is configured).
+// dialAddr picks the current endpoint from the rotation list.
 func (a *Agent) dialAddr() string {
 	if len(a.cfg.ManagerAddrs) == 0 {
-		return a.cfg.ManagerAddr
+		return ""
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()

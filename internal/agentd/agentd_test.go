@@ -26,7 +26,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestRunDialFailure(t *testing.T) {
 	a, err := New(Config{
-		NodeID: 1, ManagerAddr: "127.0.0.1:1",
+		NodeID: 1, ManagerAddrs: []string{"127.0.0.1:1"},
 		SampleEvery: 10 * time.Millisecond, TickEvery: time.Millisecond,
 		Model: power.TianheNode(),
 	})
@@ -75,7 +75,7 @@ func TestAgentProtocol(t *testing.T) {
 	}()
 
 	a, err := New(Config{
-		NodeID: 7, ManagerAddr: ln.Addr().String(),
+		NodeID: 7, ManagerAddrs: []string{ln.Addr().String()},
 		SampleEvery: 30 * time.Millisecond, TickEvery: 5 * time.Millisecond,
 		Model: power.TianheNode(), Seed: 3,
 	})
@@ -159,7 +159,7 @@ func TestCommandAckAndHelloLevel(t *testing.T) {
 	}()
 
 	a, err := New(Config{
-		NodeID: 5, ManagerAddr: ln.Addr().String(),
+		NodeID: 5, ManagerAddrs: []string{ln.Addr().String()},
 		SampleEvery: 20 * time.Millisecond, TickEvery: 5 * time.Millisecond,
 		Model: power.TianheNode(), Seed: 2,
 	})
@@ -235,7 +235,7 @@ func TestBatchedCommandApplied(t *testing.T) {
 	}()
 
 	a, err := New(Config{
-		NodeID: 6, ManagerAddr: ln.Addr().String(),
+		NodeID: 6, ManagerAddrs: []string{ln.Addr().String()},
 		SampleEvery: 20 * time.Millisecond, TickEvery: 5 * time.Millisecond,
 		Model: power.TianheNode(), Seed: 3,
 	})
@@ -272,7 +272,7 @@ func TestBatchedCommandApplied(t *testing.T) {
 // the grace window, and report the trip.
 func TestDeadManSwitchTripsWhileDisconnected(t *testing.T) {
 	a, err := New(Config{
-		NodeID: 1, ManagerAddr: "127.0.0.1:1",
+		NodeID: 1, ManagerAddrs: []string{"127.0.0.1:1"},
 		SampleEvery: 20 * time.Millisecond, TickEvery: 5 * time.Millisecond,
 		Model: power.TianheNode(), Seed: 1,
 		FailsafeAfter: 3, FailsafeLevel: 0,
@@ -329,7 +329,7 @@ func TestDeadManSwitchSilentManagerAndRecovery(t *testing.T) {
 	}()
 
 	a, err := New(Config{
-		NodeID: 2, ManagerAddr: ln.Addr().String(),
+		NodeID: 2, ManagerAddrs: []string{ln.Addr().String()},
 		SampleEvery: 20 * time.Millisecond, TickEvery: 5 * time.Millisecond,
 		Model: power.TianheNode(), Seed: 4,
 		FailsafeAfter: 3, FailsafeLevel: 1,
@@ -439,7 +439,7 @@ func TestRunWithReconnect(t *testing.T) {
 		}
 	}()
 	a, err := New(Config{
-		NodeID: 1, ManagerAddr: ln.Addr().String(),
+		NodeID: 1, ManagerAddrs: []string{ln.Addr().String()},
 		SampleEvery: 20 * time.Millisecond, TickEvery: 5 * time.Millisecond,
 		Model: power.TianheNode(), Seed: 1,
 	})
@@ -476,7 +476,7 @@ func TestRunWithReconnect(t *testing.T) {
 func TestPassiveConfigValidation(t *testing.T) {
 	apply := func(level int) (int, error) { return level, nil }
 	base := Config{
-		NodeID: 1, ManagerAddr: "127.0.0.1:1",
+		NodeID: 1, ManagerAddrs: []string{"127.0.0.1:1"},
 		SampleEvery: time.Second, TickEvery: time.Second,
 		Model: power.TianheNode(),
 	}
@@ -519,7 +519,7 @@ func TestPassiveConfigValidation(t *testing.T) {
 
 func TestPassivePushReadingRequiresConnection(t *testing.T) {
 	a, err := New(Config{
-		NodeID: 1, ManagerAddr: "127.0.0.1:1",
+		NodeID: 1, ManagerAddrs: []string{"127.0.0.1:1"},
 		SampleEvery: time.Second, TickEvery: time.Second,
 		Model:   power.TianheNode(),
 		Passive: true, MaxLevel: 9,
@@ -574,7 +574,7 @@ func TestPassiveProtocol(t *testing.T) {
 	var mu sync.Mutex
 	extLevel := 7 // the externally owned node's actual state
 	a, err := New(Config{
-		NodeID: 4, ManagerAddr: ln.Addr().String(),
+		NodeID: 4, ManagerAddrs: []string{ln.Addr().String()},
 		SampleEvery: time.Hour, TickEvery: time.Hour, // no self-paced traffic
 		Model:   power.TianheNode(),
 		Passive: true, MaxLevel: 9, InitialLevel: 7,

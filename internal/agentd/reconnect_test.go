@@ -38,7 +38,7 @@ func TestBackoffResetsAfterHealthySession(t *testing.T) {
 		}
 	}()
 	a, err := New(Config{
-		NodeID: 1, ManagerAddr: ln.Addr().String(),
+		NodeID: 1, ManagerAddrs: []string{ln.Addr().String()},
 		SampleEvery: time.Second, TickEvery: time.Second,
 		Model: power.TianheNode(), Seed: 1,
 	})

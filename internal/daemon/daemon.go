@@ -50,8 +50,6 @@ type Options struct {
 	Listen []Endpoint
 	// MetricsAddr, when non-empty, serves GET /metrics and /debug/cycles.
 	MetricsAddr string
-	// CycleHistory sizes the cycle recorder; zero takes the obs default.
-	CycleHistory int
 	// ControlEvery is the period of the ticker driving Hooks.Cycle.
 	ControlEvery time.Duration
 
@@ -172,7 +170,7 @@ func New(opt Options, hooks Hooks) *Chassis {
 		opt:   opt,
 		hooks: hooks,
 		reg:   reg,
-		trace: obs.NewCycleRecorder(opt.CycleHistory, reg),
+		trace: obs.NewCycleRecorder(0, reg),
 		pub:   replica.NewPublisher(opt.Journal, opt.WriteTimeout),
 
 		journalAppends: reg.Counter("journal_appends"),
@@ -365,8 +363,23 @@ func (c *Chassis) Deposed() bool { return c.deposed.Load() }
 // leadership is what keeps a superseded leader from reporting to, or
 // redialling, its parent and fighting its successor over the child slot.
 // The chassis binds the grant, floor and decode-error hooks to the
-// registry; call before Start.
-func (c *Chassis) Govern(cfg tier.GovernorConfig) *tier.Governor {
+// registry and fills what cfg leaves zero: ReportEvery is the control
+// period, Grace DefaultBudgetGrace control periods, and Failsafe the
+// daemon's own band, Initial. An invalid failsafe band is refused. Call
+// before Start.
+func (c *Chassis) Govern(cfg tier.GovernorConfig) (*tier.Governor, error) {
+	if cfg.ReportEvery <= 0 {
+		cfg.ReportEvery = c.opt.ControlEvery
+	}
+	if cfg.Grace <= 0 {
+		cfg.Grace = DefaultBudgetGrace * c.opt.ControlEvery
+	}
+	if cfg.Failsafe == (power.Thresholds{}) {
+		cfg.Failsafe = cfg.Initial
+	}
+	if err := cfg.Failsafe.Validate(); err != nil {
+		return nil, fmt.Errorf("failsafe budget: %w", err)
+	}
 	grants, floors := c.reg.Counter("budget_grants"), c.reg.Counter("budget_floors")
 	governed, decodeErrs := c.reg.Gauge("governed"), c.reg.Counter("decode_errors")
 	cfg.OnGrant = func() {
@@ -379,7 +392,7 @@ func (c *Chassis) Govern(cfg tier.GovernorConfig) *tier.Governor {
 	}
 	cfg.OnDecodeError = decodeErrs.Inc
 	c.gov = tier.NewGovernor(cfg)
-	return c.gov
+	return c.gov, nil
 }
 
 // runtimeGauges are the Go runtime's own numbers behind the footprint, and

@@ -98,12 +98,12 @@ func measureManagerCost(n int, cfg Figure5Config) (CostPoint, error) {
 	defer cancel()
 	for i := 0; i < n; i++ {
 		a, err := agentd.New(agentd.Config{
-			NodeID:      node.ID(i),
-			ManagerAddr: srv.Addr(),
-			SampleEvery: cfg.ControlEvery,
-			TickEvery:   cfg.ControlEvery / 4,
-			Model:       power.TianheNode(),
-			Seed:        int64(i + 1),
+			NodeID:       node.ID(i),
+			ManagerAddrs: []string{srv.Addr()},
+			SampleEvery:  cfg.ControlEvery,
+			TickEvery:    cfg.ControlEvery / 4,
+			Model:        power.TianheNode(),
+			Seed:         int64(i + 1),
 		})
 		if err != nil {
 			return CostPoint{}, err

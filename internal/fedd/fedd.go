@@ -93,9 +93,6 @@ type Config struct {
 	// MetricsAddr, when non-empty, serves GET /metrics and GET
 	// /debug/cycles for the coordinator registry on this address.
 	MetricsAddr string
-	// CycleHistory is how many staged cycle timelines to retain for
-	// /debug/cycles; zero defaults to obs.DefaultCycleHistory.
-	CycleHistory int
 
 	// --- row mode (mid-tier coordinator under a parent) ---
 
@@ -108,16 +105,14 @@ type Config struct {
 	ParentDial func() (net.Conn, error)
 	// Row is this coordinator's child index under its parent.
 	Row int
-	// ReportEvery is the upward reporting period; zero defaults to
-	// ControlEvery.
-	ReportEvery time.Duration
-	// BudgetGrace is how many control periods of parent silence are
-	// tolerated before the row floors itself to FailsafeBudget; zero
-	// defaults to 3.
-	BudgetGrace int
-	// FailsafeBudget is the band divided while the parent is silent past
-	// the grace window. Zero-value defaults to {Budget, PH} — a row that
+	// ReportEvery is the upward reporting period, BudgetGrace how many
+	// control periods of parent silence are tolerated before the row
+	// floors itself, and FailsafeBudget the band divided from then on.
+	// Zero values take daemon.Chassis.Govern's defaults: the control
+	// period, daemon.DefaultBudgetGrace and {Budget, PH} — a row that
 	// loses its facility falls back to its static budget.
+	ReportEvery    time.Duration
+	BudgetGrace    int
 	FailsafeBudget power.Thresholds
 
 	// HA is the replicated grant journal and the leadership lease.
@@ -183,18 +178,6 @@ func New(cfg Config) (*Server, error) {
 		if cfg.Row < 0 {
 			return nil, fmt.Errorf("fedd: negative row index %d", cfg.Row)
 		}
-		if cfg.ReportEvery <= 0 {
-			cfg.ReportEvery = cfg.ControlEvery
-		}
-		if cfg.BudgetGrace <= 0 {
-			cfg.BudgetGrace = 3
-		}
-		if cfg.FailsafeBudget == (power.Thresholds{}) {
-			cfg.FailsafeBudget = thr
-		}
-		if err := cfg.FailsafeBudget.Validate(); err != nil {
-			return nil, fmt.Errorf("fedd: failsafe budget: %w", err)
-		}
 	}
 	if cfg.CommandTimeout <= 0 {
 		cfg.CommandTimeout = cfg.ControlEvery
@@ -213,7 +196,6 @@ func New(cfg Config) (*Server, error) {
 	s.Chassis = daemon.New(daemon.Options{
 		Listen:       []daemon.Endpoint{{Addr: cfg.Addr, Listener: cfg.Listener}},
 		MetricsAddr:  cfg.MetricsAddr,
-		CycleHistory: cfg.CycleHistory,
 		ControlEvery: cfg.ControlEvery,
 		HA:           cfg.HA,
 		WriteTimeout: cfg.CommandTimeout,
@@ -243,7 +225,8 @@ func New(cfg Config) (*Server, error) {
 	reg.Gauge("budget_w").Set(float64(cfg.Budget))
 
 	if rowMode {
-		s.gov = s.Govern(tier.GovernorConfig{
+		var err error
+		s.gov, err = s.Govern(tier.GovernorConfig{
 			Parent:      cfg.ParentAddr,
 			Dial:        cfg.ParentDial,
 			Child:       cfg.Row,
@@ -253,6 +236,10 @@ func New(cfg Config) (*Server, error) {
 			Initial:     thr,
 			Snapshot:    s.rowSnapshot,
 		})
+		if err != nil {
+			s.journal.Close()
+			return nil, fmt.Errorf("fedd: %w", err)
+		}
 	}
 
 	// Seed the grantor from recovered journal state: each journalled

@@ -67,16 +67,10 @@ type Options struct {
 	CommandTimeout time.Duration
 
 	// AgentProfile is the fault profile of every agent's outbound path
-	// (sample stream) and read throttle; ManagerProfile is the manager's
-	// outbound path (command stream). Override one agent with
+	// (sample stream) and read throttle; the manager's outbound path
+	// (command stream) is fault-free. Override one agent with
 	// Cluster.Net.SetClientProfile.
-	AgentProfile   faultnet.Profile
-	ManagerProfile faultnet.Profile
-
-	// InitialBackoff/MaxBackoff tune the agents' reconnect loop
-	// (defaults 10ms/80ms, so kills heal within a few control cycles).
-	InitialBackoff time.Duration
-	MaxBackoff     time.Duration
+	AgentProfile faultnet.Profile
 
 	// FailsafeAfter/FailsafeLevel arm every agent's dead-man switch (see
 	// agentd.Config); zero FailsafeAfter leaves it off.
@@ -147,6 +141,13 @@ type Options struct {
 	RecordCycle     func(scenario.CycleRecord)
 }
 
+// The agents' reconnect backoff runs from agentMinBackoff to
+// agentMaxBackoff, so kills heal within a few control cycles.
+const (
+	agentMinBackoff = 10 * time.Millisecond
+	agentMaxBackoff = 80 * time.Millisecond
+)
+
 // serverConfig assembles the managerd.Config this cluster's options
 // describe, over the given listener. StartManager reuses it so a restarted
 // manager comes up with the same parameters (modulo any Opt mutation the
@@ -213,12 +214,6 @@ func (o *Options) fill() {
 	if o.Policy == nil {
 		o.Policy = policy.MPCC{}
 	}
-	if o.InitialBackoff <= 0 {
-		o.InitialBackoff = 10 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 80 * time.Millisecond
-	}
 	if len(o.Model.CPU.Freqs) == 0 { // zero Model: no DVFS table
 		o.Model = power.TianheNode()
 	}
@@ -249,7 +244,7 @@ func New(opt Options) (*Cluster, error) {
 	opt.fill()
 
 	n := faultnet.New(opt.Seed)
-	n.SetDefaultProfiles(opt.AgentProfile, opt.ManagerProfile)
+	n.SetDefaultProfiles(opt.AgentProfile, faultnet.Profile{})
 
 	srv, err := daemon.Boot(managerd.New(opt.serverConfig(n.Listener())))
 	if err != nil {
@@ -285,7 +280,7 @@ func New(opt Options) (*Cluster, error) {
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
-			a.RunWithReconnect(ctx, opt.InitialBackoff, opt.MaxBackoff)
+			a.RunWithReconnect(ctx, agentMinBackoff, agentMaxBackoff)
 		}()
 	}
 	return c, nil

@@ -120,9 +120,6 @@ type Config struct {
 	// staged cycle timelines as JSON) on this address. Port 0 selects an
 	// ephemeral port (see Server.MetricsAddr).
 	MetricsAddr string
-	// CycleHistory is how many staged cycle timelines the daemon retains
-	// for /debug/cycles; zero defaults to obs.DefaultCycleHistory.
-	CycleHistory int
 	// ExternalControl turns the daemon into a transport gateway: the
 	// wall-clock control loop is not started, and an external driver runs
 	// the control law by pushing sense epochs and cycling through
@@ -154,18 +151,17 @@ type Config struct {
 	// Cabinet is this manager's cabinet index, carried on every report so
 	// the coordinator knows which breaker column it is (pdist.CabinetOf).
 	Cabinet int
-	// ReportEvery is the cab_report period; zero defaults to ControlEvery.
-	ReportEvery time.Duration
-	// BudgetGrace is how many control periods the daemon keeps enforcing
-	// its last grant after coordinator silence before flooring itself to
-	// FailsafeBudget — the cabinet-tier dead-man switch, mirroring
-	// agentd's. Zero defaults to 3.
-	BudgetGrace int
-	// FailsafeBudget is the band enforced while the coordinator is
-	// silent beyond the grace window. Zero-value defaults to Thresholds
-	// (hold the static band); a deliberately low band makes an isolated
-	// cabinet shed to its floor, which is the paper's safe posture for a
-	// cabinet that can no longer see the global budget.
+	// ReportEvery, BudgetGrace and FailsafeBudget are the cabinet-tier
+	// dead-man switch, mirroring agentd's: a report every ReportEvery, and
+	// after BudgetGrace control periods of coordinator silence the daemon
+	// stops enforcing its last grant and floors itself to FailsafeBudget.
+	// Zero values take daemon.Chassis.Govern's defaults: the control
+	// period, daemon.DefaultBudgetGrace and Thresholds (hold the static
+	// band). A deliberately low band makes an isolated cabinet shed to its
+	// floor, which is the paper's safe posture for a cabinet that can no
+	// longer see the global budget.
+	ReportEvery    time.Duration
+	BudgetGrace    int
 	FailsafeBudget power.Thresholds
 
 	// RecordCycle, when non-nil, receives one scenario.CycleRecord per
@@ -382,18 +378,6 @@ func New(cfg Config) (*Server, error) {
 		if cfg.Cabinet < 0 {
 			return nil, fmt.Errorf("managerd: negative cabinet index %d", cfg.Cabinet)
 		}
-		if cfg.ReportEvery <= 0 {
-			cfg.ReportEvery = cfg.ControlEvery
-		}
-		if cfg.BudgetGrace <= 0 {
-			cfg.BudgetGrace = 3
-		}
-		if cfg.FailsafeBudget == (power.Thresholds{}) {
-			cfg.FailsafeBudget = cfg.Thresholds
-		}
-		if err := cfg.FailsafeBudget.Validate(); err != nil {
-			return nil, fmt.Errorf("managerd: failsafe budget: %w", err)
-		}
 	}
 	adj := 60
 	var learner *power.Learner
@@ -440,7 +424,6 @@ func New(cfg Config) (*Server, error) {
 	srv.Chassis = daemon.New(daemon.Options{
 		Listen:       listen,
 		MetricsAddr:  cfg.MetricsAddr,
-		CycleHistory: cfg.CycleHistory,
 		ControlEvery: cfg.ControlEvery,
 		HA:           cfg.HA,
 		WriteTimeout: cfg.CommandTimeout,
@@ -493,7 +476,10 @@ func New(cfg Config) (*Server, error) {
 	reg.Gauge("shards").SetInt(int64(len(srv.nodes.shards)))
 	reg.Gauge("cabinet").SetInt(int64(cfg.Cabinet))
 	if governed {
-		srv.gov = srv.Govern(srv.governorConfig())
+		if srv.gov, err = srv.Govern(srv.governorConfig()); err != nil {
+			srv.journal.Close()
+			return nil, fmt.Errorf("managerd: %w", err)
+		}
 	}
 	srv.plW.Set(float64(cfg.Thresholds.PL))
 	srv.phW.Set(float64(cfg.Thresholds.PH))

@@ -37,12 +37,12 @@ func startAgents(t *testing.T, ctx context.Context, addr string, n int) []*agent
 	agents := make([]*agentd.Agent, n)
 	for i := 0; i < n; i++ {
 		a, err := agentd.New(agentd.Config{
-			NodeID:      node.ID(i),
-			ManagerAddr: addr,
-			SampleEvery: 50 * time.Millisecond,
-			TickEvery:   10 * time.Millisecond,
-			Model:       power.TianheNode(),
-			Seed:        int64(i + 1),
+			NodeID:       node.ID(i),
+			ManagerAddrs: []string{addr},
+			SampleEvery:  50 * time.Millisecond,
+			TickEvery:    10 * time.Millisecond,
+			Model:        power.TianheNode(),
+			Seed:         int64(i + 1),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -18,6 +18,10 @@ type Promotion struct {
 	Leaderless time.Duration
 }
 
+// DefaultMissBudget is the stale lease renewals a standby tolerates when
+// its config names none.
+const DefaultMissBudget = 4
+
 // StandbyConfig configures a warm standby.
 type StandbyConfig struct {
 	// Follower replicates the leader's journal while it lives. Its Store
@@ -26,7 +30,8 @@ type StandbyConfig struct {
 	// Lease is the leadership lease the leader renews. Required.
 	Lease *Lease
 	// MissBudget is how many renewal periods the lease may go stale (or
-	// unreadable) before the leader is declared dead; default 4.
+	// unreadable) before the leader is declared dead; zero takes
+	// DefaultMissBudget.
 	MissBudget int
 	// Holder names this standby in the lease file after takeover.
 	Holder string
@@ -62,7 +67,7 @@ func NewStandby(cfg StandbyConfig) (*Standby, error) {
 		return nil, errors.New("replica: standby needs an OnPromote hook")
 	}
 	if cfg.MissBudget <= 0 {
-		cfg.MissBudget = 4
+		cfg.MissBudget = DefaultMissBudget
 	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewRegistry()
