@@ -18,7 +18,7 @@
 //	    -scenario-candidate BENCH_scenarios.json \
 //	    -scenario-metric status_p99_us -scenario-max-ratio 4.0
 //
-// Passing -bench '' skips the fan-out guard; leaving -scenario-baseline
+// An empty -bench skips the fan-out guard; leaving -scenario-baseline
 // empty skips the scenario guard. A scenario present only in the
 // candidate is reported NEW and passes (the next baseline refresh adopts
 // it); a baseline scenario missing from the candidate, or a metric key

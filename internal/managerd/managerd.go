@@ -737,8 +737,11 @@ func (s *Server) pingAll(scratch []*agentConn) []*agentConn {
 
 // forEachShard sweeps every shard through fn on a bounded worker pool
 // (FanoutWorkers wide). fn receives distinct shards concurrently, never
-// the same shard twice, so per-shard results can be written to a slice
-// indexed by shard without locking.
+// the same shard twice, so a per-shard result needs no lock — but fn must
+// build it in a local copy and store it into a slice indexed by shard
+// once, at the end: neighbouring shards go to different workers, and an
+// element written in place per node takes its cache line from the core
+// writing the next one.
 func (s *Server) forEachShard(fn func(i int, sh *shard)) {
 	n := len(s.nodes.shards)
 	workers := s.cfg.FanoutWorkers
@@ -831,7 +834,7 @@ func (s *Server) sweep(cycleN int, t0 time.Time, fresh func(*nodeRec) bool) []cy
 	parts := s.cycleParts
 	governed := s.gov != nil
 	s.forEachShard(func(i int, sh *shard) {
-		g := &parts[i]
+		g := parts[i]
 		g.fresh, g.states = g.fresh[:0], g.states[:0]
 		g.resends, g.adopts = g.resends[:0], g.adopts[:0]
 		g.p, g.demand, g.stale = 0, 0, 0
@@ -916,6 +919,7 @@ func (s *Server) sweep(cycleN int, t0 time.Time, fresh func(*nodeRec) bool) []cy
 				g.demand += s.curve.At(load, r.MaxLevel)
 			}
 		}
+		parts[i] = g
 	})
 	return parts
 }

@@ -1,10 +1,12 @@
 package managerd
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"net"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/policy"
 	"repro/internal/power"
+	"repro/internal/replica"
 	"repro/internal/units"
 	"repro/internal/wire"
 )
@@ -35,7 +38,7 @@ func recordCount(s *Server) int {
 
 // putRec makes r.ID's record in sh through the one constructor, connected
 // over a pipe nothing reads, with r as its reading as of at.
-func putRec(t *testing.T, sh *shard, r manager.AgentReading, at time.Time) *nodeRec {
+func putRec(t testing.TB, sh *shard, r manager.AgentReading, at time.Time) *nodeRec {
 	server, client := net.Pipe()
 	t.Cleanup(func() { client.Close() })
 	rec := sh.add(r.ID)
@@ -508,6 +511,202 @@ func TestSweepIsRepeatable(t *testing.T) {
 			t.Fatalf("sweep %d differs from the first over an unchanged table:\n p %v vs %v\n demand %v vs %v\n same order: %v",
 				c, again.p, first.p, again.demand, first.demand, reflect.DeepEqual(again.order, first.order))
 		}
+	}
+}
+
+// TestSweepIsWorkerCountInvariant: each of the sweep's workers builds its
+// shards' parts on its own, so how many workers there are changes nothing
+// the sweep decides. Identical 128-shard governed tables, one per worker
+// count, mix every case the sweep distinguishes and are swept twice; every
+// part, every shard's tallies and the journal mirror must equal the serial
+// sweep's. A reconcile draws its fresh sequence number from the server's
+// one counter in the order the workers reach it, so which node gets which
+// is the one thing compared as a set.
+func TestSweepIsWorkerCountInvariant(t *testing.T) {
+	const (
+		fleet  = 2000
+		top    = 9
+		cycleN = 10
+		base   = 1 << 20 // the seq counter; every hand-made command's seq is below it
+	)
+	t0 := time.Now()
+	build := func(workers int) *Server {
+		srv, err := New(Config{
+			Model: power.TianheNode(), Policy: policy.MPCC{}, Tg: 3,
+			ControlEvery: time.Hour, Thresholds: power.Thresholds{PL: 1e6, PH: 2e6},
+			StaleAfter: 100 * time.Millisecond, LostAfter: time.Second,
+			Shards: 128, FanoutWorkers: workers,
+			CoordinatorDial: func() (net.Conn, error) { return nil, net.ErrClosed }, // governed: demand is summed too
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Stop)
+		srv.seq.Store(base)
+		rng := rand.New(rand.NewSource(33))
+		for _, n := range rng.Perm(fleet) {
+			id := node.ID(n)
+			sh := srv.nodes.of(id)
+			seq := uint64(rng.Intn(base))
+			if rng.Intn(8) == 0 { // away: its record outlives the connection
+				away := sh.add(id)
+				away.cmd = cmdState{issued: true, level: 4, seq: seq, acked: true}
+				away.health.state = healthLost
+				continue
+			}
+			r := manager.AgentReading{ID: id, Level: top, MaxLevel: top, Delta: randomDelta(rng)}
+			age, cmd, state := time.Duration(0), cmdState{}, healthHealthy
+			switch rng.Intn(7) {
+			case 0: // fresh, never commanded
+			case 1: // stale
+				age = 200 * time.Millisecond
+			case 2: // quarantined, a command in flight
+				cmd, state = cmdState{issued: true, level: 5, seq: seq, sentCycle: cycleN - 1}, healthQuarantined
+			case 3: // unacked since last cycle: retried
+				cmd = cmdState{issued: true, level: 5, seq: seq, sentCycle: cycleN - 1}
+			case 4: // acked, then drifted: reconciled
+				cmd = cmdState{issued: true, level: 4, seq: seq, acked: true, sentCycle: cycleN - 2}
+			case 5: // at the floor, never commanded: adopted
+				r.Level = 0
+			case 6: // commanded to the floor and there: adopted again
+				r.Level, cmd = 0, cmdState{issued: true, level: 0, seq: seq, acked: true, sentCycle: cycleN - 3}
+			}
+			rec := putRec(t, sh, r, t0.Add(-age))
+			rec.cmd = cmd
+			rec.health = healthRec{state: state, quarantinedAt: t0}
+			if rng.Intn(2) == 0 { // a candidate last cycle: PrevEst carries
+				rec.est, rec.estCycle = units.Watts(100+rng.Float64()*200), cycleN-1
+			}
+		}
+		return srv
+	}
+
+	type sent struct {
+		id    node.ID
+		level int
+		seq   uint64 // 0 for a reconcile's fresh one
+	}
+	type partView struct {
+		p, demand uint64
+		stale     int
+		states    []policy.NodeState
+		resends   []sent
+		adopts    []node.ID
+	}
+	type view struct {
+		parts   []partView
+		tallies [][5]int
+		fresh   []uint64 // the fresh seqs handed out, sorted
+		journal []replica.Level
+	}
+	fresh := func(rec *nodeRec) bool { return t0.Sub(rec.lastAt) <= 100*time.Millisecond }
+	sweep := func(srv *Server, c int) view {
+		var v view
+		for i, g := range srv.sweep(c, t0, fresh) {
+			pv := partView{
+				p: math.Float64bits(float64(g.p)), demand: math.Float64bits(float64(g.demand)), stale: g.stale,
+				states: append([]policy.NodeState{}, g.states...), adopts: append([]node.ID{}, g.adopts...),
+			}
+			for _, r := range g.resends {
+				if r.seq > base {
+					v.fresh = append(v.fresh, r.seq)
+					r.seq = 0
+				}
+				pv.resends = append(pv.resends, sent{r.ac.id, r.level, r.seq})
+			}
+			v.parts = append(v.parts, pv)
+			sh := srv.nodes.shards[i]
+			sh.mu.Lock()
+			v.tallies = append(v.tallies, [5]int{sh.nHealthy, sh.nStale, sh.nLost, sh.nQuar, sh.drifted})
+			sh.mu.Unlock()
+		}
+		slices.Sort(v.fresh)
+		v.journal = srv.journal.State().Levels
+		return v
+	}
+
+	serial := build(1)
+	want := []view{sweep(serial, cycleN), sweep(serial, cycleN+1)}
+	first := want[0]
+	var candidates, resends, adopts, stale int
+	for _, pv := range first.parts {
+		candidates += len(pv.states)
+		resends += len(pv.resends)
+		adopts += len(pv.adopts)
+		stale += pv.stale
+	}
+	reconciled := len(first.fresh)
+	if candidates < fleet/2 || stale == 0 || adopts == 0 || reconciled == 0 || resends <= reconciled || len(first.journal) == 0 {
+		t.Fatalf("the table misses a case: %d candidates, %d stale, %d adopts, %d re-sends of which %d reconciles, %d journalled levels",
+			candidates, stale, adopts, resends, reconciled, len(first.journal))
+	}
+	for k, seq := range first.fresh {
+		if seq != base+1+uint64(k) {
+			t.Fatalf("the reconciles drew seqs %v, want %d..%d once each", first.fresh, base+1, base+reconciled)
+		}
+	}
+	if len(want[1].fresh) != reconciled {
+		t.Fatalf("the second sweep re-sent %d reconciled commands, want their %d retries", len(want[1].fresh), reconciled)
+	}
+
+	for _, workers := range []int{2, 4, 16} {
+		srv := build(workers)
+		for k, c := range []int{cycleN, cycleN + 1} {
+			got := sweep(srv, c)
+			for i := range want[k].parts {
+				if !reflect.DeepEqual(got.parts[i], want[k].parts[i]) {
+					t.Fatalf("%d workers, sweep %d: shard %d's part differs from the serial sweep's:\n got %+v\nwant %+v",
+						workers, k+1, i, got.parts[i], want[k].parts[i])
+				}
+			}
+			for _, f := range []struct {
+				name      string
+				got, want any
+			}{
+				{"shard tallies", got.tallies, want[k].tallies},
+				{"fresh seqs", got.fresh, want[k].fresh},
+				{"journal mirror", got.journal, want[k].journal},
+			} {
+				if !reflect.DeepEqual(f.got, f.want) {
+					t.Fatalf("%d workers, sweep %d: %s differ from the serial sweep's:\n got %v\nwant %v", workers, k+1, f.name, f.got, f.want)
+				}
+			}
+		}
+		if st, ref := srv.Status(), serial.Status(); st.CommandRetries != ref.CommandRetries || st.Reconciles != ref.Reconciles {
+			t.Errorf("%d workers: %d retries, %d reconciles; serially %d and %d", workers, st.CommandRetries, st.Reconciles, ref.CommandRetries, ref.Reconciles)
+		}
+	}
+}
+
+// BenchmarkSweep prices one quiet sweep at steady-green's scale: 8192
+// fresh nodes at their top level in 128 shards, nothing to command, swept
+// by one worker and by four.
+func BenchmarkSweep(b *testing.B) {
+	const fleet = 8192
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			srv, err := New(Config{
+				Model: power.TianheNode(), Policy: policy.MPCC{}, Tg: 3,
+				ControlEvery: time.Hour, Thresholds: power.Thresholds{PL: 1e9, PH: 2e9},
+				Shards: 128, FanoutWorkers: workers,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(srv.Stop)
+			rng := rand.New(rand.NewSource(1))
+			now := time.Now()
+			for id := node.ID(0); id < fleet; id++ {
+				putRec(b, srv.nodes.of(id), manager.AgentReading{ID: id, Level: 9, MaxLevel: 9, Delta: randomDelta(rng)}, now)
+			}
+			fresh := func(*nodeRec) bool { return true }
+			srv.sweep(1, now, fresh) // the parts grow to size once
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				srv.sweep(i+2, now, fresh)
+			}
+		})
 	}
 }
 
