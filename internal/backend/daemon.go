@@ -2,7 +2,6 @@ package backend
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"time"
 
@@ -13,7 +12,6 @@ import (
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/units"
 	"repro/internal/wire"
 )
 
@@ -42,7 +40,6 @@ import (
 // E11 in EXPERIMENTS.md quantifies the residual differences.
 type Daemon struct {
 	*plant
-	engine     *sim.Engine
 	coll       *manager.Collector
 	hc         *harness.Cluster
 	cycle      *managerd.ExternalCycle
@@ -88,7 +85,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	}
 	d := &Daemon{
 		plant:      p,
-		engine:     sim.NewEngine(),
 		coll:       manager.NewCollector(p.cluster, p.sched),
 		hc:         hc,
 		ackTimeout: 10 * time.Second,
@@ -176,13 +172,6 @@ func (d *Daemon) RunUntil(t time.Duration) error {
 	return d.err
 }
 
-// Now reports the current virtual time.
-func (d *Daemon) Now() time.Duration { return d.engine.Now() }
-
-// ReadMeter samples the facility meter (metering stays plant-side: the
-// paper's facility meter is infrastructure, not an agent).
-func (d *Daemon) ReadMeter() units.Watts { return d.readMeter() }
-
 // Sense returns the readings the manager daemon accepted this sense
 // epoch, in node-ID order. Only valid inside the control callback.
 func (d *Daemon) Sense(now time.Duration) []manager.AgentReading {
@@ -200,18 +189,6 @@ func (d *Daemon) SetNodeLevel(id node.ID, level int) error {
 	}
 	return d.cycle.SetNodeLevel(id, level)
 }
-
-// Stream returns the named deterministic random stream.
-func (d *Daemon) Stream(name string) *rand.Rand { return d.streams.Get(name) }
-
-// BeginMeasurement resets the measured-window accumulators.
-func (d *Daemon) BeginMeasurement() { d.beginMeasurement() }
-
-// Traits reports the plant's static aggregate properties.
-func (d *Daemon) Traits() Traits { return d.traits() }
-
-// Info reads the run's accumulated outcomes.
-func (d *Daemon) Info() Info { return d.info() }
 
 // Close shuts the agents, manager and fault network down. Idempotent.
 func (d *Daemon) Close() error {

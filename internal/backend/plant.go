@@ -2,6 +2,7 @@ package backend
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"time"
 
@@ -17,8 +18,11 @@ import (
 )
 
 // plant is the simulated physical system both backends share: the node
-// population, the scheduler feeding it jobs, the facility meter, and the
-// optional cabinet/thermal models. The Sim backend touches it from the
+// population, the scheduler feeding it jobs, the facility meter, the
+// optional cabinet/thermal models, and the discrete-event engine that owns
+// virtual time. Both backends embed it, so the Backend methods that only
+// read the plant (Now, ReadMeter, Stream, BeginMeasurement, Traits, Info)
+// are written here once. The Sim backend touches it from the
 // single engine goroutine; the Daemon backend's agents also reach it from
 // wire-handler goroutines (command application), so every access goes
 // through mu.
@@ -31,6 +35,7 @@ import (
 type plant struct {
 	cfg     Config
 	streams *sim.Streams
+	engine  *sim.Engine
 
 	mu       sync.Mutex
 	cluster  *cluster.Cluster
@@ -122,6 +127,7 @@ func newPlant(cfg Config) (*plant, error) {
 	p := &plant{
 		cfg:      cfg,
 		streams:  streams,
+		engine:   sim.NewEngine(),
 		cluster:  cl,
 		sched:    sched,
 		meter:    power.NewMeter(cl, cfg.MeterOverhead, cfg.MeterNoise, streams.Get("meter")),
@@ -187,17 +193,25 @@ func (p *plant) tick(now time.Duration) {
 	}
 }
 
-// readMeter samples the facility meter under the plant lock.
-func (p *plant) readMeter() units.Watts {
+// Now reports the current virtual time.
+func (p *plant) Now() time.Duration { return p.engine.Now() }
+
+// ReadMeter samples the facility meter under the plant lock (metering
+// stays plant-side on either transport: the paper's facility meter is
+// infrastructure, not an agent).
+func (p *plant) ReadMeter() units.Watts {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.meter.Read()
 }
 
-// beginMeasurement resets the measured-window accumulators at the
+// Stream returns the named deterministic random stream.
+func (p *plant) Stream(name string) *rand.Rand { return p.streams.Get(name) }
+
+// BeginMeasurement resets the measured-window accumulators at the
 // training/evaluation boundary: the (identical, uncapped) training period
 // would dilute the thermal and cabinet summaries.
-func (p *plant) beginMeasurement() {
+func (p *plant) BeginMeasurement() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.therm != nil {
@@ -208,8 +222,8 @@ func (p *plant) beginMeasurement() {
 	}
 }
 
-// traits computes the plant's static aggregate properties.
-func (p *plant) traits() Traits {
+// Traits reports the plant's static aggregate properties.
+func (p *plant) Traits() Traits {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	t := Traits{
@@ -225,8 +239,8 @@ func (p *plant) traits() Traits {
 	return t
 }
 
-// info reads the run's accumulated outcomes.
-func (p *plant) info() Info {
+// Info reads the run's accumulated outcomes.
+func (p *plant) Info() Info {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	in := Info{

@@ -2,7 +2,6 @@ package backend
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/cluster"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
-	"repro/internal/units"
 )
 
 // Sim is the in-process simulation backend: the plant driven directly by
@@ -21,7 +19,6 @@ import (
 // stream names — so results are bit-identical for the same seed.
 type Sim struct {
 	*plant
-	engine  *sim.Engine
 	coll    *manager.Collector
 	rec     *obs.CycleRecorder
 	started bool
@@ -34,9 +31,8 @@ func NewSim(cfg Config) (*Sim, error) {
 		return nil, err
 	}
 	return &Sim{
-		plant:  p,
-		engine: sim.NewEngine(),
-		coll:   manager.NewCollector(p.cluster, p.sched),
+		plant: p,
+		coll:  manager.NewCollector(p.cluster, p.sched),
 	}, nil
 }
 
@@ -70,12 +66,6 @@ func (s *Sim) RunUntil(t time.Duration) error {
 	return nil
 }
 
-// Now reports the current virtual time.
-func (s *Sim) Now() time.Duration { return s.engine.Now() }
-
-// ReadMeter samples the facility meter.
-func (s *Sim) ReadMeter() units.Watts { return s.readMeter() }
-
 // Sense samples every candidate node at virtual time now (node-ID
 // order, the Collector's iteration order).
 func (s *Sim) Sense(now time.Duration) []manager.AgentReading {
@@ -92,18 +82,6 @@ func (s *Sim) SetNodeLevel(id node.ID, level int) error {
 	}
 	return n.SetLevel(level)
 }
-
-// Stream returns the named deterministic random stream.
-func (s *Sim) Stream(name string) *rand.Rand { return s.streams.Get(name) }
-
-// BeginMeasurement resets the measured-window accumulators.
-func (s *Sim) BeginMeasurement() { s.beginMeasurement() }
-
-// Traits reports the plant's static aggregate properties.
-func (s *Sim) Traits() Traits { return s.traits() }
-
-// Info reads the run's accumulated outcomes.
-func (s *Sim) Info() Info { return s.info() }
 
 // Close is a no-op: the Sim backend owns no goroutines or sockets.
 func (s *Sim) Close() error { return nil }

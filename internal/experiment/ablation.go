@@ -21,22 +21,9 @@ func AblationTg(sc Scale, values []int) ([]TgPoint, error) {
 	if len(values) == 0 {
 		values = []int{1, 5, 10, 20, 50}
 	}
-	baseline, err := runPolicy(sc, "none", nil)
-	if err != nil {
-		return nil, err
-	}
-	var out []TgPoint
-	for _, tg := range values {
-		tg := tg
-		r, err := runPolicy(sc, "mpc", func(cfg *core.Config) { cfg.Tg = tg })
-		if err != nil {
-			return nil, err
-		}
-		rs := []PolicyResult{r}
-		relativise(baseline, rs)
-		out = append(out, TgPoint{Tg: tg, PolicyResult: rs[0]})
-	}
-	return out, nil
+	return againstUncapped(sc, values,
+		func(cfg *core.Config, tg int) { cfg.Tg = tg },
+		func(tg int, r PolicyResult) TgPoint { return TgPoint{Tg: tg, PolicyResult: r} })
 }
 
 // AblationTgTable renders the T_g sweep.
@@ -68,27 +55,14 @@ func AblationPeriod(sc Scale, values []time.Duration) ([]PeriodPoint, error) {
 			500 * time.Millisecond, time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second,
 		}
 	}
-	baseline, err := runPolicy(sc, "none", nil)
-	if err != nil {
-		return nil, err
-	}
-	var out []PeriodPoint
-	for _, d := range values {
-		d := d
-		r, err := runPolicy(sc, "mpc", func(cfg *core.Config) {
+	return againstUncapped(sc, values,
+		func(cfg *core.Config, d time.Duration) {
 			cfg.ControlPeriod = d
 			if d < cfg.TickPeriod {
 				cfg.TickPeriod = d
 			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		rs := []PolicyResult{r}
-		relativise(baseline, rs)
-		out = append(out, PeriodPoint{Period: d, PolicyResult: rs[0]})
-	}
-	return out, nil
+		},
+		func(d time.Duration, r PolicyResult) PeriodPoint { return PeriodPoint{Period: d, PolicyResult: r} })
 }
 
 // AblationPeriodTable renders the control period sweep.
@@ -118,24 +92,11 @@ func AblationMargins(sc Scale, pairs [][2]float64) ([]MarginPoint, error) {
 	if len(pairs) == 0 {
 		pairs = [][2]float64{{0.10, 0.05}, {0.16, 0.07}, {0.20, 0.07}, {0.24, 0.12}}
 	}
-	baseline, err := runPolicy(sc, "none", nil)
-	if err != nil {
-		return nil, err
-	}
-	var out []MarginPoint
-	for _, p := range pairs {
-		p := p
-		r, err := runPolicy(sc, "mpc", func(cfg *core.Config) {
-			cfg.MarginL, cfg.MarginH = p[0], p[1]
+	return againstUncapped(sc, pairs,
+		func(cfg *core.Config, p [2]float64) { cfg.MarginL, cfg.MarginH = p[0], p[1] },
+		func(p [2]float64, r PolicyResult) MarginPoint {
+			return MarginPoint{MarginL: p[0], MarginH: p[1], PolicyResult: r}
 		})
-		if err != nil {
-			return nil, err
-		}
-		rs := []PolicyResult{r}
-		relativise(baseline, rs)
-		out = append(out, MarginPoint{MarginL: p[0], MarginH: p[1], PolicyResult: rs[0]})
-	}
-	return out, nil
 }
 
 // AblationMarginsTable renders the margin sweep.

@@ -25,53 +25,35 @@ type CabinetPoint struct {
 // concentrate load in one rack; placement is the lever that controls the
 // per-cabinet peak and breaker-trip exposure.
 func CabinetStudy(sc Scale) ([]CabinetPoint, error) {
-	type setup struct{ placement, policy string }
-	setups := []setup{
-		{"firstfit", "none"},
-		{"firstfit", "mpc"},
-		{"spread", "none"},
-		{"spread", "mpc"},
-	}
-	var out []CabinetPoint
-	for _, st := range setups {
-		st := st
-		pt := CabinetPoint{Placement: st.placement, Policy: st.policy}
-		var hot, imb, trip, pmax, perf float64
-		for _, seed := range sc.Seeds {
-			cfg := sc.baseConfig(seed)
-			cfg.PolicyName = st.policy
+	setups := [][2]string{{"firstfit", "none"}, {"firstfit", "mpc"}, {"spread", "none"}, {"spread", "mpc"}}
+	cells := make([]cell, len(setups))
+	for i, st := range setups {
+		cells[i] = policyCell(st[1], func(cfg *core.Config) {
 			cfg.Cabinets = 4
-			cfg.Placement = st.placement
-			sys, err := core.New(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("cabinets %s/%s: %w", st.placement, st.policy, err)
-			}
-			r, err := sys.Run(sc.Eval)
-			if err != nil {
-				return nil, err
-			}
-			if r.Cabinets == nil {
-				return nil, fmt.Errorf("experiment: cabinet summary missing")
-			}
-			hottest := 0.0
-			for _, c := range r.Cabinets.Cabinets {
-				if float64(c.Peak) > hottest {
-					hottest = float64(c.Peak)
-				}
-			}
-			hot += hottest
-			imb += r.Cabinets.PeakImbalance
-			trip += r.Cabinets.TripRiskFraction
-			pmax += float64(r.Summary.PMax)
-			perf += r.Summary.Performance
+			cfg.Placement = st[0]
+		})
+	}
+	runs, err := sc.run(cells)
+	if err != nil {
+		return nil, fmt.Errorf("cabinets: %w", err)
+	}
+	hottest := func(r *core.Result) float64 {
+		h := 0.0
+		for _, c := range r.Cabinets.Cabinets {
+			h = max(h, float64(c.Peak))
 		}
-		n := float64(len(sc.Seeds))
-		pt.HottestPeak = units.Watts(hot / n)
-		pt.PeakImbalance = imb / n
-		pt.TripRisk = trip / n
-		pt.PMax = units.Watts(pmax / n)
-		pt.Performance = perf / n
-		out = append(out, pt)
+		return h
+	}
+	out := make([]CabinetPoint, len(setups))
+	for i, rs := range runs {
+		out[i] = CabinetPoint{
+			Placement:     setups[i][0],
+			Policy:        setups[i][1],
+			PolicyResult:  summarise(setups[i][1], rs),
+			HottestPeak:   units.Watts(mean(rs, hottest)),
+			PeakImbalance: mean(rs, func(r *core.Result) float64 { return r.Cabinets.PeakImbalance }),
+			TripRisk:      mean(rs, func(r *core.Result) float64 { return r.Cabinets.TripRiskFraction }),
+		}
 	}
 	return out, nil
 }

@@ -2,10 +2,8 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
-	"repro/internal/units"
 )
 
 // ControllerPoint is one control-law's outcome in the comparison study.
@@ -25,11 +23,7 @@ type ControllerPoint struct {
 // indiscriminate coordinated control on performance at equal power safety
 // — becomes measurable here.
 func ControllerStudy(sc Scale) ([]ControllerPoint, error) {
-	type setup struct {
-		name   string
-		mutate func(*core.Config)
-	}
-	setups := []setup{
+	cells := []cell{
 		{"none", func(c *core.Config) { c.PolicyName = "none" }},
 		{"algorithm1+mpc", func(c *core.Config) { c.PolicyName = "mpc" }},
 		{"feedback-pi", func(c *core.Config) { c.Controller = "feedback" }},
@@ -42,58 +36,33 @@ func ControllerStudy(sc Scale) ([]ControllerPoint, error) {
 			c.TwoLevelDivision = "proportional"
 		}},
 	}
-	var out []ControllerPoint
-	for _, st := range setups {
-		pt := ControllerPoint{Name: st.name}
-		var pmax, over, perf, cplj, moves, sat float64
-		for _, seed := range sc.Seeds {
-			cfg := sc.baseConfig(seed)
-			st.mutate(&cfg)
-			sys, err := core.New(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("controller %s: %w", st.name, err)
-			}
-			r, err := sys.Run(sc.Eval)
-			if err != nil {
-				return nil, err
-			}
-			pmax += float64(r.Summary.PMax)
-			over += r.Summary.Overspend
-			if !math.IsNaN(r.Summary.Performance) {
-				perf += r.Summary.Performance
-			}
-			if !math.IsNaN(r.Summary.CPLJFrac) {
-				cplj += r.Summary.CPLJFrac
-			}
-			switch {
-			case r.FeedbackStats != nil:
-				moves += float64(r.FeedbackStats.Moves)
-				sat += float64(r.FeedbackStats.SatLow)
-			case r.TwoLevelStats != nil:
-				moves += float64(r.TwoLevelStats.Moves)
-				sat += float64(r.TwoLevelStats.StarvedNodes)
-			default:
-				moves += float64(r.ManagerStats.DegradeOps + r.ManagerStats.RestoreOps)
-			}
-		}
-		n := float64(len(sc.Seeds))
-		pt.PMax = units.Watts(pmax / n)
-		pt.Overspend = over / n
-		pt.Performance = perf / n
-		pt.CPLJFrac = cplj / n
-		pt.Moves = moves / n
-		pt.SatLowCycles = sat / n
-		out = append(out, pt)
+	runs, err := sc.run(cells)
+	if err != nil {
+		return nil, fmt.Errorf("controllers: %w", err)
 	}
-	// Reductions against the uncapped run.
-	base := out[0]
-	for i := range out {
-		if base.PMax > 0 {
-			out[i].PMaxReduction = 1 - float64(out[i].PMax)/float64(base.PMax)
+	moves := func(r *core.Result) float64 {
+		switch {
+		case r.FeedbackStats != nil:
+			return float64(r.FeedbackStats.Moves)
+		case r.TwoLevelStats != nil:
+			return float64(r.TwoLevelStats.Moves)
 		}
-		if base.Overspend > 0 {
-			out[i].OverspendReduction = 1 - out[i].Overspend/base.Overspend
+		return float64(r.ManagerStats.DegradeOps + r.ManagerStats.RestoreOps)
+	}
+	satLow := func(r *core.Result) float64 {
+		switch {
+		case r.FeedbackStats != nil:
+			return float64(r.FeedbackStats.SatLow)
+		case r.TwoLevelStats != nil:
+			return float64(r.TwoLevelStats.StarvedNodes)
 		}
+		return 0
+	}
+	// Reductions are against the uncapped run.
+	prs := compared(cells, runs)
+	out := make([]ControllerPoint, len(cells))
+	for i, rs := range runs {
+		out[i] = ControllerPoint{Name: cells[i].name, PolicyResult: prs[i], Moves: mean(rs, moves), SatLowCycles: mean(rs, satLow)}
 	}
 	return out, nil
 }

@@ -101,17 +101,7 @@ func BackendEquivalence(sc Scale, policy string, mutate func(*core.Config)) (Equ
 			st := d.Status()
 			res.Samples, res.Acks = st.SamplesReceived, int64(st.CommandAcks)
 		}
-		s := r.Summary
-		return PolicyResult{
-			Policy:      policy,
-			PMax:        s.PMax,
-			PMean:       s.PMean,
-			Overspend:   s.Overspend,
-			Performance: s.Performance,
-			CPLJFrac:    s.CPLJFrac,
-			JobsDone:    float64(s.JobsDone),
-			RedEntries:  r.ManagerStats.RedEntries,
-		}, nil
+		return summarise(policy, []*core.Result{r}), nil
 	}
 
 	var err error

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -69,51 +70,135 @@ type PolicyResult struct {
 	OverspendReduction float64 // 1 − ΔP×T/ΔP×T_uncapped
 }
 
-// runPolicy executes the scenario for one policy across the scale's seeds
-// and averages. mutate (optional) adjusts the config before construction.
-func runPolicy(sc Scale, policy string, mutate func(*core.Config)) (PolicyResult, error) {
-	if len(sc.Seeds) == 0 {
-		return PolicyResult{}, fmt.Errorf("experiment: no seeds")
-	}
-	res := PolicyResult{Policy: policy}
-	var pmax, pmean, over, perf, cplj, jobs float64
-	for _, seed := range sc.Seeds {
-		cfg := sc.baseConfig(seed)
+// cell is one configuration a study runs on every seed of its scale:
+// mutate adjusts the scale's base config for each seed, and name labels the
+// cell's averaged result and its errors.
+type cell struct {
+	name   string
+	mutate func(*core.Config)
+}
+
+// policyCell runs policy, with mutate (optional) applied after it.
+func policyCell(policy string, mutate func(*core.Config)) cell {
+	return cell{policy, func(cfg *core.Config) {
 		cfg.PolicyName = policy
 		if mutate != nil {
-			mutate(&cfg)
+			mutate(cfg)
 		}
-		sys, err := core.New(cfg)
-		if err != nil {
-			return res, err
-		}
-		r, err := sys.Run(sc.Eval)
-		if err != nil {
-			return res, err
-		}
-		s := r.Summary
-		pmax += float64(s.PMax)
-		pmean += float64(s.PMean)
-		over += s.Overspend
-		if !math.IsNaN(s.Performance) {
-			perf += s.Performance
-		}
-		if !math.IsNaN(s.CPLJFrac) {
-			cplj += s.CPLJFrac
-		}
-		jobs += float64(s.JobsDone)
-		if r.ManagerStats.RedEntries > res.RedEntries {
-			res.RedEntries = r.ManagerStats.RedEntries
+	}}
+}
+
+// policyCells is one policyCell per policy, each with mutate applied.
+func policyCells(policies []string, mutate func(*core.Config)) []cell {
+	cells := make([]cell, len(policies))
+	for i, p := range policies {
+		cells[i] = policyCell(p, mutate)
+	}
+	return cells
+}
+
+// run executes every cell on every seed of the scale through one pool of
+// runtime.NumCPU() workers (each run is an independent, CPU-bound
+// simulation, so more workers than cores only thrashes) and returns each
+// cell's results in seed order.
+func (sc Scale) run(cells []cell) ([][]*core.Result, error) {
+	if len(sc.Seeds) == 0 {
+		return nil, fmt.Errorf("experiment: no seeds")
+	}
+	out := make([][]*core.Result, len(cells))
+	errs := make([]error, len(cells)*len(sc.Seeds))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, runtime.NumCPU())
+	for ci, c := range cells {
+		out[ci] = make([]*core.Result, len(sc.Seeds))
+		for si, seed := range sc.Seeds {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				cfg := sc.baseConfig(seed)
+				c.mutate(&cfg)
+				sys, err := core.New(cfg)
+				if err == nil {
+					defer sys.Close()
+					out[ci][si], err = sys.Run(sc.Eval)
+				}
+				if err != nil {
+					errs[ci*len(sc.Seeds)+si] = fmt.Errorf("%s seed %d: %w", c.name, seed, err)
+				}
+			}()
 		}
 	}
-	n := float64(len(sc.Seeds))
-	res.PMax = units.Watts(pmax / n)
-	res.PMean = units.Watts(pmean / n)
-	res.Overspend = over / n
-	res.Performance = perf / n
-	res.CPLJFrac = cplj / n
-	res.JobsDone = jobs / n
-	return res, nil
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// mean averages f over one cell's results, summing in seed order so every
+// host adds the same floats in the same order. A NaN reading (Performance
+// and CPLJ of a window in which no job finished) adds nothing to the sum
+// but still counts in the divisor.
+func mean(rs []*core.Result, f func(*core.Result) float64) float64 {
+	var sum float64
+	for _, r := range rs {
+		if v := f(r); !math.IsNaN(v) {
+			sum += v
+		}
+	}
+	return sum / float64(len(rs))
+}
+
+// summarise averages one cell's results; RedEntries is the worst seed's.
+func summarise(policy string, rs []*core.Result) PolicyResult {
+	res := PolicyResult{
+		Policy:      policy,
+		PMax:        units.Watts(mean(rs, func(r *core.Result) float64 { return float64(r.Summary.PMax) })),
+		PMean:       units.Watts(mean(rs, func(r *core.Result) float64 { return float64(r.Summary.PMean) })),
+		Overspend:   mean(rs, func(r *core.Result) float64 { return r.Summary.Overspend }),
+		Performance: mean(rs, func(r *core.Result) float64 { return r.Summary.Performance }),
+		CPLJFrac:    mean(rs, func(r *core.Result) float64 { return r.Summary.CPLJFrac }),
+		JobsDone:    mean(rs, func(r *core.Result) float64 { return float64(r.Summary.JobsDone) }),
+	}
+	for _, r := range rs {
+		res.RedEntries = max(res.RedEntries, r.ManagerStats.RedEntries)
+	}
+	return res
+}
+
+// compared summarises every cell's results and fills each one's
+// reductions against the first cell's.
+func compared(cells []cell, runs [][]*core.Result) []PolicyResult {
+	out := make([]PolicyResult, len(cells))
+	for i, rs := range runs {
+		out[i] = summarise(cells[i].name, rs)
+	}
+	if len(out) > 0 {
+		relativise(out[0], out)
+	}
+	return out
+}
+
+// againstUncapped runs the uncapped baseline and MPC under each value's
+// mutation in one batch, and returns one point per value, in values'
+// order, from the MPC result with its reductions against the baseline.
+func againstUncapped[T, P any](sc Scale, values []T, set func(*core.Config, T), point func(T, PolicyResult) P) ([]P, error) {
+	cells := []cell{policyCell("none", nil)}
+	for _, v := range values {
+		cells = append(cells, policyCell("mpc", func(cfg *core.Config) { set(cfg, v) }))
+	}
+	runs, err := sc.run(cells)
+	if err != nil {
+		return nil, err
+	}
+	rs := compared(cells, runs)[1:]
+	out := make([]P, len(values))
+	for i, v := range values {
+		out[i] = point(v, rs[i])
+	}
+	return out, nil
 }
 
 // relativise fills the against-baseline reductions.
@@ -146,50 +231,16 @@ func PolicyFamily(sc Scale) ([]PolicyResult, error) {
 	})
 }
 
-// ComparePolicies runs the named policies on the Figure 7 scenario,
-// in parallel across policies (each run is an independent simulation).
-// The first entry should be "none" (or another baseline) for the
-// reductions to be meaningful.
+// ComparePolicies runs the named policies on the Figure 7 scenario. The
+// first entry should be "none" (or another baseline) for the reductions to
+// be meaningful.
 func ComparePolicies(sc Scale, policies []string) ([]PolicyResult, error) {
-	out := make([]PolicyResult, len(policies))
-	errs := make([]error, len(policies))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, maxParallel())
-	for i, p := range policies {
-		i, p := i, p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			r, err := runPolicy(sc, p, nil)
-			if err != nil {
-				errs[i] = fmt.Errorf("policy %s: %w", p, err)
-				return
-			}
-			out[i] = r
-		}()
+	cells := policyCells(policies, nil)
+	runs, err := sc.run(cells)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(out) > 0 {
-		relativise(out[0], out)
-	}
-	return out, nil
-}
-
-// maxParallel bounds concurrent simulations: each run is CPU-bound, so
-// more workers than cores only thrashes.
-func maxParallel() int {
-	n := runtime.NumCPU()
-	if n < 1 {
-		return 1
-	}
-	return n
+	return compared(cells, runs), nil
 }
 
 // PolicyTable renders policy results.
@@ -224,24 +275,9 @@ type FaultPoint struct {
 // architecture should degrade gracefully — capping keeps working with
 // stale/missing node views, at slightly reduced effectiveness.
 func Faults(sc Scale, rates []float64) ([]FaultPoint, error) {
-	baseline, err := runPolicy(sc, "none", nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]FaultPoint, 0, len(rates))
-	for _, rate := range rates {
-		rate := rate
-		r, err := runPolicy(sc, "mpc", func(cfg *core.Config) {
-			cfg.AgentDropRate = rate
-		})
-		if err != nil {
-			return nil, err
-		}
-		rs := []PolicyResult{r}
-		relativise(baseline, rs)
-		out = append(out, FaultPoint{DropRate: rate, PolicyResult: rs[0]})
-	}
-	return out, nil
+	return againstUncapped(sc, rates,
+		func(cfg *core.Config, rate float64) { cfg.AgentDropRate = rate },
+		func(rate float64, r PolicyResult) FaultPoint { return FaultPoint{DropRate: rate, PolicyResult: r} })
 }
 
 // FaultTable renders fault sweep results.
@@ -269,29 +305,22 @@ type ThresholdResult struct {
 // Thresholds verifies the threshold learning rule on uncapped training
 // runs: P_H must equal 93% and P_L 84% of the observed training peak.
 func Thresholds(sc Scale) ([]ThresholdResult, error) {
-	out := make([]ThresholdResult, 0, len(sc.Seeds))
-	for _, seed := range sc.Seeds {
-		cfg := sc.baseConfig(seed)
-		cfg.PolicyName = "none"
-		sys, err := core.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := sys.Run(sc.Eval)
-		if err != nil {
-			return nil, err
-		}
-		tr := ThresholdResult{
-			Seed:         seed,
+	runs, err := sc.run([]cell{policyCell("none", nil)})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]ThresholdResult, len(sc.Seeds))
+	for i, r := range runs[0] {
+		out[i] = ThresholdResult{
+			Seed:         sc.Seeds[i],
 			TrainingPeak: r.TrainingPeak,
 			PL:           r.Thresholds.PL,
 			PH:           r.Thresholds.PH,
 		}
 		if r.TrainingPeak > 0 {
-			tr.PLOverPeak = float64(r.Thresholds.PL) / float64(r.TrainingPeak)
-			tr.PHOverPeak = float64(r.Thresholds.PH) / float64(r.TrainingPeak)
+			out[i].PLOverPeak = float64(r.Thresholds.PL) / float64(r.TrainingPeak)
+			out[i].PHOverPeak = float64(r.Thresholds.PH) / float64(r.TrainingPeak)
 		}
-		out = append(out, tr)
 	}
 	return out, nil
 }

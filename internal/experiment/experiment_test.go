@@ -241,11 +241,39 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
+// TestComparePoliciesNeedsSeeds holds every study, not only
+// ComparePolicies, to refusing a scale with no seeds rather than averaging
+// over none.
 func TestComparePoliciesNeedsSeeds(t *testing.T) {
 	sc := Quick()
 	sc.Seeds = nil
-	if _, err := ComparePolicies(sc, []string{"none"}); err == nil {
-		t.Error("empty seed list accepted")
+	studies := map[string]func() error{
+		"ComparePolicies": func() error { _, err := ComparePolicies(sc, []string{"none"}); return err },
+		"Figure7":         func() error { _, err := Figure7(sc); return err },
+		"PolicyFamily":    func() error { _, err := PolicyFamily(sc); return err },
+		"Figure6":         func() error { _, err := Figure6(sc, nil, nil); return err },
+		"Faults":          func() error { _, err := Faults(sc, []float64{0}); return err },
+		"Thresholds":      func() error { _, err := Thresholds(sc); return err },
+		"AblationTg":      func() error { _, err := AblationTg(sc, nil); return err },
+		"AblationPeriod":  func() error { _, err := AblationPeriod(sc, nil); return err },
+		"AblationMargins": func() error { _, err := AblationMargins(sc, nil); return err },
+		"PrivilegedJobs":  func() error { _, err := PrivilegedJobs(sc, nil); return err },
+		"HeteroStudy":     func() error { _, err := HeteroStudy(sc); return err },
+		"CabinetStudy":    func() error { _, err := CabinetStudy(sc); return err },
+		"ControllerStudy": func() error { _, err := ControllerStudy(sc); return err },
+		"ThermalStudy":    func() error { _, err := ThermalStudy(sc, nil); return err },
+		"FairnessStudy":   func() error { _, err := FairnessStudy(sc, nil); return err },
+		"BackendEquivalence": func() error {
+			_, err := BackendEquivalence(sc, "mpc", nil)
+			return err
+		},
+	}
+	for name, study := range studies {
+		t.Run(name, func(t *testing.T) {
+			if study() == nil {
+				t.Error("empty seed list accepted")
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -43,6 +44,40 @@ func TestThermalStudyShape(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "Thermal study") {
 		t.Error("table rendering")
+	}
+}
+
+// TestThermalStudyAveragesEverySeed checks that each thermal field is the
+// arithmetic mean over the scale's seeds, each seed weighed alike.
+func TestThermalStudyAveragesEverySeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation experiment")
+	}
+	sc := Quick()
+	sc.Seeds = []uint64{1, 2, 3}
+	got, err := ThermalStudy(sc, []string{"mpc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want ThermalPoint
+	for _, seed := range sc.Seeds {
+		one := sc
+		one.Seeds = []uint64{seed}
+		pts, err := ThermalStudy(one, []string{"mpc"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.PeakC += pts[0].PeakC / 3
+		want.MeanFinalC += pts[0].MeanFinalC / 3
+		want.FailureMultiplier += pts[0].FailureMultiplier / 3
+		want.CoolingEnergy += pts[0].CoolingEnergy / 3
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Abs(b) }
+	g := got[0]
+	if !near(g.PeakC, want.PeakC) || !near(g.MeanFinalC, want.MeanFinalC) ||
+		!near(g.FailureMultiplier, want.FailureMultiplier) ||
+		!near(float64(g.CoolingEnergy), float64(want.CoolingEnergy)) {
+		t.Errorf("3-seed study %+v, want the mean of its single-seed runs %+v", g, want)
 	}
 }
 

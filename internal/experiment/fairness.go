@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
@@ -34,43 +33,33 @@ func FairnessStudy(sc Scale, policies []string) ([]FairnessPoint, error) {
 	if len(policies) == 0 {
 		policies = []string{"mpc", "hri", "mincost", "random", "all"}
 	}
-	var out []FairnessPoint
-	for _, pol := range policies {
-		pt := FairnessPoint{Policy: pol}
-		var jain, maxl, perf, cplj float64
+	runs, err := sc.run(policyCells(policies, nil))
+	if err != nil {
+		return nil, fmt.Errorf("fairness: %w", err)
+	}
+	out := make([]FairnessPoint, len(policies))
+	for i, rs := range runs {
+		pr := summarise(policies[i], rs)
+		pt := FairnessPoint{
+			Policy:       policies[i],
+			Performance:  pr.Performance,
+			CPLJFrac:     pr.CPLJFrac,
+			PerBenchmark: metrics.ByBenchmark(rs[0].Jobs, metrics.DefaultLosslessTol),
+		}
+		// Jain's index averages over the seeds it is defined on.
+		var jain float64
 		jn := 0
-		for _, seed := range sc.Seeds {
-			cfg := sc.baseConfig(seed)
-			cfg.PolicyName = pol
-			sys, err := core.New(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("fairness %s: %w", pol, err)
-			}
-			r, err := sys.Run(sc.Eval)
-			if err != nil {
-				return nil, err
-			}
+		for _, r := range rs {
 			if j := metrics.JainFairness(r.Jobs); !math.IsNaN(j) {
 				jain += j
 				jn++
 			}
-			if m := metrics.MaxSlowdownLoss(r.Jobs); m > maxl {
-				maxl = m
-			}
-			perf += r.Summary.Performance
-			cplj += r.Summary.CPLJFrac
-			if pt.PerBenchmark == nil {
-				pt.PerBenchmark = metrics.ByBenchmark(r.Jobs, metrics.DefaultLosslessTol)
-			}
+			pt.MaxLoss = max(pt.MaxLoss, metrics.MaxSlowdownLoss(r.Jobs))
 		}
-		n := float64(len(sc.Seeds))
 		if jn > 0 {
 			pt.Jain = jain / float64(jn)
 		}
-		pt.MaxLoss = maxl
-		pt.Performance = perf / n
-		pt.CPLJFrac = cplj / n
-		out = append(out, pt)
+		out[i] = pt
 	}
 	return out, nil
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 )
@@ -35,53 +34,36 @@ func Figure6(sc Scale, sizes []int, policies []string) ([]SweepPoint, error) {
 	}
 	// The K=0 run is policy-independent (nothing to throttle); run it
 	// once as the normalisation baseline.
-	baseline, err := runPolicy(sc, "none", func(cfg *core.Config) {
-		cfg.CandidateCount = 0
-	})
-	if err != nil {
-		return nil, fmt.Errorf("figure6 baseline: %w", err)
-	}
-	out := make([]SweepPoint, len(policies)*len(sizes))
-	errs := make([]error, len(out))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, maxParallel())
-	for pi, pol := range policies {
-		for ki, k := range sizes {
-			idx, pol, k := pi*len(sizes)+ki, pol, k
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				var pr PolicyResult
-				if k == 0 {
-					pr = baseline
-					pr.Policy = pol
-				} else {
-					var err error
-					pr, err = runPolicy(sc, pol, func(cfg *core.Config) {
-						cfg.CandidateCount = k
-					})
-					if err != nil {
-						errs[idx] = fmt.Errorf("figure6 %s k=%d: %w", pol, k, err)
-						return
-					}
-				}
-				pt := SweepPoint{Policy: pol, K: k, PolicyResult: pr}
-				if baseline.PMax > 0 {
-					pt.PMaxNorm = float64(pr.PMax) / float64(baseline.PMax)
-				}
-				if baseline.Overspend > 0 {
-					pt.OverspendNorm = pr.Overspend / baseline.Overspend
-				}
-				out[idx] = pt
-			}()
+	cells := []cell{policyCell("none", func(cfg *core.Config) { cfg.CandidateCount = 0 })}
+	for _, pol := range policies {
+		for _, k := range sizes {
+			if k != 0 {
+				cells = append(cells, policyCell(pol, func(cfg *core.Config) { cfg.CandidateCount = k }))
+			}
 		}
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	runs, err := sc.run(cells)
+	if err != nil {
+		return nil, fmt.Errorf("figure6: %w", err)
+	}
+	baseline := summarise("none", runs[0])
+	runs = runs[1:]
+	out := make([]SweepPoint, 0, len(policies)*len(sizes))
+	for _, pol := range policies {
+		for _, k := range sizes {
+			pr := baseline
+			if k != 0 {
+				pr, runs = summarise(pol, runs[0]), runs[1:]
+			}
+			pr.Policy = pol
+			pt := SweepPoint{Policy: pol, K: k, PolicyResult: pr}
+			if baseline.PMax > 0 {
+				pt.PMaxNorm = float64(pr.PMax) / float64(baseline.PMax)
+			}
+			if baseline.Overspend > 0 {
+				pt.OverspendNorm = pr.Overspend / baseline.Overspend
+			}
+			out = append(out, pt)
 		}
 	}
 	return out, nil

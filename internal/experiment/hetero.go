@@ -54,20 +54,18 @@ func HeteroStudy(sc Scale) ([]HeteroPoint, error) {
 			cfg.PMax = cfg.PMax * 85 / 100
 		}},
 	}
-	var out []HeteroPoint
+	var cells []cell
 	for _, fl := range fleets {
-		fl := fl
-		baseline, err := runPolicy(sc, "none", fl.mutate)
-		if err != nil {
-			return nil, fmt.Errorf("hetero %s baseline: %w", fl.name, err)
-		}
-		capped, err := runPolicy(sc, "mpc", fl.mutate)
-		if err != nil {
-			return nil, fmt.Errorf("hetero %s: %w", fl.name, err)
-		}
-		rs := []PolicyResult{capped}
-		relativise(baseline, rs)
-		out = append(out, HeteroPoint{Fleet: fl.name, PolicyResult: rs[0]})
+		cells = append(cells, policyCell("none", fl.mutate), policyCell("mpc", fl.mutate))
+	}
+	runs, err := sc.run(cells)
+	if err != nil {
+		return nil, fmt.Errorf("hetero: %w", err)
+	}
+	out := make([]HeteroPoint, len(fleets))
+	for i, fl := range fleets {
+		// Each fleet against its own uncapped baseline.
+		out[i] = HeteroPoint{Fleet: fl.name, PolicyResult: compared(cells[2*i:2*i+2], runs[2*i:2*i+2])[1]}
 	}
 	return out, nil
 }

@@ -22,24 +22,9 @@ func PrivilegedJobs(sc Scale, fracs []float64) ([]PrivilegedPoint, error) {
 	if len(fracs) == 0 {
 		fracs = []float64{0, 0.25, 0.5, 0.75}
 	}
-	baseline, err := runPolicy(sc, "none", nil)
-	if err != nil {
-		return nil, err
-	}
-	var out []PrivilegedPoint
-	for _, f := range fracs {
-		f := f
-		r, err := runPolicy(sc, "mpc", func(cfg *core.Config) {
-			cfg.PrivilegedJobFraction = f
-		})
-		if err != nil {
-			return nil, err
-		}
-		rs := []PolicyResult{r}
-		relativise(baseline, rs)
-		out = append(out, PrivilegedPoint{Fraction: f, PolicyResult: rs[0]})
-	}
-	return out, nil
+	return againstUncapped(sc, fracs,
+		func(cfg *core.Config, f float64) { cfg.PrivilegedJobFraction = f },
+		func(f float64, r PolicyResult) PrivilegedPoint { return PrivilegedPoint{Fraction: f, PolicyResult: r} })
 }
 
 // PrivilegedTable renders the sweep.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/thermal"
 	"repro/internal/units"
 )
 
@@ -29,56 +28,19 @@ func ThermalStudy(sc Scale, policies []string) ([]ThermalPoint, error) {
 	if len(policies) == 0 {
 		policies = []string{"none", "mpc", "hri"}
 	}
-	var out []ThermalPoint
-	var baseline *ThermalPoint
-	for _, pol := range policies {
-		pol := pol
-		var sum *thermal.Summary
-		pr := PolicyResult{Policy: pol}
-		var pmax, over, perf float64
-		for _, seed := range sc.Seeds {
-			cfg := sc.baseConfig(seed)
-			cfg.PolicyName = pol
-			cfg.ThermalEnabled = true
-			sys, err := core.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			r, err := sys.Run(sc.Eval)
-			if err != nil {
-				return nil, err
-			}
-			if r.Thermal == nil {
-				return nil, fmt.Errorf("experiment: thermal summary missing")
-			}
-			if sum == nil {
-				sum = r.Thermal
-			} else {
-				// Average across seeds.
-				sum.PeakC = (sum.PeakC + r.Thermal.PeakC) / 2
-				sum.MeanFinalC = (sum.MeanFinalC + r.Thermal.MeanFinalC) / 2
-				sum.FailureMultiplier = (sum.FailureMultiplier + r.Thermal.FailureMultiplier) / 2
-				sum.CoolingEnergy = (sum.CoolingEnergy + r.Thermal.CoolingEnergy) / 2
-			}
-			pmax += float64(r.Summary.PMax)
-			over += r.Summary.Overspend
-			perf += r.Summary.Performance
-		}
-		n := float64(len(sc.Seeds))
-		pr.PMax = units.Watts(pmax / n)
-		pr.Overspend = over / n
-		pr.Performance = perf / n
-		pt := ThermalPoint{
-			Policy:            pol,
-			PolicyResult:      pr,
-			PeakC:             sum.PeakC,
-			MeanFinalC:        sum.MeanFinalC,
-			FailureMultiplier: sum.FailureMultiplier,
-			CoolingEnergy:     sum.CoolingEnergy,
-		}
-		out = append(out, pt)
-		if baseline == nil {
-			baseline = &out[0]
+	runs, err := sc.run(policyCells(policies, func(cfg *core.Config) { cfg.ThermalEnabled = true }))
+	if err != nil {
+		return nil, fmt.Errorf("thermal: %w", err)
+	}
+	out := make([]ThermalPoint, len(policies))
+	for i, rs := range runs {
+		out[i] = ThermalPoint{
+			Policy:            policies[i],
+			PolicyResult:      summarise(policies[i], rs),
+			PeakC:             mean(rs, func(r *core.Result) float64 { return r.Thermal.PeakC }),
+			MeanFinalC:        mean(rs, func(r *core.Result) float64 { return r.Thermal.MeanFinalC }),
+			FailureMultiplier: mean(rs, func(r *core.Result) float64 { return r.Thermal.FailureMultiplier }),
+			CoolingEnergy:     units.Joules(mean(rs, func(r *core.Result) float64 { return float64(r.Thermal.CoolingEnergy) })),
 		}
 	}
 	return out, nil

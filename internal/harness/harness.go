@@ -91,13 +91,9 @@ type Options struct {
 	LeaseEvery time.Duration
 	Epoch      uint64
 
-	// LostAfter, FlapWindow, FlapLimit, Quarantine and HeartbeatEvery pass
-	// through to the manager's health state machine and heartbeat loop.
-	LostAfter      time.Duration
-	FlapWindow     time.Duration
-	FlapLimit      int
-	Quarantine     time.Duration
-	HeartbeatEvery int
+	// LostAfter passes through to the manager's health state machine; its
+	// flap, quarantine and heartbeat settings keep managerd's defaults.
+	LostAfter time.Duration
 
 	// Shards and FanoutWorkers pass through to the manager's sharded node
 	// store and per-cycle worker pool (see managerd.Config); zero keeps
@@ -164,10 +160,6 @@ func (o Options) serverConfig(ln net.Listener) managerd.Config {
 		StaleAfter:      o.StaleAfter,
 		CommandTimeout:  o.CommandTimeout,
 		LostAfter:       o.LostAfter,
-		FlapWindow:      o.FlapWindow,
-		FlapLimit:       o.FlapLimit,
-		Quarantine:      o.Quarantine,
-		HeartbeatEvery:  o.HeartbeatEvery,
 		HA:              daemon.HA{JournalPath: o.JournalPath, Epoch: o.Epoch},
 		JournalEvery:    o.JournalEvery,
 		Shards:          o.Shards,
