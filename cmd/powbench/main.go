@@ -191,7 +191,6 @@ func spawnFailoverDaemon(sc scenario.Scenario, ctrlEvery, sampleEvery time.Durat
 
 	pcfg := base
 	pcfg.Addr = "127.0.0.1:0"
-	pcfg.Epoch = 1
 	pcfg.LeaseHolder = "primary"
 	primary, err := daemon.Boot(managerd.New(pcfg))
 	if err != nil {
@@ -206,12 +205,12 @@ func spawnFailoverDaemon(sc scenario.Scenario, ctrlEvery, sampleEvery time.Durat
 		os.RemoveAll(dir)
 		return "", nil, err
 	}
-	sb, err := daemon.StartStandby(replica.StandbyConfig{
+	sb, err := daemon.StartStandby(daemon.StandbyConfig{
 		Follower:   replica.FollowerConfig{Addr: addr, Store: store, Backoff: 10 * time.Millisecond},
 		Lease:      lease,
 		MissBudget: 5,
 		Holder:     "standby",
-	}, func(p replica.Promotion) (*managerd.Server, error) {
+	}, func(ha daemon.HA) (*managerd.Server, error) {
 		// The dead primary's port frees as its listener closes; retry
 		// the exact address so the fleet's redials need no new config.
 		var ln net.Listener
@@ -228,14 +227,14 @@ func spawnFailoverDaemon(sc scenario.Scenario, ctrlEvery, sampleEvery time.Durat
 		}
 		cfg := base
 		cfg.Listener = ln
-		cfg.HA = cfg.HA.Promoted(p, lease, "standby")
+		cfg.HA = ha
 		srv, err := daemon.Boot(managerd.New(cfg))
 		if err != nil {
 			ln.Close()
 			return nil, err
 		}
 		fmt.Printf("  ⇄ failover: standby promoted at epoch %d (leaderless %v)\n",
-			p.Epoch, p.Leaderless.Round(time.Millisecond))
+			srv.Epoch(), (time.Duration(ha.TakeoverMicros) * time.Microsecond).Round(time.Millisecond))
 		return srv, nil
 	})
 	if err != nil {

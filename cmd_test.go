@@ -643,9 +643,11 @@ func TestDaemonCLIFailsafeFlags(t *testing.T) {
 }
 
 // TestDaemonCLIStandbyTakeover runs -standby-of through each daemon binary:
-// a leased primary and its warm standby share a lease file, the primary is
-// killed, and the standby must promote itself at epoch 2 and answer powctl
-// as the leader, then stop cleanly on SIGINT.
+// a leased primary and its warm standby share a lease file, the standby
+// announces the miss budget in force (4 also for -lease-miss-budget 0, which
+// asks for the default), the primary is killed, and the standby must promote
+// itself at epoch 2 and answer powctl as the leader, then stop cleanly on
+// SIGINT.
 func TestDaemonCLIStandbyTakeover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI end-to-end")
@@ -655,9 +657,10 @@ func TestDaemonCLIStandbyTakeover(t *testing.T) {
 		name             string
 		primary, standby string
 		role             []string
+		standbyFlags     []string // every one leaves the miss budget at 4
 	}{
-		{"powmgrd", "127.0.0.1:29761", "127.0.0.1:29762", []string{"-pl", "400W", "-ph", "600W"}},
-		{"powcoordd", "127.0.0.1:29763", "127.0.0.1:29764", []string{"-budget", "900W"}},
+		{"powmgrd", "127.0.0.1:29761", "127.0.0.1:29762", []string{"-pl", "400W", "-ph", "600W"}, nil},
+		{"powcoordd", "127.0.0.1:29763", "127.0.0.1:29764", []string{"-budget", "900W"}, []string{"-lease-miss-budget", "0"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -669,8 +672,9 @@ func TestDaemonCLIStandbyTakeover(t *testing.T) {
 			primary, _ := startDaemon(t, bin, tc.name, ha(tc.primary, "primary.journal")...)
 			pollPowctl(t, bin, tc.primary, "epoch 1, leader true")
 			standby, out := startDaemon(t, bin, tc.name,
-				append(ha(tc.standby, "standby.journal"), "-standby-of", tc.primary)...)
+				append(append(ha(tc.standby, "standby.journal"), "-standby-of", tc.primary), tc.standbyFlags...)...)
 			awaitOutput(t, out, "standby of "+tc.primary)
+			awaitOutput(t, out, "miss budget 4)")
 
 			primary.Process.Kill()
 			primary.Wait()

@@ -72,13 +72,11 @@ type HA struct {
 	// opening JournalPath — a promoted standby hands its replicated copy
 	// over this way.
 	Journal *replica.Store
-	// Epoch fixes the leadership epoch. Zero with a Lease claims the epoch
-	// after whatever the lease file last recorded; the journal's epoch is a
-	// floor either way. Zero without a Lease leaves fencing off.
-	Epoch uint64
-	// Lease, when non-nil, is the leadership lease: claimed at Start,
-	// renewed every Lease.Every while the daemon runs, watched by
-	// standbys. A higher epoch appearing in it deposes the daemon.
+	// Lease, when non-nil, is the leadership lease. New claims the epoch
+	// after both the lease file's and the journal's; Start writes it, and it
+	// is renewed every Lease.Every while the daemon runs, watched by
+	// standbys. A higher epoch appearing in it deposes the daemon. Without
+	// a Lease the journal's epoch stands (zero leaves fencing off).
 	Lease *replica.Lease
 	// LeaseHolder names this instance in the lease file.
 	LeaseHolder string
@@ -87,19 +85,6 @@ type HA struct {
 	// last_takeover_micros and observed into the takeover_micros
 	// histogram).
 	TakeoverMicros int64
-}
-
-// Promoted is the HA of the daemon a standby boots on promotion p: the
-// replicated store is the journal, at p's fenced-off epoch, holding lease
-// as holder.
-func (HA) Promoted(p replica.Promotion, lease *replica.Lease, holder string) HA {
-	return HA{
-		Journal:        p.Store,
-		Epoch:          p.Epoch,
-		Lease:          lease,
-		LeaseHolder:    holder,
-		TakeoverMicros: p.Leaderless.Microseconds(),
-	}
 }
 
 // Hooks is what a daemon supplies. Session, Status and Shed are required.
@@ -163,7 +148,7 @@ type Chassis struct {
 	wg         sync.WaitGroup
 }
 
-// New builds an unstarted chassis and resolves the leadership epoch.
+// New builds an unstarted chassis and claims the leadership epoch.
 func New(opt Options, hooks Hooks) *Chassis {
 	reg := obs.NewRegistry()
 	c := &Chassis{
@@ -184,18 +169,16 @@ func New(opt Options, hooks Hooks) *Chassis {
 		c.rtSamples[i].Name, c.rtGauges[i] = rg.metric, reg.Gauge(rg.gauge)
 	}
 	c.leading, c.endLeading = context.WithCancel(context.Background())
-	// Explicit configuration wins; otherwise a lease implies HA, so claim
-	// the epoch after whatever the lease file last recorded. The journal's
-	// epoch (a handed-over replica copy, say) is a floor.
-	epoch := opt.Epoch
-	if epoch == 0 && opt.Lease != nil {
-		epoch = 1
+	// The one claim rule: a leased daemon leads at the epoch after every
+	// one it can know of — the lease file's and its journal's, which a
+	// promoted standby has raised to the last lease it saw. An unleased one
+	// keeps its journal's.
+	epoch := opt.Journal.Epoch()
+	if opt.Lease != nil {
 		if st, err := opt.Lease.Read(); err == nil {
-			epoch = st.Epoch + 1
+			epoch = max(epoch, st.Epoch)
 		}
-	}
-	if je := opt.Journal.Epoch(); je > epoch {
-		epoch = je
+		epoch++
 	}
 	c.epoch = epoch
 	opt.Journal.SetEpoch(epoch)
@@ -228,7 +211,7 @@ func Boot[S interface {
 	return srv, err
 }
 
-// Start binds the listeners, claims the lease and launches the accept,
+// Start binds the listeners, writes the lease and launches the accept,
 // renew and control loops. On error nothing is left bound or running.
 func (c *Chassis) Start() (err error) {
 	defer func() {
@@ -255,7 +238,7 @@ func (c *Chassis) Start() (err error) {
 		c.run(func() { _ = c.metricsSrv.Serve(c.metricsLn) })
 	}
 	if c.opt.Lease != nil {
-		// Claim the lease synchronously so a standby started right after
+		// Write the lease synchronously so a standby started right after
 		// us immediately sees a live leader.
 		c.writeLease()
 		c.Every(c.opt.Lease.Period(), c.renewLease)

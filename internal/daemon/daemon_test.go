@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -287,7 +290,7 @@ func TestFollowerAcksGoBinary(t *testing.T) {
 // daemon's sessions are shed — once.
 func TestFollowerWithHigherEpochDeposes(t *testing.T) {
 	var s stub
-	c := newChassis(t, &s, func(o *daemon.Options) { o.Epoch = 3 })
+	c := newChassis(t, &s, func(o *daemon.Options) { o.Journal.SetEpoch(3) })
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -407,6 +410,65 @@ func TestLeaseEpochBumpSelfDeposes(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics of a deposed daemon lacks %q", want)
 		}
+	}
+}
+
+// TestEpochClaim pins the one claim rule, in New: a leased daemon leads at
+// the epoch after both its lease file's and its journal's — a missing or
+// corrupt file counts as none — and an unleased one at its journal's. Start
+// stamps the journal and writes the lease at the claimed epoch.
+func TestEpochClaim(t *testing.T) {
+	for _, tc := range []struct {
+		lease   string // "none", "missing", "corrupt" or the file's epoch
+		journal uint64
+		want    uint64
+	}{
+		{"none", 0, 0}, {"none", 3, 3},
+		{"missing", 0, 1}, {"missing", 3, 4},
+		{"corrupt", 0, 1}, {"corrupt", 3, 4},
+		{"2", 0, 3}, {"2", 3, 4},
+		{"4", 0, 5}, {"4", 3, 5},
+	} {
+		t.Run(fmt.Sprintf("lease=%s/journal=%d", tc.lease, tc.journal), func(t *testing.T) {
+			var lease *replica.Lease
+			if tc.lease != "none" {
+				lease = &replica.Lease{Path: filepath.Join(t.TempDir(), "lease.json"), Every: time.Hour}
+			}
+			switch tc.lease {
+			case "none", "missing":
+			case "corrupt":
+				if err := os.WriteFile(lease.Path, []byte("{\"epoch\": "), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				e, _ := strconv.ParseUint(tc.lease, 10, 64)
+				if err := lease.Write(replica.LeaseState{Epoch: e, Holder: "old", RenewedAt: time.Now()}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var s stub
+			var journal *replica.Store
+			c := newChassis(t, &s, func(o *daemon.Options) {
+				journal = o.Journal
+				journal.SetEpoch(tc.journal)
+				o.Lease, o.LeaseHolder = lease, "new"
+			})
+			if c.Epoch() != tc.want {
+				t.Fatalf("claimed epoch %d, want %d", c.Epoch(), tc.want)
+			}
+			if err := c.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if got := journal.Epoch(); got != tc.want {
+				t.Errorf("journal stamped at epoch %d, want %d", got, tc.want)
+			}
+			if lease == nil {
+				return
+			}
+			if st, err := lease.Read(); err != nil || st.Epoch != tc.want || st.Holder != "new" {
+				t.Errorf("lease after Start: %+v err=%v, want epoch %d held by new", st, err, tc.want)
+			}
+		})
 	}
 }
 
@@ -611,103 +673,5 @@ func TestBootStartsOrStops(t *testing.T) {
 	bound := &fakeDaemon{startErr: errors.New("port taken")}
 	if _, err := daemon.Boot(bound, nil); err != bound.startErr || !bound.stopped.Load() {
 		t.Fatalf("Boot of a daemon that cannot start: %v (stopped %v)", err, bound.stopped.Load())
-	}
-}
-
-func standbyConfig(t *testing.T) replica.StandbyConfig {
-	t.Helper()
-	store, err := replica.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
-	return replica.StandbyConfig{
-		Follower: replica.FollowerConfig{
-			Store:   store,
-			Backoff: time.Millisecond,
-			Dial: func(context.Context) (net.Conn, error) {
-				return nil, errors.New("no leader to follow")
-			},
-		},
-		Lease:  &replica.Lease{Path: filepath.Join(t.TempDir(), "lease.json"), Every: 5 * time.Millisecond},
-		Holder: "standby",
-	}
-}
-
-func TestStandbyBootsOnceAndHandsOver(t *testing.T) {
-	var boots atomic.Int64
-	srv := &fakeDaemon{}
-	sb, err := daemon.StartStandby(standbyConfig(t), func(p replica.Promotion) (*fakeDaemon, error) {
-		boots.Add(1)
-		if p.Epoch != 1 || p.Store == nil {
-			t.Errorf("promotion %+v, want epoch 1 over the replicated store", p)
-		}
-		return srv, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sb.Await(20 * time.Millisecond); err == nil {
-		t.Fatal("Await returned a daemon before any promotion")
-	}
-	sb.Promote()
-	sb.Promote()
-	got, err := sb.Await(5 * time.Second)
-	if err != nil || got != srv {
-		t.Fatalf("Await = %v, %v; want the booted daemon", got, err)
-	}
-	if left, promoted := sb.Stop(); promoted || left != nil {
-		t.Errorf("Stop returned %v after Await had collected the daemon", left)
-	}
-	if srv.stopped.Load() {
-		t.Error("Stop stopped a daemon the caller had collected")
-	}
-	if n := boots.Load(); n != 1 {
-		t.Errorf("boot ran %d times, want 1", n)
-	}
-}
-
-func TestStandbyReportsBootErrorThroughAwait(t *testing.T) {
-	boom := errors.New("port taken")
-	sb, err := daemon.StartStandby(standbyConfig(t), func(replica.Promotion) (*fakeDaemon, error) {
-		return nil, boom
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb.Promote()
-	if _, err := sb.Await(5 * time.Second); !errors.Is(err, boom) {
-		t.Fatalf("Await error %v, want boot's", err)
-	}
-	if _, promoted := sb.Stop(); promoted {
-		t.Error("Stop reports a promoted daemon after boot failed")
-	}
-}
-
-func TestStandbyStopStopsUncollectedDaemon(t *testing.T) {
-	srv := &fakeDaemon{}
-	sb, err := daemon.StartStandby(standbyConfig(t), func(replica.Promotion) (*fakeDaemon, error) {
-		return srv, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb.Promote()
-	select {
-	case <-sb.Standby.Promoted():
-	case <-time.After(5 * time.Second):
-		t.Fatal("never promoted")
-	}
-	got, promoted := sb.Stop()
-	if !promoted || got != srv || !srv.stopped.Load() {
-		t.Errorf("Stop = %v, %v (stopped %v); want the promoted daemon, stopped", got, promoted, srv.stopped.Load())
-	}
-}
-
-func TestStartStandbyRejectsBadConfig(t *testing.T) {
-	cfg := standbyConfig(t)
-	cfg.Lease = nil
-	if _, err := daemon.StartStandby(cfg, func(replica.Promotion) (*fakeDaemon, error) { return nil, nil }); err == nil {
-		t.Fatal("a standby without a lease was accepted")
 	}
 }

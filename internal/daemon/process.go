@@ -45,7 +45,7 @@ func Flags(name string) *Process {
 	flag.StringVar(&p.lease, "lease", "", "leadership lease file shared with standbys (empty = HA off)")
 	flag.DurationVar(&p.leaseEvery, "lease-every", 250*time.Millisecond, "lease renewal period")
 	flag.StringVar(&p.standbyOf, "standby-of", "", "run as warm standby: replicate this daemon's journal, promote when its lease goes stale")
-	flag.IntVar(&p.missBudget, "lease-miss-budget", replica.DefaultMissBudget, "stale lease renewals a standby tolerates before declaring the leader dead")
+	flag.IntVar(&p.missBudget, "lease-miss-budget", DefaultMissBudget, "stale lease renewals a standby tolerates before declaring the leader dead")
 	flag.StringVar(&p.MetricsAddr, "metrics-addr", "", "serve GET /metrics and GET /debug/cycles on this address (empty = disabled)")
 	flag.IntVar(&p.BudgetGrace, "budget-grace", DefaultBudgetGrace, "control periods of parent silence tolerated before flooring to the failsafe band")
 	flag.StringVar(&p.failsafePL, "failsafe-pl", "", "failsafe band P_L enforced on parent silence (empty = hold the daemon's own band)")
@@ -82,6 +82,7 @@ func Run[S interface {
 	Stop()
 	Addr() string
 	MetricsAddr() string
+	Epoch() uint64
 }](p *Process, build func(HA) (S, error), banner, summary func(S)) {
 	var lease *replica.Lease
 	if p.lease != "" {
@@ -114,22 +115,22 @@ func Run[S interface {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sb, err := StartStandby(replica.StandbyConfig{
+		sb, err := StartStandby(StandbyConfig{
 			Follower:   replica.FollowerConfig{Addr: p.standbyOf, Store: store, Backoff: lease.Period()},
 			Lease:      lease,
 			MissBudget: p.missBudget,
 			Holder:     "standby",
-		}, func(pr replica.Promotion) (S, error) {
+		}, func(ha HA) (S, error) {
 			// A standby that cannot take over must not linger as one.
-			return start(HA{}.Promoted(pr, lease, "standby"), func(srv S) {
+			return start(ha, func(srv S) {
 				p.printf("promoted at epoch %d after %v leaderless, listening on %s",
-					pr.Epoch, pr.Leaderless.Round(time.Millisecond), srv.Addr())
+					srv.Epoch(), (time.Duration(ha.TakeoverMicros) * time.Microsecond).Round(time.Millisecond), srv.Addr())
 			}), nil
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		p.printf("standby of %s (lease %s every %v, miss budget %d)", p.standbyOf, lease.Path, lease.Period(), p.missBudget)
+		p.printf("standby of %s (lease %s every %v, miss budget %d)", p.standbyOf, lease.Path, lease.Period(), missBudget(p.missBudget))
 		stop = sb.Stop
 	}
 

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/power"
+	"repro/internal/replica"
 	"repro/internal/wire"
 )
 
@@ -100,7 +101,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // reply is marked CoordinatorNode, carries the aggregate and one Batch
 // row per child, and names no codec, since the probe stays on JSON.
 func TestStatusEnvelopeOverTheWire(t *testing.T) {
-	srv := startServer(t, func(c *Config) { c.Epoch = 4 })
+	srv := startServer(t, func(c *Config) {
+		// Without a lease the coordinator leads at its journal's epoch.
+		c.Journal, _ = replica.Open("")
+		c.Journal.SetEpoch(4)
+	})
 
 	child := dial(t, srv.Addr())
 	sub := wire.Envelope{

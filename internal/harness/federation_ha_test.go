@@ -45,7 +45,6 @@ func TestFederationCoordinatorTakeoverNoFloors(t *testing.T) {
 		Coord: func(_ []int, cfg *fedd.Config) {
 			cfg.Lease = lease
 			cfg.LeaseHolder = "coord-1"
-			cfg.Epoch = 1
 			cfg.CommandTimeout = 100 * time.Millisecond
 		},
 	})

@@ -258,7 +258,6 @@ func TestFederationStandbyTakeoverInvisible(t *testing.T) {
 			}
 			o.LeasePath = lease
 			o.LeaseEvery = 15 * time.Millisecond
-			o.Epoch = 1
 			o.CommandTimeout = 100 * time.Millisecond
 			o.FailsafeAfter = 8 // agents' own dead-man: must never fire
 			o.FailsafeLevel = 0

@@ -31,7 +31,6 @@ func TestManagerKillFailSafeWarmStandby(t *testing.T) {
 		FailsafeLevel:  0,
 		LeasePath:      lease,
 		LeaseEvery:     15 * time.Millisecond,
-		Epoch:          1,
 	})
 	grace := time.Duration(c.Opt.FailsafeAfter) * c.Opt.SampleEvery
 	c.AwaitAgents(agents, 20*time.Second)
@@ -46,7 +45,7 @@ func TestManagerKillFailSafeWarmStandby(t *testing.T) {
 		return st.ReplicaConns >= 1 && st.DegradeOps >= 1 &&
 			st.JournalAppends >= 1 && st.ReplicaLagEntries <= 1
 	}, "standby never caught up while capping: %+v", c.Status())
-	if sb.Standby.Store().Seq() == 0 {
+	if sb.Store().Seq() == 0 {
 		t.Fatalf("standby store empty despite drained lag")
 	}
 
@@ -113,7 +112,6 @@ func TestForcedPromotionDeposesPrimary(t *testing.T) {
 		CommandTimeout: 100 * time.Millisecond,
 		LeasePath:      lease,
 		LeaseEvery:     15 * time.Millisecond,
-		Epoch:          1,
 	})
 	c.AwaitAgents(agents, 20*time.Second)
 	sb := c.StartStandby(4)
@@ -122,7 +120,7 @@ func TestForcedPromotionDeposesPrimary(t *testing.T) {
 	}, "standby never connected: %+v", c.Status())
 
 	old := c.Server
-	c.PromoteStandby(sb)
+	sb.Promote()
 	c.AwaitTakeover(sb, 10*time.Second)
 
 	// The deposed primary notices the claimed lease and steps down.

@@ -84,12 +84,9 @@ type Options struct {
 
 	// LeasePath arms leased leadership: the manager claims and renews the
 	// lease file every LeaseEvery (default replica.DefaultLeaseEvery) and
-	// warm standbys started with Cluster.StartStandby watch it. Epoch is
-	// the primary's initial leadership epoch (zero with a lease set derives
-	// it from the lease file; see managerd.Config.Epoch).
+	// warm standbys started with Cluster.StartStandby watch it.
 	LeasePath  string
 	LeaseEvery time.Duration
-	Epoch      uint64
 
 	// LostAfter passes through to the manager's health state machine; its
 	// flap, quarantine and heartbeat settings keep managerd's defaults.
@@ -126,9 +123,8 @@ type Options struct {
 	// --- Capping federation (tree.go) ---
 	// These pass through to managerd's governed mode. Because
 	// serverConfig carries them, a manager restarted with StartManager
-	// and a standby promoted with PromoteStandby both redial the
-	// coordinator automatically — cabinet-manager failover is invisible
-	// at the coordinator tier.
+	// and a promoted standby both redial the coordinator automatically —
+	// cabinet-manager failover is invisible at the coordinator tier.
 	Cabinet         int
 	CoordinatorDial func() (net.Conn, error)
 	ReportEvery     time.Duration
@@ -160,7 +156,7 @@ func (o Options) serverConfig(ln net.Listener) managerd.Config {
 		StaleAfter:      o.StaleAfter,
 		CommandTimeout:  o.CommandTimeout,
 		LostAfter:       o.LostAfter,
-		HA:              daemon.HA{JournalPath: o.JournalPath, Epoch: o.Epoch},
+		HA:              daemon.HA{JournalPath: o.JournalPath},
 		JournalEvery:    o.JournalEvery,
 		Shards:          o.Shards,
 		FanoutWorkers:   o.FanoutWorkers,

@@ -13,7 +13,7 @@ import (
 	"repro/internal/replica"
 )
 
-// Warm-standby support: StartStandby runs a replica.Standby inside the
+// Warm-standby support: StartStandby runs a daemon.WarmStandby inside the
 // cluster — its follower replicates the primary's journal over the same
 // fault network the agents use, and its lease watcher promotes a
 // replacement manager when the primary dies. The promoted manager binds a
@@ -25,22 +25,21 @@ import (
 // collide with the fleet's.
 const standbyKeyBase uint64 = 1 << 30
 
-// StandbyHandle tracks one warm standby started with StartStandby. Its
-// Standby field exposes the replica.Standby (its Obs registry carries the
-// follower and takeover instruments; Store is the journal copy).
+// StandbyHandle tracks one warm standby started with StartStandby; its
+// Store is the journal copy the promoted manager adopts.
 type StandbyHandle = daemon.WarmStandby[*managerd.Server]
 
 // startStandby is what the manager and coordinator standbys share: a
 // memory store, a follower dialling nw under the idx-th standby key, and
 // the promotion helper around boot.
-func startStandby[S interface{ Stop() }](t testing.TB, nw *faultnet.Network, idx int, lease *replica.Lease, missBudget int, holder string, boot func(replica.Promotion) (S, error)) *daemon.WarmStandby[S] {
+func startStandby[S interface{ Stop() }](t testing.TB, nw *faultnet.Network, idx int, lease *replica.Lease, missBudget int, holder string, boot func(daemon.HA) (S, error)) *daemon.WarmStandby[S] {
 	t.Helper()
 	store, err := replica.Open("")
 	if err != nil {
 		t.Fatalf("harness: %s store: %v", holder, err)
 	}
 	key := standbyKeyBase + uint64(idx)
-	h, err := daemon.StartStandby(replica.StandbyConfig{
+	h, err := daemon.StartStandby(daemon.StandbyConfig{
 		Follower: replica.FollowerConfig{
 			Store:   store,
 			Backoff: 10 * time.Millisecond,
@@ -59,10 +58,10 @@ func startStandby[S interface{ Stop() }](t testing.TB, nw *faultnet.Network, idx
 }
 
 // StartStandby boots a warm standby: a journal follower over the fault
-// network plus a lease watcher that, on leader death (or PromoteStandby),
-// starts a replacement manager over the replicated store at a fenced-off
-// higher epoch. Requires Options.LeasePath. missBudget ≤ 0 takes the
-// replica default. The cluster owns the standby; Stop tears it down.
+// network plus a lease watcher that, on leader death (or Promote), starts a
+// replacement manager over the replicated store, which claims the next
+// epoch. Requires Options.LeasePath. missBudget ≤ 0 takes
+// daemon.DefaultMissBudget. The cluster owns the standby; Stop tears it down.
 func (c *Cluster) StartStandby(missBudget int) *StandbyHandle {
 	t := c.tb()
 	t.Helper()
@@ -71,21 +70,15 @@ func (c *Cluster) StartStandby(missBudget int) *StandbyHandle {
 	}
 	holder := fmt.Sprintf("standby-%d", len(c.standbys)+1)
 	lease := &replica.Lease{Path: c.Opt.LeasePath, Every: c.Opt.LeaseEvery}
-	h := startStandby(t, c.Net, len(c.standbys), lease, missBudget, holder, func(p replica.Promotion) (*managerd.Server, error) {
+	h := startStandby(t, c.Net, len(c.standbys), lease, missBudget, holder, func(ha daemon.HA) (*managerd.Server, error) {
 		cfg := c.Opt.serverConfig(c.Net.Listener())
 		cfg.JournalEvery = 0
-		cfg.HA = cfg.HA.Promoted(p, cfg.Lease, holder)
+		cfg.HA = ha
 		return daemon.Boot(managerd.New(cfg))
 	})
 	c.standbys = append(c.standbys, h)
 	return h
 }
-
-// PromoteStandby forces h to take over now, regardless of lease state —
-// the controlled-failover half of the chaos matrix (the old primary, if
-// alive, self-fences on the claimed lease or on the first agent hello
-// reporting the new epoch).
-func (c *Cluster) PromoteStandby(h *StandbyHandle) { h.Promote() }
 
 // AwaitTakeover blocks until h has promoted a replacement manager (or
 // fails the test after timeout), rebinds Cluster.Server to it so Status,

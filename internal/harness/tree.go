@@ -14,7 +14,6 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/fedd"
 	"repro/internal/power"
-	"repro/internal/replica"
 	"repro/internal/scenario"
 	"repro/internal/units"
 )
@@ -343,9 +342,10 @@ func (n *TreeNode) Restart() *fedd.Server { n.tr.t.Helper(); return n.rebind(n.b
 
 // StartStandby boots a warm standby of this coordinator: a journal
 // follower over its fault network plus a lease watcher that, on leader
-// death, starts a replacement over the replicated grant journal at a
-// fenced-off higher epoch, under the same parent. Requires a Lease (set via
-// the Coord hook); missBudget ≤ 0 takes the replica default. Cleanup stops it.
+// death, starts a replacement over the replicated grant journal, which
+// claims the next epoch, under the same parent. Requires a Lease (set via
+// the Coord hook); missBudget ≤ 0 takes daemon.DefaultMissBudget. Cleanup
+// stops it.
 func (n *TreeNode) StartStandby(missBudget int) *daemon.WarmStandby[*fedd.Server] {
 	t := n.tr.t
 	t.Helper()
@@ -354,9 +354,9 @@ func (n *TreeNode) StartStandby(missBudget int) *daemon.WarmStandby[*fedd.Server
 	}
 	n.standbys++
 	holder := fmt.Sprintf("coord-standby-%d", n.standbys)
-	h := startStandby(t, n.Net, n.standbys-1, n.cfg.Lease, missBudget, holder, func(p replica.Promotion) (*fedd.Server, error) {
+	h := startStandby(t, n.Net, n.standbys-1, n.cfg.Lease, missBudget, holder, func(ha daemon.HA) (*fedd.Server, error) {
 		cfg := n.cfg
-		cfg.HA = cfg.HA.Promoted(p, cfg.Lease, holder)
+		cfg.HA = ha
 		return n.boot(cfg)
 	})
 	t.Cleanup(func() { h.Stop() }) // before the node's own: the shutdown is no leader death

@@ -163,7 +163,6 @@ func TestTreeRowCoordinatorTakeover(t *testing.T) {
 			if len(path) == 1 && path[0] == 1 {
 				cfg.Lease = lease
 				cfg.LeaseHolder = "row-1"
-				cfg.Epoch = 1
 				cfg.CommandTimeout = 100 * time.Millisecond
 			}
 		},

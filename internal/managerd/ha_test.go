@@ -18,6 +18,18 @@ import (
 // on agent connections, and the journal replication stream a standby's
 // follower subscribes to.
 
+// journalAt is a memory journal at epoch e: a daemon without a lease leads
+// at its journal's epoch.
+func journalAt(t *testing.T, e uint64) *replica.Store {
+	t.Helper()
+	st, err := replica.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetEpoch(e)
+	return st
+}
+
 // TestHelloEpochWelcomeAndFencing pins the fencing contract on agent
 // hellos: a leader with a nonzero epoch announces it as the very first
 // manager→agent frame, and a hello reporting a *newer* epoch — the agent
@@ -32,7 +44,7 @@ func TestHelloEpochWelcomeAndFencing(t *testing.T) {
 		Tg:           3,
 		ControlEvery: 20 * time.Millisecond,
 		Thresholds:   power.Thresholds{PL: units.MW(1), PH: units.MW(2)},
-		HA:           daemon.HA{Epoch: 5},
+		HA:           daemon.HA{Journal: journalAt(t, 5)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +106,7 @@ func TestReplicationStreamAndResume(t *testing.T) {
 		CommandTimeout: 2 * time.Second,
 		Thresholds:     power.Thresholds{PL: 1, PH: 2}, // any live fleet is red
 		HeartbeatEvery: -1,
-		HA:             daemon.HA{Epoch: 1},
+		HA:             daemon.HA{Journal: journalAt(t, 1)},
 	})
 	if err != nil {
 		t.Fatal(err)

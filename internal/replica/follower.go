@@ -21,8 +21,6 @@ type FollowerConfig struct {
 	Store *Store
 	// Backoff between redials; default 50ms.
 	Backoff time.Duration
-	// Obs is the instrument registry; nil builds a private one.
-	Obs *obs.Registry
 }
 
 // Follower mirrors a leader's journal into a local Store. It subscribes
@@ -55,10 +53,7 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 50 * time.Millisecond
 	}
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	return &Follower{
 		cfg:        cfg,
 		reg:        reg,

@@ -3,7 +3,6 @@ package replica
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -473,88 +472,6 @@ func TestFollowerReplicatesAndResumes(t *testing.T) {
 	}
 	lc2.Close()
 	lc3.Close()
-}
-
-func TestStandbyPromotesOnStaleLease(t *testing.T) {
-	dir := t.TempDir()
-	lease := &Lease{Path: filepath.Join(dir, "lease.json"), Every: 10 * time.Millisecond}
-	// Leader renews for a while, then "dies".
-	if err := lease.Write(LeaseState{Epoch: 1, Holder: "primary", RenewedAt: time.Now()}); err != nil {
-		t.Fatal(err)
-	}
-	store, _ := Open("")
-	store.ApplyRemote(Entry{Seq: 1, Cycle: 1, Levels: []Level{{Node: 1, Level: 2}}})
-
-	var promoted Promotion
-	promotedCh := make(chan struct{})
-	sb, err := NewStandby(StandbyConfig{
-		Follower: FollowerConfig{
-			Store:   store,
-			Backoff: 5 * time.Millisecond,
-			Dial: func(ctx context.Context) (net.Conn, error) {
-				return nil, fmt.Errorf("leader gone") // follower just churns
-			},
-		},
-		Lease:      lease,
-		MissBudget: 3,
-		Holder:     "standby",
-		OnPromote: func(p Promotion) error {
-			promoted = p
-			close(promotedCh)
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() { defer close(done); sb.Run(ctx) }()
-
-	select {
-	case <-promotedCh:
-	case <-time.After(5 * time.Second):
-		t.Fatal("standby never promoted on a stale lease")
-	}
-	<-done
-	if promoted.Epoch != 2 || promoted.Store != store {
-		t.Fatalf("promotion: epoch=%d", promoted.Epoch)
-	}
-	if store.Epoch() != 2 {
-		t.Fatalf("store epoch not bumped: %d", store.Epoch())
-	}
-	st, err := lease.Read()
-	if err != nil || st.Epoch != 2 || st.Holder != "standby" {
-		t.Fatalf("lease not claimed: %+v err=%v", st, err)
-	}
-	select {
-	case <-sb.Promoted():
-	default:
-		t.Fatal("Promoted channel not closed")
-	}
-}
-
-func TestStandbyWaitsForLeaseToExist(t *testing.T) {
-	dir := t.TempDir()
-	lease := &Lease{Path: filepath.Join(dir, "lease.json"), Every: 5 * time.Millisecond}
-	store, _ := Open("")
-	sb, err := NewStandby(StandbyConfig{
-		Follower: FollowerConfig{Store: store, Addr: "127.0.0.1:1"},
-		Lease:    lease, MissBudget: 2, Holder: "standby",
-		OnPromote: func(p Promotion) error {
-			t.Error("promoted with no leader ever seen")
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
-	defer cancel()
-	done := make(chan struct{})
-	go func() { defer close(done); sb.Run(ctx) }()
-	<-done
 }
 
 func appendEnv(e Entry) (wire.Envelope, error) {
