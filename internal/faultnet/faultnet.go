@@ -160,38 +160,51 @@ func (c *Conn) SetProfile(p Profile) {
 // produces, as opposed to a clean close.
 func (c *Conn) SetBlackhole(on bool) { c.blackhole.Store(on) }
 
-// Write applies the fault schedule to one outbound message.
-func (c *Conn) Write(p []byte) (int, error) {
-	if c.killed.Load() {
-		return 0, fmt.Errorf("faultnet: connection killed")
-	}
-	c.mu.Lock()
+// fault is the one fault kind a write suffers, if any.
+type fault uint8
+
+const (
+	faultDrop fault = iota + 1 // the zero fault is none
+	faultKill
+	faultCorrupt
+	faultTruncate
+	faultBlackhole
+)
+
+// rolls is everything the fault stream decides about one write.
+type rolls struct {
+	fault     fault
+	delay     time.Duration
+	cut, flip int
+}
+
+// draw takes one write's rolls from the connection's stream and counts the
+// fault. Every roll is drawn whatever the outcome, so the per-connection
+// fault sequence depends only on the write index, never on timing. c.mu is
+// held.
+func (c *Conn) draw(p []byte) rolls {
 	prof := c.prof
 	first := !c.wrote
 	c.wrote = true
 	c.stats.Writes++
-	// Draw every roll up front, under the lock, so the per-connection
-	// fault sequence depends only on the write index — never on timing.
-	var delay time.Duration
+	var r rolls
 	if prof.Latency > 0 || prof.Jitter > 0 {
-		delay = prof.Latency
+		r.delay = prof.Latency
 		if prof.Jitter > 0 {
-			delay += time.Duration(c.rng.Int64N(int64(prof.Jitter)))
+			r.delay += time.Duration(c.rng.Int64N(int64(prof.Jitter)))
 		}
 	}
 	roll := c.rng.Float64()
-	cut := 0
 	if len(p) > 1 {
-		cut = 1 + c.rng.IntN(len(p)-1)
+		r.cut = 1 + c.rng.IntN(len(p)-1)
 	}
-	flip := 0
 	if len(p) > 0 {
-		flip = c.rng.IntN(len(p))
+		r.flip = c.rng.IntN(len(p))
 	}
 	if c.blackhole.Load() {
 		c.stats.Blackhole++
-		c.mu.Unlock()
-		return len(p), nil
+		r.fault = faultBlackhole
+		return r
 	}
 	if first && prof.FirstWriteClean {
 		roll = 2 // outside every probability band
@@ -201,46 +214,46 @@ func (c *Conn) Write(p []byte) (int, error) {
 	pKill := pDrop + prof.KillProb
 	pCorrupt := pKill + prof.CorruptProb
 	pTrunc := pCorrupt + prof.TruncateProb
-	var fault string
 	switch {
 	case roll < pDrop:
-		fault = "drop"
+		r.fault = faultDrop
 		c.stats.Dropped++
 	case roll < pKill:
-		fault = "kill"
+		r.fault = faultKill
 		c.stats.Killed++
 	case roll < pCorrupt:
-		fault = "corrupt"
+		r.fault = faultCorrupt
 		c.stats.Corrupted++
 	case roll < pTrunc:
-		fault = "truncate"
+		r.fault = faultTruncate
 		c.stats.Truncated++
 	}
-	c.mu.Unlock()
+	return r
+}
 
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	switch fault {
-	case "drop":
+// deliver applies a write's drawn fault, putting bytes on the link with
+// write.
+func (c *Conn) deliver(p []byte, r rolls, write func([]byte) (int, error)) (int, error) {
+	switch r.fault {
+	case faultDrop, faultBlackhole:
 		return len(p), nil
-	case "kill":
-		if cut > 0 {
-			_, _ = c.wr.write(p[:cut])
+	case faultKill:
+		if r.cut > 0 {
+			_, _ = write(p[:r.cut])
 		}
 		c.killed.Store(true)
 		c.Close()
-		return cut, fmt.Errorf("faultnet: connection killed mid-write")
-	case "corrupt":
+		return r.cut, fmt.Errorf("faultnet: connection killed mid-write")
+	case faultCorrupt:
 		q := make([]byte, len(p))
 		copy(q, p)
 		if len(q) > 0 {
-			q[flip] ^= 0x20
+			q[r.flip] ^= 0x20
 		}
 		p = q
-	case "truncate":
-		if cut > 0 {
-			n, err := c.wr.write(p[:cut])
+	case faultTruncate:
+		if r.cut > 0 {
+			n, err := write(p[:r.cut])
 			if err != nil {
 				return n, err
 			}
@@ -249,7 +262,44 @@ func (c *Conn) Write(p []byte) (int, error) {
 		// as with bytes parked in a kernel buffer at connection loss.
 		return len(p), nil
 	}
-	return c.wr.write(p)
+	return write(p)
+}
+
+// Write applies the fault schedule to one outbound message.
+func (c *Conn) Write(p []byte) (int, error) {
+	if c.killed.Load() {
+		return 0, fmt.Errorf("faultnet: connection killed")
+	}
+	c.mu.Lock()
+	r := c.draw(p)
+	c.mu.Unlock()
+	if r.delay > 0 {
+		time.Sleep(r.delay)
+	}
+	return c.deliver(p, r, c.wr.write)
+}
+
+// TryWrite is Write for a caller that must not block: it writes all of p
+// now, or declines with (0, nil) and neither writes nor draws anything. It
+// declines while another write holds the link, while the ring lacks room
+// for p, toward a throttled reader (a rendezvous always blocks), under a
+// profile with latency or jitter (a delayed write blocks), and on a closed
+// or killed end, whose error the next Write reports. When it writes it
+// draws exactly the rolls Write would, so the fault stream is the same
+// function of the write index whichever of the two a frame went through.
+func (c *Conn) TryWrite(p []byte) (int, error) {
+	if len(p) == 0 || c.killed.Load() {
+		return 0, nil
+	}
+	c.mu.Lock()
+	if c.prof.Latency > 0 || c.prof.Jitter > 0 || !c.wr.reserve(len(p)) {
+		c.mu.Unlock()
+		return 0, nil
+	}
+	r := c.draw(p)
+	c.mu.Unlock()
+	defer c.wr.wmu.Unlock()
+	return c.deliver(p, r, c.wr.put)
 }
 
 // Read delivers inbound bytes. A throttled reader takes them in small sips

@@ -109,6 +109,25 @@ func (h *half) read(p []byte) (n, rate int, err error) {
 	}
 }
 
+// copyIn copies as much of p as the ring has room for and returns how
+// much that was. h.mu is held.
+func (h *half) copyIn(p []byte) int {
+	if len(p) == 0 || h.n == pipeCap {
+		return 0
+	}
+	if h.buf == nil {
+		h.buf = make([]byte, pipeCap)
+	}
+	w := (h.r + h.n) % pipeCap
+	k := copy(h.buf[w:min(w+pipeCap-h.n, pipeCap)], p)
+	if k < len(p) && h.n+k < pipeCap { // wrap to the front
+		k += copy(h.buf[:h.r], p[k:])
+	}
+	h.n += k
+	h.canRead.Broadcast()
+	return k
+}
+
 // write copies p into the ring, blocking while it is full, and returns
 // how many bytes it buffered. Toward a throttled reader it also waits for
 // the ring to drain.
@@ -122,19 +141,7 @@ func (h *half) write(p []byte) (int, error) {
 		if h.wclosed || h.rclosed {
 			return put, io.ErrClosedPipe
 		}
-		if put < len(p) && h.n < pipeCap {
-			if h.buf == nil {
-				h.buf = make([]byte, pipeCap)
-			}
-			w := (h.r + h.n) % pipeCap
-			k := copy(h.buf[w:min(w+pipeCap-h.n, pipeCap)], p[put:])
-			if put+k < len(p) && h.n+k < pipeCap { // wrap to the front
-				k += copy(h.buf[:h.r], p[put+k:])
-			}
-			h.n += k
-			put += k
-			h.canRead.Broadcast()
-		}
+		put += h.copyIn(p[put:])
 		if put == len(p) && (h.rate <= 0 || h.n == 0) {
 			return put, nil
 		}
@@ -142,6 +149,35 @@ func (h *half) write(p []byte) (int, error) {
 			return put, err
 		}
 	}
+}
+
+// reserve claims the write side for n bytes that put will then write
+// without blocking: it takes wmu, which the caller releases after put,
+// and reports false (holding nothing) when wmu is taken, an end is
+// closed, the reader is throttled or the ring has less than n bytes free.
+// Holding wmu, the reservation stays good: only the reader touches the
+// ring meanwhile, and it only frees room.
+func (h *half) reserve(n int) bool {
+	if !h.wmu.TryLock() {
+		return false
+	}
+	h.mu.Lock()
+	ok := !h.wclosed && !h.rclosed && h.rate <= 0 && pipeCap-h.n >= n
+	h.mu.Unlock()
+	if !ok {
+		h.wmu.Unlock()
+	}
+	return ok
+}
+
+// put writes p into room reserve set aside.
+func (h *half) put(p []byte) (int, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.wclosed || h.rclosed {
+		return 0, io.ErrClosedPipe
+	}
+	return h.copyIn(p), nil
 }
 
 // closeRead closes the reading end: buffered bytes are discarded, blocked

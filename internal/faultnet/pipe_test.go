@@ -332,9 +332,17 @@ func TestThrottledReaderIsARendezvous(t *testing.T) {
 // run, and returns what arrived and what each end counted.
 func faultedSession(t *testing.T, seed uint64) ([]byte, Stats) {
 	t.Helper()
-	a, b := newLink(Profile{
+	return faultedSessionVia(t, seed, Profile{
 		Jitter: time.Nanosecond, DropProb: 0.15, CorruptProb: 0.15, TruncateProb: 0.15,
-	}, Profile{}, seed)
+	}, false)
+}
+
+// faultedSessionVia is faultedSession under prof; with try set, each
+// message goes through TryWrite first and through Write only when
+// TryWrite declines.
+func faultedSessionVia(t *testing.T, seed uint64, prof Profile, try bool) ([]byte, Stats) {
+	t.Helper()
+	a, b := newLink(prof, Profile{}, seed)
 	got := make(chan []byte, 1)
 	go func() {
 		all, _ := io.ReadAll(b)
@@ -343,6 +351,15 @@ func faultedSession(t *testing.T, seed uint64) ([]byte, Stats) {
 	msg := pattern(96)
 	for i := 0; i < 1000; i++ {
 		msg[0], msg[1] = byte(i), byte(i>>8)
+		if try {
+			n, err := a.TryWrite(msg)
+			if err != nil {
+				t.Fatalf("try-write %d: %v", i, err)
+			}
+			if n > 0 {
+				continue
+			}
+		}
 		if _, err := a.Write(msg); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
@@ -371,28 +388,156 @@ func TestFaultStreamIsAFunctionOfSeed(t *testing.T) {
 		t.Error("a different seed replayed the same fault sequence")
 	}
 
+	// TryWrite draws what Write draws: a session whose frames go through
+	// TryWrite wherever the link has room (Write where it declines) sees
+	// the same faults, delivers the same bytes and counts the same Stats
+	// as one that only calls Write. Latency and jitter always decline, so
+	// this profile has neither.
+	prof := Profile{DropProb: 0.15, CorruptProb: 0.15, TruncateProb: 0.15}
+	gotW, stW := faultedSessionVia(t, 42, prof, false)
+	gotT, stT := faultedSessionVia(t, 42, prof, true)
+	if stW.Writes != 1000 || stW.Dropped == 0 || stW.Corrupted == 0 || stW.Truncated == 0 {
+		t.Fatalf("fault kinds not all exercised without jitter: %+v", stW)
+	}
+	if stT != stW {
+		t.Errorf("TryWrite and Write drew different faults: %+v vs %+v", stT, stW)
+	}
+	if !bytes.Equal(gotT, gotW) {
+		t.Errorf("TryWrite and Write delivered different bytes (%d vs %d)", len(gotT), len(gotW))
+	}
+
 	// Kill indices too: the write that kills the link is the same one on
-	// every run, and the two ends of a link draw from different streams.
-	killedAt := func(seed uint64, serverEnd bool) int {
+	// every run, whether it went through Write or TryWrite, and the two
+	// ends of a link draw from different streams.
+	killedAt := func(seed uint64, serverEnd, try bool) int {
 		prof := Profile{KillProb: 0.02}
 		w, r := newLink(prof, prof, seed)
 		if serverEnd {
 			w, r = r, w
 		}
 		go io.Copy(io.Discard, r)
+		msg := []byte("sixteen byte msg")
 		for i := 1; ; i++ {
-			if _, err := w.Write([]byte("sixteen byte msg")); err != nil {
+			if try {
+				n, err := w.TryWrite(msg)
+				if err != nil {
+					return i
+				}
+				if n > 0 {
+					continue
+				}
+			}
+			if _, err := w.Write(msg); err != nil {
 				return i
 			}
 		}
 	}
-	k := killedAt(42, false)
-	if again := killedAt(42, false); again != k {
+	k := killedAt(42, false, false)
+	if again := killedAt(42, false, false); again != k {
 		t.Errorf("same seed killed the link at write %d, then at write %d", k, again)
 	}
-	if killedAt(42, true) == k && killedAt(43, true) == killedAt(43, false) {
+	if viaTry := killedAt(42, false, true); viaTry != k {
+		t.Errorf("Write killed the link at write %d, TryWrite at write %d", k, viaTry)
+	}
+	if killedAt(42, true, false) == k && killedAt(43, true, false) == killedAt(43, false, false) {
 		t.Error("the two ends of a link share one fault stream")
 	}
+}
+
+// TestTryWriteDeclinesWithoutDrawing: each way TryWrite can decline — a
+// full ring, a throttled reader, a profile with latency, a closed end, a
+// write in progress — writes nothing and draws no roll, so the next
+// accepted write is the one a Write-only session would have made there.
+func TestTryWriteDeclinesWithoutDrawing(t *testing.T) {
+	msg := pattern(40)
+	cases := []struct {
+		name  string
+		setup func(a, b *Conn) (undo func())
+	}{
+		{"full ring", func(a, b *Conn) func() {
+			// Filled on the link itself, past the fault stream: the filler draws nothing.
+			if n, err := a.wr.write(pattern(pipeCap - len(msg) + 1)); err != nil || n != pipeCap-len(msg)+1 {
+				t.Fatalf("filling the ring: %d, %v", n, err)
+			}
+			return func() { io.ReadFull(b, make([]byte, pipeCap-len(msg)+1)) }
+		}},
+		{"throttled reader", func(a, b *Conn) func() {
+			b.SetProfile(Profile{ReadBytesPerSec: 1})
+			return func() { b.SetProfile(Profile{}) }
+		}},
+		{"latency", func(a, b *Conn) func() {
+			a.SetProfile(Profile{Latency: time.Millisecond, DropProb: 0.5})
+			return func() { a.SetProfile(Profile{DropProb: 0.5}) }
+		}},
+		{"write in progress", func(a, b *Conn) func() {
+			a.wr.wmu.Lock()
+			return a.wr.wmu.Unlock
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Two links on one seed: the reference only ever writes, the
+			// other declines first. Their next writes must match roll for
+			// roll.
+			ref, refPeer := newLink(Profile{DropProb: 0.5}, Profile{}, 9)
+			a, b := newLink(Profile{DropProb: 0.5}, Profile{}, 9)
+			undo := tc.setup(a, b)
+			before := a.Stats()
+			if n, err := a.TryWrite(msg); n != 0 || err != nil {
+				t.Fatalf("TryWrite = %d, %v; want a decline (0, nil)", n, err)
+			}
+			if got := a.Stats(); got != before {
+				t.Fatalf("a decline drew: stats %+v -> %+v", before, got)
+			}
+			undo()
+			for i := 0; i < 32; i++ {
+				msg[0] = byte(i)
+				n, err := a.TryWrite(msg)
+				if err != nil || n != len(msg) {
+					t.Fatalf("write %d after the decline: TryWrite = %d, %v", i, n, err)
+				}
+				if _, err := ref.Write(msg); err != nil {
+					t.Fatal(err)
+				}
+				got, want := make([]byte, 64), make([]byte, 64)
+				gn, _ := readAvailable(b, got)
+				wn, _ := readAvailable(refPeer, want)
+				if !bytes.Equal(got[:gn], want[:wn]) {
+					t.Fatalf("write %d after the decline delivered %d bytes, the reference %d", i, gn, wn)
+				}
+			}
+			if a.Stats() != ref.Stats() {
+				t.Errorf("after the decline the streams diverged: %+v vs %+v", a.Stats(), ref.Stats())
+			}
+		})
+	}
+
+	t.Run("closed end", func(t *testing.T) {
+		for _, closeEnd := range []func(a, b *Conn){
+			func(a, b *Conn) { a.Close() },
+			func(a, b *Conn) { b.Close() },
+		} {
+			a, b := newLink(Profile{DropProb: 0.5}, Profile{}, 9)
+			closeEnd(a, b)
+			if n, err := a.TryWrite(msg); n != 0 || err != nil {
+				t.Fatalf("TryWrite on a closed link = %d, %v; want a decline", n, err)
+			}
+			if st := a.Stats(); st.Writes != 0 {
+				t.Errorf("a decline on a closed link drew: %+v", st)
+			}
+			if _, err := a.Write(msg); err == nil && a.Stats().Dropped == 0 {
+				t.Error("Write on the closed link succeeded: the error TryWrite left to it is gone")
+			}
+		}
+	})
+}
+
+// readAvailable reads what the link holds right now (a drop leaves it
+// empty): one Read under a short deadline.
+func readAvailable(c *Conn, p []byte) (int, error) {
+	c.SetReadDeadline(time.Now().Add(5 * time.Millisecond))
+	defer c.SetReadDeadline(time.Time{})
+	return c.Read(p)
 }
 
 // TestWireFramesCrossTheLink: frames far larger than the ring — a full

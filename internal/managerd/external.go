@@ -14,10 +14,10 @@ import (
 
 // External control mode (Config.ExternalControl): the daemon keeps its
 // whole transport stack — accept loop, per-connection readers, node table,
-// per-node sender goroutines, the cycle's sweep (health, sensing, command
-// retry/reconcile/adoption) — but runs no control law of its own. An
-// external driver (the daemon backend in internal/backend) owns the clock
-// and the algorithm:
+// the cycle's writers and per-node senders, the cycle's sweep (health,
+// sensing, command retry/reconcile/adoption) — but runs no control law of
+// its own. An external driver (the daemon backend in internal/backend)
+// owns the clock and the algorithm:
 //
 //	driver: BeginSenseEpoch → agents push one sample each
 //	driver: wait until SamplesReceived caught up
@@ -129,18 +129,14 @@ func (c *ExternalCycle) Finish(timeout time.Duration) error {
 }
 
 // UnackedCommands counts commands in flight: issued (or retried) but not
-// yet acknowledged by their agent.
+// yet acknowledged by their agent. It reads each shard's tally, not its
+// records: Finish and the benchmark's ack wait poll it while the acks
+// they wait for need the same shard locks.
 func (s *Server) UnackedCommands() int {
 	n := 0
 	for _, sh := range s.nodes.shards {
 		sh.mu.Lock()
-		for _, chunk := range sh.chunks {
-			for k := range chunk {
-				if cs := &chunk[k].cmd; cs.issued && !cs.acked {
-					n++
-				}
-			}
-		}
+		n += sh.unacked
 		sh.mu.Unlock()
 	}
 	return n

@@ -59,14 +59,14 @@ func (s *Server) restoreFromJournal(snap replica.Snapshot) {
 		// the node reconnects and reports a different level, the
 		// reconciliation path reissues the journaled one.
 		rec := sh.add(id)
-		rec.cmd = cmdState{issued: true, level: l.Level, acked: true}
+		sh.setCmd(rec, cmdState{issued: true, level: l.Level, acked: true})
 		rec.health.state = healthLost
 		sh.nLost++
 	}
 }
 
 // writeJournal compacts the journal (snapshot rewritten from the level
-// mirror, log truncated). Safe to race the sender goroutines and the
+// mirror, log truncated). Safe to race the writers, the senders and the
 // ack path: SetNodeLevel records a command on the node's record and in the
 // journal mirror before enqueueing the write, and the store serialises appends
 // against compaction, so a snapshot can neither persist a superseded

@@ -21,9 +21,11 @@
 // The actuation path is concurrent: node state is sharded (store.go) so
 // sample readers and the control loop stop contending on one mutex, the
 // cycle's one sweep of the shards runs on a bounded worker pool, and
-// commands are enqueued to per-connection sender goroutines (sender.go)
-// rather than written synchronously — the cycle's fan-out cost is bounded
-// by the slowest single node, not the sum of the slow ones.
+// commands are written through by the cycle's own writers onto every link
+// that has room, a per-connection sender goroutine starting only for a
+// link that is backed up (sender.go; TestRedCycleStartsNoSender,
+// TestWriteThroughIsolatesASlowReader) — the cycle's fan-out cost is
+// bounded by the slowest single node, not the sum of the slow ones.
 package managerd
 
 import (
@@ -107,7 +109,8 @@ type Config struct {
 	// control loop at large fleets; zero defaults to 32.
 	Shards int
 	// FanoutWorkers bounds the worker pool sweeping the shards each
-	// control cycle (health, sample collection, command upkeep).
+	// control cycle (health, sample collection, command upkeep), and the
+	// writer goroutines a cycle starts for its commands (sender.go).
 	// Zero defaults to GOMAXPROCS.
 	FanoutWorkers int
 	// Learn, when non-nil, enables §III.A threshold learning: the daemon
@@ -184,8 +187,9 @@ type LearnConfig struct {
 }
 
 // agentConn is one connected agent: the connection and the outbox its
-// on-demand sender goroutine drains (sender.go). What the agent last
-// reported is its node's (nodeRec), not the connection's.
+// on-demand sender goroutine drains when the link is backed up
+// (sender.go). What the agent last reported is its node's (nodeRec), not
+// the connection's.
 type agentConn struct {
 	id       node.ID
 	conn     *wire.Conn
@@ -200,8 +204,10 @@ type agentConn struct {
 	obCmd     pendingCmd
 	obHas     bool
 	obPing    bool
+	obFlush   bool // a frame written through in part: the sender writes its tail
 	obClosed  bool
-	obSending bool // a sender goroutine is draining the outbox (sender.go)
+	obSending bool   // a sender goroutine is draining the outbox (sender.go)
+	obSeq     uint64 // the newest command's seq written or queued: older ones are dropped
 	// sender is runSender bound to this connection, built once and kept:
 	// `go f(args)` would allocate a closure per node per command burst.
 	sender func()
@@ -224,6 +230,15 @@ type cmdState struct {
 	sentCycle int
 	acked     bool
 	retries   int
+}
+
+// inFlight is 1 for a command issued and not yet acknowledged, else 0:
+// the command's share of shard.unacked.
+func (cs cmdState) inFlight() int {
+	if cs.issued && !cs.acked {
+		return 1
+	}
+	return 0
 }
 
 // Server is a running manager daemon: the daemon chassis (listeners,
@@ -317,9 +332,14 @@ type Server struct {
 	gov      *tier.Governor
 	demandWG *obs.Gauge
 
-	// senders counts the running per-node senders (sender.go), which the
-	// chassis does not start and so cannot wait for.
+	// senders counts the running per-node senders and cycle writers
+	// (sender.go), which the chassis does not start and so cannot wait for.
 	senders sync.WaitGroup
+	// spareQueue is a finished cycle's write queue, kept for the next one.
+	spareQueue atomic.Pointer[writeQueue]
+	// senderStarts and writerStarts count the goroutines the outbound path
+	// started (read by tests: how many a cycle or a tick costs).
+	senderStarts, writerStarts atomic.Int64
 }
 
 // New validates the configuration and creates an unstarted server. When
@@ -501,13 +521,14 @@ func (s *Server) Start() error {
 		return err
 	}
 	if s.cfg.HeartbeatEvery > 0 {
-		// Heartbeats raise the ping flag on every connected agent's outbox
-		// each HeartbeatEvery control cycles. The pings carry no payload;
-		// their only job is to feed the agents' dead-man switches so a node
-		// behind a live manager never self-degrades just because the fleet
-		// has been green (no commands) for a long stretch. Each ping is
-		// written by the node's own sender (folded into a command write if
-		// one is pending), so a slow reader stalls only its own heartbeat.
+		// Heartbeats ping every connected agent each HeartbeatEvery control
+		// cycles. The pings carry no payload; their only job is to feed the
+		// agents' dead-man switches so a node behind a live manager never
+		// self-degrades just because the fleet has been green (no commands)
+		// for a long stretch. The tick writes each ping through onto a link
+		// with room; a backed-up link's ping goes to the node's own sender
+		// (folded into a command write if one is pending), so a slow reader
+		// stalls only its own heartbeat.
 		var scratch []*agentConn
 		s.Every(time.Duration(s.cfg.HeartbeatEvery)*s.cfg.ControlEvery, func() { scratch = s.pingAll(scratch) })
 	}
@@ -520,7 +541,8 @@ func (s *Server) Start() error {
 func (s *Server) Stop() {
 	s.Chassis.Stop()
 	// Every reader has returned and every outbox is retired, so no sender
-	// can start any more.
+	// can start any more; writers of a cycle still finishing are counted
+	// too.
 	s.senders.Wait()
 	s.writeJournal()
 	s.journal.Close()
@@ -636,23 +658,7 @@ func (s *Server) receive(sh *shard, rec *nodeRec, ac *agentConn) {
 			sh.mu.Unlock()
 			s.samplesRecv.Inc()
 		case wire.KindAck:
-			sh.mu.Lock()
-			if cs := &rec.cmd; cs.issued && env.Seq != 0 && cs.seq == env.Seq {
-				if !cs.acked {
-					s.cmdAcks.Inc()
-				}
-				cs.acked = true
-				if l := ac.clampLevel(env.Level); l != cs.level {
-					// SetNodeLevel mirrored the commanded level; only a
-					// different acked one needs the store's lock.
-					cs.level = l
-					s.journal.SetLevel(int(id), l)
-				}
-				if rec.ac == ac {
-					rec.last.Level = cs.level
-				}
-			}
-			sh.mu.Unlock()
+			s.ack(sh, rec, ac, env.Seq, env.Level)
 		}
 	}
 	sh.mu.Lock()
@@ -662,6 +668,31 @@ func (s *Server) receive(sh *shard, rec *nodeRec, ac *agentConn) {
 	}
 	sh.mu.Unlock()
 	s.retireOutbox(ac)
+}
+
+// ack settles rec's command if seq is its sequence number: the agent on
+// connection ac applied it at level.
+func (s *Server) ack(sh *shard, rec *nodeRec, ac *agentConn, seq uint64, level int) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	cs := &rec.cmd
+	if !cs.issued || seq == 0 || cs.seq != seq {
+		return
+	}
+	if !cs.acked {
+		s.cmdAcks.Inc()
+		sh.unacked--
+	}
+	cs.acked = true
+	if l := ac.clampLevel(level); l != cs.level {
+		// SetNodeLevel mirrored the commanded level; only a different
+		// acked one needs the store's lock.
+		cs.level = l
+		s.journal.SetLevel(int(rec.id), l)
+	}
+	if rec.ac == ac {
+		rec.last.Level = cs.level
+	}
 }
 
 // clampLevel bounds a level a remote agent reported — in a hello, a sample
@@ -676,7 +707,7 @@ type actuator struct {
 }
 
 // SetNodeLevel implements manager.Actuator: assign a sequence number,
-// record the command in flight, and enqueue it to the node's sender.
+// record the command in flight, and dispatch it to the node.
 // Recording happens before the enqueue, so the journal mirror (written
 // under the shard lock) always sees the newest commanded level — a
 // snapshot taken mid-fan-out can never persist a superseded one. Unacked
@@ -693,7 +724,7 @@ func (a actuator) SetNodeLevel(id node.ID, level int) error {
 	}
 	ac := rec.ac
 	seq := s.seq.Add(1)
-	rec.cmd = cmdState{issued: true, level: level, seq: seq, sentCycle: int(s.cycleN.Load())}
+	sh.setCmd(rec, cmdState{issued: true, level: level, seq: seq, sentCycle: int(s.cycleN.Load())})
 	// Mirror into the journal under the same shard lock, so the mirror
 	// orders level updates exactly as the record does (the store's own
 	// mutex is a leaf below the shard mutexes).
@@ -703,33 +734,27 @@ func (a actuator) SetNodeLevel(id node.ID, level int) error {
 	return nil
 }
 
-// dispatch hands one command to a node's sender, claiming a fan-out slot
-// for it. An outbox closed mid-teardown just drops the write — the
-// command stays on the node's record and the retry path re-sends it once
-// the node redials.
+// dispatch hands one command to its node: through the issuing cycle's
+// writers, or, outside a cycle, by the caller itself (deliver). An outbox
+// closed mid-teardown just drops the write — the command stays on the
+// node's record and the retry path re-sends it once the node redials.
 func (s *Server) dispatch(ac *agentConn, level int, seq uint64, fan *fanout) {
+	pc := pendingCmd{level: level, seq: seq}
 	if fan != nil {
-		fan.add()
-	}
-	ok, superseded := s.enqueueCommand(ac, pendingCmd{level: level, seq: seq, fan: fan})
-	if !ok {
-		if fan != nil {
-			fan.complete()
-		}
+		fan.dispatch(ac, pc)
 		return
 	}
-	if superseded {
-		s.coalesced.Inc()
-	}
+	s.deliver(ac, pc, true)
 }
 
-// pingAll is one heartbeat tick. scratch is reused for every shard's
+// pingAll is one heartbeat tick, written through by the ticking goroutine
+// itself wherever a link is idle. scratch is reused for every shard's
 // connection list and handed back for the next tick.
 func (s *Server) pingAll(scratch []*agentConn) []*agentConn {
 	for _, sh := range s.nodes.shards {
 		scratch = sh.conns(scratch)
 		for _, ac := range scratch {
-			s.enqueuePing(ac)
+			s.deliver(ac, pendingCmd{}, false)
 		}
 	}
 	return scratch
@@ -870,7 +895,7 @@ func (s *Server) sweep(cycleN int, t0 time.Time, fresh func(*nodeRec) bool) []cy
 				switch {
 				case !cs.issued:
 					if last.Level < last.MaxLevel {
-						*cs = cmdState{issued: true, level: last.Level, acked: true, sentCycle: cycleN}
+						sh.setCmd(rec, cmdState{issued: true, level: last.Level, acked: true, sentCycle: cycleN})
 						s.journal.SetLevel(int(rec.id), cs.level)
 					}
 				case !cs.acked && cycleN > cs.sentCycle:
@@ -881,6 +906,7 @@ func (s *Server) sweep(cycleN int, t0 time.Time, fresh func(*nodeRec) bool) []cy
 				case cs.acked && last.Level != cs.level && cycleN >= cs.sentCycle+2:
 					cs.seq = s.seq.Add(1)
 					cs.acked = false
+					sh.unacked++
 					cs.sentCycle = cycleN
 					s.reconciles.Inc()
 					g.resends = append(g.resends, resend{rec.ac, cs.level, cs.seq})
@@ -944,7 +970,7 @@ func (s *Server) sensed(parts []cyclePart, span *obs.CycleHandle, t0 time.Time) 
 }
 
 // upkeep acts on the sweep's lifecycle decisions: adopted nodes join
-// A_degraded and the re-sends go to their senders. It runs before
+// A_degraded and the re-sends go to the cycle's writers. It runs before
 // Algorithm 1, so retries and reconciles reflect last cycle's state, not
 // commands issued moments ago.
 func (s *Server) upkeep(parts []cyclePart, fan *fanout) {
@@ -980,7 +1006,7 @@ func (s *Server) endCycle(span *obs.CycleHandle, t0 time.Time) {
 //
 // The returned fan-out tracker completes once every command the cycle
 // issued has been written or abandoned; the cycle itself does not wait
-// for it (the senders run concurrently).
+// for it (its writers and the senders run concurrently).
 func (s *Server) cycle() *fanout {
 	s.cycleMu.Lock()
 	defer s.cycleMu.Unlock()
@@ -1068,8 +1094,8 @@ func cycleRecord(cycleN int, p units.Watts, thr power.Thresholds, st power.State
 }
 
 // StepCycle runs one control cycle synchronously and blocks until its
-// command fan-out completes (every command handed to a sender was written
-// or abandoned to the retry path), returning the fan-out completion
+// command fan-out completes (every command it issued was written or
+// abandoned to the retry path), returning the fan-out completion
 // latency. It is a test and benchmark hook: drive it with a very long
 // ControlEvery so the ticker-driven loop stays out of the way.
 func (s *Server) StepCycle() time.Duration {

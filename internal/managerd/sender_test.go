@@ -26,7 +26,9 @@ import (
 // and checks the two accounting invariants: no command is left in an
 // outbox with nobody to write it, and every fan-out slot is released
 // exactly once (a second release closes fanout.done twice and panics; a
-// missing one leaves it open and the wait below times out).
+// missing one leaves it open and the wait below times out). Messages go
+// through deliver, the one dispatch path; over net.Pipe, which cannot
+// write without blocking, it always takes the outbox.
 
 // idleServer builds a server that is never started: no listener and no
 // loops, just the state the sender and serveConn paths need. Stop still
@@ -125,7 +127,7 @@ func TestSenderExitVersusEnqueue(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				srv.dispatch(ac, 3, srv.seq.Add(1), fan)
-				srv.enqueuePing(ac)
+				srv.deliver(ac, pendingCmd{}, false)
 			}()
 		}
 		wg.Wait()
@@ -173,21 +175,30 @@ func TestSenderEnqueueVersusRetire(t *testing.T) {
 		fan.finishEnqueue()
 		awaitFanout(t, fan, "enqueue vs retire")
 
-		if ok, _ := srv.enqueueCommand(ac, pendingCmd{level: 1}); ok {
-			t.Fatalf("round %d: retired outbox accepted a command", r)
-		}
-		srv.enqueuePing(ac)
 		waitFor(t, 5*time.Second, "retired outbox idle", func() bool { return outboxIdle(ac) })
+		srv.deliver(ac, pendingCmd{level: 1, seq: srv.seq.Add(1)}, true)
+		srv.deliver(ac, pendingCmd{}, false)
+		if !outboxIdle(ac) {
+			t.Fatalf("round %d: a retired outbox took a message or started a sender", r)
+		}
 		ac.conn.Close()
 	}
 }
 
 // TestSenderStopVersusStart stops a server while pings are still starting
-// senders. Stop must return (every started sender was counted before the
-// wait began), and a ping that arrives afterwards must start nothing —
-// under -race a wg.Add after wg.Wait is reported.
+// senders: the pinger outruns the agents' reads, so their links fill and
+// decline, and each then gets a sender. Stop must return (every started
+// sender was counted before the wait began), and a ping that arrives
+// afterwards must start nothing — under -race a wg.Add after wg.Wait is
+// reported.
 func TestSenderStopVersusStart(t *testing.T) {
 	const agents = 16
+	var started int64
+	defer func() {
+		if started == 0 {
+			t.Error("no ping ever started a sender: the race under test never ran")
+		}
+	}()
 	for iter := 0; iter < 20; iter++ {
 		nw := faultnet.New(int64(100 + iter))
 		srv, err := New(fanoutConfig(nw, time.Second, power.Thresholds{PL: 1e6, PH: 2e6}))
@@ -212,7 +223,7 @@ func TestSenderStopVersusStart(t *testing.T) {
 					return
 				default:
 					for _, ac := range acs {
-						srv.enqueuePing(ac)
+						srv.deliver(ac, pendingCmd{}, false)
 					}
 				}
 			}
@@ -221,10 +232,11 @@ func TestSenderStopVersusStart(t *testing.T) {
 		srv.Stop()
 		// The pinger is still running against the stopped server here.
 		for _, ac := range acs {
-			srv.enqueuePing(ac)
+			srv.deliver(ac, pendingCmd{}, false)
 		}
 		close(quit)
 		<-pinged
+		started += srv.senderStarts.Load()
 		for _, ac := range acs {
 			if !outboxIdle(ac) {
 				t.Fatalf("iteration %d: node %d has a sender or a queued ping after Stop", iter, ac.id)
@@ -235,9 +247,10 @@ func TestSenderStopVersusStart(t *testing.T) {
 }
 
 // TestHeartbeatTickReturnsToBaseline pings 1024 idle agents once: every
-// ping is written, and the goroutines that wrote them are gone again —
-// an idle connection parks no sender. The tick also reuses one scratch
-// list across shards instead of allocating one per shard.
+// ping is written through by the tick itself — no per-node sender starts —
+// and the goroutine count is back at its baseline: an idle connection
+// parks no sender. The tick also reuses one scratch list across shards
+// instead of allocating one per shard.
 func TestHeartbeatTickReturnsToBaseline(t *testing.T) {
 	const agents = 1024
 	nw := faultnet.New(7)
@@ -257,19 +270,23 @@ func TestHeartbeatTickReturnsToBaseline(t *testing.T) {
 		}
 	})
 	base := runtime.NumGoroutine()
+	senders := srv.senderStarts.Load()
 
 	scratch := srv.pingAll(nil)
 	waitFor(t, 30*time.Second, "every agent pinged", func() bool { return pings.Load() == agents })
 	waitFor(t, 10*time.Second, "senders gone", func() bool { return runtime.NumGoroutine() <= base })
 
 	// A second tick over the warmed scratch lists the fleet without
-	// allocating; the only allocations left are the senders' start-up.
+	// allocating.
 	pings.Store(0)
 	if again := srv.pingAll(scratch); cap(again) != cap(scratch) {
 		t.Errorf("scratch regrown on a second tick: cap %d -> %d", cap(scratch), cap(again))
 	}
 	waitFor(t, 30*time.Second, "every agent pinged again", func() bool { return pings.Load() == agents })
 	waitFor(t, 10*time.Second, "senders gone again", func() bool { return runtime.NumGoroutine() <= base })
+	if n := srv.senderStarts.Load() - senders; n != 0 {
+		t.Errorf("two ticks over idle links started %d per-node senders, want 0", n)
+	}
 }
 
 // TestLateHelloDoesNotEvictNewerConnection is the regression test for the
@@ -419,7 +436,7 @@ func TestLateSampleFromReplacedConnIsDropped(t *testing.T) {
 	connA := currentConn(srv, 5)
 	sh := srv.nodes.of(5)
 	sh.mu.Lock()
-	sh.nodes[5].cmd = cmdState{issued: true, level: 4, seq: 77}
+	sh.setCmd(sh.nodes[5], cmdState{issued: true, level: 4, seq: 77})
 	sh.mu.Unlock()
 
 	server, client := net.Pipe()

@@ -78,6 +78,10 @@ type shard struct {
 	nLost    int
 	nQuar    int
 	drifted  int
+	// unacked counts the shard's commands in flight (issued, not acked),
+	// kept in step by every change to a record's cmd (setCmd, the ack, a
+	// reconcile), so UnackedCommands reads O(shards) integers.
+	unacked int
 
 	// Registered agent connections, counted at register and teardown —
 	// the same O(shards) cache idea, feeding the agents gauge.
@@ -98,6 +102,13 @@ func (sh *shard) conns(buf []*agentConn) []*agentConn {
 	}
 	sh.mu.Unlock()
 	return buf
+}
+
+// setCmd replaces rec's command state, keeping the in-flight tally in
+// step. Caller holds sh.mu.
+func (sh *shard) setCmd(rec *nodeRec, cs cmdState) {
+	sh.unacked += cs.inFlight() - rec.cmd.inFlight()
+	rec.cmd = cs
 }
 
 // maxChunk caps a chunk at 256 records (≈ 62 KiB).

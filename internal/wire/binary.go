@@ -457,18 +457,6 @@ func decodePayload(p []byte, e *Envelope, depth int) error {
 	return nil
 }
 
-// sendBinary encodes and writes e as one binary frame, reusing the
-// connection's encode buffer. A frame that fails to encode writes nothing.
-func (c *Conn) sendBinary(e *Envelope) error {
-	buf, err := AppendFrame(c.encBuf[:0], e)
-	c.encBuf = buf[:0]
-	if err != nil {
-		return err
-	}
-	_, err = c.raw.Write(buf)
-	return err
-}
-
 // recvBinary reads one binary frame body (the magic byte is already
 // consumed) into e, reusing the connection's read buffer.
 func (c *Conn) recvBinary(e *Envelope) error {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"io"
 	"reflect"
 	"testing"
 )
@@ -360,5 +361,33 @@ func TestAdvertises(t *testing.T) {
 	var none Envelope
 	if none.Advertises(CodecBinary) {
 		t.Fatal("empty advertisement matched")
+	}
+}
+
+// roomyConn is a stream whose non-blocking write always has room.
+type roomyConn struct{ pipeConn }
+
+func (c roomyConn) TryWrite(p []byte) (int, error) { return c.Write(p) }
+
+// TestSendAllocatesNothing: a binary Send, and a TrySend the stream takes,
+// allocate nothing — the manager writes every command of a red round
+// through one or the other.
+func TestSendAllocatesNothing(t *testing.T) {
+	cmd := Envelope{Type: KindCommand, Node: 4, Level: 3, Seq: 17}
+	c := NewConn(roomyConn{pipeConn{nil, io.Discard}})
+	c.EnableBinary()
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := c.Send(cmd); err != nil {
+			t.Fatal(err)
+		}
+		if done, err := c.TrySend(cmd); !done || err != nil {
+			t.Fatalf("TrySend = %v, %v; want the frame taken", done, err)
+		}
+	})
+	if raceEnabled {
+		t.Skipf("%.1f allocs per Send + TrySend under -race: not counted", allocs)
+	}
+	if allocs != 0 {
+		t.Errorf("%.1f allocs per Send + TrySend, want 0", allocs)
 	}
 }

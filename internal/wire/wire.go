@@ -275,6 +275,12 @@ type Conn struct {
 	readBuf []byte
 	hdr     [frameHeaderLen - 1]byte // binary frame header (reader-owned; a local would escape)
 
+	// The non-blocking write side (TrySend), writer-owned: tw is the
+	// stream's TryWrite, resolved on first use, and tail the bytes of a
+	// frame the stream took only a prefix of.
+	tw   tryWriter
+	tail []byte
+
 	// decodeFails counts consecutive recoverable decode errors, for the
 	// fatal escalation described on maxDecodeFails.
 	decodeFails int
@@ -305,17 +311,112 @@ func (c *Conn) EnableBinary() { c.binWrite.Store(true) }
 // Send encodes one message and writes it: a binary frame once
 // EnableBinary has been called, a JSON line before. A kind the binary
 // codec does not know is an error there, and nothing is written. One
-// message is exactly one Write on the underlying stream.
+// message is exactly one Write on the underlying stream, after the
+// unsent tail of a frame TrySend started, if there is one.
 func (c *Conn) Send(e Envelope) error {
-	if c.binWrite.Load() {
-		return c.sendBinary(&e)
-	}
-	b, err := json.Marshal(e)
+	b, err := c.encode(&e)
 	if err != nil {
-		return fmt.Errorf("wire: marshal: %w", err)
+		return err
 	}
-	_, err = c.raw.Write(append(b, '\n'))
+	if err := c.Flush(); err != nil {
+		return err
+	}
+	_, err = c.raw.Write(b)
 	return err
+}
+
+// TrySend is Send for a writer that must not block: it writes e now or
+// declines, writing nothing. What "now" allows is the stream's call: a
+// stream with a TryWrite method (faultnet's links) takes the whole frame
+// or nothing; a TCP connection takes what its socket buffer has room for
+// (unix only); any other stream always declines. A frame the socket took
+// only a prefix of counts as sent: its tail stays on the Conn, Pending
+// reports it, the next Send or Flush writes it first, and TrySend
+// declines until then.
+//
+// done reports whether e was dealt with — written, or failed as Send
+// would fail (err set; the stream is then as unusable as after a failed
+// Send). !done means declined: nothing was written and e is still the
+// caller's to send.
+func (c *Conn) TrySend(e Envelope) (done bool, err error) {
+	if len(c.tail) > 0 {
+		return false, nil
+	}
+	if c.tw == nil {
+		c.tw = tryWriterOf(c.raw)
+	}
+	if _, ok := c.tw.(never); ok {
+		return false, nil
+	}
+	b, err := c.encode(&e)
+	if err != nil {
+		return true, err
+	}
+	n, err := c.tw.TryWrite(b)
+	switch {
+	case err != nil:
+		return true, err
+	case n == 0:
+		return false, nil
+	case n < len(b):
+		c.tail = append(c.tail[:0], b[n:]...)
+	}
+	return true, nil
+}
+
+// Pending reports whether a frame TrySend started still has bytes to
+// write; Flush or the next Send writes them.
+func (c *Conn) Pending() bool { return len(c.tail) > 0 }
+
+// Flush writes the unsent tail of a frame TrySend started, blocking as
+// Send does; without one it does nothing.
+func (c *Conn) Flush() error {
+	if len(c.tail) == 0 {
+		return nil
+	}
+	_, err := c.raw.Write(c.tail)
+	c.tail = c.tail[:0]
+	return err
+}
+
+// encode returns e as one frame in the write side's codec. A binary frame
+// lives in the reused encode buffer until the next encode.
+func (c *Conn) encode(e *Envelope) ([]byte, error) {
+	if !c.binWrite.Load() {
+		// Marshalled by value: a pointer handed to json would move every
+		// Send's envelope to the heap, binary ones included.
+		b, err := json.Marshal(*e)
+		if err != nil {
+			return nil, fmt.Errorf("wire: marshal: %w", err)
+		}
+		return append(b, '\n'), nil
+	}
+	buf, err := AppendFrame(c.encBuf[:0], e)
+	c.encBuf = buf[:0]
+	return buf, err
+}
+
+// tryWriter is a stream's non-blocking write: all of p, a prefix of it,
+// or — (0, nil) — nothing.
+type tryWriter interface {
+	TryWrite(p []byte) (int, error)
+}
+
+// never is the tryWriter of a stream that cannot write without blocking.
+type never struct{}
+
+func (never) TryWrite([]byte) (int, error) { return 0, nil }
+
+// tryWriterOf resolves rw's non-blocking write: its own TryWrite, else the
+// socket's (tryWriterOfSocket), else never.
+func tryWriterOf(rw io.ReadWriteCloser) tryWriter {
+	if tw, ok := rw.(tryWriter); ok {
+		return tw
+	}
+	if tw := tryWriterOfSocket(rw); tw != nil {
+		return tw
+	}
+	return never{}
 }
 
 // SendBatch encodes several messages as one wire frame, written once.

@@ -525,3 +525,26 @@ func TestReadingIdentity(t *testing.T) {
 		t.Errorf("reading = %+v", r)
 	}
 }
+
+// TestTrySendDeclinesOnAPipe: a stream with neither a TryWrite of its own
+// nor a socket under it (net.Pipe) cannot write without blocking, so
+// TrySend declines every frame and writes nothing; Send still works.
+func TestTrySendDeclinesOnAPipe(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	tx, rx := NewConn(a), NewConn(b)
+	for _, binary := range []bool{false, true} {
+		if binary {
+			tx.EnableBinary()
+		}
+		if done, err := tx.TrySend(Envelope{Type: KindPing}); done || err != nil || tx.Pending() {
+			t.Fatalf("TrySend on a pipe (binary %v) = %v, %v, pending %v; want a decline", binary, done, err, tx.Pending())
+		}
+	}
+	go tx.Send(Envelope{Type: KindCommand, Node: 3, Level: 1, Seq: 9})
+	got, err := rx.Recv()
+	if err != nil || got.Type != KindCommand || got.Seq != 9 {
+		t.Fatalf("after the declines the pipe carried %+v (%v), want only the sent command", got, err)
+	}
+}
