@@ -199,14 +199,8 @@ func spawnFailoverDaemon(sc scenario.Scenario, ctrlEvery, sampleEvery time.Durat
 	}
 	addr := primary.Addr()
 
-	store, err := replica.Open("")
-	if err != nil {
-		primary.Stop()
-		os.RemoveAll(dir)
-		return "", nil, err
-	}
 	sb, err := daemon.StartStandby(daemon.StandbyConfig{
-		Follower:   replica.FollowerConfig{Addr: addr, Store: store, Backoff: 10 * time.Millisecond},
+		Follower:   replica.FollowerConfig{Addr: addr, Backoff: 10 * time.Millisecond},
 		Lease:      lease,
 		MissBudget: 5,
 		Holder:     "standby",

@@ -42,11 +42,10 @@ func main() {
 		train   = flag.Duration("learn", 0, "enable §III.A threshold learning with this training window (0 = fixed thresholds)")
 		pmaxStr = flag.String("pmax", "40kW", "provision capability seeding the learner (with -learn)")
 
-		journalEvery = flag.Int("journal-every", 0, "journal snapshot period in cycles (0 = learner adjustment period)")
-		heartbeat    = flag.Int("heartbeat-every", 1, "agent heartbeat period in cycles (-1 = disabled)")
-		flapWindow   = flag.Duration("flap-window", 15*time.Second, "reconnect-flap detection window")
-		flapLimit    = flag.Int("flap-limit", 6, "reconnects within the flap window before quarantine (-1 = disabled)")
-		quarantine   = flag.Duration("quarantine", 30*time.Second, "minimum quarantine duration")
+		heartbeat  = flag.Int("heartbeat-every", 1, "agent heartbeat period in cycles (-1 = disabled)")
+		flapWindow = flag.Duration("flap-window", 15*time.Second, "reconnect-flap detection window")
+		flapLimit  = flag.Int("flap-limit", 6, "reconnects within the flap window before quarantine (-1 = disabled)")
+		quarantine = flag.Duration("quarantine", 30*time.Second, "minimum quarantine duration")
 
 		shards        = flag.Int("shards", 0, "node-state shards, rounded up to a power of two (0 = default)")
 		workers       = flag.Int("fanout-workers", 0, "workers sweeping the node-state shards, and at most as many command writers, each control cycle (0 = GOMAXPROCS)")
@@ -73,7 +72,6 @@ func main() {
 		Tg:              *tg,
 		ControlEvery:    *period,
 		Thresholds:      thr,
-		JournalEvery:    *journalEvery,
 		HeartbeatEvery:  *heartbeat,
 		FlapWindow:      *flapWindow,
 		FlapLimit:       *flapLimit,

@@ -642,6 +642,40 @@ func TestDaemonCLIFailsafeFlags(t *testing.T) {
 	}
 }
 
+// TestDaemonCLIUnwritableJournal holds both daemons, primary and standby
+// alike, to the one journal rule: a -journal path that cannot be written
+// refuses to start, exit 1, naming the path — none runs on without the
+// persistence it was asked for.
+func TestDaemonCLIUnwritableJournal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI end-to-end")
+	}
+	bin := binaries(t)
+	for _, tc := range []struct {
+		name, role, addr string
+		args             []string
+	}{
+		{"powmgrd", "primary", "127.0.0.1:29765", nil},
+		{"powcoordd", "primary", "127.0.0.1:29766", nil},
+		{"powmgrd", "standby", "127.0.0.1:29767", []string{"-standby-of", "127.0.0.1:29768"}},
+		{"powcoordd", "standby", "127.0.0.1:29769", []string{"-standby-of", "127.0.0.1:29770"}},
+	} {
+		t.Run(tc.name+"-"+tc.role, func(t *testing.T) {
+			dir := t.TempDir()
+			journal := filepath.Join(dir, "no-such-dir", "d.journal")
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			out, err := exec.CommandContext(ctx, filepath.Join(bin, tc.name), append([]string{
+				"-addr", tc.addr, "-period", "50ms", "-journal", journal,
+				"-lease", filepath.Join(dir, "lease.json"),
+			}, tc.args...)...).CombinedOutput()
+			if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || !strings.Contains(string(out), journal) {
+				t.Fatalf("%s on an unwritable journal: %v, want exit 1 naming %s:\n%s", tc.name, err, journal, out)
+			}
+		})
+	}
+}
+
 // TestDaemonCLIStandbyTakeover runs -standby-of through each daemon binary:
 // a leased primary and its warm standby share a lease file, the standby
 // announces the miss budget in force (4 also for -lease-miss-budget 0, which

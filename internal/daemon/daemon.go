@@ -4,7 +4,8 @@
 // lives here once: the instrument registry and cycle recorder, the
 // journal's publisher, the leadership epoch with its lease and
 // self-deposition, the listeners and their accept loops, first-frame
-// routing, the control ticker and the stop/wait lifecycle.
+// routing, the control ticker, the journal's lifecycle (open, the
+// snapshots it counts, compact and close) and the stop/wait lifecycle.
 //
 // A daemon embeds *Chassis and supplies Hooks: how to serve one of its
 // own sessions, what one control cycle does, what a status probe is
@@ -53,9 +54,10 @@ type Options struct {
 	// ControlEvery is the period of the ticker driving Hooks.Cycle.
 	ControlEvery time.Duration
 
-	// HA arrives with Journal resolved: the chassis stamps that store with
-	// the leadership epoch and publishes its entries to followers. Opening
-	// and closing it stays with the daemon.
+	// HA names the journal and the lease. New opens the journal from
+	// JournalPath (or adopts Journal) and stamps it with the leadership
+	// epoch; the chassis publishes its entries to followers, counts its
+	// snapshots as journal_writes, and compacts and closes it at Stop.
 	HA
 	// WriteTimeout arms each frame written to a follower.
 	WriteTimeout time.Duration
@@ -66,11 +68,13 @@ type Options struct {
 type HA struct {
 	// JournalPath, when non-empty, persists the journal (snapshot + append
 	// log) there, so a restart or a promoted standby resumes knowing what
-	// it inherited. Ignored when Journal is set.
+	// it inherited; empty journals to memory. A missing or corrupt file
+	// cold-starts; a location the journal cannot be written to refuses to
+	// start. Ignored when Journal is set.
 	JournalPath string
 	// Journal, when non-nil, is an already-open store adopted in place of
 	// opening JournalPath — a promoted standby hands its replicated copy
-	// over this way.
+	// over this way. The daemon takes ownership and closes it at Stop.
 	Journal *replica.Store
 	// Lease, when non-nil, is the leadership lease. New claims the epoch
 	// after both the lease file's and the journal's; Start writes it, and it
@@ -121,6 +125,7 @@ type Chassis struct {
 	epoch uint64
 
 	journalAppends *obs.Counter
+	journalWrites  *obs.Counter
 	fencedHellos   *obs.Counter
 	ticksDropped   *obs.Counter
 	leaderG        *obs.Gauge
@@ -148,8 +153,16 @@ type Chassis struct {
 	wg         sync.WaitGroup
 }
 
-// New builds an unstarted chassis and claims the leadership epoch.
-func New(opt Options, hooks Hooks) *Chassis {
+// New opens the journal (see HA.JournalPath), builds an unstarted chassis
+// and claims the leadership epoch. From here on the chassis owns the
+// journal: a daemon whose New fails after this calls Stop to release it.
+func New(opt Options, hooks Hooks) (*Chassis, error) {
+	if opt.Journal == nil {
+		var err error
+		if opt.Journal, err = openJournal(opt.JournalPath); err != nil {
+			return nil, err
+		}
+	}
 	reg := obs.NewRegistry()
 	c := &Chassis{
 		opt:   opt,
@@ -159,6 +172,7 @@ func New(opt Options, hooks Hooks) *Chassis {
 		pub:   replica.NewPublisher(opt.Journal, opt.WriteTimeout),
 
 		journalAppends: reg.Counter("journal_appends"),
+		journalWrites:  reg.Counter("journal_writes"),
 		fencedHellos:   reg.Counter("fenced_hellos"),
 		ticksDropped:   reg.Counter("ticks_dropped"),
 		leaderG:        reg.Gauge("leader"),
@@ -168,6 +182,7 @@ func New(opt Options, hooks Hooks) *Chassis {
 	for i, rg := range runtimeGauges {
 		c.rtSamples[i].Name, c.rtGauges[i] = rg.metric, reg.Gauge(rg.gauge)
 	}
+	opt.Journal.OnCompact(c.journalWrites.Inc)
 	c.leading, c.endLeading = context.WithCancel(context.Background())
 	// The one claim rule: a leased daemon leads at the epoch after every
 	// one it can know of — the lease file's and its journal's, which a
@@ -193,7 +208,20 @@ func New(opt Options, hooks Hooks) *Chassis {
 		takeover.SetInt(opt.TakeoverMicros)
 		reg.Histogram("takeover_micros").Observe(float64(opt.TakeoverMicros))
 	}
-	return c
+	return c, nil
+}
+
+// openJournal is the one rule by which a daemon or a warm standby gets its
+// journal. An empty path journals to memory. A path loads what is there: a
+// missing, truncated or corrupt file cold-starts, the journal being
+// advisory, but a location the store cannot write refuses, naming the
+// path, rather than run on without the persistence it was asked for.
+func openJournal(path string) (*replica.Store, error) {
+	st, err := replica.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("journal %s: %w", path, err)
+	}
+	return st, nil
 }
 
 // Boot starts a freshly built daemon — Boot(managerd.New(cfg)) — and stops
@@ -288,17 +316,20 @@ func (c *Chassis) Every(period time.Duration, fn func()) {
 	})
 }
 
-// Stop ends leadership, closes the listeners, followers and sessions, and
-// waits for every goroutine the chassis started. Idempotent, and safe on a
-// chassis that never started or failed to.
+// Stop ends leadership, closes the listeners, followers and sessions,
+// waits for every goroutine the chassis started, then compacts the journal
+// — so a clean restart replays no log — and closes it. Idempotent, and safe
+// on a chassis that never started or failed to.
 func (c *Chassis) Stop() {
 	c.stopOnce.Do(func() {
 		c.endLeading()
 		c.closeListeners()
 		c.pub.Close()
 		c.hooks.Shed()
+		c.wg.Wait()
+		_ = c.opt.Journal.Compact()
+		c.opt.Journal.Close()
 	})
-	c.wg.Wait()
 }
 
 func (c *Chassis) closeListeners() {
@@ -333,6 +364,9 @@ func (c *Chassis) Obs() *obs.Registry { return c.reg }
 // CycleTrace returns the daemon's staged cycle recorder.
 func (c *Chassis) CycleTrace() *obs.CycleRecorder { return c.trace }
 
+// Journal returns the daemon's journal, which the chassis owns.
+func (c *Chassis) Journal() *replica.Store { return c.opt.Journal }
+
 // Epoch returns the leadership epoch (0 = HA off).
 func (c *Chassis) Epoch() uint64 { return c.epoch }
 
@@ -346,17 +380,19 @@ func (c *Chassis) Deposed() bool { return c.deposed.Load() }
 // leadership is what keeps a superseded leader from reporting to, or
 // redialling, its parent and fighting its successor over the child slot.
 // The chassis binds the grant, floor and decode-error hooks to the
-// registry and fills what cfg leaves zero: ReportEvery is the control
-// period, Grace DefaultBudgetGrace control periods, and Failsafe the
+// registry, sets cfg.Grace from grace, the parent silence tolerated in
+// control periods (DefaultBudgetGrace when zero or less), and fills what
+// cfg leaves zero: ReportEvery is the control period and Failsafe the
 // daemon's own band, Initial. An invalid failsafe band is refused. Call
 // before Start.
-func (c *Chassis) Govern(cfg tier.GovernorConfig) (*tier.Governor, error) {
+func (c *Chassis) Govern(cfg tier.GovernorConfig, grace int) (*tier.Governor, error) {
 	if cfg.ReportEvery <= 0 {
 		cfg.ReportEvery = c.opt.ControlEvery
 	}
-	if cfg.Grace <= 0 {
-		cfg.Grace = DefaultBudgetGrace * c.opt.ControlEvery
+	if grace <= 0 {
+		grace = DefaultBudgetGrace
 	}
+	cfg.Grace = time.Duration(grace) * c.opt.ControlEvery
 	if cfg.Failsafe == (power.Thresholds{}) {
 		cfg.Failsafe = cfg.Initial
 	}

@@ -93,11 +93,11 @@ func newChassis(t *testing.T, s *stub, fill func(*daemon.Options)) *daemon.Chass
 	if fill != nil {
 		fill(&opt)
 	}
-	c := daemon.New(opt, s.hooks())
-	t.Cleanup(func() {
-		c.Stop()
-		journal.Close()
-	})
+	c, err := daemon.New(opt, s.hooks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
 	return c
 }
 

@@ -111,15 +111,12 @@ func Run[S interface {
 		if lease == nil {
 			log.Fatal("-standby-of requires -lease (the standby watches the leader's lease file)")
 		}
-		store, err := replica.Open(p.journal)
-		if err != nil {
-			log.Fatal(err)
-		}
 		sb, err := StartStandby(StandbyConfig{
-			Follower:   replica.FollowerConfig{Addr: p.standbyOf, Store: store, Backoff: lease.Period()},
-			Lease:      lease,
-			MissBudget: p.missBudget,
-			Holder:     "standby",
+			JournalPath: p.journal,
+			Follower:    replica.FollowerConfig{Addr: p.standbyOf, Backoff: lease.Period()},
+			Lease:       lease,
+			MissBudget:  p.missBudget,
+			Holder:      "standby",
 		}, func(ha HA) (S, error) {
 			// A standby that cannot take over must not linger as one.
 			return start(ha, func(srv S) {

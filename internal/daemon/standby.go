@@ -23,8 +23,12 @@ func missBudget(n int) int {
 
 // StandbyConfig configures a warm standby.
 type StandbyConfig struct {
-	// Follower replicates the leader's journal while it lives. Its Store
-	// becomes the promoted daemon's journal.
+	// JournalPath is where the standby keeps its copy of the leader's
+	// journal, opened by the daemons' rule (HA.JournalPath): empty keeps
+	// it in memory. The copy becomes the promoted daemon's journal.
+	JournalPath string
+	// Follower replicates the leader's journal into that copy while the
+	// leader lives. Leave its Store nil: StartStandby sets it.
 	Follower replica.FollowerConfig
 	// Lease is the leadership lease the leader renews. Required.
 	Lease *replica.Lease
@@ -50,22 +54,33 @@ type WarmStandby[S interface{ Stop() }] struct {
 	errCh  chan error    // boot's error
 }
 
-// StartStandby starts replicating and watching the lease. Once the lease
-// goes stale past the miss budget — or Promote is called — it stops the
-// follower, raises the replicated store's epoch to the last one the lease
-// showed (so the successor supersedes it even if the file has since become
-// unreadable), and calls boot once with the HA the successor runs under:
-// the store as its journal, the lease under cfg.Holder, and the leaderless
-// time. Death is declared only after the lease has been seen alive once: a
-// standby started before its primary waits instead of seizing an empty
-// lease.
+// StartStandby opens the journal copy, starts replicating into it and
+// watches the lease. Once the lease goes stale past the miss budget — or
+// Promote is called — it stops the follower, raises the replicated
+// store's epoch to the last one the lease showed (so the successor
+// supersedes it even if the file has since become unreadable), and calls
+// boot once with the HA the successor runs under: the store as its
+// journal, the lease under cfg.Holder, and the leaderless time. Death is
+// declared only after the lease has been seen alive once: a standby
+// started before its primary waits instead of seizing an empty lease. A
+// standby stopped unpromoted, or whose boot fails, closes its copy; a
+// promoted daemon owns it from then on.
 func StartStandby[S interface{ Stop() }](cfg StandbyConfig, boot func(HA) (S, error)) (*WarmStandby[S], error) {
 	if cfg.Lease == nil {
 		return nil, errors.New("daemon: standby needs a lease")
 	}
+	if cfg.Follower.Store != nil {
+		return nil, errors.New("daemon: a standby opens its own journal copy from JournalPath")
+	}
 	cfg.MissBudget = missBudget(cfg.MissBudget)
+	store, err := openJournal(cfg.JournalPath)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Follower.Store = store
 	f, err := replica.NewFollower(cfg.Follower)
 	if err != nil {
+		store.Close()
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -81,12 +96,13 @@ func StartStandby[S interface{ Stop() }](cfg StandbyConfig, boot func(HA) (S, er
 		defer close(h.done)
 		last, leaderless, ok := h.watch(ctx, f)
 		if !ok {
+			store.Close()
 			return
 		}
-		store := cfg.Follower.Store
 		store.SetEpoch(last.Epoch)
 		srv, err := boot(HA{Journal: store, Lease: cfg.Lease, LeaseHolder: cfg.Holder, TakeoverMicros: leaderless.Microseconds()})
 		if err != nil {
+			store.Close()
 			h.errCh <- err
 			return
 		}

@@ -44,7 +44,6 @@ import (
 	"repro/internal/budget"
 	"repro/internal/daemon"
 	"repro/internal/power"
-	"repro/internal/replica"
 	"repro/internal/tier"
 	"repro/internal/units"
 	"repro/internal/wire"
@@ -122,25 +121,6 @@ type Config struct {
 	CommandTimeout time.Duration
 }
 
-// CabinetStatus is a point-in-time external view of one child, for
-// tests and operator tooling. "Cabinet" is the protocol's word for
-// "child" — at a facility coordinator the children are whole rows.
-type CabinetStatus struct {
-	Cabinet    int
-	Live       bool
-	Codec      string
-	PowerW     float64
-	DemandW    float64
-	AppliedW   float64
-	GrantW     float64
-	GrantPHW   float64
-	GrantSeq   uint64
-	AppliedSeq uint64
-	Agents     int
-	Healthy    int
-	Epoch      uint64
-}
-
 // Server is a running coordinator: the daemon chassis (listener,
 // routing, replication, leased leadership, lifecycle) around a grantor
 // and, in row mode, a governor.
@@ -151,8 +131,7 @@ type Server struct {
 	grantor *tier.Grantor
 	gov     *tier.Governor // nil unless row mode
 
-	journal *replica.Store
-	cycleN  atomic.Int64
+	cycleN atomic.Int64
 }
 
 // New validates the configuration and creates an unstarted coordinator.
@@ -183,17 +162,11 @@ func New(cfg Config) (*Server, error) {
 		cfg.CommandTimeout = cfg.ControlEvery
 	}
 
-	// The grant journal: a promoted standby hands over its replicated
-	// copy, a path-configured one persists, and everything else journals
-	// to a memory-only store (which still feeds live followers).
-	if cfg.Journal == nil {
-		var err error
-		if cfg.Journal, err = replica.Open(cfg.JournalPath); err != nil {
-			return nil, fmt.Errorf("fedd: journal: %w", err)
-		}
-	}
-	s := &Server{cfg: cfg, journal: cfg.Journal}
-	s.Chassis = daemon.New(daemon.Options{
+	// The chassis opens the grant journal (a memory-only one still feeds
+	// live followers).
+	s := &Server{cfg: cfg}
+	var err error
+	s.Chassis, err = daemon.New(daemon.Options{
 		Listen:       []daemon.Endpoint{{Addr: cfg.Addr, Listener: cfg.Listener}},
 		MetricsAddr:  cfg.MetricsAddr,
 		ControlEvery: cfg.ControlEvery,
@@ -207,6 +180,9 @@ func New(cfg Config) (*Server, error) {
 		Status: s.StatusEnvelope,
 		Shed:   func() { s.grantor.CloseAll() },
 	})
+	if err != nil {
+		return nil, fmt.Errorf("fedd: %w", err)
+	}
 	reg := s.Obs()
 	reg.Gauge("row").SetInt(int64(cfg.Row))
 
@@ -219,25 +195,23 @@ func New(cfg Config) (*Server, error) {
 		Reg:        reg,
 		Trace:      s.CycleTrace(),
 		OnGrant: func(child int, grantW, phW float64, seq uint64) {
-			s.journal.SetLevel(child, int(grantW+0.5))
+			s.Journal().SetLevel(child, int(grantW+0.5))
 		},
 	})
 	reg.Gauge("budget_w").Set(float64(cfg.Budget))
 
 	if rowMode {
-		var err error
 		s.gov, err = s.Govern(tier.GovernorConfig{
 			Parent:      cfg.ParentAddr,
 			Dial:        cfg.ParentDial,
 			Child:       cfg.Row,
 			ReportEvery: cfg.ReportEvery,
-			Grace:       time.Duration(cfg.BudgetGrace) * cfg.ControlEvery,
 			Failsafe:    cfg.FailsafeBudget,
 			Initial:     thr,
 			Snapshot:    s.rowSnapshot,
-		})
+		}, cfg.BudgetGrace)
 		if err != nil {
-			s.journal.Close()
+			s.Stop()
 			return nil, fmt.Errorf("fedd: %w", err)
 		}
 	}
@@ -246,7 +220,7 @@ func New(cfg Config) (*Server, error) {
 	// child keeps its last granted band reserved (live with no
 	// connection) until it redials, so takeover and restart never starve
 	// a child that was healthy when the previous leader stopped.
-	if snap := s.journal.State(); len(snap.Levels) > 0 {
+	if snap := s.Journal().State(); len(snap.Levels) > 0 {
 		phRatio := float64(cfg.PH) / float64(cfg.Budget)
 		if snap.ThrPLW > 0 && snap.ThrPHW >= snap.ThrPLW {
 			phRatio = snap.ThrPHW / snap.ThrPLW
@@ -290,14 +264,6 @@ func (s *Server) rowSnapshot() tier.Snapshot {
 // while floored).
 func (s *Server) Governed() bool { return s.gov != nil && s.gov.Governed() }
 
-// Stop shuts the coordinator down, waits for its goroutines and compacts
-// a persistent journal.
-func (s *Server) Stop() {
-	s.Chassis.Stop()
-	_, _ = s.journal.Compact()
-	s.journal.Close()
-}
-
 // cycle is one coordination round: the grantor divides the current band
 // and grants it, a row coordinator rolls its fleet up for the next
 // upward report, and the grant journal commits (and replicates) the
@@ -317,26 +283,5 @@ func (s *Server) cycle() {
 func (s *Server) StepCycle() { s.cycle() }
 
 // CabinetStates returns a point-in-time view of every known child,
-// sorted by child index.
-func (s *Server) CabinetStates() []CabinetStatus {
-	children := s.grantor.States()
-	out := make([]CabinetStatus, len(children))
-	for i, c := range children {
-		out[i] = CabinetStatus{
-			Cabinet:    c.Child,
-			Live:       c.Live,
-			Codec:      c.Codec,
-			PowerW:     c.PowerW,
-			DemandW:    c.DemandW,
-			AppliedW:   c.AppliedW,
-			GrantW:     c.GrantW,
-			GrantPHW:   c.GrantPHW,
-			GrantSeq:   c.GrantSeq,
-			AppliedSeq: c.AppliedSeq,
-			Agents:     c.Agents,
-			Healthy:    c.Healthy,
-			Epoch:      c.Epoch,
-		}
-	}
-	return out
-}
+// sorted by child index — at a facility coordinator, of whole rows.
+func (s *Server) CabinetStates() []tier.ChildStatus { return s.grantor.States() }

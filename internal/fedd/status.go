@@ -43,6 +43,7 @@ func (s *Server) StatusEnvelope() wire.Envelope {
 		ReplicaConns:       int(val("replica_conns")),
 		ReplicaLagEntries:  int(val("replica_lag_entries")),
 		JournalAppends:     int(val("journal_appends")),
+		JournalWrites:      int(val("journal_writes")),
 		FencedHellos:       int(val("fenced_hellos")),
 		BudgetGrants:       int(val("budget_grants")),
 		BudgetFloors:       int(val("budget_floors")),
@@ -68,7 +69,7 @@ func (s *Server) StatusEnvelope() wire.Envelope {
 			live = 1
 		}
 		env.Batch = append(env.Batch, wire.Envelope{
-			Type: wire.KindCabReport, Node: c.Child,
+			Type: wire.KindCabReport, Node: c.Cabinet,
 			Level:   live,
 			Codec:   c.Codec,
 			PowerW:  c.PowerW,

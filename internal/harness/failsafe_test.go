@@ -100,7 +100,6 @@ func TestManagerRestartFromJournal(t *testing.T) {
 		FailsafeAfter:  4,
 		FailsafeLevel:  0,
 		JournalPath:    jp,
-		JournalEvery:   2,
 		Learn:          &managerd.LearnConfig{PMax: units.KW(10), Training: 500 * time.Millisecond, AdjustEvery: 10},
 		AgentProfile:   faultnet.Profile{DropProb: 0.05, FirstWriteClean: true},
 	})

@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/fedd"
 	"repro/internal/power"
 	"repro/internal/replica"
@@ -218,5 +221,42 @@ func TestFederationCoordinatorColdRestart(t *testing.T) {
 		if err := scenario.CheckAlgorithmOne(recs, f.Cabinet(cab).Opt.Tg); err != nil {
 			t.Errorf("cabinet %d violated Algorithm 1: %v", cab, err)
 		}
+	}
+}
+
+// TestCoordinatorJournalStaysBounded: a path-backed coordinator whose grants
+// move nearly every cycle — a proportional division of a megawatt across
+// three cabinets' fluctuating demand — keeps its journal's log at 60
+// entries or fewer however many cycles it commits, because the store
+// compacts itself, and reports those compactions as journal_writes.
+func TestCoordinatorJournalStaysBounded(t *testing.T) {
+	const every = 20 * time.Millisecond
+	journal := filepath.Join(t.TempDir(), "coord.journal")
+	f := StartTree(t, TreeOptions{
+		Tiers:            []Tier{{Fanout: 3, Every: every}},
+		AgentsPerCabinet: 2,
+		Division:         budget.Proportional,
+		Cabinet: func(_ []int, o *Options) {
+			o.ControlEvery, o.SampleEvery = every, every
+		},
+		Coord: func(_ []int, cfg *fedd.Config) { cfg.JournalPath = journal },
+	})
+	f.AwaitGoverned(20 * time.Second)
+
+	most := 0
+	WaitUntil(t, 60*time.Second, func() bool {
+		b, err := os.ReadFile(journal + ".log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		most = max(most, bytes.Count(b, []byte("\n")))
+		return f.Coord().StatusEnvelope().Stats.JournalAppends > 120
+	}, "the coordinator never committed 120 changed cycles: %+v", f.Coord().StatusEnvelope().Stats)
+	if most > 60 {
+		t.Errorf("the coordinator's journal log reached %d entries, want at most 60", most)
+	}
+	if st := f.Coord().StatusEnvelope().Stats; st.JournalWrites < 2 {
+		t.Errorf("%d journal writes over %d appends, want the store's own compaction at least every 60",
+			st.JournalWrites, st.JournalAppends)
 	}
 }

@@ -77,10 +77,9 @@ type Options struct {
 	FailsafeAfter int
 	FailsafeLevel int
 
-	// JournalPath/JournalEvery enable the manager's crash-recovery journal
-	// (see managerd.Config); empty JournalPath leaves it off.
-	JournalPath  string
-	JournalEvery int
+	// JournalPath persists the manager's crash-recovery journal there (see
+	// daemon.HA); empty journals to memory.
+	JournalPath string
 
 	// LeasePath arms leased leadership: the manager claims and renews the
 	// lease file every LeaseEvery (default replica.DefaultLeaseEvery) and
@@ -157,7 +156,6 @@ func (o Options) serverConfig(ln net.Listener) managerd.Config {
 		CommandTimeout:  o.CommandTimeout,
 		LostAfter:       o.LostAfter,
 		HA:              daemon.HA{JournalPath: o.JournalPath},
-		JournalEvery:    o.JournalEvery,
 		Shards:          o.Shards,
 		FanoutWorkers:   o.FanoutWorkers,
 		Learn:           o.Learn,

@@ -30,18 +30,13 @@ const standbyKeyBase uint64 = 1 << 30
 type StandbyHandle = daemon.WarmStandby[*managerd.Server]
 
 // startStandby is what the manager and coordinator standbys share: a
-// memory store, a follower dialling nw under the idx-th standby key, and
-// the promotion helper around boot.
+// memory journal copy, a follower dialling nw under the idx-th standby key,
+// and the promotion helper around boot.
 func startStandby[S interface{ Stop() }](t testing.TB, nw *faultnet.Network, idx int, lease *replica.Lease, missBudget int, holder string, boot func(daemon.HA) (S, error)) *daemon.WarmStandby[S] {
 	t.Helper()
-	store, err := replica.Open("")
-	if err != nil {
-		t.Fatalf("harness: %s store: %v", holder, err)
-	}
 	key := standbyKeyBase + uint64(idx)
 	h, err := daemon.StartStandby(daemon.StandbyConfig{
 		Follower: replica.FollowerConfig{
-			Store:   store,
 			Backoff: 10 * time.Millisecond,
 			Dial: func(dctx context.Context) (net.Conn, error) {
 				return nw.Dial(dctx, key)
@@ -72,7 +67,6 @@ func (c *Cluster) StartStandby(missBudget int) *StandbyHandle {
 	lease := &replica.Lease{Path: c.Opt.LeasePath, Every: c.Opt.LeaseEvery}
 	h := startStandby(t, c.Net, len(c.standbys), lease, missBudget, holder, func(ha daemon.HA) (*managerd.Server, error) {
 		cfg := c.Opt.serverConfig(c.Net.Listener())
-		cfg.JournalEvery = 0
 		cfg.HA = ha
 		return daemon.Boot(managerd.New(cfg))
 	})

@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -65,7 +66,7 @@ func TestJournalSaveLoadRoundTrip(t *testing.T) {
 	if _, ok := st.CommitCycle(42, 840, 930, learner); !ok {
 		t.Fatal("commit with changes reported nothing to commit")
 	}
-	if _, err := st.Compact(); err != nil {
+	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -319,7 +320,6 @@ func TestRestartFromJournalResumesAndReconciles(t *testing.T) {
 			Thresholds:   power.Thresholds{PL: units.MW(1), PH: units.MW(2)},
 			Learn:        &LearnConfig{PMax: units.KW(5), Training: training, AdjustEvery: 5},
 			HA:           daemon.HA{JournalPath: jp},
-			JournalEvery: 2,
 		}
 	}
 
@@ -402,5 +402,29 @@ func TestCorruptJournalColdStarts(t *testing.T) {
 	st := srv.Status()
 	if st.Trained || st.LostNodes != 0 || st.ThresholdPHW != 2e6 {
 		t.Errorf("corrupt journal leaked state into a cold start: %+v", st)
+	}
+}
+
+// TestUnwritableJournalRefuses: a journal path the store cannot write — its
+// directory does not exist — refuses construction, naming the path, rather
+// than running on with no persistence (a missing or corrupt file at a
+// writable path cold-starts, above).
+func TestUnwritableJournalRefuses(t *testing.T) {
+	jp := filepath.Join(t.TempDir(), "no-such-dir", "managerd.journal")
+	srv, err := New(Config{
+		Addr:         "127.0.0.1:0",
+		Model:        power.TianheNode(),
+		Policy:       policy.MPC{},
+		Tg:           3,
+		ControlEvery: 20 * time.Millisecond,
+		Thresholds:   power.Thresholds{PL: units.MW(1), PH: units.MW(2)},
+		HA:           daemon.HA{JournalPath: jp},
+	})
+	if err == nil {
+		srv.Stop()
+		t.Fatal("a manager started on an unwritable journal path")
+	}
+	if !strings.Contains(err.Error(), jp) {
+		t.Errorf("refusal %q does not name the journal path %s", err, jp)
 	}
 }

@@ -166,7 +166,6 @@ func TestJournalNeverPersistsSupersededLevel(t *testing.T) {
 	t.Cleanup(nw.Close)
 	cfg := fanoutConfig(nw, 2*time.Second, power.Thresholds{PL: 1e6, PH: 2e6})
 	cfg.JournalPath = jp
-	cfg.JournalEvery = 1
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +194,7 @@ func TestJournalNeverPersistsSupersededLevel(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				srv.writeJournal()
+				_ = srv.journal.Compact()
 			}
 		}
 	}()
@@ -211,7 +210,7 @@ func TestJournalNeverPersistsSupersededLevel(t *testing.T) {
 
 	// Snapshot taken mid-fan-out (the wedged write is still pending):
 	// must already hold the newest level.
-	srv.writeJournal()
+	_ = srv.journal.Compact()
 	js, err := replica.ReadState(jp)
 	if err != nil {
 		t.Fatal(err)

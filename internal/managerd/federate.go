@@ -1,10 +1,6 @@
 package managerd
 
-import (
-	"time"
-
-	"repro/internal/tier"
-)
+import "repro/internal/tier"
 
 // governorConfig binds the cabinet side of the capping federation onto
 // this server: a governed managerd dials the coordinator, subscribes with
@@ -23,7 +19,6 @@ func (s *Server) governorConfig() tier.GovernorConfig {
 		Dial:        s.cfg.CoordinatorDial,
 		Child:       s.cfg.Cabinet,
 		ReportEvery: s.cfg.ReportEvery,
-		Grace:       time.Duration(s.cfg.BudgetGrace) * s.cfg.ControlEvery,
 		Failsafe:    s.cfg.FailsafeBudget,
 		Initial:     s.cfg.Thresholds,
 		Snapshot: func() tier.Snapshot {

@@ -10,34 +10,24 @@ import (
 // file plus an append-only log of incremental entries. Every control
 // cycle that changed something (commanded levels, thresholds, learner
 // state) commits one entry — which is also what streams to any connected
-// standby follower (daemon.Chassis.Commit) — and every JournalEvery cycles (plus
-// once on clean shutdown) the log is compacted into the snapshot. A
-// restarted manager reloads snapshot + valid log prefix, resumes capping
-// immediately without a fresh training window, and reconciles
-// agent-reported levels against the journaled commands instead of
-// guessing.
+// standby follower (daemon.Chassis.Commit). The chassis owns the store's
+// lifecycle: it opens it from JournalPath, and compacts and closes it on
+// clean shutdown; in between, the store compacts its own log whenever it
+// reaches its bound (replica's logMax entries). A restarted manager
+// reloads snapshot + valid log prefix, resumes capping immediately
+// without a fresh training window, and reconciles agent-reported levels
+// against the journaled commands instead of guessing.
 //
 // The journal is advisory, never load-bearing for safety: a missing,
 // truncated or corrupted file falls back to a cold start (the agents'
 // dead-man switches keep the cap holding in the meantime), and defective
 // state is rejected wholesale rather than partially applied — see
-// replica.Open for the exact torn-tail semantics.
-
-// openJournal resolves the server's journal store: an externally built
-// replica (the promoted-standby handoff), the on-disk store at
-// JournalPath, or a memory-only store so the replication and level
-// mirror paths never need nil checks. Open errors degrade to memory —
-// the journal must never stop the daemon from starting.
-func openJournal(cfg Config) *replica.Store {
-	if cfg.Journal != nil {
-		return cfg.Journal
-	}
-	st, err := replica.Open(cfg.JournalPath)
-	if err != nil {
-		st, _ = replica.Open("")
-	}
-	return st
-}
+// replica.Open for the exact torn-tail semantics. A snapshot can be
+// written at any moment, racing the writers, the senders and the ack path:
+// SetNodeLevel records a command on the node's record and in the journal
+// mirror before enqueueing the write, and the store serialises appends
+// against compaction, so a snapshot can neither persist a superseded level
+// nor drop an acked entry committed mid-compaction.
 
 // restoreFromJournal applies a journal snapshot to a freshly constructed
 // server (no locking needed; nothing is running yet).
@@ -62,18 +52,6 @@ func (s *Server) restoreFromJournal(snap replica.Snapshot) {
 		sh.setCmd(rec, cmdState{issued: true, level: l.Level, acked: true})
 		rec.health.state = healthLost
 		sh.nLost++
-	}
-}
-
-// writeJournal compacts the journal (snapshot rewritten from the level
-// mirror, log truncated). Safe to race the writers, the senders and the
-// ack path: SetNodeLevel records a command on the node's record and in the
-// journal mirror before enqueueing the write, and the store serialises appends
-// against compaction, so a snapshot can neither persist a superseded
-// level nor drop an acked entry committed mid-compaction.
-func (s *Server) writeJournal() {
-	if wrote, err := s.journal.Compact(); wrote && err == nil {
-		s.journalWrites.Inc()
 	}
 }
 

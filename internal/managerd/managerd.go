@@ -100,10 +100,6 @@ type Config struct {
 	// HA is the crash-recovery journal (learner state and last-commanded
 	// levels, reloaded by New) and the leadership lease.
 	daemon.HA
-	// JournalEvery is the journal snapshot period in control cycles (a
-	// snapshot is also written on clean Stop); zero defaults to the
-	// learner's adjustment period (or 60 without a learner).
-	JournalEvery int
 	// Shards is the number of node-state shards, rounded up to a power of
 	// two. More shards cut contention between agent readers and the
 	// control loop at large fleets; zero defaults to 32.
@@ -298,7 +294,6 @@ type Server struct {
 	cmdRetries    *obs.Counter
 	reconciles    *obs.Counter
 	quarantines   *obs.Counter
-	journalWrites *obs.Counter
 	coalesced     *obs.Counter
 	decodeErrs    *obs.Counter // corrupt frames tolerated and skipped
 	cyclesC       *obs.Counter // control cycles completed (cached for Status)
@@ -323,8 +318,8 @@ type Server struct {
 	lostG             *obs.Gauge
 	quarNodesG        *obs.Gauge
 
-	// journal doubles as the crash-recovery store (journal.go) and the
-	// replication source the chassis publishes to followers.
+	// journal is the chassis's: the crash-recovery store (journal.go) and
+	// the replication source it publishes to followers.
 	journal *replica.Store
 
 	// gov is the upward federation session (federate.go); nil unless
@@ -346,7 +341,8 @@ type Server struct {
 // JournalPath names a readable journal, the learner state and
 // last-commanded levels are restored from it — the daemon resumes capping
 // without a fresh training window and reconciles reconnecting agents
-// against the journaled levels.
+// against the journaled levels. A journal path that cannot be written is
+// refused (see daemon.HA).
 func New(cfg Config) (*Server, error) {
 	if cfg.ControlEvery <= 0 {
 		return nil, fmt.Errorf("managerd: need positive control period")
@@ -399,31 +395,23 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("managerd: negative cabinet index %d", cfg.Cabinet)
 		}
 	}
-	adj := 60
 	var learner *power.Learner
 	if cfg.Learn != nil {
-		if cfg.Learn.AdjustEvery > 0 {
-			adj = cfg.Learn.AdjustEvery
+		adj := cfg.Learn.AdjustEvery
+		if adj <= 0 {
+			adj = 60
 		}
 		var err error
 		if learner, err = power.NewLearner(cfg.Learn.PMax, cfg.Learn.Training, adj); err != nil {
 			return nil, err
 		}
 	}
-	if cfg.JournalEvery <= 0 {
-		cfg.JournalEvery = adj
-	}
-
-	// The journal is advisory: any open or validation error (missing file
-	// included) just means a cold start on a memory-only store.
-	cfg.Journal = openJournal(cfg)
 	srv := &Server{
 		cfg:     cfg,
 		nodes:   newStore(cfg.Shards),
 		curve:   cfg.Model.Compile(),
 		thr:     cfg.Thresholds,
 		learner: learner,
-		journal: cfg.Journal,
 	}
 	listen := []daemon.Endpoint{{Addr: cfg.Addr, Listener: cfg.Listener}}
 	if cfg.ReplicaAddr != "" {
@@ -441,18 +429,23 @@ func New(cfg Config) (*Server, error) {
 	if !cfg.ExternalControl {
 		hooks.Cycle = func() { srv.cycle() }
 	}
-	srv.Chassis = daemon.New(daemon.Options{
+	var err error
+	srv.Chassis, err = daemon.New(daemon.Options{
 		Listen:       listen,
 		MetricsAddr:  cfg.MetricsAddr,
 		ControlEvery: cfg.ControlEvery,
 		HA:           cfg.HA,
 		WriteTimeout: cfg.CommandTimeout,
 	}, hooks)
+	if err != nil {
+		return nil, fmt.Errorf("managerd: %w", err)
+	}
+	srv.journal = srv.Journal()
 	reg := srv.Obs()
 	srv.trace = srv.CycleTrace()
 	mgr, err := manager.New(manager.Config{Tg: cfg.Tg, Policy: cfg.Policy, Obs: reg, Trace: srv.trace})
 	if err != nil {
-		srv.journal.Close()
+		srv.Stop()
 		return nil, err
 	}
 	srv.mgr = mgr
@@ -465,7 +458,6 @@ func New(cfg Config) (*Server, error) {
 	srv.cmdRetries = reg.Counter("command_retries")
 	srv.reconciles = reg.Counter("reconciles")
 	srv.quarantines = reg.Counter("quarantines")
-	srv.journalWrites = reg.Counter("journal_writes")
 	srv.coalesced = reg.Counter("coalesced_cmds")
 	srv.decodeErrs = reg.Counter("decode_errors")
 	srv.cyclesC = reg.Counter("cycles")
@@ -496,8 +488,8 @@ func New(cfg Config) (*Server, error) {
 	reg.Gauge("shards").SetInt(int64(len(srv.nodes.shards)))
 	reg.Gauge("cabinet").SetInt(int64(cfg.Cabinet))
 	if governed {
-		if srv.gov, err = srv.Govern(srv.governorConfig()); err != nil {
-			srv.journal.Close()
+		if srv.gov, err = srv.Govern(srv.governorConfig(), cfg.BudgetGrace); err != nil {
+			srv.Stop()
 			return nil, fmt.Errorf("managerd: %w", err)
 		}
 	}
@@ -535,17 +527,15 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// Stop shuts the daemon down, waits for its goroutines, and writes a
-// final journal snapshot so a clean restart resumes exactly where this
-// instance left off.
+// Stop shuts the daemon down and waits for its goroutines; the chassis
+// writes a final journal snapshot, so a clean restart resumes exactly
+// where this instance left off.
 func (s *Server) Stop() {
 	s.Chassis.Stop()
 	// Every reader has returned and every outbox is retired, so no sender
 	// can start any more; writers of a cycle still finishing are counted
 	// too.
 	s.senders.Wait()
-	s.writeJournal()
-	s.journal.Close()
 }
 
 // shed closes every registered agent connection, which unblocks its
@@ -1059,11 +1049,8 @@ func (s *Server) cycle() *fanout {
 
 	// Close the cycle in the journal: at most one incremental entry,
 	// streamed to any standby follower — which is what bounds a warm
-	// standby's staleness to one control cycle. Compaction stays periodic.
+	// standby's staleness to one control cycle.
 	s.commitJournalCycle(cycleN, thr)
-	if cycleN%s.cfg.JournalEvery == 0 {
-		s.writeJournal()
-	}
 
 	s.endCycle(span, t0)
 	s.lastPowerW.Set(float64(p))

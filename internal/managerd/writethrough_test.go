@@ -239,7 +239,6 @@ func TestUnackedTallyEqualsWalk(t *testing.T) {
 			Model: power.TianheNode(), Policy: policy.MPCC{},
 			Tg: 3, ControlEvery: time.Hour, Thresholds: power.Thresholds{PL: 1e6, PH: 2e6},
 			CommandTimeout: time.Second, HeartbeatEvery: -1, Shards: 4,
-			JournalEvery: 1 << 30,
 		}
 		cfg.JournalPath = filepath.Join(t.TempDir(), "journal")
 		srv, err := New(cfg)
@@ -307,7 +306,7 @@ func TestUnackedTallyEqualsWalk(t *testing.T) {
 				connect(id, g.Intn(10))
 			case 6:
 				what = "journal restore"
-				srv.writeJournal()
+				_ = srv.journal.Compact()
 				restored, err := New(cfg)
 				if err != nil {
 					return err

@@ -1,10 +1,10 @@
-// Package replica is the manager's high-availability layer: the journal
+// Package replica is the daemons' high-availability layer: the journal
 // Store keeps the crash-recovery state as a snapshot plus an ordered log
 // of incremental entries, a file Lease carries leadership between a
-// primary and its standbys, a Follower mirrors a live manager's journal
-// over the wire (KindJournalAppend/KindJournalAck frames), and a Standby
-// combines the two — it replicates until the lease goes stale, then
-// promotes its journal copy into a new leader under a higher epoch.
+// primary and its standbys, a Publisher streams a leader's journal to its
+// followers and a Follower mirrors it into a local Store over the wire
+// (KindJournalAppend/KindJournalAck frames). Promoting that copy into a
+// new leader is internal/daemon's WarmStandby.
 //
 // The store is the piece every other part leans on. One mutex serialises
 // appends against snapshot compaction, and snapshots are built from the
@@ -12,9 +12,12 @@
 // stamped with the last sequence number they cover. An append therefore
 // lands either before a racing snapshot (and is inside it) or after (and
 // is in the fresh log the compaction leaves behind); it can never be
-// dropped between the two. Loading is snapshot + longest valid log
-// prefix: a torn tail, a duplicate sequence number or a gap ends the
-// replay at the last fully applied entry, never mid-entry.
+// dropped between the two. A store opened with a path bounds its own log:
+// once it holds logMax entries, the append that made it so compacts it,
+// whether the entry was committed here or applied from a leader. Loading
+// is snapshot + longest valid log prefix: a torn tail, a duplicate
+// sequence number or a gap ends the replay at the last fully applied
+// entry, never mid-entry.
 package replica
 
 import (
@@ -34,6 +37,12 @@ import (
 // ring is bounded first by the levels it carries (see ringPushLocked), so
 // the cap only binds on level-free entries — thresholds or learner state.
 const ringMax = 512
+
+// logMax caps the entries a path-backed store's append log holds: the
+// append that brings it to logMax compacts the store. Entries come at most
+// one per control cycle, so this is also the most cycles a restart
+// replays.
+const logMax = 60
 
 // ErrGap reports an entry whose sequence number is not the next expected
 // one — the follower must resubscribe from its current sequence so the
@@ -82,10 +91,12 @@ type Entry struct {
 // append-only JSONL log beside it. All methods are safe for concurrent
 // use; the store's mutex is a leaf lock — it never takes another.
 type Store struct {
-	mu      sync.Mutex
-	path    string // snapshot path; "" = memory-only
-	logPath string
-	logF    *os.File
+	mu        sync.Mutex
+	path      string // snapshot path; "" = memory-only (or closed)
+	logPath   string
+	logF      *os.File
+	logN      int    // entries appended to the log since the last compaction
+	onCompact func() // called after each snapshot written; see OnCompact
 
 	seq     uint64
 	epoch   uint64
@@ -138,10 +149,12 @@ func ReadState(path string) (Snapshot, error) {
 }
 
 // Close flushes nothing (appends are written through) and releases the
-// log file handle.
+// log file handle. The store keeps serving its state from memory but
+// writes nothing from then on, Compact included. Idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.path = ""
 	if s.logF == nil {
 		return nil
 	}
@@ -150,8 +163,22 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Persistent reports whether the store writes to disk.
-func (s *Store) Persistent() bool { return s.path != "" }
+// Persistent reports whether the store writes to disk: it was opened with
+// a path and has not been closed.
+func (s *Store) Persistent() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.path != ""
+}
+
+// OnCompact has fn called after every snapshot the store writes from now
+// on — its own log-bound compactions, a Reset's and Compact's — under the
+// store's lock, so fn must not call back into the store.
+func (s *Store) OnCompact(fn func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.onCompact = fn
+}
 
 // Seq returns the newest applied sequence number.
 func (s *Store) Seq() uint64 {
@@ -322,14 +349,14 @@ func (s *Store) Empty() bool {
 // sequence) and truncates the log. Because it runs under the same mutex
 // as CommitCycle and ApplyRemote, an append racing it lands either before
 // the snapshot (included in it) or after (written to the fresh log) —
-// never dropped. Memory-only stores report wrote=false.
-func (s *Store) Compact() (wrote bool, err error) {
+// never dropped. A memory-only or closed store has nothing to write.
+func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.path == "" {
-		return false, nil
+		return nil
 	}
-	return true, s.compactLocked()
+	return s.compactLocked()
 }
 
 // ---- internals (all require s.mu held, except the pure file readers) ----
@@ -393,9 +420,10 @@ func (s *Store) applyEntryLocked(e Entry) {
 }
 
 // appendLineLocked writes one entry to the log and keeps the line's bytes
-// on e, so publishing it encodes nothing again. Write errors are dropped:
-// the journal is advisory, and a torn line only truncates the replayable
-// prefix at the next load.
+// on e, so publishing it encodes nothing again, then compacts once the log
+// holds logMax entries. Write and compaction errors are dropped: the
+// journal is advisory, a torn line only truncates the replayable prefix at
+// the next load, and a failed compaction is retried logMax entries later.
 func (s *Store) appendLineLocked(e *Entry) {
 	if s.logF == nil {
 		return
@@ -406,6 +434,9 @@ func (s *Store) appendLineLocked(e *Entry) {
 	}
 	e.raw = b
 	_, _ = s.logF.Write(append(b, '\n'))
+	if s.logN++; s.logN%logMax == 0 {
+		_ = s.compactLocked()
+	}
 }
 
 // ringPushLocked appends e, then drops the oldest entries while the ring
@@ -470,7 +501,10 @@ func (s *Store) compactLocked() error {
 		s.logF = nil
 		return fmt.Errorf("replica: log create: %w", err)
 	}
-	s.logF = f
+	s.logF, s.logN = f, 0
+	if s.onCompact != nil {
+		s.onCompact()
+	}
 	return nil
 }
 

@@ -1,17 +1,21 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/power"
+	"repro/internal/proptest"
 	"repro/internal/wire"
 )
 
@@ -105,7 +109,7 @@ func TestCompactNeverDropsConcurrentAppends(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if _, err := st.Compact(); err != nil {
+				if err := st.Compact(); err != nil {
 					t.Errorf("compact: %v", err)
 					return
 				}
@@ -480,4 +484,97 @@ func appendEnv(e Entry) (wire.Envelope, error) {
 		return wire.Envelope{}, err
 	}
 	return wire.Envelope{Type: wire.KindJournalAppend, Seq: e.Seq, Epoch: e.Epoch, Entry: raw}, nil
+}
+
+// TestLogStaysBoundedAndReloadable: through a seeded mix of a leader's
+// commits, entries applied from a leader and Resets on one path-backed
+// store, the log holds exactly the entries since the last compaction —
+// never more than logMax — and what a reload reads (ReadState) equals the
+// store's mirror, whose levels equal a model's, after every step.
+func TestLogStaysBoundedAndReloadable(t *testing.T) {
+	const nodes = 12
+	proptest.MustCheck(t, "bounded log", proptest.Config{NumTrials: 8, Seed: 38}, func(g *proptest.Generator) error {
+		path := filepath.Join(t.TempDir(), "journal.json")
+		st, err := Open(path)
+		if err != nil {
+			return err
+		}
+		defer st.Close()
+		model := map[int]int{}
+		inLog := 0 // entries the log should hold
+		// changes picks 1–3 distinct nodes and a level for each that differs
+		// from the model's.
+		changes := func() []Level {
+			var ls []Level
+			for _, n := range g.Rand().Perm(nodes)[:g.IntRange(1, 3)] {
+				ls = append(ls, Level{Node: n, Level: (model[n] + g.IntRange(1, 9)) % 10})
+			}
+			return ls
+		}
+		steps := g.IntRange(2*logMax+1, 4*logMax)
+		for step, cycle := 0, 1; step < steps; step, cycle = step+1, cycle+1 {
+			var what string
+			switch r := g.Intn(50); {
+			case r < 25:
+				what = "commit"
+				for _, l := range changes() {
+					st.SetLevel(l.Node, l.Level)
+					model[l.Node] = l.Level
+				}
+				if _, ok := st.CommitCycle(cycle, 0, 0, nil); !ok {
+					return fmt.Errorf("step %d: a commit with changes wrote nothing", step)
+				}
+				inLog++
+			case r < 49:
+				what = "apply"
+				e := Entry{Seq: st.Seq() + 1, Epoch: uint64(g.Intn(3)), Cycle: cycle, Levels: changes()}
+				if err := st.ApplyRemote(e); err != nil {
+					return fmt.Errorf("step %d: apply: %v", step, err)
+				}
+				for _, l := range e.Levels {
+					model[l.Node] = l.Level
+				}
+				inLog++
+			default:
+				what = "reset"
+				clear(model)
+				snap := Snapshot{LastSeq: st.Seq() + uint64(g.Intn(4)), SavedAtCycle: cycle, Levels: changes()}
+				slices.SortFunc(snap.Levels, byNode)
+				if err := st.ApplyRemote(Entry{Seq: snap.LastSeq, Reset: &snap}); err != nil {
+					return fmt.Errorf("step %d: reset: %v", step, err)
+				}
+				for _, l := range snap.Levels {
+					model[l.Node] = l.Level
+				}
+				inLog = 0
+			}
+			if inLog == logMax {
+				inLog = 0
+			}
+			b, err := os.ReadFile(path + ".log")
+			if err != nil {
+				return err
+			}
+			if lines := bytes.Count(b, []byte("\n")); lines != inLog {
+				return fmt.Errorf("step %d, %s: log holds %d entries, want %d (bound %d)", step, what, lines, inLog, logMax)
+			}
+			want := st.State()
+			got, err := ReadState(path)
+			if err != nil {
+				return fmt.Errorf("step %d, %s: reload: %v", step, what, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				return fmt.Errorf("step %d, %s: reload reads %+v, the mirror holds %+v", step, what, got, want)
+			}
+			if len(want.Levels) != len(model) {
+				return fmt.Errorf("step %d, %s: mirror holds %d levels, model %d", step, what, len(want.Levels), len(model))
+			}
+			for _, l := range want.Levels {
+				if model[l.Node] != l.Level {
+					return fmt.Errorf("step %d, %s: node %d at level %d, model %d", step, what, l.Node, l.Level, model[l.Node])
+				}
+			}
+		}
+		return nil
+	})
 }

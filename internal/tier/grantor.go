@@ -69,9 +69,10 @@ type childState struct {
 }
 
 // ChildStatus is a point-in-time external view of one child, for tests
-// and operator tooling.
+// and operator tooling. Cabinet is the child's index: "cabinet" is the
+// protocol's word for "child", whatever the tier.
 type ChildStatus struct {
-	Child      int
+	Cabinet    int
 	Live       bool
 	Codec      string
 	PowerW     float64
@@ -399,7 +400,7 @@ func (g *Grantor) States() []ChildStatus {
 	out := make([]ChildStatus, 0, len(g.children))
 	for child, cs := range g.children {
 		out = append(out, ChildStatus{
-			Child:      child,
+			Cabinet:    child,
 			Live:       now.Sub(cs.lastSeen) <= g.cfg.StaleAfter,
 			Codec:      cs.codec,
 			PowerW:     cs.powerW,
@@ -416,7 +417,7 @@ func (g *Grantor) States() []ChildStatus {
 	}
 	g.mu.Unlock()
 	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Child < out[j-1].Child; j-- {
+		for j := i; j > 0 && out[j].Cabinet < out[j-1].Cabinet; j-- {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}

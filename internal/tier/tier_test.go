@@ -134,7 +134,7 @@ func TestGovernorGrantorSession(t *testing.T) {
 	}
 
 	st := grantor.States()[0]
-	if st.Child != 3 || !st.Live || st.Codec != wire.CodecBinary {
+	if st.Cabinet != 3 || !st.Live || st.Codec != wire.CodecBinary {
 		t.Errorf("child state %+v, want child 3 live on the binary codec", st)
 	}
 	if st.GrantW != 100 || st.Agents != 4 || st.Epoch != 7 {
@@ -175,7 +175,7 @@ func subscribeChild(t *testing.T, g *Grantor, node int, demandW float64) *wire.C
 	// the registration to land before the test cycles.
 	waitFor(t, 5*time.Second, func() bool {
 		for _, st := range g.States() {
-			if st.Child == node && st.DemandW == demandW {
+			if st.Cabinet == node && st.DemandW == demandW {
 				return true
 			}
 		}
