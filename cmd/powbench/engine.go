@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"repro/internal/agentd"
+	"repro/internal/daemon"
 	"repro/internal/manager"
-	"repro/internal/managerd"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -243,11 +243,9 @@ func runScenario(cfg engineConfig) (scenarioEntry, error) {
 				return
 			case <-tick.C:
 				t0 := time.Now()
-				if st, err := managerd.QueryStatus(cfg.Addr, 2*time.Second); err == nil {
+				if env, err := daemon.QueryStatus(cfg.Addr, 2*time.Second); err == nil {
 					eng.statRTT.ObserveDuration(time.Since(t0))
-					if st.LastPowerW > eng.maxPower {
-						eng.maxPower = st.LastPowerW
-					}
+					eng.maxPower = max(eng.maxPower, env.Stats.LastPowerW)
 				}
 			}
 		}
@@ -272,10 +270,11 @@ func runScenario(cfg engineConfig) (scenarioEntry, error) {
 	stopProbe()
 	probeWG.Wait()
 
-	st, err := managerd.QueryStatus(cfg.Addr, 5*time.Second)
+	env, err := daemon.QueryStatus(cfg.Addr, 5*time.Second)
 	if err != nil {
 		return scenarioEntry{}, fmt.Errorf("final status: %w", err)
 	}
+	st := env.Stats
 	maxPower := eng.maxPower
 	if st.LastPowerW > maxPower {
 		maxPower = st.LastPowerW

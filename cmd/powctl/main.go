@@ -5,6 +5,13 @@
 // flag needed) it prints the budget, the fleet roll-up and one line per
 // child with its liveness, negotiated codec and granted band.
 //
+// Both daemons answer from the same chassis, which fills every reply field
+// from the instrument its name mirrors, so a field means one thing
+// whichever daemon answers. A coordinator's roll-up is the one its last
+// cycle made and reports upward: power sums every child, a lost child
+// adds the reserved floor to demand, and a child that has not sensed yet
+// counts at its current draw — the demand its parent divides by.
+//
 //	powctl -addr 127.0.0.1:7077
 //	powctl -addr 127.0.0.1:7070          # a coordinator answers too
 //	powctl -addr 127.0.0.1:7077 -json | jq .command_acks
@@ -26,8 +33,8 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/fedd"
-	"repro/internal/managerd"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -54,7 +61,7 @@ func main() {
 		return
 	}
 
-	env, err := managerd.QueryStatusEnvelope(*addr, *timeout)
+	env, err := daemon.QueryStatus(*addr, *timeout)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -189,10 +196,11 @@ func watchLoop(addr string, timeout, every time.Duration, n int) error {
 		if i > 0 {
 			time.Sleep(every)
 		}
-		st, err := managerd.QueryStatus(addr, timeout)
+		env, err := daemon.QueryStatus(addr, timeout)
 		if err != nil {
 			return err
 		}
+		st := *env.Stats
 		at := time.Duration(i) * every
 		for _, tr := range tracks {
 			if err := tr.s.Add(at, units.Watts(tr.get(st))); err != nil {

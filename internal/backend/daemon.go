@@ -23,11 +23,13 @@ import (
 // time to the wall-clock daemons:
 //
 //  1. collect each candidate's reading from the plant (virtual time),
-//  2. open a sense epoch and push the readings through the agents' wire
-//     connections; wait until the manager has accepted them all,
-//  3. start an external cycle — its epoch-filtered readings are what
-//     Sense returns to the control law, and its actuator carries
-//     SetNodeLevel commands over the wire,
+//  2. stamp a time cut and push the readings through the agents' wire
+//     connections; wait until the manager has accepted them all (the rig
+//     is fault-free and NewDaemon registers every agent before the first
+//     cycle, so no hello lands after a cut and counts as a reading),
+//  3. start an external cycle at that cut — the readings that arrived
+//     after it are what Sense returns to the control law, and its
+//     actuator carries SetNodeLevel commands over the wire,
 //  4. after the control callback returns, wait for the command fan-out
 //     and every ack, so the commanded levels are in force on the plant
 //     before the next tick event fires — the sim backend's synchronous
@@ -126,7 +128,7 @@ func (d *Daemon) controlEvent(now time.Duration, control func(now time.Duration)
 	d.mu.Unlock()
 
 	base := d.hc.Server.SamplesReceived()
-	d.hc.Server.BeginSenseEpoch()
+	since := time.Now()
 	for _, r := range readings {
 		if err := d.hc.Agents[int(r.ID)].PushReading(r); err != nil {
 			d.err = fmt.Errorf("backend: push reading for node %d: %w", r.ID, err)
@@ -149,7 +151,7 @@ func (d *Daemon) controlEvent(now time.Duration, control func(now time.Duration)
 		runtime.Gosched()
 	}
 
-	cyc := d.hc.Server.StartExternalCycle()
+	cyc := d.hc.Server.StartExternalCycle(since)
 	d.cycle = cyc
 	span := d.rec.Begin()
 	control(now)
@@ -172,8 +174,8 @@ func (d *Daemon) RunUntil(t time.Duration) error {
 	return d.err
 }
 
-// Sense returns the readings the manager daemon accepted this sense
-// epoch, in node-ID order. Only valid inside the control callback.
+// Sense returns the readings the manager daemon accepted since this
+// cycle's cut, in node-ID order. Only valid inside the control callback.
 func (d *Daemon) Sense(now time.Duration) []manager.AgentReading {
 	if d.cycle == nil {
 		return nil

@@ -4,13 +4,14 @@
 // lives here once: the instrument registry and cycle recorder, the
 // journal's publisher, the leadership epoch with its lease and
 // self-deposition, the listeners and their accept loops, first-frame
-// routing, the control ticker, the journal's lifecycle (open, the
-// snapshots it counts, compact and close) and the stop/wait lifecycle.
+// routing, the status reply (filled from the registry, status.go), the
+// control ticker, the journal's lifecycle (open, the snapshots it counts,
+// compact and close) and the stop/wait lifecycle.
 //
 // A daemon embeds *Chassis and supplies Hooks: how to serve one of its
-// own sessions, what one control cycle does, what a status probe is
-// answered with, and how to shed its sessions; one that has a parent of
-// its own also hands over its governor (Govern). What it does with its
+// own sessions, what one control cycle does and how to shed its sessions,
+// and, optionally, what it adds to a status reply; one that has a parent
+// of its own also hands over its governor (Govern). What it does with its
 // children or agents — Algorithm 1, budget division — is none of the
 // chassis's business.
 package daemon
@@ -91,7 +92,7 @@ type HA struct {
 	TakeoverMicros int64
 }
 
-// Hooks is what a daemon supplies. Session, Status and Shed are required.
+// Hooks is what a daemon supplies. Session and Shed are required.
 type Hooks struct {
 	// Session opens one inbound connection whose first frame was neither a
 	// status probe nor a follower subscription: it does the daemon's half of
@@ -104,8 +105,9 @@ type Hooks struct {
 	// while the daemon leads; nil means no ticker (an external driver
 	// cycles the daemon).
 	Cycle func()
-	// Status builds the reply to a status probe.
-	Status func() wire.Envelope
+	// Status, when non-nil, decorates the reply to a status probe, whose
+	// Stats the chassis has filled (Chassis.Status).
+	Status func(env *wire.Envelope)
 	// Shed closes every session connection. It runs when the daemon is
 	// deposed and again when it stops, possibly concurrently.
 	Shed func()
@@ -456,8 +458,7 @@ func (c *Chassis) scrape() {
 
 // Refresh brings the gauges that are computed rather than bumped up to
 // date: follower count and worst replication lag here, then the daemon's
-// own. It runs before every /metrics render; the daemons call it before
-// building a status reply.
+// own. It runs before every /metrics render and every status reply.
 func (c *Chassis) Refresh() {
 	conns, lag := c.pub.Stats()
 	c.replicaConnsG.SetInt(int64(conns))
@@ -541,7 +542,12 @@ func (c *Chassis) route(conn *wire.Conn, accepted uint64) {
 	}
 	switch first.Type {
 	case wire.KindStatus:
-		_ = conn.Send(c.hooks.Status())
+		st := c.Status()
+		env := wire.Envelope{Type: wire.KindStatus, Stats: &st}
+		if c.hooks.Status != nil {
+			c.hooks.Status(&env)
+		}
+		_ = conn.Send(env)
 		conn.Close()
 	case wire.KindJournalAck:
 		// A standby's follower subscribing from the sequence number its

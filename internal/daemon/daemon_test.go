@@ -62,9 +62,6 @@ func (s *stub) hooks() daemon.Hooks {
 				s.onCycle(n)
 			}
 		},
-		Status: func() wire.Envelope {
-			return wire.Envelope{Type: wire.KindStatus, Stats: &wire.StatusReply{Cycles: int(s.cycles.Load())}}
-		},
 		Shed: func() {
 			s.sheds.Add(1)
 			s.mu.Lock()
@@ -167,13 +164,13 @@ func TestAcceptRetriesTransientErrorsAndEndsOnClose(t *testing.T) {
 	}
 }
 
-// A status probe is answered with the daemon's envelope, on JSON and
-// naming no codec even when the probe advertises binary, and the
-// connection is closed after the reply.
+// A status probe is answered with the daemon's envelope, filled from its
+// registry, on JSON and naming no codec even when the probe advertises
+// binary, and the connection is closed after the reply.
 func TestStatusProbeGetsTheEnvelope(t *testing.T) {
 	var s stub
-	s.cycles.Store(7)
 	c := newChassis(t, &s, nil)
+	c.Obs().Counter("cycles").Add(7) // the stub's cycles, registered as a daemon's are
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}

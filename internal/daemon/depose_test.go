@@ -116,7 +116,7 @@ func TestDeposedDaemonStopsTalkingUpward(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return srv, func() int { return srv.StatusEnvelope().Stats.Cycles }
+			return srv, func() int { return srv.Status().Cycles }
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

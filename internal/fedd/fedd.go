@@ -43,6 +43,7 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/daemon"
+	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/tier"
 	"repro/internal/units"
@@ -116,9 +117,6 @@ type Config struct {
 
 	// HA is the replicated grant journal and the leadership lease.
 	daemon.HA
-	// CommandTimeout arms follower stream writes; zero defaults to
-	// ControlEvery.
-	CommandTimeout time.Duration
 }
 
 // Server is a running coordinator: the daemon chassis (listener,
@@ -130,6 +128,8 @@ type Server struct {
 
 	grantor *tier.Grantor
 	gov     *tier.Governor // nil unless row mode
+
+	agentsG, healthyG *obs.Gauge // the grantor's roll-up, read for upward reports
 
 	cycleN atomic.Int64
 }
@@ -158,12 +158,8 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("fedd: negative row index %d", cfg.Row)
 		}
 	}
-	if cfg.CommandTimeout <= 0 {
-		cfg.CommandTimeout = cfg.ControlEvery
-	}
-
 	// The chassis opens the grant journal (a memory-only one still feeds
-	// live followers).
+	// live followers); a follower write gets one control period.
 	s := &Server{cfg: cfg}
 	var err error
 	s.Chassis, err = daemon.New(daemon.Options{
@@ -171,20 +167,20 @@ func New(cfg Config) (*Server, error) {
 		MetricsAddr:  cfg.MetricsAddr,
 		ControlEvery: cfg.ControlEvery,
 		HA:           cfg.HA,
-		WriteTimeout: cfg.CommandTimeout,
+		WriteTimeout: cfg.ControlEvery,
 	}, daemon.Hooks{
 		Session: func(conn *wire.Conn, first *wire.Envelope, _ uint64) func() {
 			return func() { s.grantor.Serve(conn, *first) }
 		},
 		Cycle:  s.cycle,
-		Status: s.StatusEnvelope,
+		Status: s.decorateStatus,
 		Shed:   func() { s.grantor.CloseAll() },
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fedd: %w", err)
 	}
 	reg := s.Obs()
-	reg.Gauge("row").SetInt(int64(cfg.Row))
+	reg.Gauge("cabinet").SetInt(int64(cfg.Row))
 
 	s.grantor = tier.NewGrantor(tier.GrantorConfig{
 		Division:   cfg.Division,
@@ -198,7 +194,10 @@ func New(cfg Config) (*Server, error) {
 			s.Journal().SetLevel(child, int(grantW+0.5))
 		},
 	})
-	reg.Gauge("budget_w").Set(float64(cfg.Budget))
+	s.agentsG, s.healthyG = reg.Gauge("agents"), reg.Gauge("healthy_nodes")
+	// The band reads as configured until the first cycle divides one.
+	reg.Gauge("pl_w").Set(float64(cfg.Budget))
+	reg.Gauge("ph_w").Set(float64(cfg.PH))
 
 	if rowMode {
 		s.gov, err = s.Govern(tier.GovernorConfig{
@@ -246,15 +245,15 @@ func (s *Server) band(now time.Time) power.Thresholds {
 	return power.Thresholds{PL: s.cfg.Budget, PH: s.cfg.PH}
 }
 
-// rowSnapshot rolls the fleet up for one upward report.
+// rowSnapshot is one upward report's state: the band in force and the
+// tallies of the last cycle's roll-up, read off the gauges it published.
 func (s *Server) rowSnapshot() tier.Snapshot {
-	agg := s.grantor.Aggregate()
 	applied := s.band(time.Now())
 	return tier.Snapshot{
 		AppliedPLW: float64(applied.PL),
 		AppliedPHW: float64(applied.PH),
-		Agents:     agg.Agents,
-		Healthy:    agg.Healthy,
+		Agents:     int(s.agentsG.Value()),
+		Healthy:    int(s.healthyG.Value()),
 		Epoch:      s.Epoch(),
 	}
 }
@@ -264,15 +263,14 @@ func (s *Server) rowSnapshot() tier.Snapshot {
 // while floored).
 func (s *Server) Governed() bool { return s.gov != nil && s.gov.Governed() }
 
-// cycle is one coordination round: the grantor divides the current band
-// and grants it, a row coordinator rolls its fleet up for the next
-// upward report, and the grant journal commits (and replicates) the
-// cycle's deltas.
+// cycle is one coordination round: the grantor divides the current band,
+// grants it and rolls the fleet up, a row coordinator keeps the roll-up for
+// its next upward report, and the grant journal commits (and replicates)
+// the cycle's deltas.
 func (s *Server) cycle() {
-	s.grantor.Cycle()
+	p, demand := s.grantor.Cycle()
 	if s.gov != nil {
-		agg := s.grantor.Aggregate()
-		s.gov.NoteSense(agg.PowerW, agg.DemandW)
+		s.gov.NoteSense(p, demand)
 	}
 	s.Commit(int(s.cycleN.Add(1)), s.band(time.Now()), nil)
 }

@@ -6,10 +6,12 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/budget"
+	"repro/internal/daemon"
 	"repro/internal/power"
 	"repro/internal/replica"
 	"repro/internal/wire"
@@ -149,6 +151,124 @@ func TestStatusEnvelopeOverTheWire(t *testing.T) {
 	if row.Type != wire.KindCabReport || row.Node != 2 || row.Level != 1 || row.Codec != wire.CodecBinary ||
 		row.BudgetW != 900 || row.Seq == 0 || row.Agents != 8 {
 		t.Errorf("child row: %+v", row)
+	}
+}
+
+// upwardReports plays a row's parent over ParentDial: it answers each
+// subscription and keeps the newest cab_report the row sends, and how many
+// it has received.
+type upwardReports struct {
+	mu   sync.Mutex
+	last wire.Envelope
+	n    int
+}
+
+func (u *upwardReports) dial() (net.Conn, error) {
+	client, server := net.Pipe()
+	go func() {
+		conn := wire.NewConn(server)
+		defer conn.Close()
+		first, err := conn.Recv()
+		if err != nil || conn.Confirm(wire.Choose(&first), &wire.Envelope{Type: wire.KindHello}) != nil {
+			return
+		}
+		var env wire.Envelope
+		for conn.Next(&env, nil) == nil {
+			u.mu.Lock()
+			u.last, u.n = env, u.n+1
+			u.mu.Unlock()
+		}
+	}()
+	return client, nil
+}
+
+func (u *upwardReports) newest() (wire.Envelope, int) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	return u.last, u.n
+}
+
+// A row's status is the roll-up it reports upward. With FloorW > 0, one
+// child partitioned until it is lost and one that reports power but has
+// not sensed a demand yet, the status probe's power, demand and tallies
+// after a cycle equal the fields of the next cab_report the row sends its
+// parent: the lost child adds the floor to demand, the fresh one counts at
+// its current draw.
+func TestRowStatusEqualsUpwardReport(t *testing.T) {
+	var parent upwardReports
+	srv := startServer(t, func(c *Config) {
+		c.FloorW = 50
+		c.StaleAfter = 100 * time.Millisecond
+		c.ParentDial = parent.dial
+		c.ReportEvery = 5 * time.Millisecond
+	})
+
+	subscribe := func(report wire.Envelope) *wire.Conn {
+		c := dial(t, srv.Addr())
+		if err := c.Send(report); err != nil {
+			t.Fatal(err)
+		}
+		if hello, err := c.Recv(); err != nil || hello.Type != wire.KindHello {
+			t.Fatalf("subscribe reply: %+v err=%v", hello, err)
+		}
+		return c
+	}
+	childState := func(child int) (known, live bool) {
+		for _, cs := range srv.CabinetStates() {
+			if cs.Cabinet == child {
+				return true, cs.Live
+			}
+		}
+		return false, false
+	}
+
+	// Child 0 reports once and then falls silent: partitioned until lost.
+	subscribe(wire.Envelope{Type: wire.KindCabReport, Node: 0, PowerW: 200, DemandW: 250, Agents: 4, Healthy: 4})
+	waitFor(t, "child 0 lost", func() bool { known, live := childState(0); return known && !live })
+
+	// Child 1 keeps reporting power, but no demand.
+	report := wire.Envelope{Type: wire.KindCabReport, Node: 1, PowerW: 300, Agents: 8, Healthy: 6}
+	child := subscribe(report)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(10 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if child.Send(report) != nil {
+					return
+				}
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	waitFor(t, "child 1 live", func() bool { _, live := childState(1); return live })
+	waitFor(t, "the row subscribed upward", func() bool { _, n := parent.newest(); return n > 0 })
+
+	srv.StepCycle()
+	env, err := daemon.QueryStatus(srv.Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := env.Stats
+	// The next two reports to land may have been built before the cycle
+	// ended (one read but not yet counted, one blocked in its write); the
+	// one after them was not.
+	_, n := parent.newest()
+	waitFor(t, "a report built after the cycle", func() bool { _, m := parent.newest(); return m >= n+3 })
+	up, _ := parent.newest()
+
+	if st.DemandW != up.DemandW || st.LastPowerW != up.PowerW || st.Agents != up.Agents || st.HealthyNodes != up.Healthy {
+		t.Errorf("status demand %v W, power %v W, agents %d, healthy %d; the upward report says %v W, %v W, %d, %d",
+			st.DemandW, st.LastPowerW, st.Agents, st.HealthyNodes, up.DemandW, up.PowerW, up.Agents, up.Healthy)
+	}
+	if up.DemandW != 350 || up.PowerW != 500 || up.Agents != 12 || up.Healthy != 10 || st.LostNodes != 1 {
+		t.Errorf("roll-up: demand %v W (want 300 + the 50 W floor), power %v W (want 500), agents %d (want 12), healthy %d (want 10), lost %d (want 1)",
+			up.DemandW, up.PowerW, up.Agents, up.Healthy, st.LostNodes)
 	}
 }
 

@@ -48,7 +48,6 @@ func TestFederationCoordinatorTakeoverNoFloors(t *testing.T) {
 		Coord: func(_ []int, cfg *fedd.Config) {
 			cfg.Lease = lease
 			cfg.LeaseHolder = "coord-1"
-			cfg.CommandTimeout = 100 * time.Millisecond
 		},
 	})
 	f.AwaitGoverned(20 * time.Second)
@@ -65,9 +64,9 @@ func TestFederationCoordinatorTakeoverNoFloors(t *testing.T) {
 				return false
 			}
 		}
-		env := f.Coord().StatusEnvelope()
-		return env.Stats.ReplicaConns >= 1 && env.Stats.JournalAppends >= 1 &&
-			env.Stats.ReplicaLagEntries <= 1
+		st := f.Coord().Status()
+		return st.ReplicaConns >= 1 && st.JournalAppends >= 1 &&
+			st.ReplicaLagEntries <= 1
 	}, "coordinator standby never caught up while the fleet capped")
 
 	preGrants := make([]int, cabinets)
@@ -250,12 +249,12 @@ func TestCoordinatorJournalStaysBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		most = max(most, bytes.Count(b, []byte("\n")))
-		return f.Coord().StatusEnvelope().Stats.JournalAppends > 120
-	}, "the coordinator never committed 120 changed cycles: %+v", f.Coord().StatusEnvelope().Stats)
+		return f.Coord().Status().JournalAppends > 120
+	}, "the coordinator never committed 120 changed cycles: %+v", f.Coord().Status())
 	if most > 60 {
 		t.Errorf("the coordinator's journal log reached %d entries, want at most 60", most)
 	}
-	if st := f.Coord().StatusEnvelope().Stats; st.JournalWrites < 2 {
+	if st := f.Coord().Status(); st.JournalWrites < 2 {
 		t.Errorf("%d journal writes over %d appends, want the store's own compaction at least every 60",
 			st.JournalWrites, st.JournalAppends)
 	}

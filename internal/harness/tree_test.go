@@ -163,7 +163,6 @@ func TestTreeRowCoordinatorTakeover(t *testing.T) {
 			if len(path) == 1 && path[0] == 1 {
 				cfg.Lease = lease
 				cfg.LeaseHolder = "row-1"
-				cfg.CommandTimeout = 100 * time.Millisecond
 			}
 		},
 	})
@@ -176,7 +175,7 @@ func TestTreeRowCoordinatorTakeover(t *testing.T) {
 				return false
 			}
 		}
-		st := row.StatusEnvelope().Stats
+		st := row.Status()
 		return st.ReplicaConns >= 1 && st.JournalAppends >= 1 && st.ReplicaLagEntries <= 1
 	}, "row standby never caught up while the fleet capped")
 

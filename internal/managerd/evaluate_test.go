@@ -190,7 +190,7 @@ func TestSweepOtherEstimatesEqualModel(t *testing.T) {
 		}
 	}
 
-	parts := srv.sweep(1, now, func(*nodeRec) bool { return true })
+	parts := srv.sweep(1, now, time.Time{})
 	if len(parts) != 1 || len(parts[0].fresh) != fleet || len(parts[0].states) != fleet-1 {
 		t.Fatalf("%d parts, %d fresh, %d states; want 1, %d and %d", len(parts), len(parts[0].fresh), len(parts[0].states), fleet, fleet-1)
 	}

@@ -19,25 +19,24 @@ import (
 // its own. An external driver (the daemon backend in internal/backend)
 // owns the clock and the algorithm:
 //
-//	driver: BeginSenseEpoch → agents push one sample each
+//	driver: since := time.Now() → agents push one sample each
 //	driver: wait until SamplesReceived caught up
-//	driver: cyc := StartExternalCycle()
+//	driver: cyc := StartExternalCycle(since)
 //	core:   readings := cyc.Readings()      // sensing, over the wire
 //	core:   mgr.Cycle(..., cyc)             // Algorithm 1, one control law
 //	driver: cyc.Finish(timeout)             // fan-out + acks settled
 //
-// Freshness is epoch-based, not wall-clock: between virtual-time cycles
-// almost no wall time passes, so StaleAfter cannot distinguish a node
-// that reported this cycle from one that dropped out of the candidate
-// set three cycles ago. Each sample is stamped with the sense epoch it
-// arrived in, and the sweep takes only the current epoch's.
-
-// BeginSenseEpoch opens a new sense epoch and returns its number.
-// Samples arriving from now on are stamped with it.
-func (s *Server) BeginSenseEpoch() uint64 { return s.extEpoch.Add(1) }
+// Freshness is a time cut the driver picks, not StaleAfter: between
+// virtual-time cycles almost no wall time passes, so StaleAfter cannot
+// tell a node that reported this cycle from one that dropped out of the
+// candidate set three cycles ago, but "arrived after the driver started
+// pushing" can. The cut is the same one the wall-clock loop makes at
+// t0 − StaleAfter, so a hello landing after it counts as a fresh reading
+// in both; a driver that registers every agent before its first cycle, as
+// the daemon backend does, never sees one.
 
 // SamplesReceived reports how many agent samples the daemon has accepted
-// over the wire; the external driver polls it to know when an epoch's
+// over the wire; the external driver polls it to know when a cycle's
 // pushes have all landed.
 func (s *Server) SamplesReceived() int64 { return s.samplesRecv.Value() }
 
@@ -52,21 +51,20 @@ type ExternalCycle struct {
 	readings []manager.AgentReading
 }
 
-// StartExternalCycle runs the control loop's own sweep and upkeep with
-// epoch freshness, and snapshots the current sense epoch's candidates. It
-// must not overlap another external cycle or the internal control loop
-// (cycleMu is held only while the shared sweep scratch is in use, not
-// until Finish).
-func (s *Server) StartExternalCycle() *ExternalCycle {
+// StartExternalCycle runs the control loop's own sweep and upkeep, taking
+// the readings that arrived at or after since, and snapshots the
+// candidates among them. It must not overlap another external cycle or the
+// internal control loop (cycleMu is held only while the shared sweep
+// scratch is in use, not until Finish).
+func (s *Server) StartExternalCycle(since time.Time) *ExternalCycle {
 	s.cycleMu.Lock()
 	defer s.cycleMu.Unlock()
 	t0 := time.Now()
 	cycleN := int(s.cycleN.Add(1))
 	span := s.trace.Begin()
 	cyc := &ExternalCycle{s: s, fan: s.newFanout(t0, span), span: span, t0: t0}
-	epoch := s.extEpoch.Load()
 
-	parts := s.sweep(cycleN, t0, func(rec *nodeRec) bool { return rec.lastEpoch == epoch })
+	parts := s.sweep(cycleN, t0, since)
 	// The control-law stages (classify/select/actuate) are recorded by the
 	// external driver's own recorder.
 	p, _, _ := s.sensed(parts, span, t0)
@@ -89,7 +87,7 @@ func (s *Server) StartExternalCycle() *ExternalCycle {
 }
 
 // Readings returns the cycle's candidates in node-ID order: the samples
-// the agents pushed this sense epoch, less any from quarantined nodes
+// that arrived since the cycle's cut, less any from quarantined nodes
 // (those still count in last_power_w).
 func (c *ExternalCycle) Readings() []manager.AgentReading { return c.readings }
 

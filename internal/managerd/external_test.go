@@ -39,15 +39,14 @@ func TestExternalEpochFiltersStaleReadings(t *testing.T) {
 		return srv.Status().Agents == 1
 	})
 
-	// The hello seeded a reading, but it belongs to no sense epoch: the
-	// first cycle must sense nothing.
-	srv.BeginSenseEpoch()
-	if rs := srv.StartExternalCycle().Readings(); len(rs) != 0 {
+	// The hello seeded a reading, but it arrived before the cut: the first
+	// cycle must sense nothing.
+	if rs := srv.StartExternalCycle(time.Now()).Readings(); len(rs) != 0 {
 		t.Fatalf("hello-seeded reading sensed: %+v", rs)
 	}
 
-	// A sample pushed inside the epoch is sensed.
-	srv.BeginSenseEpoch()
+	// A sample pushed after the cut is sensed.
+	since := time.Now()
 	base := srv.SamplesReceived()
 	if err := c.Send(busySample(1, 9)); err != nil {
 		t.Fatal(err)
@@ -55,15 +54,14 @@ func TestExternalEpochFiltersStaleReadings(t *testing.T) {
 	waitFor(t, 5*time.Second, "sample accepted", func() bool {
 		return srv.SamplesReceived() > base
 	})
-	rs := srv.StartExternalCycle().Readings()
+	rs := srv.StartExternalCycle(since).Readings()
 	if len(rs) != 1 || rs[0].ID != 1 || rs[0].Level != 9 {
 		t.Fatalf("readings = %+v, want node 1 at level 9", rs)
 	}
 
-	// Next epoch, no new push: last epoch's sample must not linger.
-	srv.BeginSenseEpoch()
-	if rs := srv.StartExternalCycle().Readings(); len(rs) != 0 {
-		t.Fatalf("stale-epoch reading sensed: %+v", rs)
+	// Next cut, no new push: the last cycle's sample must not linger.
+	if rs := srv.StartExternalCycle(time.Now()).Readings(); len(rs) != 0 {
+		t.Fatalf("reading from before the cut sensed: %+v", rs)
 	}
 }
 
@@ -86,8 +84,7 @@ func TestExternalCycleActuatesAndSettles(t *testing.T) {
 		return srv.Status().Agents == 1
 	})
 
-	srv.BeginSenseEpoch()
-	cyc := srv.StartExternalCycle()
+	cyc := srv.StartExternalCycle(time.Now())
 	if err := cyc.SetNodeLevel(2, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +119,7 @@ func TestExternalCycleRetriesUnacked(t *testing.T) {
 		return srv.Status().Agents == 1
 	})
 
-	srv.BeginSenseEpoch()
-	cyc := srv.StartExternalCycle()
+	cyc := srv.StartExternalCycle(time.Now())
 	if err := cyc.SetNodeLevel(3, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +132,7 @@ func TestExternalCycleRetriesUnacked(t *testing.T) {
 	}
 
 	// The next cycle's transport upkeep must re-send it.
-	srv.BeginSenseEpoch()
-	cyc2 := srv.StartExternalCycle()
+	cyc2 := srv.StartExternalCycle(time.Now())
 	waitFor(t, 5*time.Second, "command retried", func() bool {
 		return srv.Status().CommandRetries >= 1
 	})

@@ -29,7 +29,6 @@
 package managerd
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"runtime"
@@ -121,8 +120,8 @@ type Config struct {
 	MetricsAddr string
 	// ExternalControl turns the daemon into a transport gateway: the
 	// wall-clock control loop is not started, and an external driver runs
-	// the control law by pushing sense epochs and cycling through
-	// StartExternalCycle (external.go). The daemon backend uses this to
+	// the control law by pushing samples and cycling through
+	// StartExternalCycle from the moment it began (external.go). The daemon backend uses this to
 	// run core's Algorithm 1 — the one control law — over the wire on a
 	// virtual clock.
 	ExternalControl bool
@@ -260,9 +259,9 @@ type Server struct {
 	cycleParts []cyclePart
 	snap       policy.Snapshot
 
-	// mgrMu guards mgr (the control loop cycles it while Status reads its
-	// counters). It may be held while taking a shard mutex (the actuator
-	// does, inside Cycle); never the reverse.
+	// mgrMu guards mgr (the control loop cycles it while a status probe
+	// reads its counters). It may be held while taking a shard mutex (the
+	// actuator does, inside Cycle); never the reverse.
 	mgrMu sync.Mutex
 	mgr   *manager.Manager
 
@@ -274,16 +273,15 @@ type Server struct {
 	started time.Time
 
 	// Protocol state (not telemetry): the cycle number stamps commands,
-	// seq numbers commands, extEpoch stamps external sense epochs.
-	cycleN   atomic.Int64
-	seq      atomic.Uint64
-	extEpoch atomic.Uint64 // current external sense epoch (external.go)
+	// seq numbers commands.
+	cycleN atomic.Int64
+	seq    atomic.Uint64
 
 	// trace is the chassis's cycle recorder: each cycle's staged timeline
 	// for /debug/cycles. The instrument pointers below are cached at New
-	// from the chassis's registry — the single source of truth behind
-	// StatusReply, /metrics and the simulator's Stats; their names are the
-	// obs tags on wire.StatusReply.
+	// from the chassis's registry — the single source of truth behind the
+	// chassis's status reply, /metrics and the simulator's Stats; their names
+	// are the obs tags on wire.StatusReply.
 	trace *obs.CycleRecorder
 
 	samplesRecv   *obs.Counter // samples accepted over the wire
@@ -296,7 +294,7 @@ type Server struct {
 	quarantines   *obs.Counter
 	coalesced     *obs.Counter
 	decodeErrs    *obs.Counter // corrupt frames tolerated and skipped
-	cyclesC       *obs.Counter // control cycles completed (cached for Status)
+	cyclesC       *obs.Counter // control cycles completed (read by refreshGauges)
 
 	busyMicros        *obs.Gauge
 	cpuUtilise        *obs.Gauge
@@ -419,10 +417,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	hooks := daemon.Hooks{
 		Session: srv.serveConn,
-		Status: func() wire.Envelope {
-			st := srv.Status()
-			return wire.Envelope{Type: wire.KindStatus, Stats: &st}
-		},
 		Shed:    srv.shed,
 		Refresh: srv.refreshGauges,
 	}
@@ -600,7 +594,7 @@ func (s *Server) serveConn(conn *wire.Conn, first *wire.Envelope, accepted uint6
 	// coming back from a crash learns every node's actual level before
 	// the first sample arrives, so reconciliation can start immediately.
 	rec.last = manager.AgentReading{ID: id, Level: ac.clampLevel(first.Level), MaxLevel: ac.maxLevel}
-	rec.lastAt, rec.lastEpoch = now, 0
+	rec.lastAt = now
 	if old == nil {
 		// A replaced connection's own teardown sees itself already
 		// deregistered, so the count moves only for a new one.
@@ -640,10 +634,9 @@ func (s *Server) receive(sh *shard, rec *nodeRec, ac *agentConn) {
 			r := env.Reading()
 			r.ID = id // trust the connection identity, not the payload
 			r.Level, r.MaxLevel = ac.clampLevel(r.Level), ac.maxLevel
-			epoch := s.extEpoch.Load()
 			sh.mu.Lock()
 			if rec.ac == ac {
-				rec.last, rec.lastAt, rec.lastEpoch = r, time.Now(), epoch
+				rec.last, rec.lastAt = r, time.Now()
 			}
 			sh.mu.Unlock()
 			s.samplesRecv.Inc()
@@ -816,11 +809,11 @@ type freshNode struct {
 // worker pool, every record visited once, in registration order, under its
 // shard's lock. Per node it classifies health (health.go; the shard's
 // cached tallies are rewritten from the pass), tallies drift, takes the
-// reading if fresh(rec) says so — by wall-clock age for the control loop,
-// by sense epoch for an external driver, the only thing the two callers
-// differ in — runs the command lifecycle and then, outside the lock,
-// evaluates each reading it took, the cycle's one evaluation per node. The
-// command lifecycle:
+// reading if it arrived at or after cut — t0 − StaleAfter for the control
+// loop, the moment it started pushing for an external driver, the only
+// thing the two callers differ in — runs the command lifecycle and then,
+// outside the lock, evaluates each reading it took, the cycle's one
+// evaluation per node. The command lifecycle:
 //
 //   - commands unacked since a previous cycle are retried under the same
 //     sequence number (the command is idempotent, the ack will match);
@@ -842,7 +835,7 @@ type freshNode struct {
 //
 // The re-sends and adoptions are only decided here; upkeep acts on them.
 // Caller holds cycleMu (the parts are the shared scratch).
-func (s *Server) sweep(cycleN int, t0 time.Time, fresh func(*nodeRec) bool) []cyclePart {
+func (s *Server) sweep(cycleN int, t0, cut time.Time) []cyclePart {
 	if len(s.cycleParts) != len(s.nodes.shards) {
 		s.cycleParts = make([]cyclePart, len(s.nodes.shards))
 	}
@@ -872,7 +865,7 @@ func (s *Server) sweep(cycleN int, t0 time.Time, fresh func(*nodeRec) bool) []cy
 				if cs.issued && last.Level != cs.level {
 					drift++
 				}
-				if !fresh(rec) {
+				if rec.lastAt.Before(cut) {
 					g.stale++
 				} else if state == healthQuarantined {
 					g.fresh = append(g.fresh, freshNode{r: *last})
@@ -1005,7 +998,7 @@ func (s *Server) cycle() *fanout {
 	span := s.trace.Begin()
 	fan := s.newFanout(t0, span)
 
-	parts := s.sweep(cycleN, t0, func(rec *nodeRec) bool { return t0.Sub(rec.lastAt) <= s.cfg.StaleAfter })
+	parts := s.sweep(cycleN, t0, t0.Add(-s.cfg.StaleAfter))
 	p, demand, nStale := s.sensed(parts, span, t0)
 	if nStale > 0 {
 		s.stale.Add(int64(nStale))
@@ -1094,7 +1087,7 @@ func (s *Server) StepCycle() time.Duration {
 // refreshGauges publishes the registry gauges that are derived from
 // swept state rather than bumped inline: connected agents, drift, node
 // health tallies and the management-cost ratio. It runs before every
-// Status reply and /metrics render. The per-node walk lives in the sweep
+// status reply and /metrics render. The per-node walk lives in the sweep
 // that already visits every record; this reads the cached per-shard
 // tallies, so a status probe costs O(shards) regardless of fleet size.
 func (s *Server) refreshGauges() {
@@ -1124,62 +1117,10 @@ func (s *Server) refreshGauges() {
 	}
 }
 
-// Status reports the daemon's counters, including the measured management
-// cost (busy time over elapsed control time) and the fail-safe layer's
-// health and command-lifecycle counters. The reply is populated entirely
-// from the obs registry through the StatusReply field mapping — see
-// statusFromRegistry — so a reply field without a live instrument behind
-// it cannot exist.
-func (s *Server) Status() wire.StatusReply {
-	s.Refresh()
-	rep, _ := statusFromRegistry(s.Obs())
-	return rep
-}
-
 // b2f maps a bool onto the 0/1 gauge convention.
 func b2f(b bool) float64 {
 	if b {
 		return 1
 	}
 	return 0
-}
-
-// QueryStatus connects to a manager daemon and fetches its status.
-func QueryStatus(addr string, timeout time.Duration) (wire.StatusReply, error) {
-	env, err := QueryStatusEnvelope(addr, timeout)
-	if err != nil {
-		return wire.StatusReply{}, err
-	}
-	return *env.Stats, nil
-}
-
-// QueryStatusEnvelope fetches the full status envelope from a manager or
-// coordinator daemon — both answer the same KindStatus probe. The
-// envelope's Node distinguishes them (a coordinator stamps
-// fedd.CoordinatorNode and attaches one Batch row per child), so a CLI
-// can render whichever daemon it happened to dial. The probe and its
-// reply are JSON.
-func QueryStatusEnvelope(addr string, timeout time.Duration) (wire.Envelope, error) {
-	// ctx's deadline bounds the dial and, by closing the connection, the rest.
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	conn, err := wire.Open(ctx, func(ctx context.Context) (net.Conn, error) { return wire.DialTCP(ctx, addr) })
-	if err != nil {
-		return wire.Envelope{}, err
-	}
-	defer conn.Close()
-	if err := conn.Send(wire.Envelope{Type: wire.KindStatus}); err != nil {
-		return wire.Envelope{}, err
-	}
-	env, err := conn.Recv()
-	if err != nil {
-		if ctx.Err() != nil {
-			err = fmt.Errorf("managerd: no status from %s within %v", addr, timeout)
-		}
-		return wire.Envelope{}, err
-	}
-	if env.Type != wire.KindStatus || env.Stats == nil {
-		return wire.Envelope{}, fmt.Errorf("managerd: unexpected reply %q", env.Type)
-	}
-	return env, nil
 }

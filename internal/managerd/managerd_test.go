@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/agentd"
+	"repro/internal/daemon"
 	"repro/internal/node"
 	"repro/internal/policy"
 	"repro/internal/power"
@@ -119,17 +120,17 @@ func TestEndToEndCapping(t *testing.T) {
 
 func TestQueryStatus(t *testing.T) {
 	srv := startServer(t, power.Thresholds{PL: units.MW(1), PH: units.MW(2)}, policy.MPC{})
-	st, err := QueryStatus(srv.Addr(), 5*time.Second)
+	env, err := daemon.QueryStatus(srv.Addr(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ThresholdPLW != 1e6 {
+	if st := env.Stats; st.ThresholdPLW != 1e6 {
 		t.Errorf("status thresholds = %+v", st)
 	}
 }
 
 func TestQueryStatusConnectionError(t *testing.T) {
-	if _, err := QueryStatus("127.0.0.1:1", 200*time.Millisecond); err == nil {
+	if _, err := daemon.QueryStatus("127.0.0.1:1", 200*time.Millisecond); err == nil {
 		t.Error("query to dead address succeeded")
 	}
 }

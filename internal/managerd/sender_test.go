@@ -373,9 +373,8 @@ func runSession(srv *Server, conn *wire.Conn, first *wire.Envelope, accepted uin
 
 // reading is the part of a node's record that its connection's frames write.
 type reading struct {
-	last      manager.AgentReading
-	lastAt    time.Time
-	lastEpoch uint64
+	last   manager.AgentReading
+	lastAt time.Time
 }
 
 func readingOf(s *Server, id node.ID) reading {
@@ -383,7 +382,7 @@ func readingOf(s *Server, id node.ID) reading {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	rec := sh.nodes[id]
-	return reading{rec.last, rec.lastAt, rec.lastEpoch}
+	return reading{rec.last, rec.lastAt}
 }
 
 // heldConn is the manager's end of a connection whose inbound bytes came
@@ -444,11 +443,10 @@ func TestLateSampleFromReplacedConnIsDropped(t *testing.T) {
 	go runSession(srv, wire.NewConn(server), hello(7), 2)
 	waitFor(t, 5*time.Second, "connection B replaced A", func() bool { return currentConn(srv, 5) != connA })
 	connB, seeded := currentConn(srv, 5), readingOf(srv, 5)
-	if seeded.last.Level != 7 || seeded.lastEpoch != 0 {
-		t.Fatalf("after B's hello the record reads %+v, want B's level 7 outside any epoch", seeded)
+	if seeded.last.Level != 7 {
+		t.Fatalf("after B's hello the record reads %+v, want B's level 7", seeded)
 	}
 
-	srv.BeginSenseEpoch() // a sample handled from here on would be stamped 1
 	close(a.release)
 	select {
 	case <-aDone:

@@ -38,15 +38,11 @@ type nodeRec struct {
 	id node.ID
 	ac *agentConn // nil while the node is away
 
-	// The freshest reading of the current connection, seeded by its hello:
-	// meaningful while ac != nil. It lives here and not on the agentConn so
-	// the sweep reads a node in one place. lastEpoch stamps which external
-	// sense epoch the reading arrived in (zero outside any epoch, e.g. the
-	// hello seed); the external cycle's sweep filters on it instead of
-	// wall-clock staleness.
-	last      manager.AgentReading
-	lastAt    time.Time
-	lastEpoch uint64
+	// The freshest reading of the current connection, seeded by its hello,
+	// and when it arrived: meaningful while ac != nil. It lives here and not
+	// on the agentConn so the sweep reads a node in one place.
+	last   manager.AgentReading
+	lastAt time.Time
 
 	cmd    cmdState
 	health healthRec

@@ -71,13 +71,13 @@ func ids(fs []freshNode, candidatesOnly bool) []node.ID {
 }
 
 // TestSweepOneShard builds one shard by hand, one record per case the
-// sweep distinguishes, and runs the sweep under the control loop's
-// wall-clock freshness and the external driver's epoch freshness. The two
-// must differ in readings, candidates and stale, and in nothing else.
+// sweep distinguishes, and runs the sweep under the control loop's cut
+// (t0 − StaleAfter) and under the later cut of an external driver that
+// started pushing just before t0. The two must differ in readings,
+// candidates and stale, and in nothing else.
 func TestSweepOneShard(t *testing.T) {
 	const (
 		cycleN = 10
-		epoch  = 7
 		top    = 9
 	)
 	type outcome struct {
@@ -87,7 +87,7 @@ func TestSweepOneShard(t *testing.T) {
 		tallies                      [4]int
 		drifted                      int
 	}
-	run := func(t *testing.T, epochFresh bool) (*Server, outcome, uint64) {
+	run := func(t *testing.T, external bool) (*Server, outcome, uint64) {
 		srv, err := New(Config{
 			Model:        power.TianheNode(),
 			Policy:       policy.MPCC{},
@@ -104,37 +104,37 @@ func TestSweepOneShard(t *testing.T) {
 		t.Cleanup(srv.Stop)
 		t0 := time.Now()
 		sh := srv.nodes.shards[0]
-		put := func(id node.ID, level int, age time.Duration, ep uint64, cmd cmdState, state healthState) {
+		put := func(id node.ID, level int, age time.Duration, cmd cmdState, state healthState) {
 			rec := putRec(t, sh, manager.AgentReading{ID: id, Level: level, MaxLevel: top}, t0.Add(-age))
-			rec.lastEpoch, rec.cmd = ep, cmd
+			rec.cmd = cmd
 			rec.health = healthRec{state: state, quarantinedAt: t0}
 		}
 		inFlight := cmdState{issued: true, level: 5, seq: 41, sentCycle: cycleN - 1}
 		acked := func(seq uint64, sent int) cmdState {
 			return cmdState{issued: true, level: 4, seq: seq, acked: true, sentCycle: sent}
 		}
-		// 1 fresh; 2 stale by the wall clock only; 3 disconnected, with a
+		// 1 fresh; 2 stale by the wall clock; 3 disconnected, with a
 		// command; 4 quarantined and fresh, a command in flight; 5 hello
-		// only, so in no epoch; 6 below top, never commanded; 7 unacked from
-		// last cycle; 8 acked, then drifted; 9 drifted inside the grace, and
-		// sampled last epoch only.
-		put(1, top, 0, epoch, cmdState{}, healthHealthy)
-		put(2, top, 200*time.Millisecond, epoch, cmdState{}, healthHealthy)
+		// only, before the driver's cut; 6 below top, never commanded; 7
+		// unacked from last cycle; 8 acked, then drifted; 9 drifted inside
+		// the grace, and sampled before the driver's cut.
+		put(1, top, 0, cmdState{}, healthHealthy)
+		put(2, top, 200*time.Millisecond, cmdState{}, healthHealthy)
 		away := sh.add(3)
 		away.cmd, away.health.state = acked(40, 0), healthLost
-		put(4, top, 0, epoch, inFlight, healthQuarantined)
-		put(5, top, 0, 0, cmdState{}, healthHealthy)
-		put(6, 3, 0, epoch, cmdState{}, healthHealthy)
-		put(7, top, 0, epoch, inFlight, healthHealthy)
-		put(8, top, 0, epoch, acked(42, cycleN-2), healthHealthy)
-		put(9, top, 0, epoch-1, acked(43, cycleN-1), healthHealthy)
+		put(4, top, 0, inFlight, healthQuarantined)
+		put(5, top, 50*time.Millisecond, cmdState{}, healthHealthy)
+		put(6, 3, 0, cmdState{}, healthHealthy)
+		put(7, top, 0, inFlight, healthHealthy)
+		put(8, top, 0, acked(42, cycleN-2), healthHealthy)
+		put(9, top, 50*time.Millisecond, acked(43, cycleN-1), healthHealthy)
 		srv.seq.Store(100)
 
-		fresh := func(rec *nodeRec) bool { return t0.Sub(rec.lastAt) <= srv.cfg.StaleAfter }
-		if epochFresh {
-			fresh = func(rec *nodeRec) bool { return rec.lastEpoch == epoch }
+		cut := t0.Add(-srv.cfg.StaleAfter)
+		if external {
+			cut = t0.Add(-10 * time.Millisecond)
 		}
-		parts := srv.sweep(cycleN, t0, fresh)
+		parts := srv.sweep(cycleN, t0, cut)
 		if len(parts) != 1 {
 			t.Fatalf("%d parts for one shard", len(parts))
 		}
@@ -156,7 +156,7 @@ func TestSweepOneShard(t *testing.T) {
 	wallSrv, wall, wallSeq := run(t, false)
 	_, ext, extSeq := run(t, true)
 
-	// What the freshness predicate decides.
+	// What the cut decides.
 	for _, c := range []struct {
 		name      string
 		got, want any
@@ -164,9 +164,9 @@ func TestSweepOneShard(t *testing.T) {
 		{"wall readings", wall.readings, []node.ID{1, 4, 5, 6, 7, 8, 9}},
 		{"wall candidates", wall.candidates, []node.ID{1, 5, 6, 7, 8, 9}},
 		{"wall stale", wall.stale, 1},
-		{"epoch readings", ext.readings, []node.ID{1, 2, 4, 6, 7, 8}},
-		{"epoch candidates", ext.candidates, []node.ID{1, 2, 6, 7, 8}},
-		{"epoch stale", ext.stale, 2},
+		{"external readings", ext.readings, []node.ID{1, 4, 6, 7, 8}},
+		{"external candidates", ext.candidates, []node.ID{1, 6, 7, 8}},
+		{"external stale", ext.stale, 3},
 	} {
 		if !reflect.DeepEqual(c.got, c.want) {
 			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
@@ -174,7 +174,7 @@ func TestSweepOneShard(t *testing.T) {
 	}
 
 	// What it must not: lifecycle, health and drift.
-	for name, o := range map[string]outcome{"wall": wall, "epoch": ext} {
+	for name, o := range map[string]outcome{"wall": wall, "external": ext} {
 		if want := []node.ID{6, 7, 8, 9}; !reflect.DeepEqual(o.adopts, want) {
 			t.Errorf("%s adopts = %v, want %v", name, o.adopts, want)
 		}
@@ -225,7 +225,7 @@ func TestExternalCycleRunsTheLoopsSweep(t *testing.T) {
 		return st.QuarantinedNodes == 1 && st.Agents == 2 && currentConn(srv, 2) != nil
 	})
 
-	srv.BeginSenseEpoch()
+	since := time.Now()
 	for _, s := range []struct {
 		c   *wire.Conn
 		env wire.Envelope
@@ -238,7 +238,7 @@ func TestExternalCycleRunsTheLoopsSweep(t *testing.T) {
 	// count: only the registered one is fed above.
 	waitFor(t, 5*time.Second, "both samples accepted", func() bool { return srv.SamplesReceived() == 2 })
 
-	cyc := srv.StartExternalCycle()
+	cyc := srv.StartExternalCycle(since)
 	if rs := cyc.Readings(); len(rs) != 1 || rs[0].ID != 1 || rs[0].Level != 3 {
 		t.Errorf("readings = %+v, want node 1 at level 3 alone (node 2 is quarantined)", rs)
 	}
@@ -495,7 +495,7 @@ func TestSweepIsRepeatable(t *testing.T) {
 		order     []node.ID
 	}
 	sweep := func(cycleN int) pass {
-		g := srv.sweep(cycleN, now, func(*nodeRec) bool { return true })[0]
+		g := srv.sweep(cycleN, now, time.Time{})[0]
 		out := pass{p: g.p, demand: g.demand}
 		for _, ns := range g.states {
 			out.order = append(out.order, ns.ID)
@@ -599,10 +599,10 @@ func TestSweepIsWorkerCountInvariant(t *testing.T) {
 		fresh   []uint64 // the fresh seqs handed out, sorted
 		journal []replica.Level
 	}
-	fresh := func(rec *nodeRec) bool { return t0.Sub(rec.lastAt) <= 100*time.Millisecond }
+	cut := t0.Add(-100 * time.Millisecond)
 	sweep := func(srv *Server, c int) view {
 		var v view
-		for i, g := range srv.sweep(c, t0, fresh) {
+		for i, g := range srv.sweep(c, t0, cut) {
 			pv := partView{
 				p: math.Float64bits(float64(g.p)), demand: math.Float64bits(float64(g.demand)), stale: g.stale,
 				states: append([]policy.NodeState{}, g.states...), adopts: append([]node.ID{}, g.adopts...),
@@ -699,12 +699,11 @@ func BenchmarkSweep(b *testing.B) {
 			for id := node.ID(0); id < fleet; id++ {
 				putRec(b, srv.nodes.of(id), manager.AgentReading{ID: id, Level: 9, MaxLevel: 9, Delta: randomDelta(rng)}, now)
 			}
-			fresh := func(*nodeRec) bool { return true }
-			srv.sweep(1, now, fresh) // the parts grow to size once
+			srv.sweep(1, now, time.Time{}) // the parts grow to size once
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				srv.sweep(i+2, now, fresh)
+				srv.sweep(i+2, now, time.Time{})
 			}
 		})
 	}

@@ -294,7 +294,7 @@ func TestUnackedTallyEqualsWalk(t *testing.T) {
 					dsh.mu.Unlock()
 				}
 				srv.cycleMu.Lock()
-				srv.sweep(int(srv.cycleN.Add(int64(1+g.Intn(2)))), time.Now(), func(*nodeRec) bool { return true })
+				srv.sweep(int(srv.cycleN.Add(int64(1+g.Intn(2)))), time.Now(), time.Time{})
 				srv.cycleMu.Unlock()
 			case 4:
 				what = "disconnect"

@@ -97,17 +97,6 @@ type SeedChild struct {
 	GrantSeq uint64
 }
 
-// Aggregate is the grantor's fleet roll-up — what a mid-tier
-// coordinator reports upward as its own Snapshot.
-type Aggregate struct {
-	PowerW  float64
-	DemandW float64
-	Agents  int
-	Healthy int
-	Live    int
-	Lost    int
-}
-
 // Grantor is the parent half: child sessions in, grants out. The
 // embedding server owns the listener and frame routing; Serve is handed
 // each already-identified child subscription, and Cycle is driven by
@@ -126,20 +115,19 @@ type Grantor struct {
 	cyclesC     *obs.Counter
 	childrenG   *obs.Gauge
 	liveG       *obs.Gauge
-	lostG       *obs.Gauge
-	fleetPowerG *obs.Gauge
-	fleetDemG   *obs.Gauge
-	fleetAgG    *obs.Gauge
-	fleetHlG    *obs.Gauge
-	budgetG     *obs.Gauge
 	grantedG    *obs.Gauge
 	cycleUsG    *obs.Gauge
+	// The roll-up, under the status reply's instrument names.
+	powerG, demandG, agentsG, healthyG, lostG, plG, phG *obs.Gauge
 }
 
 // NewGrantor registers the grantor's instruments on cfg.Reg and returns
 // an empty grantor. Child-facing gauges keep the established cab%d_*
 // naming at every tier — "cabinet" is the protocol's word for "child",
-// whether the child is a managerd or a whole row coordinator.
+// whether the child is a managerd or a whole row coordinator. The fleet
+// roll-up and the band divided are published under the names of the
+// status reply's fields (wire.StatusReply's obs tags), so the chassis
+// answers a coordinator's status probe from them unaided.
 func NewGrantor(cfg GrantorConfig) *Grantor {
 	reg := cfg.Reg
 	return &Grantor{
@@ -152,14 +140,16 @@ func NewGrantor(cfg GrantorConfig) *Grantor {
 		cyclesC:     reg.Counter("cycles"),
 		childrenG:   reg.Gauge("cabinets"),
 		liveG:       reg.Gauge("cabinets_live"),
-		lostG:       reg.Gauge("cabinets_lost"),
-		fleetPowerG: reg.Gauge("fleet_power_w"),
-		fleetDemG:   reg.Gauge("fleet_demand_w"),
-		fleetAgG:    reg.Gauge("fleet_agents"),
-		fleetHlG:    reg.Gauge("fleet_healthy"),
-		budgetG:     reg.Gauge("budget_w"),
 		grantedG:    reg.Gauge("granted_w"),
 		cycleUsG:    reg.Gauge("last_cycle_micros"),
+
+		powerG:   reg.Gauge("last_power_w"),
+		demandG:  reg.Gauge("demand_w"),
+		agentsG:  reg.Gauge("agents"),
+		healthyG: reg.Gauge("healthy_nodes"),
+		lostG:    reg.Gauge("lost_nodes"),
+		plG:      reg.Gauge("pl_w"),
+		phG:      reg.Gauge("ph_w"),
 	}
 }
 
@@ -265,19 +255,33 @@ func (g *Grantor) Seed(children []SeedChild) {
 	}
 }
 
+// live reports whether cs counts as live at now. Liveness is report
+// freshness alone: a child mid-takeover (connection briefly down, reports
+// still fresh) keeps its share reserved rather than thrashing the
+// survivors' grants. Caller holds g.mu.
+func (g *Grantor) live(cs *childState, now time.Time) bool {
+	return now.Sub(cs.lastSeen) <= g.cfg.StaleAfter
+}
+
 // Cycle is one coordination round: classify children live/lost by
 // report freshness, divide the current band across the live ones, and
 // send each its grant. The division reserves Floor for every lost child
 // (its local failsafe still draws power) and caps every share at the
 // breaker rating. P_H scales from P_L by the band's headroom ratio, so
 // each child's yellow band is proportionally as wide as its parent's.
-func (g *Grantor) Cycle() {
+//
+// The same walk rolls the fleet up, once: power sums every child's (a
+// lost child still draws), demand is what the division weighs each live
+// child by plus Floor per lost child, and the tallies count every child.
+// Cycle publishes the roll-up and the band it divided under the status
+// reply's names and returns power and demand — what a mid-tier
+// coordinator reports upward.
+func (g *Grantor) Cycle() (powerW, demandW float64) {
 	t0 := time.Now()
 	g.cyclesC.Inc()
 	span := g.cfg.Trace.Begin()
 
 	band := g.cfg.Band(t0)
-	g.budgetG.Set(float64(band.PL))
 
 	type target struct {
 		child       int
@@ -289,27 +293,23 @@ func (g *Grantor) Cycle() {
 		targets         []target
 		demands         []budget.Demand
 		lost            int
-		fleetP, fleetD  float64
 		agents, healthy int
 	)
 	g.mu.Lock()
 	for child, cs := range g.children {
-		// Liveness is report freshness alone: a child mid-takeover
-		// (connection briefly down, reports still fresh) keeps its share
-		// reserved rather than thrashing the survivors' grants.
-		live := t0.Sub(cs.lastSeen) <= g.cfg.StaleAfter
+		live := g.live(cs, t0)
 		cs.liveG.Set(b2f(live))
 		cs.powerG.Set(cs.powerW)
 		cs.demandG.Set(cs.demandW)
-		fleetP += cs.powerW
+		powerW += cs.powerW
 		agents += cs.agents
 		healthy += cs.healthy
 		if !live {
 			lost++
+			demandW += float64(g.cfg.Floor)
 			cs.grantG.Set(0)
 			continue
 		}
-		fleetD += cs.demandW
 		want := cs.demandW
 		if want <= 0 {
 			// A child that has not sensed yet weighs in at its current
@@ -317,6 +317,7 @@ func (g *Grantor) Cycle() {
 			// full cycle.
 			want = cs.powerW
 		}
+		demandW += want
 		targets = append(targets, target{child: child, cs: cs, conn: cs.conn, prev: cs.grantW})
 		demands = append(demands, budget.Demand{
 			ID:    child,
@@ -383,13 +384,16 @@ func (g *Grantor) Cycle() {
 
 	g.childrenG.SetInt(int64(lost + len(targets)))
 	g.liveG.SetInt(int64(len(targets)))
-	g.lostG.SetInt(int64(lost))
-	g.fleetPowerG.Set(fleetP)
-	g.fleetDemG.Set(fleetD)
-	g.fleetAgG.SetInt(int64(agents))
-	g.fleetHlG.SetInt(int64(healthy))
 	g.grantedG.Set(granted)
+	g.powerG.Set(powerW)
+	g.demandG.Set(demandW)
+	g.agentsG.SetInt(int64(agents))
+	g.healthyG.SetInt(int64(healthy))
+	g.lostG.SetInt(int64(lost))
+	g.plG.Set(float64(band.PL))
+	g.phG.Set(float64(band.PH))
 	g.cycleUsG.SetInt(time.Since(t0).Microseconds())
+	return powerW, demandW
 }
 
 // States returns a point-in-time view of every known child, sorted by
@@ -401,7 +405,7 @@ func (g *Grantor) States() []ChildStatus {
 	for child, cs := range g.children {
 		out = append(out, ChildStatus{
 			Cabinet:    child,
-			Live:       now.Sub(cs.lastSeen) <= g.cfg.StaleAfter,
+			Live:       g.live(cs, now),
 			Codec:      cs.codec,
 			PowerW:     cs.powerW,
 			DemandW:    cs.demandW,
@@ -416,39 +420,8 @@ func (g *Grantor) States() []ChildStatus {
 		})
 	}
 	g.mu.Unlock()
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Cabinet < out[j-1].Cabinet; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b ChildStatus) int { return cmp.Compare(a.Cabinet, b.Cabinet) })
 	return out
-}
-
-// Aggregate rolls the fleet up for an upward report: total sensed power
-// across all children (a lost child still draws), live demand plus a
-// floor reservation per lost child, and fleet tallies.
-func (g *Grantor) Aggregate() Aggregate {
-	now := time.Now()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var a Aggregate
-	for _, cs := range g.children {
-		a.PowerW += cs.powerW
-		a.Agents += cs.agents
-		a.Healthy += cs.healthy
-		if now.Sub(cs.lastSeen) <= g.cfg.StaleAfter {
-			a.Live++
-			d := cs.demandW
-			if d <= 0 {
-				d = cs.powerW
-			}
-			a.DemandW += d
-		} else {
-			a.Lost++
-			a.DemandW += float64(g.cfg.Floor)
-		}
-	}
-	return a
 }
 
 // CloseAll closes every child connection (the embedding server's Stop

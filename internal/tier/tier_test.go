@@ -122,7 +122,7 @@ func TestGovernorGrantorSession(t *testing.T) {
 		return len(states) == 1 && states[0].DemandW == 120
 	}, "grantor never saw the governor's demand report")
 
-	grantor.Cycle()
+	_, demand := grantor.Cycle()
 	waitFor(t, 5*time.Second, func() bool {
 		return gov.Governed()
 	}, "governor never adopted the grant")
@@ -140,9 +140,10 @@ func TestGovernorGrantorSession(t *testing.T) {
 	if st.GrantW != 100 || st.Agents != 4 || st.Epoch != 7 {
 		t.Errorf("child state %+v, want grant 100 W, 4 agents, epoch 7", st)
 	}
-	agg := grantor.Aggregate()
-	if agg.Live != 1 || agg.Agents != 4 || agg.DemandW != 120 {
-		t.Errorf("aggregate %+v, want 1 live, 4 agents, 120 W demand", agg)
+	live, _ := reg.Value("cabinets_live")
+	agents, _ := reg.Value("agents")
+	if live != 1 || agents != 4 || demand != 120 {
+		t.Errorf("roll-up: %v live, %v agents, %v W demand; want 1, 4 and 120", live, agents, demand)
 	}
 }
 

@@ -149,13 +149,14 @@ func (e *Envelope) Advertises(name string) bool {
 	return false
 }
 
-// StatusReply is the manager's answer to a status request.
+// StatusReply is a daemon's answer to a status request.
 //
 // Every field carries an `obs` tag naming the registry instrument it is
-// populated from: managerd fills the reply by reflecting over these tags
-// against its obs.Registry (see managerd's statusFromRegistry), so adding
-// a field here without backing it by an instrument is caught by the
-// registry-mapping test rather than silently reading zero forever.
+// populated from: the daemon chassis fills the reply by reflecting over
+// these tags against its obs.Registry (see daemon.Chassis.Status), so
+// adding a field here without backing it by a managerd instrument is
+// caught by the registry-mapping test rather than silently reading zero
+// forever.
 type StatusReply struct {
 	Agents        int     `json:"agents" obs:"agents"`
 	Cycles        int     `json:"cycles" obs:"cycles"`
