@@ -48,7 +48,7 @@ func main() {
 		quarantine = flag.Duration("quarantine", 30*time.Second, "minimum quarantine duration")
 
 		shards        = flag.Int("shards", 0, "node-state shards, rounded up to a power of two (0 = default)")
-		workers       = flag.Int("fanout-workers", 0, "workers sweeping the node-state shards, and at most as many command writers, each control cycle (0 = GOMAXPROCS)")
+		workers       = flag.Int("fanout-workers", 0, "parallelism of each control cycle, its own goroutine included: the goroutines sweeping the node-state shards and writing the cycle's commands (0 = GOMAXPROCS)")
 		replicaListen = flag.String("replica-listen", "", "dedicated listener for journal followers and status probes (empty = share -addr)")
 
 		coordinator = flag.String("coordinator", "", "run governed: dial this federation coordinator (powcoordd) and cap under its budget grants")

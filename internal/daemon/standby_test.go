@@ -105,24 +105,23 @@ func TestStandbyPromotesOnStaleLease(t *testing.T) {
 // claims 6 rather than the 1 an empty journal and a missing file give.
 func TestStandbyPromotesPastAnUnreadableLease(t *testing.T) {
 	cfg := standbyConfig(t)
-	cfg.MissBudget = 20 // 100 ms: far above a renewal's jitter
-	renew := func() {
-		if err := cfg.Lease.Write(replica.LeaseState{Epoch: 5, Holder: "primary", RenewedAt: time.Now()}); err != nil {
-			t.Fatal(err)
-		}
+	cfg.MissBudget = 2
+	// Written once and renewed far into the future: however late the
+	// standby's reads are scheduled, the lease cannot go stale while the
+	// file exists, so the standby cannot promote before it is removed.
+	lease := replica.LeaseState{Epoch: 5, Holder: "primary", RenewedAt: time.Now().Add(time.Hour)}
+	if err := cfg.Lease.Write(lease); err != nil {
+		t.Fatal(err)
 	}
-	renew()
 	sb, err := daemon.StartStandby(cfg, bootChassis)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sb.Stop()
-	// Renew for many lease periods so the standby sees epoch 5, then lose
-	// the file.
-	for end := time.Now().Add(40 * cfg.Lease.Every); time.Now().Before(end); {
-		time.Sleep(cfg.Lease.Every)
-		renew()
-	}
+	// The standby reads the lease every period; give it many before the
+	// file goes. A standby that had never read it would wait for a leader
+	// instead of promoting, and Await would fail.
+	time.Sleep(40 * cfg.Lease.Every)
 	if err := os.Remove(cfg.Lease.Path); err != nil {
 		t.Fatal(err)
 	}

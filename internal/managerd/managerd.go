@@ -20,12 +20,13 @@
 //
 // The actuation path is concurrent: node state is sharded (store.go) so
 // sample readers and the control loop stop contending on one mutex, the
-// cycle's one sweep of the shards runs on a bounded worker pool, and
-// commands are written through by the cycle's own writers onto every link
-// that has room, a per-connection sender goroutine starting only for a
-// link that is backed up (sender.go; TestRedCycleStartsNoSender,
-// TestWriteThroughIsolatesASlowReader) — the cycle's fan-out cost is
-// bounded by the slowest single node, not the sum of the slow ones.
+// cycle's one sweep of the shards runs on a bounded worker pool that
+// includes the cycle's own goroutine, and the cycle and its writers write
+// commands through onto every link that has room, a per-connection sender
+// goroutine starting only for a link that is backed up (sender.go;
+// TestRedCycleStartsNoSender, TestWriteThroughIsolatesASlowReader) — the
+// cycle's fan-out cost is bounded by the slowest single node, not the sum
+// of the slow ones.
 package managerd
 
 import (
@@ -103,10 +104,13 @@ type Config struct {
 	// two. More shards cut contention between agent readers and the
 	// control loop at large fleets; zero defaults to 32.
 	Shards int
-	// FanoutWorkers bounds the worker pool sweeping the shards each
-	// control cycle (health, sample collection, command upkeep), and the
-	// writer goroutines a cycle starts for its commands (sender.go).
-	// Zero defaults to GOMAXPROCS.
+	// FanoutWorkers is the parallelism of a control cycle, the cycle's
+	// own goroutine included: the sweep of the shards (health, sample
+	// collection, command upkeep) runs on the cycle's goroutine and
+	// FanoutWorkers − 1 helpers, and a cycle's commands are written by
+	// its own goroutine and at most FanoutWorkers − 1 writers
+	// (sender.go). One runs both on the cycle's goroutine alone. Zero
+	// defaults to GOMAXPROCS.
 	FanoutWorkers int
 	// Learn, when non-nil, enables §III.A threshold learning: the daemon
 	// starts from Thresholds, observes the fleet's peak for Training of
@@ -743,20 +747,24 @@ func (s *Server) pingAll(scratch []*agentConn) []*agentConn {
 	return scratch
 }
 
-// forEachShard sweeps every shard through fn on a bounded worker pool
-// (FanoutWorkers wide). fn receives distinct shards concurrently, never
+// forEachShard sweeps every shard through fn, FanoutWorkers wide: the
+// caller starts FanoutWorkers − 1 helpers and then takes shards itself
+// from the same index. fn receives distinct shards concurrently, never
 // the same shard twice, so a per-shard result needs no lock — but fn must
 // build it in a local copy and store it into a slice indexed by shard
 // once, at the end: neighbouring shards go to different workers, and an
 // element written in place per node takes its cache line from the core
 // writing the next one.
+//
+// The wait counts shards, not workers: the caller waits only for shards a
+// helper has taken and not yet finished. A helper that is scheduled after
+// the caller has taken the last shard finds the index spent and exits
+// having run nothing, so the sweep never parks behind a goroutine that has
+// only been started (TestSweepCallerRunsEveryShard).
 func (s *Server) forEachShard(fn func(i int, sh *shard)) {
 	n := len(s.nodes.shards)
-	workers := s.cfg.FanoutWorkers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	helpers := min(s.cfg.FanoutWorkers, n) - 1
+	if helpers <= 0 {
 		for i, sh := range s.nodes.shards {
 			fn(i, sh)
 		}
@@ -764,19 +772,21 @@ func (s *Server) forEachShard(fn func(i int, sh *shard)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i, s.nodes.shards[i])
+	wg.Add(n)
+	take := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
 			}
-		}()
+			fn(i, s.nodes.shards[i])
+			wg.Done()
+		}
 	}
+	for range helpers {
+		go take()
+	}
+	take()
 	wg.Wait()
 }
 
@@ -989,7 +999,8 @@ func (s *Server) endCycle(span *obs.CycleHandle, t0 time.Time) {
 //
 // The returned fan-out tracker completes once every command the cycle
 // issued has been written or abandoned; the cycle itself does not wait
-// for it (its writers and the senders run concurrently).
+// for it (the senders of backed-up links run concurrently; whatever its
+// writers had not taken when the enqueue ended, the cycle wrote itself).
 func (s *Server) cycle() *fanout {
 	s.cycleMu.Lock()
 	defer s.cycleMu.Unlock()

@@ -33,10 +33,14 @@ import (
 // still blocks nothing but its own sender (TestRedFloorFanoutNotSerialized,
 // TestWriteThroughIsolatesASlowReader).
 //
-// A cycle's commands are written by at most FanoutWorkers writer
+// A cycle's commands are written by at most FanoutWorkers − 1 writer
 // goroutines of its own (writeQueue), started from its first command, so
 // writing overlaps Algorithm 1's actuation loop and a burst of commands is
-// written back to back (TestRedCycleStartsNoSender).
+// written back to back (TestRedCycleStartsNoSender). When the enqueue
+// ends, the cycle writes whatever they have not taken yet itself: a
+// writer that has been started is not yet running, and on a busy host it
+// may not run before the agents the cycle's first commands woke have
+// (TestRedCycleWritesEveryCommandItself).
 //
 // The sender exists only while there is something to write: the enqueue
 // that makes an idle outbox non-empty starts it, and it exits when it
@@ -268,9 +272,10 @@ type outbound struct {
 }
 
 // writeQueue carries one cycle's commands to its writers: the actuation
-// loop pushes, and up to FanoutWorkers writer goroutines take whatever has
-// accumulated and deliver it back to back. A writer starts when a command
-// is pushed and the cycle has writers left to start — so the first starts
+// loop pushes, and up to FanoutWorkers − 1 writer goroutines take whatever
+// has accumulated and deliver it back to back; the cycle delivers the rest
+// itself when its enqueue ends (close). A writer starts when a command is
+// pushed and the cycle has writers left to start — so the first starts
 // with the cycle's first command — and leaves when it finds the queue
 // empty; it never waits for the cycle, so a cycle that is abandoned
 // mid-enqueue strands no goroutine. Once a cycle has started all its
@@ -307,7 +312,7 @@ func (s *Server) queue() *writeQueue {
 func (q *writeQueue) push(ac *agentConn, pc pendingCmd) {
 	q.mu.Lock()
 	switch {
-	case !q.closed && q.started < q.s.cfg.FanoutWorkers:
+	case !q.closed && q.started < q.s.cfg.FanoutWorkers-1:
 		q.started++
 		q.running++
 		// Counted with the senders, so Stop joins the writers too.
@@ -324,22 +329,12 @@ func (q *writeQueue) push(ac *agentConn, pc pendingCmd) {
 	}
 }
 
-// write is one writer: it delivers everything queued, batch by batch,
-// and leaves when it finds the queue empty.
+// write is one writer: it delivers everything queued and leaves when it
+// finds the queue empty.
 func (q *writeQueue) write() {
 	defer q.s.senders.Done()
 	q.mu.Lock()
-	for q.next < len(q.items) {
-		// Items below len are not written again until the queue is
-		// recycled, which waits for this writer: they are read unlocked.
-		batch := q.items[q.next:]
-		q.next = len(q.items)
-		q.mu.Unlock()
-		for _, o := range batch {
-			q.s.deliver(o.ac, o.pc, true)
-		}
-		q.mu.Lock()
-	}
+	q.drainLocked()
 	q.running--
 	last := q.closed && q.running == 0
 	q.mu.Unlock()
@@ -348,10 +343,31 @@ func (q *writeQueue) write() {
 	}
 }
 
-// close ends the enqueue. The queue is recycled by whichever of close and
-// the last writer to leave after it comes last.
+// drainLocked delivers everything queued, batch by batch, releasing q.mu
+// around each batch's writes. The caller holds q.mu.
+func (q *writeQueue) drainLocked() {
+	for q.next < len(q.items) {
+		// Items below len are not written again until the queue is
+		// recycled, which waits for every drainer: they are read unlocked.
+		batch := q.items[q.next:]
+		q.next = len(q.items)
+		q.mu.Unlock()
+		for _, o := range batch {
+			q.s.deliver(o.ac, o.pc, true)
+		}
+		q.mu.Lock()
+	}
+}
+
+// close ends the enqueue. The cycle first delivers on its own goroutine
+// whatever its writers have not taken yet — deliver never blocks: a link
+// without room gets its outbox and its one sender — so the cycle's
+// fan-out never waits for a writer that has been started but not yet
+// scheduled (TestRedCycleWritesEveryCommandItself). The queue is recycled
+// by whichever of close and the last writer to leave after it comes last.
 func (q *writeQueue) close() {
 	q.mu.Lock()
+	q.drainLocked()
 	q.closed = true
 	last := q.running == 0
 	q.mu.Unlock()
@@ -373,7 +389,8 @@ func (q *writeQueue) recycle() {
 // enqueue phase ends. When the last slot releases, the fan-out is
 // complete — every command of the cycle was written, handed to a backed-up
 // link's sender and written by it, or abandoned to the retry path — and
-// the latency is recorded. StepCycle blocks on done.
+// the latency is recorded. StepCycle blocks on done; when every link had
+// room, it is closed before StepCycle looks.
 type fanout struct {
 	s       *Server
 	t0      time.Time
@@ -415,8 +432,10 @@ func (f *fanout) complete() {
 	close(f.done)
 }
 
-// finishEnqueue ends the cycle's enqueue phase and releases its own slot:
-// all commands this cycle will ever issue have been dispatched.
+// finishEnqueue ends the cycle's enqueue phase — delivering, on the
+// cycle's goroutine, whatever its writers have not taken — and releases
+// its own slot: all commands this cycle will ever issue have been
+// dispatched.
 func (f *fanout) finishEnqueue() {
 	f.q.close()
 	f.complete()

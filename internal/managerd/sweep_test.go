@@ -1,13 +1,16 @@
 package managerd
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -678,34 +681,87 @@ func TestSweepIsWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// BenchmarkSweep prices one quiet sweep at steady-green's scale: 8192
-// fresh nodes at their top level in 128 shards, nothing to command, swept
-// by one worker and by four.
+// goid is the calling goroutine's id, read from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, _, _ := bytes.Cut(bytes.TrimPrefix(buf, []byte("goroutine ")), []byte(" "))
+	return string(id)
+}
+
+// TestSweepCallerRunsEveryShard: the sweep's caller is one of its own
+// workers. On one P, with FanoutWorkers 4, the three helpers it starts
+// cannot run until it parks, and it never does: it takes every shard
+// itself, waits for no shard, and returns; the helpers, scheduled after,
+// find the index spent and run nothing. A caller that waits for the
+// workers it started parks on the first of them and runs no shard.
+func TestSweepCallerRunsEveryShard(t *testing.T) {
+	const shards = 64
+	srv, err := New(Config{
+		Model: power.TianheNode(), Policy: policy.MPCC{}, Tg: 3,
+		ControlEvery: time.Hour, Thresholds: power.Thresholds{PL: 1e6, PH: 2e6},
+		Shards: shards, FanoutWorkers: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Stop)
+	if n := len(srv.nodes.shards); n != shards {
+		t.Fatalf("%d shards, want %d", n, shards)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var runs [shards]atomic.Int32
+	var by [shards]string
+	caller := goid()
+	srv.forEachShard(func(i int, _ *shard) {
+		runs[i].Add(1)
+		by[i] = goid()
+	})
+	for i := range by {
+		if by[i] != caller {
+			t.Fatalf("shard %d ran on goroutine %s, want the caller's %s", i, by[i], caller)
+		}
+	}
+	// The helpers run now, with nothing left to take.
+	time.Sleep(10 * time.Millisecond)
+	for i := range runs {
+		if n := runs[i].Load(); n != 1 {
+			t.Errorf("shard %d ran %d times, want once", i, n)
+		}
+	}
+}
+
+// BenchmarkSweep prices one quiet sweep at two scales, each in 128 shards:
+// steady-green's 8192 fresh nodes at their top level, and a tree-shift
+// cabinet's 128, where the sweep's fixed cost — starting and joining its
+// workers — weighs against one node a shard. Nothing to command; swept by
+// one worker and by four.
 func BenchmarkSweep(b *testing.B) {
-	const fleet = 8192
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			srv, err := New(Config{
-				Model: power.TianheNode(), Policy: policy.MPCC{}, Tg: 3,
-				ControlEvery: time.Hour, Thresholds: power.Thresholds{PL: 1e9, PH: 2e9},
-				Shards: 128, FanoutWorkers: workers,
+	for _, fleet := range []int{8192, 128} {
+		for _, workers := range []int{1, 4} {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", fleet, workers), func(b *testing.B) {
+				srv, err := New(Config{
+					Model: power.TianheNode(), Policy: policy.MPCC{}, Tg: 3,
+					ControlEvery: time.Hour, Thresholds: power.Thresholds{PL: 1e9, PH: 2e9},
+					Shards: 128, FanoutWorkers: workers,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.Cleanup(srv.Stop)
+				rng := rand.New(rand.NewSource(1))
+				now := time.Now()
+				for id := node.ID(0); id < node.ID(fleet); id++ {
+					putRec(b, srv.nodes.of(id), manager.AgentReading{ID: id, Level: 9, MaxLevel: 9, Delta: randomDelta(rng)}, now)
+				}
+				srv.sweep(1, now, time.Time{}) // the parts grow to size once
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					srv.sweep(i+2, now, time.Time{})
+				}
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(srv.Stop)
-			rng := rand.New(rand.NewSource(1))
-			now := time.Now()
-			for id := node.ID(0); id < fleet; id++ {
-				putRec(b, srv.nodes.of(id), manager.AgentReading{ID: id, Level: 9, MaxLevel: 9, Delta: randomDelta(rng)}, now)
-			}
-			srv.sweep(1, now, time.Time{}) // the parts grow to size once
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				srv.sweep(i+2, now, time.Time{})
-			}
-		})
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -147,6 +148,56 @@ func TestWriteThroughIsolatesASlowReader(t *testing.T) {
 	awaitFanout(t, fan, "throttled write timing out")
 	if st := srv.Status(); st.CommandErrors != 1 {
 		t.Errorf("CommandErrors = %d, want 1 (the throttled link's timeout)", st.CommandErrors)
+	}
+}
+
+// TestRedCycleWritesEveryCommandItself: on one P, a red cycle floors 64
+// agents whose links all have room and returns with its fan-out complete
+// — every command written through, no per-node sender started — while
+// the writers it started have not run yet: the cycle wrote what they had
+// not taken itself, so StepCycle finds the fan-out done and does not park
+// until they are scheduled.
+func TestRedCycleWritesEveryCommandItself(t *testing.T) {
+	const agents = 64
+	nw := faultnet.New(13)
+	t.Cleanup(nw.Close)
+	cfg := fanoutConfig(nw, 5*time.Second, power.Thresholds{PL: 1, PH: 2})
+	cfg.FanoutWorkers = 4
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Stop)
+	dialRedFleet(t, nw, srv, agents)
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	senders := srv.senderStarts.Load()
+	fan := srv.cycle()
+	fan.q.mu.Lock()
+	started, running := fan.q.started, fan.q.running
+	fan.q.mu.Unlock()
+	select {
+	case <-fan.done:
+	default:
+		t.Fatalf("the cycle returned with %d of its %d commands' slots held: it left them to writers not yet run", fan.pending.Load(), fan.issued.Load())
+	}
+	if n := fan.issued.Load(); n != agents {
+		t.Errorf("the red cycle issued %d commands, want %d", n, agents)
+	}
+	if n := srv.senderStarts.Load() - senders; n != 0 {
+		t.Errorf("the red cycle started %d per-node senders, want 0: every link had room", n)
+	}
+	if started < 1 || running != started {
+		t.Errorf("the cycle started %d writers and %d are still to run, want ≥ 1 started and none run yet", started, running)
+	}
+	waitFor(t, 10*time.Second, "every command acked", func() bool { return srv.UnackedCommands() == 0 })
+	for i := 0; i < agents; i++ {
+		if got := commandedLevel(srv, node.ID(i)); got != 0 {
+			t.Errorf("node %d commanded level %d, want the floor", i, got)
+		}
 	}
 }
 

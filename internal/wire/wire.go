@@ -238,8 +238,11 @@ func SampleEnvelope(r manager.AgentReading) Envelope {
 	}
 }
 
-// Reading converts a sample envelope back into an agent reading.
-func (e Envelope) Reading() manager.AgentReading {
+// Reading converts a sample envelope back into an agent reading. It takes
+// the envelope by pointer: a receive loop calls it once per sample, and a
+// copy of the whole envelope to read a few of its fields showed in the
+// profile.
+func (e *Envelope) Reading() manager.AgentReading {
 	return manager.AgentReading{
 		ID:       node.ID(e.Node),
 		Level:    e.Level,

@@ -36,7 +36,8 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		},
 		Job: 11,
 	}
-	got := SampleEnvelope(r).Reading()
+	env := SampleEnvelope(r)
+	got := env.Reading()
 	if got != r {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, r)
 	}
