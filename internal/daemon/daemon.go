@@ -155,13 +155,27 @@ type Chassis struct {
 	wg         sync.WaitGroup
 }
 
-// New opens the journal (see HA.JournalPath), builds an unstarted chassis
-// and claims the leadership epoch. From here on the chassis owns the
-// journal: a daemon whose New fails after this calls Stop to release it.
+// New opens the journal (see HA.JournalPath), claims the leadership epoch —
+// closing the journal and refusing if a rival claimed it first — and builds
+// an unstarted chassis, which owns the journal: its daemon calls Stop.
 func New(opt Options, hooks Hooks) (*Chassis, error) {
+	var err error
 	if opt.Journal == nil {
-		var err error
 		if opt.Journal, err = openJournal(opt.JournalPath); err != nil {
+			return nil, err
+		}
+	}
+	// The one claim rule: a leased daemon claims (replica.Lease.Claim) the
+	// epoch after every one it can know of — the lease file's and its
+	// journal's, which a promoted standby has raised to the last lease it
+	// saw. An unleased one keeps its journal's.
+	epoch := opt.Journal.Epoch()
+	if opt.Lease != nil {
+		if st, err := opt.Lease.Read(); err == nil {
+			epoch = max(epoch, st.Epoch)
+		}
+		if epoch, err = opt.Lease.Claim(epoch, opt.LeaseHolder); err != nil {
+			opt.Journal.Close()
 			return nil, err
 		}
 	}
@@ -186,17 +200,6 @@ func New(opt Options, hooks Hooks) (*Chassis, error) {
 	}
 	opt.Journal.OnCompact(c.journalWrites.Inc)
 	c.leading, c.endLeading = context.WithCancel(context.Background())
-	// The one claim rule: a leased daemon leads at the epoch after every
-	// one it can know of — the lease file's and its journal's, which a
-	// promoted standby has raised to the last lease it saw. An unleased one
-	// keeps its journal's.
-	epoch := opt.Journal.Epoch()
-	if opt.Lease != nil {
-		if st, err := opt.Lease.Read(); err == nil {
-			epoch = max(epoch, st.Epoch)
-		}
-		epoch++
-	}
 	c.epoch = epoch
 	opt.Journal.SetEpoch(epoch)
 	reg.Gauge("epoch").SetInt(int64(epoch))

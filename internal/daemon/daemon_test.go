@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -412,24 +413,39 @@ func TestLeaseEpochBumpSelfDeposes(t *testing.T) {
 
 // TestEpochClaim pins the one claim rule, in New: a leased daemon leads at
 // the epoch after both its lease file's and its journal's — a missing or
-// corrupt file counts as none — and an unleased one at its journal's. Start
-// stamps the journal and writes the lease at the claimed epoch.
+// corrupt file counts as none — and after any claim file a claimant left
+// without going on to write the lease; an unleased one leads at its
+// journal's. Start stamps the journal and writes the lease at the claimed
+// epoch. However many epochs are claimed, two claim files remain.
 func TestEpochClaim(t *testing.T) {
 	for _, tc := range []struct {
 		lease   string // "none", "missing", "corrupt" or the file's epoch
 		journal uint64
 		want    uint64
+		orphan  uint64 // when non-zero, a claim file left a lease period ago
 	}{
-		{"none", 0, 0}, {"none", 3, 3},
-		{"missing", 0, 1}, {"missing", 3, 4},
-		{"corrupt", 0, 1}, {"corrupt", 3, 4},
-		{"2", 0, 3}, {"2", 3, 4},
-		{"4", 0, 5}, {"4", 3, 5},
+		{"none", 0, 0, 0}, {"none", 3, 3, 0},
+		{"missing", 0, 1, 0}, {"missing", 3, 4, 0},
+		{"corrupt", 0, 1, 0}, {"corrupt", 3, 4, 0},
+		{"2", 0, 3, 0}, {"2", 3, 4, 0},
+		{"4", 0, 5, 0}, {"4", 3, 5, 0},
+		{"4", 3, 6, 5},
 	} {
-		t.Run(fmt.Sprintf("lease=%s/journal=%d", tc.lease, tc.journal), func(t *testing.T) {
+		name := fmt.Sprintf("lease=%s/journal=%d", tc.lease, tc.journal)
+		if tc.orphan != 0 {
+			name = fmt.Sprintf("orphan=e%d/%s", tc.orphan, name)
+		}
+		t.Run(name, func(t *testing.T) {
 			var lease *replica.Lease
 			if tc.lease != "none" {
 				lease = &replica.Lease{Path: filepath.Join(t.TempDir(), "lease.json"), Every: time.Hour}
+			}
+			if tc.orphan != 0 {
+				orphan := fmt.Sprintf("%s.e%d", lease.Path, tc.orphan)
+				left := time.Now().Add(-2 * lease.Every)
+				if err := errors.Join(os.WriteFile(orphan, []byte("crashed"), 0o644), os.Chtimes(orphan, left, left)); err != nil {
+					t.Fatal(err)
+				}
 			}
 			switch tc.lease {
 			case "none", "missing":
@@ -467,6 +483,128 @@ func TestEpochClaim(t *testing.T) {
 			}
 		})
 	}
+	t.Run("bounded", func(t *testing.T) {
+		dir := t.TempDir()
+		lease := &replica.Lease{Path: filepath.Join(dir, "lease.json"), Every: time.Hour}
+		for i := 0; i < 5; i++ {
+			var s stub
+			c := newChassis(t, &s, func(o *daemon.Options) { o.Lease, o.LeaseHolder = lease, "new" })
+			if err := c.Start(); err != nil {
+				t.Fatal(err)
+			}
+			c.Stop()
+		}
+		claims, err := filepath.Glob(lease.Path + ".e*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{lease.Path + ".e4", lease.Path + ".e5"}; !slices.Equal(claims, want) {
+			t.Errorf("claim files after five claims: %v, want %v", claims, want)
+		}
+	})
+}
+
+// claimOver builds, without starting it, a chassis led by holder over a
+// memory journal at epoch 1 — a standby's copy that last saw the lease at
+// epoch 1 — returning it (nil if refused), its journal and New's error.
+func claimOver(lease *replica.Lease, holder string) (*daemon.Chassis, *replica.Store, error) {
+	journal, err := replica.Open("")
+	if err != nil {
+		return nil, nil, err
+	}
+	journal.SetEpoch(1)
+	var s stub
+	c, err := daemon.New(daemon.Options{
+		Listen:       []daemon.Endpoint{{Addr: "127.0.0.1:0"}},
+		ControlEvery: time.Hour,
+		HA:           daemon.HA{Journal: journal, Lease: lease, LeaseHolder: holder},
+		WriteTimeout: time.Second,
+	}, s.hooks())
+	return c, journal, err
+}
+
+// Two standbys that read one stale lease at epoch 1 before either starts
+// must not both lead epoch 2: the claim is one exclusive create, so the
+// second New is refused, naming the epoch and the winner, with its journal
+// and the lease as they were. Eight claimants released at once from one
+// barrier have exactly one winner.
+func TestTwoClaimantsOneEpoch(t *testing.T) {
+	const leaseEvery = 100 * time.Millisecond
+	stale := replica.LeaseState{Epoch: 1, Holder: "dead", RenewedAt: time.Now().Add(-time.Hour)}
+	t.Run("sequential", func(t *testing.T) {
+		lease := &replica.Lease{Path: filepath.Join(t.TempDir(), "lease.json"), Every: leaseEvery}
+		if err := lease.Write(stale); err != nil {
+			t.Fatal(err)
+		}
+		a, _, err := claimOver(lease, "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(a.Stop)
+		b, journal, err := claimOver(lease, "b")
+		if err == nil {
+			t.Cleanup(b.Stop)
+			if err := errors.Join(a.Start(), b.Start()); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(3 * leaseEvery)
+			t.Fatalf("two acting leaders: a at epoch %d (deposed %v), b at epoch %d (deposed %v)",
+				a.Epoch(), a.Deposed(), b.Epoch(), b.Deposed())
+		}
+		if !errors.Is(err, replica.ErrClaimed) || !strings.Contains(err.Error(), "epoch 2 already claimed by a") {
+			t.Fatalf("second claim: %v, want epoch 2 already claimed by a (replica.ErrClaimed)", err)
+		}
+		if a.Epoch() != 2 || journal.Epoch() != 1 {
+			t.Errorf("winner at epoch %d, refused journal at %d; want 2 and 1", a.Epoch(), journal.Epoch())
+		}
+		if st, err := lease.Read(); err != nil || st.Epoch != 1 || st.Holder != "dead" {
+			t.Errorf("refused claimant touched the lease: %+v err=%v", st, err)
+		}
+		if err := a.Start(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(3 * leaseEvery)
+		if st, err := lease.Read(); err != nil || st.Epoch != 2 || st.Holder != "a" || a.Deposed() {
+			t.Errorf("lease %+v err=%v, winner deposed %v; want a leading epoch 2", st, err, a.Deposed())
+		}
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		lease := &replica.Lease{Path: filepath.Join(t.TempDir(), "lease.json"), Every: leaseEvery}
+		if err := lease.Write(stale); err != nil {
+			t.Fatal(err)
+		}
+		const claimants = 8
+		var (
+			wg      sync.WaitGroup
+			barrier = make(chan struct{})
+			mu      sync.Mutex
+			won     []*daemon.Chassis
+		)
+		for i := 0; i < claimants; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-barrier
+				c, _, err := claimOver(lease, fmt.Sprint("claimant-", i))
+				mu.Lock()
+				defer mu.Unlock()
+				if err == nil {
+					won = append(won, c)
+					t.Cleanup(c.Stop)
+				} else if !errors.Is(err, replica.ErrClaimed) {
+					t.Errorf("claimant %d: %v, want replica.ErrClaimed", i, err)
+				}
+			}()
+		}
+		close(barrier)
+		wg.Wait()
+		if len(won) != 1 {
+			t.Fatalf("%d of %d claimants won, want exactly one", len(won), claimants)
+		}
+		if won[0].Epoch() != 2 {
+			t.Errorf("winner at epoch %d, want 2", won[0].Epoch())
+		}
+	})
 }
 
 // The profiler rides the metrics address: a chassis started with one serves

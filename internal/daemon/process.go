@@ -42,7 +42,7 @@ func Flags(name string) *Process {
 	log.SetPrefix(name + ": ")
 	p := &Process{name: name}
 	flag.StringVar(&p.journal, "journal", "", "journal path for restart recovery and standby replication (empty = memory only)")
-	flag.StringVar(&p.lease, "lease", "", "leadership lease file shared with standbys (empty = HA off)")
+	flag.StringVar(&p.lease, "lease", "", "leadership lease file shared with standbys; each epoch is claimed once by a claim file <lease>.e<N> beside it (empty = HA off)")
 	flag.DurationVar(&p.leaseEvery, "lease-every", 250*time.Millisecond, "lease renewal period")
 	flag.StringVar(&p.standbyOf, "standby-of", "", "run as warm standby: replicate this daemon's journal, promote when its lease goes stale")
 	flag.IntVar(&p.missBudget, "lease-miss-budget", DefaultMissBudget, "stale lease renewals a standby tolerates before declaring the leader dead")

@@ -4,8 +4,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/managerd"
+	"repro/internal/scenario"
 )
 
 // TestManagerKillFailSafeWarmStandby is the high-availability acceptance
@@ -132,4 +137,171 @@ func TestForcedPromotionDeposesPrimary(t *testing.T) {
 		t.Fatalf("promoted leader status: %+v", st)
 	}
 	old.Stop()
+}
+
+// TestTwoStandbysOneLeader: two warm standbys of one primary, both forced
+// to promote the moment it dies mid-spike. An epoch is claimed by one
+// exclusive create, so no two managers that still lead ever share one:
+// a standby leads and the other is refused, or — had it claimed only after
+// the first had written the lease — leads the next epoch, and the first
+// deposes within two lease periods. The fleet ends on one leader, no
+// dead-man switch trips, and every manager's trace keeps Algorithm 1.
+func TestTwoStandbysOneLeader(t *testing.T) {
+	const (
+		agents     = 16
+		leaseEvery = 15 * time.Millisecond
+	)
+	var (
+		mu       sync.Mutex
+		traces   [3][]scenario.CycleRecord // the primary's, then each standby's
+		promoted []*managerd.Server
+		deposed  = map[*managerd.Server]time.Time{}
+		shared   []uint64 // epochs two leading managers were seen to share
+	)
+	record := func(i int) func(scenario.CycleRecord) {
+		return func(r scenario.CycleRecord) {
+			mu.Lock()
+			traces[i] = append(traces[i], r)
+			mu.Unlock()
+		}
+	}
+	c := Start(t, Options{
+		Agents:         agents,
+		Seed:           17,
+		Thresholds:     failsafeThresholds,
+		CommandTimeout: 100 * time.Millisecond,
+		FailsafeAfter:  8,
+		FailsafeLevel:  0,
+		LeasePath:      filepath.Join(t.TempDir(), "lease.json"),
+		LeaseEvery:     leaseEvery,
+		RecordCycle:    record(0),
+	})
+	c.AwaitAgents(agents, 20*time.Second)
+	var sbs [2]*StandbyHandle
+	for i := range sbs {
+		c.Opt.RecordCycle = record(i + 1)
+		sbs[i] = c.StartStandby(4)
+	}
+	WaitUntil(t, 20*time.Second, func() bool {
+		st := c.Status()
+		return st.ReplicaConns >= 2 && st.DegradeOps >= 1 && st.ReplicaLagEntries <= 1
+	}, "standbys never caught up while capping: %+v", c.Status())
+
+	// Sample every promoted manager throughout: among those not deposed,
+	// each epoch has one.
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			mu.Lock()
+			leading := map[uint64]bool{}
+			for _, s := range promoted {
+				if s.Deposed() {
+					if _, seen := deposed[s]; !seen {
+						deposed[s] = time.Now()
+					}
+				} else if e := s.Epoch(); leading[e] {
+					shared = append(shared, e)
+				} else {
+					leading[e] = true
+				}
+			}
+			mu.Unlock()
+		}
+	}()
+	defer func() { close(stop); <-sampled }()
+
+	c.StopManager()
+	type outcome struct {
+		srv *managerd.Server
+		err error
+		at  time.Time
+	}
+	outcomes := make(chan outcome, len(sbs))
+	for _, sb := range sbs {
+		sb.Promote()
+	}
+	for _, sb := range sbs {
+		go func() {
+			srv, err := sb.Await(10 * time.Second)
+			if err == nil {
+				t.Cleanup(srv.Stop)
+				mu.Lock()
+				promoted = append(promoted, srv)
+				mu.Unlock()
+			}
+			outcomes <- outcome{srv, err, time.Now()}
+		}()
+	}
+	var leaders []outcome
+	for range sbs {
+		o := <-outcomes
+		if o.err == nil {
+			leaders = append(leaders, o)
+		} else if !strings.Contains(o.err.Error(), "already claimed") {
+			t.Fatalf("a standby failed to promote for a reason other than a lost claim: %v", o.err)
+		}
+	}
+	var leader *managerd.Server
+	switch len(leaders) {
+	case 1:
+		leader = leaders[0].srv
+		t.Logf("one standby led epoch %d, the other was refused", leader.Epoch())
+	case 2:
+		first, second := leaders[0], leaders[1]
+		if first.srv.Epoch() > second.srv.Epoch() {
+			first, second = second, first
+		}
+		if second.srv.Epoch() != first.srv.Epoch()+1 {
+			t.Fatalf("standbys led epochs %d and %d, want consecutive", first.srv.Epoch(), second.srv.Epoch())
+		}
+		WaitUntil(t, 5*time.Second, func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			_, ok := deposed[first.srv]
+			return ok
+		}, "the standby at epoch %d never deposed under epoch %d", first.srv.Epoch(), second.srv.Epoch())
+		led := first.at
+		if second.at.After(led) {
+			led = second.at
+		}
+		mu.Lock()
+		took := deposed[first.srv].Sub(led)
+		mu.Unlock()
+		if took > 2*leaseEvery {
+			t.Errorf("epoch %d deposed %v after both standbys led, want within two lease periods (%v)",
+				first.srv.Epoch(), took, 2*leaseEvery)
+		}
+		leader = second.srv
+		t.Logf("standbys led epochs %d and %d; the first deposed after %v", first.srv.Epoch(), leader.Epoch(), took)
+	default:
+		t.Fatal("neither standby promoted")
+	}
+
+	c.Server = leader
+	c.AwaitAgents(agents, 20*time.Second)
+	c.AwaitSettledBelow(float64(failsafeThresholds.PH), 5, 30*time.Second)
+	if st := c.Status(); !st.Leader || leader.Deposed() || st.Epoch < 2 {
+		t.Fatalf("the fleet's manager is not an acting leader: %+v", st)
+	}
+	for i, a := range c.Agents {
+		if a.Tripped() || a.FailsafeTrips() > 0 {
+			t.Errorf("agent %d tripped its dead-man switch across the double promotion (trips %d)", i, a.FailsafeTrips())
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(shared) > 0 {
+		t.Errorf("two leading managers shared epochs %v", shared)
+	}
+	for i, recs := range traces {
+		if err := scenario.CheckAlgorithmOne(recs, c.Opt.Tg); err != nil {
+			t.Errorf("manager %d violated Algorithm 1: %v", i, err)
+		}
+	}
 }

@@ -55,8 +55,10 @@ func startStandby[S interface{ Stop() }](t testing.TB, nw *faultnet.Network, idx
 // StartStandby boots a warm standby: a journal follower over the fault
 // network plus a lease watcher that, on leader death (or Promote), starts a
 // replacement manager over the replicated store, which claims the next
-// epoch. Requires Options.LeasePath. missBudget ≤ 0 takes
-// daemon.DefaultMissBudget. The cluster owns the standby; Stop tears it down.
+// epoch. The replacement runs the cluster's Options as they stand now, so a
+// test may give each standby its own (a RecordCycle sink, say). Requires
+// Options.LeasePath. missBudget ≤ 0 takes daemon.DefaultMissBudget. The
+// cluster owns the standby; Stop tears it down.
 func (c *Cluster) StartStandby(missBudget int) *StandbyHandle {
 	t := c.tb()
 	t.Helper()
@@ -65,8 +67,9 @@ func (c *Cluster) StartStandby(missBudget int) *StandbyHandle {
 	}
 	holder := fmt.Sprintf("standby-%d", len(c.standbys)+1)
 	lease := &replica.Lease{Path: c.Opt.LeasePath, Every: c.Opt.LeaseEvery}
+	opt := c.Opt
 	h := startStandby(t, c.Net, len(c.standbys), lease, missBudget, holder, func(ha daemon.HA) (*managerd.Server, error) {
-		cfg := c.Opt.serverConfig(c.Net.Listener())
+		cfg := opt.serverConfig(c.Net.Listener())
 		cfg.HA = ha
 		return daemon.Boot(managerd.New(cfg))
 	})

@@ -2,8 +2,10 @@ package replica
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 )
 
@@ -18,6 +20,9 @@ type LeaseState struct {
 	Holder    string    `json:"holder"`
 	RenewedAt time.Time `json:"renewed_at"`
 }
+
+// ErrClaimed is Claim's refusal: another claimant took the epoch first.
+var ErrClaimed = errors.New("already claimed")
 
 // Lease is a file-based leadership lease. The leader rewrites it every
 // Every; standbys poll it and declare the leader dead once RenewedAt is
@@ -73,4 +78,36 @@ func (l *Lease) Write(st LeaseState) error {
 		return fmt.Errorf("replica: lease rename: %w", err)
 	}
 	return nil
+}
+
+// Claim takes the epoch after floor by exclusively creating <Path>.e<N>,
+// naming holder: of claimants over one floor one wins, and the rest get
+// ErrClaimed, which names the winner. A claim file older than one period was
+// left by a claimant that died before writing the lease, so its epoch joins
+// the floor. A win prunes the claim files below the one before it.
+func (l *Lease) Claim(floor uint64, holder string) (uint64, error) {
+	names, _ := filepath.Glob(l.Path + ".e*")
+	claims := make([]uint64, len(names))
+	for i, name := range names {
+		_, _ = fmt.Sscanf(filepath.Base(name)[len(filepath.Base(l.Path)):], ".e%d", &claims[i])
+		if fi, err := os.Stat(name); err == nil && time.Since(fi.ModTime()) > l.Period() {
+			floor = max(floor, claims[i])
+		}
+	}
+	n, name := floor+1, fmt.Sprintf("%s.e%d", l.Path, floor+1)
+	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if errors.Is(err, os.ErrExist) {
+		b, _ := os.ReadFile(name)
+		return 0, fmt.Errorf("epoch %d %w by %s", n, ErrClaimed, b)
+	} else if err != nil {
+		return 0, fmt.Errorf("replica: claim: %w", err)
+	}
+	_, _ = f.WriteString(holder)
+	f.Close()
+	for _, c := range claims {
+		if c+1 < n {
+			os.Remove(fmt.Sprintf("%s.e%d", l.Path, c))
+		}
+	}
+	return n, nil
 }
