@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -23,6 +22,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/power"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -30,7 +30,7 @@ func main() {
 	log.SetPrefix("powagentd: ")
 
 	var (
-		manager = flag.String("manager", "127.0.0.1:7077", "manager daemon address, or a comma-separated list rotated through on reconnect (primary,standby)")
+		manager = wire.Group{"127.0.0.1:7077"}
 		id      = flag.Int("node", 0, "node identity")
 		sample  = flag.Duration("sample", time.Second, "sampling/push interval τ")
 		tick    = flag.Duration("tick", 100*time.Millisecond, "simulated node tick")
@@ -44,24 +44,18 @@ func main() {
 
 		metricsAddr = flag.String("metrics-addr", "", "serve GET /metrics on this address (empty = disabled)")
 	)
+	flag.Var(&manager, "manager", "manager daemon `addresses`: one, or a comma-separated list rotated through on reconnect (primary,standby)")
 	flag.Parse()
 	if *seed == 0 {
 		*seed = int64(*id) + 1
 	}
-
-	var addrs []string
-	for _, m := range strings.Split(*manager, ",") {
-		if m = strings.TrimSpace(m); m != "" {
-			addrs = append(addrs, m)
-		}
-	}
-	if len(addrs) == 0 {
+	if len(manager) == 0 {
 		log.Fatal("-manager must name at least one address")
 	}
 
 	a, err := agentd.New(agentd.Config{
 		NodeID:        node.ID(*id),
-		ManagerAddrs:  addrs,
+		ManagerAddrs:  manager,
 		SampleEvery:   *sample,
 		TickEvery:     *tick,
 		Model:         power.TianheNode(),
@@ -88,7 +82,7 @@ func main() {
 		fmt.Printf("powagentd: metrics on http://%s/metrics\n", ln.Addr())
 	}
 
-	fmt.Printf("powagentd: node %d → %s (τ %v)\n", *id, *manager, *sample)
+	fmt.Printf("powagentd: node %d → %s (τ %v)\n", *id, manager, *sample)
 	// Reconnect with backoff: a manager restart must not take the fleet
 	// of agents down with it.
 	a.RunWithReconnect(ctx, *initialBackoff, *maxBackoff)

@@ -200,7 +200,7 @@ func spawnFailoverDaemon(sc scenario.Scenario, ctrlEvery, sampleEvery time.Durat
 	addr := primary.Addr()
 
 	sb, err := daemon.StartStandby(daemon.StandbyConfig{
-		Follower:   replica.FollowerConfig{Addr: addr, Backoff: 10 * time.Millisecond},
+		Follower:   replica.FollowerConfig{Addrs: []string{addr}, Backoff: 10 * time.Millisecond},
 		Lease:      lease,
 		MissBudget: 5,
 		Holder:     "standby",

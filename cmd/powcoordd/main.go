@@ -27,7 +27,9 @@
 // -standby-of replicates that journal over the wire and promotes itself
 // at a higher epoch once the lease goes stale past -lease-miss-budget
 // renewals, seeding its grantor from the replicated grants so no cabinet
-// floors across the takeover:
+// floors across the takeover. Only the leader listens, so children given
+// the pair as a comma list (-coordinator or -parent 127.0.0.1:7070,127.0.0.1:7071)
+// rotate onto the promoted standby on redial:
 //
 //	powcoordd -addr :7070 -journal primary.journal -lease /shared/lease.json
 //	powcoordd -addr :7071 -journal standby.journal -lease /shared/lease.json \
@@ -45,6 +47,7 @@ import (
 	"repro/internal/fedd"
 	"repro/internal/power"
 	"repro/internal/units"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -59,9 +62,10 @@ func main() {
 		breakerStr = flag.String("breaker", "", "per-child breaker rating capping any grant (empty = unbounded)")
 		floorStr   = flag.String("floor", "", "per-child weighting floor, reserved for lost children (empty = none)")
 
-		parent = flag.String("parent", "", "facility coordinator address: run as a row coordinator under it (empty = root)")
+		parent wire.Group
 		row    = flag.Int("row", 0, "this row's child index under -parent")
 	)
+	flag.Var(&parent, "parent", "facility coordinator `addresses` — one, or its HA group's, comma-separated and rotated through on redial: run as a row coordinator under it (empty = root)")
 	flag.Parse()
 
 	bud := watts(*budgetStr)
@@ -87,7 +91,7 @@ func main() {
 		Breaker:        watts(*breakerStr),
 		FloorW:         watts(*floorStr),
 		MetricsAddr:    p.MetricsAddr,
-		ParentAddr:     *parent,
+		ParentAddrs:    parent,
 		Row:            *row,
 		BudgetGrace:    p.BudgetGrace,
 		FailsafeBudget: failsafe,
@@ -98,8 +102,8 @@ func main() {
 	}, func(srv *fedd.Server) {
 		fmt.Printf("powcoordd: listening on %s (budget %v, PH %v, division %s, period %v)\n",
 			srv.Addr(), bud, ph, div, *period)
-		if *parent != "" {
-			fmt.Printf("powcoordd: row %d under facility %s\n", *row, *parent)
+		if len(parent) > 0 {
+			fmt.Printf("powcoordd: row %d under facility %s\n", *row, parent)
 		}
 	}, func(srv *fedd.Server) {
 		for _, cs := range srv.CabinetStates() {

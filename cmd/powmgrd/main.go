@@ -6,9 +6,11 @@
 //
 // With -lease the daemon renews a leadership lease file every -lease-every
 // and fences itself if a higher epoch appears in it. A second powmgrd
-// started with -standby-of replicates the leader's journal over the wire
-// and promotes itself — adopting the replicated journal at a higher epoch
-// — once the lease goes stale past -lease-miss-budget renewals:
+// started with -standby-of (the HA group's other members, comma-separated)
+// replicates the leader's journal over the wire and promotes itself —
+// adopting the replicated journal at a higher epoch — once the lease goes
+// stale past -lease-miss-budget renewals. Only a leader listens, so
+// -standby-of, like -coordinator, rotates through its list on redial:
 //
 //	powmgrd -addr :7077 -journal primary.journal -lease /shared/lease.json
 //	powmgrd -addr :7078 -journal standby.journal -lease /shared/lease.json \
@@ -28,6 +30,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/power"
 	"repro/internal/units"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -51,9 +54,10 @@ func main() {
 		workers       = flag.Int("fanout-workers", 0, "parallelism of each control cycle, its own goroutine included: the goroutines sweeping the node-state shards and writing the cycle's commands (0 = GOMAXPROCS)")
 		replicaListen = flag.String("replica-listen", "", "dedicated listener for journal followers and status probes (empty = share -addr)")
 
-		coordinator = flag.String("coordinator", "", "run governed: dial this federation coordinator (powcoordd) and cap under its budget grants")
+		coordinator wire.Group
 		cabinet     = flag.Int("cabinet", 0, "cabinet index reported to the coordinator (with -coordinator)")
 	)
+	flag.Var(&coordinator, "coordinator", "run governed: dial the federation coordinator (powcoordd) at these `addresses` — one, or its HA group's, comma-separated and rotated through on redial (primary,standby) — and cap under its budget grants")
 	flag.Parse()
 
 	thr := power.Thresholds{PL: watts(*plStr), PH: watts(*phStr)}
@@ -66,24 +70,24 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := managerd.Config{
-		Addr:            *addr,
-		Model:           power.TianheNode(),
-		Policy:          pol,
-		Tg:              *tg,
-		ControlEvery:    *period,
-		Thresholds:      thr,
-		HeartbeatEvery:  *heartbeat,
-		FlapWindow:      *flapWindow,
-		FlapLimit:       *flapLimit,
-		Quarantine:      *quarantine,
-		Shards:          *shards,
-		FanoutWorkers:   *workers,
-		MetricsAddr:     p.MetricsAddr,
-		ReplicaAddr:     *replicaListen,
-		CoordinatorAddr: *coordinator,
-		Cabinet:         *cabinet,
-		BudgetGrace:     p.BudgetGrace,
-		FailsafeBudget:  failsafe,
+		Addr:             *addr,
+		Model:            power.TianheNode(),
+		Policy:           pol,
+		Tg:               *tg,
+		ControlEvery:     *period,
+		Thresholds:       thr,
+		HeartbeatEvery:   *heartbeat,
+		FlapWindow:       *flapWindow,
+		FlapLimit:        *flapLimit,
+		Quarantine:       *quarantine,
+		Shards:           *shards,
+		FanoutWorkers:    *workers,
+		MetricsAddr:      p.MetricsAddr,
+		ReplicaAddr:      *replicaListen,
+		CoordinatorAddrs: coordinator,
+		Cabinet:          *cabinet,
+		BudgetGrace:      p.BudgetGrace,
+		FailsafeBudget:   failsafe,
 	}
 	if *train > 0 {
 		cfg.Learn = &managerd.LearnConfig{PMax: watts(*pmaxStr), Training: *train}

@@ -681,20 +681,22 @@ func TestDaemonCLIUnwritableJournal(t *testing.T) {
 // announces the miss budget in force (4 also for -lease-miss-budget 0, which
 // asks for the default), the primary is killed, and the standby must promote
 // itself at epoch 2 and answer powctl as the leader, then stop cleanly on
-// SIGINT.
+// SIGINT. A second, slower standby is given the group's other members
+// (-standby-of primary,standby): it follows the promoted standby — whose
+// powctl shows one follower — and promotes at epoch 3 once that one stops.
 func TestDaemonCLIStandbyTakeover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI end-to-end")
 	}
 	bin := binaries(t)
 	for _, tc := range []struct {
-		name             string
-		primary, standby string
-		role             []string
-		standbyFlags     []string // every one leaves the miss budget at 4
+		name                       string
+		primary, standby, standby2 string
+		role                       []string
+		standbyFlags               []string // every one leaves the miss budget at 4
 	}{
-		{"powmgrd", "127.0.0.1:29761", "127.0.0.1:29762", []string{"-pl", "400W", "-ph", "600W"}, nil},
-		{"powcoordd", "127.0.0.1:29763", "127.0.0.1:29764", []string{"-budget", "900W"}, []string{"-lease-miss-budget", "0"}},
+		{"powmgrd", "127.0.0.1:29761", "127.0.0.1:29762", "127.0.0.1:29771", []string{"-pl", "400W", "-ph", "600W"}, nil},
+		{"powcoordd", "127.0.0.1:29763", "127.0.0.1:29764", "127.0.0.1:29772", []string{"-budget", "900W"}, []string{"-lease-miss-budget", "0"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -709,11 +711,18 @@ func TestDaemonCLIStandbyTakeover(t *testing.T) {
 				append(append(ha(tc.standby, "standby.journal"), "-standby-of", tc.primary), tc.standbyFlags...)...)
 			awaitOutput(t, out, "standby of "+tc.primary)
 			awaitOutput(t, out, "miss budget 4)")
+			// The second standby tolerates 40 stale renewals, so the first
+			// wins the primary's death and the second follows it.
+			group := tc.primary + "," + tc.standby
+			_, out2 := startDaemon(t, bin, tc.name,
+				append(ha(tc.standby2, "standby2.journal"), "-standby-of", group, "-lease-miss-budget", "40")...)
+			awaitOutput(t, out2, "standby of "+group)
 
 			primary.Process.Kill()
 			primary.Wait()
 			awaitOutput(t, out, "promoted at epoch 2")
 			pollPowctl(t, bin, tc.standby, "epoch 2, leader true")
+			pollPowctl(t, bin, tc.standby, "leader true, followers 1")
 
 			standby.Process.Signal(os.Interrupt)
 			if err := standby.Wait(); err != nil {
@@ -722,6 +731,8 @@ func TestDaemonCLIStandbyTakeover(t *testing.T) {
 			if !strings.Contains(out.String(), tc.name+": shutting down") {
 				t.Errorf("no shutdown line:\n%s", out)
 			}
+			awaitOutput(t, out2, "promoted at epoch 3")
+			pollPowctl(t, bin, tc.standby2, "epoch 3, leader true")
 		})
 	}
 }

@@ -34,13 +34,13 @@ import (
 type Config struct {
 	// NodeID is this node's identity within the cluster.
 	NodeID node.ID
-	// ManagerAddrs is the ordered list of manager endpoints: the global
-	// manager daemon, then any warm standbys. Each failed session advances
-	// to the next address, so an agent orphaned by a dead primary finds the
-	// promoted standby within one redial sweep instead of hammering the
-	// dead address forever.
-	ManagerAddrs []string
-	// Dial, when non-nil, replaces the TCP dial of ManagerAddrs — the
+	// ManagerAddrs is the manager's HA group: the global manager daemon,
+	// then any warm standbys. Each failed session moves on to the next
+	// address (wire.Group.Rotate), so an agent orphaned by a dead primary
+	// finds the promoted standby within one redial sweep instead of
+	// hammering the dead address forever.
+	ManagerAddrs wire.Group
+	// Dial, when non-nil, replaces the rotation over ManagerAddrs — the
 	// in-process harness routes agents through fault-injecting pipes
 	// this way. Each Run invocation calls it once.
 	Dial func(ctx context.Context) (net.Conn, error)
@@ -108,11 +108,9 @@ type Agent struct {
 	tripped     bool      // currently at the failsafe floor by our own hand
 
 	// Leadership fencing state (guarded by mu): the highest manager epoch
-	// ever seen in a welcome hello, and the rotation cursor over
-	// ManagerAddrs. An epoch of zero means no HA-enabled manager has been
-	// met and fencing is off.
+	// ever seen in a welcome hello. Zero means no HA-enabled manager has
+	// been met and fencing is off.
 	maxEpoch uint64
-	addrIdx  int
 
 	// Instruments (same names the /metrics endpoint exposes).
 	reg           *obs.Registry
@@ -145,7 +143,7 @@ func New(cfg Config) (*Agent, error) {
 	}
 	a := &Agent{cfg: cfg, lastContact: time.Now()}
 	if cfg.Dial == nil {
-		a.cfg.Dial = func(ctx context.Context) (net.Conn, error) { return wire.DialTCP(ctx, a.dialAddr()) }
+		a.cfg.Dial = cfg.ManagerAddrs.Rotate()
 	}
 	if cfg.Passive {
 		if cfg.Apply == nil {
@@ -215,27 +213,6 @@ func (a *Agent) MaxEpoch() uint64 {
 // StaleEpochRejects reports how many manager sessions the agent refused
 // because they announced an epoch older than one it had already seen.
 func (a *Agent) StaleEpochRejects() int { return int(a.staleRejects.Value()) }
-
-// dialAddr picks the current endpoint from the rotation list.
-func (a *Agent) dialAddr() string {
-	if len(a.cfg.ManagerAddrs) == 0 {
-		return ""
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.cfg.ManagerAddrs[a.addrIdx%len(a.cfg.ManagerAddrs)]
-}
-
-// advanceAddr moves the rotation cursor, so the next session tries the
-// following manager endpoint.
-func (a *Agent) advanceAddr() {
-	if len(a.cfg.ManagerAddrs) < 2 {
-		return
-	}
-	a.mu.Lock()
-	a.addrIdx++
-	a.mu.Unlock()
-}
 
 // Tripped reports whether the agent currently sits at the failsafe floor
 // by its own decision (no manager contact). It clears on the next manager
@@ -395,8 +372,8 @@ func (a *Agent) RunWithReconnect(ctx context.Context, initialBackoff, maxBackoff
 		Dial:    a.cfg.Dial,
 		Backoff: wire.Backoff{Min: initialBackoff, Max: maxBackoff},
 		// A redial follows a failed session (refused, dropped, or fenced as
-		// stale), so each one tries the next address in the list.
-		Redial: func() { a.reconnects.Inc(); a.advanceAddr() },
+		// stale), so each one dials the next address of the group.
+		Redial: a.reconnects.Inc,
 	}.Run(ctx, func(conn *wire.Conn) { _ = a.session(ctx, conn) })
 }
 

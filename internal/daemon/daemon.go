@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"runtime/metrics"
@@ -562,7 +563,7 @@ func (c *Chassis) route(conn *wire.Conn, accepted uint64) {
 			conn.Close()
 			return
 		}
-		c.pub.Serve(conn, first.Seq)
+		c.pub.Serve(conn, c.resumeAfter(&first))
 	default:
 		// Decoding the JSON hello grew this stack, and stacks shrink only at
 		// a collection: the handshake, JSON too, runs here, on a stack about
@@ -573,6 +574,20 @@ func (c *Chassis) route(conn *wire.Conn, accepted uint64) {
 			conn.Close()
 		}
 	}
+}
+
+// resumeAfter is the reset rule (DESIGN.md "Reset rule"): a copy at (Seq,
+// Epoch) resumes after Seq only if we hold the entry at Seq under that
+// epoch; any other is Reset — Serve resets a seq past our head — never
+// extended in place. Seq 0 has nothing to check, and epoch 0 is HA off.
+func (c *Chassis) resumeAfter(sub *wire.Envelope) uint64 {
+	if sub.Seq == 0 || sub.Epoch == 0 {
+		return sub.Seq
+	}
+	if at, ok := c.opt.Journal.EntriesSince(sub.Seq - 1); ok && len(at) > 0 && at[0].Epoch == sub.Epoch {
+		return sub.Seq
+	}
+	return math.MaxUint64
 }
 
 // renewLease is one lease period's work: self-fence if a higher epoch has

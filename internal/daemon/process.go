@@ -13,6 +13,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/replica"
 	"repro/internal/units"
+	"repro/internal/wire"
 )
 
 // DefaultBudgetGrace is how many control periods of parent silence a
@@ -29,10 +30,11 @@ type Process struct {
 	MetricsAddr string
 	BudgetGrace int
 
-	journal, lease, standbyOf string
-	failsafePL, failsafePH    string
-	leaseEvery                time.Duration
-	missBudget                int
+	journal, lease         string
+	standbyOf              wire.Group
+	failsafePL, failsafePH string
+	leaseEvery             time.Duration
+	missBudget             int
 }
 
 // Flags sets the log prefix to name and registers the shared flags on the
@@ -44,7 +46,7 @@ func Flags(name string) *Process {
 	flag.StringVar(&p.journal, "journal", "", "journal path for restart recovery and standby replication (empty = memory only)")
 	flag.StringVar(&p.lease, "lease", "", "leadership lease file shared with standbys; each epoch is claimed once by a claim file <lease>.e<N> beside it (empty = HA off)")
 	flag.DurationVar(&p.leaseEvery, "lease-every", 250*time.Millisecond, "lease renewal period")
-	flag.StringVar(&p.standbyOf, "standby-of", "", "run as warm standby: replicate this daemon's journal, promote when its lease goes stale")
+	flag.Var(&p.standbyOf, "standby-of", "run as warm standby: replicate the journal of whichever of these `addresses` leads (the HA group's other members, comma-separated), promote when its lease goes stale")
 	flag.IntVar(&p.missBudget, "lease-miss-budget", DefaultMissBudget, "stale lease renewals a standby tolerates before declaring the leader dead")
 	flag.StringVar(&p.MetricsAddr, "metrics-addr", "", "serve GET /metrics and GET /debug/cycles on this address (empty = disabled)")
 	flag.IntVar(&p.BudgetGrace, "budget-grace", DefaultBudgetGrace, "control periods of parent silence tolerated before flooring to the failsafe band")
@@ -100,7 +102,7 @@ func Run[S interface {
 		return srv
 	}
 	var stop func() (S, bool)
-	if p.standbyOf == "" {
+	if len(p.standbyOf) == 0 {
 		ha := HA{JournalPath: p.journal}
 		if lease != nil {
 			ha.Lease, ha.LeaseHolder = lease, "primary"
@@ -113,7 +115,7 @@ func Run[S interface {
 		}
 		sb, err := StartStandby(StandbyConfig{
 			JournalPath: p.journal,
-			Follower:    replica.FollowerConfig{Addr: p.standbyOf, Backoff: lease.Period()},
+			Follower:    replica.FollowerConfig{Addrs: p.standbyOf, Backoff: lease.Period()},
 			Lease:       lease,
 			MissBudget:  p.missBudget,
 			Holder:      "standby",

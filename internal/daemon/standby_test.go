@@ -254,7 +254,7 @@ func TestStandbyCopyStaysBoundedAndClosesUnpromoted(t *testing.T) {
 	}
 	cfg := standbyConfig(t)
 	cfg.JournalPath = filepath.Join(t.TempDir(), "standby.journal")
-	cfg.Follower.Dial, cfg.Follower.Addr = nil, leader.Addr()
+	cfg.Follower.Dial, cfg.Follower.Addrs = nil, []string{leader.Addr()}
 	sb, err := daemon.StartStandby(cfg, func(daemon.HA) (*fakeDaemon, error) {
 		t.Error("promoted with no lease ever written")
 		return nil, errors.New("no leader ever seen")

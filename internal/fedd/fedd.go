@@ -17,7 +17,7 @@
 // machinery is internal/tier's Grantor; this package is the daemon
 // around it.
 //
-// The seam is recursive. In row mode (ParentAddr/ParentDial set) the
+// The seam is recursive. In row mode (ParentAddrs/ParentDial set) the
 // coordinator also embeds a tier.Governor: it reports its fleet
 // aggregate upward to a facility coordinator and divides whatever band
 // it is granted — or its failsafe band, once the parent has been silent
@@ -96,12 +96,12 @@ type Config struct {
 
 	// --- row mode (mid-tier coordinator under a parent) ---
 
-	// ParentAddr is the facility coordinator's address; setting it (or
-	// ParentDial) turns this coordinator into a row: Grantor to its
-	// children, Governor under its parent.
-	ParentAddr string
+	// ParentAddrs is the facility coordinator's HA group, dialled in
+	// rotation; setting it (or ParentDial) turns this coordinator into a
+	// row: Grantor to its children, Governor under its parent.
+	ParentAddrs wire.Group
 	// ParentDial, when non-nil, opens the parent connection instead of
-	// dialling ParentAddr (tests inject fault-injecting dialers).
+	// dialling ParentAddrs (tests inject fault-injecting dialers).
 	ParentDial func() (net.Conn, error)
 	// Row is this coordinator's child index under its parent.
 	Row int
@@ -152,7 +152,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.StaleAfter <= 0 {
 		cfg.StaleAfter = 3 * cfg.ControlEvery
 	}
-	rowMode := cfg.ParentAddr != "" || cfg.ParentDial != nil
+	rowMode := len(cfg.ParentAddrs) > 0 || cfg.ParentDial != nil
 	if rowMode {
 		if cfg.Row < 0 {
 			return nil, fmt.Errorf("fedd: negative row index %d", cfg.Row)
@@ -201,7 +201,7 @@ func New(cfg Config) (*Server, error) {
 
 	if rowMode {
 		s.gov, err = s.Govern(tier.GovernorConfig{
-			Parent:      cfg.ParentAddr,
+			ParentAddrs: cfg.ParentAddrs,
 			Dial:        cfg.ParentDial,
 			Child:       cfg.Row,
 			ReportEvery: cfg.ReportEvery,

@@ -38,9 +38,9 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 		{"unknown division", func(c *Config) { c.Division = budget.Division(99) }, "unknown division"},
 		{"negative breaker", func(c *Config) { c.Breaker = -1 }, "negative breaker or floor"},
 		{"negative floor", func(c *Config) { c.FloorW = -1 }, "negative breaker or floor"},
-		{"negative row", func(c *Config) { c.ParentAddr, c.Row = "127.0.0.1:1", -2 }, "negative row index"},
+		{"negative row", func(c *Config) { c.ParentAddrs, c.Row = []string{"127.0.0.1:1"}, -2 }, "negative row index"},
 		{"inverted failsafe", func(c *Config) {
-			c.ParentAddr = "127.0.0.1:1"
+			c.ParentAddrs = []string{"127.0.0.1:1"}
 			c.FailsafeBudget = power.Thresholds{PL: 10, PH: 5}
 		}, "failsafe budget"},
 		{"unopenable journal", func(c *Config) { c.JournalPath = t.TempDir() }, "fedd: journal"},

@@ -15,7 +15,7 @@ import "repro/internal/tier"
 // config and its per-cycle aggregate snapshot.
 func (s *Server) governorConfig() tier.GovernorConfig {
 	return tier.GovernorConfig{
-		Parent:      s.cfg.CoordinatorAddr,
+		ParentAddrs: s.cfg.CoordinatorAddrs,
 		Dial:        s.cfg.CoordinatorDial,
 		Child:       s.cfg.Cabinet,
 		ReportEvery: s.cfg.ReportEvery,

@@ -137,17 +137,17 @@ type Config struct {
 
 	// --- Capping federation (federate.go) ---
 
-	// CoordinatorAddr, when non-empty, puts the daemon in governed mode:
+	// CoordinatorAddrs, when non-empty, puts the daemon in governed mode:
 	// it manages one cabinet of a federated fleet, dialing the
-	// coordinator at this address, streaming cab_report frames and
+	// coordinator's HA group in rotation, streaming cab_report frames and
 	// running under the power band granted in cab_budget frames instead
 	// of static Thresholds. Mutually exclusive with Learn (the
 	// coordinator owns the global budget; a cabinet must not re-derive
 	// its own).
-	CoordinatorAddr string
-	// CoordinatorDial, when non-nil, replaces the TCP dial to
-	// CoordinatorAddr — the harness injects faultnet connections here.
-	// Setting it alone (empty CoordinatorAddr) also enables governed
+	CoordinatorAddrs wire.Group
+	// CoordinatorDial, when non-nil, replaces the dial of
+	// CoordinatorAddrs — the harness injects faultnet connections here.
+	// Setting it alone (no CoordinatorAddrs) also enables governed
 	// mode.
 	CoordinatorDial func() (net.Conn, error)
 	// Cabinet is this manager's cabinet index, carried on every report so
@@ -388,7 +388,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.FanoutWorkers == 0 {
 		cfg.FanoutWorkers = runtime.GOMAXPROCS(0)
 	}
-	governed := cfg.CoordinatorAddr != "" || cfg.CoordinatorDial != nil
+	governed := len(cfg.CoordinatorAddrs) > 0 || cfg.CoordinatorDial != nil
 	if governed {
 		if cfg.Learn != nil {
 			return nil, fmt.Errorf("managerd: governed mode is incompatible with threshold learning (the coordinator owns the budget)")

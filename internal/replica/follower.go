@@ -13,8 +13,8 @@ import (
 
 // FollowerConfig configures a journal follower.
 type FollowerConfig struct {
-	// Addr is the leader's address, dialled over TCP when Dial is nil.
-	Addr string
+	// Addrs is the leader's HA group, dialled in rotation when Dial is nil.
+	Addrs wire.Group
 	// Dial overrides the transport (tests use faultnet pipes).
 	Dial func(ctx context.Context) (net.Conn, error)
 	// Store receives the replicated entries. Required.
@@ -44,11 +44,11 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("replica: follower needs a store")
 	}
-	if cfg.Addr == "" && cfg.Dial == nil {
+	if len(cfg.Addrs) == 0 && cfg.Dial == nil {
 		return nil, errors.New("replica: follower needs an address or dialer")
 	}
 	if cfg.Dial == nil {
-		cfg.Dial = func(ctx context.Context) (net.Conn, error) { return wire.DialTCP(ctx, cfg.Addr) }
+		cfg.Dial = cfg.Addrs.Rotate()
 	}
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = 50 * time.Millisecond

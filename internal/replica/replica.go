@@ -302,12 +302,13 @@ func (s *Store) ApplyRemote(e Entry) error {
 
 // EntriesSince returns the entries after seq when the in-memory ring
 // still covers them (ok=true, possibly empty when the follower is caught
-// up); ok=false means the follower is too far behind and needs a Reset.
+// up); ok=false means the follower needs a Reset: it is too far behind, or
+// past our head, holding entries this store never had.
 func (s *Store) EntriesSince(seq uint64) ([]Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if seq >= s.seq {
-		return nil, true
+		return nil, seq == s.seq
 	}
 	need := s.seq - seq
 	if uint64(len(s.ring)) < need {

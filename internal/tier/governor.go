@@ -14,9 +14,9 @@ import (
 
 // GovernorConfig parametrises the child half of the seam.
 type GovernorConfig struct {
-	// Parent is the parent grantor's TCP address; ignored when Dial is
-	// set.
-	Parent string
+	// ParentAddrs is the parent grantor's HA group, dialled in rotation
+	// (wire.Group.Rotate); ignored when Dial is set.
+	ParentAddrs wire.Group
 	// Dial, when non-nil, opens the parent connection (tests hand a
 	// fault-injecting in-memory dialer here).
 	Dial func() (net.Conn, error)
@@ -132,13 +132,12 @@ func (g *Governor) CloseConn() {
 // subscribe, report, adopt grants — until ctx ends (for a daemon: until it
 // stops leading), which interrupts a dial and closes a live session alike.
 func (g *Governor) Run(ctx context.Context) {
+	dial := g.cfg.ParentAddrs.Rotate()
+	if g.cfg.Dial != nil {
+		dial = func(context.Context) (net.Conn, error) { return g.cfg.Dial() }
+	}
 	wire.Link{
-		Dial: func(ctx context.Context) (net.Conn, error) {
-			if g.cfg.Dial != nil {
-				return g.cfg.Dial()
-			}
-			return wire.DialTCP(ctx, g.cfg.Parent)
-		},
+		Dial:    dial,
 		Backoff: wire.Backoff{Min: 10 * time.Millisecond, Max: 2 * time.Second},
 	}.Run(ctx, g.session)
 }

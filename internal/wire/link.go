@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -16,6 +18,31 @@ import (
 func DialTCP(ctx context.Context, addr string) (net.Conn, error) {
 	d := net.Dialer{Timeout: 5 * time.Second}
 	return d.DialContext(ctx, "tcp", addr)
+}
+
+// Group is an HA group's addresses — its leader's and its warm standbys' —
+// as every client holds them. As a flag.Value it reads "primary,standby".
+type Group []string
+
+// Set replaces g with the addresses in a comma list.
+func (g *Group) Set(list string) error {
+	*g = strings.FieldsFunc(list, func(r rune) bool { return r == ',' || r == ' ' })
+	return nil
+}
+
+func (g Group) String() string { return strings.Join(g, ",") }
+
+// Rotate is the one way a client reaches a leader that moves: each call
+// dials the group's next address over TCP. A client redials only after a
+// failed session, and only a leader listens (DESIGN.md "One dial rule").
+func (g Group) Rotate() func(context.Context) (net.Conn, error) {
+	var next atomic.Uint64
+	return func(ctx context.Context) (net.Conn, error) {
+		if len(g) == 0 {
+			return nil, errors.New("wire: no address to dial")
+		}
+		return DialTCP(ctx, g[(next.Add(1)-1)%uint64(len(g))])
+	}
 }
 
 // Open dials one session. Cancelling ctx closes the connection — the only
@@ -57,7 +84,7 @@ func (b *Backoff) Wait(ctx context.Context) bool {
 
 // Link is the client end of a session that comes back by itself.
 type Link struct {
-	// Dial opens the transport: a role's test hook, or DialTCP.
+	// Dial opens the transport: a role's test hook, or Group.Rotate.
 	Dial func(context.Context) (net.Conn, error)
 	// Backoff paces the redials, under one reset rule: a session that heard
 	// from its peer at all resets it; a failed dial or a mute peer doubles it.

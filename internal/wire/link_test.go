@@ -368,3 +368,50 @@ type countingCloser struct {
 }
 
 func (c countingCloser) Close() error { *c.n++; return c.Conn.Close() }
+
+// TestGroupRotates: a group reads the comma list a flag gives it, and its
+// rotation dials the next address on every call, a refused one included,
+// wrapping round — so a client redialling after each failed session walks
+// the whole group.
+func TestGroupRotates(t *testing.T) {
+	g := Group{"replaced"}
+	if err := g.Set(" a:1, ,b:2 "); err != nil || g.String() != "a:1,b:2" {
+		t.Fatalf("Set: %q, %v; want a:1,b:2", g, err)
+	}
+	if _, err := Group(nil).Rotate()(context.Background()); err == nil {
+		t.Fatal("an empty group dialled something")
+	}
+
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead.Close()
+	g = Group{dead.Addr().String()}
+	for i := 0; i < 2; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		g = append(g, ln.Addr().String())
+	}
+	dial := g.Rotate()
+	for i := 0; i < 2*len(g); i++ {
+		raw, err := dial(context.Background())
+		if i%len(g) == 0 {
+			if err == nil {
+				raw.Close()
+				t.Fatalf("dial %d reached the dead address", i)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("dial %d to %s: %v", i, g[i%len(g)], err)
+		}
+		if want := g[i%len(g)]; raw.RemoteAddr().String() != want {
+			t.Errorf("dial %d reached %s, want %s", i, raw.RemoteAddr(), want)
+		}
+		raw.Close()
+	}
+}
