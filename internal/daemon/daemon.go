@@ -157,11 +157,15 @@ type Chassis struct {
 }
 
 // New opens the journal (see HA.JournalPath), claims the leadership epoch —
-// closing the journal and refusing if a rival claimed it first — and builds
-// an unstarted chassis, which owns the journal: its daemon calls Stop.
+// closing the journal and refusing if a rival claimed it first, or if it
+// boots cold under another holder's live lease — and builds an unstarted
+// chassis, which owns the journal: its daemon calls Stop.
 func New(opt Options, hooks Hooks) (*Chassis, error) {
 	var err error
-	if opt.Journal == nil {
+	// A daemon that opens its own journal boots cold; one handed a copy is
+	// a standby promoting (WarmStandby), having watched its leader die.
+	cold := opt.Journal == nil
+	if cold {
 		if opt.Journal, err = openJournal(opt.JournalPath); err != nil {
 			return nil, err
 		}
@@ -173,6 +177,16 @@ func New(opt Options, hooks Hooks) (*Chassis, error) {
 	epoch := opt.Journal.Epoch()
 	if opt.Lease != nil {
 		if st, err := opt.Lease.Read(); err == nil {
+			// A cold boot does not unseat a live leader: a former primary
+			// restarted while its successor leads would depose it and lead
+			// with its own pre-crash journal, losing the successor's
+			// entries. Live is what a standby of the default budget would
+			// not yet declare dead.
+			age := time.Since(st.RenewedAt)
+			if cold && st.Holder != opt.LeaseHolder && age <= DefaultMissBudget*opt.Lease.Period() {
+				opt.Journal.Close()
+				return nil, fmt.Errorf("epoch %d %w by %s, whose lease was renewed %v ago", st.Epoch, replica.ErrClaimed, st.Holder, age.Round(time.Millisecond))
+			}
 			epoch = max(epoch, st.Epoch)
 		}
 		if epoch, err = opt.Lease.Claim(epoch, opt.LeaseHolder); err != nil {

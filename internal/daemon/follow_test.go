@@ -2,9 +2,11 @@ package daemon_test
 
 import (
 	"context"
+	"errors"
 	"net"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -121,6 +123,87 @@ func TestStandbyFollowsItsSuccessor(t *testing.T) {
 	}
 	if got := cb.Journal().State(); got.LastSeq != head || !slices.Equal(got.Levels, want) {
 		t.Errorf("B leads with seq %d levels %v, want A's seq %d levels %v", got.LastSeq, got.Levels, head, want)
+	}
+}
+
+// A former primary restarted without being a standby must not unseat the
+// standby that succeeded it: P (journal on disk) leads epoch 1 and commits
+// three entries, its standby S promotes at epoch 2 when P stops and
+// commits five more, and P restarted cold under its own holder name, while
+// S's lease is live, is refused by New, naming S, with S still leading
+// epoch 2 and holding all eight entries. Without the refusal P claims
+// epoch 3, S is deposed at its next renewal and P leads with its own three.
+func TestRestartedPrimaryDoesNotUnseatItsSuccessor(t *testing.T) {
+	const every = 50 * time.Millisecond
+	dir := t.TempDir()
+	lease := &replica.Lease{Path: filepath.Join(dir, "lease.json"), Every: every}
+	primary := func() (*daemon.Chassis, error) {
+		var s stub
+		return daemon.Boot(daemon.New(daemon.Options{
+			Listen:       []daemon.Endpoint{{Addr: "127.0.0.1:0"}},
+			ControlEvery: time.Hour,
+			HA:           daemon.HA{JournalPath: filepath.Join(dir, "p.journal"), Lease: lease, LeaseHolder: "primary"},
+			WriteTimeout: time.Second,
+		}, s.hooks()))
+	}
+	p, err := primary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sAddr := freeAddr(t)
+	sb, err := daemon.StartStandby(daemon.StandbyConfig{
+		Follower:   replica.FollowerConfig{Addrs: []string{p.Addr()}, Backoff: every},
+		Lease:      lease,
+		MissBudget: 2,
+		Holder:     "standby",
+	}, func(ha daemon.HA) (*daemon.Chassis, error) {
+		var s stub
+		return daemon.Boot(daemon.New(daemon.Options{
+			Listen:       []daemon.Endpoint{{Addr: sAddr}},
+			ControlEvery: time.Hour,
+			HA:           ha,
+			WriteTimeout: time.Second,
+		}, s.hooks()))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sb.Stop() })
+	for i := 1; i <= 3; i++ {
+		commitLevel(p, i, i)
+	}
+	waitFor(t, "the standby's copy at P's head", func() bool { return sb.Store().Seq() == 3 })
+
+	p.Stop()
+	s := awaitChassis(t, sb)
+	if s.Epoch() != 2 {
+		t.Fatalf("S leads epoch %d, want 2", s.Epoch())
+	}
+	for i := 1; i <= 5; i++ {
+		commitLevel(s, 100+i, i)
+	}
+	want := s.Journal().State()
+
+	restarted, err := primary()
+	if err == nil {
+		t.Cleanup(restarted.Stop)
+		time.Sleep(3 * every)
+		got := restarted.Journal().State()
+		t.Fatalf("restarted P leads epoch %d with seq %d, levels %v; S deposed %v, its seq %d, levels %v lost",
+			restarted.Epoch(), got.LastSeq, got.Levels, s.Deposed(), want.LastSeq, want.Levels)
+	}
+	if !errors.Is(err, replica.ErrClaimed) || !strings.Contains(err.Error(), "epoch 2 already claimed by standby") {
+		t.Fatalf("restarted P: %v, want epoch 2 already claimed by standby (replica.ErrClaimed)", err)
+	}
+	time.Sleep(3 * every)
+	if s.Deposed() {
+		t.Fatal("S was deposed after the refused restart")
+	}
+	if st, err := lease.Read(); err != nil || st.Epoch != 2 || st.Holder != "standby" {
+		t.Errorf("lease %+v err=%v, want S leading epoch 2", st, err)
+	}
+	if got := s.Journal().State(); got.LastSeq != 8 || !slices.Equal(got.Levels, want.Levels) {
+		t.Errorf("S holds seq %d levels %v, want seq 8 levels %v", got.LastSeq, got.Levels, want.Levels)
 	}
 }
 

@@ -76,20 +76,24 @@ func (b *Builder) Eval(r AgentReading, prevEst units.Watts) policy.NodeState {
 	if !ok {
 		c = b.curve
 	}
-	return Sense(c, c.Load(r.Delta), r, prevEst)
+	var ns policy.NodeState
+	Sense(&ns, c, c.Load(r.Delta), &r, prevEst)
+	return ns
 }
 
-// Sense turns one reading into the node's policy state: formula (1) at its
+// Sense writes one reading's policy state into dst: formula (1) at its
 // level and one level down, and the idle test, all from f = c.Load(r.Delta)
 // derived once (managerd's sweep shares it with its other estimates).
 // prevEst is the node's estimate from the previous cycle, 0 if it had none.
-func Sense(c power.Curve, f power.Load, r AgentReading, prevEst units.Watts) policy.NodeState {
+// It reads r and writes dst in place, so a caller holding the reading in a
+// table and the state in a snapshot copies neither.
+func Sense(dst *policy.NodeState, c power.Curve, f power.Load, r *AgentReading, prevEst units.Watts) {
 	est := c.At(f, r.Level)
 	estLower := est
 	if r.Level > 0 {
 		estLower = c.At(f, r.Level-1)
 	}
-	return policy.NodeState{
+	*dst = policy.NodeState{
 		ID:       r.ID,
 		Level:    r.Level,
 		MaxLevel: r.MaxLevel,

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -176,6 +177,7 @@ func TestSweepOtherEstimatesEqualModel(t *testing.T) {
 		Thresholds:      power.Thresholds{PL: 1e6, PH: 2e6},
 		Shards:          1, // one part, so the sums below add in the sweep's own order
 		CoordinatorDial: func() (net.Conn, error) { return nil, net.ErrClosed },
+		ExternalControl: true, // the walk collects its fresh readings
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -191,18 +193,18 @@ func TestSweepOtherEstimatesEqualModel(t *testing.T) {
 	}
 
 	parts := srv.sweep(1, now, time.Time{})
-	if len(parts) != 1 || len(parts[0].fresh) != fleet || len(parts[0].states) != fleet-1 {
-		t.Fatalf("%d parts, %d fresh, %d states; want 1, %d and %d", len(parts), len(parts[0].fresh), len(parts[0].states), fleet, fleet-1)
+	if len(parts) != 1 || len(parts[0].readings) != fleet || len(parts[0].states) != fleet-1 {
+		t.Fatalf("%d parts, %d readings, %d states; want 1, %d and %d", len(parts), len(parts[0].readings), len(parts[0].states), fleet, fleet-1)
 	}
 	var p, demand units.Watts
 	sawQuarantined := false
-	for _, f := range parts[0].fresh {
-		p += model.Estimate(f.r.Delta, f.r.Level)
-		demand += model.Estimate(f.r.Delta, f.r.MaxLevel)
-		sawQuarantined = sawQuarantined || (f.rec == nil && f.r.ID == quarantined)
+	for _, r := range parts[0].readings {
+		p += model.Estimate(r.Delta, r.Level)
+		demand += model.Estimate(r.Delta, r.MaxLevel)
+		sawQuarantined = sawQuarantined || r.ID == quarantined
 	}
-	if !sawQuarantined {
-		t.Error("the quarantined node is not among the fresh readings without a record")
+	if !sawQuarantined || slices.Contains(stateIDs(parts[0].states), quarantined) {
+		t.Error("the quarantined node is not among the fresh readings, or is among the candidates")
 	}
 	if parts[0].p != p {
 		t.Errorf("p = %v, want exactly %v (Σ Model.Estimate at the reported level, the quarantined node's included)", parts[0].p, p)

@@ -53,7 +53,9 @@ type ExternalCycle struct {
 
 // StartExternalCycle runs the control loop's own sweep and upkeep, taking
 // the readings that arrived at or after since, and snapshots the
-// candidates among them. It must not overlap another external cycle or the
+// candidates among them. An externally controlled daemon's sweep collects
+// the fresh readings as it walks (Config.ExternalControl); the wall-clock
+// loop's does not. It must not overlap another external cycle or the
 // internal control loop (cycleMu is held only while the shared sweep
 // scratch is in use, not until Finish).
 func (s *Server) StartExternalCycle(since time.Time) *ExternalCycle {
@@ -68,10 +70,15 @@ func (s *Server) StartExternalCycle(since time.Time) *ExternalCycle {
 	// The control-law stages (classify/select/actuate) are recorded by the
 	// external driver's own recorder.
 	p, _, _ := s.sensed(parts, span, t0)
+	// The walk collected every fresh reading; the candidates among them are
+	// the ones the snapshot holds, in the same order, so one cursor over
+	// the snapshot drops the quarantined.
+	nodes, j := s.snap.Nodes, 0
 	for i := range parts {
-		for _, f := range parts[i].fresh {
-			if f.rec != nil {
-				cyc.readings = append(cyc.readings, f.r)
+		for _, r := range parts[i].readings {
+			if j < len(nodes) && nodes[j].ID == r.ID {
+				cyc.readings = append(cyc.readings, r)
+				j++
 			}
 		}
 	}

@@ -116,10 +116,10 @@ func (h *healthRec) classify(away bool, lastAt, now time.Time, cfg *Config) heal
 		// Quarantine served and the link has settled; fall through to
 		// the freshness-based classification.
 	}
-	switch {
-	case away || now.Sub(lastAt) > cfg.LostAfter:
+	switch age := now.Sub(lastAt); {
+	case away || age > cfg.LostAfter:
 		h.state = healthLost
-	case now.Sub(lastAt) > cfg.StaleAfter:
+	case age > cfg.StaleAfter:
 		h.state = healthStale
 	default:
 		h.state = healthHealthy

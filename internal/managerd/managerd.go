@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -800,19 +801,22 @@ type resend struct {
 // cyclePart is one shard's share of a sweep, reused across cycles (slices
 // keep their capacity; see Server.cycleParts).
 type cyclePart struct {
-	fresh   []freshNode        // every fresh reading, quarantined included: the power estimate
-	states  []policy.NodeState // the candidates among them, evaluated: the policy snapshot
-	resends []resend
-	adopts  []node.ID
-	p       units.Watts
-	demand  units.Watts
-	stale   int
-}
-
-// freshNode is a fresh reading and its record; nil if quarantined.
-type freshNode struct {
-	r   manager.AgentReading
-	rec *nodeRec
+	// states are the shard's candidates, evaluated: a view of its region of
+	// the policy snapshot, s.snap.Nodes[off:off+room] as the sweep laid it
+	// out, or of storage of its own if the shard spilled.
+	states    []policy.NodeState
+	off, room int
+	// spilled is set when the shard gained records between the sweep's
+	// sizing and its walk, so its candidates could overrun the region.
+	spilled bool
+	// readings are the shard's fresh readings, quarantined included, in
+	// registration order: collected for an external driver only.
+	readings []manager.AgentReading
+	resends  []resend
+	adopts   []node.ID
+	p        units.Watts // Σ estimates over every fresh reading, quarantined included
+	demand   units.Watts // Σ estimates at each fresh node's top level; governed only
+	stale    int
 }
 
 // sweep is a cycle's one pass over the node table: every shard on the
@@ -821,9 +825,8 @@ type freshNode struct {
 // cached tallies are rewritten from the pass), tallies drift, takes the
 // reading if it arrived at or after cut — t0 − StaleAfter for the control
 // loop, the moment it started pushing for an external driver, the only
-// thing the two callers differ in — runs the command lifecycle and then,
-// outside the lock, evaluates each reading it took, the cycle's one
-// evaluation per node. The command lifecycle:
+// thing the two callers differ in — evaluates it, the cycle's one
+// evaluation per node, and runs the command lifecycle:
 //
 //   - commands unacked since a previous cycle are retried under the same
 //     sequence number (the command is idempotent, the ack will match);
@@ -838,32 +841,56 @@ type freshNode struct {
 //     journaled and reported levels agree at the floor) it is what makes
 //     the steady-green restore path lift them instead of orphaning them.
 //
+// A candidate's evaluation is written straight into its shard's region of
+// the policy snapshot: before it takes any lock the sweep lays s.snap.Nodes
+// out as one region per shard, each as long as the shard's record count,
+// so the reading is read where the record holds it and its state written
+// where the policy reads it — no staging copy, and sensed merges nothing
+// but the gaps. Regions are disjoint runs of whole node states, so workers
+// share at most the cache line at a boundary.
+//
 // Quarantined nodes contribute to the power estimate but are excluded
 // from the policy snapshot and the lifecycle: per §II.A they are treated
 // as A_uncontrollable — their consumption is real, but commands down a
 // flapping link are wasted.
 //
 // The re-sends and adoptions are only decided here; upkeep acts on them.
-// Caller holds cycleMu (the parts are the shared scratch).
+// Caller holds cycleMu (the parts and the snapshot are the shared scratch).
 func (s *Server) sweep(cycleN int, t0, cut time.Time) []cyclePart {
 	if len(s.cycleParts) != len(s.nodes.shards) {
 		s.cycleParts = make([]cyclePart, len(s.nodes.shards))
 	}
 	parts := s.cycleParts
-	governed := s.gov != nil
+	total := 0
+	for i, sh := range s.nodes.shards {
+		parts[i].off, parts[i].room = total, int(sh.records.Load())
+		total += parts[i].room
+	}
+	s.snap.Nodes = slices.Grow(s.snap.Nodes[:0], total)[:total]
+	nodes := s.snap.Nodes
+	governed, collect := s.gov != nil, s.cfg.ExternalControl
 	s.forEachShard(func(i int, sh *shard) {
 		g := parts[i]
-		g.fresh, g.states = g.fresh[:0], g.states[:0]
-		g.resends, g.adopts = g.resends[:0], g.adopts[:0]
+		g.readings, g.resends, g.adopts = g.readings[:0], g.resends[:0], g.adopts[:0]
 		g.p, g.demand, g.stale = 0, 0, 0
 		var tally [healthQuarantined + 1]int
 		drift := 0
 		sh.mu.Lock()
+		// A record registered since the sizing could make one candidate
+		// too many for the region: the shard evaluates into storage of
+		// its own, and sensed merges (rare: a hello racing the cycle).
+		n := int(sh.records.Load())
+		g.spilled = n > g.room
+		dst := nodes[g.off : g.off+g.room]
+		if g.spilled {
+			dst = make([]policy.NodeState, n)
+		}
+		k := 0
 		for _, chunk := range sh.chunks {
-			for k := range chunk {
+			for j := range chunk {
 				// rec.ac is compared and handed on, never dereferenced: a
 				// node is read from its record alone.
-				rec := &chunk[k]
+				rec := &chunk[j]
 				cs, last := &rec.cmd, &rec.last
 				state := rec.health.classify(rec.ac == nil, rec.lastAt, t0, &s.cfg)
 				tally[state]++
@@ -877,10 +904,32 @@ func (s *Server) sweep(cycleN int, t0, cut time.Time) []cyclePart {
 				}
 				if rec.lastAt.Before(cut) {
 					g.stale++
-				} else if state == healthQuarantined {
-					g.fresh = append(g.fresh, freshNode{r: *last})
 				} else {
-					g.fresh = append(g.fresh, freshNode{*last, rec})
+					// PrevEst is last cycle's estimate; a cycle sat out
+					// leaves 0. Governed cabinets also estimate each node at
+					// its top level — the sum is the cabinet's uncapped
+					// demand, which the coordinator weighs when dividing
+					// the global budget.
+					load := s.curve.Load(last.Delta)
+					if state == healthQuarantined {
+						g.p += s.curve.At(load, last.Level)
+					} else {
+						var prev units.Watts
+						if rec.estCycle == cycleN-1 {
+							prev = rec.est
+						}
+						ns := &dst[k]
+						k++
+						manager.Sense(ns, s.curve, load, last, prev)
+						rec.est, rec.estCycle = ns.Est, cycleN
+						g.p += ns.Est
+					}
+					if governed {
+						g.demand += s.curve.At(load, last.MaxLevel)
+					}
+					if collect {
+						g.readings = append(g.readings, *last)
+					}
 				}
 				if state == healthQuarantined {
 					continue
@@ -913,49 +962,44 @@ func (s *Server) sweep(cycleN int, t0, cut time.Time) []cyclePart {
 		sh.nLost, sh.nQuar = tally[healthLost], tally[healthQuarantined]
 		sh.drifted = drift
 		sh.mu.Unlock()
-		// Model evaluation outside the shard lock: it is the cycle's CPU
-		// bulk and needs only the copied readings and the records' estimates
-		// (PrevEst is last cycle's; a cycle sat out leaves 0). Governed
-		// cabinets also estimate each node at its top level — the sum is
-		// the cabinet's uncapped demand, which the coordinator weighs
-		// when dividing the global budget.
-		for k := range g.fresh {
-			r, rec := &g.fresh[k].r, g.fresh[k].rec
-			load := s.curve.Load(r.Delta)
-			if rec == nil {
-				g.p += s.curve.At(load, r.Level)
-			} else {
-				var prev units.Watts
-				if rec.estCycle == cycleN-1 {
-					prev = rec.est
-				}
-				ns := manager.Sense(s.curve, load, *r, prev)
-				rec.est, rec.estCycle = ns.Est, cycleN
-				g.states = append(g.states, ns)
-				g.p += ns.Est
-			}
-			if governed {
-				g.demand += s.curve.At(load, r.MaxLevel)
-			}
-		}
+		g.states = dst[:k]
 		parts[i] = g
 	})
 	return parts
 }
 
 // sensed closes a cycle's sensing stage — the sweep, whose cost is what
-// Figure 5's collection-time curve measures: it totals the parts, gathers
-// their node states into s.snap and records the stage.
+// Figure 5's collection-time curve measures: it totals the parts, closes
+// the gaps stale, away and quarantined records left between the shards'
+// regions of s.snap.Nodes — nothing to move when every node is fresh —
+// and records the stage.
 func (s *Server) sensed(parts []cyclePart, span *obs.CycleHandle, t0 time.Time) (p, demand units.Watts, stale int) {
-	s.snap = policy.Snapshot{Nodes: s.snap.Nodes[:0]}
+	nodes, n, spilled := s.snap.Nodes, 0, false
 	for i := range parts {
 		p += parts[i].p
 		demand += parts[i].demand
 		stale += parts[i].stale
-		s.snap.Nodes = append(s.snap.Nodes, parts[i].states...)
+		n += len(parts[i].states)
+		spilled = spilled || parts[i].spilled
 	}
+	if spilled {
+		// A shard outgrew its region: concatenate every part into new
+		// storage, since the in-place parts still view the old.
+		nodes = make([]policy.NodeState, 0, n)
+	}
+	w := 0
+	for i := range parts {
+		k := len(parts[i].states)
+		if spilled {
+			nodes = append(nodes, parts[i].states...)
+		} else if parts[i].off != w {
+			copy(nodes[w:w+k], parts[i].states) // w ≤ off: a move down, never over an unmoved part
+		}
+		w += k
+	}
+	s.snap = policy.Snapshot{Nodes: nodes[:w]}
 	collect := time.Since(t0)
-	span.Stage(obs.StageSense, collect, fmt.Sprintf("readings=%d stale=%d", len(s.snap.Nodes), stale))
+	span.Stage(obs.StageSense, collect, fmt.Sprintf("readings=%d stale=%d", w, stale))
 	cus := collect.Microseconds()
 	s.lastCollectMicros.SetInt(cus)
 	s.collectMicros.Add(float64(cus))

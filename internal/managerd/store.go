@@ -2,6 +2,7 @@ package managerd
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/manager"
@@ -32,8 +33,7 @@ import (
 // table as lost, and its reconnect history survives redials, which is what
 // makes flap detection possible — so the table holds one record per
 // distinct node ID ever seen or journalled. All access under the owning
-// shard's mutex, except est and estCycle: those belong to the cycle (its
-// sweep workers, under cycleMu).
+// shard's mutex; est and estCycle are read and written by the sweep alone.
 type nodeRec struct {
 	id node.ID
 	ac *agentConn // nil while the node is away
@@ -62,6 +62,10 @@ type shard struct {
 	// record index over it, for lookups only; every walk ranges chunks.
 	chunks [][]nodeRec
 	nodes  map[node.ID]*nodeRec
+	// records counts the records, kept by add. The sweep sizes the shard's
+	// region of the policy snapshot from it before it takes any shard lock,
+	// so it is atomic; under mu it is the length of chunks' records.
+	records atomic.Int32
 
 	// Cached tallies, guarded by mu. The health counts and drifted are
 	// recomputed by every cycle's sweep; noteConnect and the journal
@@ -128,6 +132,7 @@ func (sh *shard) add(id node.ID) *nodeRec {
 	sh.chunks[last] = append(sh.chunks[last], nodeRec{id: id})
 	rec := &sh.chunks[last][len(sh.chunks[last])-1]
 	sh.nodes[id] = rec
+	sh.records.Add(1)
 	return rec
 }
 

@@ -60,24 +60,32 @@ func journalLevel(s *Server, id node.ID) int {
 	return -1
 }
 
-// ids lists the nodes of a part's fresh readings — all of them (the ones
-// that count in p) or the candidates only.
-func ids(fs []freshNode, candidatesOnly bool) []node.ID {
+// readingIDs lists the nodes of a part's collected readings, sorted.
+func readingIDs(rs []manager.AgentReading) []node.ID {
 	out := []node.ID{}
-	for _, f := range fs {
-		if f.rec != nil || !candidatesOnly {
-			out = append(out, f.r.ID)
-		}
+	for _, r := range rs {
+		out = append(out, r.ID)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
+	return out
+}
+
+// stateIDs lists the nodes of a snapshot's node states, sorted.
+func stateIDs(ns []policy.NodeState) []node.ID {
+	out := []node.ID{}
+	for _, n := range ns {
+		out = append(out, n.ID)
+	}
+	slices.Sort(out)
 	return out
 }
 
 // TestSweepOneShard builds one shard by hand, one record per case the
 // sweep distinguishes, and runs the sweep under the control loop's cut
 // (t0 − StaleAfter) and under the later cut of an external driver that
-// started pushing just before t0. The two must differ in readings,
-// candidates and stale, and in nothing else.
+// started pushing just before t0. The two must differ in readings (the
+// walk's collected ones: the daemon is externally controlled), candidates
+// (the policy snapshot) and stale, and in nothing else.
 func TestSweepOneShard(t *testing.T) {
 	const (
 		cycleN = 10
@@ -100,6 +108,8 @@ func TestSweepOneShard(t *testing.T) {
 			StaleAfter:   100 * time.Millisecond,
 			LostAfter:    time.Second,
 			Shards:       1,
+			// The walk collects its fresh readings for an external driver.
+			ExternalControl: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -141,9 +151,10 @@ func TestSweepOneShard(t *testing.T) {
 		if len(parts) != 1 {
 			t.Fatalf("%d parts for one shard", len(parts))
 		}
+		srv.sensed(parts, nil, t0)
 		g := parts[0]
 		out := outcome{
-			readings: ids(g.fresh, false), candidates: ids(g.fresh, true), stale: g.stale,
+			readings: readingIDs(g.readings), candidates: stateIDs(srv.snap.Nodes), stale: g.stale,
 			adopts:  append([]node.ID{}, g.adopts...),
 			resends: map[node.ID]resend{},
 			tallies: [4]int{sh.nHealthy, sh.nStale, sh.nLost, sh.nQuar},
@@ -731,6 +742,27 @@ func TestSweepCallerRunsEveryShard(t *testing.T) {
 	}
 }
 
+// quietFleet is a server of fleet fresh nodes at their top level in 128
+// shards, swept by workers: thresholds far above the fleet, nothing to
+// command, so every cycle is quiet.
+func quietFleet(b *testing.B, fleet, workers int) (*Server, time.Time) {
+	srv, err := New(Config{
+		Model: power.TianheNode(), Policy: policy.MPCC{}, Tg: 3,
+		ControlEvery: time.Hour, Thresholds: power.Thresholds{PL: 1e9, PH: 2e9},
+		Shards: 128, FanoutWorkers: workers,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(srv.Stop)
+	rng := rand.New(rand.NewSource(1))
+	now := time.Now()
+	for id := node.ID(0); id < node.ID(fleet); id++ {
+		putRec(b, srv.nodes.of(id), manager.AgentReading{ID: id, Level: 9, MaxLevel: 9, Delta: randomDelta(rng)}, now)
+	}
+	return srv, now
+}
+
 // BenchmarkSweep prices one quiet sweep at two scales, each in 128 shards:
 // steady-green's 8192 fresh nodes at their top level, and a tree-shift
 // cabinet's 128, where the sweep's fixed cost — starting and joining its
@@ -740,25 +772,33 @@ func BenchmarkSweep(b *testing.B) {
 	for _, fleet := range []int{8192, 128} {
 		for _, workers := range []int{1, 4} {
 			b.Run(fmt.Sprintf("n=%d/workers=%d", fleet, workers), func(b *testing.B) {
-				srv, err := New(Config{
-					Model: power.TianheNode(), Policy: policy.MPCC{}, Tg: 3,
-					ControlEvery: time.Hour, Thresholds: power.Thresholds{PL: 1e9, PH: 2e9},
-					Shards: 128, FanoutWorkers: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(srv.Stop)
-				rng := rand.New(rand.NewSource(1))
-				now := time.Now()
-				for id := node.ID(0); id < node.ID(fleet); id++ {
-					putRec(b, srv.nodes.of(id), manager.AgentReading{ID: id, Level: 9, MaxLevel: 9, Delta: randomDelta(rng)}, now)
-				}
+				srv, now := quietFleet(b, fleet, workers)
 				srv.sweep(1, now, time.Time{}) // the parts grow to size once
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					srv.sweep(i+2, now, time.Time{})
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkQuietCycle prices a whole quiet control cycle, StepCycle — the
+// sweep, sensed closing the snapshot, upkeep, a green Algorithm 1 with
+// nothing to command and the journal's cycle close — on BenchmarkSweep's
+// fleets and workers, with no RecordCycle: the cost of steady-green's
+// reaction, one cabinet's share of it.
+func BenchmarkQuietCycle(b *testing.B) {
+	for _, fleet := range []int{8192, 128} {
+		for _, workers := range []int{1, 4} {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", fleet, workers), func(b *testing.B) {
+				srv, _ := quietFleet(b, fleet, workers)
+				srv.StepCycle() // the scratch grows to size once
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					srv.StepCycle()
 				}
 			})
 		}

@@ -104,10 +104,16 @@ type Store struct {
 	plW     float64
 	phW     float64
 	learner *power.LearnerState
-	levels  map[int]int
-	dirty   map[int]bool // levels changed since the last committed entry
-	ring    []Entry      // contiguous recent entries ending at seq
-	ringLvl int          // levels carried by the ring's entries
+	// The level mirror: slot maps a node to its index in levels, dense and
+	// in the order nodes were first recorded. dirty lists the slots changed
+	// since the last committed entry, each once (pending marks them), in
+	// the order they first changed.
+	slot    map[int]int
+	levels  []Level
+	pending []bool
+	dirty   []int
+	ring    []Entry // contiguous recent entries ending at seq
+	ringLvl int     // levels carried by the ring's entries
 }
 
 // Open loads (or creates) a store at path; "" builds a memory-only store
@@ -118,7 +124,7 @@ type Store struct {
 // compactly, clearing torn tails and duplicates, so the append log always
 // starts empty after Open.
 func Open(path string) (*Store, error) {
-	s := &Store{path: path, levels: map[int]int{}, dirty: map[int]bool{}}
+	s := &Store{path: path, slot: map[int]int{}}
 	if path == "" {
 		return s, nil
 	}
@@ -142,7 +148,7 @@ func ReadState(path string) (Snapshot, error) {
 	if err != nil {
 		return Snapshot{}, err
 	}
-	s := &Store{levels: map[int]int{}, dirty: map[int]bool{}}
+	s := &Store{slot: map[int]int{}}
 	s.adoptSnapshotLocked(snap)
 	replayLog(s, path+".log")
 	return s.snapshotLocked(), nil
@@ -214,11 +220,19 @@ func (s *Store) SetLevel(nodeID, level int) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cur, ok := s.levels[nodeID]; ok && cur == level {
+	i, ok := s.slot[nodeID]
+	switch {
+	case !ok:
+		i = s.addSlotLocked(Level{Node: nodeID, Level: level})
+	case s.levels[i].Level == level:
 		return
+	default:
+		s.levels[i].Level = level
 	}
-	s.levels[nodeID] = level
-	s.dirty[nodeID] = true
+	if !s.pending[i] {
+		s.pending[i] = true
+		s.dirty = append(s.dirty, i)
+	}
 }
 
 // CommitCycle closes one control cycle: if any level changed since the
@@ -233,12 +247,14 @@ func (s *Store) CommitCycle(cycle int, plW, phW float64, learner *power.LearnerS
 	var e Entry
 	changed := false
 	if len(s.dirty) > 0 {
-		e.Levels = make([]Level, 0, len(s.dirty))
-		for n := range s.dirty {
-			e.Levels = append(e.Levels, Level{Node: n, Level: s.levels[n]})
+		// The dirtied slots in the order they first changed: each node
+		// once, no sort.
+		e.Levels = make([]Level, len(s.dirty))
+		for k, i := range s.dirty {
+			e.Levels[k] = s.levels[i]
+			s.pending[i] = false
 		}
-		slices.SortFunc(e.Levels, byNode)
-		clear(s.dirty)
+		s.dirty = s.dirty[:0]
 		changed = true
 	}
 	if plW > 0 && (plW != s.plW || phW != s.phW) {
@@ -362,10 +378,22 @@ func (s *Store) Compact() error {
 
 // ---- internals (all require s.mu held, except the pure file readers) ----
 
+// addSlotLocked gives l's node the next slot of the mirror, clean, and
+// returns it.
+func (s *Store) addSlotLocked(l Level) int {
+	i := len(s.levels)
+	s.slot[l.Node] = i
+	s.levels = append(s.levels, l)
+	s.pending = append(s.pending, false)
+	return i
+}
+
+// snapshotLocked copies the state out; a snapshot's levels are sorted by
+// node.
 func (s *Store) snapshotLocked() Snapshot {
-	levels := make([]Level, 0, len(s.levels))
-	for n, l := range s.levels {
-		levels = append(levels, Level{Node: n, Level: l})
+	levels := slices.Clone(s.levels)
+	if levels == nil {
+		levels = []Level{}
 	}
 	slices.SortFunc(levels, byNode)
 	var learner *power.LearnerState
@@ -380,11 +408,11 @@ func (s *Store) snapshotLocked() Snapshot {
 }
 
 func (s *Store) adoptSnapshotLocked(snap Snapshot) {
-	s.levels = make(map[int]int, len(snap.Levels))
+	s.slot = make(map[int]int, len(snap.Levels))
+	s.levels, s.pending, s.dirty = nil, nil, nil
 	for _, l := range snap.Levels {
-		s.levels[l.Node] = l.Level
+		s.addSlotLocked(l)
 	}
-	s.dirty = map[int]bool{}
 	s.ring, s.ringLvl = nil, 0 // history before a snapshot is not replayable onto it
 	s.seq = snap.LastSeq
 	if snap.Epoch > s.epoch {
@@ -401,8 +429,17 @@ func (s *Store) adoptSnapshotLocked(snap Snapshot) {
 
 func (s *Store) applyEntryLocked(e Entry) {
 	for _, l := range e.Levels {
-		s.levels[l.Node] = l.Level
-		delete(s.dirty, l.Node)
+		i, ok := s.slot[l.Node]
+		if !ok {
+			s.addSlotLocked(l)
+			continue
+		}
+		s.levels[i].Level = l.Level
+		if s.pending[i] {
+			// Applied from the leader: no longer this store's own change.
+			s.pending[i] = false
+			s.dirty = slices.DeleteFunc(s.dirty, func(d int) bool { return d == i })
+		}
 	}
 	if e.ThrPLW > 0 {
 		s.plW, s.phW = e.ThrPLW, e.ThrPHW

@@ -578,3 +578,28 @@ func TestLogStaysBoundedAndReloadable(t *testing.T) {
 		return nil
 	})
 }
+
+// BenchmarkCommitCycle prices one red cycle's journal work on a 1024-node
+// mirror: every node's level changes (1024 SetLevels), then CommitCycle
+// emits the entry. Memory-only, so no log line is written.
+func BenchmarkCommitCycle(b *testing.B) {
+	const n = 1024
+	s, err := Open("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for node := 0; node < n; node++ {
+		s.SetLevel(node, 9)
+	}
+	s.CommitCycle(1, 0, 0, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for node := 0; node < n; node++ {
+			s.SetLevel(node, i%2)
+		}
+		if e, ok := s.CommitCycle(i+2, 0, 0, nil); !ok || len(e.Levels) != n {
+			b.Fatalf("cycle %d: %d levels committed (ok %v), want %d", i, len(e.Levels), ok, n)
+		}
+	}
+}
