@@ -226,8 +226,12 @@ func (a *Agent) Tripped() bool {
 // touchContact records manager traffic: it re-arms the dead-man switch
 // and clears the tripped flag. The node's level is left alone — a
 // returning manager sees the floor level in the agent's samples and
-// reconciles by explicit command rather than the agent guessing.
+// reconciles by explicit command rather than the agent guessing. With the
+// switch off there is nothing to re-arm, and no lock or clock is taken.
 func (a *Agent) touchContact() {
+	if a.cfg.FailsafeAfter <= 0 {
+		return
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.lastContact = time.Now()
@@ -310,26 +314,25 @@ func (a *Agent) sample() manager.AgentReading {
 	return r
 }
 
-// apply executes a level command.
-func (a *Agent) apply(level int) error {
+// apply executes a level command and returns the level in force after it,
+// read under the same lock.
+func (a *Agent) apply(level int) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	var err error
 	if a.cfg.Passive {
-		lvl, err := a.cfg.Apply(level)
-		a.curLevel = lvl
-		if err != nil {
-			a.applyErrs.Inc()
-			return err
-		}
-		a.cmdsApplied.Inc()
-		return nil
+		a.curLevel, err = a.cfg.Apply(level)
+		level = a.curLevel
+	} else {
+		err = a.node.SetLevel(level)
+		level = a.node.Level()
 	}
-	if err := a.node.SetLevel(level); err != nil {
+	if err != nil {
 		a.applyErrs.Inc()
-		return err
+	} else {
+		a.cmdsApplied.Inc()
 	}
-	a.cmdsApplied.Inc()
-	return nil
+	return level
 }
 
 // PushReading sends one externally supplied sample to the manager over
@@ -526,13 +529,12 @@ func (s *session) handle(env *wire.Envelope, depth int) error {
 			}
 		}
 	case wire.KindCommand:
-		_ = a.apply(env.Level)
 		// Ack with the level actually in force: on an invalid command the
 		// manager learns the real level instead of assuming the command
 		// took.
 		ack := wire.Envelope{
 			Type: wire.KindAck, Node: int(a.cfg.NodeID),
-			Seq: env.Seq, Level: a.Level(),
+			Seq: env.Seq, Level: a.apply(env.Level),
 		}
 		if s.send(&ack) == nil {
 			a.acksSent.Inc()

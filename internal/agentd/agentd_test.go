@@ -650,3 +650,81 @@ func TestPassiveProtocol(t *testing.T) {
 		t.Errorf("CommandsApplied = %d, want 1", a.CommandsApplied())
 	}
 }
+
+// TestPassiveDeadManTripsAndClears: an armed passive agent under a
+// connected but silent manager trips its switch through Apply, and the next
+// traffic clears the trip. It waits on the agent's own calls and acks,
+// never on the clock.
+func TestPassiveDeadManTripsAndClears(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	connCh, ackCh := make(chan *wire.Conn, 1), make(chan wire.Envelope, 1)
+	go func() {
+		raw, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		c := wire.NewConn(raw)
+		connCh <- c
+		for {
+			env, err := c.Recv()
+			if err != nil {
+				return
+			}
+			if env.Type == wire.KindAck {
+				ackCh <- env
+			}
+		}
+	}()
+
+	// Apply runs under the agent's lock and must never block: room for the
+	// trip's call and the command's.
+	applied := make(chan int, 2)
+	a, err := New(Config{
+		NodeID: 6, ManagerAddrs: []string{ln.Addr().String()},
+		SampleEvery: 20 * time.Millisecond, TickEvery: time.Hour,
+		Model:   power.TianheNode(),
+		Passive: true, MaxLevel: 9, InitialLevel: 7,
+		Apply: func(level int) (int, error) {
+			applied <- level
+			return level, nil
+		},
+		FailsafeAfter: 5, FailsafeLevel: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() { _ = a.Run(ctx) }()
+
+	var mconn *wire.Conn
+	select {
+	case mconn = <-connCh:
+	case <-time.After(5 * time.Second):
+		t.Fatal("agent never connected")
+	}
+	select {
+	case lvl := <-applied:
+		if lvl != 2 || !a.Tripped() || a.Level() != 2 {
+			t.Fatalf("silent manager: Apply(%d), tripped=%v level=%d; want the trip to apply failsafe level 2", lvl, a.Tripped(), a.Level())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("silent manager never tripped the dead-man switch")
+	}
+
+	if err := mconn.Send(wire.Envelope{Type: wire.KindCommand, Node: 6, Level: 5, Seq: 9}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case ack := <-ackCh:
+		if ack.Seq != 9 || ack.Level != 5 || a.Tripped() {
+			t.Fatalf("after a command: ack %+v, tripped=%v; want seq 9 acked at level 5 and the trip cleared", ack, a.Tripped())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("command never acked")
+	}
+}

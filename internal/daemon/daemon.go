@@ -157,9 +157,10 @@ type Chassis struct {
 }
 
 // New opens the journal (see HA.JournalPath), claims the leadership epoch —
-// closing the journal and refusing if a rival claimed it first, or if it
-// boots cold under another holder's live lease — and builds an unstarted
-// chassis, which owns the journal: its daemon calls Stop.
+// refusing if a rival claimed it first, or if it boots cold under another
+// holder's live lease — and builds an unstarted chassis, which owns the
+// journal: its daemon calls Stop. A refused New closes a journal it opened
+// itself; a journal it was handed (a standby's copy) stays its caller's.
 func New(opt Options, hooks Hooks) (*Chassis, error) {
 	var err error
 	// A daemon that opens its own journal boots cold; one handed a copy is
@@ -190,7 +191,9 @@ func New(opt Options, hooks Hooks) (*Chassis, error) {
 			epoch = max(epoch, st.Epoch)
 		}
 		if epoch, err = opt.Lease.Claim(epoch, opt.LeaseHolder); err != nil {
-			opt.Journal.Close()
+			if cold {
+				opt.Journal.Close()
+			}
 			return nil, err
 		}
 	}

@@ -310,3 +310,86 @@ func TestDivergentCopyIsReset(t *testing.T) {
 		t.Errorf("resumed with %v resets and %v entries applied, want 1 and %v", n, got, applied+1)
 	}
 }
+
+// A standby that loses its claim goes back to following: P leads epoch 1
+// with two standbys A and B, each given the group's other addresses. P
+// stops; A promotes and claims epoch 2 but is held before it starts while
+// B is forced to promote over the same lease, so B's New is refused
+// (replica.ErrClaimed), which B's Await returns. B keeps its copy, follows
+// A once A leads, and when A stops B promotes at epoch 3 with A's entries.
+func TestClaimLoserKeepsFollowing(t *testing.T) {
+	const every = 50 * time.Millisecond
+	lease := &replica.Lease{Path: filepath.Join(t.TempDir(), "lease.json"), Every: every}
+	var ps stub
+	p := newChassis(t, &ps, func(o *daemon.Options) { o.Lease, o.LeaseHolder = lease, "primary" })
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	aAddr, bAddr := freeAddr(t), freeAddr(t)
+	opts := func(self string, ha daemon.HA) daemon.Options {
+		return daemon.Options{Listen: []daemon.Endpoint{{Addr: self}}, ControlEvery: time.Hour, HA: ha, WriteTimeout: time.Second}
+	}
+	claimed, release := make(chan struct{}), make(chan struct{})
+	a, err := daemon.StartStandby(daemon.StandbyConfig{
+		Follower: replica.FollowerConfig{Addrs: []string{p.Addr(), bAddr}, Backoff: every},
+		Lease:    lease, MissBudget: 1000, Holder: "a",
+	}, func(ha daemon.HA) (*daemon.Chassis, error) {
+		var s stub
+		c, err := daemon.New(opts(aAddr, ha), s.hooks())
+		if err != nil {
+			return nil, err
+		}
+		close(claimed)
+		<-release
+		return daemon.Boot(c, nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Stop() })
+	b, err := daemon.StartStandby(daemon.StandbyConfig{
+		Follower: replica.FollowerConfig{Addrs: []string{p.Addr(), aAddr}, Backoff: every},
+		Lease:    lease, MissBudget: 8, Holder: "b",
+	}, func(ha daemon.HA) (*daemon.Chassis, error) {
+		var s stub
+		return daemon.Boot(daemon.New(opts(bAddr, ha), s.hooks()))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Stop() })
+
+	for i := 1; i <= 5; i++ {
+		commitLevel(p, i, i)
+	}
+	waitFor(t, "both copies at P's head", func() bool {
+		return a.Store().Seq() == 5 && b.Store().Seq() == 5
+	})
+	p.Stop()
+	a.Promote()
+	<-claimed
+	b.Promote()
+	if _, err := b.Await(5 * time.Second); !errors.Is(err, replica.ErrClaimed) || !strings.Contains(err.Error(), "epoch 2 already claimed by a") {
+		t.Fatalf("B's promotion: %v, want epoch 2 already claimed by a (replica.ErrClaimed)", err)
+	}
+	close(release)
+	ca := awaitChassis(t, a)
+	if ca.Epoch() != 2 {
+		t.Fatalf("A leads epoch %d, want 2", ca.Epoch())
+	}
+	for i := 1; i <= 10; i++ {
+		commitLevel(ca, 100+i, i)
+	}
+	head := ca.Journal().Seq()
+	waitFor(t, "the refused standby's copy at the winner's head", func() bool { return b.Store().Seq() == head })
+	want := ca.Journal().State().Levels
+
+	ca.Stop()
+	cb := awaitChassis(t, b)
+	if cb.Epoch() != 3 {
+		t.Errorf("B promoted at epoch %d after A stopped, want 3", cb.Epoch())
+	}
+	if got := cb.Journal().State(); got.LastSeq != head || !slices.Equal(got.Levels, want) {
+		t.Errorf("B leads with seq %d levels %v, want A's seq %d levels %v", got.LastSeq, got.Levels, head, want)
+	}
+}

@@ -78,7 +78,8 @@ func (p *Process) Failsafe(own power.Thresholds) (fs power.Thresholds, err error
 // Run boots the daemon build makes from the shared flags' HA — the primary,
 // or with -standby-of a warm standby that boots it on promotion — then waits
 // for SIGINT or SIGTERM, stops it and, if one ran, calls summary. banner
-// announces a primary once it listens. Any failure to boot exits.
+// announces a primary once it listens. Any failure to boot exits, but for a
+// standby's claim lost to a rival standby: it goes on following.
 func Run[S interface {
 	Start() error
 	Stop()
@@ -90,8 +91,12 @@ func Run[S interface {
 	if p.lease != "" {
 		lease = &replica.Lease{Path: p.lease, Every: p.leaseEvery}
 	}
-	start := func(ha HA, announce func(S)) S {
+	start := func(ha HA, announce func(S)) (S, error) {
 		srv, err := Boot(build(ha))
+		if ha.Journal != nil && errors.Is(err, replica.ErrClaimed) {
+			p.printf("%v; following the winner", err)
+			return srv, err
+		}
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -99,7 +104,7 @@ func Run[S interface {
 		if ma := srv.MetricsAddr(); ma != "" {
 			p.printf("metrics on http://%s/metrics (cycles on /debug/cycles)", ma)
 		}
-		return srv
+		return srv, nil
 	}
 	var stop func() (S, bool)
 	if len(p.standbyOf) == 0 {
@@ -107,7 +112,7 @@ func Run[S interface {
 		if lease != nil {
 			ha.Lease, ha.LeaseHolder = lease, "primary"
 		}
-		srv := start(ha, banner)
+		srv, _ := start(ha, banner)
 		stop = func() (S, bool) { srv.Stop(); return srv, true }
 	} else {
 		if lease == nil {
@@ -120,11 +125,12 @@ func Run[S interface {
 			MissBudget:  p.missBudget,
 			Holder:      "standby",
 		}, func(ha HA) (S, error) {
-			// A standby that cannot take over must not linger as one.
+			// A standby that lost its claim to a rival keeps following;
+			// one that cannot take over for any other reason exits.
 			return start(ha, func(srv S) {
 				p.printf("promoted at epoch %d after %v leaderless, listening on %s",
 					srv.Epoch(), (time.Duration(ha.TakeoverMicros) * time.Microsecond).Round(time.Millisecond), srv.Addr())
-			}), nil
+			})
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -63,8 +63,11 @@ type WarmStandby[S interface{ Stop() }] struct {
 // journal, the lease under cfg.Holder, and the leaderless time. Death is
 // declared only after the lease has been seen alive once: a standby
 // started before its primary waits instead of seizing an empty lease. A
-// standby stopped unpromoted, or whose boot fails, closes its copy; a
-// promoted daemon owns it from then on.
+// boot refused because a rival claimed the epoch first
+// (replica.ErrClaimed) keeps the copy and goes back to watching, its
+// follower finding the winner among Follower.Addrs; any other boot error,
+// or a stop before promotion, closes the copy. Either refusal is what the
+// next Await returns. A promoted daemon owns the copy from then on.
 func StartStandby[S interface{ Stop() }](cfg StandbyConfig, boot func(HA) (S, error)) (*WarmStandby[S], error) {
 	if cfg.Lease == nil {
 		return nil, errors.New("daemon: standby needs a lease")
@@ -94,19 +97,27 @@ func StartStandby[S interface{ Stop() }](cfg StandbyConfig, boot func(HA) (S, er
 	}
 	go func() {
 		defer close(h.done)
-		last, leaderless, ok := h.watch(ctx, f)
-		if !ok {
-			store.Close()
-			return
+		for {
+			last, leaderless, ok := h.watch(ctx, f)
+			if !ok {
+				store.Close()
+				return
+			}
+			store.SetEpoch(last.Epoch)
+			srv, err := boot(HA{Journal: store, Lease: cfg.Lease, LeaseHolder: cfg.Holder, TakeoverMicros: leaderless.Microseconds()})
+			if err == nil {
+				h.srvCh <- srv
+				return
+			}
+			select {
+			case h.errCh <- err:
+			default: // an earlier refusal is still uncollected
+			}
+			if !errors.Is(err, replica.ErrClaimed) {
+				store.Close()
+				return
+			}
 		}
-		store.SetEpoch(last.Epoch)
-		srv, err := boot(HA{Journal: store, Lease: cfg.Lease, LeaseHolder: cfg.Holder, TakeoverMicros: leaderless.Microseconds()})
-		if err != nil {
-			store.Close()
-			h.errCh <- err
-			return
-		}
-		h.srvCh <- srv
 	}()
 	return h, nil
 }

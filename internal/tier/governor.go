@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/power"
-	"repro/internal/units"
 	"repro/internal/wire"
 )
 
@@ -51,73 +50,55 @@ type GovernorConfig struct {
 // Governor is the child half: dial parent, report up, adopt grants,
 // floor on silence. One Governor serves one parent edge; Run is its
 // redialling session and Thresholds answers the control loop's
-// per-cycle question "which band do I enforce right now?".
+// per-cycle question "which band do I enforce right now?". Both are
+// shells over governorCore.
 type Governor struct {
 	cfg GovernorConfig
 
 	conn atomic.Pointer[wire.Conn] // newest parent connection (CloseConn)
 
-	mu        sync.Mutex
-	thr       power.Thresholds
-	haveGrant bool
-	grantSeq  uint64
-	lastGrant time.Time
-	floored   bool
-	lastP     float64 // last cycle's sensed aggregate power
-	lastD     float64 // last cycle's uncapped demand estimate
-	started   time.Time
+	mu   sync.Mutex
+	core governorCore
 }
 
 // NewGovernor builds an unstarted governor.
-func NewGovernor(cfg GovernorConfig) *Governor { return &Governor{cfg: cfg} }
+func NewGovernor(cfg GovernorConfig) *Governor {
+	g := &Governor{cfg: cfg}
+	g.core.cfg = &g.cfg
+	return g
+}
 
-// Start stamps the beginning of the grace window, so a child that never
-// reaches its parent still floors itself Grace in.
+// Start opens the grace window: a child that never reaches its parent
+// still floors itself Grace in.
 func (g *Governor) Start() {
 	g.mu.Lock()
-	g.started = time.Now()
+	g.core.last = time.Now()
 	g.mu.Unlock()
 }
 
 // Thresholds returns the band the child's control cycle must enforce
-// now: the freshest grant while the parent is alive, Failsafe once it
-// has been silent past the grace window, and Initial before the first
-// grant of a young connection.
+// at now (governorCore.band), firing OnFloor once per floor transition.
 func (g *Governor) Thresholds(now time.Time) power.Thresholds {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	last := g.lastGrant
-	if last.IsZero() {
-		last = g.started
+	thr, floors := g.core.band(now)
+	if floors && g.cfg.OnFloor != nil {
+		g.cfg.OnFloor()
 	}
-	if now.Sub(last) > g.cfg.Grace {
-		if !g.floored {
-			g.floored = true
-			if g.cfg.OnFloor != nil {
-				g.cfg.OnFloor()
-			}
-		}
-		return g.cfg.Failsafe
-	}
-	if g.haveGrant {
-		return g.thr
-	}
-	return g.cfg.Initial
+	return thr
 }
 
-// Governed reports whether the newest grant is in force (true between
-// the first grant and a floor transition).
+// Governed reports whether a grant is in force (first grant to floor).
 func (g *Governor) Governed() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.haveGrant && !g.floored
+	return g.core.haveGrant && !g.core.floored
 }
 
-// NoteSense records the cycle's sensed power and demand for the next
-// upward report.
+// NoteSense records the cycle's sensed power and demand for reporting.
 func (g *Governor) NoteSense(p, demand float64) {
 	g.mu.Lock()
-	g.lastP, g.lastD = p, demand
+	g.core.lastP, g.core.lastD = p, demand
 	g.mu.Unlock()
 }
 
@@ -176,41 +157,22 @@ func (g *Governor) session(conn *wire.Conn) {
 	}
 }
 
-// reportEnvelope snapshots the child's aggregate state into one
-// cab_report frame: sensed power, uncapped demand, the band currently in
-// force, fleet tallies, and the sequence number of the newest grant (so
-// the parent sees which grant the child runs under).
+// reportEnvelope is one upward cab_report (governorCore.report). The
+// snapshot is taken outside the lock: it may ask Thresholds.
 func (g *Governor) reportEnvelope() wire.Envelope {
 	snap := g.cfg.Snapshot()
 	g.mu.Lock()
-	seq := g.grantSeq
-	p, d := g.lastP, g.lastD
-	g.mu.Unlock()
-	return wire.Envelope{
-		Type: wire.KindCabReport, Node: g.cfg.Child, Seq: seq, Epoch: snap.Epoch,
-		PowerW: p, DemandW: d,
-		BudgetW: snap.AppliedPLW, PHW: snap.AppliedPHW,
-		Agents:  snap.Agents,
-		Healthy: snap.Healthy,
-	}
+	defer g.mu.Unlock()
+	return g.core.report(snap)
 }
 
-// applyGrant installs a cab_budget band as the governed thresholds.
-// Invalid bands (PL ≤ 0 or PH < PL — a parent bug or a torn frame) are
-// ignored; the dead-man floor covers a parent that sends only garbage.
+// applyGrant is the grant event: one clock read, adopted by the core.
 func (g *Governor) applyGrant(env *wire.Envelope) {
-	thr := power.Thresholds{PL: units.Watts(env.BudgetW), PH: units.Watts(env.PHW)}
-	if err := thr.Validate(); err != nil {
-		return
-	}
+	now := time.Now()
 	g.mu.Lock()
-	g.thr = thr
-	g.grantSeq = env.Seq
-	g.lastGrant = time.Now()
-	g.haveGrant = true
-	g.floored = false
+	adopted := g.core.grant(env, now)
 	g.mu.Unlock()
-	if g.cfg.OnGrant != nil {
+	if adopted && g.cfg.OnGrant != nil {
 		g.cfg.OnGrant()
 	}
 }

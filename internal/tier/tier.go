@@ -25,11 +25,10 @@
 // topology grow a tier without growing the protocol.
 package tier
 
-// Snapshot is the child-side aggregate state a Governor folds into each
-// upward report: the band currently being enforced (which may be a
-// grant, the configured band, or the failsafe floor), fleet tallies and
-// the leadership epoch. The Governor adds its own sensed power/demand
-// (NoteSense) and newest grant sequence number.
+// Snapshot is the child-side state a Governor folds into each upward
+// report: the band in force (a grant, the configured band or the failsafe),
+// fleet tallies and the leadership epoch. The Governor adds its sensed
+// power and demand (NoteSense) and its newest grant's sequence number.
 type Snapshot struct {
 	AppliedPLW float64 // lower threshold currently enforced, watts
 	AppliedPHW float64 // upper threshold currently enforced, watts

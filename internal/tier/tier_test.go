@@ -12,17 +12,6 @@ import (
 	"repro/internal/wire"
 )
 
-func waitFor(t *testing.T, timeout time.Duration, cond func() bool, msg string) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal(msg)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // TestGovernorThresholdBands pins the three-band contract of
 // Thresholds: Initial before the first grant of a young connection,
 // Failsafe once the parent has been silent past the grace window (with
@@ -68,7 +57,9 @@ func TestGovernorThresholdBands(t *testing.T) {
 // Governor dials, subscribes with a cab_report carrying its snapshot,
 // negotiates the binary codec, and adopts the band the Grantor's next
 // cycle divides for it — the exact edge managerd↔fedd and fedd↔fedd
-// sessions are built from.
+// sessions are built from. The test cycles once per upward report until
+// the grant is adopted, so it waits on the session's own frames, never on
+// the clock.
 func TestGovernorGrantorSession(t *testing.T) {
 	reg := obs.NewRegistry()
 	band := power.Thresholds{PL: 100, PH: 110}
@@ -79,6 +70,13 @@ func TestGovernorGrantorSession(t *testing.T) {
 		Reg:        reg,
 	})
 
+	reported, adopted := make(chan struct{}, 1), make(chan struct{}, 1)
+	signal := func(c chan struct{}) {
+		select {
+		case c <- struct{}{}:
+		default:
+		}
+	}
 	gov := NewGovernor(GovernorConfig{
 		Dial: func() (net.Conn, error) {
 			client, server := net.Pipe()
@@ -99,10 +97,14 @@ func TestGovernorGrantorSession(t *testing.T) {
 		Initial:     power.Thresholds{PL: 50, PH: 60},
 		Failsafe:    power.Thresholds{PL: 10, PH: 12},
 		Snapshot: func() Snapshot {
+			signal(reported)
 			return Snapshot{AppliedPLW: 50, AppliedPHW: 60, Agents: 4, Healthy: 4, Epoch: 7}
 		},
+		OnGrant: func() { signal(adopted) },
 	})
 	gov.Start()
+	// Sensed before the session opens, so the subscribe report carries it.
+	gov.NoteSense(80, 120)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -116,16 +118,23 @@ func TestGovernorGrantorSession(t *testing.T) {
 		<-done
 	}()
 
-	gov.NoteSense(80, 120)
-	waitFor(t, 5*time.Second, func() bool {
-		states := grantor.States()
-		return len(states) == 1 && states[0].DemandW == 120
-	}, "grantor never saw the governor's demand report")
-
-	_, demand := grantor.Cycle()
-	waitFor(t, 5*time.Second, func() bool {
-		return gov.Governed()
-	}, "governor never adopted the grant")
+	// The subscribe is registered before the next report is read; a cycle
+	// that runs before registration grants nothing, and the next report
+	// brings another.
+	var demand float64
+	for deadline := time.After(5 * time.Second); !gov.Governed(); {
+		select {
+		case <-reported:
+			_, demand = grantor.Cycle()
+		case <-adopted:
+		case <-deadline:
+			t.Fatal("governor never adopted the grant")
+		}
+	}
+	st := grantor.States()
+	if len(st) != 1 || st[0].DemandW != 120 {
+		t.Fatalf("grantor states %+v, want the governor's 120 W demand report", st)
+	}
 	// The sole child gets the whole band (P_H rebuilt from the headroom
 	// ratio, hence the tolerance).
 	thr := gov.Thresholds(time.Now())
@@ -133,11 +142,10 @@ func TestGovernorGrantorSession(t *testing.T) {
 		t.Fatalf("governed thresholds %+v, want the full band %+v", thr, band)
 	}
 
-	st := grantor.States()[0]
-	if st.Cabinet != 3 || !st.Live || st.Codec != wire.CodecBinary {
+	if st := st[0]; st.Cabinet != 3 || !st.Live || st.Codec != wire.CodecBinary {
 		t.Errorf("child state %+v, want child 3 live on the binary codec", st)
 	}
-	if st.GrantW != 100 || st.Agents != 4 || st.Epoch != 7 {
+	if st := st[0]; st.GrantW != 100 || st.Agents != 4 || st.Epoch != 7 {
 		t.Errorf("child state %+v, want grant 100 W, 4 agents, epoch 7", st)
 	}
 	live, _ := reg.Value("cabinets_live")
@@ -147,131 +155,88 @@ func TestGovernorGrantorSession(t *testing.T) {
 	}
 }
 
-// subscribeChild opens a raw child session against the grantor: it
-// subscribes with one cab_report and returns the connection, leaving the
-// test to play the child.
-func subscribeChild(t *testing.T, g *Grantor, node int, demandW float64) *wire.Conn {
+// attach registers child node on the grantor as Serve does after its
+// handshake — folding a cab_report of demandW and attaching the grantor's
+// end of a pipe — and returns the child's end with every frame the grantor
+// sends on it forwarded to grants. Registration is synchronous: the test
+// cycles knowing the child is there.
+func attach(t *testing.T, g *Grantor, node int, demandW float64, grants chan<- wire.Envelope) *wire.Conn {
 	t.Helper()
 	client, server := net.Pipe()
-	sc := wire.NewConn(server)
-	go func() {
-		first, err := sc.Recv()
-		if err != nil {
-			sc.Close()
-			return
-		}
-		g.Serve(sc, first)
-	}()
+	g.mu.Lock()
+	cs := g.childLocked(node)
+	cs.conn = wire.NewConn(server)
+	g.noteReport(cs, &wire.Envelope{Type: wire.KindCabReport, Node: node, PowerW: demandW, DemandW: demandW})
+	g.mu.Unlock()
 	conn := wire.NewConn(client)
-	if err := conn.Send(wire.Envelope{
-		Type: wire.KindCabReport, Node: node, PowerW: demandW, DemandW: demandW,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	hello, err := conn.Recv()
-	if err != nil || hello.Type != wire.KindHello {
-		t.Fatalf("subscribe reply = %+v, %v", hello, err)
-	}
-	// The hello reply is sent before Serve registers the child; wait for
-	// the registration to land before the test cycles.
-	waitFor(t, 5*time.Second, func() bool {
-		for _, st := range g.States() {
-			if st.Cabinet == node && st.DemandW == demandW {
-				return true
+	go func() { // a pipe write parks until it is read
+		var env wire.Envelope
+		for conn.RecvInto(&env) == nil {
+			if grants != nil {
+				grants <- env
 			}
 		}
-		return false
-	}, "child never registered after subscribe")
-	t.Cleanup(func() { conn.Close() })
+	}()
+	t.Cleanup(func() { conn.Close(); server.Close() })
 	return conn
 }
 
-// TestGrantorLostChildReserveAndRedivide pins the dead-man arithmetic:
-// a child that stops reporting past StaleAfter is classified lost, its
-// share minus the reserved floor is re-divided to the survivor, and a
-// fresh report brings it straight back.
+// deliver folds one cab_report of demandW from child into the core at now.
+func deliver(c *grantorCore, child int, demandW float64, now time.Time) {
+	cs, _ := c.track(child)
+	c.report(cs, &wire.Envelope{Type: wire.KindCabReport, Node: child, PowerW: demandW, DemandW: demandW}, now)
+}
+
+// TestGrantorLostChildReserveAndRedivide pins the dead-man arithmetic on
+// the grantor's core, in virtual time: a child that stops reporting past
+// StaleAfter is classified lost, its share minus the reserved floor is
+// re-divided to the survivor, and a fresh report brings it straight back.
 func TestGrantorLostChildReserveAndRedivide(t *testing.T) {
-	reg := obs.NewRegistry()
-	g := NewGrantor(GrantorConfig{
-		Division:   budget.Proportional,
-		StaleAfter: 60 * time.Millisecond,
-		Floor:      20,
-		Band:       func(time.Time) power.Thresholds { return power.Thresholds{PL: 100, PH: 110} },
-		Reg:        reg,
-	})
-	c0 := subscribeChild(t, g, 0, 200)
-	c1 := subscribeChild(t, g, 1, 200)
-
-	grants := make(chan wire.Envelope, 16)
-	for _, c := range []*wire.Conn{c0, c1} {
-		c := c
-		go func() {
-			var env wire.Envelope
-			for c.RecvInto(&env) == nil {
-				if env.Type == wire.KindCabBudget {
-					grants <- env
-				}
-			}
-		}()
-	}
-
-	g.Cycle()
-	for i := 0; i < 2; i++ {
-		select {
-		case env := <-grants:
-			if env.BudgetW != 50 {
-				t.Errorf("equal-demand grant = %.0f W, want 50", env.BudgetW)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("first cycle never granted both children")
+	cfg := GrantorConfig{Division: budget.Proportional, StaleAfter: 60 * time.Millisecond, Floor: 20}
+	c := grantorCore{cfg: &cfg}
+	band := power.Thresholds{PL: 100, PH: 110}
+	cycle := func(now time.Time) map[int]float64 {
+		grants, _ := c.cycle(band, now)
+		out := map[int]float64{}
+		for i := range grants {
+			c.sent(&grants[i])
+			out[grants[i].cs.Cabinet] = grants[i].w
 		}
+		return out
+	}
+	now := time.Unix(0, 0)
+	deliver(&c, 0, 200, now)
+	deliver(&c, 1, 200, now)
+
+	if got := cycle(now); len(got) != 2 || got[0] != 50 || got[1] != 50 {
+		t.Errorf("equal-demand grants = %v, want 50 W each", got)
 	}
 
 	// Child 1 goes silent past StaleAfter while child 0 stays fresh.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("child 1 never classified lost")
-		}
-		if err := c0.Send(wire.Envelope{
-			Type: wire.KindCabReport, Node: 0, PowerW: 200, DemandW: 200,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(20 * time.Millisecond)
-		g.Cycle()
-		states := g.States()
-		if len(states) == 2 && states[0].Live && !states[1].Live {
-			break
-		}
+	for step := 0; step < 4; step++ {
+		now = now.Add(20 * time.Millisecond)
+		deliver(&c, 0, 200, now)
+		cycle(now)
+	}
+	if !c.children[0].Live || c.children[1].Live {
+		t.Fatalf("after %v of silence: child 0 live %v, child 1 live %v; want only child 1 lost",
+			now.Sub(c.children[1].lastSeen), c.children[0].Live, c.children[1].Live)
 	}
 
-	// The survivor's next grant is the band minus the lost child's
-	// reserved floor: 100 − 20 = 80.
-	waitFor(t, 5*time.Second, func() bool {
-		for {
-			select {
-			case env := <-grants:
-				if env.Node == 0 && env.BudgetW == 80 {
-					return true
-				}
-			default:
-				return false
-			}
-		}
-	}, "survivor never received the re-divided 80 W grant")
+	// The survivor's grant is the band minus the lost child's reserved
+	// floor: 100 − 20 = 80.
+	now = now.Add(20 * time.Millisecond)
+	deliver(&c, 0, 200, now)
+	if got := cycle(now); len(got) != 1 || got[0] != 80 {
+		t.Errorf("survivor's re-divided grants = %v, want child 0 alone at 80 W", got)
+	}
 
 	// One fresh report restores the lost child on the next cycle.
-	if err := c1.Send(wire.Envelope{
-		Type: wire.KindCabReport, Node: 1, PowerW: 200, DemandW: 200,
-	}); err != nil {
-		t.Fatal(err)
+	deliver(&c, 1, 200, now)
+	cycle(now)
+	if !c.children[0].Live || !c.children[1].Live {
+		t.Error("silent child never came back live after a fresh report")
 	}
-	waitFor(t, 5*time.Second, func() bool {
-		g.Cycle()
-		states := g.States()
-		return len(states) == 2 && states[0].Live && states[1].Live
-	}, "silent child never came back live after a fresh report")
 }
 
 // TestGrantorSeedReservesShares pins promotion seeding: seeded children
@@ -313,19 +278,12 @@ func TestGrantorSeedReservesShares(t *testing.T) {
 	}
 
 	// The first real grant must fence past every journalled sequence.
-	c0 := subscribeChild(t, g, 0, 100)
+	grants := make(chan wire.Envelope, 1)
+	attach(t, g, 0, 100, grants)
 	go g.Cycle()
-	var env wire.Envelope
-	for {
-		if err := c0.RecvInto(&env); err != nil {
-			t.Fatalf("no grant after redial: %v", err)
-		}
-		if env.Type == wire.KindCabBudget {
-			break
-		}
-	}
-	if env.Seq <= 11 {
-		t.Errorf("post-seed grant seq = %d, want > 11", env.Seq)
+	env := <-grants
+	if env.Type != wire.KindCabBudget || env.Seq <= 11 {
+		t.Errorf("post-seed grant %+v, want a cab_budget with seq > 11", env)
 	}
 }
 
@@ -349,30 +307,20 @@ func TestGrantsShrinkBeforeTheyGrow(t *testing.T) {
 			}
 		},
 	})
-	conns := []*wire.Conn{subscribeChild(t, g, 0, 300), subscribeChild(t, g, 1, 100)}
-	for _, c := range conns {
-		c := c
-		go func() { // a pipe write parks until it is read
-			var env wire.Envelope
-			for c.RecvInto(&env) == nil {
-			}
-		}()
-	}
 	demands := []float64{300, 100}
+	for child, d := range demands {
+		attach(t, g, child, d, nil)
+	}
 	for round := 0; round < 8; round++ {
 		g.Cycle()
 		if inForce[0]+inForce[1] != band || inForce[0] != demands[0]/4 {
 			t.Fatalf("round %d: grants in force %v, want %v divided 3:1 by demand %v", round, inForce, band, demands)
 		}
 		demands[0], demands[1] = demands[1], demands[0]
-		for child, c := range conns {
-			if err := c.Send(wire.Envelope{Type: wire.KindCabReport, Node: child, PowerW: demands[child], DemandW: demands[child]}); err != nil {
-				t.Fatal(err)
-			}
+		g.mu.Lock()
+		for child, cs := range g.core.children {
+			g.noteReport(cs, &wire.Envelope{Type: wire.KindCabReport, Node: child, PowerW: demands[child], DemandW: demands[child]})
 		}
-		waitFor(t, 5*time.Second, func() bool {
-			st := g.States()
-			return st[0].DemandW == demands[0] && st[1].DemandW == demands[1]
-		}, "swapped demands never reported")
+		g.mu.Unlock()
 	}
 }
