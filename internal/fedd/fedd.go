@@ -218,20 +218,24 @@ func New(cfg Config) (*Server, error) {
 	// Seed the grantor from recovered journal state: each journalled
 	// child keeps its last granted band reserved (live with no
 	// connection) until it redials, so takeover and restart never starve
-	// a child that was healthy when the previous leader stopped.
-	if snap := s.Journal().State(); len(snap.Levels) > 0 {
+	// a child that was healthy when the previous leader stopped. Grants
+	// are numbered from the chassis's epoch, so a leader's never repeat a
+	// seq an earlier epoch's leader sent, even with nothing journalled yet.
+	snap := s.Journal().State()
+	var seeds []tier.SeedChild
+	if len(snap.Levels) > 0 {
 		phRatio := float64(cfg.PH) / float64(cfg.Budget)
 		if snap.ThrPLW > 0 && snap.ThrPHW >= snap.ThrPLW {
 			phRatio = snap.ThrPHW / snap.ThrPLW
 		}
-		seeds := make([]tier.SeedChild, 0, len(snap.Levels))
+		seeds = make([]tier.SeedChild, 0, len(snap.Levels))
 		for _, l := range snap.Levels {
 			g := float64(l.Level)
 			seeds = append(seeds, tier.SeedChild{Child: l.Node, GrantW: g, GrantPHW: g * phRatio})
 		}
-		s.grantor.Seed(seeds)
 		s.cycleN.Store(int64(snap.SavedAtCycle))
 	}
+	s.grantor.Seed(s.Epoch(), seeds)
 	return s, nil
 }
 

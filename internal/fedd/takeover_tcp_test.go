@@ -76,6 +76,16 @@ func TestCabinetFollowsPromotedCoordinatorOverTCP(t *testing.T) {
 
 	primary.Stop()
 	killed := time.Now()
+	// The newest seq the dead primary sent: every grant of its successor
+	// must be numbered above it, or a child's echo of an old grant would
+	// read as the adoption of a new one.
+	var last uint64
+	if cs := primary.CabinetStates(); len(cs) == 1 {
+		last = cs[0].GrantSeq
+	}
+	if last == 0 {
+		t.Fatal("the primary recorded no grant sent to the cabinet")
+	}
 	promoted, err := sb.Await(grace * period)
 	if err != nil {
 		t.Fatal(err)
@@ -97,6 +107,17 @@ func TestCabinetFollowsPromotedCoordinatorOverTCP(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	adopted := time.Since(killed)
+	// With one child a grantor's seq rises at most once per cycle, so its
+	// newest seq less its cycle count bounds its first seq from below. The
+	// seq is read before the count, which only grows.
+	var newest uint64
+	if cs := promoted.CabinetStates(); len(cs) == 1 {
+		newest = cs[0].GrantSeq
+	}
+	cycles, _ := promoted.Obs().Value("cycles")
+	if newest+1 <= last+uint64(cycles) {
+		t.Errorf("the promoted coordinator reused grant seqs: newest %d after %v cycles, the primary's last was %d", newest, cycles, last)
+	}
 	// The governor redials on its wire.Backoff steps, 10, 30, 70, 150 ms …
 	// after the primary's death, alternating the two addresses; the new
 	// leader grants at its first cycle, one period after it starts.

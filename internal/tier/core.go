@@ -66,6 +66,15 @@ func (c *grantorCore) seed(cs *childState, sc SeedChild, now time.Time) {
 	c.seq = max(c.seq, sc.GrantSeq)
 }
 
+// resume numbers the grants that follow from epoch in the high 32 bits. A
+// journal keeps no grant seq, so a grantor promoted or restarted under a
+// new epoch numbers its first grant above every grant of the earlier
+// epochs' leaders (a leader would need 2³² grants to reach the next
+// epoch's base).
+func (c *grantorCore) resume(epoch uint64) {
+	c.seq = max(c.seq, epoch<<32)
+}
+
 // live reports whether cs's newest report is fresh at now: a child
 // mid-takeover keeps its share rather than thrashing the survivors'.
 func (c *grantorCore) live(cs *childState, now time.Time) bool {

@@ -191,11 +191,14 @@ func (g *Grantor) noteReport(cs *childState, env *wire.Envelope) {
 // Seed restores children recovered from a journal, each stamped fresh with
 // its last granted band: its share stays reserved (live with no
 // connection) until it redials, so takeover never starves a child that was
-// healthy when the old leader died. The grant sequence resumes past them.
-func (g *Grantor) Seed(children []SeedChild) {
+// healthy when the old leader died. The grant sequence resumes past them
+// and past epoch's base (grantorCore.resume), so every grant this leader
+// sends is numbered above every grant an earlier epoch's leader sent.
+func (g *Grantor) Seed(epoch uint64, children []SeedChild) {
 	now := time.Now()
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.core.resume(epoch)
 	for _, sc := range children {
 		if sc.Child >= 0 {
 			cs := g.childLocked(sc.Child)

@@ -251,7 +251,7 @@ func TestGrantorSeedReservesShares(t *testing.T) {
 		Band:       func(time.Time) power.Thresholds { return power.Thresholds{PL: 100, PH: 110} },
 		Reg:        reg,
 	})
-	g.Seed([]SeedChild{
+	g.Seed(0, []SeedChild{
 		{Child: 0, GrantW: 40, GrantPHW: 44, GrantSeq: 9},
 		{Child: 1, GrantW: 60, GrantPHW: 66, GrantSeq: 11},
 		{Child: -1, GrantW: 99}, // invalid index, dropped
